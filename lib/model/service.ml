@@ -66,8 +66,8 @@ let paxos_relay p ~groups =
    s(b) = t_poll + b*t_op shape: the (N-1)*t_in + t_out round overhead
    amortizes across the batch while per-command work (client in/out,
    NIC bytes) stays linear. Reduces to [paxos] at b = 1. *)
-let paxos_batched p ~batch =
-  let b = fi (Stdlib.max 1 batch) in
+let paxos_batched p ~size =
+  let b = fi (Stdlib.max 1 size) in
   let n = fi p.n in
   let lead_cpu =
     (((b +. n -. 1.0) *. p.t_in_ms) +. ((b +. 1.0) *. p.t_out_ms)) /. b

@@ -12,11 +12,11 @@ type 'p packet =
    message rather than the transport's default command size. *)
 let ack_size_bytes = 32
 
-(* Runtime escape hatch for the hot-path pooling: with
-   PAXI_NO_POOLING=1 (or by flipping the ref in a test) post records
-   are freshly allocated per post and never reused. Results must be
-   identical either way — the determinism suite pins that. *)
-let pooling = ref (Sys.getenv_opt "PAXI_NO_POOLING" <> Some "1")
+(* Reference switch for the hot-path pooling: flipped to false (tests
+   only), post records are freshly allocated per post and never
+   reused. Results must be identical either way — the determinism
+   suite pins that. *)
+let pooling = ref true
 
 (* Open posts are pooled on an intrusive free list ([next_free];
    pointing at itself marks a detached record) so the loss-free fast

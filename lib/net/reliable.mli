@@ -40,8 +40,8 @@
     key forever. *)
 
 val pooling : bool ref
-(** Escape hatch for the post-record free list, defaulting to [true]
-    unless [PAXI_NO_POOLING=1] is set. With pooling off every post
+(** Reference switch for the post-record free list, defaulting to
+    [true]. With pooling off every post
     allocates fresh records and thunks; fixed-seed statistics must be
     byte-identical either way (pinned in [test_hotpath]). *)
 

@@ -1,16 +1,15 @@
-(* Runtime escape hatch for the collapsed-delivery optimisation: with
-   PAXI_NO_INLINE_DELIVERY=1 (or by flipping the ref in a test) every
-   delivery schedules its queue-ready completion as a real sim event,
-   as before the collapse. Results must be identical either way — the
-   determinism suite pins that. *)
-let inline_delivery =
-  ref (Sys.getenv_opt "PAXI_NO_INLINE_DELIVERY" <> Some "1")
+(* Reference switch for the collapsed-delivery optimisation: with the
+   ref flipped to false (tests only) every delivery schedules its
+   queue-ready completion as a real sim event, as before the collapse.
+   Results must be identical either way — the determinism suite pins
+   that. *)
+let inline_delivery = ref true
 
-(* Runtime escape hatch for the in-flight delivery record pool (the
-   same convention as [Reliable.pooling]): with PAXI_NO_POOLING=1
-   every delivery allocates fresh records and thunks. Results must be
-   identical either way — the determinism suite pins that. *)
-let pooling = ref (Sys.getenv_opt "PAXI_NO_POOLING" <> Some "1")
+(* Reference switch for the in-flight delivery record pool (the same
+   convention as [Reliable.pooling]): flipped to false, every delivery
+   allocates fresh records and thunks. Results must be identical
+   either way — the determinism suite pins that. *)
+let pooling = ref true
 
 type 'm handler = src:Address.t -> 'm -> unit
 

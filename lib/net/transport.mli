@@ -50,8 +50,7 @@ val set_observer : 'm t -> 'm observer option -> unit
     — the instrumented code paths are skipped entirely. *)
 
 val inline_delivery : bool ref
-(** When true (the default unless [PAXI_NO_INLINE_DELIVERY=1] is set in
-    the environment), a delivery whose queue-ready completion is
+(** When true (the default), a delivery whose queue-ready completion is
     provably next in the global event order runs inline inside the
     arrival event instead of scheduling a second event. Firing order,
     RNG stream and all statistics are identical either way; flip this
@@ -59,11 +58,10 @@ val inline_delivery : bool ref
     determinism tests). *)
 
 val pooling : bool ref
-(** Escape hatch for the in-flight delivery-record free list,
-    defaulting to [true] unless [PAXI_NO_POOLING=1] is set. With
-    pooling off every delivery allocates fresh records and thunks;
-    fixed-seed statistics must be byte-identical either way (pinned in
-    [test_hotpath]). *)
+(** Reference switch for the in-flight delivery-record free list,
+    defaulting to [true]. With pooling off every delivery allocates
+    fresh records and thunks; fixed-seed statistics must be
+    byte-identical either way (pinned in [test_hotpath]). *)
 
 val create :
   sim:Sim.t ->

@@ -33,11 +33,11 @@ let rec req_nil =
     rnext = req_nil;
   }
 
-(* Escape hatch mirroring [Reliable.pooling]: with PAXI_NO_POOLING=1
-   (or by flipping the ref in a test) request records are freshly
-   allocated per request. Fixed-seed statistics are identical either
-   way — the hooks never draw randomness or schedule events. *)
-let pooling = ref (Sys.getenv_opt "PAXI_NO_POOLING" <> Some "1")
+(* Reference switch mirroring [Reliable.pooling]: flipped to false
+   (tests only), request records are freshly allocated per request.
+   Fixed-seed statistics are identical either way — the hooks never
+   draw randomness or schedule events. *)
+let pooling = ref true
 
 (* Requests are keyed by (client, cmd_id) packed into one int: client
    ids are small and dense, per-client command ids are per-run

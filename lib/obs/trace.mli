@@ -40,9 +40,9 @@
 type t
 
 val pooling : bool ref
-(** Escape hatch for the request-record free list, defaulting to
-    [true] unless [PAXI_NO_POOLING=1] is set. Statistics are identical
-    either way (pinned in [test_hotpath]). *)
+(** Reference switch for the request-record free list, defaulting to
+    [true]. Statistics are identical either way (pinned in
+    [test_hotpath]). *)
 
 val create : ?window_ms:float -> ?max_spans:int -> enabled:bool -> unit -> t
 (** [window_ms] (default 100) sizes the throughput/latency time-series

@@ -5,19 +5,17 @@ type message =
       ok : bool;
       accepted : (int * Ballot.t * Command.t) list;
     }
-  | P2a of { ballot : Ballot.t; slot : int; cmd : Command.t; commit_up_to : int }
-  | P2b of { ballot : Ballot.t; slot : int; ok : bool }
-  | P2aBatch of {
+  | P2a of {
       ballot : Ballot.t;
       first_slot : int;
       cmds : Command.t array;
       commit_up_to : int;
     }
       (** one phase-2 round for [Array.length cmds] contiguous slots
-          starting at [first_slot]; wire size is the sum of the
-          commands' sizes, so the receiver pays one [t_in] for the
-          whole batch *)
-  | P2bBatch of { ballot : Ballot.t; first_slot : int; count : int; ok : bool }
+          starting at [first_slot] (one slot when batching is off);
+          wire size is the sum of the commands' sizes, so the receiver
+          pays one [t_in] for the whole round *)
+  | P2b of { ballot : Ballot.t; first_slot : int; count : int; ok : bool }
   | Commit of { slot : int; cmd : Command.t }
   | Heartbeat of { ballot : Ballot.t; commit_up_to : int; epoch : int }
       (** [epoch] numbers lease-renewal rounds (0 and unacked when the
@@ -39,16 +37,15 @@ type message =
   | ReadWBAck of { rid : int }
   | RelayRound of { gen : int; inner : message }
       (** leader → relay (Config.relay_groups > 0): apply [inner] (a
-          P2a/P2aBatch) locally, fan it out to the relay's rotation
-          group, and aggregate the group's acks into one [RelayAck];
-          [gen] names the rotation plan every replica derives
-          identically (DESIGN.md §12) *)
+          P2a) locally, fan it out to the relay's rotation group, and
+          aggregate the group's acks into one [RelayAck]; [gen] names
+          the rotation plan every replica derives identically
+          (DESIGN.md §12) *)
   | RelayAck of {
       ballot : Ballot.t;
       gen : int;
       first_slot : int;
       count : int;
-      batch : bool;
       bits : int;
           (** positional ack bitmap over the plan's group array — bit i
               set = group member i accepted, so quorum accounting stays
@@ -63,8 +60,6 @@ let message_label = function
   | P1b _ -> "P1b"
   | P2a _ -> "P2a"
   | P2b _ -> "P2b"
-  | P2aBatch _ -> "P2aBatch"
-  | P2bBatch _ -> "P2bBatch"
   | Commit _ -> "Commit"
   | Heartbeat _ -> "Heartbeat"
   | HeartbeatAck _ -> "HeartbeatAck"
@@ -80,15 +75,7 @@ type entry = {
   mutable ballot : Ballot.t;
   mutable cmd : Command.t;
   mutable client : Address.t option;
-  mutable quorum : Quorum.t option;
   mutable committed : bool;
-  mutable rkey : int;
-      (** reliable-delivery key of the in-flight P2a for this slot
-          (0 when none) — settled per-acceptor as P2bs arrive *)
-  mutable fb : Sim.handle;
-      (** relay-mode fallback timer: if the slot is still uncommitted
-          when it fires, the leader re-sends direct and rotates the
-          relay plan ([Sim.nil] outside relay rounds) *)
 }
 
 type phase1_state = {
@@ -97,14 +84,19 @@ type phase1_state = {
   rkey : int;  (** reliable-delivery key of the P1a broadcast *)
 }
 
-(* One in-flight batched phase-2 round: a single quorum covers the
-   slot range [first_slot, first_slot + count). *)
+(* One in-flight phase-2 round: a single quorum covers the slot range
+   [first_slot, first_slot + count). *)
 type batch_state = {
   bballot : Ballot.t;
   count : int;
   tracker : Quorum.t;
-  rkey : int;
-  mutable bfb : Sim.handle;  (** relay-mode fallback timer (see entry.fb) *)
+  mutable rkey : int;
+      (** reliable-delivery key of the round's P2a — settled per
+          acceptor as P2bs arrive, re-posted by a relay fallback *)
+  mutable fb : Sim.handle;
+      (** relay-mode fallback timer: if the round is still uncommitted
+          when it fires, the leader re-sends direct and rotates the
+          relay plan ([Sim.nil] outside relay rounds) *)
 }
 
 (* One quorum read in flight at its coordinating replica: an ABD round
@@ -127,7 +119,8 @@ type replica = {
   (* leader command batching (Config.batching) *)
   batch_buf : (Address.t * Proto.request) Queue.t;
   mutable flush_timer : Sim.handle; (* Sim.nil when no flush is pending *)
-  batches : (int, batch_state) Hashtbl.t; (* keyed by first_slot *)
+  batches : (int, batch_state) Hashtbl.t;
+      (* in-flight phase-2 rounds keyed by first_slot *)
   (* ---- read path: leader leases (Config.read_path = Lease) ---- *)
   mutable lease_epoch : int; (* leader: renewal round counter *)
   mutable lease_sent_at : float; (* leader: local clock at renewal send *)
@@ -446,49 +439,42 @@ let relay_stall t =
   t.relay_bypass_until <-
     t.env.now () +. t.env.config.Config.failover_timeout_ms
 
-let relay_fallback_slot t slot =
-  match Slot_log.get t.log slot with
-  | Some e
-    when t.active && (not e.committed) && Ballot.equal e.ballot t.ballot ->
-      e.fb <- Sim.nil;
-      relay_stall t;
-      if e.rkey <> 0 then t.env.rel.settle_all ~key:e.rkey;
-      e.rkey <-
-        t.env.rel.post_all ~ack:Reliable.Piggyback
-          (P2a
-             {
-               ballot = t.ballot;
-               slot;
-               cmd = e.cmd;
-               commit_up_to = Slot_log.exec_frontier t.log;
-             })
-  | _ -> ()
-
-let relay_fallback_batch t first_slot =
+(* Is [bs] still this leader's open round at [first_slot]: same term,
+   and neither committed nor abandoned (step-down) since it was
+   posted? Late callbacks — an fsync completion, a relay fallback —
+   act only on live rounds. *)
+let round_live t first_slot (bs : batch_state) =
+  t.active
+  && Ballot.equal t.ballot bs.bballot
+  &&
   match Hashtbl.find_opt t.batches first_slot with
-  | Some bs when t.active && Ballot.equal bs.bballot t.ballot ->
-      bs.bfb <- Sim.nil;
-      relay_stall t;
-      t.env.rel.settle_all ~key:bs.rkey;
-      let cmds =
-        Array.init bs.count (fun i ->
-            match Slot_log.get t.log (first_slot + i) with
-            | Some e -> e.cmd
-            | None -> Command.noop)
-      in
-      let size_bytes = bs.count * t.env.config.Config.msg_size_bytes in
-      let rkey =
-        t.env.rel.post_all ~size_bytes ~ack:Reliable.Piggyback
-          (P2aBatch
-             {
-               ballot = t.ballot;
-               first_slot;
-               cmds;
-               commit_up_to = Slot_log.exec_frontier t.log;
-             })
-      in
-      Hashtbl.replace t.batches first_slot { bs with rkey }
-  | _ -> ()
+  | Some bs' -> bs' == bs
+  | None -> false
+
+let relay_fallback t first_slot (bs : batch_state) =
+  if round_live t first_slot bs then begin
+    bs.fb <- Sim.nil;
+    relay_stall t;
+    t.env.rel.settle_all ~key:bs.rkey;
+    let cmds =
+      Array.init bs.count (fun i ->
+          match Slot_log.get t.log (first_slot + i) with
+          | Some e -> e.cmd
+          | None -> Command.noop)
+    in
+    let size_bytes = bs.count * t.env.config.Config.msg_size_bytes in
+    (* in place: the storage sync callback finds its round by
+       physical identity *)
+    bs.rkey <-
+      t.env.rel.post_all ~size_bytes ~ack:Reliable.Piggyback
+        (P2a
+           {
+             ballot = t.ballot;
+             first_slot;
+             cmds;
+             commit_up_to = Slot_log.exec_frontier t.log;
+           })
+  end
 
 let relay_send_ack t first_slot (a : Relay.agg) =
   t.env.send a.Relay.a_leader
@@ -498,7 +484,6 @@ let relay_send_ack t first_slot (a : Relay.agg) =
          gen = a.Relay.a_gen;
          first_slot;
          count = a.Relay.a_aux;
-         batch = a.Relay.a_batch;
          bits = a.Relay.a_bits;
        })
 
@@ -563,11 +548,11 @@ let relay_prune t =
    bitmap instead of the (absent) leader-side tracker. Returns [false]
    when the ack is not ours to absorb — the caller runs the normal
    path. *)
-let relay_absorb_p2b t ~src ~ballot ~first_slot ~count ~batch ~ok =
+let relay_absorb_p2b t ~src ~ballot ~first_slot ~count ~ok =
   if t.active || not (relay_on t) then false
   else
     match Hashtbl.find_opt t.relay_aggs first_slot with
-    | Some a when a.Relay.a_batch = batch && a.Relay.a_aux = count ->
+    | Some a when a.Relay.a_aux = count ->
         if
           ok
           && a.Relay.a_tag = ballot.Ballot.round
@@ -586,34 +571,17 @@ let relay_absorb_p2b t ~src ~ballot ~first_slot ~count ~batch ~ok =
              round's leader (it must step down), then take the normal
              nok path ourselves *)
           t.env.send a.Relay.a_leader
-            (if batch then P2bBatch { ballot; first_slot; count; ok = false }
-             else P2b { ballot; slot = first_slot; ok = false });
+            (P2b { ballot; first_slot; count; ok = false });
           relay_drop t first_slot a;
           false
         end
         else false
     | _ -> false
 
-(* Commit a single-slot round once its tracker is satisfied; shared by
-   the direct P2b path and the aggregated RelayAck path. *)
-let maybe_commit_slot t slot (e : entry) tracker =
-  if Quorum.satisfied tracker then begin
-    e.committed <- true;
-    t.env.obs.Proto.on_quorum ~slot;
-    t.env.rel.settle_all ~key:e.rkey;
-    if not (Sim.is_nil e.fb) then begin
-      t.env.Proto.cancel e.fb;
-      e.fb <- Sim.nil
-    end;
-    advance t;
-    if (not t.env.config.Config.piggyback_commit) || quorum_mode t then
-      t.env.broadcast (Commit { slot; cmd = e.cmd })
-  end
-
 (* ---- stable storage (Config.storage; DESIGN.md §14) ----------------
    Registers 0/1 hold the durable promised ballot (round, owner); the
    durable log holds every accepted (slot, ballot, command). Acks that
-   Paxos safety rests on — the P1b promise, the P2b/P2bBatch accept,
+   Paxos safety rests on — the P1b promise, the P2b accept,
    and the leader's own phase-2 vote — are deferred until the fsync
    covering their records completes. With [Config.storage] unset every
    branch below falls through to the original code path, so
@@ -626,72 +594,12 @@ let entry_op ~slot ~(ballot : Ballot.t) ~cmd =
   Storage.Entry
     (slot, { Storage.a = ballot.Ballot.round; b = ballot.Ballot.owner; cmd })
 
-let propose t ~client (request : Proto.request) =
-  let slot = Slot_log.reserve t.log in
-  let tracker =
-    Quorum.create (Quorum.Count { members = all_ids t; threshold = q2_size t })
-  in
-  (match t.env.Proto.storage with
-  | None -> Quorum.ack tracker t.env.id
-  | Some _ -> () (* self-vote deferred until the entry is durable *));
-  let entry =
-    {
-      ballot = t.ballot;
-      cmd = request.Proto.command;
-      client = Some client;
-      quorum = Some tracker;
-      committed = false;
-      rkey = 0;
-      fb = Sim.nil;
-    }
-  in
-  Slot_log.set t.log slot entry;
-  t.env.obs.Proto.on_propose ~slot ~cmd:request.Proto.command;
-  let msg =
-    P2a
-      {
-        ballot = t.ballot;
-        slot;
-        cmd = request.Proto.command;
-        commit_up_to = Slot_log.exec_frontier t.log;
-      }
-  in
-  if relay_route t then begin
-    let gen = relay_gen t in
-    t.relay_seq <- t.relay_seq + 1;
-    let plan = relay_plan t ~leader:t.env.id ~gen in
-    entry.rkey <-
-      t.env.rel.post_multi ~ack:Reliable.Piggyback
-        (relay_targets t ~gen plan)
-        (RelayRound { gen; inner = msg });
-    entry.fb <-
-      t.env.schedule (relay_fallback_ms t) (fun () ->
-          relay_fallback_slot t slot)
-  end
-  else
-    entry.rkey <-
-      (if t.env.config.Config.thrifty then
-         t.env.rel.post_multi ~ack:Reliable.Piggyback (phase2_peers t) msg
-       else t.env.rel.post_all ~ack:Reliable.Piggyback msg);
-  match t.env.Proto.storage with
-  | None -> ()
-  | Some st ->
-      (* the leader's own vote counts only once its accept record is
-         on disk — by then leadership or the slot may have moved on *)
-      Storage.write st (entry_op ~slot ~ballot:entry.ballot ~cmd:entry.cmd);
-      let b = t.ballot in
-      Storage.sync st (fun () ->
-          if t.active && Ballot.equal t.ballot b && not entry.committed then begin
-            Quorum.ack tracker t.env.id;
-            maybe_commit_slot t slot entry tracker
-          end)
-
 let commit_batch t first_slot (bs : batch_state) =
   Hashtbl.remove t.batches first_slot;
   t.env.rel.settle_all ~key:bs.rkey;
-  if not (Sim.is_nil bs.bfb) then begin
-    t.env.Proto.cancel bs.bfb;
-    bs.bfb <- Sim.nil
+  if not (Sim.is_nil bs.fb) then begin
+    t.env.Proto.cancel bs.fb;
+    bs.fb <- Sim.nil
   end;
   for slot = first_slot to first_slot + bs.count - 1 do
     match Slot_log.get t.log slot with
@@ -711,42 +619,22 @@ let commit_batch t first_slot (bs : batch_state) =
       | None -> ()
     done
 
-(* One phase-2 round for the whole batch: contiguous slots, a single
-   shared quorum tracker, one serialized message per peer whose wire
-   size is the sum of the commands' sizes (one [occupy_outgoing], one
-   [t_in] at each acceptor). Per-command client replies still happen
-   individually as the slots execute in [advance]. *)
-let propose_batch t items =
-  let k = List.length items in
-  let first_slot = Slot_log.next_slot t.log in
-  let cmds = Array.make k Command.noop in
-  List.iteri
-    (fun i (client, (request : Proto.request)) ->
-      let slot = Slot_log.reserve t.log in
-      cmds.(i) <- request.Proto.command;
-      Slot_log.set t.log slot
-        {
-          ballot = t.ballot;
-          cmd = request.Proto.command;
-          client = Some client;
-          (* quorum = None: the shared tracker lives in [t.batches],
-             keeping the per-slot retransmission path away from
-             batched slots *)
-          quorum = None;
-          committed = false;
-          rkey = 0;
-          fb = Sim.nil;
-        };
-      t.env.obs.Proto.on_propose ~slot ~cmd:request.Proto.command)
-    items;
-  let tracker =
-    Quorum.create (Quorum.Count { members = all_ids t; threshold = q2_size t })
-  in
-  (match t.env.Proto.storage with
-  | None -> Quorum.ack tracker t.env.id
-  | Some _ -> () (* self-vote deferred until the batch is durable *));
+(* The leader's own phase-2 vote; with [q2 = 1] it alone commits. *)
+let self_vote t first_slot (bs : batch_state) =
+  Quorum.ack bs.tracker t.env.id;
+  if Quorum.satisfied bs.tracker then commit_batch t first_slot bs
+
+(* Open the phase-2 round for the already-logged slots [first_slot,
+   first_slot + Array.length cmds): a single shared quorum tracker and
+   one serialized message per peer whose wire size is the sum of the
+   commands' sizes (one [occupy_outgoing], one [t_in] at each
+   acceptor). The round goes through the relay tree or to the thrifty
+   peers when configured, unless [direct]. The caller casts the
+   leader's own vote. *)
+let open_round t ~direct first_slot cmds =
+  let count = Array.length cmds in
   let msg =
-    P2aBatch
+    P2a
       {
         ballot = t.ballot;
         first_slot;
@@ -754,62 +642,86 @@ let propose_batch t items =
         commit_up_to = Slot_log.exec_frontier t.log;
       }
   in
-  let size_bytes = k * t.env.config.Config.msg_size_bytes in
+  let size_bytes = count * t.env.config.Config.msg_size_bytes in
   let bs =
-    if relay_route t then begin
-      let gen = relay_gen t in
-      t.relay_seq <- t.relay_seq + 1;
-      let plan = relay_plan t ~leader:t.env.id ~gen in
-      let rkey =
-        t.env.rel.post_multi ~size_bytes ~ack:Reliable.Piggyback
-          (relay_targets t ~gen plan)
-          (RelayRound { gen; inner = msg })
-      in
-      let bfb =
-        t.env.schedule (relay_fallback_ms t) (fun () ->
-            relay_fallback_batch t first_slot)
-      in
-      { bballot = t.ballot; count = k; tracker; rkey; bfb }
-    end
-    else
-      let rkey =
-        if t.env.config.Config.thrifty then
+    {
+      bballot = t.ballot;
+      count;
+      tracker =
+        Quorum.create
+          (Quorum.Count { members = all_ids t; threshold = q2_size t });
+      rkey = 0;
+      fb = Sim.nil;
+    }
+  in
+  (if direct then
+     bs.rkey <- t.env.rel.post_all ~size_bytes ~ack:Reliable.Piggyback msg
+   else if relay_route t then begin
+     let gen = relay_gen t in
+     t.relay_seq <- t.relay_seq + 1;
+     let plan = relay_plan t ~leader:t.env.id ~gen in
+     bs.rkey <-
+       t.env.rel.post_multi ~size_bytes ~ack:Reliable.Piggyback
+         (relay_targets t ~gen plan)
+         (RelayRound { gen; inner = msg });
+     bs.fb <-
+       t.env.schedule (relay_fallback_ms t) (fun () ->
+           relay_fallback t first_slot bs)
+   end
+   else
+     bs.rkey <-
+       (if t.env.config.Config.thrifty then
           t.env.rel.post_multi ~size_bytes ~ack:Reliable.Piggyback
             (phase2_peers t) msg
-        else t.env.rel.post_all ~size_bytes ~ack:Reliable.Piggyback msg
-      in
-      { bballot = t.ballot; count = k; tracker; rkey; bfb = Sim.nil }
-  in
+        else t.env.rel.post_all ~size_bytes ~ack:Reliable.Piggyback msg));
   Hashtbl.replace t.batches first_slot bs;
+  bs
+
+(* Log a client command at the next free slot under the current
+   ballot; its reply happens as the slot executes in [advance]. *)
+let log_command t client (request : Proto.request) =
+  let cmd = request.Proto.command in
+  let slot = Slot_log.reserve t.log in
+  Slot_log.set t.log slot
+    { ballot = t.ballot; cmd; client = Some client; committed = false };
+  t.env.obs.Proto.on_propose ~slot ~cmd;
+  cmd
+
+(* Phase 2 for freshly logged commands: open the round, then cast the
+   leader's vote — at once, or only once the accept records are on
+   disk (by then leadership or the round may have moved on). *)
+let propose t first_slot cmds =
+  let bs = open_round t ~direct:false first_slot cmds in
   match t.env.Proto.storage with
-  | None -> if Quorum.satisfied tracker then commit_batch t first_slot bs
+  | None -> self_vote t first_slot bs
   | Some st ->
-      Array.iteri
-        (fun i cmd ->
-          Storage.write st
-            (entry_op ~slot:(first_slot + i) ~ballot:bs.bballot ~cmd))
-        cmds;
+      for i = 0 to bs.count - 1 do
+        Storage.write st
+          (entry_op ~slot:(first_slot + i) ~ballot:bs.bballot ~cmd:cmds.(i))
+      done;
       Storage.sync st (fun () ->
-          match Hashtbl.find_opt t.batches first_slot with
-          | Some bs' when bs' == bs ->
-              Quorum.ack tracker t.env.id;
-              if Quorum.satisfied tracker then commit_batch t first_slot bs
-          | _ -> () (* round abandoned (step-down) before the fsync *))
+          if round_live t first_slot bs then self_vote t first_slot bs)
 
 let flush_batch t =
   t.env.Proto.cancel t.flush_timer;
   t.flush_timer <- Sim.nil;
   if t.active && not (Queue.is_empty t.batch_buf) then begin
-    let items = List.of_seq (Queue.to_seq t.batch_buf) in
-    Queue.clear t.batch_buf;
-    propose_batch t items
+    let first_slot = Slot_log.next_slot t.log in
+    let cmds = Array.make (Queue.length t.batch_buf) Command.noop in
+    for i = 0 to Array.length cmds - 1 do
+      let client, request = Queue.pop t.batch_buf in
+      cmds.(i) <- log_command t client request
+    done;
+    propose t first_slot cmds
   end
 
-(* Active-leader ingress: propose immediately, or coalesce into the
-   current batch when Config.batching is on. *)
+(* Active-leader ingress: propose a round of one immediately, or
+   coalesce into the current batch when Config.batching is on. *)
 let enqueue t ~client request =
   match t.env.config.Config.batching with
-  | None -> propose t ~client request
+  | None ->
+      let first_slot = Slot_log.next_slot t.log in
+      propose t first_slot [| log_command t client request |]
   | Some b ->
       Queue.push (client, request) t.batch_buf;
       if Queue.length t.batch_buf >= b.Config.max_batch then flush_batch t
@@ -891,40 +803,6 @@ let on_commit_ack t ~src ~slot =
     maybe_release_held t slot
   end
 
-let start_phase1 t =
-  t.ballot <- Ballot.next t.ballot ~owner:t.env.id;
-  t.active <- false;
-  resign_read_path t;
-  (* a fresh candidacy obsoletes whatever this replica was still
-     retransmitting (an older P1a, stale P2as from lost leadership) *)
-  t.env.rel.unpost_all ();
-  relay_reset t;
-  let tracker =
-    Quorum.create (Quorum.Count { members = all_ids t; threshold = q1_size t })
-  in
-  let state = { tracker; recovered = []; rkey = t.env.rel.fresh () } in
-  t.p1 <- Some state;
-  Quorum.ack tracker t.env.id;
-  let frontier = Slot_log.exec_frontier t.log in
-  (* self-report own accepted entries *)
-  Slot_log.iter_from t.log ~start:frontier ~f:(fun slot e ->
-      state.recovered <- (slot, e.ballot, e.cmd) :: state.recovered);
-  let send () =
-    ignore
-      (t.env.rel.post_all ~key:state.rkey ~ack:Reliable.Piggyback
-         (P1a { ballot = t.ballot; frontier }))
-  in
-  match t.env.Proto.storage with
-  | None -> send ()
-  | Some st ->
-      (* the candidacy's own implicit promise must be durable before
-         anyone else can count on it *)
-      let b = t.ballot in
-      Storage.persist st (durable_ballot_ops b) (fun () ->
-          match t.p1 with
-          | Some s when s == state && Ballot.equal t.ballot b -> send ()
-          | _ -> () (* candidacy superseded before the fsync *))
-
 let become_leader t (state : phase1_state) =
   t.p1 <- None;
   t.active <- true;
@@ -951,71 +829,36 @@ let become_leader t (state : phase1_state) =
       | Some (_, cmd) -> cmd
       | None -> Command.noop
     in
-    let tracker =
-      Quorum.create
-        (Quorum.Count { members = all_ids t; threshold = q2_size t })
-    in
-    (match t.env.Proto.storage with
-    | None -> Quorum.ack tracker t.env.id
-    | Some _ -> () (* self-vote deferred until the re-proposal is durable *));
-    (match Slot_log.get t.log slot with
-    | Some e when e.committed -> () (* keep committed state *)
-    | Some e ->
-        if not (Command.equal e.cmd cmd) then e.client <- None;
-        e.ballot <- t.ballot;
-        e.cmd <- cmd;
-        e.quorum <- Some tracker
-    | None ->
-        Slot_log.set t.log slot
-          {
-            ballot = t.ballot;
-            cmd;
-            client = None;
-            quorum = Some tracker;
-            committed = false;
-            rkey = 0;
-            fb = Sim.nil;
-          });
     match Slot_log.get t.log slot with
-    | Some e when not e.committed ->
-        if not (Sim.is_nil e.fb) then begin
-          t.env.Proto.cancel e.fb;
-          e.fb <- Sim.nil
-        end;
-        e.rkey <-
-          t.env.rel.post_all ~ack:Reliable.Piggyback
-            (P2a
-               {
-                 ballot = t.ballot;
-                 slot;
-                 cmd = e.cmd;
-                 commit_up_to = Slot_log.exec_frontier t.log;
-               });
-        (match t.env.Proto.storage with
-        | None -> ()
+    | Some e when e.committed -> () (* keep committed state *)
+    | found -> (
+        (match found with
+        | Some e ->
+            if not (Command.equal e.cmd cmd) then e.client <- None;
+            e.ballot <- t.ballot;
+            e.cmd <- cmd
+        | None ->
+            Slot_log.set t.log slot
+              { ballot = t.ballot; cmd; client = None; committed = false });
+        (* a round of one per slot, sent straight to every peer *)
+        let bs = open_round t ~direct:true slot [| cmd |] in
+        match t.env.Proto.storage with
+        | None -> self_vote t slot bs
         | Some st ->
-            Storage.write st (entry_op ~slot ~ballot:e.ballot ~cmd:e.cmd);
-            resync := (slot, e) :: !resync)
-    | _ -> ()
+            Storage.write st (entry_op ~slot ~ballot:t.ballot ~cmd);
+            resync := (slot, bs) :: !resync)
   done;
   (match t.env.Proto.storage with
   | None -> ()
   | Some st ->
       (* one fsync covers the new term's ballot and every re-proposed
          accept; the self-votes land when it completes *)
-      let b = t.ballot in
-      let slots = !resync in
-      List.iter (Storage.write st) (durable_ballot_ops b);
+      let rounds = !resync in
+      List.iter (Storage.write st) (durable_ballot_ops t.ballot);
       Storage.sync st (fun () ->
-          if t.active && Ballot.equal t.ballot b then
-            List.iter
-              (fun (slot, (e : entry)) ->
-                match e.quorum with
-                | Some tracker when not e.committed ->
-                    Quorum.ack tracker t.env.id;
-                    maybe_commit_slot t slot e tracker
-                | _ -> ())
-              slots));
+          List.iter
+            (fun (slot, bs) -> if round_live t slot bs then self_vote t slot bs)
+            rounds));
   (* Read barrier: reads wait until everything up to and including the
      recovered tail is applied locally, so no predecessor's
      acknowledged write can be missing from a lease read. *)
@@ -1023,6 +866,44 @@ let become_leader t (state : phase1_state) =
   t.lease_until <- neg_infinity;
   if lease_mode t then send_heartbeat t;
   drain_pending t
+
+let start_phase1 t =
+  t.ballot <- Ballot.next t.ballot ~owner:t.env.id;
+  t.active <- false;
+  resign_read_path t;
+  (* a fresh candidacy obsoletes whatever this replica was still
+     retransmitting (an older P1a, stale P2as from lost leadership) *)
+  t.env.rel.unpost_all ();
+  relay_reset t;
+  let tracker =
+    Quorum.create (Quorum.Count { members = all_ids t; threshold = q1_size t })
+  in
+  let state = { tracker; recovered = []; rkey = t.env.rel.fresh () } in
+  t.p1 <- Some state;
+  Quorum.ack tracker t.env.id;
+  let frontier = Slot_log.exec_frontier t.log in
+  (* self-report own accepted entries *)
+  Slot_log.iter_from t.log ~start:frontier ~f:(fun slot e ->
+      state.recovered <- (slot, e.ballot, e.cmd) :: state.recovered);
+  (* with a phase-1 quorum of one (n = 1, or FPaxos with q2 = n) the
+     self-promise alone elects us *)
+  let solicit () =
+    if Quorum.satisfied tracker then become_leader t state
+    else
+      ignore
+        (t.env.rel.post_all ~key:state.rkey ~ack:Reliable.Piggyback
+           (P1a { ballot = t.ballot; frontier }))
+  in
+  match t.env.Proto.storage with
+  | None -> solicit ()
+  | Some st ->
+      (* the candidacy's own implicit promise must be durable before
+         anyone else can count on it *)
+      let b = t.ballot in
+      Storage.persist st (durable_ballot_ops b) (fun () ->
+          match t.p1 with
+          | Some s when s == state && Ballot.equal t.ballot b -> solicit ()
+          | _ -> () (* candidacy superseded before the fsync *))
 
 let step_down t ~ballot =
   if Ballot.(ballot > t.ballot) then t.ballot <- ballot;
@@ -1165,11 +1046,12 @@ let on_p1b t ~src ~ballot ~ok ~accepted =
   | Some _ when Ballot.(ballot > t.ballot) -> step_down t ~ballot
   | _ -> ()
 
-(* Acceptor-side adoption of a single-slot phase-2 round, shared by
-   the direct path (reply with a P2b) and the relay path (the relay
-   accepts silently and folds its own vote into the aggregated
-   bitmap). Returns [true] when the round was accepted at [ballot]. *)
-let accept_p2a t ~ballot ~slot ~cmd ~commit_up_to:bound =
+(* Acceptor-side adoption of a phase-2 round, shared by the direct
+   path (reply with ONE P2b covering the whole range) and the relay
+   path (the relay accepts silently and folds its own vote into the
+   aggregated bitmap). Returns [true] when the round was accepted at
+   [ballot]. *)
+let accept_p2a t ~ballot ~first_slot ~cmds ~commit_up_to:bound =
   if Ballot.(ballot >= t.ballot) then begin
     t.ballot <- ballot;
     if ballot.Ballot.owner <> t.env.id then begin
@@ -1178,107 +1060,46 @@ let accept_p2a t ~ballot ~slot ~cmd ~commit_up_to:bound =
       t.p1 <- None
     end;
     t.last_heard <- t.env.now ();
-    (match Slot_log.get t.log slot with
-    | Some e when e.committed -> () (* never overwrite a commit *)
-    | Some e ->
-        (* a different command displaced this slot: the old proposer's
-           client must not be answered with the new command's result *)
-        if not (Command.equal e.cmd cmd) then e.client <- None;
-        e.ballot <- ballot;
-        e.cmd <- cmd
-    | None ->
-        Slot_log.set t.log slot
-          {
-            ballot;
-            cmd;
-            client = None;
-            quorum = None;
-            committed = false;
-            rkey = 0;
-            fb = Sim.nil;
-          });
+    for i = 0 to Array.length cmds - 1 do
+      let slot = first_slot + i and cmd = cmds.(i) in
+      match Slot_log.get t.log slot with
+      | Some e when e.committed -> () (* never overwrite a commit *)
+      | Some e ->
+          (* a different command displaced this slot: the old
+             proposer's client must not be answered with the new
+             command's result *)
+          if not (Command.equal e.cmd cmd) then e.client <- None;
+          e.ballot <- ballot;
+          e.cmd <- cmd
+      | None ->
+          Slot_log.set t.log slot
+            { ballot; cmd; client = None; committed = false }
+    done;
     (match t.env.Proto.storage with
     | None -> ()
     | Some st ->
         List.iter (Storage.write st) (durable_ballot_ops ballot);
-        Storage.write st (entry_op ~slot ~ballot ~cmd));
+        for i = 0 to Array.length cmds - 1 do
+          Storage.write st
+            (entry_op ~slot:(first_slot + i) ~ballot ~cmd:cmds.(i))
+        done);
     commit_up_to t bound;
     true
   end
   else false
 
-let on_p2a t ~src ~ballot ~slot ~cmd ~commit_up_to =
-  if accept_p2a t ~ballot ~slot ~cmd ~commit_up_to then begin
-    (* the accept vote leaves only after its record is durable *)
-    (match t.env.Proto.storage with
-    | None -> t.env.send src (P2b { ballot; slot; ok = true })
-    | Some st ->
-        Storage.sync st (fun () ->
-            t.env.send src (P2b { ballot; slot; ok = true })));
-    drain_pending t
-  end
-  else t.env.send src (P2b { ballot = t.ballot; slot; ok = false })
-
-(* Acceptor side of a batched round: store every slot, then send ONE
-   ack covering the whole range — the per-slot adoption logic is
-   identical to [accept_p2a]. *)
-let accept_p2a_batch t ~ballot ~first_slot ~cmds ~commit_up_to:bound =
-  if Ballot.(ballot >= t.ballot) then begin
-    t.ballot <- ballot;
-    if ballot.Ballot.owner <> t.env.id then begin
-      if t.active then resign_read_path t;
-      t.active <- false;
-      t.p1 <- None
-    end;
-    t.last_heard <- t.env.now ();
-    Array.iteri
-      (fun i cmd ->
-        let slot = first_slot + i in
-        match Slot_log.get t.log slot with
-        | Some e when e.committed -> () (* never overwrite a commit *)
-        | Some e ->
-            if not (Command.equal e.cmd cmd) then e.client <- None;
-            e.ballot <- ballot;
-            e.cmd <- cmd
-        | None ->
-            Slot_log.set t.log slot
-              {
-                ballot;
-                cmd;
-                client = None;
-                quorum = None;
-                committed = false;
-                rkey = 0;
-                fb = Sim.nil;
-              })
-      cmds;
-    (match t.env.Proto.storage with
-    | None -> ()
-    | Some st ->
-        List.iter (Storage.write st) (durable_ballot_ops ballot);
-        Array.iteri
-          (fun i cmd ->
-            Storage.write st (entry_op ~slot:(first_slot + i) ~ballot ~cmd))
-          cmds);
-    commit_up_to t bound;
-    true
-  end
-  else false
-
-let on_p2a_batch t ~src ~ballot ~first_slot ~cmds ~commit_up_to =
+let on_p2a t ~src ~ballot ~first_slot ~cmds ~commit_up_to =
   let count = Array.length cmds in
-  if accept_p2a_batch t ~ballot ~first_slot ~cmds ~commit_up_to then begin
+  if accept_p2a t ~ballot ~first_slot ~cmds ~commit_up_to then begin
+    (* the accept vote leaves only after its records are durable *)
     (match t.env.Proto.storage with
-    | None -> t.env.send src (P2bBatch { ballot; first_slot; count; ok = true })
+    | None -> t.env.send src (P2b { ballot; first_slot; count; ok = true })
     | Some st ->
         Storage.sync st (fun () ->
-            t.env.send src
-              (P2bBatch { ballot; first_slot; count; ok = true })));
+            t.env.send src (P2b { ballot; first_slot; count; ok = true })));
     drain_pending t
   end
-  else
-    t.env.send src
-      (P2bBatch { ballot = t.ballot; first_slot; count; ok = false })
+  else t.env.send src (P2b { ballot = t.ballot; first_slot; count; ok = false })
 
 (* Relay ingress: accept the inner round locally, fan the plain round
    out to the group (members reply to us, not the leader), and start
@@ -1287,56 +1108,29 @@ let on_p2a_batch t ~src ~ballot ~first_slot ~cmds ~commit_up_to =
    re-sends the completed ack, or re-fans to the members whose bits
    are still clear. *)
 let on_relay_round t ~src ~gen ~inner =
-  let info =
-    match inner with
-    | P2a { ballot; slot; _ } -> Some (ballot, slot, 1, false, 0)
-    | P2aBatch { ballot; first_slot; cmds; _ } ->
-        Some
-          ( ballot,
-            first_slot,
-            Array.length cmds,
-            true,
-            Array.length cmds * t.env.config.Config.msg_size_bytes )
-    | _ -> None
-  in
-  match info with
-  | None -> ()
-  | Some (ballot, first_slot, count, batch, fan_size) -> (
-      let fan dst =
-        if batch then t.env.send_sized dst ~size_bytes:fan_size inner
-        else t.env.send dst inner
-      in
+  match inner with
+  | P2a { ballot; first_slot; cmds; commit_up_to } -> (
+      let count = Array.length cmds in
+      let size_bytes = count * t.env.config.Config.msg_size_bytes in
       match Hashtbl.find_opt t.relay_aggs first_slot with
       | Some a
         when a.Relay.a_tag = ballot.Ballot.round
              && a.Relay.a_leader = ballot.Ballot.owner
-             && a.Relay.a_batch = batch
              && a.Relay.a_aux = count ->
           if a.Relay.a_complete then relay_send_ack t first_slot a
           else begin
             let g = a.Relay.a_group in
             for i = 1 to Array.length g - 1 do
-              if a.Relay.a_bits land (1 lsl i) = 0 then fan g.(i)
+              if a.Relay.a_bits land (1 lsl i) = 0 then
+                t.env.send_sized g.(i) ~size_bytes inner
             done
           end
       | stale ->
-          let accepted =
-            match inner with
-            | P2a { ballot; slot; cmd; commit_up_to } ->
-                accept_p2a t ~ballot ~slot ~cmd ~commit_up_to
-            | P2aBatch { ballot; first_slot; cmds; commit_up_to } ->
-                accept_p2a_batch t ~ballot ~first_slot ~cmds ~commit_up_to
-            | _ -> false
-          in
-          if not accepted then
+          if not (accept_p2a t ~ballot ~first_slot ~cmds ~commit_up_to) then
             (* we know a higher ballot: nok straight back to the
                leader, exactly as the direct path would *)
-            if batch then
-              t.env.send src
-                (P2bBatch { ballot = t.ballot; first_slot; count; ok = false })
-            else
-              t.env.send src
-                (P2b { ballot = t.ballot; slot = first_slot; ok = false })
+            t.env.send src
+              (P2b { ballot = t.ballot; first_slot; count; ok = false })
           else begin
             (match stale with
             | Some old -> relay_drop t first_slot old
@@ -1344,23 +1138,22 @@ let on_relay_round t ~src ~gen ~inner =
             let leader = ballot.Ballot.owner in
             let plan = relay_plan t ~leader ~gen in
             let gi = plan.Relay.group_of.(t.env.id) in
-            if gi < 0 || plan.Relay.groups.(gi).(0) <> t.env.id then begin
+            if gi < 0 || plan.Relay.groups.(gi).(0) <> t.env.id then
               (* not a relay under this plan (the round raced a plan
                  rotation): behave like a plain acceptor *)
-              if batch then
-                t.env.send src (P2bBatch { ballot; first_slot; count; ok = true })
-              else t.env.send src (P2b { ballot; slot = first_slot; ok = true })
-            end
+              t.env.send src (P2b { ballot; first_slot; count; ok = true })
             else begin
               let group = plan.Relay.groups.(gi) in
               let a =
                 Relay.alloc t.relay_pool ~leader ~gen ~group
-                  ~tag:ballot.Ballot.round ~aux:count ~batch
+                  ~tag:ballot.Ballot.round ~aux:count
               in
               a.Relay.a_t0 <- t.env.now ();
               Relay.set_bit a 0 (* position 0 = self: our own accept *);
               Hashtbl.replace t.relay_aggs first_slot a;
-              List.iter fan (relay_fan_list t ~leader ~gen plan gi);
+              List.iter
+                (fun dst -> t.env.send_sized dst ~size_bytes inner)
+                (relay_fan_list t ~leader ~gen plan gi);
               if Relay.complete a then relay_finalize t first_slot a
               else
                 a.Relay.a_flush <-
@@ -1370,9 +1163,10 @@ let on_relay_round t ~src ~gen ~inner =
             end;
             drain_pending t
           end)
+  | _ -> ()
 
-let on_p2b_batch t ~src ~ballot ~first_slot ~count ~ok =
-  if relay_absorb_p2b t ~src ~ballot ~first_slot ~count ~batch:true ~ok then ()
+let on_p2b t ~src ~ballot ~first_slot ~count ~ok =
+  if relay_absorb_p2b t ~src ~ballot ~first_slot ~count ~ok then ()
   else if ok && t.active && Ballot.equal ballot t.ballot then begin
     match Hashtbl.find_opt t.batches first_slot with
     | Some bs when bs.count = count && Ballot.equal bs.bballot ballot ->
@@ -1383,60 +1177,28 @@ let on_p2b_batch t ~src ~ballot ~first_slot ~count ~ok =
   end
   else if (not ok) && Ballot.(ballot > t.ballot) then step_down t ~ballot
 
-let on_p2b t ~src ~ballot ~slot ~ok =
-  if relay_absorb_p2b t ~src ~ballot ~first_slot:slot ~count:1 ~batch:false ~ok
-  then ()
-  else if ok && t.active && Ballot.equal ballot t.ballot then begin
-    match Slot_log.get t.log slot with
-    | Some ({ quorum = Some tracker; committed = false; _ } as e) ->
-        t.env.rel.settle ~dst:src ~key:e.rkey;
-        Quorum.ack tracker src;
-        maybe_commit_slot t slot e tracker
-    | Some { committed = true; rkey; _ } when rkey <> 0 ->
-        (* late ack for an already-committed slot: just stop the timer *)
-        t.env.rel.settle ~dst:src ~key:rkey
-    | _ -> ()
-  end
-  else if (not ok) && Ballot.(ballot > t.ballot) then step_down t ~ballot
-
 (* Leader ingress of an aggregated ack: translate bitmap positions
-   back to replica ids through the shared plan and feed the ordinary
-   quorum trackers — quorum accounting is exactly as if each member
+   back to replica ids through the shared plan and feed the round's
+   quorum tracker — quorum accounting is exactly as if each member
    had replied directly. The relay's reliable post settles only on a
    FULL group bitmap: a partial flush keeps the wrapper
    retransmitting, which is what re-prods the relay to re-fan to its
    silent members. *)
-let on_relay_ack t ~src ~ballot ~gen ~first_slot ~count ~batch ~bits =
+let on_relay_ack t ~src ~ballot ~gen ~first_slot ~count ~bits =
   if t.active && relay_on t && Ballot.equal ballot t.ballot then begin
     let plan = relay_plan t ~leader:t.env.id ~gen in
     let gi = plan.Relay.group_of.(src) in
-    if gi >= 0 && plan.Relay.groups.(gi).(0) = src then begin
-      let group = plan.Relay.groups.(gi) in
-      let mask = Relay.full_mask (Array.length group) in
-      let full = bits land mask = mask in
-      if batch then begin
-        match Hashtbl.find_opt t.batches first_slot with
-        | Some bs when bs.count = count && Ballot.equal bs.bballot ballot ->
-            if full then t.env.rel.settle ~dst:src ~key:bs.rkey;
-            for i = 0 to Array.length group - 1 do
-              if bits land (1 lsl i) <> 0 then Quorum.ack bs.tracker group.(i)
-            done;
-            if Quorum.satisfied bs.tracker then commit_batch t first_slot bs
-        | _ -> ()
-      end
-      else begin
-        match Slot_log.get t.log first_slot with
-        | Some ({ quorum = Some tracker; committed = false; _ } as e) ->
-            if full then t.env.rel.settle ~dst:src ~key:e.rkey;
-            for i = 0 to Array.length group - 1 do
-              if bits land (1 lsl i) <> 0 then Quorum.ack tracker group.(i)
-            done;
-            maybe_commit_slot t first_slot e tracker
-        | Some { committed = true; rkey; _ } when full && rkey <> 0 ->
-            t.env.rel.settle ~dst:src ~key:rkey
-        | _ -> ()
-      end
-    end
+    if gi >= 0 && plan.Relay.groups.(gi).(0) = src then
+      match Hashtbl.find_opt t.batches first_slot with
+      | Some bs when bs.count = count && Ballot.equal bs.bballot ballot ->
+          let group = plan.Relay.groups.(gi) in
+          let mask = Relay.full_mask (Array.length group) in
+          if bits land mask = mask then t.env.rel.settle ~dst:src ~key:bs.rkey;
+          for i = 0 to Array.length group - 1 do
+            if bits land (1 lsl i) <> 0 then Quorum.ack bs.tracker group.(i)
+          done;
+          if Quorum.satisfied bs.tracker then commit_batch t first_slot bs
+      | _ -> ()
   end
 
 let on_commit t ~slot ~cmd =
@@ -1446,15 +1208,7 @@ let on_commit t ~slot ~cmd =
       e.committed <- true
   | None ->
       Slot_log.set t.log slot
-        {
-          ballot = t.ballot;
-          cmd;
-          client = None;
-          quorum = None;
-          committed = true;
-          rkey = 0;
-          fb = Sim.nil;
-        });
+        { ballot = t.ballot; cmd; client = None; committed = true });
   advance t
 
 let on_heartbeat t ~src ~ballot ~commit_up_to:bound ~epoch =
@@ -1483,13 +1237,10 @@ let on_message t ~src msg =
   match msg with
   | P1a { ballot; frontier } -> on_p1a t ~src ~ballot ~frontier
   | P1b { ballot; ok; accepted } -> on_p1b t ~src ~ballot ~ok ~accepted
-  | P2a { ballot; slot; cmd; commit_up_to } ->
-      on_p2a t ~src ~ballot ~slot ~cmd ~commit_up_to
-  | P2b { ballot; slot; ok } -> on_p2b t ~src ~ballot ~slot ~ok
-  | P2aBatch { ballot; first_slot; cmds; commit_up_to } ->
-      on_p2a_batch t ~src ~ballot ~first_slot ~cmds ~commit_up_to
-  | P2bBatch { ballot; first_slot; count; ok } ->
-      on_p2b_batch t ~src ~ballot ~first_slot ~count ~ok
+  | P2a { ballot; first_slot; cmds; commit_up_to } ->
+      on_p2a t ~src ~ballot ~first_slot ~cmds ~commit_up_to
+  | P2b { ballot; first_slot; count; ok } ->
+      on_p2b t ~src ~ballot ~first_slot ~count ~ok
   | Commit { slot; cmd } -> on_commit t ~slot ~cmd
   | Heartbeat { ballot; commit_up_to; epoch } ->
       on_heartbeat t ~src ~ballot ~commit_up_to ~epoch
@@ -1500,8 +1251,8 @@ let on_message t ~src msg =
   | ReadWB { rid; key; tag; value } -> on_readwb t ~src ~rid ~key ~tag ~value
   | ReadWBAck { rid } -> on_readwback t ~src ~rid
   | RelayRound { gen; inner } -> on_relay_round t ~src ~gen ~inner
-  | RelayAck { ballot; gen; first_slot; count; batch; bits } ->
-      on_relay_ack t ~src ~ballot ~gen ~first_slot ~count ~batch ~bits
+  | RelayAck { ballot; gen; first_slot; count; bits } ->
+      on_relay_ack t ~src ~ballot ~gen ~first_slot ~count ~bits
 
 let rec heartbeat_loop t =
   let period = t.env.config.Config.failover_timeout_ms /. 4.0 in
@@ -1553,10 +1304,7 @@ let on_recover t =
               ballot = { Ballot.round = de.Storage.a; owner = de.Storage.b };
               cmd = de.Storage.cmd;
               client = None;
-              quorum = None;
               committed = false;
-              rkey = 0;
-              fb = Sim.nil;
             }));
   t.last_heard <- t.env.now ();
   heartbeat_loop t;

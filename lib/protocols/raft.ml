@@ -1056,7 +1056,7 @@ let on_relay_append t ~src ~gen ~inner =
               let group = plan.Relay.groups.(gi) in
               let a =
                 Relay.alloc t.relay_pool ~leader:src ~gen ~group ~tag:term
-                  ~aux:expected ~batch:false
+                  ~aux:expected
               in
               a.Relay.a_t0 <- t.env.now ();
               Relay.set_bit a 0;

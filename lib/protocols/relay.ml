@@ -72,7 +72,6 @@ type agg = {
   mutable a_bits : int;
   mutable a_tag : int;
   mutable a_aux : int;
-  mutable a_batch : bool;
   mutable a_complete : bool;
   mutable a_t0 : float;
   mutable a_flush : Paxi_sim.Sim.handle;
@@ -88,7 +87,6 @@ let rec agg_nil =
     a_bits = 0;
     a_tag = 0;
     a_aux = 0;
-    a_batch = false;
     a_complete = false;
     a_t0 = 0.0;
     a_flush = Paxi_sim.Sim.nil;
@@ -99,7 +97,7 @@ type pool = { mutable free : agg }
 
 let pool () = { free = agg_nil }
 
-let alloc p ~leader ~gen ~group ~tag ~aux ~batch =
+let alloc p ~leader ~gen ~group ~tag ~aux =
   let a =
     if p.free != agg_nil then begin
       let a = p.free in
@@ -117,8 +115,7 @@ let alloc p ~leader ~gen ~group ~tag ~aux ~batch =
           a_bits = 0;
           a_tag = 0;
           a_aux = 0;
-          a_batch = false;
-          a_complete = false;
+                a_complete = false;
           a_t0 = 0.0;
           a_flush = Paxi_sim.Sim.nil;
           a_next = a;
@@ -133,7 +130,6 @@ let alloc p ~leader ~gen ~group ~tag ~aux ~batch =
   a.a_bits <- 0;
   a.a_tag <- tag;
   a.a_aux <- aux;
-  a.a_batch <- batch;
   a.a_complete <- false;
   a.a_t0 <- 0.0;
   a.a_flush <- Paxi_sim.Sim.nil;

@@ -76,8 +76,7 @@ type agg = {
   mutable a_mask : int;
   mutable a_bits : int;
   mutable a_tag : int;  (** protocol tag 1 (ballot round / term) *)
-  mutable a_aux : int;  (** protocol tag 2 (batch count / match index) *)
-  mutable a_batch : bool;
+  mutable a_aux : int;  (** protocol tag 2 (slot count / match index) *)
   mutable a_complete : bool;
   mutable a_t0 : float;  (** when the round reached the relay (obs) *)
   mutable a_flush : Paxi_sim.Sim.handle;
@@ -89,8 +88,7 @@ type pool
 val pool : unit -> pool
 
 val alloc :
-  pool -> leader:int -> gen:int -> group:int array -> tag:int -> aux:int ->
-  batch:bool -> agg
+  pool -> leader:int -> gen:int -> group:int array -> tag:int -> aux:int -> agg
 (** A fresh or recycled record with [a_bits = 0], [a_mask] covering
     [group], no flush timer, [a_complete = false]. *)
 

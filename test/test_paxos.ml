@@ -134,6 +134,67 @@ let test_wan_paxos () =
   (* majority of 9 across VA/OH/CA needs cross-region round trips *)
   H.assert_consistent h
 
+(* With q2 = 1 (FPaxos's default at n = 3) the leader's own accept is
+   a phase-2 quorum: a round commits with every follower down. *)
+let test_fpaxos_q2_one_commits_alone () =
+  let module F = Paxi_protocols.Fpaxos in
+  let module HF = Proto_harness.Make (F) in
+  let h = HF.lan ~n:3 () in
+  HF.run_for h 200.0;
+  Alcotest.(check bool) "r0 leads" true (F.is_leader (HF.replica h 0));
+  List.iter
+    (fun i ->
+      Faults.crash (HF.faults h) ~node:(Address.replica i)
+        ~from_ms:(Sim.now (HF.sim h))
+        ~duration_ms:600_000.0)
+    [ 1; 2 ];
+  let client = HF.new_client h in
+  let command = Command.make ~id:0 ~client (put 1 10) in
+  let got = ref false in
+  HF.C.submit h.HF.cluster ~client ~target:0 ~command ~on_reply:(fun _ ->
+      got := true);
+  HF.run_for h 1_000.0;
+  Alcotest.(check bool) "write answered by the leader alone" true !got
+
+(* A single replica is its own phase-1 and phase-2 quorum: it must
+   elect itself and serve writes and reads, with or without durable
+   storage, and the history must linearize. *)
+let test_single_replica protocol storage () =
+  let open Paxi_benchmark in
+  let p = Paxi_protocols.Registry.find_exn protocol in
+  let config =
+    { (Config.default ~n_replicas:1) with Config.seed = 3; storage }
+  in
+  let r =
+    Runner.run p
+      (Runner.spec ~warmup_ms:100.0 ~duration_ms:500.0 ~collect_history:true
+         ~check_consensus:true ~config
+         ~topology:(Topology.lan ~n_replicas:1 ())
+         ~client_specs:
+           [
+             Runner.clients ~target:(Runner.Fixed 0) ~count:4
+               { Workload.default with Workload.keys = 20 };
+           ]
+         ())
+  in
+  let count f = List.length (List.filter f r.Runner.history) in
+  let is_read (o : Linearizability.op) =
+    match o.Linearizability.kind with
+    | Linearizability.Read _ -> true
+    | _ -> false
+  in
+  Alcotest.(check bool) "writes completed" true
+    (count (fun o -> not (is_read o)) > 0);
+  Alcotest.(check bool) "reads completed" true (count is_read > 0);
+  Alcotest.(check int) "linearizable" 0
+    (List.length (Linearizability.check r.Runner.history));
+  Alcotest.(check int) "consensus clean" 0
+    (List.length r.Runner.consensus_violations);
+  Alcotest.(check int) "nothing abandoned" 0 r.Runner.gave_up
+
+let sync_every =
+  Some { Storage.default_config with Storage.sync_mode = Storage.Sync_every }
+
 let suite =
   ( "paxos",
     [
@@ -149,4 +210,13 @@ let suite =
       Alcotest.test_case "thrifty mode" `Quick test_thrifty_commits;
       Alcotest.test_case "explicit commit mode" `Quick test_explicit_commit_mode;
       Alcotest.test_case "wan deployment" `Quick test_wan_paxos;
+      Alcotest.test_case "fpaxos q2=1 commits alone" `Quick
+        test_fpaxos_q2_one_commits_alone;
+      Alcotest.test_case "n=1 paxos" `Quick (test_single_replica "paxos" None);
+      Alcotest.test_case "n=1 fpaxos" `Quick
+        (test_single_replica "fpaxos" None);
+      Alcotest.test_case "n=1 paxos durable" `Quick
+        (test_single_replica "paxos" sync_every);
+      Alcotest.test_case "n=1 fpaxos durable" `Quick
+        (test_single_replica "fpaxos" sync_every);
     ] )

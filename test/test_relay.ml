@@ -97,7 +97,7 @@ let test_bitmap_exact () =
   Alcotest.(check int) "full_mask 62" ((1 lsl 62) - 1) (Relay.full_mask 62);
   let pool = Relay.pool () in
   let group = [| 7; 3; 11; 5 |] in
-  let a = Relay.alloc pool ~leader:0 ~gen:2 ~group ~tag:9 ~aux:4 ~batch:false in
+  let a = Relay.alloc pool ~leader:0 ~gen:2 ~group ~tag:9 ~aux:4 in
   Alcotest.(check bool) "fresh not complete" false (Relay.complete a);
   Alcotest.(check int) "position finds member" 2 (Relay.position a 11);
   Alcotest.(check int) "position misses stranger" (-1) (Relay.position a 8);
@@ -110,7 +110,7 @@ let test_bitmap_exact () =
   Relay.set_bit a 3;
   Alcotest.(check bool) "full bitmap complete" true (Relay.complete a);
   Relay.release pool a;
-  let b = Relay.alloc pool ~leader:1 ~gen:0 ~group ~tag:1 ~aux:1 ~batch:true in
+  let b = Relay.alloc pool ~leader:1 ~gen:0 ~group ~tag:1 ~aux:1 in
   Alcotest.(check bool) "pool recycles records" true (a == b);
   Alcotest.(check int) "recycled bits cleared" 0 b.Relay.a_bits
 
