@@ -3,7 +3,9 @@
     Consensus may decide the same command in more than one slot when
     clients retry after a timeout; the executor applies each distinct
     [(client, id)] once and memoizes the result so re-decided commands
-    still produce a reply with the original read value. *)
+    still produce a reply with the original read value. The memo key
+    packs the pair into one int, so ids are taken modulo [2^32] and
+    client ids must fit in 31 bits. *)
 
 type t
 

@@ -22,6 +22,21 @@ val advance_frontier :
 (** Run [f] on consecutive slots starting at the frontier while each
     slot is filled and [executable]; advances the frontier past them. *)
 
+val commit_below :
+  'a t -> int -> pending:('a -> bool) -> mark:('a -> unit) -> bool
+(** [commit_below t bound ~pending ~mark] runs [mark] on every filled
+    slot in [\[exec_frontier t, bound)] whose entry is [pending], and
+    returns whether it marked any. Same marks and same result as a
+    walk of that whole range, but incremental: a scan watermark skips
+    slots an earlier call already looked at, and slots {!set} below
+    the watermark since are queued and revisited. [pending] runs at
+    most once per slot plus once per such late {!set}, so a hole at
+    the frontier costs nothing per call. Marks are not made in slot order.
+
+    Contract: [mark v] makes [pending v] false, [pending] and [mark]
+    do not touch the log, and an entry becomes pending again only by
+    being replaced through {!set} or {!update} — never in place. *)
+
 val iter_filled : 'a t -> f:(int -> 'a -> unit) -> unit
 
 val iter_from : 'a t -> start:int -> f:(int -> 'a -> unit) -> unit

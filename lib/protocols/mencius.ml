@@ -64,17 +64,11 @@ let advance t =
       | None -> ())
 
 let commit_up_to t bound =
-  let changed = ref false in
-  (* slots below the frontier are committed by construction (the
-     frontier only advances over committed entries) — skip them. *)
-  for slot = Slot_log.exec_frontier t.log to bound - 1 do
-    match Slot_log.get t.log slot with
-    | Some (e : entry) when not e.committed ->
-        e.committed <- true;
-        changed := true
-    | _ -> ()
-  done;
-  if !changed then advance t
+  if
+    Slot_log.commit_below t.log bound
+      ~pending:(fun (e : entry) -> not e.committed)
+      ~mark:(fun (e : entry) -> e.committed <- true)
+  then advance t
 
 (* Commit no-ops in [owner_id]'s slots within [from_slot, upto).
    [from_slot] is the owner's first unused slot at announce time, so

@@ -366,17 +366,11 @@ let advance t =
   if lease_mode t then maybe_serve_reads t
 
 let commit_up_to t bound =
-  let changed = ref false in
-  (* slots below the frontier are committed by construction (the
-     frontier only advances over committed entries) — skip them. *)
-  for slot = Slot_log.exec_frontier t.log to bound - 1 do
-    match Slot_log.get t.log slot with
-    | Some e when not e.committed ->
-        e.committed <- true;
-        changed := true
-    | _ -> ()
-  done;
-  if !changed then advance t
+  if
+    Slot_log.commit_below t.log bound
+      ~pending:(fun e -> not e.committed)
+      ~mark:(fun e -> e.committed <- true)
+  then advance t
 
 (* ---- relay trees (Config.relay_groups > 0; DESIGN.md §12) ----
    The leader wraps each phase-2 round in [RelayRound] and multicasts

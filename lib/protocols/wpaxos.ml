@@ -204,17 +204,11 @@ let advance t (ks : key_state) =
       | None -> ())
 
 let commit_up_to t ks bound =
-  let changed = ref false in
-  (* slots below the frontier are committed by construction (the
-     frontier only advances over committed entries) — skip them. *)
-  for slot = Slot_log.exec_frontier ks.log to bound - 1 do
-    match Slot_log.get ks.log slot with
-    | Some (e : entry) when not e.committed ->
-        e.committed <- true;
-        changed := true
-    | _ -> ()
-  done;
-  if !changed then advance t ks
+  if
+    Slot_log.commit_below ks.log bound
+      ~pending:(fun (e : entry) -> not e.committed)
+      ~mark:(fun (e : entry) -> e.committed <- true)
+  then advance t ks
 
 (* Stop retransmitting everything this replica had in flight for one
    object: its steal's P1a and any owner-side P2as. Called wherever

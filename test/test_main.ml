@@ -42,4 +42,5 @@ let () =
       Test_relay.suite;
       Test_shard.suite;
       Test_storage.suite;
+      Test_slot_log.suite;
     ]
