@@ -145,19 +145,9 @@ type replica = {
       (* leader: write replies deferred until a majority applied *)
   commit_acks : (int, Quorum.t) Hashtbl.t; (* slot -> applied-at votes *)
   mutable quorum_reads : int; (* ABD reads completed here *)
-  (* ---- relay trees (Config.relay_groups > 0; DESIGN.md §12) ---- *)
-  relay_plans : Relay.plans; (* memoized rotation plans by (leader, gen) *)
-  relay_aggs : (int, Relay.agg) Hashtbl.t;
-      (* relay side: in-flight aggregation records keyed by first_slot *)
-  relay_pool : Relay.pool;
-  mutable relay_seq : int; (* leader: relay rounds posted (drives rotation) *)
-  mutable relay_bump : int; (* leader: forced rotations after fallbacks *)
-  mutable relay_bypass_until : float;
-      (* leader: send direct until this instant after a relay stalled *)
-  mutable relay_dsts : int list; (* leader: cached relay ids for dsts_gen *)
-  mutable relay_dsts_gen : int;
-  mutable relay_fan : int list; (* relay: cached own group minus self *)
-  mutable relay_fan_gen : int;
+  relay : message Relay.t;
+      (* relay trees (Config.relay_groups > 0; DESIGN.md §12); relay
+         records are keyed by the round's first slot *)
 }
 
 let all_ids (t : replica) = List.init t.env.n (fun i -> i)
@@ -186,45 +176,54 @@ let phase2_peers (t : replica) =
     List.filteri (fun rank _ -> rank < q2_size t - 1) sorted
   end
 
+(* A relay's combined reply for the round starting at [first_slot]. *)
+let relay_ack first_slot (a : Relay.agg) =
+  RelayAck
+    {
+      ballot = { Ballot.round = a.Relay.a_tag; owner = a.Relay.a_leader };
+      gen = a.Relay.a_gen;
+      first_slot;
+      count = a.Relay.a_aux;
+      bits = a.Relay.a_bits;
+    }
+
 let create env =
-  {
-    env;
-    ballot = Ballot.zero;
-    active = false;
-    log = Slot_log.create ();
-    exec = Executor.create ();
-    p1 = None;
-    pending = Queue.create ();
-    last_heard = 0.0;
-    batch_buf = Queue.create ();
-    flush_timer = Sim.nil;
-    batches = Hashtbl.create 16;
-    lease_epoch = 0;
-    lease_sent_at = neg_infinity;
-    lease_acks = None;
-    lease_until = neg_infinity;
-    lease_holder = -1;
-    lease_granted_until = neg_infinity;
-    read_barrier = 0;
-    pending_reads = Queue.create ();
-    local_reads = 0;
-    shadow = Hashtbl.create 64;
-    qreads = Hashtbl.create 16;
-    next_rid = 0;
-    held = Hashtbl.create 32;
-    commit_acks = Hashtbl.create 32;
-    quorum_reads = 0;
-    relay_plans = Relay.plans ();
-    relay_aggs = Hashtbl.create 16;
-    relay_pool = Relay.pool ();
-    relay_seq = 0;
-    relay_bump = 0;
-    relay_bypass_until = neg_infinity;
-    relay_dsts = [];
-    relay_dsts_gen = min_int;
-    relay_fan = [];
-    relay_fan_gen = min_int;
-  }
+  let t =
+    {
+      env;
+      ballot = Ballot.zero;
+      active = false;
+      log = Slot_log.create ();
+      exec = Executor.create ();
+      p1 = None;
+      pending = Queue.create ();
+      last_heard = 0.0;
+      batch_buf = Queue.create ();
+      flush_timer = Sim.nil;
+      batches = Hashtbl.create 16;
+      lease_epoch = 0;
+      lease_sent_at = neg_infinity;
+      lease_acks = None;
+      lease_until = neg_infinity;
+      lease_holder = -1;
+      lease_granted_until = neg_infinity;
+      read_barrier = 0;
+      pending_reads = Queue.create ();
+      local_reads = 0;
+      shadow = Hashtbl.create 64;
+      qreads = Hashtbl.create 16;
+      next_rid = 0;
+      held = Hashtbl.create 32;
+      commit_acks = Hashtbl.create 32;
+      quorum_reads = 0;
+      relay = Relay.create env ~ack:relay_ack;
+    }
+  in
+  (* a relay record is current while it belongs to our ballot *)
+  Relay.set_current t.relay (fun a ->
+      a.Relay.a_tag = t.ballot.Ballot.round
+      && a.Relay.a_leader = t.ballot.Ballot.owner);
+  t
 
 let is_leader t = t.active
 let current_ballot t = t.ballot
@@ -373,65 +372,12 @@ let commit_up_to t bound =
   then advance t
 
 (* ---- relay trees (Config.relay_groups > 0; DESIGN.md §12) ----
-   The leader wraps each phase-2 round in [RelayRound] and multicasts
-   it to one relay per rotation group; relays accept locally, fan the
+   The leader wraps a phase-2 round in [RelayRound] and multicasts it
+   to one relay per rotation group; relays accept locally, fan the
    plain inner round out to their group, and aggregate the group's
-   P2bs into one [RelayAck] bitmap. Every function below is guarded so
-   a [relay_groups = 0] run never reaches any of it — no messages, no
-   timers, no RNG draws — keeping the direct path byte-identical. *)
-
-let relay_on t = t.env.config.Config.relay_groups > 0
-
-(* Route this round through relays? Off outside relay mode, and off
-   during the bypass window a stalled relay opens. *)
-let relay_route t = relay_on t && t.env.now () >= t.relay_bypass_until
-let relay_gen t = Relay.gen_of_seq ~seq:t.relay_seq ~bump:t.relay_bump
-
-let relay_plan t ~leader ~gen =
-  Relay.find t.relay_plans ~n:t.env.n ~leader
-    ~r:t.env.config.Config.relay_groups ~gen
-
-(* The relay ids for [gen], cached so steady state reuses one list. *)
-let relay_targets t ~gen (plan : Relay.plan) =
-  if t.relay_dsts_gen <> gen then begin
-    t.relay_dsts <-
-      Array.to_list (Array.map (fun g -> g.(0)) plan.Relay.groups);
-    t.relay_dsts_gen <- gen
-  end;
-  t.relay_dsts
-
-(* Group members this relay fans a round out to (own group minus
-   self), cached per (leader, gen) like the plans themselves. *)
-let relay_fan_list t ~leader ~gen (plan : Relay.plan) gi =
-  let key = (gen lsl 10) lor leader in
-  if t.relay_fan_gen <> key then begin
-    let g = plan.Relay.groups.(gi) in
-    let rec tail i acc = if i < 1 then acc else tail (i - 1) (g.(i) :: acc) in
-    t.relay_fan <- tail (Array.length g - 1) [];
-    t.relay_fan_gen <- key
-  end;
-  t.relay_fan
-
-(* How long the leader gives a relay round before falling back to
-   direct fan-out: well under the failover timeout, so a dead relay
-   costs one blip rather than a leadership change. *)
-let relay_fallback_ms t = t.env.config.Config.failover_timeout_ms /. 8.0
-
-(* Partial-flush cadence at a relay: match the retransmission base so
-   a flush lands between the leader's retries, else the fallback
-   division of the failover timeout. *)
-let relay_flush_ms t =
-  match t.env.config.Config.retransmit with
-  | Some r when r.Config.max_tries > 0 -> r.Config.base_ms
-  | _ -> relay_fallback_ms t
-
-(* A relay round stalled (dead or slow relay): rotate the plan and
-   send direct until the window closes, re-partitioning the silent
-   relay out of its post. *)
-let relay_stall t =
-  t.relay_bump <- t.relay_bump + 1;
-  t.relay_bypass_until <-
-    t.env.now () +. t.env.config.Config.failover_timeout_ms
+   P2bs into one [RelayAck] bitmap. The protocol-independent parts
+   live in {!Relay}; paxos keeps its per-round fallback and the
+   ballot/slot-range rules. *)
 
 (* Is [bs] still this leader's open round at [first_slot]: same term,
    and neither committed nor abandoned (step-down) since it was
@@ -445,10 +391,12 @@ let round_live t first_slot (bs : batch_state) =
   | Some bs' -> bs' == bs
   | None -> false
 
+(* The relayed round was still uncommitted after [Relay.fallback_ms]:
+   rotate the plan, open the bypass window, and re-post it direct. *)
 let relay_fallback t first_slot (bs : batch_state) =
   if round_live t first_slot bs then begin
     bs.fb <- Sim.nil;
-    relay_stall t;
+    Relay.stall t.relay;
     t.env.rel.settle_all ~key:bs.rkey;
     let cmds =
       Array.init bs.count (fun i ->
@@ -470,107 +418,32 @@ let relay_fallback t first_slot (bs : batch_state) =
            })
   end
 
-let relay_send_ack t first_slot (a : Relay.agg) =
-  t.env.send a.Relay.a_leader
-    (RelayAck
-       {
-         ballot = { Ballot.round = a.Relay.a_tag; owner = a.Relay.a_leader };
-         gen = a.Relay.a_gen;
-         first_slot;
-         count = a.Relay.a_aux;
-         bits = a.Relay.a_bits;
-       })
-
-let relay_drop t first_slot (a : Relay.agg) =
-  if not (Sim.is_nil a.Relay.a_flush) then t.env.Proto.cancel a.Relay.a_flush;
-  a.Relay.a_flush <- Sim.nil;
-  Hashtbl.remove t.relay_aggs first_slot;
-  Relay.release t.relay_pool a
-
-(* Drop every relay-side aggregation record (our ballot moved on, or
-   we are becoming a candidate/leader ourselves). *)
-let relay_reset t =
-  if Hashtbl.length t.relay_aggs > 0 then
-    Hashtbl.fold (fun k a acc -> (k, a) :: acc) t.relay_aggs []
-    |> List.iter (fun (k, a) -> relay_drop t k a)
-
-let relay_finalize t first_slot (a : Relay.agg) =
-  a.Relay.a_complete <- true;
-  if not (Sim.is_nil a.Relay.a_flush) then begin
-    t.env.Proto.cancel a.Relay.a_flush;
-    a.Relay.a_flush <- Sim.nil
-  end;
-  if t.env.obs.Proto.active then
-    t.env.obs.Proto.on_relay ~start_ms:a.Relay.a_t0 ~end_ms:(t.env.now ());
-  relay_send_ack t first_slot a
-
-(* Partial-ack flush: a group member is slow or dead — report the bits
-   we do have so the leader's quorum can complete through the other
-   groups, then keep waiting. Records superseded by a newer ballot are
-   dropped instead of re-armed. *)
-let rec relay_flush t first_slot =
-  match Hashtbl.find_opt t.relay_aggs first_slot with
-  | Some a when not a.Relay.a_complete ->
-      a.Relay.a_flush <- Sim.nil;
-      if
-        a.Relay.a_tag = t.ballot.Ballot.round
-        && a.Relay.a_leader = t.ballot.Ballot.owner
-      then begin
-        relay_send_ack t first_slot a;
-        a.Relay.a_flush <-
-          t.env.schedule (relay_flush_ms t) (fun () ->
-              relay_flush t first_slot)
-      end
-      else relay_drop t first_slot a
-  | _ -> ()
-
-(* Completed records linger so a duplicate [RelayRound] (the leader's
-   retransmission racing our ack) gets a full-ack resend; prune them
-   once their slots fall below the commit frontier, amortized behind a
-   size threshold. *)
-let relay_prune t =
-  if Hashtbl.length t.relay_aggs > 128 then begin
-    let frontier = Slot_log.exec_frontier t.log in
-    Hashtbl.fold
-      (fun slot (a : Relay.agg) acc ->
-        if slot + a.Relay.a_aux <= frontier then (slot, a) :: acc else acc)
-      t.relay_aggs []
-    |> List.iter (fun (slot, a) -> relay_drop t slot a)
-  end
+(* The relay record for this exact round: same ballot, same range. *)
+let relay_record_is ~(ballot : Ballot.t) ~count (a : Relay.agg) =
+  a.Relay.a_tag = ballot.Ballot.round
+  && a.Relay.a_leader = ballot.Ballot.owner
+  && a.Relay.a_aux = count
 
 (* A member's ack arriving at its relay: fold it into the aggregation
    bitmap instead of the (absent) leader-side tracker. Returns [false]
    when the ack is not ours to absorb — the caller runs the normal
    path. *)
 let relay_absorb_p2b t ~src ~ballot ~first_slot ~count ~ok =
-  if t.active || not (relay_on t) then false
-  else
-    match Hashtbl.find_opt t.relay_aggs first_slot with
-    | Some a when a.Relay.a_aux = count ->
-        if
-          ok
-          && a.Relay.a_tag = ballot.Ballot.round
-          && a.Relay.a_leader = ballot.Ballot.owner
-        then begin
-          let i = Relay.position a src in
-          if i >= 0 then begin
-            Relay.set_bit a i;
-            if (not a.Relay.a_complete) && Relay.complete a then
-              relay_finalize t first_slot a
-          end;
-          true
-        end
-        else if not ok then begin
-          (* the member knows a higher ballot: relay the nok to the
-             round's leader (it must step down), then take the normal
-             nok path ourselves *)
-          t.env.send a.Relay.a_leader
-            (P2b { ballot; first_slot; count; ok = false });
-          relay_drop t first_slot a;
-          false
-        end
-        else false
-    | _ -> false
+  (not t.active) && Relay.active t.relay
+  &&
+  match Relay.lookup t.relay first_slot with
+  | Some a when ok && relay_record_is ~ballot ~count a ->
+      Relay.absorb t.relay first_slot a ~src;
+      true
+  | Some a when (not ok) && a.Relay.a_aux = count ->
+      (* the member knows a higher ballot: relay the nok to the
+         round's leader (it must step down), then take the normal nok
+         path ourselves *)
+      t.env.send a.Relay.a_leader
+        (P2b { ballot; first_slot; count; ok = false });
+      Relay.drop t.relay first_slot a;
+      false
+  | _ -> false
 
 (* ---- stable storage (Config.storage; DESIGN.md §14) ----------------
    Registers 0/1 hold the durable promised ballot (round, owner); the
@@ -650,24 +523,23 @@ let open_round t ~direct first_slot cmds =
   in
   (if direct then
      bs.rkey <- t.env.rel.post_all ~size_bytes ~ack:Reliable.Piggyback msg
-   else if relay_route t then begin
-     let gen = relay_gen t in
-     t.relay_seq <- t.relay_seq + 1;
-     let plan = relay_plan t ~leader:t.env.id ~gen in
-     bs.rkey <-
-       t.env.rel.post_multi ~size_bytes ~ack:Reliable.Piggyback
-         (relay_targets t ~gen plan)
-         (RelayRound { gen; inner = msg });
-     bs.fb <-
-       t.env.schedule (relay_fallback_ms t) (fun () ->
-           relay_fallback t first_slot bs)
-   end
    else
-     bs.rkey <-
-       (if t.env.config.Config.thrifty then
-          t.env.rel.post_multi ~size_bytes ~ack:Reliable.Piggyback
-            (phase2_peers t) msg
-        else t.env.rel.post_all ~size_bytes ~ack:Reliable.Piggyback msg));
+     let gen = Relay.route t.relay in
+     if gen >= 0 then begin
+       bs.rkey <-
+         t.env.rel.post_multi ~size_bytes ~ack:Reliable.Piggyback
+           (Relay.relays t.relay ~gen)
+           (RelayRound { gen; inner = msg });
+       bs.fb <-
+         t.env.schedule (Relay.fallback_ms t.relay) (fun () ->
+             relay_fallback t first_slot bs)
+     end
+     else
+       bs.rkey <-
+         (if t.env.config.Config.thrifty then
+            t.env.rel.post_multi ~size_bytes ~ack:Reliable.Piggyback
+              (phase2_peers t) msg
+          else t.env.rel.post_all ~size_bytes ~ack:Reliable.Piggyback msg));
   Hashtbl.replace t.batches first_slot bs;
   bs
 
@@ -868,7 +740,7 @@ let start_phase1 t =
   (* a fresh candidacy obsoletes whatever this replica was still
      retransmitting (an older P1a, stale P2as from lost leadership) *)
   t.env.rel.unpost_all ();
-  relay_reset t;
+  Relay.reset t.relay;
   let tracker =
     Quorum.create (Quorum.Count { members = all_ids t; threshold = q1_size t })
   in
@@ -908,7 +780,7 @@ let step_down t ~ballot =
   (* everything this replica was retransmitting carried the lost
      ballot; the new leader re-proposes whatever survives phase-1 *)
   t.env.rel.unpost_all ();
-  relay_reset t;
+  Relay.reset t.relay;
   (* abandon in-flight batch rounds; buffered-but-unproposed commands
      go back to [pending] so they are forwarded to the new leader *)
   Hashtbl.reset t.batches;
@@ -1095,66 +967,36 @@ let on_p2a t ~src ~ballot ~first_slot ~cmds ~commit_up_to =
   end
   else t.env.send src (P2b { ballot = t.ballot; first_slot; count; ok = false })
 
-(* Relay ingress: accept the inner round locally, fan the plain round
-   out to the group (members reply to us, not the leader), and start
-   the aggregation record. A duplicate wrapper — the leader is
-   retransmitting because our ack or some member's copy got lost —
-   re-sends the completed ack, or re-fans to the members whose bits
-   are still clear. *)
+(* Relay ingress: accept the inner round locally and start
+   aggregating its group's acks (members reply to us, not the leader).
+   A duplicate wrapper — the leader is retransmitting because our ack
+   or some member's copy got lost — re-sends the completed ack, or
+   re-fans to the members whose bits are still clear. *)
 let on_relay_round t ~src ~gen ~inner =
   match inner with
   | P2a { ballot; first_slot; cmds; commit_up_to } -> (
       let count = Array.length cmds in
       let size_bytes = count * t.env.config.Config.msg_size_bytes in
-      match Hashtbl.find_opt t.relay_aggs first_slot with
-      | Some a
-        when a.Relay.a_tag = ballot.Ballot.round
-             && a.Relay.a_leader = ballot.Ballot.owner
-             && a.Relay.a_aux = count ->
-          if a.Relay.a_complete then relay_send_ack t first_slot a
-          else begin
-            let g = a.Relay.a_group in
-            for i = 1 to Array.length g - 1 do
-              if a.Relay.a_bits land (1 lsl i) = 0 then
-                t.env.send_sized g.(i) ~size_bytes inner
-            done
-          end
-      | stale ->
+      match Relay.lookup t.relay first_slot with
+      | Some a when relay_record_is ~ballot ~count a ->
+          Relay.resend t.relay first_slot a ~size_bytes inner
+      | _ ->
           if not (accept_p2a t ~ballot ~first_slot ~cmds ~commit_up_to) then
             (* we know a higher ballot: nok straight back to the
                leader, exactly as the direct path would *)
             t.env.send src
               (P2b { ballot = t.ballot; first_slot; count; ok = false })
           else begin
-            (match stale with
-            | Some old -> relay_drop t first_slot old
-            | None -> ());
-            let leader = ballot.Ballot.owner in
-            let plan = relay_plan t ~leader ~gen in
-            let gi = plan.Relay.group_of.(t.env.id) in
-            if gi < 0 || plan.Relay.groups.(gi).(0) <> t.env.id then
+            if
+              not
+                (Relay.start t.relay ~key:first_slot
+                   ~leader:ballot.Ballot.owner ~gen ~tag:ballot.Ballot.round
+                   ~aux:count ~mark:(Slot_log.exec_frontier t.log) ~size_bytes
+                   inner)
+            then
               (* not a relay under this plan (the round raced a plan
                  rotation): behave like a plain acceptor *)
-              t.env.send src (P2b { ballot; first_slot; count; ok = true })
-            else begin
-              let group = plan.Relay.groups.(gi) in
-              let a =
-                Relay.alloc t.relay_pool ~leader ~gen ~group
-                  ~tag:ballot.Ballot.round ~aux:count
-              in
-              a.Relay.a_t0 <- t.env.now ();
-              Relay.set_bit a 0 (* position 0 = self: our own accept *);
-              Hashtbl.replace t.relay_aggs first_slot a;
-              List.iter
-                (fun dst -> t.env.send_sized dst ~size_bytes inner)
-                (relay_fan_list t ~leader ~gen plan gi);
-              if Relay.complete a then relay_finalize t first_slot a
-              else
-                a.Relay.a_flush <-
-                  t.env.schedule (relay_flush_ms t) (fun () ->
-                      relay_flush t first_slot);
-              relay_prune t
-            end;
+              t.env.send src (P2b { ballot; first_slot; count; ok = true });
             drain_pending t
           end)
   | _ -> ()
@@ -1179,17 +1021,15 @@ let on_p2b t ~src ~ballot ~first_slot ~count ~ok =
    retransmitting, which is what re-prods the relay to re-fan to its
    silent members. *)
 let on_relay_ack t ~src ~ballot ~gen ~first_slot ~count ~bits =
-  if t.active && relay_on t && Ballot.equal ballot t.ballot then begin
-    let plan = relay_plan t ~leader:t.env.id ~gen in
-    let gi = plan.Relay.group_of.(src) in
-    if gi >= 0 && plan.Relay.groups.(gi).(0) = src then
+  if t.active && Relay.active t.relay && Ballot.equal ballot t.ballot then begin
+    let group = Relay.relay_group t.relay ~src ~gen in
+    if Array.length group > 0 then
       match Hashtbl.find_opt t.batches first_slot with
       | Some bs when bs.count = count && Ballot.equal bs.bballot ballot ->
-          let group = plan.Relay.groups.(gi) in
-          let mask = Relay.full_mask (Array.length group) in
-          if bits land mask = mask then t.env.rel.settle ~dst:src ~key:bs.rkey;
+          if Relay.covers group ~bits then
+            t.env.rel.settle ~dst:src ~key:bs.rkey;
           for i = 0 to Array.length group - 1 do
-            if bits land (1 lsl i) <> 0 then Quorum.ack bs.tracker group.(i)
+            if Relay.acked ~bits i then Quorum.ack bs.tracker group.(i)
           done;
           if Quorum.satisfied bs.tracker then commit_batch t first_slot bs
       | _ -> ()

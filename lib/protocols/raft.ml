@@ -90,18 +90,9 @@ type replica = {
   pending_reads : (Address.t * Proto.request) Queue.t;
   mutable local_reads : int;
   (* ---- relay trees (Config.relay_groups > 0; DESIGN.md §12) ---- *)
-  relay_plans : Relay.plans;
-  relay_aggs : (int, Relay.agg) Hashtbl.t;
-      (* relay side: in-flight rounds keyed by the match index they
-         establish (strictly increasing, so keys never collide) *)
-  relay_pool : Relay.pool;
-  mutable relay_seq : int;
-  mutable relay_bump : int;
-  mutable relay_bypass_until : float;
-  mutable relay_dsts : int list; (* leader: cached relay ids *)
-  mutable relay_dsts_gen : int;
-  mutable relay_fan : int list; (* relay: cached own group minus self *)
-  mutable relay_fan_gen : int;
+  relay : message Relay.t;
+      (* relay records are keyed by the match index their round
+         establishes (strictly increasing, so keys never collide) *)
   mutable relay_akey : int; (* leader: open relay-round post (0 = none) *)
   mutable relay_expected : int; (* match index that round establishes *)
   mutable relay_fb : Sim.handle; (* leader: relay fallback timer *)
@@ -115,51 +106,58 @@ type replica = {
 
 let all_ids (t : replica) = List.init t.env.n (fun i -> i)
 
+(* A relay's combined reply for the round establishing [expected]. *)
+let relay_ack expected (a : Relay.agg) =
+  RelayAppendAck
+    {
+      term = a.Relay.a_tag;
+      gen = a.Relay.a_gen;
+      expected;
+      bits = a.Relay.a_bits;
+    }
+
 let create env =
-  {
-    env;
-    term = 0;
-    voted_for = None;
-    state = Follower;
-    leader_id = None;
-    log = Slot_log.create ();
-    commit_index = 0;
-    exec = Executor.create ();
-    next_index = Array.make env.Proto.n 0;
-    match_index = Array.make env.Proto.n 0;
-    votes = None;
-    last_heard = 0.0;
-    election_deadline = 0.0;
-    pending = Queue.create ();
-    unflushed = 0;
-    flush_timer = Sim.nil;
-    append_key = Array.make env.Proto.n 0;
-    inflight_match = Array.make env.Proto.n 0;
-    probe_sent_at = Array.make env.Proto.n 0.0;
-    acked_at = Array.make env.Proto.n neg_infinity;
-    lease_until = neg_infinity;
-    lease_holder = -1;
-    lease_granted_until = neg_infinity;
-    read_barrier = 0;
-    pending_reads = Queue.create ();
-    local_reads = 0;
-    relay_plans = Relay.plans ();
-    relay_aggs = Hashtbl.create 16;
-    relay_pool = Relay.pool ();
-    relay_seq = 0;
-    relay_bump = 0;
-    relay_bypass_until = neg_infinity;
-    relay_dsts = [];
-    relay_dsts_gen = min_int;
-    relay_fan = [];
-    relay_fan_gen = min_int;
-    relay_akey = 0;
-    relay_expected = 0;
-    relay_fb = Sim.nil;
-    snap = None;
-    snap_term = 0;
-    snapshots = 0;
-  }
+  let t =
+    {
+      env;
+      term = 0;
+      voted_for = None;
+      state = Follower;
+      leader_id = None;
+      log = Slot_log.create ();
+      commit_index = 0;
+      exec = Executor.create ();
+      next_index = Array.make env.Proto.n 0;
+      match_index = Array.make env.Proto.n 0;
+      votes = None;
+      last_heard = 0.0;
+      election_deadline = 0.0;
+      pending = Queue.create ();
+      unflushed = 0;
+      flush_timer = Sim.nil;
+      append_key = Array.make env.Proto.n 0;
+      inflight_match = Array.make env.Proto.n 0;
+      probe_sent_at = Array.make env.Proto.n 0.0;
+      acked_at = Array.make env.Proto.n neg_infinity;
+      lease_until = neg_infinity;
+      lease_holder = -1;
+      lease_granted_until = neg_infinity;
+      read_barrier = 0;
+      pending_reads = Queue.create ();
+      local_reads = 0;
+      relay = Relay.create env ~ack:relay_ack;
+      relay_akey = 0;
+      relay_expected = 0;
+      relay_fb = Sim.nil;
+      snap = None;
+      snap_term = 0;
+      snapshots = 0;
+    }
+  in
+  (* a relay record is current while we follow in its term *)
+  Relay.set_current t.relay (fun a ->
+      a.Relay.a_tag = t.term && t.state <> Leader);
+  t
 
 let role t = t.state
 let current_term t = t.term
@@ -333,115 +331,13 @@ let append_size t entries =
 
 (* ---- relay trees (Config.relay_groups = r > 0; DESIGN.md §12) ----
 
-   Mirrors the Paxos integration: a uniform replication round is
-   wrapped in [RelayAppend] and posted to one relay per rotation
-   group; relays apply it locally, fan [FanAppend] to their group, and
-   aggregate the members' AppendReplies into one [RelayAppendAck]
-   bitmap. Everything below is guarded so a [relay_groups = 0] run
-   never reaches any of it — no messages, no timers, no RNG draws —
-   keeping the direct path byte-identical. *)
-
-let relay_on t = t.env.config.Config.relay_groups > 0
-let relay_route t = relay_on t && t.env.now () >= t.relay_bypass_until
-let relay_gen t = Relay.gen_of_seq ~seq:t.relay_seq ~bump:t.relay_bump
-
-let relay_plan t ~leader ~gen =
-  Relay.find t.relay_plans ~n:t.env.n ~leader
-    ~r:t.env.config.Config.relay_groups ~gen
-
-let relay_targets t ~gen (plan : Relay.plan) =
-  if t.relay_dsts_gen <> gen then begin
-    t.relay_dsts <-
-      Array.to_list (Array.map (fun g -> g.(0)) plan.Relay.groups);
-    t.relay_dsts_gen <- gen
-  end;
-  t.relay_dsts
-
-let relay_fan_list t ~leader ~gen (plan : Relay.plan) gi =
-  let key = (gen lsl 10) lor leader in
-  if t.relay_fan_gen <> key then begin
-    let g = plan.Relay.groups.(gi) in
-    let rec tail i acc = if i < 1 then acc else tail (i - 1) (g.(i) :: acc) in
-    t.relay_fan <- tail (Array.length g - 1) [];
-    t.relay_fan_gen <- key
-  end;
-  t.relay_fan
-
-let relay_fallback_ms t = t.env.config.Config.failover_timeout_ms /. 8.0
-
-let relay_flush_ms t =
-  match t.env.config.Config.retransmit with
-  | Some r when r.Config.max_tries > 0 -> r.Config.base_ms
-  | _ -> relay_fallback_ms t
-
-(* A relay round stalled (dead or slow relay): rotate the plan and
-   send direct until the window closes, re-partitioning the silent
-   relay out of its post. *)
-let relay_stall t =
-  t.relay_bump <- t.relay_bump + 1;
-  t.relay_bypass_until <-
-    t.env.now () +. t.env.config.Config.failover_timeout_ms
-
-let relay_send_ack t expected (a : Relay.agg) =
-  t.env.send a.Relay.a_leader
-    (RelayAppendAck
-       {
-         term = a.Relay.a_tag;
-         gen = a.Relay.a_gen;
-         expected;
-         bits = a.Relay.a_bits;
-       })
-
-let relay_drop t expected (a : Relay.agg) =
-  if not (Sim.is_nil a.Relay.a_flush) then t.env.Proto.cancel a.Relay.a_flush;
-  a.Relay.a_flush <- Sim.nil;
-  Hashtbl.remove t.relay_aggs expected;
-  Relay.release t.relay_pool a
-
-(* Drop every relay-side aggregation record (our term moved on, or we
-   are becoming a candidate/leader ourselves). *)
-let relay_reset t =
-  if Hashtbl.length t.relay_aggs > 0 then
-    Hashtbl.fold (fun k a acc -> (k, a) :: acc) t.relay_aggs []
-    |> List.iter (fun (k, a) -> relay_drop t k a)
-
-let relay_finalize t expected (a : Relay.agg) =
-  a.Relay.a_complete <- true;
-  if not (Sim.is_nil a.Relay.a_flush) then begin
-    t.env.Proto.cancel a.Relay.a_flush;
-    a.Relay.a_flush <- Sim.nil
-  end;
-  if t.env.obs.Proto.active then
-    t.env.obs.Proto.on_relay ~start_ms:a.Relay.a_t0 ~end_ms:(t.env.now ());
-  relay_send_ack t expected a
-
-(* Partial-ack flush: a group member is slow or dead — report the bits
-   we do have so the leader's majority can complete through the other
-   groups, then keep waiting. Records superseded by a newer term are
-   dropped instead of re-armed. *)
-let rec relay_flush t expected =
-  match Hashtbl.find_opt t.relay_aggs expected with
-  | Some a when not a.Relay.a_complete ->
-      a.Relay.a_flush <- Sim.nil;
-      if a.Relay.a_tag = t.term && t.state <> Leader then begin
-        relay_send_ack t expected a;
-        a.Relay.a_flush <-
-          t.env.schedule (relay_flush_ms t) (fun () -> relay_flush t expected)
-      end
-      else relay_drop t expected a
-  | _ -> ()
-
-(* Completed records linger so a duplicate [RelayAppend] (the leader's
-   retransmission racing our ack) gets a full-ack resend; prune them
-   once their match index commits, amortized behind a size
-   threshold. *)
-let relay_prune t =
-  if Hashtbl.length t.relay_aggs > 128 then
-    Hashtbl.fold
-      (fun expected (a : Relay.agg) acc ->
-        if expected <= t.commit_index then (expected, a) :: acc else acc)
-      t.relay_aggs []
-    |> List.iter (fun (expected, a) -> relay_drop t expected a)
+   A uniform replication round is wrapped in [RelayAppend] and posted
+   to one relay per rotation group; relays apply it locally, fan
+   [FanAppend] to their group, and aggregate the members'
+   AppendReplies into one [RelayAppendAck] bitmap. The
+   protocol-independent parts live in {!Relay}; raft keeps its one
+   outstanding relayed round, the uniform-next_index rule and the
+   lease probe credit. *)
 
 (* A member's success reply arriving at its relay: fold it into the
    aggregation bitmap. Returns [false] when the reply is not ours to
@@ -449,25 +345,14 @@ let relay_prune t =
    replies are never absorbed; a diverged member heals through the
    leader's direct keepalive path. *)
 let relay_absorb_reply t ~src ~term ~success ~match_index =
-  if t.state = Leader || (not (relay_on t)) || not success then false
-  else
-    match Hashtbl.find_opt t.relay_aggs match_index with
-    | Some a when a.Relay.a_tag = term ->
-        let i = Relay.position a src in
-        if i >= 0 then begin
-          Relay.set_bit a i;
-          if (not a.Relay.a_complete) && Relay.complete a then
-            relay_finalize t match_index a
-        end;
-        true
-    | _ -> false
+  t.state <> Leader && Relay.active t.relay && success
+  &&
+  match Relay.lookup t.relay match_index with
+  | Some a when a.Relay.a_tag = term ->
+      Relay.absorb t.relay match_index a ~src;
+      true
+  | _ -> false
 
-(* Ship the tail from [next] to [dsts] (who all share that
-   next_index). A non-empty tail goes through the reliable layer: any
-   post still covering a destination is superseded first (settled and
-   re-posted with the current tail), so at most one append post is
-   open per follower and it always carries the freshest state. An
-   empty tail is a plain probe — nothing to recover. *)
 (* A follower's next_index fell below our compacted base: the slots it
    needs are gone, so ship the state-machine image instead. Answered
    with an ordinary AppendReply at the image's frontier; a lost copy
@@ -483,38 +368,51 @@ let send_install_snapshot t ~dsts =
       t.env.multicast_sized dsts ~size_bytes
         (InstallSnapshot { term = t.term; last_index = last; last_term; image })
 
-let post_append_tail t ~dsts ~next =
-  let prev_index = next - 1 in
+(* The log from [next] on. *)
+let tail_from t next =
   let entries = ref [] in
   for i = last_index t downto next do
     match Slot_log.get t.log i with
     | Some e -> entries := e :: !entries
     | None -> ()
   done;
-  let msg =
-    AppendEntries
-      {
-        term = t.term;
-        prev_index;
-        prev_term = term_at t prev_index;
-        entries = !entries;
-        leader_commit = t.commit_index;
-      }
-  in
-  let size_bytes = append_size t !entries in
+  !entries
+
+let append_msg t ~next entries =
+  let prev_index = next - 1 in
+  AppendEntries
+    {
+      term = t.term;
+      prev_index;
+      prev_term = term_at t prev_index;
+      entries;
+      leader_commit = t.commit_index;
+    }
+
+(* Withdraw the open append post covering follower [f], if any. *)
+let settle_append t f =
+  if t.append_key.(f) <> 0 then begin
+    t.env.rel.settle ~dst:f ~key:t.append_key.(f);
+    t.append_key.(f) <- 0;
+    t.inflight_match.(f) <- 0
+  end
+
+(* Ship the tail from [next] to [dsts] (who all share that
+   next_index). A non-empty tail goes through the reliable layer: any
+   post still covering a destination is superseded first (settled and
+   re-posted with the current tail), so at most one append post is
+   open per follower and it always carries the freshest state. An
+   empty tail is a plain probe — nothing to recover. *)
+let post_append_tail t ~dsts ~next =
+  let entries = tail_from t next in
+  let msg = append_msg t ~next entries in
+  let size_bytes = append_size t entries in
   note_probe t dsts;
-  List.iter
-    (fun f ->
-      if t.append_key.(f) <> 0 then begin
-        t.env.rel.settle ~dst:f ~key:t.append_key.(f);
-        t.append_key.(f) <- 0;
-        t.inflight_match.(f) <- 0
-      end)
-    dsts;
-  if !entries = [] then t.env.multicast_sized dsts ~size_bytes msg
+  List.iter (settle_append t) dsts;
+  if entries = [] then t.env.multicast_sized dsts ~size_bytes msg
   else begin
     let key = t.env.rel.post_multi ~size_bytes ~ack:Reliable.Piggyback dsts msg in
-    let expected = prev_index + 1 + List.length !entries in
+    let expected = next + List.length entries in
     List.iter
       (fun f ->
         t.append_key.(f) <- key;
@@ -528,6 +426,17 @@ let post_append t ~dsts ~next =
 
 let send_append t follower =
   post_append t ~dsts:[ follower ] ~next:t.next_index.(follower)
+
+(* Withdraw the open relayed round: its post and its fallback timer. *)
+let relay_withdraw t =
+  if t.relay_akey <> 0 then begin
+    t.env.rel.settle_all ~key:t.relay_akey;
+    t.relay_akey <- 0
+  end;
+  if not (Sim.is_nil t.relay_fb) then begin
+    t.env.Proto.cancel t.relay_fb;
+    t.relay_fb <- Sim.nil
+  end
 
 (* Group followers that share the same next_index so the CPU
    serializes the batch once (etcd replicates a shared log the same
@@ -559,7 +468,7 @@ let rec broadcast_append t =
    stragglers and keepalives always go direct. Returns whether the
    round was routed. *)
 and relay_broadcast_append t =
-  relay_route t
+  Relay.routing t.relay
   &&
   let next = t.next_index.((t.env.id + 1) mod t.env.n) in
   let uniform = ref (last_index t >= next) in
@@ -569,65 +478,36 @@ and relay_broadcast_append t =
   !uniform
   && begin
        (* supersede the previous relay round and any direct posts *)
-       if t.relay_akey <> 0 then begin
-         t.env.rel.settle_all ~key:t.relay_akey;
-         t.relay_akey <- 0
-       end;
-       if not (Sim.is_nil t.relay_fb) then begin
-         t.env.Proto.cancel t.relay_fb;
-         t.relay_fb <- Sim.nil
-       end;
+       relay_withdraw t;
        for f = 0 to t.env.n - 1 do
-         if f <> t.env.id && t.append_key.(f) <> 0 then begin
-           t.env.rel.settle ~dst:f ~key:t.append_key.(f);
-           t.append_key.(f) <- 0;
-           t.inflight_match.(f) <- 0
-         end
+         if f <> t.env.id then settle_append t f
        done;
-       let prev_index = next - 1 in
-       let entries = ref [] in
-       for i = last_index t downto next do
-         match Slot_log.get t.log i with
-         | Some e -> entries := e :: !entries
-         | None -> ()
-       done;
-       let inner =
-         AppendEntries
-           {
-             term = t.term;
-             prev_index;
-             prev_term = term_at t prev_index;
-             entries = !entries;
-             leader_commit = t.commit_index;
-           }
-       in
+       let entries = tail_from t next in
        (* every follower is probed through its relay this round *)
        if lease_mode t then
          note_probe t (List.filter (fun i -> i <> t.env.id) (all_ids t));
-       let gen = relay_gen t in
-       t.relay_seq <- t.relay_seq + 1;
-       let plan = relay_plan t ~leader:t.env.id ~gen in
+       let gen = Relay.route t.relay in
        t.relay_akey <-
-         t.env.rel.post_multi ~size_bytes:(append_size t !entries)
+         t.env.rel.post_multi ~size_bytes:(append_size t entries)
            ~ack:Reliable.Piggyback
-           (relay_targets t ~gen plan)
-           (RelayAppend { gen; inner });
-       t.relay_expected <- prev_index + 1 + List.length !entries;
+           (Relay.relays t.relay ~gen)
+           (RelayAppend { gen; inner = append_msg t ~next entries });
+       t.relay_expected <- next + List.length entries;
        t.relay_fb <-
-         t.env.schedule (relay_fallback_ms t) (fun () -> relay_fallback t);
+         t.env.schedule (Relay.fallback_ms t.relay) (fun () ->
+             relay_fallback t);
        true
      end
 
-(* The leader gave a relay round [relay_fallback_ms] and the round's
+(* The leader gave a relay round [Relay.fallback_ms] and the round's
    match index still has not committed: withdraw the post, rotate the
    plan, and re-ship the tail direct for a bypass window. *)
 and relay_fallback t =
   t.relay_fb <- Sim.nil;
   if t.state = Leader && t.relay_akey <> 0 then begin
-    t.env.rel.settle_all ~key:t.relay_akey;
-    t.relay_akey <- 0;
+    relay_withdraw t;
     if t.commit_index < t.relay_expected then begin
-      relay_stall t;
+      Relay.stall t.relay;
       broadcast_append t
     end
   end
@@ -648,27 +528,18 @@ let broadcast_keepalive t =
     (all_ids t);
   Hashtbl.iter
     (fun next members ->
-      let prev_index = next - 1 in
       note_probe t members;
       t.env.multicast_sized members ~size_bytes:(append_size t [])
-        (AppendEntries
-           {
-             term = t.term;
-             prev_index;
-             prev_term = term_at t prev_index;
-             entries = [];
-             leader_commit = t.commit_index;
-           }))
+        (append_msg t ~next []))
     groups
 
+(* Leadership changed hands (or is being contested): the open relayed
+   round and every relay record belong to the old leadership. The
+   post itself is already withdrawn, or was never opened. *)
 let relay_clear_leader t =
-  if relay_on t then begin
-    t.relay_akey <- 0;
-    if not (Sim.is_nil t.relay_fb) then begin
-      t.env.Proto.cancel t.relay_fb;
-      t.relay_fb <- Sim.nil
-    end;
-    relay_reset t
+  if Relay.active t.relay then begin
+    relay_withdraw t;
+    Relay.reset t.relay
   end
 
 let advance_commit t =
@@ -727,7 +598,7 @@ let become_leader t =
     | Some st -> Storage.write st (entry_op ~slot e)
   done;
   (match t.env.Proto.storage with
-  | None -> ()
+  | None -> advance_commit t (* a cluster of one commits alone *)
   | Some st ->
       (* the leader's own match counts only once its entries are on
          disk; one fsync covers the barrier and the drained backlog *)
@@ -770,23 +641,26 @@ let start_election t =
   Quorum.ack tracker t.env.id;
   t.votes <- Some tracker;
   reset_election_timer t;
-  let send () =
-    t.env.broadcast
-      (RequestVote
-         {
-           term = t.term;
-           last_index = last_index t;
-           last_term = term_at t (last_index t);
-         })
+  (* with a majority of one (n = 1) the self-vote alone elects us *)
+  let solicit () =
+    if Quorum.satisfied tracker then become_leader t
+    else
+      t.env.broadcast
+        (RequestVote
+           {
+             term = t.term;
+             last_index = last_index t;
+             last_term = term_at t (last_index t);
+           })
   in
   match t.env.Proto.storage with
-  | None -> send ()
+  | None -> solicit ()
   | Some st ->
       (* the candidacy's term and self-vote bind across crashes: the
          solicitation leaves only once they are on disk *)
       let term = t.term in
       Storage.persist st (durable_term_ops t) (fun () ->
-          if t.state = Candidate && t.term = term then send ())
+          if t.state = Candidate && t.term = term then solicit ())
 
 let on_request t ~client (request : Proto.request) =
   match t.state with
@@ -801,7 +675,9 @@ let on_request t ~client (request : Proto.request) =
       Slot_log.set t.log slot e;
       t.env.obs.Proto.on_propose ~slot ~cmd:request.Proto.command;
       (match t.env.Proto.storage with
-      | None -> t.match_index.(t.env.id) <- slot + 1
+      | None ->
+          t.match_index.(t.env.id) <- slot + 1;
+          advance_commit t
       | Some st ->
           (* the leader's own match counts only once the entry's fsync
              completes — by then leadership may have moved on *)
@@ -1020,21 +896,13 @@ let on_relay_append t ~src ~gen ~inner =
   match inner with
   | AppendEntries { term; prev_index; prev_term; entries; leader_commit } -> (
       let expected = prev_index + 1 + List.length entries in
-      match Hashtbl.find_opt t.relay_aggs expected with
+      let size_bytes = append_size t entries in
+      match Relay.lookup t.relay expected with
       | Some a when a.Relay.a_tag = term && a.Relay.a_leader = src ->
-          (* the leader's retransmission: resend the full ack, or
-             re-fan to the members still missing from the bitmap *)
-          if a.Relay.a_complete then relay_send_ack t expected a
-          else begin
-            let g = a.Relay.a_group in
-            let size_bytes = append_size t entries in
-            for i = 1 to Array.length g - 1 do
-              if a.Relay.a_bits land (1 lsl i) = 0 then
-                t.env.send_sized g.(i) ~size_bytes
-                  (FanAppend { origin = src; inner })
-            done
-          end
-      | stale ->
+          (* the leader's retransmission *)
+          Relay.resend t.relay expected a ~size_bytes
+            (FanAppend { origin = src; inner })
+      | _ ->
           let success, match_index =
             append_entries_core t ~leader:src ~term ~prev_index ~prev_term
               ~entries ~leader_commit
@@ -1042,39 +910,15 @@ let on_relay_append t ~src ~gen ~inner =
           if not (success && match_index = expected) then
             t.env.send src
               (AppendReply { term = t.term; success; match_index })
-          else begin
-            (match stale with
-            | Some old -> relay_drop t expected old
-            | None -> ());
-            let plan = relay_plan t ~leader:src ~gen in
-            let gi = plan.Relay.group_of.(t.env.id) in
-            if gi < 0 || plan.Relay.groups.(gi).(0) <> t.env.id then
-              (* plans disagree (a gen raced a bump): answer direct *)
-              t.env.send src
-                (AppendReply { term = t.term; success = true; match_index })
-            else begin
-              let group = plan.Relay.groups.(gi) in
-              let a =
-                Relay.alloc t.relay_pool ~leader:src ~gen ~group ~tag:term
-                  ~aux:expected
-              in
-              a.Relay.a_t0 <- t.env.now ();
-              Relay.set_bit a 0;
-              Hashtbl.replace t.relay_aggs expected a;
-              let size_bytes = append_size t entries in
-              List.iter
-                (fun m ->
-                  t.env.send_sized m ~size_bytes
-                    (FanAppend { origin = src; inner }))
-                (relay_fan_list t ~leader:src ~gen plan gi);
-              if Relay.complete a then relay_finalize t expected a
-              else
-                a.Relay.a_flush <-
-                  t.env.schedule (relay_flush_ms t) (fun () ->
-                      relay_flush t expected);
-              relay_prune t
-            end
-          end)
+          else if
+            not
+              (Relay.start t.relay ~key:expected ~leader:src ~gen ~tag:term
+                 ~aux:0 ~mark:t.commit_index ~size_bytes
+                 (FanAppend { origin = src; inner }))
+          then
+            (* plans disagree (a gen raced a bump): answer direct *)
+            t.env.send src
+              (AppendReply { term = t.term; success = true; match_index }))
   | _ -> ()
 
 (* One aggregated bitmap covers a whole rotation group: credit every
@@ -1082,19 +926,16 @@ let on_relay_append t ~src ~gen ~inner =
    once its group is complete, and advance the commit frontier. *)
 let on_relay_append_ack t ~src ~term ~gen ~expected ~bits =
   if term > t.term then become_follower t ~term
-  else if t.state = Leader && term = t.term && relay_on t then begin
-    let plan = relay_plan t ~leader:t.env.id ~gen in
-    let gi = plan.Relay.group_of.(src) in
-    if gi >= 0 && plan.Relay.groups.(gi).(0) = src then begin
-      let group = plan.Relay.groups.(gi) in
-      let mask = Relay.full_mask (Array.length group) in
+  else if t.state = Leader && term = t.term && Relay.active t.relay then begin
+    let group = Relay.relay_group t.relay ~src ~gen in
+    if Array.length group > 0 then begin
       if
         t.relay_akey <> 0 && expected = t.relay_expected
-        && bits land mask = mask
+        && Relay.covers group ~bits
       then t.env.rel.settle ~dst:src ~key:t.relay_akey;
       let lease = lease_mode t in
       for i = 0 to Array.length group - 1 do
-        if bits land (1 lsl i) <> 0 then begin
+        if Relay.acked ~bits i then begin
           let m = group.(i) in
           (* the member accepted the append — its relayed reply proves
              the probe contact just like a direct reply would *)
@@ -1134,12 +975,7 @@ let on_append_reply t ~src ~term ~success ~match_index =
     if success then begin
       (* the open post's ack: a success at or past the match it was
          shipped to establish (an older reply leaves it posted) *)
-      if t.append_key.(src) <> 0 && match_index >= t.inflight_match.(src)
-      then begin
-        t.env.rel.settle ~dst:src ~key:t.append_key.(src);
-        t.append_key.(src) <- 0;
-        t.inflight_match.(src) <- 0
-      end;
+      if match_index >= t.inflight_match.(src) then settle_append t src;
       t.match_index.(src) <- Stdlib.max t.match_index.(src) match_index;
       t.next_index.(src) <- Stdlib.max t.next_index.(src) match_index;
       advance_commit t

@@ -1,10 +1,15 @@
-(* Shared relay/aggregation machinery for PigPaxos-style phase-2 trees
-   (DESIGN.md §12). Everything here is deterministic and allocation
-   conscious: plans are pure functions of (n, leader, r, gen) memoized
-   per replica, and aggregation state lives in pooled records whose
-   ack bitmap is a single immediate int. *)
+(* The relay layer of PigPaxos-style replication trees (DESIGN.md §12):
+   everything about a relayed round that does not depend on the
+   protocol. Deterministic and allocation conscious: plans are pure
+   functions of (n, leader, r, gen) memoized per replica, and
+   aggregation state lives in pooled records whose ack bitmap is a
+   single immediate int. *)
 
-type plan = { groups : int array array; group_of : int array }
+type plan = {
+  groups : int array array;
+  group_of : int array;
+  relays : int list;
+}
 
 (* Followers in ascending id order, rotated by [gen], cut into [r]
    contiguous chunks with sizes differing by at most one (the first
@@ -41,110 +46,246 @@ let compute ~n ~leader ~r ~gen =
         Array.iter (fun id -> group_of.(id) <- g) arr;
         arr)
   in
-  { groups; group_of }
-
-(* Plan cache keyed by (leader, gen) packed into one int; n and r are
-   fixed for a run. Leaders fit in 10 bits (n <= 1024 everywhere near
-   this code); generations advance once per [gen_window] rounds plus
-   once per fallback, so the table stays tiny. *)
-type plans = (int, plan) Hashtbl.t
-
-let plans () : plans = Hashtbl.create 8
-
-let find (t : plans) ~n ~leader ~r ~gen =
-  let key = (gen lsl 10) lor leader in
-  match Hashtbl.find_opt t key with
-  | Some p -> p
-  | None ->
-      let p = compute ~n ~leader ~r ~gen in
-      Hashtbl.add t key p;
-      p
+  let relays = Array.to_list (Array.map (fun g -> g.(0)) groups) in
+  { groups; group_of; relays }
 
 let gen_window = 1024
-let gen_of_seq ~seq ~bump = (seq / gen_window) + bump
 let full_mask k = (1 lsl k) - 1
 
 type agg = {
   mutable a_leader : int;
   mutable a_gen : int;
   mutable a_group : int array;
-  mutable a_mask : int;
   mutable a_bits : int;
   mutable a_tag : int;
   mutable a_aux : int;
-  mutable a_complete : bool;
   mutable a_t0 : float;
-  mutable a_flush : Paxi_sim.Sim.handle;
+  mutable a_flush : Sim.handle;
   mutable a_next : agg;
 }
 
-let rec agg_nil =
+let fresh_agg () =
+  let rec a =
+    {
+      a_leader = -1;
+      a_gen = 0;
+      a_group = [||];
+      a_bits = 0;
+      a_tag = 0;
+      a_aux = 0;
+      a_t0 = 0.0;
+      a_flush = Sim.nil;
+      a_next = a;
+    }
+  in
+  a
+
+let agg_nil = fresh_agg ()
+
+type 'm t = {
+  env : 'm Proto.env;
+  r : int;
+  ack : int -> agg -> 'm;
+  mutable current : agg -> bool;
+  plans : (int, plan) Hashtbl.t;
+  aggs : (int, agg) Hashtbl.t;  (** relay side: in-flight records by key *)
+  mutable free : agg;  (** pooled records, linked through [a_next] *)
+  mutable seq : int;  (** leader: rounds routed (drives rotation) *)
+  mutable bump : int;  (** leader: forced rotations after stalls *)
+  mutable bypass_until : float;  (** leader: send direct until then *)
+}
+
+let create (env : 'm Proto.env) ~ack =
   {
-    a_leader = -1;
-    a_gen = 0;
-    a_group = [||];
-    a_mask = 0;
-    a_bits = 0;
-    a_tag = 0;
-    a_aux = 0;
-    a_complete = false;
-    a_t0 = 0.0;
-    a_flush = Paxi_sim.Sim.nil;
-    a_next = agg_nil;
+    env;
+    r = env.Proto.config.Config.relay_groups;
+    ack;
+    current = (fun _ -> true);
+    plans = Hashtbl.create 8;
+    aggs = Hashtbl.create 16;
+    free = agg_nil;
+    seq = 0;
+    bump = 0;
+    bypass_until = neg_infinity;
   }
 
-type pool = { mutable free : agg }
+let set_current t f = t.current <- f
+let active t = t.r > 0
 
-let pool () = { free = agg_nil }
+(* Generations are non-negative and leaders lie in [0, n), so
+   [gen * n + leader] names each (leader, gen) pair exactly; n and r
+   are fixed for a run. The table stays tiny: generations advance once
+   per [gen_window] rounds plus once per stall. *)
+let plan t ~leader ~gen =
+  let key = (gen * t.env.Proto.n) + leader in
+  match Hashtbl.find t.plans key with
+  | p -> p
+  | exception Not_found ->
+      let p = compute ~n:t.env.Proto.n ~leader ~r:t.r ~gen in
+      Hashtbl.add t.plans key p;
+      p
 
-let alloc p ~leader ~gen ~group ~tag ~aux =
+(* ---- leader side ---- *)
+
+let routing t = t.r > 0 && t.env.Proto.now () >= t.bypass_until
+
+let route t =
+  if routing t then begin
+    let gen = (t.seq / gen_window) + t.bump in
+    t.seq <- t.seq + 1;
+    gen
+  end
+  else -1
+
+let relays t ~gen = (plan t ~leader:t.env.Proto.id ~gen).relays
+
+let fallback_ms t = t.env.Proto.config.Config.failover_timeout_ms /. 8.0
+
+let stall t =
+  t.bump <- t.bump + 1;
+  t.bypass_until <-
+    t.env.Proto.now () +. t.env.Proto.config.Config.failover_timeout_ms
+
+let relay_group t ~src ~gen =
+  let p = plan t ~leader:t.env.Proto.id ~gen in
+  let gi = p.group_of.(src) in
+  if gi >= 0 && p.groups.(gi).(0) = src then p.groups.(gi) else [||]
+
+let covers group ~bits =
+  let mask = full_mask (Array.length group) in
+  bits land mask = mask
+
+let acked ~bits i = bits land (1 lsl i) <> 0
+
+(* ---- relay side ---- *)
+
+(* Partial-flush cadence: match the retransmission base so a flush
+   lands between the leader's retries, else the fallback interval. *)
+let flush_ms t =
+  match t.env.Proto.config.Config.retransmit with
+  | Some r when r.Config.max_tries > 0 -> r.Config.base_ms
+  | _ -> fallback_ms t
+
+let alloc t ~leader ~gen ~group ~tag ~aux =
   let a =
-    if p.free != agg_nil then begin
-      let a = p.free in
-      p.free <- a.a_next;
+    if t.free != agg_nil then begin
+      let a = t.free in
+      t.free <- a.a_next;
       a.a_next <- a;
       a
     end
-    else
-      let rec a =
-        {
-          a_leader = 0;
-          a_gen = 0;
-          a_group = [||];
-          a_mask = 0;
-          a_bits = 0;
-          a_tag = 0;
-          a_aux = 0;
-                a_complete = false;
-          a_t0 = 0.0;
-          a_flush = Paxi_sim.Sim.nil;
-          a_next = a;
-        }
-      in
-      a
+    else fresh_agg ()
   in
   a.a_leader <- leader;
   a.a_gen <- gen;
   a.a_group <- group;
-  a.a_mask <- full_mask (Array.length group);
   a.a_bits <- 0;
   a.a_tag <- tag;
   a.a_aux <- aux;
-  a.a_complete <- false;
   a.a_t0 <- 0.0;
-  a.a_flush <- Paxi_sim.Sim.nil;
+  a.a_flush <- Sim.nil;
   a
-
-let release p a =
-  a.a_group <- [||];
-  a.a_next <- p.free;
-  p.free <- a
-
-let set_bit a i = a.a_bits <- a.a_bits lor (1 lsl i)
-let complete a = a.a_bits land a.a_mask = a.a_mask
 
 let position a id =
   let g = a.a_group in
   let n = Array.length g in
   let rec go i = if i >= n then -1 else if g.(i) = id then i else go (i + 1) in
   go 0
+
+let set_bit a i = a.a_bits <- a.a_bits lor (1 lsl i)
+
+(* Every member acked. Bits only grow, and the ack leaves exactly when
+   the bitmap fills, so a complete record has sent its full ack. *)
+let complete a = covers a.a_group ~bits:a.a_bits
+let lookup t key = Hashtbl.find_opt t.aggs key
+let send_ack t key a = t.env.Proto.send a.a_leader (t.ack key a)
+
+let drop t key a =
+  if not (Sim.is_nil a.a_flush) then t.env.Proto.cancel a.a_flush;
+  a.a_flush <- Sim.nil;
+  Hashtbl.remove t.aggs key;
+  a.a_group <- [||];
+  a.a_next <- t.free;
+  t.free <- a
+
+(* Collect first, then drop: cancel order follows the table's fold
+   order, which reaches the simulator's timer free list. *)
+let reset t =
+  if Hashtbl.length t.aggs > 0 then
+    Hashtbl.fold (fun k a acc -> (k, a) :: acc) t.aggs []
+    |> List.iter (fun (k, a) -> drop t k a)
+
+let finalize t key a =
+  if not (Sim.is_nil a.a_flush) then begin
+    t.env.Proto.cancel a.a_flush;
+    a.a_flush <- Sim.nil
+  end;
+  if t.env.Proto.obs.Proto.active then
+    t.env.Proto.obs.Proto.on_relay ~start_ms:a.a_t0
+      ~end_ms:(t.env.Proto.now ());
+  send_ack t key a
+
+(* Partial-ack flush: a group member is slow or dead — report the bits
+   we do have so the leader's quorum can complete through the other
+   groups, then keep waiting. Records the protocol no longer counts as
+   current are dropped instead of re-armed. *)
+let rec flush t key =
+  match Hashtbl.find_opt t.aggs key with
+  | Some a when not (complete a) ->
+      a.a_flush <- Sim.nil;
+      if t.current a then begin
+        send_ack t key a;
+        a.a_flush <- t.env.Proto.schedule (flush_ms t) (fun () -> flush t key)
+      end
+      else drop t key a
+  | _ -> ()
+
+(* Completed records linger so a duplicate round (the leader's
+   retransmission racing our ack) gets a full-ack resend; prune them
+   once they fall below the protocol's mark, amortized behind a size
+   threshold. *)
+let prune t ~mark =
+  if Hashtbl.length t.aggs > 128 then
+    Hashtbl.fold
+      (fun key a acc -> if key + a.a_aux <= mark then (key, a) :: acc else acc)
+      t.aggs []
+    |> List.iter (fun (key, a) -> drop t key a)
+
+(* Send the round to every member whose bit is clear, in group order
+   (the relay itself is member 0). *)
+let fan t a ~size_bytes msg =
+  let g = a.a_group in
+  for i = 1 to Array.length g - 1 do
+    if not (acked ~bits:a.a_bits i) then
+      t.env.Proto.send_sized g.(i) ~size_bytes msg
+  done
+
+let start t ~key ~leader ~gen ~tag ~aux ~mark ~size_bytes msg =
+  (match Hashtbl.find_opt t.aggs key with
+  | Some old -> drop t key old
+  | None -> ());
+  let p = plan t ~leader ~gen in
+  let gi = p.group_of.(t.env.Proto.id) in
+  if gi < 0 || p.groups.(gi).(0) <> t.env.Proto.id then false
+  else begin
+    let a = alloc t ~leader ~gen ~group:p.groups.(gi) ~tag ~aux in
+    a.a_t0 <- t.env.Proto.now ();
+    set_bit a 0 (* position 0 = self: our own accept *);
+    Hashtbl.replace t.aggs key a;
+    fan t a ~size_bytes msg;
+    if complete a then finalize t key a
+    else
+      a.a_flush <- t.env.Proto.schedule (flush_ms t) (fun () -> flush t key);
+    prune t ~mark;
+    true
+  end
+
+let resend t key a ~size_bytes msg =
+  if complete a then send_ack t key a else fan t a ~size_bytes msg
+
+let absorb t key a ~src =
+  let i = position a src in
+  if i >= 0 && not (acked ~bits:a.a_bits i) then begin
+    set_bit a i;
+    if complete a then finalize t key a
+  end

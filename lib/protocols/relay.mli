@@ -1,28 +1,35 @@
-(** PigPaxos-style relay/aggregation trees (DESIGN.md §12).
+(** PigPaxos-style relay/aggregation trees (DESIGN.md §12): one shared
+    layer under every relaying protocol.
 
     A leader running with [Config.relay_groups = r > 0] partitions its
-    [n-1] followers into [r] groups and sends each phase-2 round to one
-    {e relay} per group instead of to every follower. The relay applies
-    the round locally, fans it out to its group members, aggregates
-    their acks into a positional bitmap over the group, and returns one
-    combined reply — the leader touches [2r] messages per slot instead
-    of [2(n-1)] while quorum accounting stays exact (every bit maps
-    back to a concrete replica id through the shared plan).
+    [n-1] followers into [r] groups and sends each replication round
+    to one {e relay} per group instead of to every follower. The relay
+    applies the round locally, fans it out to its group, aggregates
+    the members' acks into a positional bitmap over the group, and
+    returns one combined reply — the leader touches [2r] messages per
+    round instead of [2(n-1)], while quorum accounting stays exact:
+    every bit maps back to a replica id through the shared plan.
 
-    This module holds the protocol-agnostic machinery both Paxos and
-    Raft build on: the deterministic rotation {e plan} (pure function
-    of cluster size, leader and generation — every replica derives the
-    identical partition with no extra coordination or RNG draws), a
-    per-replica plan cache, bitmap helpers, and a pool of reusable
-    aggregation records so a relay's ack wave allocates no
-    per-follower cells (ROADMAP "last of the per-event allocation").
+    A {!t} is one replica's relay state, created in the protocol's
+    [create]. It owns everything about a round that does not depend on
+    the protocol: the rotation plans (a pure function of cluster size,
+    leader and generation, so every replica derives the same partition
+    with no coordination or RNG draws), the rotation counters and
+    bypass window, and a table of pooled aggregation records keyed by
+    an integer the protocol picks (Paxos: the round's first slot; Raft:
+    the match index the round establishes).
 
-    Rotation policy: the follower list is rotated by [gen] before
-    being cut into contiguous groups, so relay duty and group
-    membership both shift as the generation advances. Generations
-    advance on a fixed round cadence (see {!gen_of_seq}) and whenever
-    the leader bypasses a silent relay, which re-partitions the slow
-    or dead relay out of its post. *)
+    The protocol supplies only what differs: its message wrappers and
+    ack constructor ([create ~ack]), its accept call (made before
+    {!start}), the rule for whether a record is still current
+    ({!set_current}), its prune mark ({!start}'s [~mark]), and its
+    leader-side round bookkeeping (fallback timers, reliable posts).
+
+    Rotation: the follower list is rotated by the generation before it
+    is cut into contiguous groups, so relay duty and membership both
+    shift. The generation advances every {!gen_window} routed rounds
+    and on every {!stall}. With [relay_groups = 0] nothing here runs:
+    no messages, no timers, no RNG draws. *)
 
 type plan = {
   groups : int array array;
@@ -31,77 +38,121 @@ type plan = {
   group_of : int array;
       (** [group_of.(id)] = index of the group containing replica
           [id], or [-1] for the leader (indexed [0 .. n-1]). *)
+  relays : int list;  (** [groups.(g).(0)] for every group, in order *)
 }
 
 val compute : n:int -> leader:int -> r:int -> gen:int -> plan
 (** The partition of [leader]'s [n-1] followers into [r] groups at
     generation [gen]. Deterministic; total in [1 <= r <= n-1]. *)
 
-type plans
-(** A per-replica memo of {!compute} keyed by (leader, gen): hot-path
-    lookups (one per relay round) reuse the cached arrays. *)
-
-val plans : unit -> plans
-
-val find : plans -> n:int -> leader:int -> r:int -> gen:int -> plan
-
 val gen_window : int
-(** Rounds per rotation generation: [gen_of_seq] advances the plan
-    every [gen_window] relay rounds, cheap enough to cache yet fast
-    enough that no relay stays a hotspot. *)
-
-val gen_of_seq : seq:int -> bump:int -> int
-(** The generation for the [seq]-th relay round given [bump] extra
-    forced rotations (one per relay fallback). *)
 
 val full_mask : int -> int
-(** [full_mask k] has the low [k] bits set — the "every group member
-    acked" bitmap for a group of size [k]. Groups are capped well
-    below word size by validation ([r >= 1] gives groups of at most
-    [n-1] members; sweeps stop at n = 81). *)
+(** [full_mask k] has the low [k] bits set: every member of a group of
+    size [k] acked. *)
 
-(** {1 Pooled aggregation records}
-
-    One [agg] tracks one in-flight round at a relay: which bits of the
-    group have acked, plus two protocol-owned integer tags (Paxos
-    stores the ballot round and slot count; Raft the term and expected
-    match index) and a flush timer for partial acks. Records recycle
-    on an intrusive free list; steady-state aggregation allocates
-    nothing per follower or per round. *)
-
-type agg = {
+(** One round in flight at a relay: the group's ack bitmap, the
+    protocol's tag (Paxos: ballot round; Raft: term) and extent
+    (Paxos: slot count; Raft: 0), and a partial-flush timer. Records
+    recycle on an intrusive free list, so steady-state aggregation
+    allocates no record per round. *)
+type agg = private {
   mutable a_leader : int;
   mutable a_gen : int;
   mutable a_group : int array;  (** shared with the plan, never copied *)
-  mutable a_mask : int;
   mutable a_bits : int;
-  mutable a_tag : int;  (** protocol tag 1 (ballot round / term) *)
-  mutable a_aux : int;  (** protocol tag 2 (slot count / match index) *)
-  mutable a_complete : bool;
+  mutable a_tag : int;
+  mutable a_aux : int;
   mutable a_t0 : float;  (** when the round reached the relay (obs) *)
   mutable a_flush : Paxi_sim.Sim.handle;
   mutable a_next : agg;  (** free-list link; physically [self] when live *)
 }
 
-type pool
+type 'm t
 
-val pool : unit -> pool
+val create : 'm Proto.env -> ack:(int -> agg -> 'm) -> 'm t
+(** [ack key a] builds the protocol's combined reply for the record
+    stored under [key]. *)
 
-val alloc :
-  pool -> leader:int -> gen:int -> group:int array -> tag:int -> aux:int -> agg
-(** A fresh or recycled record with [a_bits = 0], [a_mask] covering
-    [group], no flush timer, [a_complete = false]. *)
+val set_current : 'm t -> (agg -> bool) -> unit
+(** Install the protocol's rule for whether a record is still current
+    (Paxos: it carries the replica's ballot; Raft: it carries the term
+    and the replica is not leading). Set once, right after the replica
+    record exists; until then every record is current. *)
 
-val release : pool -> agg -> unit
-(** Return a record to the free list. The caller must have cancelled
-    its flush timer. *)
+val active : 'm t -> bool
+(** [Config.relay_groups > 0]. *)
 
-val set_bit : agg -> int -> unit
-(** Record group position [i]'s ack (idempotent). *)
+val plan : 'm t -> leader:int -> gen:int -> plan
+(** {!compute} memoized under the exact key [gen * n + leader]. *)
 
-val complete : agg -> bool
-(** Every group member has acked. *)
+(** {1 Leader side} *)
 
-val position : agg -> int -> int
-(** Index of replica [id] in [a_group], or [-1]. Linear in the group
-    size (at most a few dozen members). *)
+val routing : 'm t -> bool
+(** Relay mode is on and no bypass window is open. *)
+
+val route : 'm t -> int
+(** The generation for the next round, advancing the rotation; [-1]
+    when the round must go direct (not {!routing}). *)
+
+val relays : 'm t -> gen:int -> int list
+(** The relay ids of this replica's own plan at [gen]. *)
+
+val fallback_ms : 'm t -> float
+(** How long a leader gives a relayed round before re-sending direct:
+    an eighth of the failover timeout, so a dead relay costs a blip,
+    not a leadership change. *)
+
+val stall : 'm t -> unit
+(** A relayed round stalled: rotate the plan and send direct for one
+    failover timeout. *)
+
+val relay_group : 'm t -> src:int -> gen:int -> int array
+(** The group [src] relays for in this replica's own plan at [gen], or
+    [[||]] when [src] is no relay there: bit [i] of [src]'s combined
+    ack credits member [i] of it. *)
+
+val covers : int array -> bits:int -> bool
+(** [bits] has every member of the group acked. *)
+
+val acked : bits:int -> int -> bool
+(** Bit [i] of [bits] is set. *)
+
+(** {1 Relay side} *)
+
+val lookup : 'm t -> int -> agg option
+
+val start :
+  'm t ->
+  key:int ->
+  leader:int ->
+  gen:int ->
+  tag:int ->
+  aux:int ->
+  mark:int ->
+  size_bytes:int ->
+  'm ->
+  bool
+(** Begin aggregating a round this replica already accepted: drop the
+    record [key] held, then — if this replica relays its group in
+    [leader]'s plan at [gen] — take a record with its own bit set, fan
+    the message to the rest of the group, arm the partial flush (or
+    ack at once for a group of one), prune the records with
+    [key + aux <= mark], and return [true]. [false] means no relay
+    under that plan (the round raced a rotation): the caller answers
+    the leader directly. *)
+
+val resend : 'm t -> int -> agg -> size_bytes:int -> 'm -> unit
+(** A duplicate of the round in [a] (the leader retransmits): resend
+    the full ack if the record is complete, else re-fan the message to
+    the members whose bits are clear. *)
+
+val absorb : 'm t -> int -> agg -> src:int -> unit
+(** Fold member [src]'s ack into [a] (non-members are ignored); the
+    completing ack sends the combined reply. *)
+
+val drop : 'm t -> int -> agg -> unit
+(** Cancel the record's flush timer, remove it, recycle it. *)
+
+val reset : 'm t -> unit
+(** Drop every record: this replica's view of leadership moved on. *)

@@ -81,38 +81,212 @@ let test_plan_rotation_covers () =
   Alcotest.(check bool) "consecutive gens differ" false
     (p0.Relay.groups = p1.Relay.groups)
 
+(* ------------------------------------------------------------------ *)
+(* The layer against a stub env                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* What a stub replica sends: the combined ack ([key], its bitmap) or
+   a fanned round. *)
+type stub_msg = Ack of { key : int; bits : int } | Round of int
+
+type stub = {
+  sim : Sim.t;
+  relay : stub_msg Relay.t;
+  sent : (int * stub_msg) list ref;  (** newest first *)
+  hops : int ref;  (** [obs.on_relay] calls *)
+}
+
+let stub ?(id = 1) ~n ~r () =
+  let sim = Sim.create () in
+  let sent = ref [] and hops = ref 0 in
+  let send dst m = sent := (dst, m) :: !sent in
+  let env =
+    {
+      Proto.id;
+      n;
+      config = { (Config.default ~n_replicas:n) with Config.relay_groups = r };
+      topology = Topology.lan ~n_replicas:n ();
+      rng = Rng.create ~seed:0;
+      now = (fun () -> Sim.now sim);
+      schedule = (fun delay f -> Sim.schedule_after sim ~delay f);
+      cancel = (fun h -> Sim.cancel sim h);
+      send;
+      broadcast = (fun _ -> ());
+      multicast = (fun _ _ -> ());
+      send_sized = (fun dst ~size_bytes:_ m -> send dst m);
+      broadcast_sized = (fun ~size_bytes:_ _ -> ());
+      multicast_sized = (fun _ ~size_bytes:_ _ -> ());
+      reply = (fun _ _ -> ());
+      forward = (fun _ ~client:_ _ -> ());
+      rel = Proto.null_rel ();
+      obs =
+        {
+          Proto.null_obs with
+          Proto.active = true;
+          on_relay = (fun ~start_ms:_ ~end_ms:_ -> incr hops);
+        };
+      storage = None;
+    }
+  in
+  let relay =
+    Relay.create env ~ack:(fun key (a : Relay.agg) ->
+        Ack { key; bits = a.Relay.a_bits })
+  in
+  { sim; relay; sent; hops }
+
+let take s =
+  let l = List.rev !(s.sent) in
+  s.sent := [];
+  l
+
+(* The gen-0 plan of leader 0 at n = 9, r = 2: replica 1 relays for
+   [1; 2; 3; 4]. *)
+let group_of_1 s = (Relay.plan s.relay ~leader:0 ~gen:0).Relay.groups.(0)
+
+let start_round ?(key = 10) ?(aux = 1) ?(mark = 0) s =
+  Relay.start s.relay ~key ~leader:0 ~gen:0 ~tag:3 ~aux ~mark ~size_bytes:64
+    (Round key)
+
+let record s key =
+  match Relay.lookup s.relay key with
+  | Some a -> a
+  | None -> Alcotest.fail "no relay record"
+
 let test_plan_cache_reuses () =
-  let plans = Relay.plans () in
-  let a = Relay.find plans ~n:49 ~leader:3 ~r:6 ~gen:7 in
-  let b = Relay.find plans ~n:49 ~leader:3 ~r:6 ~gen:7 in
+  let s = stub ~n:49 ~r:6 () in
+  let a = Relay.plan s.relay ~leader:3 ~gen:7 in
+  let b = Relay.plan s.relay ~leader:3 ~gen:7 in
   Alcotest.(check bool) "cache hit is physical" true (a == b)
 
-(* ------------------------------------------------------------------ *)
-(* Aggregation bitmaps                                                 *)
-(* ------------------------------------------------------------------ *)
+(* Leader 1024 at gen 0 and leader 0 at gen 1 must not share a cache
+   entry (a [(gen lsl 10) lor leader] key aliases them): a wrong plan
+   places the leader in a group and credits acks to the wrong
+   replicas. *)
+let test_plan_cache_exact_keys () =
+  let n = 1100 and r = 18 in
+  let s = stub ~n ~r () in
+  ignore (Relay.plan s.relay ~leader:0 ~gen:1);
+  let p = Relay.plan s.relay ~leader:1024 ~gen:0 in
+  Alcotest.(check int) "leader 1024 in no group" (-1) p.Relay.group_of.(1024);
+  Alcotest.(check bool) "equals compute" true
+    (p = Relay.compute ~n ~leader:1024 ~r ~gen:0)
 
 let test_bitmap_exact () =
   Alcotest.(check int) "full_mask 1" 1 (Relay.full_mask 1);
   Alcotest.(check int) "full_mask 5" 31 (Relay.full_mask 5);
   Alcotest.(check int) "full_mask 62" ((1 lsl 62) - 1) (Relay.full_mask 62);
-  let pool = Relay.pool () in
-  let group = [| 7; 3; 11; 5 |] in
-  let a = Relay.alloc pool ~leader:0 ~gen:2 ~group ~tag:9 ~aux:4 in
-  Alcotest.(check bool) "fresh not complete" false (Relay.complete a);
-  Alcotest.(check int) "position finds member" 2 (Relay.position a 11);
-  Alcotest.(check int) "position misses stranger" (-1) (Relay.position a 8);
-  Relay.set_bit a 0;
-  Relay.set_bit a 0;
-  Alcotest.(check int) "set_bit idempotent" 1 a.Relay.a_bits;
-  Relay.set_bit a 1;
-  Relay.set_bit a 2;
-  Alcotest.(check bool) "partial not complete" false (Relay.complete a);
-  Relay.set_bit a 3;
-  Alcotest.(check bool) "full bitmap complete" true (Relay.complete a);
-  Relay.release pool a;
-  let b = Relay.alloc pool ~leader:1 ~gen:0 ~group ~tag:1 ~aux:1 in
-  Alcotest.(check bool) "pool recycles records" true (a == b);
-  Alcotest.(check int) "recycled bits cleared" 0 b.Relay.a_bits
+  let s = stub ~n:9 ~r:2 () in
+  let group = group_of_1 s in
+  Alcotest.(check (array int)) "relay 1's group" [| 1; 2; 3; 4 |] group;
+  Alcotest.(check bool) "relay starts" true (start_round s);
+  let a = record s 10 in
+  Alcotest.(check int) "self bit" 1 a.Relay.a_bits;
+  ignore (take s);
+  Relay.absorb s.relay 10 a ~src:2;
+  Relay.absorb s.relay 10 a ~src:2;
+  Alcotest.(check int) "absorb idempotent" 3 a.Relay.a_bits;
+  Relay.absorb s.relay 10 a ~src:3;
+  Alcotest.(check bool) "partial sends nothing" true (take s = []);
+  Relay.absorb s.relay 10 a ~src:4;
+  Alcotest.(check bool) "full bitmap sends one full ack" true
+    (take s = [ (0, Ack { key = 10; bits = 15 }) ]);
+  Alcotest.(check int) "hop traced" 1 !(s.hops);
+  Alcotest.(check bool) "covers" true (Relay.covers group ~bits:15);
+  Alcotest.(check bool) "partial does not cover" false
+    (Relay.covers group ~bits:7);
+  Relay.drop s.relay 10 a;
+  Alcotest.(check bool) "relay restarts" true (start_round ~key:11 s);
+  Alcotest.(check bool) "pool recycles records" true (record s 11 == a);
+  Alcotest.(check int) "recycled bits cleared" 1 a.Relay.a_bits
+
+(* Starting a round fans it to the group minus self and arms a flush;
+   a duplicate on a complete record resends the full ack only. *)
+let test_duplicate_complete () =
+  let s = stub ~n:9 ~r:2 () in
+  ignore (start_round s);
+  Alcotest.(check bool) "fan to members" true
+    (take s = [ (2, Round 10); (3, Round 10); (4, Round 10) ]);
+  let a = record s 10 in
+  List.iter (fun src -> Relay.absorb s.relay 10 a ~src) [ 2; 3; 4 ];
+  ignore (take s);
+  Relay.resend s.relay 10 a ~size_bytes:64 (Round 10);
+  Alcotest.(check bool) "full ack resent, no re-fan" true
+    (take s = [ (0, Ack { key = 10; bits = 15 }) ])
+
+let test_duplicate_incomplete () =
+  let s = stub ~n:9 ~r:2 () in
+  ignore (start_round s);
+  let a = record s 10 in
+  Relay.absorb s.relay 10 a ~src:3;
+  ignore (take s);
+  Relay.resend s.relay 10 a ~size_bytes:64 (Round 10);
+  Alcotest.(check bool) "re-fan only to clear bits" true
+    (take s = [ (2, Round 10); (4, Round 10) ])
+
+(* The flush timer reports the bits so far and re-arms while the
+   protocol counts the record current; once it does not, the record is
+   dropped and recycled. *)
+let test_partial_flush () =
+  let s = stub ~n:9 ~r:2 () in
+  let current = ref true in
+  Relay.set_current s.relay (fun _ -> !current);
+  ignore (start_round s);
+  let a = record s 10 in
+  Relay.absorb s.relay 10 a ~src:2;
+  ignore (take s);
+  let flush_ms = Relay.fallback_ms s.relay in
+  Sim.run_until s.sim (flush_ms +. 0.001);
+  Alcotest.(check bool) "partial ack flushed" true
+    (take s = [ (0, Ack { key = 10; bits = 3 }) ]);
+  Sim.run_until s.sim ((2.0 *. flush_ms) +. 0.001);
+  Alcotest.(check bool) "re-armed and flushed again" true
+    (take s = [ (0, Ack { key = 10; bits = 3 }) ]);
+  current := false;
+  Sim.run_until s.sim ((3.0 *. flush_ms) +. 0.001);
+  Alcotest.(check bool) "stale record sends nothing" true (take s = []);
+  Alcotest.(check bool) "stale record dropped" true
+    (Relay.lookup s.relay 10 = None);
+  Sim.run_until s.sim (10.0 *. flush_ms);
+  Alcotest.(check bool) "no timer left" true (take s = []);
+  ignore (start_round ~key:11 s);
+  Alcotest.(check bool) "dropped record recycled" true (record s 11 == a)
+
+(* Past 128 records, starting a round prunes exactly the records with
+   [key + aux <= mark]. *)
+let test_prune_below_mark () =
+  let s = stub ~n:9 ~r:2 () in
+  for k = 0 to 128 do
+    ignore (start_round ~key:(k * 2) ~aux:2 ~mark:0 s)
+  done;
+  Alcotest.(check bool) "nothing pruned at mark 0" true
+    (Relay.lookup s.relay 0 <> None);
+  ignore (start_round ~key:1000 ~aux:2 ~mark:101 s);
+  for k = 0 to 128 do
+    let key = k * 2 in
+    Alcotest.(check bool)
+      (Printf.sprintf "record %d kept iff %d + 2 > 101" key key)
+      (key + 2 > 101)
+      (Relay.lookup s.relay key <> None)
+  done;
+  Alcotest.(check bool) "new record kept" true
+    (Relay.lookup s.relay 1000 <> None)
+
+let test_absorb_non_member () =
+  let s = stub ~n:9 ~r:2 () in
+  ignore (start_round s);
+  let a = record s 10 in
+  ignore (take s);
+  Relay.absorb s.relay 10 a ~src:7;
+  Relay.absorb s.relay 10 a ~src:0;
+  Alcotest.(check int) "bitmap untouched" 1 a.Relay.a_bits;
+  Alcotest.(check bool) "nothing sent" true (take s = [])
+
+(* A replica that is no relay under the plan starts nothing. *)
+let test_start_not_relay () =
+  let s = stub ~id:2 ~n:9 ~r:2 () in
+  Alcotest.(check bool) "member declines" false (start_round s);
+  Alcotest.(check bool) "no record" true (Relay.lookup s.relay 10 = None);
+  Alcotest.(check bool) "nothing sent" true (take s = [])
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end: commits flow through the relay tree                     *)
@@ -204,12 +378,12 @@ let test_raft_relay_crash () =
 (* relay_groups = 0 stays byte-identical to the direct path            *)
 (* ------------------------------------------------------------------ *)
 
-let pin_spec protocol ~r =
+let pin_spec ?faults protocol ~r =
   let config =
     { (Config.default ~n_replicas:5) with Config.seed = 77; relay_groups = r }
   in
   let spec =
-    Runner.spec ~warmup_ms:200.0 ~duration_ms:1_000.0 ~config
+    Runner.spec ~warmup_ms:200.0 ~duration_ms:1_000.0 ?faults ~config
       ~topology:(Topology.lan ~n_replicas:5 ())
       ~client_specs:
         [
@@ -220,10 +394,20 @@ let pin_spec protocol ~r =
   in
   Runner.run (Paxi_protocols.Registry.find_exn protocol) spec
 
+(* Replicas 1 and 2 down over [500, 900) ms: at r = 2 this drives the
+   paxos relay fallback and both protocols' partial flushes. *)
+let crash_two f =
+  List.iter
+    (fun i ->
+      Faults.crash f ~node:(Address.replica i) ~from_ms:500.0
+        ~duration_ms:400.0)
+    [ 1; 2 ]
+
 (* Fixed-seed event-count pins for the direct path with the relay code
    compiled in but off. A drift here means relay_groups = 0 perturbed
    the legacy simulation — the cross-PR identity the CI perf-smoke
-   baseline also gates. *)
+   baseline also gates. The relay-on pins hold the relay layer itself
+   to the same event stream, fault-free and through relay crashes. *)
 let test_relay_zero_pins () =
   let paxos = pin_spec "paxos" ~r:0 in
   let raft = pin_spec "raft" ~r:0 in
@@ -235,7 +419,16 @@ let test_relay_zero_pins () =
   Alcotest.(check bool) "relay run progresses" true
     (relay.Runner.completed > 500);
   Alcotest.(check int) "relay run consensus clean" 0
-    (List.length relay.Runner.consensus_violations)
+    (List.length relay.Runner.consensus_violations);
+  let events ?faults protocol =
+    (pin_spec ?faults protocol ~r:2).Runner.sim_events
+  in
+  Alcotest.(check int) "paxos r=2 sim_events pinned" 145_830 (events "paxos");
+  Alcotest.(check int) "raft r=2 sim_events pinned" 160_247 (events "raft");
+  Alcotest.(check int) "paxos r=2 crash sim_events pinned" 142_071
+    (events ~faults:crash_two "paxos");
+  Alcotest.(check int) "raft r=2 crash sim_events pinned" 150_342
+    (events ~faults:crash_two "raft")
 
 let suite =
   ( "relay",
@@ -245,7 +438,18 @@ let suite =
       Alcotest.test_case "plan rotation covers" `Quick
         test_plan_rotation_covers;
       Alcotest.test_case "plan cache reuses" `Quick test_plan_cache_reuses;
+      Alcotest.test_case "plan cache keys exact" `Quick
+        test_plan_cache_exact_keys;
       Alcotest.test_case "bitmap exact" `Quick test_bitmap_exact;
+      Alcotest.test_case "duplicate on complete record" `Quick
+        test_duplicate_complete;
+      Alcotest.test_case "duplicate on incomplete record" `Quick
+        test_duplicate_incomplete;
+      Alcotest.test_case "partial flush" `Quick test_partial_flush;
+      Alcotest.test_case "prune below mark" `Quick test_prune_below_mark;
+      Alcotest.test_case "absorb ignores non-members" `Quick
+        test_absorb_non_member;
+      Alcotest.test_case "start declines off-plan" `Quick test_start_not_relay;
       Alcotest.test_case "paxos relay commits" `Quick
         test_paxos_relay_commits;
       Alcotest.test_case "raft relay commits" `Quick test_raft_relay_commits;
