@@ -200,7 +200,11 @@ let drive (type d) (module D : DEPLOY with type t = d) (dep : d) spec =
         let shard = D.route dep ~key:(Command.key command) in
         let invoked = now in
         let rec attempt_send attempt =
+          (* the attempt's timeout, cancelled on reply so a finished
+             request leaves nothing in the event heap *)
+          let timeout = ref Sim.nil in
           let on_reply (reply : Proto.reply) =
+            Sim.cancel sim !timeout;
             let responded = Sim.now sim in
             incr completed;
             if invoked >= window_start && responded <= window_end then begin
@@ -230,16 +234,16 @@ let drive (type d) (module D : DEPLOY with type t = d) (dep : d) spec =
           D.submit dep ~shard ~client:cid
             ~target:(pick_target ~shard ~attempt)
             ~command ~on_reply;
-          ignore
-          @@ Sim.schedule_after sim ~delay:spec.config.Config.client_timeout_ms
-               (fun () ->
-                 if D.pending dep ~shard ~client:cid ~command then
-                   if attempt < spec.max_retries then attempt_send (attempt + 1)
-                   else begin
-                     D.give_up dep ~shard ~client:cid ~command;
-                     incr gave_up;
-                     continue ()
-                   end)
+          timeout :=
+            Sim.schedule_after sim ~delay:spec.config.Config.client_timeout_ms
+              (fun () ->
+                if D.pending dep ~shard ~client:cid ~command then
+                  if attempt < spec.max_retries then attempt_send (attempt + 1)
+                  else begin
+                    D.give_up dep ~shard ~client:cid ~command;
+                    incr gave_up;
+                    continue ()
+                  end)
         in
         attempt_send 0
       end

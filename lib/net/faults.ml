@@ -15,57 +15,52 @@ let window_of = function
   | Partition { w; _ } | Skew { w; _ } ->
       w
 
-let until_of r = (window_of r).until_ms
-
-(* [rules] is authoritative (newest first). [live] is the hot-path
-   cache: the subsequence of [rules] whose windows had not yet expired
-   the last time the cache was refreshed, at virtual time
-   [live_from]. Expired rules can never match again (windows are
-   half-open and time only has to move forward for the cache to be
-   used), so dropping them keeps per-message fault checks proportional
-   to the number of *active* faults, not the whole schedule.
-   [next_expiry] is the earliest expiry among [live] rules so the
-   filter only runs when something actually expired. Queries at
-   [now < live_from] (tests probing a schedule out of order) bypass
-   the cache and consult [rules] directly — verdicts never depend on
-   query order. *)
+(* [rules] is authoritative (newest first). [active] caches the rules
+   whose window held the instant of the last refresh, in [rules]
+   order; [\[lo, hi)] is the gap between the nearest window edges
+   ([from_ms] or [until_ms] of any rule) at or below and above it.
+   Windows are half-open and no edge lies inside the gap, so every
+   instant there has the same active set: queries inside it reuse
+   [active], any other query (earlier or later) refreshes. Predicates
+   still check their own window over this order-preserving subset, so
+   verdicts and flaky/slow RNG draws equal a scan of [rules]. With no
+   active rule a query returns before building a closure. [add] and
+   [clear] set [hi = neg_infinity], an empty gap, to force a refresh. *)
 type t = {
   mutable rules : rule list;
-  mutable live : rule list;
-  mutable live_from : float;
-  mutable next_expiry : float;
+  mutable active : rule list;
+  mutable lo : float;
+  mutable hi : float;
 }
 
-let create () =
-  { rules = []; live = []; live_from = neg_infinity; next_expiry = infinity }
+let create () = { rules = []; active = []; lo = infinity; hi = neg_infinity }
 
 let add t r =
   t.rules <- r :: t.rules;
-  t.live <- r :: t.live;
-  t.next_expiry <- Float.min t.next_expiry (until_of r)
+  t.hi <- neg_infinity
 
-(* Must drop the cache as well as the rules: a stale [live] list (or a
-   stale [next_expiry] watermark) would let rules added after the
-   clear inherit pruning state from windows that no longer exist —
-   the "resurrected expired window" failure mode the regression test
-   in test_net.ml pins down. *)
 let clear t =
   t.rules <- [];
-  t.live <- [];
-  t.live_from <- neg_infinity;
-  t.next_expiry <- infinity
+  t.hi <- neg_infinity
 
-let consult t ~now_ms =
-  if now_ms < t.live_from then t.rules
-  else begin
-    if now_ms >= t.next_expiry then begin
-      t.live <- List.filter (fun r -> until_of r > now_ms) t.live;
-      t.next_expiry <-
-        List.fold_left (fun acc r -> Float.min acc (until_of r)) infinity t.live;
-      t.live_from <- now_ms
-    end;
-    t.live
-  end
+let refresh t now =
+  let edge (lo, hi) e =
+    if e <= now then (Float.max lo e, hi) else (lo, Float.min hi e)
+  in
+  let lo, hi =
+    List.fold_left
+      (fun acc r ->
+        let w = window_of r in
+        edge (edge acc w.from_ms) w.until_ms)
+      (neg_infinity, infinity) t.rules
+  in
+  t.active <- List.filter (fun r -> in_window (window_of r) now) t.rules;
+  t.lo <- lo;
+  t.hi <- hi
+
+let active t ~now_ms =
+  if not (now_ms >= t.lo && now_ms < t.hi) then refresh t now_ms;
+  t.active
 
 let window ~from_ms ~duration_ms =
   { from_ms; until_ms = from_ms +. duration_ms }
@@ -89,17 +84,19 @@ let partition t ~groups ~from_ms ~duration_ms =
 let skew t ~node ~from_ms ~duration_ms ~offset_ms =
   add t (Skew { node; w = window ~from_ms ~duration_ms; offset_ms })
 
-let is_crashed t ~now_ms node =
+let crashed rules ~now_ms node =
   List.exists
     (function
       | Crash { node = n; w } -> Address.equal n node && in_window w now_ms
       | _ -> false)
-    (consult t ~now_ms)
+    rules
 
-(* Oldest-first, straight off the authoritative list (not the pruning
-   cache): the cluster's crash/recovery scheduler reads the whole
-   timeline up front, including windows that will long have expired by
-   the time it looks. *)
+let is_crashed t ~now_ms node =
+  match active t ~now_ms with [] -> false | rules -> crashed rules ~now_ms node
+
+(* Oldest-first, straight off [rules] (not [active]): the cluster's
+   crash/recovery scheduler reads the whole timeline up front,
+   including windows that will long have expired when it looks. *)
 let crash_windows t node =
   List.rev t.rules
   |> List.filter_map (function
@@ -123,40 +120,47 @@ let partition_severed groups src dst =
    and runs whose skew windows never overlap a query are bit-identical
    to a skew-free schedule. *)
 let clock_offset t ~now_ms node =
-  List.fold_left
-    (fun acc rule ->
-      match rule with
-      | Skew { node = n; w; offset_ms }
-        when Address.equal n node && in_window w now_ms ->
-          acc +. offset_ms
-      | _ -> acc)
-    0.0
-    (consult t ~now_ms)
+  match active t ~now_ms with
+  | [] -> 0.0
+  | rules ->
+      List.fold_left
+        (fun acc rule ->
+          match rule with
+          | Skew { node = n; w; offset_ms }
+            when Address.equal n node && in_window w now_ms ->
+              acc +. offset_ms
+          | _ -> acc)
+        0.0 rules
 
 let should_drop t rng ~now_ms ~src ~dst =
-  is_crashed t ~now_ms src || is_crashed t ~now_ms dst
-  || List.exists
-       (function
-         | Drop { src = s; dst = d; w } ->
-             in_window w now_ms && link_matches ~src ~dst s d
-         | Flaky { src = s; dst = d; w; p_drop } ->
-             in_window w now_ms && link_matches ~src ~dst s d
-             && Rng.bernoulli rng ~p:p_drop
-         | Partition { groups; w } ->
-             in_window w now_ms && partition_severed groups src dst
-         | Crash _ | Slow _ | Skew _ -> false)
-       (consult t ~now_ms)
+  match active t ~now_ms with
+  | [] -> false
+  | rules ->
+      crashed rules ~now_ms src || crashed rules ~now_ms dst
+      || List.exists
+           (function
+             | Drop { src = s; dst = d; w } ->
+                 in_window w now_ms && link_matches ~src ~dst s d
+             | Flaky { src = s; dst = d; w; p_drop } ->
+                 in_window w now_ms && link_matches ~src ~dst s d
+                 && Rng.bernoulli rng ~p:p_drop
+             | Partition { groups; w } ->
+                 in_window w now_ms && partition_severed groups src dst
+             | Crash _ | Slow _ | Skew _ -> false)
+           rules
 
 let extra_delay t rng ~now_ms ~src ~dst =
-  List.fold_left
-    (fun acc rule ->
-      match rule with
-      | Slow { src = s; dst = d; w; extra_ms }
-        when in_window w now_ms && link_matches ~src ~dst s d ->
-          acc +. Rng.float rng extra_ms
-      | _ -> acc)
-    0.0
-    (consult t ~now_ms)
+  match active t ~now_ms with
+  | [] -> 0.0
+  | rules ->
+      List.fold_left
+        (fun acc rule ->
+          match rule with
+          | Slow { src = s; dst = d; w; extra_ms }
+            when in_window w now_ms && link_matches ~src ~dst s d ->
+              acc +. Rng.float rng extra_ms
+          | _ -> acc)
+        0.0 rules
 
 let rule_count t = List.length t.rules
 
@@ -217,6 +221,18 @@ let to_json t = Json.List (List.rev_map rule_to_json t.rules)
 
 let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
 
+(* [List.map] in the result monad: the first error wins. *)
+let map_ok f l =
+  let* rev =
+    List.fold_left
+      (fun acc x ->
+        let* acc = acc in
+        let* y = f x in
+        Ok (y :: acc))
+      (Ok []) l
+  in
+  Ok (List.rev rev)
+
 let parse_addr ctx = function
   | Some (Json.String s) -> (
       match Address.of_string s with
@@ -263,40 +279,23 @@ let rule_of_json j =
       | "partition" -> (
           match Json.member "groups" j with
           | Some (Json.List groups) ->
-              let* groups =
-                List.fold_left
-                  (fun acc g ->
-                    let* acc = acc in
-                    match g with
-                    | Json.List members ->
-                        let* members =
-                          List.fold_left
-                            (fun acc m ->
-                              let* acc = acc in
-                              let* a = parse_addr "group member" (Some m) in
-                              Ok (a :: acc))
-                            (Ok []) members
-                        in
-                        Ok (Address.Set.of_list members :: acc)
-                    | _ -> Error "partition: group must be a list")
-                  (Ok []) groups
+              let group = function
+                | Json.List ms ->
+                    let addr m = parse_addr "group member" (Some m) in
+                    let* ms = map_ok addr ms in
+                    Ok (Address.Set.of_list ms)
+                | _ -> Error "partition: group must be a list"
               in
-              Ok (Partition { groups = List.rev groups; w })
+              let* groups = map_ok group groups in
+              Ok (Partition { groups; w })
           | _ -> Error "partition: missing groups")
       | k -> Error (Printf.sprintf "unknown fault kind %S" k))
   | _ -> Error "fault rule: missing kind"
 
 let of_json = function
   | Json.List rules ->
+      let* rules = map_ok rule_of_json rules in
       let t = create () in
-      let* () =
-        List.fold_left
-          (fun acc j ->
-            let* () = acc in
-            let* r = rule_of_json j in
-            add t r;
-            Ok ())
-          (Ok ()) rules
-      in
+      List.iter (add t) rules;
       Ok t
   | _ -> Error "fault schedule: expected a list"

@@ -3,7 +3,13 @@
     [Slow(i,j,t)] and [Flaky(i,j,t)], plus network partitions.
 
     Faults are declared as schedules over virtual time and consulted by
-    the transport on every delivery. *)
+    the transport on every delivery. The schedule caches the rules
+    active at the last query time together with the gap between the
+    window edges around it, and rebuilds that set only when a query
+    leaves the gap or a rule is added or cleared. Queries may come in
+    any time order, and answers and RNG draws always equal a scan of
+    the whole schedule. A query with no active rule allocates
+    nothing. *)
 
 type t
 
@@ -73,9 +79,9 @@ val extra_delay : t -> Rng.t -> now_ms:float -> src:Address.t -> dst:Address.t -
 (** Additional latency from active [slow] rules (ms). *)
 
 val clear : t -> unit
-(** Remove every rule — including any internal expiry-pruning state,
-    so rules added afterwards behave exactly as on a fresh schedule
-    (a cleared schedule never resurrects expired windows). *)
+(** Remove every rule and invalidate the active-set cache, so rules
+    added afterwards behave exactly as on a fresh schedule (a cleared
+    schedule never resurrects expired windows). *)
 
 val rule_count : t -> int
 

@@ -109,6 +109,9 @@ type qread = {
 
 type replica = {
   env : message Proto.env;
+  ids : int list Lazy.t;
+      (* [0 .. n-1] for the quorum trackers, built once and only on a
+         replica that runs a round: followers never need it *)
   mutable ballot : Ballot.t;
   mutable active : bool; (* self is the established leader *)
   log : entry Slot_log.t;
@@ -150,7 +153,7 @@ type replica = {
          records are keyed by the round's first slot *)
 }
 
-let all_ids (t : replica) = List.init t.env.n (fun i -> i)
+let all_ids (t : replica) = Lazy.force t.ids
 
 let q2_size (t : replica) = Config.phase2_quorum_size t.env.config
 
@@ -191,6 +194,7 @@ let create env =
   let t =
     {
       env;
+      ids = lazy (List.init env.Proto.n Fun.id);
       ballot = Ballot.zero;
       active = false;
       log = Slot_log.create ();

@@ -9,7 +9,13 @@ type spec =
 let majority_threshold n = (n / 2) + 1
 let fast_threshold n = (3 * n + 3) / 4
 
-let dedup l = List.sort_uniq Int.compare l
+let rec strictly_increasing = function
+  | a :: (b :: _ as rest) -> a < b && strictly_increasing rest
+  | _ -> true
+
+(* Protocols pass [0 .. n-1] on every round; a list that is already
+   sorted and duplicate-free is returned as is instead of re-sorted. *)
+let dedup l = if strictly_increasing l then l else List.sort_uniq Int.compare l
 
 let members = function
   | Majority ms | Fast ms -> dedup ms

@@ -43,4 +43,5 @@ let () =
       Test_shard.suite;
       Test_storage.suite;
       Test_slot_log.suite;
+      Test_fault_pins.suite;
     ]

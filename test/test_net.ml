@@ -130,10 +130,10 @@ let test_faults_clear () =
   Alcotest.(check bool) "cleared" false (Faults.is_crashed f ~now_ms:50.0 (Address.replica 0))
 
 (* Regression: overlapping crash + partition windows on the same node,
-   probed past expiry (which triggers internal pruning), then cleared
-   and re-added. The re-added schedule must behave exactly like a
-   fresh one — clear must not leak pruning state that would resurrect
-   or suppress expired windows. *)
+   probed past expiry (which caches an empty active set), then
+   cleared and re-added. The re-added schedule must behave exactly
+   like a fresh one — clear must not leak cache state that would
+   resurrect or suppress expired windows. *)
 let test_faults_clear_no_resurrection () =
   let r = Address.replica in
   let rng () = Rng.create ~seed:9 in
@@ -146,7 +146,7 @@ let test_faults_clear_no_resurrection () =
   in
   let f = Faults.create () in
   install f;
-  (* advance past every window so pruning discards all three rules *)
+  (* advance past every window so no rule is active *)
   Alcotest.(check bool) "all expired" false
     (Faults.should_drop f (rng ()) ~now_ms:1_000.0 ~src:(r 0) ~dst:(r 2));
   Faults.clear f;
@@ -155,7 +155,7 @@ let test_faults_clear_no_resurrection () =
   let fresh = Faults.create () in
   install fresh;
   (* the re-added schedule matches a fresh one at every probe time,
-     including inside the windows that had already been pruned *)
+     including inside the windows that had already expired *)
   List.iter
     (fun now_ms ->
       Alcotest.(check bool)
@@ -172,9 +172,9 @@ let test_faults_clear_no_resurrection () =
         [ (r 0, r 2); (r 1, r 3); (r 2, r 4); (r 0, r 1) ])
     [ 50.0; 120.0; 160.0; 260.0; 320.0; 420.0; 500.0 ]
 
-(* Forward-time pruning must not change verdicts: drive one schedule
-   strictly forward (letting it prune) and compare against a fresh
-   copy probed only at that instant. *)
+(* Forward-time caching must not change verdicts: drive one schedule
+   strictly forward (crossing every window edge) and compare against a
+   fresh copy probed only at that instant. *)
 let test_faults_pruning_preserves_verdicts () =
   let r = Address.replica in
   let install f =
@@ -243,6 +243,8 @@ let install_gen_rules f rules =
           Faults.slow f ~src ~dst ~from_ms ~duration_ms ~extra_ms
       | `Flaky (src, dst, from_ms, duration_ms, p_drop) ->
           Faults.flaky f ~src ~dst ~from_ms ~duration_ms ~p_drop
+      | `Skew (node, from_ms, duration_ms, offset_ms) ->
+          Faults.skew f ~node ~from_ms ~duration_ms ~offset_ms
       | `Partition (k, from_ms, duration_ms) ->
           let minority = List.init k Address.replica in
           let rest =
@@ -281,6 +283,157 @@ let prop_faults_json_roundtrip =
                 (List.init 5 Address.replica))
             (List.init 5 Address.replica))
         [ 0.0; 100.0; 250.0; 400.0; 799.0 ])
+
+(* The edge-indexed active-set cache must answer every query exactly
+   as a direct scan of the rule list would, RNG draw for RNG draw.
+   [ref_*] below is that scan, over the generated rules newest-first
+   (the order [Faults] keeps them in). Windows sit on a 50 ms grid, so
+   schedules overlap, abut and include zero-length windows; queries
+   walk a clock that mostly moves forward but also jumps back and lands
+   exactly on edges; rules are added between queries and [clear]
+   empties the schedule mid-sequence. *)
+type plane_op =
+  | Add of
+      [ `Crash of Address.t * float * float
+      | `Drop of Address.t * Address.t * float * float
+      | `Slow of Address.t * Address.t * float * float * float
+      | `Flaky of Address.t * Address.t * float * float * float
+      | `Partition of int * float * float
+      | `Skew of Address.t * float * float * float ]
+  | Clear
+  | Step of float  (** move the clock by this much (either sign) *)
+  | Edge of int  (** set the clock to grid point [50 * k] *)
+  | Query of Address.t * Address.t  (** all four queries for (src, dst) *)
+
+let plane_ops_gen =
+  QCheck.Gen.(
+    let node = map Address.replica (int_range 0 4) in
+    let win =
+      pair (map (fun k -> 50.0 *. float_of_int k) (int_range 0 10))
+        (oneof
+           [
+             map (fun k -> 50.0 *. float_of_int k) (int_range 0 6);
+             float_range 0.0 300.0;
+           ])
+    in
+    let rule =
+      oneof
+        [
+          (let* n = node and* f, d = win in
+           return (`Crash (n, f, d)));
+          (let* s = node and* t = node and* f, d = win in
+           return (`Drop (s, t, f, d)));
+          (let* s = node and* t = node and* f, d = win
+           and* e = float_range 0.1 10.0 in
+           return (`Slow (s, t, f, d, e)));
+          (let* s = node and* t = node and* f, d = win
+           and* p = float_range 0.0 1.0 in
+           return (`Flaky (s, t, f, d, p)));
+          (let* k = int_range 1 4 and* f, d = win in
+           return (`Partition (k, f, d)));
+          (let* n = node and* f, d = win
+           and* o = float_range (-50.0) 50.0 in
+           return (`Skew (n, f, d, o)));
+        ]
+    in
+    let op =
+      frequency
+        [
+          (3, map (fun r -> Add r) rule);
+          (1, return Clear);
+          (6, map (fun d -> Step d) (float_range (-120.0) 80.0));
+          (2, map (fun k -> Edge k) (int_range 0 16));
+          ( 12,
+            let* s = node and* t = node in
+            return (Query (s, t)) );
+        ]
+    in
+    list_size (int_range 0 80) op)
+
+let ref_in_window f d now = now >= f && now < f +. d
+
+let ref_crashed rules now a =
+  List.exists
+    (function
+      | `Crash (n, f, d) -> Address.equal n a && ref_in_window f d now
+      | _ -> false)
+    rules
+
+let ref_severed k src dst =
+  let side a = Address.replica_id a < k in
+  side src <> side dst
+
+let ref_should_drop rules rng now src dst =
+  ref_crashed rules now src || ref_crashed rules now dst
+  || List.exists
+       (function
+         | `Drop (s, t, f, d) ->
+             ref_in_window f d now && Address.equal s src
+             && Address.equal t dst
+         | `Flaky (s, t, f, d, p) ->
+             ref_in_window f d now && Address.equal s src
+             && Address.equal t dst && Rng.bernoulli rng ~p
+         | `Partition (k, f, d) ->
+             ref_in_window f d now && ref_severed k src dst
+         | `Crash _ | `Slow _ | `Skew _ -> false)
+       rules
+
+let ref_extra_delay rules rng now src dst =
+  List.fold_left
+    (fun acc -> function
+      | `Slow (s, t, f, d, e)
+        when ref_in_window f d now && Address.equal s src
+             && Address.equal t dst ->
+          acc +. Rng.float rng e
+      | _ -> acc)
+    0.0 rules
+
+let ref_clock_offset rules now a =
+  List.fold_left
+    (fun acc -> function
+      | `Skew (n, f, d, o) when Address.equal n a && ref_in_window f d now
+        ->
+          acc +. o
+      | _ -> acc)
+    0.0 rules
+
+let prop_faults_plane_matches_scan =
+  QCheck.Test.make ~name:"fault plane answers equal a direct rule scan"
+    ~count:300 (QCheck.make plane_ops_gen) (fun ops ->
+      let f = Faults.create () in
+      let rules = ref [] and now = ref 0.0 in
+      let rng_a = Rng.create ~seed:3 and rng_b = Rng.create ~seed:3 in
+      let agree ~what a b =
+        if a <> b then
+          QCheck.Test.fail_reportf "%s differs at %g ms" what !now
+      in
+      List.iter
+        (function
+          | Add r ->
+              install_gen_rules f [ r ];
+              rules := r :: !rules
+          | Clear ->
+              Faults.clear f;
+              rules := []
+          | Step d -> now := !now +. d
+          | Edge k -> now := 50.0 *. float_of_int k
+          | Query (src, dst) ->
+              let now_ms = !now in
+              agree ~what:"is_crashed"
+                (Faults.is_crashed f ~now_ms src)
+                (ref_crashed !rules now_ms src);
+              agree ~what:"clock_offset"
+                (Faults.clock_offset f ~now_ms src)
+                (ref_clock_offset !rules now_ms src);
+              agree ~what:"should_drop"
+                (Faults.should_drop f rng_a ~now_ms ~src ~dst)
+                (ref_should_drop !rules rng_b now_ms src dst);
+              agree ~what:"extra_delay"
+                (Faults.extra_delay f rng_a ~now_ms ~src ~dst)
+                (ref_extra_delay !rules rng_b now_ms src dst))
+        ops;
+      (* same number of draws on both sides: the next values agree *)
+      Rng.float rng_a 1.0 = Rng.float rng_b 1.0)
 
 let test_procq_queueing () =
   let q = Procq.create ~t_in_ms:1.0 ~t_out_ms:0.5 ~bandwidth_mbps:1e9 () in
@@ -337,6 +490,7 @@ let suite =
       Alcotest.test_case "pruning preserves verdicts" `Quick
         test_faults_pruning_preserves_verdicts;
       QCheck_alcotest.to_alcotest prop_faults_json_roundtrip;
+      QCheck_alcotest.to_alcotest prop_faults_plane_matches_scan;
       Alcotest.test_case "procq queueing" `Quick test_procq_queueing;
       Alcotest.test_case "broadcast serializes once" `Quick test_procq_broadcast_serializes_once;
       Alcotest.test_case "zero queue is free" `Quick test_procq_zero_is_free;

@@ -411,9 +411,9 @@ let crash_two f =
 let test_relay_zero_pins () =
   let paxos = pin_spec "paxos" ~r:0 in
   let raft = pin_spec "raft" ~r:0 in
-  Alcotest.(check int) "paxos sim_events pinned" 209_733
+  Alcotest.(check int) "paxos sim_events pinned" 199_753
     paxos.Runner.sim_events;
-  Alcotest.(check int) "raft sim_events pinned" 210_437 raft.Runner.sim_events;
+  Alcotest.(check int) "raft sim_events pinned" 200_426 raft.Runner.sim_events;
   (* and with relays on, the same workload still completes cleanly *)
   let relay = pin_spec "paxos" ~r:2 in
   Alcotest.(check bool) "relay run progresses" true
@@ -423,11 +423,11 @@ let test_relay_zero_pins () =
   let events ?faults protocol =
     (pin_spec ?faults protocol ~r:2).Runner.sim_events
   in
-  Alcotest.(check int) "paxos r=2 sim_events pinned" 145_830 (events "paxos");
-  Alcotest.(check int) "raft r=2 sim_events pinned" 160_247 (events "raft");
-  Alcotest.(check int) "paxos r=2 crash sim_events pinned" 142_071
+  Alcotest.(check int) "paxos r=2 sim_events pinned" 138_893 (events "paxos");
+  Alcotest.(check int) "raft r=2 sim_events pinned" 152_626 (events "raft");
+  Alcotest.(check int) "paxos r=2 crash sim_events pinned" 134_500
     (events ~faults:crash_two "paxos");
-  Alcotest.(check int) "raft r=2 crash sim_events pinned" 150_342
+  Alcotest.(check int) "raft r=2 crash sim_events pinned" 141_926
     (events ~faults:crash_two "raft")
 
 let suite =
