@@ -60,20 +60,6 @@ let stored_tag t key =
 let majority_spec (t : replica) =
   Quorum.Majority (List.init t.env.n (fun i -> i))
 
-let on_request t ~client (request : Proto.request) =
-  let command = request.Proto.command in
-  let rid = t.next_rid in
-  t.next_rid <- t.next_rid + 1;
-  let key = Command.key command in
-  (* the coordinator is also a quorum member: seed with local state *)
-  let r = register t key in
-  let round =
-    Read_quorum.create (majority_spec t) ~self:t.env.id
-      ~local_tag:r.Read_quorum.tag ~local_value:r.Read_quorum.value
-  in
-  Hashtbl.replace t.ops rid { client; command; round; result = None };
-  t.env.broadcast (Query { rid; key })
-
 let finish t rid (op : op) =
   Hashtbl.remove t.ops rid;
   (* record in the state machine so consensus-style checkers can read
@@ -92,7 +78,42 @@ let start_store t rid (op : op) ~tag ~value ~result =
   Read_quorum.adopt (register t key) ~tag ~value;
   Read_quorum.begin_store op.round ~self:t.env.id ~tag ~value;
   op.result <- result;
-  t.env.broadcast (Store { rid; key; tag; value })
+  t.env.broadcast (Store { rid; key; tag; value });
+  if Read_quorum.satisfied op.round then finish t rid op
+
+(* the query quorum is met: store the winner back (a read) or a new
+   value under a strictly larger tag owned by us (a write) *)
+let query_done t rid (op : op) =
+  let best_tag, best_value = Read_quorum.best op.round in
+  match op.command.Command.op with
+  | Command.Put (_, v) ->
+      start_store t rid op
+        ~tag:(Read_quorum.next_tag best_tag ~self:t.env.id)
+        ~value:(Some v) ~result:None
+  | Command.Delete _ ->
+      start_store t rid op
+        ~tag:(Read_quorum.next_tag best_tag ~self:t.env.id)
+        ~value:None ~result:None
+  | Command.Get _ ->
+      (* write-back phase makes the read linearizable *)
+      start_store t rid op ~tag:best_tag ~value:best_value ~result:best_value
+
+let on_request t ~client (request : Proto.request) =
+  let command = request.Proto.command in
+  let rid = t.next_rid in
+  t.next_rid <- t.next_rid + 1;
+  let key = Command.key command in
+  (* the coordinator is also a quorum member: seed with local state *)
+  let r = register t key in
+  let round =
+    Read_quorum.create (majority_spec t) ~self:t.env.id
+      ~local_tag:r.Read_quorum.tag ~local_value:r.Read_quorum.value
+  in
+  let op = { client; command; round; result = None } in
+  Hashtbl.replace t.ops rid op;
+  t.env.broadcast (Query { rid; key });
+  (* alone (n = 1), the coordinator's own vote is the majority *)
+  if Read_quorum.satisfied round then query_done t rid op
 
 let on_query t ~src ~rid ~key =
   let r = register t key in
@@ -102,21 +123,7 @@ let on_query t ~src ~rid ~key =
 let on_query_reply t ~src ~rid ~tag ~value =
   match Hashtbl.find_opt t.ops rid with
   | Some op when Read_quorum.query_ack op.round ~src ~tag ~value ->
-      let best_tag, best_value = Read_quorum.best op.round in
-      (match op.command.Command.op with
-      | Command.Put (_, v) ->
-          (* store under a strictly larger tag owned by us *)
-          start_store t rid op
-            ~tag:(Read_quorum.next_tag best_tag ~self:t.env.id)
-            ~value:(Some v) ~result:None
-      | Command.Delete _ ->
-          start_store t rid op
-            ~tag:(Read_quorum.next_tag best_tag ~self:t.env.id)
-            ~value:None ~result:None
-      | Command.Get _ ->
-          (* write-back phase makes the read linearizable *)
-          start_store t rid op ~tag:best_tag ~value:best_value
-            ~result:best_value)
+      query_done t rid op
   | _ -> ()
 
 let on_store t ~src ~rid ~key ~tag ~value =

@@ -37,6 +37,7 @@ let create spec ~self ~local_tag ~local_value =
   { spec; phase = Query; best_tag = local_tag; best_value = local_value; quorum }
 
 let phase t = t.phase
+let satisfied t = Quorum.satisfied t.quorum
 let best t = (t.best_tag, t.best_value)
 
 let query_ack t ~src ~tag ~value =

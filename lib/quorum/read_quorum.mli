@@ -51,6 +51,12 @@ val create : Quorum.spec -> self:int -> local_tag:tag -> local_value:'v -> 'v t
 
 val phase : _ t -> phase
 
+val satisfied : _ t -> bool
+(** Whether the current phase's quorum is already met. Right after
+    {!create} or {!begin_store} this holds only when the coordinator's
+    own vote is a quorum (a single-member spec): the caller must then
+    proceed without waiting for a reply that will never come. *)
+
 val best : 'v t -> tag * 'v
 (** The freshest (tag, value) observed so far in the current phase. *)
 

@@ -19,6 +19,9 @@ val apply : t -> Command.t -> result
 val applied : t -> Command.t list
 (** All applied commands, oldest first. *)
 
+val image : t -> Command.t array
+(** A fresh copy of {!applied} as an array. *)
+
 val applied_count : t -> int
 val store : t -> Kv.t
 val key_history : t -> Command.key -> Command.t list

@@ -238,6 +238,47 @@ let test_allocation_per_event_pinned () =
     true
     (rf.Runner.bytes_per_event <= bytes_per_event_cap)
 
+(* Replica-state pin. A replica keeps every command it applies, so
+   whatever an apply leaves on the heap is promoted and then traced by
+   the major GC for the rest of the run, once per replica. The flat
+   memo, applied array and writer chains leave only the writer chains'
+   small arrays (~7.5 B/apply on this stream); one heap block per apply
+   (a memo bucket, a boxed read, a cons cell, a version record) costs
+   16-32 B, and the list-and-Hashtbl store promoted ~79 B/apply here.
+   The commands are built and promoted before counting starts, so only
+   the store is measured; the counter is deterministic for the stream. *)
+let promoted_bytes_per_apply_cap = 16.0
+
+let test_promoted_per_apply_pinned () =
+  let n = 200_000 and clients = 64 and keys = 1_000 in
+  let rng = Random.State.make [| 42 |] in
+  let next_id = Array.make clients 0 in
+  let stream = Array.make n Command.noop in
+  for i = 0 to n - 1 do
+    stream.(i) <-
+      (if i > 0 && Random.State.int rng 10 = 0 then stream.(i - 1)
+       else
+         let client = Random.State.int rng clients in
+         let id = next_id.(client) in
+         next_id.(client) <- id + 1;
+         let k = Random.State.int rng keys in
+         Command.make ~id ~client
+           (if Random.State.bool rng then Command.Put (k, id)
+            else Command.Get k))
+  done;
+  let e = Executor.create () in
+  Gc.full_major ();
+  let before = (Gc.quick_stat ()).Gc.promoted_words in
+  Array.iter (fun c -> ignore (Executor.execute e c)) stream;
+  let promoted =
+    ((Gc.quick_stat ()).Gc.promoted_words -. before) *. 8.0 /. float_of_int n
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "promoted B/apply %.2f <= %.0f" promoted
+       promoted_bytes_per_apply_cap)
+    true
+    (promoted <= promoted_bytes_per_apply_cap)
+
 let check_safe name (r : Runner.result) =
   let anomalies = Linearizability.check r.Runner.history in
   List.iter
@@ -331,6 +372,8 @@ let suite =
       Alcotest.test_case "pooling invisible" `Slow test_pooling_invisible;
       Alcotest.test_case "allocation per event pinned" `Slow
         test_allocation_per_event_pinned;
+      Alcotest.test_case "promoted bytes per apply pinned" `Quick
+        test_promoted_per_apply_pinned;
       Alcotest.test_case "batched paxos safe" `Slow test_batched_paxos_safe;
       Alcotest.test_case "batched raft safe" `Slow test_batched_raft_safe;
       Alcotest.test_case "batched fpaxos safe" `Slow test_batched_fpaxos_safe;

@@ -157,8 +157,9 @@ let test_fpaxos_q2_one_commits_alone () =
   Alcotest.(check bool) "write answered by the leader alone" true !got
 
 (* A single replica is its own phase-1 and phase-2 quorum (raft: its
-   own majority): it must elect itself and serve writes and reads, with
-   or without durable storage, and the history must linearize. *)
+   own majority; abd: its own query and store majority): it must elect
+   itself where there is a leader and serve writes and reads, with or
+   without durable storage, and the history must linearize. *)
 let test_single_replica protocol storage () =
   let open Paxi_benchmark in
   let p = Paxi_protocols.Registry.find_exn protocol in
@@ -222,4 +223,5 @@ let suite =
       Alcotest.test_case "n=1 raft" `Quick (test_single_replica "raft" None);
       Alcotest.test_case "n=1 raft durable" `Quick
         (test_single_replica "raft" sync_every);
+      Alcotest.test_case "n=1 abd" `Quick (test_single_replica "abd" None);
     ] )

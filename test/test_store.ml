@@ -23,11 +23,11 @@ let test_command_accessors () =
 let test_kv_versions () =
   let kv = Kv.create () in
   Alcotest.(check (option int)) "absent" None (Kv.get kv 1);
-  Kv.put kv (cmd 1 (Command.Put (1, 10))) 1 10;
+  Kv.write kv (cmd 1 (Command.Put (1, 10)));
   Alcotest.(check (option int)) "first" (Some 10) (Kv.get kv 1);
-  Kv.put kv (cmd 2 (Command.Put (1, 20))) 1 20;
+  Kv.write kv (cmd 2 (Command.Put (1, 20)));
   Alcotest.(check (option int)) "updated" (Some 20) (Kv.get kv 1);
-  Kv.delete kv (cmd 3 (Command.Delete 1)) 1;
+  Kv.write kv (cmd 3 (Command.Delete 1));
   Alcotest.(check (option int)) "deleted" None (Kv.get kv 1);
   let versions = Kv.versions kv 1 in
   Alcotest.(check int) "three versions" 3 (List.length versions);
@@ -36,8 +36,8 @@ let test_kv_versions () =
 
 let test_kv_keys () =
   let kv = Kv.create () in
-  Kv.put kv (cmd 1 (Command.Put (1, 1))) 1 1;
-  Kv.put kv (cmd 2 (Command.Put (2, 2))) 2 2;
+  Kv.write kv (cmd 1 (Command.Put (1, 1)));
+  Kv.write kv (cmd 2 (Command.Put (2, 2)));
   Alcotest.(check int) "size" 2 (Kv.size kv);
   Alcotest.(check (list int)) "keys" [ 1; 2 ] (List.sort compare (Kv.keys kv))
 
@@ -96,6 +96,179 @@ let test_executor_distinct_clients () =
   ignore (Executor.execute e a);
   ignore (Executor.execute e b);
   Alcotest.(check int) "same id different client" 2 (Executor.executed_count e)
+
+(* The list-and-Hashtbl store that the flat arrays replaced, kept as
+   the reference model: version chains newest first, the applied
+   sequence as a reversed list, the memo keyed by the [(client, id)]
+   pair with ids taken modulo 2^32. *)
+module Model = struct
+  type version = { value : Command.value option; seq : int; writer : Command.t }
+  type sm = {
+    kv : (Command.key, version list) Hashtbl.t;
+    mutable applied_rev : Command.t list;
+  }
+
+  let create_sm () = { kv = Hashtbl.create 64; applied_rev = [] }
+
+  let chain sm k = Option.value ~default:[] (Hashtbl.find_opt sm.kv k)
+
+  let get sm k = match chain sm k with v :: _ -> v.value | [] -> None
+
+  let append sm writer k value =
+    let c = chain sm k in
+    let seq = 1 + match c with [] -> 0 | v :: _ -> v.seq in
+    Hashtbl.replace sm.kv k ({ value; seq; writer } :: c)
+
+  let apply sm (cmd : Command.t) =
+    let read =
+      if Command.is_noop cmd then None
+      else
+        match cmd.Command.op with
+        | Command.Get k -> get sm k
+        | Command.Put (k, v) ->
+            append sm cmd k (Some v);
+            None
+        | Command.Delete k ->
+            append sm cmd k None;
+            None
+    in
+    sm.applied_rev <- cmd :: sm.applied_rev;
+    read
+
+  let versions sm k = List.rev (chain sm k)
+  let keys sm = Hashtbl.fold (fun k _ acc -> k :: acc) sm.kv []
+
+  type exec = { sm : sm; memo : (int * int, Command.value option) Hashtbl.t }
+
+  let create_exec () = { sm = create_sm (); memo = Hashtbl.create 256 }
+  let memo_key (c : Command.t) =
+    (c.Command.client, c.Command.id land 0xFFFF_FFFF)
+
+  let already_executed e c =
+    (not (Command.is_noop c)) && Hashtbl.mem e.memo (memo_key c)
+
+  let execute e c =
+    if Command.is_noop c then None
+    else
+      match Hashtbl.find_opt e.memo (memo_key c) with
+      | Some r -> r
+      | None ->
+          let r = apply e.sm c in
+          Hashtbl.add e.memo (memo_key c) r;
+          r
+end
+
+(* A step is decoded from four ints: a no-op, a re-decided earlier
+   command, or a fresh get/put/delete. Keys below 60 fold onto 12 hot
+   keys (long version chains); the rest spread over 60..99 so gets of
+   never-written keys occur and the key index grows. Client 5 is the
+   largest 30-bit id, exercising the packed memo key's high half. *)
+let decode_stream steps =
+  let next_id = Array.make 6 0 in
+  let issued = Array.make (List.length steps) Command.noop and n = ref 0 in
+  List.map
+    (fun (kind, client, key, v) ->
+      let key = if key < 60 then key mod 12 else key in
+      let fresh op =
+        let id = next_id.(client) in
+        next_id.(client) <- id + 1;
+        let client = if client = 5 then 0x3FFF_FFFF else client in
+        let c = Command.make ~id ~client op in
+        issued.(!n) <- c;
+        incr n;
+        c
+      in
+      match kind with
+      | 0 -> Command.noop
+      | (1 | 2) when !n > 0 -> issued.(v mod !n)
+      | 1 | 2 | 3 | 4 | 5 -> fresh (Command.Get key)
+      | 9 -> fresh (Command.Delete key)
+      | _ -> fresh (Command.Put (key, v)))
+    steps
+
+let expect what pp a b =
+  if a <> b then QCheck.Test.fail_reportf "%s: got %a, model %a" what pp a pp b
+
+let pp_opt = Fmt.(option ~none:(any "None") int)
+let pp_cmds = Fmt.(list ~sep:sp Command.pp)
+let pp_ints = Fmt.(list ~sep:sp int)
+
+let pp_versions =
+  Fmt.(
+    list ~sep:sp (fun ppf (v, s, w) ->
+        Fmt.pf ppf "(%a,%d,%a)" pp_opt v s Command.pp w))
+
+let all_keys = List.init 100 Fun.id
+
+(* Everything observable about a final state, against the model. *)
+let check_final what sm (m : Model.sm) =
+  let what s = what ^ ": " ^ s in
+  expect (what "applied") pp_cmds (State_machine.applied sm)
+    (List.rev m.Model.applied_rev);
+  expect (what "applied_count") Fmt.int (State_machine.applied_count sm)
+    (List.length m.Model.applied_rev);
+  let kv = State_machine.store sm in
+  expect (what "keys") pp_ints
+    (List.sort compare (Kv.keys kv))
+    (List.sort compare (Model.keys m));
+  expect (what "size") Fmt.int (Kv.size kv) (Hashtbl.length m.Model.kv);
+  List.iter
+    (fun k ->
+      expect (what "get") pp_opt (Kv.get kv k) (Model.get m k);
+      expect (what "key_history") pp_cmds (State_machine.key_history sm k)
+        (List.map (fun v -> v.Model.writer) (Model.versions m k));
+      expect (what "versions") pp_versions
+        (List.map
+           (fun v -> (v.Kv.value, v.Kv.seq, v.Kv.writer))
+           (Kv.versions kv k))
+        (List.map
+           (fun v -> (v.Model.value, v.Model.seq, v.Model.writer))
+           (Model.versions m k)))
+    all_keys
+
+let prop_store_matches_model =
+  QCheck.Test.make ~name:"executor, state machine and kv match the model"
+    ~count:200
+    QCheck.(
+      list_of_size
+        Gen.(int_range 0 700)
+        (quad (int_bound 9) (int_bound 5) (int_bound 99) (int_bound 1000)))
+    (fun steps ->
+      let stream = decode_stream steps in
+      let e = Executor.create () and me = Model.create_exec () in
+      let sm = State_machine.create () and msm = Model.create_sm () in
+      List.iter
+        (fun c ->
+          expect "execute" pp_opt (Executor.execute e c) (Model.execute me c);
+          expect "already_executed" Fmt.bool
+            (Executor.already_executed e c)
+            (Model.already_executed me c);
+          expect "executed_count" Fmt.int (Executor.executed_count e)
+            (Hashtbl.length me.Model.memo);
+          let k = Command.key c in
+          expect "get" pp_opt
+            (Kv.get (State_machine.store (Executor.state_machine e)) k)
+            (Model.get me.Model.sm k);
+          (* the raw state machine applies duplicates and no-ops too *)
+          expect "apply" pp_opt (State_machine.apply sm c).State_machine.read
+            (Model.apply msm c))
+        stream;
+      check_final "executor" (Executor.state_machine e) me.Model.sm;
+      check_final "state machine" sm msm;
+      (* image -> install over a used executor rebuilds the same state *)
+      Executor.install e (Executor.image e);
+      check_final "installed" (Executor.state_machine e) me.Model.sm;
+      expect "installed executed_count" Fmt.int (Executor.executed_count e)
+        (Hashtbl.length me.Model.memo);
+      List.iter
+        (fun c ->
+          expect "installed already_executed" Fmt.bool
+            (Executor.already_executed e c)
+            (Model.already_executed me c);
+          expect "installed execute" pp_opt (Executor.execute e c)
+            (Model.execute me c))
+        stream;
+      true)
 
 let test_ballot_ordering () =
   let open Ballot in
@@ -169,6 +342,9 @@ let suite =
       Alcotest.test_case "executor dedup" `Quick test_executor_dedup;
       Alcotest.test_case "executor noop" `Quick test_executor_noop;
       Alcotest.test_case "executor distinct clients" `Quick test_executor_distinct_clients;
+      QCheck_alcotest.to_alcotest
+        ~rand:(Random.State.make [| 17 |])
+        prop_store_matches_model;
       Alcotest.test_case "ballot ordering" `Quick test_ballot_ordering;
       Alcotest.test_case "slot log basics" `Quick test_slot_log;
       Alcotest.test_case "slot log frontier" `Quick test_slot_log_frontier;
