@@ -99,7 +99,7 @@ let commit_below t bound ~pending ~mark =
       | _ -> ()
   done;
   t.late_n <- !kept;
-  for i = max t.frontier t.watermark to bound - 1 do
+  for i = Int.max t.frontier t.watermark to bound - 1 do
     match get t i with
     | Some v when pending v ->
         mark v;
@@ -124,7 +124,7 @@ let base t = t.base
 
 let truncate t ~upto =
   if upto > t.base then begin
-    let hi = min upto (Array.length t.slots) in
+    let hi = Int.min upto (Array.length t.slots) in
     for i = t.base to hi - 1 do
       match t.slots.(i) with
       | Some _ ->

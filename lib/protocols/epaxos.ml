@@ -316,6 +316,12 @@ let rec watch_instance t iid =
              watch_instance t iid
          | _ -> ()))
 
+let finalize_commit t (i : inst) ~fast =
+  if fast then t.fast_commits <- t.fast_commits + 1
+  else t.slow_commits <- t.slow_commits + 1;
+  t.env.broadcast (Commit { iid = i.iid; cmd = i.cmd; seq = i.seq; deps = i.deps });
+  commit_instance t i
+
 let on_request t ~client (request : Proto.request) =
   let cmd = request.Proto.command in
   let no = t.next_no in
@@ -328,7 +334,10 @@ let on_request t ~client (request : Proto.request) =
   i.fast_q <- Some fq;
   i.identical <- true;
   t.env.broadcast (PreAccept { iid; cmd; seq; deps });
-  watch_instance t iid
+  (* at n = 1 the leader's own ack is already the fast quorum: no
+     PreAcceptOk will ever arrive to complete it *)
+  if Quorum.satisfied fq then finalize_commit t i ~fast:true
+  else watch_instance t iid
 
 let start_accept_phase t (i : inst) =
   i.status <- Accepted_st;
@@ -336,12 +345,6 @@ let start_accept_phase t (i : inst) =
   Quorum.ack aq t.env.id;
   i.accept_q <- Some aq;
   t.env.broadcast (Accept { iid = i.iid; cmd = i.cmd; seq = i.seq; deps = i.deps })
-
-let finalize_commit t (i : inst) ~fast =
-  if fast then t.fast_commits <- t.fast_commits + 1
-  else t.slow_commits <- t.slow_commits + 1;
-  t.env.broadcast (Commit { iid = i.iid; cmd = i.cmd; seq = i.seq; deps = i.deps });
-  commit_instance t i
 
 let on_pre_accept t ~src ~iid ~cmd ~seq ~deps =
   (* Merge the leader's attributes with local interference. *)

@@ -108,16 +108,24 @@ let on_request t ~client (request : Proto.request) =
   t.next_own <- slot + t.env.n;
   let tracker = Quorum.create (Quorum.Majority (all_ids t)) in
   Quorum.ack tracker t.env.id;
-  Slot_log.set t.log slot
+  let e =
     {
       cmd = request.Proto.command;
       client = Some client;
       quorum = Some tracker;
       committed = false;
-    };
+    }
+  in
+  Slot_log.set t.log slot e;
   t.env.broadcast
     (MAccept
-       { slot; cmd = request.Proto.command; commit_up_to = Slot_log.exec_frontier t.log })
+       { slot; cmd = request.Proto.command; commit_up_to = Slot_log.exec_frontier t.log });
+  (* at n = 1 the self-ack is already a majority: no MAcceptOk will
+     ever arrive to complete it *)
+  if Quorum.satisfied tracker then begin
+    e.committed <- true;
+    advance t
+  end
 
 let on_accept t ~src ~slot ~cmd ~commit_up_to:bound =
   (match Slot_log.get t.log slot with

@@ -783,7 +783,7 @@ let append_entries_core t ~leader ~term ~prev_index ~prev_term ~entries
     drain_pending_to_leader t;
     let consistent = prev_index < 0 || term_at t prev_index = prev_term in
     if not consistent then
-      (false, Stdlib.min prev_index (Slot_log.next_slot t.log))
+      (false, Int.min prev_index (Slot_log.next_slot t.log))
     else begin
       (* Append, overwriting conflicting suffixes. *)
       List.iteri
@@ -799,7 +799,7 @@ let append_entries_core t ~leader ~term ~prev_index ~prev_term ~entries
         entries;
       let match_index = prev_index + 1 + List.length entries in
       if leader_commit > t.commit_index then begin
-        t.commit_index <- Stdlib.min leader_commit match_index;
+        t.commit_index <- Int.min leader_commit match_index;
         apply_committed t
       end;
       (true, match_index)
@@ -871,7 +871,7 @@ let on_install_snapshot t ~src ~term ~last_index ~last_term ~image =
            {
              term = reply_term;
              success = true;
-             match_index = Stdlib.max last_index (Slot_log.exec_frontier t.log);
+             match_index = Int.max last_index (Slot_log.exec_frontier t.log);
            })
   end
 
@@ -944,8 +944,8 @@ let on_relay_append_ack t ~src ~term ~gen ~expected ~bits =
               t.acked_at.(m) <- t.probe_sent_at.(m);
             t.probe_sent_at.(m) <- 0.0
           end;
-          t.match_index.(m) <- Stdlib.max t.match_index.(m) expected;
-          t.next_index.(m) <- Stdlib.max t.next_index.(m) expected
+          t.match_index.(m) <- Int.max t.match_index.(m) expected;
+          t.next_index.(m) <- Int.max t.next_index.(m) expected
         end
       done;
       if lease then recompute_lease t;
@@ -976,13 +976,13 @@ let on_append_reply t ~src ~term ~success ~match_index =
       (* the open post's ack: a success at or past the match it was
          shipped to establish (an older reply leaves it posted) *)
       if match_index >= t.inflight_match.(src) then settle_append t src;
-      t.match_index.(src) <- Stdlib.max t.match_index.(src) match_index;
-      t.next_index.(src) <- Stdlib.max t.next_index.(src) match_index;
+      t.match_index.(src) <- Int.max t.match_index.(src) match_index;
+      t.next_index.(src) <- Int.max t.next_index.(src) match_index;
       advance_commit t
     end
     else begin
       (* Fast backoff to the follower's hinted match point. *)
-      t.next_index.(src) <- Stdlib.max 0 (Stdlib.min match_index (t.next_index.(src) - 1));
+      t.next_index.(src) <- Int.max 0 (Int.min match_index (t.next_index.(src) - 1));
       send_append t src
     end
   end

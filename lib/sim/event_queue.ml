@@ -1,43 +1,41 @@
-(* 4-ary implicit min-heap ordered by (time, seq), stored as parallel
-   arrays so the hot compare is a monomorphic [float] comparison on an
-   unboxed float array (no polymorphic entry records, no boxed keys).
+(* 4-ary implicit min-heap of the scheduler's timer slots, ordered by
+   (time, seq). Two parallel arrays hold the entries: [times] (an
+   unboxed float array) and [keys], where a key packs
+   [(seq lsl slot_bits) lor slot]. Seqs are unique, so comparing keys
+   orders equal times by seq exactly, and every comparison is a
+   monomorphic float or int compare. Nothing stored is a heap block,
+   so moving an entry costs no write barrier.
 
-   Payloads live in a plain ['a array] backed by a caller-supplied
-   [dummy] value: slots below [size] hold live payloads, retired slots
-   are reset to [dummy] so a popped event's payload (typically a
-   closure over protocol state) becomes collectable immediately
-   instead of being pinned by the backing array for the rest of the
-   run. No unsound sentinel is involved — [dummy] is an ordinary
-   value of the payload type.
+   [pos.(slot)] is the heap index of the slot's entry, kept current on
+   every move, so [remove] can take any entry out in O(log n).
 
-   The scheduler drives the queue through the non-allocating
-   [top_time]/[top_seq]/[top_payload]/[drop_top] accessors; [pop]
-   (which boxes an option and a tuple per call) remains for tests and
-   generic callers off the hot path.
+   Sifts use the hole method: the moving entry is read once into
+   locals from its source index, ancestors or descendants shift into
+   the hole, and the entry is written once at its final index. *)
 
-   Sift-up/down use the hole method: the moving entry is held in
-   locals while ancestors/descendants shift, and written exactly once
-   at its final slot. *)
+let slot_bits = 24
+let slot_mask = (1 lsl slot_bits) - 1
 
-type 'a t = {
-  dummy : 'a;
+(* the largest seq whose key is still a non-negative int *)
+let max_seq = max_int lsr slot_bits
+
+type t = {
   mutable times : float array;
-  mutable seqs : int array;
-  mutable payloads : 'a array;
+  mutable keys : int array;
+  mutable pos : int array; (* indexed by slot *)
   mutable size : int;
   mutable next_seq : int;
 }
 
 let arity = 4
 
-let create ~dummy () =
-  { dummy; times = [||]; seqs = [||]; payloads = [||]; size = 0; next_seq = 0 }
-
+let create () = { times = [||]; keys = [||]; pos = [||]; size = 0; next_seq = 0 }
 let is_empty t = t.size = 0
 let length t = t.size
 
 let alloc_seq t =
   let s = t.next_seq in
+  if s > max_seq then failwith "Event_queue: sequence space exhausted";
   t.next_seq <- s + 1;
   s
 
@@ -45,127 +43,108 @@ let grow t =
   let cap = Array.length t.times in
   let ncap = if cap = 0 then 16 else cap * 2 in
   let nt = Array.make ncap 0.0 in
-  let ns = Array.make ncap 0 in
-  let np = Array.make ncap t.dummy in
+  let nk = Array.make ncap 0 in
   Array.blit t.times 0 nt 0 t.size;
-  Array.blit t.seqs 0 ns 0 t.size;
-  Array.blit t.payloads 0 np 0 t.size;
+  Array.blit t.keys 0 nk 0 t.size;
   t.times <- nt;
-  t.seqs <- ns;
-  t.payloads <- np
+  t.keys <- nk
 
-let push_seq t ~time ~seq payload =
-  if t.size >= Array.length t.times then grow t;
-  let i = ref t.size in
-  t.size <- t.size + 1;
+let grow_pos t slot =
+  let np = Array.make (Int.max (slot + 1) (2 * Array.length t.pos)) 0 in
+  Array.blit t.pos 0 np 0 (Array.length t.pos);
+  t.pos <- np
+
+(* Move the entry at [src] into the hole at [hole], toward the root. *)
+let sift_up t ~hole ~src =
+  let times = t.times and keys = t.keys and pos = t.pos in
+  let time = times.(src) and key = keys.(src) in
+  let i = ref hole in
   let continue = ref true in
   while !continue && !i > 0 do
     let p = (!i - 1) / arity in
-    if time < t.times.(p) || (time = t.times.(p) && seq < t.seqs.(p)) then begin
-      t.times.(!i) <- t.times.(p);
-      t.seqs.(!i) <- t.seqs.(p);
-      t.payloads.(!i) <- t.payloads.(p);
+    let pt = times.(p) and pk = keys.(p) in
+    if time < pt || (time = pt && key < pk) then begin
+      times.(!i) <- pt;
+      keys.(!i) <- pk;
+      pos.(pk land slot_mask) <- !i;
       i := p
     end
     else continue := false
   done;
-  t.times.(!i) <- time;
-  t.seqs.(!i) <- seq;
-  t.payloads.(!i) <- payload
+  times.(!i) <- time;
+  keys.(!i) <- key;
+  pos.(key land slot_mask) <- !i
 
-let push t ~time payload = push_seq t ~time ~seq:(alloc_seq t) payload
-
-(* Place (time, seq, payload) into the hole at [pos], sifting down
-   within the first [n] slots. *)
-let sift_down t ~pos ~n ~time ~seq payload =
-  let i = ref pos in
+(* Move the entry at [src] (at or past [n]) into the hole at [hole],
+   toward the leaves of the first [n] entries. *)
+let sift_down t ~hole ~src ~n =
+  let times = t.times and keys = t.keys and pos = t.pos in
+  let time = times.(src) and key = keys.(src) in
+  let i = ref hole in
   let continue = ref true in
   while !continue do
     let first = (arity * !i) + 1 in
     if first >= n then continue := false
     else begin
-      let last = min (first + arity - 1) (n - 1) in
-      let best = ref first in
+      let last = if first + arity - 1 < n then first + arity - 1 else n - 1 in
+      let b = ref first in
+      let bt = ref times.(first) and bk = ref keys.(first) in
       for c = first + 1 to last do
-        if
-          t.times.(c) < t.times.(!best)
-          || (t.times.(c) = t.times.(!best) && t.seqs.(c) < t.seqs.(!best))
-        then best := c
+        let ct = times.(c) in
+        if ct < !bt || (ct = !bt && keys.(c) < !bk) then begin
+          b := c;
+          bt := ct;
+          bk := keys.(c)
+        end
       done;
-      let b = !best in
-      if t.times.(b) < time || (t.times.(b) = time && t.seqs.(b) < seq)
-      then begin
-        t.times.(!i) <- t.times.(b);
-        t.seqs.(!i) <- t.seqs.(b);
-        t.payloads.(!i) <- t.payloads.(b);
-        i := b
+      if !bt < time || (!bt = time && !bk < key) then begin
+        times.(!i) <- !bt;
+        keys.(!i) <- !bk;
+        pos.(!bk land slot_mask) <- !i;
+        i := !b
       end
       else continue := false
     end
   done;
-  t.times.(!i) <- time;
-  t.seqs.(!i) <- seq;
-  t.payloads.(!i) <- payload
+  times.(!i) <- time;
+  keys.(!i) <- key;
+  pos.(key land slot_mask) <- !i
+
+let push t ~time slot =
+  let key = (alloc_seq t lsl slot_bits) lor slot in
+  if t.size >= Array.length t.times then grow t;
+  if slot >= Array.length t.pos then grow_pos t slot;
+  let n = t.size in
+  t.times.(n) <- time;
+  t.keys.(n) <- key;
+  t.size <- n + 1;
+  sift_up t ~hole:n ~src:n
 
 let top_time t = t.times.(0)
-let top_seq t = t.seqs.(0)
-let top_payload t = t.payloads.(0)
+let top_seq t = t.keys.(0) lsr slot_bits
+let top_slot t = t.keys.(0) land slot_mask
 
-let drop_top t =
+(* Fill the hole at [i] with the last entry, which may belong above or
+   below it. *)
+let fill_hole t i =
   let n = t.size - 1 in
   t.size <- n;
-  if n = 0 then t.payloads.(0) <- t.dummy
-  else begin
-    (* re-insert the last entry at the root hole and sift it down *)
-    let time = t.times.(n) and seq = t.seqs.(n) in
-    let payload = t.payloads.(n) in
-    t.payloads.(n) <- t.dummy;
-    sift_down t ~pos:0 ~n ~time ~seq payload
+  if i < n then begin
+    let p = (i - 1) / arity in
+    if
+      i > 0
+      && (t.times.(n) < t.times.(p)
+         || (t.times.(n) = t.times.(p) && t.keys.(n) < t.keys.(p)))
+    then sift_up t ~hole:i ~src:n
+    else sift_down t ~hole:i ~src:n ~n
   end
 
-let pop t =
-  if t.size = 0 then None
-  else begin
-    let top_time = t.times.(0) in
-    let top = t.payloads.(0) in
-    drop_top t;
-    Some (top_time, top)
-  end
-
-let peek_time t = if t.size = 0 then None else Some t.times.(0)
-let peek t = if t.size = 0 then None else Some (t.times.(0), t.seqs.(0))
-
-let compact t ~dead =
-  let n = t.size in
-  let kept = ref 0 in
-  for i = 0 to n - 1 do
-    if not (dead t.payloads.(i)) then begin
-      let j = !kept in
-      if j <> i then begin
-        t.times.(j) <- t.times.(i);
-        t.seqs.(j) <- t.seqs.(i);
-        t.payloads.(j) <- t.payloads.(i)
-      end;
-      incr kept
-    end
-  done;
-  let k = !kept in
-  for i = k to n - 1 do
-    t.payloads.(i) <- t.dummy
-  done;
-  t.size <- k;
-  (* bottom-up heapify over the survivors: sift every internal node *)
-  if k > 1 then
-    for i = (k - 2) / arity downto 0 do
-      let time = t.times.(i) and seq = t.seqs.(i) in
-      let payload = t.payloads.(i) in
-      sift_down t ~pos:i ~n:k ~time ~seq payload
-    done;
-  n - k
+let drop_top t = fill_hole t 0
+let remove t slot = fill_hole t t.pos.(slot)
 
 let clear t =
   t.size <- 0;
   t.next_seq <- 0;
   t.times <- [||];
-  t.seqs <- [||];
-  t.payloads <- [||]
+  t.keys <- [||];
+  t.pos <- [||]

@@ -1,67 +1,46 @@
-(** Priority queue of timestamped events for the discrete-event
-    simulator. Ties on time are broken by insertion order so that runs
-    are deterministic. Implemented as a 4-ary implicit heap over
-    parallel arrays with a monomorphic float-key compare; the
-    scheduler's hot path reads the heap through the non-allocating
-    [top_*]/[drop_top] accessors. *)
+(** Priority queue of the scheduler's timer slots. Entries are ordered
+    by (time, sequence number), so ties on time fire in insertion order
+    and runs are deterministic. Implemented as a 4-ary implicit heap
+    over a float array of times and an int array of keys packing
+    (seq, slot); every comparison is monomorphic and no operation
+    allocates (amortized over array growth). *)
 
-type 'a t
+type t
 
-val create : dummy:'a -> unit -> 'a t
-(** [dummy] backs retired payload slots: popped or compacted-away
-    entries are overwritten with it so their payloads (typically
-    closures over protocol state) are released to the GC immediately.
-    Any ordinary value of the payload type works. *)
+val slot_bits : int
+(** Slots are below [2{^slot_bits}]; a key keeps the seq above them. *)
 
-val is_empty : 'a t -> bool
-val length : 'a t -> int
+val create : unit -> t
+val is_empty : t -> bool
+val length : t -> int
 
-val push : 'a t -> time:float -> 'a -> unit
-(** [push q ~time ev] schedules [ev] at [time] with the next sequence
-    number. O(log n), allocation-free (amortized over array growth). *)
+val alloc_seq : t -> int
+(** Claim the next sequence number. {!push} claims one itself; the
+    scheduler's zero-delay lane claims them here, so lane entries and
+    heap entries share one (time, seq) order. Fails once the seq no
+    longer fits in the bits above the slot. *)
 
-val push_seq : 'a t -> time:float -> seq:int -> 'a -> unit
-(** Like {!push} but with a caller-supplied sequence number (obtained
-    from {!alloc_seq}), for callers that interleave heap entries with
-    an external same-time lane and need one total (time, seq) order. *)
+val push : t -> time:float -> int -> unit
+(** [push q ~time slot] queues [slot] at [time] with the next sequence
+    number. A slot may be queued at most once at a time. *)
 
-val alloc_seq : 'a t -> int
-(** Claim the next sequence number from the queue's tie-break counter
-    without pushing. Used by the scheduler's zero-delay FIFO lane so
-    lane entries and heap entries share one deterministic order. *)
+val top_time : t -> float
+(** Time of the earliest entry. Undefined on an empty queue — guard
+    with {!is_empty}. *)
 
-val top_time : 'a t -> float
-(** Timestamp of the earliest event. Undefined on an empty queue —
-    guard with {!is_empty}. Never allocates. *)
+val top_seq : t -> int
+(** Sequence number of the earliest entry. Same precondition. *)
 
-val top_seq : 'a t -> int
-(** Sequence number of the earliest event. Same precondition. *)
+val top_slot : t -> int
+(** Slot of the earliest entry. Same precondition. *)
 
-val top_payload : 'a t -> 'a
-(** Payload of the earliest event, without popping. Same precondition. *)
+val drop_top : t -> unit
+(** Remove the earliest entry. Same precondition. *)
 
-val drop_top : 'a t -> unit
-(** Remove the earliest event (FIFO among equal times), resetting its
-    retired slot to [dummy]. Same precondition. Never allocates. *)
+val remove : t -> int -> unit
+(** [remove q slot] takes [slot]'s entry out of the queue, wherever it
+    sits, in O(log n). [slot] must be queued. *)
 
-val pop : 'a t -> (float * 'a) option
-(** Remove and return the earliest event. Boxes an option and a tuple
-    per call — tests and cold paths only; the scheduler uses
-    {!top_time}/{!top_payload}/{!drop_top}. *)
-
-val peek_time : 'a t -> float option
-
-val peek : 'a t -> (float * int) option
-(** Time and sequence number of the earliest event, without popping. *)
-
-val compact : 'a t -> dead:('a -> bool) -> int
-(** [compact q ~dead] removes every entry whose payload satisfies
-    [dead] (called exactly once per entry, so it may carry release
-    side effects) and restores the heap invariant in one O(n)
-    bottom-up pass. Returns the number of entries removed. Relative
-    (time, seq) order of survivors is unchanged. The scheduler calls
-    this when cancelled timers make up more than half the heap. *)
-
-val clear : 'a t -> unit
-(** Empty the queue and drop the backing arrays, releasing every
-    retained event (and anything its closure captured) to the GC. *)
+val clear : t -> unit
+(** Empty the queue, reset the sequence counter and drop the backing
+    arrays. *)

@@ -6,18 +6,16 @@
 
    [state.(slot)] packs [(gen lsl 2) lor (in_heap lsl 1) lor
    cancelled]. The generation is bumped whenever the slot is retired
-   (its event fired, was skipped, or was compacted away), which makes
-   every outstanding handle for the old occupant stale: [cancel]
-   compares the handle's generation against the slot's and ignores
-   mismatches, so late cancels of already-fired timers are safe no-ops
-   — callers keep a plain [handle] (or {!nil}) instead of a
-   [handle option].
+   (its event fired, was skipped, or was cancelled out of the heap),
+   which makes every outstanding handle for the old occupant stale:
+   [cancel] compares the handle's generation against the slot's and
+   ignores mismatches, so late cancels of already-fired timers are
+   safe no-ops — callers keep a plain [handle] (or {!nil}) instead of
+   a [handle option].
 
-   Cancelled heap entries are skipped when popped, as before; in
-   addition [heap_dead] counts them and the heap is compacted in one
-   O(n) pass whenever dead entries exceed half of it, so mass-
-   cancelled retransmit timers no longer linger until their deadline
-   passes. *)
+   Cancelling a heap entry removes it from the heap and retires its
+   slot at once. A cancelled lane entry stays in the ring, marked, and
+   is skipped when it reaches the front. *)
 
 let nop () = ()
 
@@ -28,18 +26,17 @@ let is_nil h = h < 0
 
 (* slot index in the low bits, generation above — 16M concurrent
    timers, ~2^37 reuses per slot *)
-let slot_bits = 24
+let slot_bits = Event_queue.slot_bits
 let slot_mask = (1 lsl slot_bits) - 1
 
 type t = {
-  queue : int Event_queue.t; (* heap payloads are slot indices *)
+  queue : Event_queue.t;
   (* timer slots *)
   mutable thunks : (unit -> unit) array;
   mutable state : int array;
   mutable free : int array; (* stack of retired slot indices *)
   mutable free_top : int;
   mutable n_slots : int;
-  mutable heap_dead : int; (* cancelled entries still in the heap *)
   (* same-instant FIFO lane, a ring buffer over parallel arrays:
      every entry was scheduled at exactly the current clock
      ([schedule_immediate] / zero-delay [schedule_after]), so it fires
@@ -65,13 +62,12 @@ type t = {
 
 let create ?(seed = 42) () =
   {
-    queue = Event_queue.create ~dummy:(-1) ();
+    queue = Event_queue.create ();
     thunks = [||];
     state = [||];
     free = [||];
     free_top = 0;
     n_slots = 0;
-    heap_dead = 0;
     lane_seqs = [||];
     lane_slots = [||];
     lane_head = 0;
@@ -178,28 +174,7 @@ let schedule_immediate t thunk =
   lane_push t ~seq:(Event_queue.alloc_seq t.queue) ~slot:s;
   handle_of t s
 
-(* ---- cancellation and compaction ------------------------------------ *)
-
-(* Compact when dead entries dominate the heap; the floor keeps tiny
-   heaps (where a linear sweep per cancel burst would cost more than
-   it saves) on the lazy-deletion path. *)
-let compact_floor = 64
-
-let maybe_compact t =
-  if
-    t.heap_dead >= compact_floor
-    && 2 * t.heap_dead > Event_queue.length t.queue
-  then begin
-    let removed =
-      Event_queue.compact t.queue ~dead:(fun s ->
-          if t.state.(s) land 1 = 1 then begin
-            retire t s;
-            true
-          end
-          else false)
-    in
-    t.heap_dead <- t.heap_dead - removed
-  end
+(* ---- cancellation --------------------------------------------------- *)
 
 let live t h =
   h >= 0
@@ -215,13 +190,12 @@ let cancel t h =
     let s = h land slot_mask in
     if s < t.n_slots then begin
       let st = t.state.(s) in
-      if st lsr 2 = h lsr slot_bits && st land 1 = 0 then begin
-        t.state.(s) <- st lor 1;
+      if st lsr 2 = h lsr slot_bits && st land 1 = 0 then
         if st land 2 <> 0 then begin
-          t.heap_dead <- t.heap_dead + 1;
-          maybe_compact t
+          Event_queue.remove t.queue s;
+          retire t s
         end
-      end
+        else t.state.(s) <- st lor 1
     end
   end
 
@@ -236,9 +210,6 @@ let exec t time slot =
     t.fired <- t.fired + 1;
     thunk ()
   end
-  else if st land 2 <> 0 then
-    (* a cancelled heap entry drained naturally before any compaction *)
-    t.heap_dead <- t.heap_dead - 1
 
 let exec_lane_head t =
   let i = t.lane_head in
@@ -249,7 +220,7 @@ let exec_lane_head t =
 
 let exec_heap_top t =
   let time = Event_queue.top_time t.queue in
-  let slot = Event_queue.top_payload t.queue in
+  let slot = Event_queue.top_slot t.queue in
   Event_queue.drop_top t.queue;
   exec t time slot
 

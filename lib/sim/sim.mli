@@ -18,8 +18,8 @@ type t
 type handle
 (** Cancellation handle for a scheduled event: an immediate
     (generation, slot) pair, not a heap object. Handles stay valid
-    forever — once the event fires, is cancelled, or is compacted
-    away, the handle goes {e stale} and {!cancel} ignores it — so
+    forever — once the event fires or is cancelled, the handle goes
+    {e stale} and {!cancel} ignores it — so
     callers keep a plain [handle] (initialized to {!nil}) instead of
     a [handle option]. *)
 
@@ -51,18 +51,18 @@ val schedule_immediate : t -> (unit -> unit) -> handle
 val live : t -> handle -> bool
 (** [live t h] is true iff [h] still names a pending, uncancelled
     event: the handle's generation matches its slot's and the slot has
-    not been cancelled, fired, or compacted away. Stale handles
+    not been cancelled or fired. Stale handles
     (including {!nil}) are [false]. Lets ownership registries
     ({!Timers}) sweep dead handles without bookkeeping on the firing
     path. *)
 
 val cancel : t -> handle -> unit
-(** Cancelled events are skipped (without counting or drawing
-    randomness) when their time comes. Idempotent; stale handles —
-    {!nil}, already fired, already cancelled — are ignored. When
-    cancelled entries come to dominate the heap (> 1/2, above a small
-    floor) the heap is compacted in one O(n) pass so mass-cancelled
-    timers release their slots and payloads immediately. *)
+(** A cancelled event never runs (it is not counted and draws no
+    randomness). A heap event is removed from the heap at once, in
+    O(log n), and its slot and thunk are released. A zero-delay lane
+    event stays queued, marked, and is skipped when it reaches the
+    front. Idempotent; stale handles — {!nil}, already fired, already
+    cancelled — are ignored. *)
 
 val run_until : t -> float -> unit
 (** Process every event with timestamp [<= horizon], advancing the
@@ -88,7 +88,8 @@ val try_inline : t -> time:float -> (unit -> unit) -> bool
 
 val pending : t -> int
 (** Number of scheduled events still queued: uncancelled ones plus any
-    cancelled entries not yet popped or compacted away. *)
+    cancelled lane entries not yet reached. A cancelled heap event
+    leaves the count at once. *)
 
 val events_fired : t -> int
 (** Number of event thunks executed so far (cancelled events are not

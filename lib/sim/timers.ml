@@ -7,9 +7,9 @@
    "pause-not-crash" bug). The simulator's packed (generation, slot)
    handles make this cheap: the registry just remembers every handle
    its owner scheduled and mass-cancels the still-live ones at the
-   crash edge. [Sim.cancel] on the batch then triggers the heap's
-   lazy-deletion compaction, so even thousands of pending retransmit
-   timers are released in one O(heap) pass.
+   crash edge. [Sim.cancel] takes each heap timer out of the heap at
+   once (O(log heap) apiece), so even thousands of pending retransmit
+   timers release their slots at the crash edge.
 
    Handles of events that already fired go stale on their own
    (generation bump at [retire]); [track] sweeps them out lazily when

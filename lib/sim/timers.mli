@@ -18,8 +18,8 @@ val track : t -> Sim.handle -> Sim.handle
 
 val cancel_all : t -> unit
 (** Cancel every still-live tracked event and empty the registry. Used
-    at the crash edge; the burst of cancels rides the heap's
-    lazy-deletion compaction, releasing slots in one O(heap) pass. *)
+    at the crash edge; each cancel removes its heap entry and releases
+    its slot at once. *)
 
 val live_count : t -> int
 (** Number of tracked events still pending (test/debug aid). *)

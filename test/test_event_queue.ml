@@ -1,50 +1,107 @@
+(* Entries are timer slots; [pop] reads the earliest one through the
+   accessors the scheduler uses. *)
+let pop q =
+  if Event_queue.is_empty q then None
+  else begin
+    let e = (Event_queue.top_time q, Event_queue.top_slot q) in
+    Event_queue.drop_top q;
+    Some e
+  end
+
+let drain q =
+  let rec go acc = match pop q with Some e -> go (e :: acc) | None -> acc in
+  List.rev (go [])
+
+let entry = Alcotest.(pair (float 0.0) int)
+
 let test_ordering () =
-  let q = Event_queue.create ~dummy:"" () in
-  Event_queue.push q ~time:3.0 "c";
-  Event_queue.push q ~time:1.0 "a";
-  Event_queue.push q ~time:2.0 "b";
-  let pop () = Option.get (Event_queue.pop q) in
-  Alcotest.(check (pair (float 0.0) string)) "first" (1.0, "a") (pop ());
-  Alcotest.(check (pair (float 0.0) string)) "second" (2.0, "b") (pop ());
-  Alcotest.(check (pair (float 0.0) string)) "third" (3.0, "c") (pop ());
-  Alcotest.(check bool) "empty" true (Event_queue.pop q = None)
+  let q = Event_queue.create () in
+  Event_queue.push q ~time:3.0 30;
+  Event_queue.push q ~time:1.0 10;
+  Event_queue.push q ~time:2.0 20;
+  Alcotest.(check (option entry)) "first" (Some (1.0, 10)) (pop q);
+  Alcotest.(check (option entry)) "second" (Some (2.0, 20)) (pop q);
+  Alcotest.(check (option entry)) "third" (Some (3.0, 30)) (pop q);
+  Alcotest.(check bool) "empty" true (Event_queue.is_empty q)
 
 let test_fifo_on_ties () =
-  let q = Event_queue.create ~dummy:(-1) () in
+  let q = Event_queue.create () in
+  (* slot numbers run against insertion order, so only the seq can
+     put them back in order *)
   for i = 0 to 9 do
-    Event_queue.push q ~time:1.0 i
+    Event_queue.push q ~time:1.0 (9 - i)
   done;
-  for i = 0 to 9 do
-    let _, v = Option.get (Event_queue.pop q) in
-    Alcotest.(check int) "fifo" i v
-  done
+  Alcotest.(check (list int)) "fifo"
+    (List.init 10 (fun i -> 9 - i))
+    (List.map snd (drain q))
 
 let test_interleaved_push_pop () =
-  let q = Event_queue.create ~dummy:"" () in
-  Event_queue.push q ~time:5.0 "late";
-  Event_queue.push q ~time:1.0 "early";
-  let _, v = Option.get (Event_queue.pop q) in
-  Alcotest.(check string) "early first" "early" v;
-  Event_queue.push q ~time:2.0 "mid";
-  let _, v = Option.get (Event_queue.pop q) in
-  Alcotest.(check string) "mid next" "mid" v
+  let q = Event_queue.create () in
+  Event_queue.push q ~time:5.0 5;
+  Event_queue.push q ~time:1.0 1;
+  Alcotest.(check (option entry)) "early first" (Some (1.0, 1)) (pop q);
+  Event_queue.push q ~time:2.0 2;
+  Alcotest.(check (option entry)) "mid next" (Some (2.0, 2)) (pop q)
 
 let test_length_and_clear () =
-  let q = Event_queue.create ~dummy:(-1) () in
+  let q = Event_queue.create () in
   Alcotest.(check bool) "empty" true (Event_queue.is_empty q);
   for i = 1 to 100 do
     Event_queue.push q ~time:(float_of_int i) i
   done;
   Alcotest.(check int) "length" 100 (Event_queue.length q);
   Event_queue.clear q;
-  Alcotest.(check bool) "cleared" true (Event_queue.is_empty q)
+  Alcotest.(check bool) "cleared" true (Event_queue.is_empty q);
+  Alcotest.(check int) "seqs restart" 0 (Event_queue.alloc_seq q)
 
 let test_peek () =
-  let q = Event_queue.create ~dummy:() () in
-  Alcotest.(check (option (float 0.0))) "none" None (Event_queue.peek_time q);
-  Event_queue.push q ~time:4.2 ();
-  Alcotest.(check (option (float 0.0))) "peek" (Some 4.2) (Event_queue.peek_time q);
+  let q = Event_queue.create () in
+  ignore (Event_queue.alloc_seq q);
+  Event_queue.push q ~time:4.2 7;
+  Alcotest.(check (float 0.0)) "time" 4.2 (Event_queue.top_time q);
+  Alcotest.(check int) "seq after the claimed one" 1 (Event_queue.top_seq q);
+  Alcotest.(check int) "slot" 7 (Event_queue.top_slot q);
   Alcotest.(check int) "peek does not pop" 1 (Event_queue.length q)
+
+(* Entries pushed in time order sit at their insertion index. *)
+let push_in_order q times = List.iteri (fun i t -> Event_queue.push q ~time:t i) times
+
+let test_remove_root () =
+  let q = Event_queue.create () in
+  push_in_order q [ 0.0; 1.0; 1.0; 2.0; 3.0; 3.0; 4.0 ];
+  Event_queue.remove q (Event_queue.top_slot q);
+  Alcotest.(check int) "length" 6 (Event_queue.length q);
+  Alcotest.(check (list entry)) "rest in (time, seq) order"
+    [ (1.0, 1); (1.0, 2); (2.0, 3); (3.0, 4); (3.0, 5); (4.0, 6) ]
+    (drain q)
+
+let test_remove_middle () =
+  let q = Event_queue.create () in
+  (* index 1 has children 5-8, all later than the last entry (index
+     9, a child of index 2): removing index 5 moves the last entry
+     into a hole below a later parent, so it must sift up *)
+  push_in_order q [ 0.0; 10.0; 1.0; 1.0; 1.0; 11.0; 12.0; 13.0; 14.0; 2.0 ];
+  Event_queue.remove q 5;
+  (* slot 1 moved down when slot 9 rose past it: its position must
+     have followed *)
+  Event_queue.remove q 1;
+  Alcotest.(check (list entry)) "rest in (time, seq) order"
+    [ (0.0, 0); (1.0, 2); (1.0, 3); (1.0, 4); (2.0, 9); (12.0, 6); (13.0, 7); (14.0, 8) ]
+    (drain q)
+
+let test_remove_last () =
+  let q = Event_queue.create () in
+  push_in_order q [ 1.0; 2.0; 3.0; 4.0; 5.0; 6.0 ];
+  Event_queue.remove q 5;
+  Event_queue.push q ~time:0.5 5;
+  Alcotest.(check (list entry)) "slot requeued, rest in order"
+    [ (0.5, 5); (1.0, 0); (2.0, 1); (3.0, 2); (4.0, 3); (5.0, 4) ]
+    (drain q)
+
+(* The reference model is a list of (time, slot), newest first; its
+   queue order is by time, then insertion order. *)
+let model_order model =
+  List.stable_sort (fun (t1, _) (t2, _) -> Float.compare t1 t2) (List.rev model)
 
 (* Interleaved push/pop/clear against a sorted-list reference model:
    pops must match the reference (min time, FIFO among ties) at every
@@ -54,10 +111,11 @@ let prop_matches_reference =
   QCheck.Test.make ~name:"push/pop/clear matches sorted reference" ~count:300
     QCheck.(list (int_bound 999))
     (fun ops ->
-      let q = Event_queue.create ~dummy:(-1) () in
-      let model = ref [] (* (time, payload), kept unsorted *) in
+      let q = Event_queue.create () in
+      let model = ref [] in
       let counter = ref 0 in
       let ok = ref true in
+      let sorted () = model_order !model in
       List.iter
         (fun op ->
           match op mod 10 with
@@ -66,173 +124,70 @@ let prop_matches_reference =
               model := []
           | 7 | 8 -> (
               let expect =
-                match
-                  List.stable_sort
-                    (fun (t1, _) (t2, _) -> Float.compare t1 t2)
-                    (List.rev !model)
-                with
+                match sorted () with
                 | [] -> None
                 | (t, v) :: _ ->
                     model := List.filter (fun (_, v') -> v' <> v) !model;
                     Some (t, v)
               in
-              match (Event_queue.pop q, expect) with
-              | None, None -> ()
-              | Some (t, v), Some (t', v') ->
-                  if not (t = t' && v = v') then ok := false
-              | _ -> ok := false)
+              if pop q <> expect then ok := false)
           | d ->
               let time = float_of_int (d * 100) in
               incr counter;
               Event_queue.push q ~time !counter;
               model := (time, !counter) :: !model)
         ops;
-      (* drain: remaining events must come out in model order too *)
-      let rest =
-        List.stable_sort (fun (t1, _) (t2, _) -> Float.compare t1 t2)
-          (List.rev !model)
+      (* drain: remaining entries must come out in model order too *)
+      !ok && drain q = sorted ())
+
+(* Random pushes, pops and removals of queued slots (chosen by the
+   generated op) against the same reference model; freed slots are
+   pushed again, as the scheduler reuses them. *)
+let prop_remove_matches_reference =
+  QCheck.Test.make ~name:"push/pop/remove matches sorted reference" ~count:300
+    QCheck.(list (int_bound 9999))
+    (fun ops ->
+      let q = Event_queue.create () in
+      let model = ref [] in
+      let free = ref (List.init 64 Fun.id) in
+      let ok = ref true in
+      let sorted () = model_order !model in
+      let take v =
+        model := List.filter (fun (_, v') -> v' <> v) !model;
+        free := v :: !free
       in
       List.iter
-        (fun (t, v) ->
-          match Event_queue.pop q with
-          | Some (t', v') -> if not (t = t' && v = v') then ok := false
-          | None -> ok := false)
-        rest;
-      !ok && Event_queue.is_empty q)
-
-(* [pop] and [clear] must release retired payloads to the GC: a
-   popped event's closure used to stay pinned by the heap array until
-   the queue itself died, retaining whole cluster states across a
-   sweep. Observed with a finaliser on the payload. *)
-let[@inline never] push_and_pop q flag =
-  let payload = ref 42 in
-  Gc.finalise (fun _ -> flag := true) payload;
-  Event_queue.push q ~time:1.0 payload;
-  Event_queue.push q ~time:2.0 (ref 0);
-  ignore (Event_queue.pop q)
-
-let test_pop_releases_payload () =
-  let q = Event_queue.create ~dummy:(ref 0) () in
-  let collected = ref false in
-  push_and_pop q collected;
-  Gc.full_major ();
-  Gc.full_major ();
-  Alcotest.(check bool) "popped payload collected" true !collected;
-  Alcotest.(check int) "second event still queued" 1 (Event_queue.length q)
-
-let[@inline never] push_only q flag =
-  let payload = ref 7 in
-  Gc.finalise (fun _ -> flag := true) payload;
-  Event_queue.push q ~time:1.0 payload
-
-let test_clear_releases_payloads () =
-  let q = Event_queue.create ~dummy:(ref 0) () in
-  let collected = ref false in
-  push_only q collected;
-  Event_queue.clear q;
-  Gc.full_major ();
-  Gc.full_major ();
-  Alcotest.(check bool) "cleared payload collected" true !collected
+        (fun op ->
+          match (op mod 10, !free, !model) with
+          | (0 | 1 | 2 | 3 | 4), s :: rest, _ ->
+              let time = float_of_int (op / 10 mod 8) in
+              free := rest;
+              Event_queue.push q ~time s;
+              model := (time, s) :: !model
+          | (5 | 6 | 7), _, (_ :: _ as m) ->
+              let _, v = List.nth m (op / 10 mod List.length m) in
+              Event_queue.remove q v;
+              take v
+          | 8, _, _ :: _ ->
+              let expect = List.hd (sorted ()) in
+              if pop q <> Some expect then ok := false;
+              take (snd expect)
+          | _ -> ())
+        ops;
+      !ok
+      && Event_queue.length q = List.length !model
+      && drain q = sorted ())
 
 let prop_heap_sorted =
   QCheck.Test.make ~name:"pop yields non-decreasing times" ~count:200
     QCheck.(list (float_range 0.0 1000.0))
     (fun times ->
-      let q = Event_queue.create ~dummy:() () in
-      List.iter (fun t -> Event_queue.push q ~time:t ()) times;
-      let rec drain last =
-        match Event_queue.pop q with
-        | None -> true
-        | Some (t, ()) -> t >= last && drain t
+      let q = Event_queue.create () in
+      List.iteri (fun i t -> Event_queue.push q ~time:t i) times;
+      let rec check last =
+        match pop q with None -> true | Some (t, _) -> t >= last && check t
       in
-      drain neg_infinity)
-
-(* [compact ~dead] filters the heap in place: survivors keep their
-   relative order among equal times, dead slots are released to the
-   GC, and the predicate runs exactly once per entry (it may carry
-   side effects, e.g. slot retirement). *)
-let test_compact_filters_and_keeps_order () =
-  let q = Event_queue.create ~dummy:(-1) () in
-  for i = 0 to 99 do
-    (* two FIFO ties per time bucket *)
-    Event_queue.push q ~time:(float_of_int (i / 2)) i
-  done;
-  let calls = ref 0 in
-  let removed =
-    Event_queue.compact q ~dead:(fun v ->
-        incr calls;
-        v mod 3 = 0)
-  in
-  Alcotest.(check int) "predicate once per entry" 100 !calls;
-  Alcotest.(check int) "removed count" 34 removed;
-  Alcotest.(check int) "length shrank" 66 (Event_queue.length q);
-  let out = ref [] in
-  let rec drain () =
-    match Event_queue.pop q with
-    | Some (_, v) ->
-        out := v :: !out;
-        drain ()
-    | None -> ()
-  in
-  drain ();
-  let expect = List.filter (fun v -> v mod 3 <> 0) (List.init 100 Fun.id) in
-  Alcotest.(check (list int)) "survivors in original order" expect
-    (List.rev !out)
-
-let test_compact_releases_dead_payloads () =
-  let q = Event_queue.create ~dummy:(ref 0) () in
-  let collected = ref false in
-  push_only q collected;
-  Event_queue.push q ~time:2.0 (ref 1);
-  let removed = Event_queue.compact q ~dead:(fun r -> !r = 7) in
-  Alcotest.(check int) "one removed" 1 removed;
-  Gc.full_major ();
-  Gc.full_major ();
-  Alcotest.(check bool) "dead payload collected" true !collected;
-  Alcotest.(check int) "survivor kept" 1 (Event_queue.length q)
-
-(* The n = 81 relay sweep churns retransmit/fallback timers at
-   81-replica scale: most are cancelled (the ack wins the race) and
-   linger as lazy-deleted entries until the scheduler compacts the
-   heap. Ten rounds of 81 staggered timers with 90% killed per round:
-   every compaction must remove exactly the dead entries, and the
-   survivors must still drain in (time, FIFO) order. *)
-let test_compaction_churn_n81 () =
-  let q = Event_queue.create ~dummy:(-1) () in
-  let live = ref [] in
-  let id = ref 0 in
-  for round = 0 to 9 do
-    let dead = Hashtbl.create 128 in
-    for r = 0 to 80 do
-      incr id;
-      let time = float_of_int (((round * 81) + (r * 13)) mod 97) in
-      Event_queue.push q ~time !id;
-      if (r + round) mod 10 <> 0 then Hashtbl.replace dead !id ()
-      else live := (time, !id) :: !live
-    done;
-    let before = Event_queue.length q in
-    let removed = Event_queue.compact q ~dead:(Hashtbl.mem dead) in
-    Alcotest.(check int) "removes exactly this round's dead"
-      (Hashtbl.length dead) removed;
-    Alcotest.(check int) "length = survivors" (before - removed)
-      (Event_queue.length q)
-  done;
-  let expected =
-    List.stable_sort
-      (fun (t1, _) (t2, _) -> Float.compare t1 t2)
-      (List.rev !live)
-  in
-  Alcotest.(check int) "live count" (List.length expected)
-    (Event_queue.length q);
-  List.iter
-    (fun (t, v) ->
-      match Event_queue.pop q with
-      | Some (t', v') ->
-          Alcotest.(check (float 0.0)) "survivor time" t t';
-          Alcotest.(check int) "survivor payload" v v'
-      | None -> Alcotest.fail "queue drained early")
-    expected;
-  Alcotest.(check bool) "empty after drain" true (Event_queue.is_empty q)
+      check neg_infinity)
 
 let suite =
   ( "event_queue",
@@ -242,16 +197,10 @@ let suite =
       Alcotest.test_case "interleaved push/pop" `Quick test_interleaved_push_pop;
       Alcotest.test_case "length and clear" `Quick test_length_and_clear;
       Alcotest.test_case "peek" `Quick test_peek;
-      Alcotest.test_case "pop releases payload" `Quick
-        test_pop_releases_payload;
-      Alcotest.test_case "clear releases payloads" `Quick
-        test_clear_releases_payloads;
-      Alcotest.test_case "compact filters, keeps order" `Quick
-        test_compact_filters_and_keeps_order;
-      Alcotest.test_case "compact releases dead payloads" `Quick
-        test_compact_releases_dead_payloads;
-      Alcotest.test_case "compaction churn at n=81" `Quick
-        test_compaction_churn_n81;
+      Alcotest.test_case "remove at the root" `Quick test_remove_root;
+      Alcotest.test_case "remove in the middle" `Quick test_remove_middle;
+      Alcotest.test_case "remove at the last index" `Quick test_remove_last;
       QCheck_alcotest.to_alcotest prop_heap_sorted;
       QCheck_alcotest.to_alcotest prop_matches_reference;
+      QCheck_alcotest.to_alcotest prop_remove_matches_reference;
     ] )

@@ -157,7 +157,8 @@ let test_fpaxos_q2_one_commits_alone () =
   Alcotest.(check bool) "write answered by the leader alone" true !got
 
 (* A single replica is its own phase-1 and phase-2 quorum (raft: its
-   own majority; abd: its own query and store majority): it must elect
+   own majority; abd: its own query and store majority; mencius: its
+   own accept majority; epaxos: its own fast quorum): it must elect
    itself where there is a leader and serve writes and reads, with or
    without durable storage, and the history must linearize. *)
 let test_single_replica protocol storage () =
@@ -224,4 +225,8 @@ let suite =
       Alcotest.test_case "n=1 raft durable" `Quick
         (test_single_replica "raft" sync_every);
       Alcotest.test_case "n=1 abd" `Quick (test_single_replica "abd" None);
+      Alcotest.test_case "n=1 mencius" `Quick
+        (test_single_replica "mencius" None);
+      Alcotest.test_case "n=1 epaxos" `Quick
+        (test_single_replica "epaxos" None);
     ] )

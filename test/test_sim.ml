@@ -157,10 +157,10 @@ let test_immediate_counts_as_pending_and_step () =
 
 (* --- cancelled-event retention -------------------------------------- *)
 
-let test_mass_cancel_compacts_heap () =
+let test_mass_cancel_empties_heap () =
   (* a leader re-arming 10k timers and cancelling them all must not
-     leave 10k dead entries pinned in the heap: lazy deletion compacts
-     once the dead fraction crosses a half *)
+     leave dead entries pinned in the heap: each cancel removes its
+     entry at once *)
   let sim = Sim.create () in
   let n = 10_000 in
   let handles =
@@ -170,15 +170,12 @@ let test_mass_cancel_compacts_heap () =
   in
   Alcotest.(check int) "all pending" n (Sim.pending sim);
   Array.iter (fun h -> Sim.cancel sim h) handles;
-  Alcotest.(check bool)
-    (Printf.sprintf "heap compacted (pending %d)" (Sim.pending sim))
-    true
-    (Sim.pending sim < n / 4);
+  Alcotest.(check int) "heap empty" 0 (Sim.pending sim);
   Sim.run sim;
   Alcotest.(check int) "no events fired" 0 (Sim.events_fired sim)
 
 let test_cancel_interleaved_survivors_fire_in_order () =
-  (* cancelling every other timer — enough to trigger compaction —
+  (* cancelling every other timer, each removal re-sifting the heap,
      must not disturb the survivors' firing order or clock *)
   let sim = Sim.create () in
   let n = 2_000 in
@@ -213,6 +210,109 @@ let test_immediate_cascade_runs_same_instant () =
   Alcotest.(check int) "all ran" 50 !depth;
   Alcotest.(check (float 0.0)) "no time passed" 3.0 (Sim.now sim)
 
+(* --- reference model -------------------------------------------------- *)
+
+(* Random programs against a list model of the scheduler. Each queued
+   entry carries its (time, seq) and whether it went to the zero-delay
+   lane (scheduled at the current instant). The earliest entry by
+   (time, seq) runs next. Cancelling a heap entry removes it at once; a
+   cancelled lane entry stays queued, and counted in [pending], until
+   it reaches the front and is skipped. Times come from a small set so
+   that ties and same-instant lane entries are common. *)
+type model_entry = {
+  id : int;
+  time : float;
+  seq : int;
+  lane : bool;
+  mutable cancelled : bool;
+}
+
+let prop_matches_model =
+  QCheck.Test.make ~name:"scheduler matches list model" ~count:500
+    QCheck.(list_of_size Gen.(0 -- 200) (int_bound 9999))
+    (fun ops ->
+      let sim = Sim.create () in
+      let handles = Hashtbl.create 64 (* id -> handle *) in
+      let fired = ref [] and expect_fired = ref [] in
+      let clock = ref 0.0 and next_seq = ref 0 in
+      let queue = ref [] in
+      let ok = ref true in
+      let schedule ~lane time sched =
+        let id = Hashtbl.length handles in
+        let h = sched (fun () -> fired := (id, Sim.now sim) :: !fired) in
+        Hashtbl.replace handles id h;
+        queue := { id; time; seq = !next_seq; lane; cancelled = false } :: !queue;
+        incr next_seq
+      in
+      let earliest () =
+        List.fold_left
+          (fun b e ->
+            match b with
+            | Some b when (b.time, b.seq) < (e.time, e.seq) -> Some b
+            | _ -> Some e)
+          None !queue
+      in
+      let run_next e =
+        queue := List.filter (fun e' -> e'.id <> e.id) !queue;
+        clock := e.time;
+        if not e.cancelled then expect_fired := (e.id, e.time) :: !expect_fired
+      in
+      List.iter
+        (fun op ->
+          let arg = op / 10 in
+          (match op mod 10 with
+          | 0 | 1 | 2 ->
+              let time = !clock +. (0.5 *. float_of_int (arg mod 4)) in
+              schedule ~lane:(time = !clock) time (fun f ->
+                  Sim.schedule_at sim ~time f)
+          | 3 -> schedule ~lane:true !clock (Sim.schedule_immediate sim)
+          | 4 | 5 | 6 ->
+              let n = Hashtbl.length handles in
+              if n = 0 || arg mod 8 = 0 then Sim.cancel sim Sim.nil
+              else begin
+                let id = arg mod n in
+                Sim.cancel sim (Hashtbl.find handles id);
+                queue :=
+                  List.filter_map
+                    (fun e ->
+                      if e.id <> id then Some e
+                      else if e.lane then begin
+                        e.cancelled <- true;
+                        Some e
+                      end
+                      else None)
+                    !queue
+              end
+          | 7 | 8 ->
+              let expect = earliest () in
+              Option.iter run_next expect;
+              if Sim.step sim <> Option.is_some expect then ok := false
+          | _ ->
+              let horizon = !clock +. (0.5 *. float_of_int ((arg mod 5) - 1)) in
+              let rec go () =
+                match earliest () with
+                | Some e
+                  when List.exists (fun e -> e.lane) !queue || e.time <= horizon
+                  ->
+                    run_next e;
+                    go ()
+                | _ -> ()
+              in
+              go ();
+              if horizon > !clock then clock := horizon;
+              Sim.run_until sim horizon);
+          let live id = List.exists (fun e -> e.id = id && not e.cancelled) !queue in
+          if
+            !fired <> !expect_fired
+            || Sim.now sim <> !clock
+            || Sim.pending sim <> List.length !queue
+            || Hashtbl.fold
+                 (fun id h bad -> bad || Sim.live sim h <> live id)
+                 handles false
+          then ok := false)
+        ops;
+      !ok)
+
 let suite =
   ( "sim",
     [
@@ -221,8 +321,8 @@ let suite =
       Alcotest.test_case "schedule_after is relative" `Quick test_schedule_after;
       Alcotest.test_case "cancel" `Quick test_cancel;
       Alcotest.test_case "stale handle ignored" `Quick test_stale_handle_ignored;
-      Alcotest.test_case "mass cancel compacts heap" `Quick
-        test_mass_cancel_compacts_heap;
+      Alcotest.test_case "mass cancel empties heap" `Quick
+        test_mass_cancel_empties_heap;
       Alcotest.test_case "cancel interleaved, survivors in order" `Quick
         test_cancel_interleaved_survivors_fire_in_order;
       Alcotest.test_case "run_until horizon" `Quick test_run_until_horizon;
@@ -241,4 +341,5 @@ let suite =
         test_immediate_counts_as_pending_and_step;
       Alcotest.test_case "immediate cascade same instant" `Quick
         test_immediate_cascade_runs_same_instant;
+      QCheck_alcotest.to_alcotest prop_matches_model;
     ] )
