@@ -15,11 +15,10 @@
 
 open Paxi_benchmark
 open Paxi_model
-module Pool = Paxi_exec.Pool
 module Parmap = Paxi_exec.Parmap
 
 (* --quick on the command line is equivalent to PAXI_BENCH_QUICK=1
-   (CI's perf-smoke job uses the flag form). *)
+   (`recovery --quick` and `dissect --quick` use the flag form). *)
 let quick =
   Array.exists (String.equal "--quick") Sys.argv
   || Sys.getenv_opt "PAXI_BENCH_QUICK" = Some "1"
@@ -909,83 +908,6 @@ let openloop () =
      measured and modeled latencies should track closely until the knee)"
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: one Test.make per experiment family      *)
-(* ------------------------------------------------------------------ *)
-
-let bechamel () =
-  Report.section "Bechamel micro-benchmarks (one per table/figure family)";
-  let open Bechamel in
-  let node = Service.default_node ~n:9 in
-  let rng = Rng.create ~seed:42 in
-  let lan = Latency_model.default_lan in
-  let tests =
-    [
-      Test.make ~name:"table1_md1_wait"
-        (Staged.stage (fun () ->
-             ignore (Queueing.wait_time Queueing.Md1 ~lambda:4000.0 ~mu:5000.0)));
-      Test.make ~name:"fig3_rtt_sample"
-        (Staged.stage (fun () ->
-             ignore (Dist.sample (Dist.normal_pos ~mu:0.4271 ~sigma:0.0476) rng)));
-      Test.make ~name:"fig8_lan_model_point"
-        (Staged.stage (fun () ->
-             ignore
-               (Latency_model.lan_point Latency_model.Paxos ~node ~lan ~rng
-                  ~lambda_rps:3000.0)));
-      Test.make ~name:"fig10_wan_model_point"
-        (Staged.stage (fun () ->
-             ignore
-               (Latency_model.wan_point Latency_model.Paxos ~node
-                  ~wan:Latency_model.default_wan ~leader_region:Region.california
-                  ~lambda_rps:3000.0)));
-      Test.make ~name:"fig12_load_formula"
-        (Staged.stage (fun () -> ignore (Formulas.load_epaxos ~n:9 ~conflict:0.3)));
-      Test.make ~name:"fig9_paxos_command_roundtrip"
-        (Staged.stage (fun () ->
-             let module C = Cluster.Make (Paxi_protocols.Paxos) in
-             let config = Config.default ~n_replicas:5 in
-             let cluster =
-               C.create ~config ~topology:(Topology.lan ~n_replicas:5 ()) ()
-             in
-             C.register_client cluster ~id:0 ();
-             let command = Command.make ~id:0 ~client:0 (Command.Put (1, 1)) in
-             C.submit cluster ~client:0 ~target:0 ~command ~on_reply:(fun _ -> ());
-             Sim.run_until (C.sim cluster) 100.0));
-      Test.make ~name:"fig14_advisor"
-        (Staged.stage (fun () ->
-             ignore
-               (Advisor.recommend
-                  {
-                    Advisor.needs_consensus = true;
-                    wan = true;
-                    read_heavy = false;
-                    locality = Advisor.Dynamic_locality;
-                    region_failure_concern = true;
-                  })));
-    ]
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:300 ~quota:(Time.second 0.3) ~kde:None () in
-  let raw =
-    Benchmark.all cfg [ instance ] (Test.make_grouped ~name:"paxi" tests)
-  in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols instance raw in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name ols_result ->
-      let est =
-        match Analyze.OLS.estimates ols_result with
-        | Some [ e ] -> Printf.sprintf "%.0f" e
-        | _ -> "-"
-      in
-      rows := [ name; est ] :: !rows)
-    results;
-  Report.print_table ~header:[ "micro-benchmark"; "ns/run" ]
-    ~rows:(List.sort compare !rows)
-
-(* ------------------------------------------------------------------ *)
 (* Read-path sweep                                                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -1090,303 +1012,6 @@ let reads () =
   print_endline
     "(fast reads = served off the lease / quorum / tail path; 0 on the \n\
      write-path rows because those reads ride the slot log)"
-
-(* ------------------------------------------------------------------ *)
-(* Perf guard: BENCH_pr7.json                                          *)
-(* ------------------------------------------------------------------ *)
-
-(* Paxos on a LAN where every link between the leader (replica 0) and
-   its four acceptors drops 30% of its packets, both directions, for
-   the whole run. One flaky acceptor would be masked by the quorum
-   (the commit settles the post before its timer fires); hitting every
-   leader link makes a third of the slots miss their majority on the
-   first transmission, so progress on those slots is owed entirely to
-   the reliable-delivery substrate. Clients pin to the leader and
-   client links stay clean: the figure isolates replica-to-replica
-   retransmission, not client retry. Virtual time makes it fully
-   seed-deterministic, so the CI guard can hold the recovery path to a
-   tight band. *)
-let faulty_link_point () =
-  let (module P) = Paxi_protocols.Registry.find_exn "paxos" in
-  let n = 5 in
-  let p_drop = 0.3 in
-  let config =
-    {
-      (Config.default ~n_replicas:n) with
-      Config.seed = point_seed ("perf-faulty-link", n);
-      Config.retransmit =
-        Some { Config.base_ms = 40.0; max_ms = 320.0; max_tries = 25 };
-    }
-  in
-  let install faults =
-    let horizon = warmup_ms +. measured_ms +. 5_000.0 in
-    for i = 1 to n - 1 do
-      Faults.flaky faults ~src:(Address.replica 0) ~dst:(Address.replica i)
-        ~from_ms:0.0 ~duration_ms:horizon ~p_drop;
-      Faults.flaky faults ~src:(Address.replica i) ~dst:(Address.replica 0)
-        ~from_ms:0.0 ~duration_ms:horizon ~p_drop
-    done
-  in
-  let spec =
-    Runner.spec ~warmup_ms ~duration_ms:measured_ms ~config ~faults:install
-      ~topology:(Topology.lan ~n_replicas:n ())
-      ~client_specs:
-        [ Runner.clients ~target:(Runner.Fixed 0) ~count:16 Workload.default ]
-      ()
-  in
-  (Runner.run (module P) spec, p_drop)
-
-(* Hot-path perf guard. Wall-clocks the fixed Paxos LAN point for a
-   simulator events/sec figure (with the event loop's GC allocation
-   bill — total and bytes/event — and the collapsed-delivery share),
-   re-checks that the pooled sweep is byte-identical to sequential,
-   measures the batched-vs-unbatched saturation throughput of the
-   paxos leader, and pins the recovery-path throughput of the
-   faulty-link point, and adds the PR 7 read-path figures: a paxos
-   lease point at read_ratio 0.95 and the read_ratio=0 byte-identity
-   check that gates the write path. Not part of the run-everything
-   default — run `bench/main.exe -- perf --quick` to regenerate
-   BENCH_pr7.json, the trajectory future PRs compare against
-   (BENCH_pr1.json holds the pre-overhaul numbers, BENCH_pr4.json the
-   pre-pooling ones, BENCH_pr6.json the pre-read-path ones). *)
-let perf () =
-  Report.section
-    "Perf guard: simulator events/sec, delivery collapse, leader batching";
-  let names = [ "paxos"; "fpaxos"; "epaxos"; "wpaxos"; "wankeeper" ] in
-  let points =
-    List.concat_map
-      (fun name -> List.map (fun c -> (name, c)) concurrency_grid)
-      names
-  in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let sweep pool =
-    Parmap.map ~pool (fun (name, c) -> lan_point name ~concurrency:c) points
-  in
-  let seq_pool = Pool.create ~jobs:1 () in
-  let seq_results, seq_s = time (fun () -> sweep seq_pool) in
-  Pool.shutdown seq_pool;
-  let jobs = Pool.default_jobs () in
-  let par_pool = Pool.create ~jobs () in
-  let par_results, par_s = time (fun () -> sweep par_pool) in
-  Pool.shutdown par_pool;
-  let identical =
-    List.for_all2
-      (fun (a : Runner.result) (b : Runner.result) ->
-        a.Runner.throughput_rps = b.Runner.throughput_rps
-        && Stats.samples a.Runner.latency = Stats.samples b.Runner.latency)
-      seq_results par_results
-  in
-  (* the fixed point BENCH_pr1.json timed: paxos, 9-node LAN, 32
-     closed-loop clients — allocation comes from the runner's own
-     event-loop bracket, so setup/teardown no longer pollutes it *)
-  let fixed, fixed_s = time (fun () -> lan_point "paxos" ~concurrency:32) in
-  let alloc_bytes = fixed.Runner.allocated_bytes in
-  let events_per_sec = float_of_int fixed.Runner.sim_events /. fixed_s in
-  let inlined_share =
-    float_of_int fixed.Runner.sim_events_inlined
-    /. float_of_int (Stdlib.max 1 fixed.Runner.sim_events)
-  in
-  Printf.printf
-    "sweep: %d points; sequential %.2f s; %d-way pooled %.2f s (%.2fx); \
-     identical=%b\n"
-    (List.length points) seq_s jobs par_s (seq_s /. par_s) identical;
-  Printf.printf
-    "paxos LAN point (32 clients): %d events in %.2f s = %.0f events/s\n"
-    fixed.Runner.sim_events fixed_s events_per_sec;
-  Printf.printf
-    "  inlined deliveries: %d (%.0f%% of events); %.0f MB allocated (%.0f \
-     bytes/event)\n"
-    fixed.Runner.sim_events_inlined (100.0 *. inlined_share)
-    (alloc_bytes /. 1e6) fixed.Runner.bytes_per_event;
-  let baseline_field file field =
-    let ( let* ) = Option.bind in
-    let* doc =
-      match In_channel.with_open_text file In_channel.input_all with
-      | s -> Result.to_option (Json.parse s)
-      | exception Sys_error _ -> None
-    in
-    let* point = Json.member "paxos_lan_point" doc in
-    let* v = Json.member field point in
-    Json.to_float v
-  in
-  List.iter
-    (fun file ->
-      match baseline_field file "events_per_sec" with
-      | Some base ->
-          let alloc =
-            match baseline_field file "allocated_mb" with
-            | Some mb ->
-                Printf.sprintf ", %.0f->%.0f MB alloc" mb (alloc_bytes /. 1e6)
-            | None -> ""
-          in
-          Printf.printf "  vs %s baseline %.0f events/s: %.2fx%s\n" file base
-            (events_per_sec /. base) alloc
-      | None -> Printf.printf "  (no %s baseline found)\n" file)
-    [ "BENCH_pr1.json"; "BENCH_pr4.json"; "BENCH_pr6.json" ];
-  (* leader batching: saturation throughput at equal service-time
-     parameters, one unbatched and one max_batch=8 run *)
-  let sat_concurrency = if quick then 48 else 64 in
-  let sat batching =
-    let (module P) = Paxi_protocols.Registry.find_exn "paxos" in
-    let config =
-      {
-        (Config.default ~n_replicas:9) with
-        Config.seed = point_seed ("perf-batching", batching <> None);
-        batching;
-      }
-    in
-    let spec =
-      Runner.spec ~warmup_ms ~duration_ms:measured_ms ~config
-        ~topology:(Topology.lan ~n_replicas:9 ())
-        ~client_specs:
-          [
-            Runner.clients ~target:Runner.Round_robin ~count:sat_concurrency
-              Workload.default;
-          ]
-        ()
-    in
-    Runner.run (module P) spec
-  in
-  let plain = sat None in
-  let batched = sat (Some { Config.max_batch = 8; max_wait_ms = 0.05 }) in
-  let gain =
-    batched.Runner.throughput_rps /. plain.Runner.throughput_rps
-  in
-  Printf.printf
-    "batching (%d clients): unbatched %.0f ops/s, max_batch=8 %.0f ops/s \
-     (%.2fx)\n"
-    sat_concurrency plain.Runner.throughput_rps batched.Runner.throughput_rps
-    gain;
-  let faulty, p_drop = faulty_link_point () in
-  Printf.printf
-    "faulty link (p_drop=%.1f, retransmission on): %.0f ops/s, %d \
-     retransmits, %d dup drops, %d gave up\n"
-    p_drop faulty.Runner.throughput_rps faulty.Runner.retransmits
-    faulty.Runner.dup_drops faulty.Runner.gave_up;
-  (* read path: the paxos lease point the CI read-sweep guard pins *)
-  let lease_res =
-    read_point ~protocol:"paxos" ~read_path:(Some default_lease)
-      ~read_ratio:0.95 ~concurrency:16
-  in
-  let lease_read_p50 = Stats.percentile lease_res.Runner.read_latency 50.0 in
-  let lease_write_p50 = Stats.percentile lease_res.Runner.write_latency 50.0 in
-  let lease_fast_reads = Paxi_obs.Trace.fast_reads lease_res.Runner.trace in
-  Printf.printf
-    "read path (paxos lease, r=0.95, 16 clients): %.0f ops/s, read p50 %.3f \
-     ms, write p50 %.3f ms, %d fast reads\n"
-    lease_res.Runner.throughput_rps lease_read_p50 lease_write_p50
-    lease_fast_reads;
-  (* write-path fixed point: with the read knob at zero the run must be
-     byte-identical to one that never heard of read_ratio. The baseline
-     uses write_ratio=1.0 because read_ratio=0 maps to p_write=1.0
-     through the same single Bernoulli draw — identical RNG stream,
-     identical simulation. *)
-  let read_zero read_knob =
-    let (module P) = Paxi_protocols.Registry.find_exn "paxos" in
-    let config =
-      {
-        (Config.default ~n_replicas:5) with
-        Config.seed = point_seed ("perf-read-zero", 5);
-        read_ratio = (if read_knob then Some 0.0 else None);
-      }
-    in
-    let spec =
-      Runner.spec ~warmup_ms ~duration_ms:measured_ms ~config
-        ~topology:(Topology.lan ~n_replicas:5 ())
-        ~client_specs:
-          [
-            Runner.clients ~target:Runner.Round_robin ~count:16
-              { Workload.default with Workload.write_ratio = 1.0 };
-          ]
-        ()
-    in
-    Runner.run (module P) spec
-  in
-  let rz_base = read_zero false and rz_zero = read_zero true in
-  let read_zero_identical =
-    rz_base.Runner.throughput_rps = rz_zero.Runner.throughput_rps
-    && Stats.samples rz_base.Runner.latency = Stats.samples rz_zero.Runner.latency
-  in
-  Printf.printf "read_ratio=0 byte-identical to write-only baseline: %b\n"
-    read_zero_identical;
-  let num x = Json.Number x in
-  let json =
-    Json.Obj
-      [
-        ("pr", num 7.0);
-        ("quick", Json.Bool quick);
-        ( "suite",
-          Json.String
-            "hot path: events/sec, delivery collapse, leader batching, \
-             faulty-link recovery, lease read path" );
-        ("points", num (float_of_int (List.length points)));
-        ("jobs", num (float_of_int jobs));
-        ("sequential_wall_s", num seq_s);
-        ("pooled_wall_s", num par_s);
-        ("speedup", num (seq_s /. par_s));
-        ("parallel_identical", Json.Bool identical);
-        ( "paxos_lan_point",
-          Json.Obj
-            [
-              ("concurrency", num 32.0);
-              ("sim_events", num (float_of_int fixed.Runner.sim_events));
-              ( "sim_events_inlined",
-                num (float_of_int fixed.Runner.sim_events_inlined) );
-              ("inlined_share", num inlined_share);
-              ("wall_s", num fixed_s);
-              ("events_per_sec", num events_per_sec);
-              ("allocated_mb", num (alloc_bytes /. 1e6));
-              ("bytes_per_event", num fixed.Runner.bytes_per_event);
-              ("throughput_rps", num fixed.Runner.throughput_rps);
-              ("mean_latency_ms", num (Stats.mean fixed.Runner.latency));
-            ] );
-        ( "paxos_batching",
-          Json.Obj
-            [
-              ("concurrency", num (float_of_int sat_concurrency));
-              ("max_batch", num 8.0);
-              ("max_wait_ms", num 0.05);
-              ("unbatched_rps", num plain.Runner.throughput_rps);
-              ("batched_rps", num batched.Runner.throughput_rps);
-              ("gain", num gain);
-            ] );
-        ( "faulty_link_point",
-          Json.Obj
-            [
-              ("p_drop", num p_drop);
-              ("concurrency", num 16.0);
-              ("throughput_rps", num faulty.Runner.throughput_rps);
-              ("mean_latency_ms", num (Stats.mean faulty.Runner.latency));
-              ("completed", num (float_of_int faulty.Runner.completed));
-              ("gave_up", num (float_of_int faulty.Runner.gave_up));
-              ("retransmits", num (float_of_int faulty.Runner.retransmits));
-              ("dup_drops", num (float_of_int faulty.Runner.dup_drops));
-            ] );
-        ( "read_path_point",
-          Json.Obj
-            [
-              ("protocol", Json.String "paxos");
-              ("read_path", Json.String "lease");
-              ("margin_ms", num 300.0);
-              ("read_ratio", num 0.95);
-              ("concurrency", num 16.0);
-              ("throughput_rps", num lease_res.Runner.throughput_rps);
-              ("read_p50_ms", num lease_read_p50);
-              ("write_p50_ms", num lease_write_p50);
-              ("fast_reads", num (float_of_int lease_fast_reads));
-            ] );
-        ("read_ratio_zero_identical", Json.Bool read_zero_identical);
-      ]
-  in
-  let oc = open_out "BENCH_pr7.json" in
-  output_string oc (Json.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  print_endline "wrote BENCH_pr7.json"
 
 (* ------------------------------------------------------------------ *)
 (* Scale sweep: BENCH_pr8.json                                         *)
@@ -2050,86 +1675,108 @@ let recovery () =
 (* Dispatch                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* ------------------------------------------------------------------ *)
+(* Dispatch                                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* (name, run, in the run-everything default); the rest are runnable
+   by name only *)
 let experiments =
   [
-    ("table1", table1);
-    ("fig3", fig3);
-    ("fig4", fig4);
-    ("fig7", fig7);
-    ("fig8", fig8);
-    ("fig9", fig9);
-    ("fig10", fig10);
-    ("fig11", fig11);
-    ("fig12", fig12);
-    ("fig13", fig13);
-    ("fig14", fig14);
-    ("formulas", formulas);
-    ("scalability", scalability);
-    ("availability", availability);
-    ("ycsb", ycsb);
-    ("openloop", openloop);
-    ("reads", reads);
-    ("ablate-thrifty", ablate_thrifty);
-    ("ablate-commit", ablate_commit);
-    ("ablate-penalty", ablate_penalty);
-    ("bechamel", bechamel);
+    ("table1", table1, true);
+    ("fig3", fig3, true);
+    ("fig4", fig4, true);
+    ("fig7", fig7, true);
+    ("fig8", fig8, true);
+    ("fig9", fig9, true);
+    ("fig10", fig10, true);
+    ("fig11", fig11, true);
+    ("fig12", fig12, true);
+    ("fig13", fig13, true);
+    ("fig14", fig14, true);
+    ("formulas", formulas, true);
+    ("scalability", scalability, true);
+    ("availability", availability, true);
+    ("ycsb", ycsb, true);
+    ("openloop", openloop, true);
+    ("reads", reads, true);
+    ("ablate-thrifty", ablate_thrifty, true);
+    ("ablate-commit", ablate_commit, true);
+    ("ablate-penalty", ablate_penalty, true);
+    ("scale", scale, false);
+    ("shard", shard, false);
+    ("recovery", recovery, false);
   ]
 
-(* runnable by name but not part of the run-everything default *)
-let extra_experiments =
-  [ ("perf", perf); ("scale", scale); ("shard", shard); ("recovery", recovery) ]
-
 (* ------------------------------------------------------------------ *)
-(* nemesis subcommand                                                  *)
+(* Flag values shared by the nemesis and dissect subcommands           *)
 (* ------------------------------------------------------------------ *)
 
-let nemesis_usage () =
-  prerr_endline
-    "usage: main.exe nemesis [--protocol NAME[,NAME..]] [--trials N] \
-     [--seed N] [--max-faults N] [--n N] [--relay-groups N] [--shards N] \
-     [--arrival closed|poisson:RATE|bursty:RATE:ON:OFF] [--read-ratio F] \
-     [--read-path lease|quorum|tail] [--skew] [--json] [--replay \
-     SCHEDULE_JSON]";
-  exit 2
+open Cmdliner
 
-let read_path_arg who v =
-  match v with
-  | "lease" -> Config.Lease { margin_ms = 300.0 }
-  | "quorum" -> Config.Quorum
-  | "tail" -> Config.Tail
-  | _ ->
-      Printf.eprintf "%s: --read-path expects lease|quorum|tail, got %S\n" who v;
-      exit 2
+let checked ~expects parse print =
+  Arg.conv'
+    ( (fun v ->
+        Option.to_result (parse v)
+          ~none:(Printf.sprintf "expected %s, got %S" expects v)),
+      print )
 
-let read_ratio_arg who v =
-  match float_of_string_opt v with
-  | Some f when f >= 0.0 && f <= 1.0 -> f
-  | _ ->
-      Printf.eprintf "%s: --read-ratio expects a fraction in [0,1], got %S\n"
-        who v;
-      exit 2
+let int_from lo =
+  checked
+    ~expects:(Printf.sprintf "an integer >= %d" lo)
+    (fun v ->
+      match int_of_string_opt v with Some i when i >= lo -> Some i | _ -> None)
+    Format.pp_print_int
+
+let float_where ~expects ok =
+  checked ~expects
+    (fun v ->
+      match float_of_string_opt v with Some f when ok f -> Some f | _ -> None)
+    Format.pp_print_float
+
+let read_ratio_arg =
+  let ratio = float_where ~expects:"a fraction in [0,1]" (fun f -> f >= 0.0 && f <= 1.0) in
+  Arg.(
+    value & opt (some ratio) None
+    & info [ "read-ratio" ] ~docv:"F" ~doc:"Fraction of requests that are reads.")
+
+let read_path_arg =
+  let paths = [ ("lease", default_lease); ("quorum", Config.Quorum); ("tail", Config.Tail) ] in
+  Arg.(
+    value & opt (some (enum paths)) None
+    & info [ "read-path" ] ~docv:"lease|quorum|tail"
+        ~doc:"Serve reads off the slot log by this path.")
 
 (* --arrival closed | poisson:RATE | bursty:RATE:ON_MS:OFF_MS — RATE
    is the aggregate offered rps, split evenly across the subcommand's
    clients *)
-let arrival_arg who v =
-  let bad () =
-    Printf.eprintf
-      "%s: --arrival expects closed | poisson:RATE | \
-       bursty:RATE:ON_MS:OFF_MS, got %S\n"
-      who v;
-    exit 2
+let arrival_arg =
+  let parse v =
+    let pos f =
+      match float_of_string_opt f with Some x when x > 0.0 -> Some x | _ -> None
+    in
+    match String.split_on_char ':' v with
+    | [ "closed" ] -> Some Runner.Closed
+    | [ ("poisson" | "open"); r ] ->
+        Option.map (fun rate_per_sec -> Runner.Open { rate_per_sec }) (pos r)
+    | [ "bursty"; r; on; off ] -> (
+        match (pos r, pos on, pos off) with
+        | Some rate_per_sec, Some on_ms, Some off_ms ->
+            Some (Runner.Bursty { rate_per_sec; on_ms; off_ms })
+        | _ -> None)
+    | _ -> None
   in
-  let pos f = match float_of_string_opt f with
-    | Some x when x > 0.0 -> x
-    | _ -> bad ()
+  let print ppf = function
+    | Runner.Closed -> Format.fprintf ppf "closed"
+    | Runner.Open { rate_per_sec } -> Format.fprintf ppf "poisson:%g" rate_per_sec
+    | Runner.Bursty { rate_per_sec; on_ms; off_ms } ->
+        Format.fprintf ppf "bursty:%g:%g:%g" rate_per_sec on_ms off_ms
   in
-  match String.split_on_char ':' v with
-  | [ "closed" ] -> Runner.Closed
-  | [ ("poisson" | "open"); r ] -> Runner.Open { rate_per_sec = pos r }
-  | [ "bursty"; r; on; off ] ->
-      Runner.Bursty { rate_per_sec = pos r; on_ms = pos on; off_ms = pos off }
-  | _ -> bad ()
+  let expects = "closed | poisson:RATE | bursty:RATE:ON_MS:OFF_MS" in
+  Arg.(
+    value
+    & opt (some (checked ~expects parse print)) None
+    & info [ "arrival" ] ~docv:"ARRIVAL" ~doc:expects)
 
 (* split an aggregate-rate arrival across [count] clients *)
 let arrival_per_client arrival ~count =
@@ -2141,87 +1788,22 @@ let arrival_per_client arrival ~count =
   | Runner.Bursty { rate_per_sec; on_ms; off_ms } ->
       Runner.Bursty { rate_per_sec = rate_per_sec /. c; on_ms; off_ms }
 
+let int_opt name ~from ~doc =
+  Arg.(value & opt (some (int_from from)) None & info [ name ] ~docv:"N" ~doc)
+
+(* ------------------------------------------------------------------ *)
+(* nemesis subcommand                                                  *)
+(* ------------------------------------------------------------------ *)
+
 (* Randomized fault-schedule campaigns (or a single replayed repro)
    against the named protocols; exits non-zero when any trial fails,
    printing a shrunk one-line repro for each failure. *)
-let nemesis_main args =
-  let protocols = ref [] in
-  let trials = ref 8 in
-  let seed = ref 42 in
-  let max_faults = ref 4 in
-  let n = ref None in
-  let relay_groups = ref None in
-  let shards = ref None in
-  let arrival = ref None in
-  let read_ratio = ref None in
-  let read_path = ref None in
-  let skew = ref false in
-  let json = ref false in
-  let replay = ref None in
-  let int_arg name v =
-    match int_of_string_opt v with
-    | Some i when i > 0 -> i
-    | _ ->
-        Printf.eprintf "nemesis: %s expects a positive integer, got %S\n" name v;
-        exit 2
-  in
-  let rec parse = function
-    | [] -> ()
-    | "--protocol" :: v :: rest ->
-        protocols := !protocols @ String.split_on_char ',' v;
-        parse rest
-    | "--trials" :: v :: rest ->
-        trials := int_arg "--trials" v;
-        parse rest
-    | "--seed" :: v :: rest ->
-        (match int_of_string_opt v with
-        | Some i -> seed := i
-        | None ->
-            Printf.eprintf "nemesis: --seed expects an integer, got %S\n" v;
-            exit 2);
-        parse rest
-    | "--max-faults" :: v :: rest ->
-        max_faults := int_arg "--max-faults" v;
-        parse rest
-    | "--n" :: v :: rest ->
-        n := Some (int_arg "--n" v);
-        parse rest
-    | "--relay-groups" :: v :: rest ->
-        relay_groups := Some (int_arg "--relay-groups" v);
-        parse rest
-    | "--shards" :: v :: rest ->
-        shards := Some (int_arg "--shards" v);
-        parse rest
-    | "--arrival" :: v :: rest ->
-        (* the trial drives 3 clients; split the aggregate rate *)
-        arrival := Some (arrival_per_client (arrival_arg "nemesis" v) ~count:3);
-        parse rest
-    | "--read-ratio" :: v :: rest ->
-        read_ratio := Some (read_ratio_arg "nemesis" v);
-        parse rest
-    | "--read-path" :: v :: rest ->
-        read_path := Some (read_path_arg "nemesis" v);
-        parse rest
-    | "--skew" :: rest ->
-        skew := true;
-        parse rest
-    | "--json" :: rest ->
-        json := true;
-        parse rest
-    | "--replay" :: v :: rest ->
-        (match Nemesis.Schedule.of_string v with
-        | Ok s -> replay := Some s
-        | Error e ->
-            Printf.eprintf "nemesis: bad --replay schedule: %s\n" e;
-            exit 2);
-        parse rest
-    | arg :: _ ->
-        Printf.eprintf "nemesis: unknown argument %S\n" arg;
-        nemesis_usage ()
-  in
-  parse args;
+let nemesis_main protocols trials seed max_faults n relay_groups shards arrival
+    read_ratio read_path skew json replay =
+  (* the trial drives 3 clients; split the aggregate rate *)
+  let arrival = Option.map (fun a -> arrival_per_client a ~count:3) arrival in
   let protocols =
-    match !protocols with
+    match List.concat protocols with
     | [] -> Paxi_protocols.Registry.names
     | ps ->
         List.iter
@@ -2238,21 +1820,20 @@ let nemesis_main args =
      lease's expiry margin defends against, so a lease run that never
      sees it would be vacuous *)
   let skew =
-    !skew || (match !read_path with Some (Config.Lease _) -> true | _ -> false)
+    skew || (match read_path with Some (Config.Lease _) -> true | _ -> false)
   in
-  match !replay with
+  match replay with
   | Some schedule ->
       let failed = ref false in
       List.iter
         (fun protocol ->
           let v =
-            Nemesis.Trial.run ?n:!n ?read_ratio:!read_ratio
-              ?read_path:!read_path ?relay_groups:!relay_groups
-              ?shards:!shards ?arrival:!arrival ~protocol ~seed:!seed schedule
+            Nemesis.Trial.run ?n ?read_ratio ?read_path ?relay_groups ?shards
+              ?arrival ~protocol ~seed schedule
           in
           if not v.Nemesis.Trial.ok then failed := true;
           Printf.printf "nemesis %s seed %d: %s (%d completed, %d gave up)\n"
-            protocol !seed
+            protocol seed
             (if v.Nemesis.Trial.ok then "ok"
              else String.concat "; " v.Nemesis.Trial.reasons)
             v.Nemesis.Trial.completed v.Nemesis.Trial.gave_up)
@@ -2262,13 +1843,11 @@ let nemesis_main args =
       let reports =
         List.map
           (fun protocol ->
-            Nemesis.Campaign.run ~protocol ~trials:!trials ~seed:!seed
-              ~max_faults:!max_faults ?n:!n ?read_ratio:!read_ratio
-              ?read_path:!read_path ?relay_groups:!relay_groups
-              ?shards:!shards ?arrival:!arrival ~skew ())
+            Nemesis.Campaign.run ~protocol ~trials ~seed ~max_faults ?n
+              ?read_ratio ?read_path ?relay_groups ?shards ?arrival ~skew ())
           protocols
       in
-      if !json then
+      if json then
         print_endline
           (Json.to_string
              (Json.List (List.map Nemesis.Campaign.to_json reports)))
@@ -2277,111 +1856,61 @@ let nemesis_main args =
       if List.exists (fun r -> r.Nemesis.Campaign.failures <> []) reports then
         exit 1
 
+let nemesis_term =
+  let replay =
+    Arg.conv'
+      ( Nemesis.Schedule.of_string,
+        fun ppf s -> Format.pp_print_string ppf (Nemesis.Schedule.to_string s)
+      )
+  in
+  Term.(
+    const nemesis_main
+    $ Arg.(
+        value
+        & opt_all (list string) []
+        & info [ "protocol" ] ~docv:"NAME[,NAME..]"
+            ~doc:"Protocols to test (default: all).")
+    $ Arg.(value & opt (int_from 1) 8 & info [ "trials" ] ~docv:"N")
+    $ Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N")
+    $ Arg.(value & opt (int_from 1) 4 & info [ "max-faults" ] ~docv:"N")
+    $ int_opt "n" ~from:1 ~doc:"Cluster size (also spelled --n)."
+    $ int_opt "relay-groups" ~from:1 ~doc:"Relay groups per broadcast."
+    $ int_opt "shards" ~from:1 ~doc:"Independent consensus groups."
+    $ arrival_arg $ read_ratio_arg $ read_path_arg
+    $ Arg.(value & flag & info [ "skew" ] ~doc:"Add the clock-skew fault.")
+    $ Arg.(value & flag & info [ "json" ] ~doc:"Print the reports as JSON.")
+    $ Arg.(
+        value
+        & opt (some replay) None
+        & info [ "replay" ] ~docv:"SCHEDULE_JSON"
+            ~doc:"Replay one schedule instead of a campaign."))
+
 (* ------------------------------------------------------------------ *)
 (* dissect subcommand                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let dissect_usage () =
-  prerr_endline
-    "usage: main.exe dissect [--protocol NAME] [--load FRAC] [--n N] \
-     [--relay-groups N] [--shards N] [--arrival \
-     closed|poisson:RATE|bursty:RATE:ON:OFF] [--read-ratio F] [--read-path \
-     lease|quorum|tail] [--durable none|batched|every] [--trace FILE] \
-     [--quick]";
-  exit 2
-
 (* Latency dissection: run one traced open-loop point and print the
    measured wait/service/network breakdown next to the analytic
    model's Wq + ts + DL + DQ decomposition (§3.3). *)
-let dissect_main args =
-  let protocol = ref "paxos" in
-  let load = ref 0.6 in
-  let n_flag = ref None in
-  let relay_groups = ref 0 in
-  let shards = ref 1 in
-  let arrival = ref None in
-  let read_ratio = ref None in
-  let read_path = ref None in
-  let durable = ref None in
-  let trace_file = ref None in
-  let rec parse = function
-    | [] -> ()
-    | "--protocol" :: v :: rest ->
-        protocol := v;
-        parse rest
-    | "--durable" :: v :: rest ->
-        (match Storage.mode_of_string v with
-        | Ok m ->
-            (* jitter stays at the default 0 so the measured per-fsync
-               device time is gated exactly against the model term *)
-            durable := Some (durable_cfg m)
-        | Error e ->
-            Printf.eprintf "dissect: %s\n" e;
-            exit 2);
-        parse rest
-    | "--load" :: v :: rest ->
-        (match float_of_string_opt v with
-        | Some f when f > 0.0 && f < 1.0 -> load := f
-        | _ ->
-            Printf.eprintf "dissect: --load expects a fraction in (0,1), got %S\n" v;
-            exit 2);
-        parse rest
-    | "--n" :: v :: rest ->
-        (match int_of_string_opt v with
-        | Some i when i >= 3 -> n_flag := Some i
-        | _ ->
-            Printf.eprintf "dissect: --n expects an integer >= 3, got %S\n" v;
-            exit 2);
-        parse rest
-    | "--relay-groups" :: v :: rest ->
-        (match int_of_string_opt v with
-        | Some i when i >= 0 -> relay_groups := i
-        | _ ->
-            Printf.eprintf
-              "dissect: --relay-groups expects a non-negative integer, got %S\n"
-              v;
-            exit 2);
-        parse rest
-    | "--shards" :: v :: rest ->
-        (match int_of_string_opt v with
-        | Some i when i >= 1 -> shards := i
-        | _ ->
-            Printf.eprintf "dissect: --shards expects an integer >= 1, got %S\n"
-              v;
-            exit 2);
-        parse rest
-    | "--arrival" :: v :: rest ->
-        arrival := Some (arrival_arg "dissect" v);
-        parse rest
-    | "--read-ratio" :: v :: rest ->
-        read_ratio := Some (read_ratio_arg "dissect" v);
-        parse rest
-    | "--read-path" :: v :: rest ->
-        read_path := Some (read_path_arg "dissect" v);
-        parse rest
-    | "--trace" :: v :: rest ->
-        trace_file := Some v;
-        parse rest
-    | "--quick" :: rest -> parse rest (* consumed by the global flag *)
-    | arg :: _ ->
-        Printf.eprintf "dissect: unknown argument %S\n" arg;
-        dissect_usage ()
-  in
-  parse args;
+let dissect_main protocol load n_flag relay_groups shards arrival read_ratio
+    read_path durable trace_file (_quick : bool) =
+  (* fsync jitter stays at the default 0 so the measured per-fsync
+     device time is gated exactly against the model term *)
+  let durable = Option.map durable_cfg durable in
   let (module P) =
-    match Paxi_protocols.Registry.find !protocol with
+    match Paxi_protocols.Registry.find protocol with
     | Some p -> p
     | None ->
-        Printf.eprintf "dissect: unknown protocol %S (known: %s)\n" !protocol
+        Printf.eprintf "dissect: unknown protocol %S (known: %s)\n" protocol
           (String.concat ", " Paxi_protocols.Registry.names);
         exit 2
   in
-  let n = Option.value !n_flag ~default:5 in
+  let n = Option.value n_flag ~default:5 in
   let node = Service.default_node ~n in
   let model_proto =
-    match !protocol with
-    | ("paxos" | "raft") when !relay_groups > 0 ->
-        Some (Latency_model.Paxos_relay { groups = !relay_groups })
+    match protocol with
+    | ("paxos" | "raft") when relay_groups > 0 ->
+        Some (Latency_model.Paxos_relay { groups = relay_groups })
     | "paxos" | "raft" -> Some Latency_model.Paxos
     | "fpaxos" ->
         Some (Latency_model.Fpaxos { q2 = Paxi_protocols.Fpaxos.default_q2 ~n })
@@ -2396,35 +1925,35 @@ let dissect_main args =
       ~node
   in
   let rate =
-    match !read_path with
+    match read_path with
     | Some Config.Quorum ->
         (* a quorum read costs two broadcast rounds at the leader, and
            quorum-mode writes defer their acks behind CommitAcks — the
            write-path capacity estimate is ~4x too optimistic here, so
            derate the offered load to keep the zero-queue read model
            comparable *)
-        !load *. cap /. 4.0
-    | _ -> !load *. cap
+        load *. cap /. 4.0
+    | _ -> load *. cap
   in
   (* each group brings its own leader, so the offered load scales with
      the shard count; per-group load stays at --load of capacity *)
-  let rate = rate *. float_of_int !shards in
+  let rate = rate *. float_of_int shards in
   (* a real fsync puts the storage device on the commit path: its
      service rate (one fsync per commit under sync=every, one per
      group-commit window under batched — bounded the same way) caps
      the deployment well below the CPU model's knee, so scale the
      offered load off the disk ceiling instead *)
   let rate =
-    match !durable with
+    match durable with
     | Some { Storage.sync_mode = Storage.Sync_none; _ } | None -> rate
     | Some c ->
-        Float.min rate (!load *. 1000.0 /. Float.max 1e-9 c.Storage.fsync_ms)
+        Float.min rate (load *. 1000.0 /. Float.max 1e-9 c.Storage.fsync_ms)
   in
   (* --read-path implies a read-heavy mix unless --read-ratio says
      otherwise; no read flags leaves the write-path point (and its
      seed) exactly as before *)
   let read_ratio =
-    match (!read_ratio, !read_path) with
+    match (read_ratio, read_path) with
     | (Some _ as r), _ -> r
     | None, Some _ -> Some 0.95
     | None, None -> None
@@ -2436,32 +1965,32 @@ let dissect_main args =
         (* big-n / relay / sharded / custom-arrival / durable points
            get their own seed families; the default n=5 direct seeds
            stay exactly as before *)
-        (if !durable <> None then
+        (if durable <> None then
            point_seed
-             ("dissect", !protocol, !load, "durable", recovery_mode_tag !durable)
-         else if !shards > 1 || !arrival <> None then
-           point_seed ("dissect", !protocol, !load, "shards", !shards)
+             ("dissect", protocol, load, "durable", recovery_mode_tag durable)
+         else if shards > 1 || arrival <> None then
+           point_seed ("dissect", protocol, load, "shards", shards)
          else
-           match (!n_flag, !relay_groups) with
+           match (n_flag, relay_groups) with
            | None, 0 -> (
-               match (read_ratio, !read_path) with
-               | None, None -> point_seed ("dissect", !protocol, !load)
+               match (read_ratio, read_path) with
+               | None, None -> point_seed ("dissect", protocol, load)
                | r, p ->
-                   point_seed ("dissect", !protocol, !load, r, read_path_tag p))
-           | _, g -> point_seed ("dissect", !protocol, !load, n, g));
+                   point_seed ("dissect", protocol, load, r, read_path_tag p))
+           | _, g -> point_seed ("dissect", protocol, load, n, g));
       tracing = true;
-      relay_groups = !relay_groups;
+      relay_groups = relay_groups;
       read_ratio;
-      read_path = !read_path;
-      storage = !durable;
+      read_path = read_path;
+      storage = durable;
     }
   in
   let spec =
     Runner.spec ~warmup_ms ~duration_ms:measured_ms ~config
       ~topology:(Topology.lan ~n_replicas:n ())
       ?sharding:
-        (if !shards > 1 then
-           Some { Runner.shards = !shards; partition = `Hash }
+        (if shards > 1 then
+           Some { Runner.shards = shards; partition = `Hash }
          else None)
       ~client_specs:
         [ (* straight to the serving node, as the model's DL assumes:
@@ -2469,9 +1998,9 @@ let dissect_main args =
           Runner.clients
             ~target:
               (Runner.Fixed
-                 (match !read_path with Some Config.Tail -> n - 1 | _ -> 0))
+                 (match read_path with Some Config.Tail -> n - 1 | _ -> 0))
             ~arrival:
-              (match !arrival with
+              (match arrival with
               | Some a -> arrival_per_client a ~count:4
               | None -> Runner.Open { rate_per_sec = rate /. 4.0 })
             ~count:4 Workload.default ]
@@ -2480,13 +2009,13 @@ let dissect_main args =
   Report.section
     (Printf.sprintf "Latency dissection: %s at %.0f%% of modeled capacity \
                      (%.0f rps offered)"
-       !protocol (100.0 *. !load) rate);
+       protocol (100.0 *. load) rate);
   let result = Runner.run (module P) spec in
-  if !shards > 1 then
+  if shards > 1 then
     Printf.printf
       "(%d hash-partitioned groups; the trace, breakdown and model terms \
        below cover shard 0's group at its per-group load)\n"
-      !shards;
+      shards;
   let tr = result.Runner.trace in
   let e2e = Paxi_obs.Trace.e2e tr in
   let requests = Stats.count e2e in
@@ -2515,7 +2044,7 @@ let dissect_main args =
           [ "sum of components"; Report.fms sum_means; ""; "" ];
           [ "end-to-end"; Report.fms e2e_mean; Report.fms (Stats.percentile e2e 99.0); "" ];
         ]);
-  let read_mode = read_ratio <> None || !read_path <> None in
+  let read_mode = read_ratio <> None || read_path <> None in
   let sum_err = Float.abs (sum_means -. e2e_mean) /. e2e_mean in
   Printf.printf "components sum to %s of the measured mean (%d requests)\n"
     (Printf.sprintf "%.3f%%" (100.0 *. (1.0 -. sum_err)))
@@ -2540,20 +2069,20 @@ let dissect_main args =
       ()
   | None ->
       Printf.printf "(no analytic model for %s; measured breakdown only)\n"
-        !protocol
+        protocol
   | Some proto -> (
       let rng = Rng.create ~seed:44 in
       match
-        Latency_model.lan_breakdown ?durable:!durable proto ~node
+        Latency_model.lan_breakdown ?durable proto ~node
           ~lan:Latency_model.default_lan ~rng
-          ~lambda_rps:(rate /. float_of_int !shards)
+          ~lambda_rps:(rate /. float_of_int shards)
       with
       | None -> print_endline "(model saturated at this load)"
       | Some b ->
           (* sharded runs dissect shard 0's group: its trace, its
              busiest replica, per-group offered load for the model *)
           let leader =
-            if !shards > 1 then
+            if shards > 1 then
               result.Runner.shard_stats.(0).Runner.shard_leader
             else result.Runner.busiest_node
           in
@@ -2579,7 +2108,7 @@ let dissect_main args =
                else "-");
             ]
           in
-          let who = if !relay_groups > 0 then "busiest" else "leader" in
+          let who = if relay_groups > 0 then "busiest" else "leader" in
           (* the device's measured per-fsync service time against the
              model's durability term; 0/0 when storage is off or never
              on the measured path *)
@@ -2602,7 +2131,7 @@ let dissect_main args =
                  row "client net DL" dl_meas b.Latency_model.dl_ms;
                  row "quorum DQ" dq_meas b.Latency_model.dq_ms;
                ]
-              @ (if !durable <> None then
+              @ (if durable <> None then
                    [ row "fsync Dfsync" fsync_meas b.Latency_model.durability_ms ]
                  else [])
               @ [ row "total" e2e_mean b.Latency_model.total_ms ]);
@@ -2610,7 +2139,7 @@ let dissect_main args =
             "(measured leader wait/occupancy include every message at the \n\
              busiest node — heartbeats and quorum replies, not only the \n\
              request itself — so small positive errors are expected)";
-          (match !durable with
+          (match durable with
           | Some { Storage.sync_mode = Storage.Sync_every; _ } ->
               (* CI's storage-smoke gate: with per-sync fsyncs and no
                  jitter the measured device service time must land on
@@ -2627,7 +2156,7 @@ let dissect_main args =
                 exit 1
               end
           | _ -> ());
-          if !relay_groups > 0 then begin
+          if relay_groups > 0 then begin
             (* the relay tree's internal latency: first member delivery
                at the relay to combined-ack departure, against the
                model's worst-member-RTT + touch term (DESIGN.md §12) *)
@@ -2635,7 +2164,7 @@ let dissect_main args =
             let hop_meas = Stats.mean (Paxi_obs.Trace.relay_hop_ms tr) in
             let hop_model =
               Latency_model.relay_hop_lan ~lan:Latency_model.default_lan ~n
-                ~groups:!relay_groups ~rng:(Rng.create ~seed:46)
+                ~groups:relay_groups ~rng:(Rng.create ~seed:46)
             in
             Printf.printf
               "relay hop (aggregate span over %d hops): measured %s ms, \
@@ -2656,7 +2185,7 @@ let dissect_main args =
        (Stats.count reads) fast (Stats.count writes)
        (match read_ratio with Some r -> Printf.sprintf "%.2f" r | None -> "-");
      let read_kind =
-       match !read_path with
+       match read_path with
        | Some (Config.Lease _) -> Some Latency_model.Local_read
        | Some Config.Quorum -> Some Latency_model.Quorum_read
        | Some Config.Tail -> Some Latency_model.Tail_read
@@ -2736,7 +2265,7 @@ let dissect_main args =
       (List.map
          (fun (label, count) -> [ label; string_of_int count ])
          (Paxi_obs.Trace.message_counts tr));
-  (match !trace_file with
+  (match trace_file with
   | None -> ()
   | Some path ->
       Out_channel.with_open_text path (fun oc ->
@@ -2746,23 +2275,72 @@ let dissect_main args =
         (Paxi_obs.Trace.span_count tr)
         path)
 
+let dissect_term =
+  let durable =
+    Arg.conv'
+      ( Storage.mode_of_string,
+        fun ppf m -> Format.pp_print_string ppf (Storage.mode_to_string m) )
+  in
+  Term.(
+    const dissect_main
+    $ Arg.(value & opt string "paxos" & info [ "protocol" ] ~docv:"NAME")
+    $ Arg.(
+        value
+        & opt (float_where ~expects:"a fraction in (0,1)" (fun f ->
+                   f > 0.0 && f < 1.0))
+            0.6
+        & info [ "load" ] ~docv:"FRAC"
+            ~doc:"Offered load as a fraction of modeled capacity.")
+    $ int_opt "n" ~from:3 ~doc:"Cluster size (also spelled --n; default 5)."
+    $ Arg.(value & opt (int_from 0) 0 & info [ "relay-groups" ] ~docv:"N")
+    $ Arg.(value & opt (int_from 1) 1 & info [ "shards" ] ~docv:"N")
+    $ arrival_arg $ read_ratio_arg $ read_path_arg
+    $ Arg.(
+        value
+        & opt (some durable) None
+        & info [ "durable" ] ~docv:"none|batched|every"
+            ~doc:"Durable storage sync mode.")
+    $ Arg.(
+        value
+        & opt (some string) None
+        & info [ "trace" ] ~docv:"FILE" ~doc:"Write a Chrome trace to FILE.")
+    (* the global [quick] reads --quick off argv; declared so it parses *)
+    $ Arg.(
+        value & flag
+        & info [ "quick" ] ~doc:"Shortened run, as PAXI_BENCH_QUICK=1."))
+
+(* Evaluate a subcommand on the argv tail after its name. Cmdliner
+   spells a one-letter option -n; the cluster-size flag has always
+   been --n, so that spelling is passed on as -n. Exceptions escape
+   uncaught, as they did before cmdliner. *)
+let eval_subcommand name term args =
+  let name = "main.exe " ^ name in
+  let args = List.map (function "--n" -> "-n" | a -> a) args in
+  exit
+    (Cmd.eval ~catch:false
+       ~argv:(Array.of_list (name :: args))
+       (Cmd.v (Cmd.info name) term))
+
 let run_experiments names =
   let names = List.filter (fun n -> n <> "--quick") names in
-  let requested = match names with [] -> List.map fst experiments | _ -> names in
-  let known = experiments @ extra_experiments in
-  List.iter
-    (fun name ->
-      match List.assoc_opt name known with
-      | Some f -> f ()
-      | None ->
-          Printf.eprintf "unknown experiment %S (known: %s, nemesis)\n" name
-            (String.concat ", " (List.map fst known));
-          exit 1)
-    requested
+  let find name =
+    match List.find_opt (fun (n, _, _) -> n = name) experiments with
+    | Some (_, run, _) -> run
+    | None ->
+        Printf.eprintf "unknown experiment %S (known: %s, nemesis, dissect)\n"
+          name
+          (String.concat ", " (List.map (fun (n, _, _) -> n) experiments));
+        exit 1
+  in
+  match names with
+  | [] ->
+      List.iter (fun (_, run, in_default) -> if in_default then run ())
+        experiments
+  | _ -> List.iter (fun name -> find name ()) names
 
 let () =
   match Array.to_list Sys.argv with
-  | _ :: "nemesis" :: rest -> nemesis_main rest
-  | _ :: "dissect" :: rest -> dissect_main rest
+  | _ :: "nemesis" :: rest -> eval_subcommand "nemesis" nemesis_term rest
+  | _ :: "dissect" :: rest -> eval_subcommand "dissect" dissect_term rest
   | _ :: names -> run_experiments names
   | [] -> run_experiments []

@@ -224,6 +224,14 @@ let withdraw_posts t (ks : key_state) =
         e.rkey <- 0
       end)
 
+(* The owner's phase-2 quorum for [slot] is complete: commit, execute
+   what is now contiguous, and tell everyone. *)
+let commit_owned t key ks ~slot (e : entry) =
+  e.committed <- true;
+  t.env.rel.settle_all ~key:e.rkey;
+  advance t ks;
+  t.env.broadcast (CommitK { key; slot; cmd = e.cmd })
+
 let propose t key ks ~client (request : Proto.request) =
   let slot = Slot_log.reserve ks.log in
   let tracker = Quorum.create (q2_spec t) in
@@ -259,7 +267,10 @@ let propose t key ks ~client (request : Proto.request) =
        t.env.rel.post_multi ~ack:Reliable.Piggyback dsts msg
      end
      else t.env.rel.post_all ~ack:Reliable.Piggyback msg
-       (* full replication, as in §5 *))
+       (* full replication, as in §5 *));
+  (* with 1-replica zones and fz = 0 the self-ack is already the whole
+     phase-2 quorum: no P2b will ever arrive to complete it *)
+  if Quorum.satisfied tracker then commit_owned t key ks ~slot entry
 
 let drain_pending t key ks =
   if ks.owner_active then
@@ -289,26 +300,6 @@ let zone_of_address t addr =
       | [] -> ())
     t.zones;
   !z
-
-let start_steal t key ks =
-  t.steals <- t.steals + 1;
-  ks.ballot <- Ballot.next ks.ballot ~owner:t.env.id;
-  ks.owner_active <- false;
-  ks.streak <- 0;
-  ks.streak_zone <- -1;
-  (* our older in-flight posts (a lost steal, preempted P2as) are
-     superseded by this candidacy *)
-  withdraw_posts t ks;
-  let tracker = Quorum.create (q1_spec t) in
-  let state = { tracker; recovered = []; rkey = t.env.rel.fresh () } in
-  ks.p1 <- Some state;
-  Quorum.ack tracker t.env.id;
-  let frontier = Slot_log.exec_frontier ks.log in
-  Slot_log.iter_from ks.log ~start:frontier ~f:(fun slot (e : entry) ->
-      state.recovered <- (slot, e.ballot, e.cmd, e.committed) :: state.recovered);
-  ignore
-    (t.env.rel.post_all ~key:state.rkey ~ack:Reliable.Piggyback
-       (P1a { key; ballot = ks.ballot; frontier }))
 
 let become_owner t key ks (state : phase1_state) =
   ks.p1 <- None;
@@ -362,7 +353,7 @@ let become_owner t key ks (state : phase1_state) =
             rkey = 0;
           });
     match Slot_log.get ks.log slot with
-    | Some (e : entry) when not e.committed ->
+    | Some ({ quorum = Some tracker; _ } as e : entry) when not e.committed ->
         e.rkey <-
           t.env.rel.post_all ~ack:Reliable.Piggyback
             (P2a
@@ -372,11 +363,34 @@ let become_owner t key ks (state : phase1_state) =
                  slot;
                  cmd = e.cmd;
                  commit_up_to = Slot_log.exec_frontier ks.log;
-               })
+               });
+        if Quorum.satisfied tracker then commit_owned t key ks ~slot e
     | _ -> ()
   done;
   advance t ks;
   drain_pending t key ks
+
+let start_steal t key ks =
+  t.steals <- t.steals + 1;
+  ks.ballot <- Ballot.next ks.ballot ~owner:t.env.id;
+  ks.owner_active <- false;
+  ks.streak <- 0;
+  ks.streak_zone <- -1;
+  (* our older in-flight posts (a lost steal, preempted P2as) are
+     superseded by this candidacy *)
+  withdraw_posts t ks;
+  let tracker = Quorum.create (q1_spec t) in
+  let state = { tracker; recovered = []; rkey = t.env.rel.fresh () } in
+  ks.p1 <- Some state;
+  Quorum.ack tracker t.env.id;
+  let frontier = Slot_log.exec_frontier ks.log in
+  Slot_log.iter_from ks.log ~start:frontier ~f:(fun slot (e : entry) ->
+      state.recovered <- (slot, e.ballot, e.cmd, e.committed) :: state.recovered);
+  ignore
+    (t.env.rel.post_all ~key:state.rkey ~ack:Reliable.Piggyback
+       (P1a { key; ballot = ks.ballot; frontier }));
+  (* a single-zone deployment is its own phase-1 quorum *)
+  if Quorum.satisfied tracker then become_owner t key ks state
 
 (* Owner-side adaptation: count consecutive requests from a single
    remote zone; at the threshold, tell that zone's leader to steal. *)
@@ -509,12 +523,7 @@ let on_p2b t ~src ~key ~ballot ~slot ~ok =
     | Some ({ quorum = Some tracker; committed = false; _ } as e : entry) ->
         t.env.rel.settle ~dst:src ~key:e.rkey;
         Quorum.ack tracker src;
-        if Quorum.satisfied tracker then begin
-          e.committed <- true;
-          t.env.rel.settle_all ~key:e.rkey;
-          advance t ks;
-          t.env.broadcast (CommitK { key; slot; cmd = e.cmd })
-        end
+        if Quorum.satisfied tracker then commit_owned t key ks ~slot e
     | Some ({ committed = true; rkey; _ } : entry) when rkey <> 0 ->
         (* late ack for an already-committed slot: stop the timer *)
         t.env.rel.settle ~dst:src ~key:rkey

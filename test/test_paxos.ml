@@ -158,7 +158,8 @@ let test_fpaxos_q2_one_commits_alone () =
 
 (* A single replica is its own phase-1 and phase-2 quorum (raft: its
    own majority; abd: its own query and store majority; mencius: its
-   own accept majority; epaxos: its own fast quorum): it must elect
+   own accept majority; epaxos: its own fast quorum; wpaxos: its own
+   phase-1 and phase-2 zone quorums): it must elect
    itself where there is a leader and serve writes and reads, with or
    without durable storage, and the history must linearize. *)
 let test_single_replica protocol storage () =
@@ -229,4 +230,6 @@ let suite =
         (test_single_replica "mencius" None);
       Alcotest.test_case "n=1 epaxos" `Quick
         (test_single_replica "epaxos" None);
+      Alcotest.test_case "n=1 wpaxos" `Quick
+        (test_single_replica "wpaxos" None);
     ] )

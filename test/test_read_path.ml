@@ -1,7 +1,8 @@
 (* Read-path subsystem: leader leases serve linearizable local reads
    without consuming slot-log space, deposed leaders are blocked by
    lease expiry, quorum reads and chain tail reads answer correctly,
-   and the read-ratio knob is byte-identity-safe (r=0 equals a
+   a lease point's reads beat its writes end to end, and the
+   read-ratio knob is byte-identity-safe (r=0 equals a
    write-only run; pooled sweeps match sequential ones). *)
 
 open Paxi_benchmark
@@ -230,6 +231,41 @@ let test_read_paths_linearizable () =
   linearizable_run ~protocol:"paxos" ~read_path:Config.Quorum ~seed:34;
   linearizable_run ~protocol:"chain" ~read_path:Config.Tail ~seed:35
 
+(* The lease point end to end: paxos n = 5 on a LAN, 16 closed-loop
+   clients on the leader, 95% reads. Lease reads skip the slot log and
+   its quorum round, so they must be served off the fast path and
+   their median must sit below the write median. The seed is the one
+   bench/main.exe's [reads] sweep derives for this point. *)
+let test_lease_point_beats_write_path () =
+  let config =
+    {
+      (lease_config 5) with
+      Config.seed = 23049644;
+      read_ratio = Some 0.95;
+      tracing = true;
+    }
+  in
+  let r =
+    Runner.run
+      (Paxi_protocols.Registry.find_exn "paxos")
+      (Runner.spec ~warmup_ms:300.0 ~duration_ms:1_000.0 ~config
+         ~topology:(Topology.lan ~n_replicas:5 ())
+         ~client_specs:
+           [
+             Runner.clients ~target:(Runner.Fixed 0) ~count:16
+               Workload.default;
+           ]
+         ())
+  in
+  let fast = Paxi_obs.Trace.fast_reads r.Runner.trace in
+  let read_p50 = Stats.percentile r.Runner.read_latency 50.0 in
+  let write_p50 = Stats.percentile r.Runner.write_latency 50.0 in
+  Alcotest.(check bool) (Printf.sprintf "fast reads > 0 (%d)" fast) true
+    (fast > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "read p50 %.3f ms < write p50 %.3f ms" read_p50 write_p50)
+    true (read_p50 < write_p50)
+
 (* ------------------------------------------------------------------ *)
 (* Byte-identity: r=0 is the write path; pools don't perturb          *)
 (* ------------------------------------------------------------------ *)
@@ -319,6 +355,8 @@ let suite =
         test_deposed_leader_blocked_under_skew;
       Alcotest.test_case "paxos quorum reads" `Quick test_paxos_quorum_reads;
       Alcotest.test_case "chain tail reads" `Quick test_chain_tail_reads;
+      Alcotest.test_case "lease point beats the write path" `Quick
+        test_lease_point_beats_write_path;
       Alcotest.test_case "read paths linearizable" `Slow
         test_read_paths_linearizable;
       Alcotest.test_case "read_ratio=0 byte identity" `Slow

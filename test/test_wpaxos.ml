@@ -60,6 +60,32 @@ let test_local_commit_latency_fz0 () =
     (Printf.sprintf "local latency (%.1f ms)" elapsed)
     true (elapsed < 11.0)
 
+(* Five regions, one replica each, fz = 0: the phase-2 quorum is the
+   owner alone, so once it owns a key its own vote commits a write
+   without waiting on any other region. *)
+let test_single_replica_zone_commits_alone () =
+  let module H5 = Proto_harness.Make (Paxi_protocols.Wpaxos) in
+  let h =
+    H5.make
+      ~config:{ (Config.default ~n_replicas:5) with Config.fz = 0 }
+      ~topology:
+        (Topology.wan ~regions:Region.aws_five ~replicas_per_region:1 ())
+      ()
+  in
+  let client = H5.new_client h ~region:Region.ohio in
+  (* the first write steals the key: phase 1 spans every zone *)
+  ignore (H5.submit_seq h ~client ~target:1 [ put 1 0 ]);
+  Alcotest.(check bool) "replica 1 owns key 1" true (W.owns (H5.replica h 1) 1);
+  let t0 = Sim.now (H5.sim h) in
+  let replies = H5.submit_seq h ~client ~target:1 [ put 1 1 ] in
+  let elapsed = Sim.now (H5.sim h) -. t0 in
+  Alcotest.(check int) "committed" 1 (List.length replies);
+  Alcotest.(check bool)
+    (Printf.sprintf "owner commits on its own vote (%.3f ms)" elapsed)
+    true (elapsed < 1.0);
+  H5.run_for h 1_000.0;
+  H5.assert_consistent h
+
 let test_fz1_survives_region_failure () =
   let h = wan ~fz:1 ~owner:0 () in
   H.run_for h 10.0;
@@ -133,6 +159,8 @@ let suite =
       Alcotest.test_case "remote requests forwarded" `Quick test_remote_requests_forwarded;
       Alcotest.test_case "steals after three accesses" `Quick test_steals_after_three_accesses;
       Alcotest.test_case "fz=0 commits locally" `Quick test_local_commit_latency_fz0;
+      Alcotest.test_case "1-replica zones, fz=0: owner commits alone" `Quick
+        test_single_replica_zone_commits_alone;
       Alcotest.test_case "fz=1 survives region failure" `Quick test_fz1_survives_region_failure;
       Alcotest.test_case "fz=0 blocked by owner-region failure" `Quick test_fz0_region_failure_blocks_owned_keys;
       Alcotest.test_case "steal race converges" `Quick test_concurrent_steal_race_converges;
