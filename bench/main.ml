@@ -34,6 +34,13 @@ let warmup_ms = if quick then 300.0 else 1_000.0
 let root_seed = 42
 let point_seed key = Runner.derive_seed ~root:root_seed (Hashtbl.hash key)
 
+(* the sweeps' result files: one JSON document and a newline *)
+let write_json path json =
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc (Json.to_string json);
+      output_char oc '\n');
+  print_endline ("wrote " ^ path)
+
 (* ------------------------------------------------------------------ *)
 (* Shared experiment plumbing                                          *)
 (* ------------------------------------------------------------------ *)
@@ -1130,11 +1137,7 @@ let scale () =
         ("relay_zero_identical", Json.Bool relay_zero_identical);
       ]
   in
-  let oc = open_out "BENCH_pr8.json" in
-  output_string oc (Json.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  print_endline "wrote BENCH_pr8.json"
+  write_json "BENCH_pr8.json" json
 
 (* ------------------------------------------------------------------ *)
 (* Shard sweep: BENCH_pr9.json                                         *)
@@ -1313,11 +1316,11 @@ let shard () =
     b_rate
     (Report.fms (p99 poisson_r))
     (Report.fms (p99 bursty_r));
-  (* shards=1 + closed loop must replay the legacy single-cluster
-     stream exactly: same throughput, same latency samples, same event
-     count. (The cross-build guarantee — a binary carrying shard code
-     matches one that never had it — is held by the committed fig9
-     baseline diff and the fixed-seed pins in test/test_shard.ml.) *)
+  (* an unsharded spec and an explicit shards=1 spec must run the same
+     stream: same throughput, same latency samples, same event count.
+     (That this stream is still the single-cluster engine's is held by
+     the committed fig9 and shard baseline diffs and the fixed-seed
+     pins in test/test_shard.ml.) *)
   let identity_run sharding =
     let (module P) = Paxi_protocols.Registry.find_exn "paxos" in
     let config =
@@ -1416,11 +1419,7 @@ let shard () =
         ("k1_identity", Json.Bool k1_identity);
       ]
   in
-  let oc = open_out "BENCH_pr9.json" in
-  output_string oc (Json.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  print_endline "wrote BENCH_pr9.json"
+  write_json "BENCH_pr9.json" json
 
 (* ------------------------------------------------------------------ *)
 (* Recovery sweep: BENCH_pr10.json                                     *)
@@ -1657,11 +1656,7 @@ let recovery () =
             ] );
       ]
   in
-  let oc = open_out "BENCH_pr10.json" in
-  output_string oc (Json.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  print_endline "wrote BENCH_pr10.json";
+  write_json "BENCH_pr10.json" json;
   if not sync_none_identity then begin
     prerr_endline "recovery: sync=none diverged from the memory-only stream";
     exit 1
@@ -1670,10 +1665,6 @@ let recovery () =
     prerr_endline "recovery: a crash-and-recover trial failed its oracle";
     exit 1
   end
-
-(* ------------------------------------------------------------------ *)
-(* Dispatch                                                            *)
-(* ------------------------------------------------------------------ *)
 
 (* ------------------------------------------------------------------ *)
 (* Dispatch                                                            *)
@@ -1988,10 +1979,7 @@ let dissect_main protocol load n_flag relay_groups shards arrival read_ratio
   let spec =
     Runner.spec ~warmup_ms ~duration_ms:measured_ms ~config
       ~topology:(Topology.lan ~n_replicas:n ())
-      ?sharding:
-        (if shards > 1 then
-           Some { Runner.shards = shards; partition = `Hash }
-         else None)
+      ~sharding:{ Runner.shards; partition = `Hash }
       ~client_specs:
         [ (* straight to the serving node, as the model's DL assumes:
              the leader, or the tail for chain tail reads *)
@@ -2079,13 +2067,10 @@ let dissect_main protocol load n_flag relay_groups shards arrival read_ratio
       with
       | None -> print_endline "(model saturated at this load)"
       | Some b ->
-          (* sharded runs dissect shard 0's group: its trace, its
-             busiest replica, per-group offered load for the model *)
-          let leader =
-            if shards > 1 then
-              result.Runner.shard_stats.(0).Runner.shard_leader
-            else result.Runner.busiest_node
-          in
+          (* every run dissects shard 0's group (the only one when
+             unsharded): its trace, its busiest replica, per-group
+             offered load for the model *)
+          let leader = result.Runner.shard_stats.(0).Runner.shard_leader in
           let per_req total = total /. float_of_int requests in
           let wq_meas = per_req (Paxi_obs.Trace.node_wait_ms tr leader) in
           let ts_meas = per_req (Paxi_obs.Trace.node_busy_ms tr leader) in

@@ -94,50 +94,54 @@ let kind_of_op (op : Command.op) (read : Command.value option) =
   | Command.Delete _ -> Linearizability.Del
   | Command.Get _ -> Linearizability.Read read
 
-(* What [drive] needs from a deployment — one cluster or K sharded
-   groups. The classic path wraps [Cluster.Make] with [shards = 1] and
-   a constant route, so the driving loop below is shared verbatim and
-   the unsharded event/draw sequence stays byte-identical to the
-   pre-shard runner. *)
-module type DEPLOY = sig
-  type t
+(* union of keys touched by any of the group's state machines *)
+let touched_keys state_machines =
+  let keys = Hashtbl.create 64 in
+  List.iter
+    (fun (_, sm) ->
+      List.iter
+        (fun k -> if k >= 0 then Hashtbl.replace keys k ())
+        (Kv.keys (State_machine.store sm)))
+    state_machines;
+  Hashtbl.fold (fun k () acc -> k :: acc) keys []
 
-  val sim : t -> Sim.t
-  val shards : t -> int
-  val route : t -> key:int -> int
-  val register_client : t -> id:int -> ?region:Region.t -> unit -> unit
-  val nearest_replica : t -> shard:int -> client:int -> int
+let partitioner_of spec sh =
+  (* the partitioned key space is the union of every client spec's
+     declared key range; hash partitioning ignores the bounds *)
+  let lo, hi =
+    List.fold_left
+      (fun (lo, hi) c ->
+        ( Int.min lo c.workload.Workload.min_key,
+          Int.max hi (c.workload.Workload.min_key + c.workload.Workload.keys) ))
+      (max_int, min_int) spec.client_specs
+  in
+  let lo, hi = if lo > hi then (0, sh.shards) else (lo, hi) in
+  Paxi_shard.Partitioner.make sh.partition ~shards:sh.shards ~min_key:lo
+    ~keys:(hi - lo)
 
-  val submit :
-    t ->
-    shard:int ->
-    client:int ->
-    target:int ->
-    command:Command.t ->
-    on_reply:(Proto.reply -> unit) ->
-    unit
-
-  val pending : t -> shard:int -> client:int -> command:Command.t -> bool
-  val give_up : t -> shard:int -> client:int -> command:Command.t -> unit
-  val set_window : t -> from_ms:float -> until_ms:float -> unit
-  val trace : t -> Paxi_obs.Trace.t
-  val consensus_violations : t -> Consensus_check.violation list
-  val busiest : t -> int * float
-  val shard_leader_load : t -> shard:int -> int * float
-  val message_counts : t -> int * int * int
-  val retransmit_counts : t -> int * int
-  val recovery_counts : t -> int * float * int
-  val storage_totals : t -> int * int * float * int
-end
-
-let drive (type d) (module D : DEPLOY with type t = d) (dep : d) spec =
-  let sim = D.sim dep in
+(* Every run is a K-shard deployment; an unsharded spec is K = 1, whose
+   creation sequence and routing replay the single-cluster engine
+   exactly (no RNG, no events), so fixed-seed outputs do not depend on
+   whether [sharding] was given. *)
+let run (module P : Proto.RUNNABLE) spec =
+  let module S = Paxi_shard.Shard.Make (P) in
+  let sharding =
+    Option.value spec.sharding ~default:{ shards = 1; partition = `Hash }
+  in
+  let faults = Faults.create () in
+  Option.iter (fun install -> install faults) spec.faults;
+  let dep =
+    S.create ~faults ~config:spec.config ~topology:spec.topology
+      ~partitioner:(partitioner_of spec sharding)
+      ()
+  in
+  let sim = S.sim dep in
   let n = spec.config.Config.n_replicas in
-  let nshards = D.shards dep in
+  let nshards = S.shards dep in
   let window_start = spec.warmup_ms in
   let window_end = spec.warmup_ms +. spec.duration_ms in
   let horizon = window_end +. spec.cooldown_ms in
-  D.set_window dep ~from_ms:window_start ~until_ms:window_end;
+  S.set_window dep ~from_ms:window_start ~until_ms:window_end;
   let latency = Stats.create () in
   let read_latency = Stats.create () in
   let write_latency = Stats.create () in
@@ -160,9 +164,7 @@ let drive (type d) (module D : DEPLOY with type t = d) (dep : d) spec =
   let start_client cspec =
     let cid = !next_client_id in
     incr next_client_id;
-    (match cspec.region with
-    | Some region -> D.register_client dep ~id:cid ~region ()
-    | None -> D.register_client dep ~id:cid ());
+    S.register_client dep ~id:cid ?region:cspec.region ();
     let region = Topology.region_of spec.topology (Address.client cid) in
     (* [config.read_ratio] overrides every client's workload mix so a
        sweep can turn one knob; [None] leaves the specs untouched *)
@@ -179,8 +181,8 @@ let drive (type d) (module D : DEPLOY with type t = d) (dep : d) spec =
       match cspec.target with
       | Fixed r -> (r + attempt) mod n
       | Nearest ->
-          if attempt = 0 then D.nearest_replica dep ~shard ~client:cid
-          else (D.nearest_replica dep ~shard ~client:cid + attempt) mod n
+          if attempt = 0 then S.nearest_replica dep ~shard ~client:cid
+          else (S.nearest_replica dep ~shard ~client:cid + attempt) mod n
       | Round_robin ->
           incr rr;
           (!rr + attempt) mod n
@@ -197,7 +199,7 @@ let drive (type d) (module D : DEPLOY with type t = d) (dep : d) spec =
         let op = Workload.next_op gen ~now_ms:now in
         let command = Command.make ~id ~client:cid op in
         (* routing is pure arithmetic: no RNG, no events *)
-        let shard = D.route dep ~key:(Command.key command) in
+        let shard = S.route dep ~key:(Command.key command) in
         let invoked = now in
         let rec attempt_send attempt =
           (* the attempt's timeout, cancelled on reply so a finished
@@ -231,16 +233,16 @@ let drive (type d) (module D : DEPLOY with type t = d) (dep : d) spec =
                 :: !history;
             continue ()
           in
-          D.submit dep ~shard ~client:cid
+          S.submit dep ~shard ~client:cid
             ~target:(pick_target ~shard ~attempt)
             ~command ~on_reply;
           timeout :=
             Sim.schedule_after sim ~delay:spec.config.Config.client_timeout_ms
               (fun () ->
-                if D.pending dep ~shard ~client:cid ~command then
+                if S.pending dep ~shard ~client:cid ~command then
                   if attempt < spec.max_retries then attempt_send (attempt + 1)
                   else begin
-                    D.give_up dep ~shard ~client:cid ~command;
+                    S.give_up dep ~shard ~client:cid ~command;
                     incr gave_up;
                     continue ()
                   end)
@@ -284,19 +286,29 @@ let drive (type d) (module D : DEPLOY with type t = d) (dep : d) spec =
   let allocated_bytes = Gc.allocated_bytes () -. alloc_before in
   let loop_events = Sim.events_fired sim - events_before in
   let consensus_violations =
-    if spec.check_consensus then D.consensus_violations dep else []
+    if not spec.check_consensus then []
+    else
+      List.concat
+        (List.init nshards (fun shard ->
+             let state_machines =
+               List.init n (fun i ->
+                   let r = S.replica dep ~shard i in
+                   (i, Executor.state_machine (P.executor r)))
+             in
+             Consensus_check.check ~state_machines
+               ~keys:(touched_keys state_machines)))
   in
-  let busiest_node, busiest_node_busy_ms = D.busiest dep in
-  let messages_sent, _, _ = D.message_counts dep in
-  let retransmits, dup_drops = D.retransmit_counts dep in
-  let recoveries, replay_ms_total, timers_cancelled = D.recovery_counts dep in
+  let busiest_node, busiest_node_busy_ms = S.busiest dep in
+  let messages_sent, _, _ = S.message_counts dep in
+  let retransmits, dup_drops = S.retransmit_counts dep in
+  let recoveries, replay_ms_total, timers_cancelled = S.recovery_counts dep in
   let storage_writes, storage_fsyncs, storage_busy_ms, storage_lost_writes =
-    D.storage_totals dep
+    S.storage_totals dep
   in
   let shard_stats =
     Array.init nshards (fun s ->
         let shard_leader, shard_leader_busy_ms =
-          D.shard_leader_load dep ~shard:s
+          S.busiest_in_shard dep ~shard:s
         in
         {
           shard_completed = shard_in_window.(s);
@@ -334,161 +346,8 @@ let drive (type d) (module D : DEPLOY with type t = d) (dep : d) spec =
     storage_lost_writes;
     allocated_bytes;
     bytes_per_event = allocated_bytes /. float_of_int (max 1 loop_events);
-    trace = D.trace dep;
+    trace = S.trace dep ~shard:0;
   }
-
-(* union of keys touched by any of the group's state machines *)
-let touched_keys state_machines =
-  let keys = Hashtbl.create 64 in
-  List.iter
-    (fun (_, sm) ->
-      List.iter
-        (fun k -> if k >= 0 then Hashtbl.replace keys k ())
-        (Kv.keys (State_machine.store sm)))
-    state_machines;
-  Hashtbl.fold (fun k () acc -> k :: acc) keys []
-
-let partitioner_of spec sh =
-  (* the partitioned key space is the union of every client spec's
-     declared key range; hash partitioning ignores the bounds *)
-  let lo, hi =
-    List.fold_left
-      (fun (lo, hi) c ->
-        ( Int.min lo c.workload.Workload.min_key,
-          Int.max hi (c.workload.Workload.min_key + c.workload.Workload.keys) ))
-      (max_int, min_int) spec.client_specs
-  in
-  let lo, hi = if lo > hi then (0, sh.shards) else (lo, hi) in
-  Paxi_shard.Partitioner.make sh.partition ~shards:sh.shards ~min_key:lo
-    ~keys:(hi - lo)
-
-let run (module P : Proto.RUNNABLE) spec =
-  match spec.sharding with
-  | None ->
-      let module C = Cluster.Make (P) in
-      let faults = Faults.create () in
-      (match spec.faults with Some install -> install faults | None -> ());
-      let cluster =
-        C.create ~faults ~config:spec.config ~topology:spec.topology ()
-      in
-      let n = spec.config.Config.n_replicas in
-      let module D = struct
-        type t = C.t
-
-        let sim = C.sim
-        let shards _ = 1
-        let route _ ~key:_ = 0
-        let register_client = C.register_client
-        let nearest_replica c ~shard:_ ~client = C.nearest_replica c ~client
-        let submit c ~shard:_ = C.submit c
-        let pending c ~shard:_ = C.pending c
-        let give_up c ~shard:_ = C.give_up c
-
-        let set_window c ~from_ms ~until_ms =
-          Paxi_obs.Trace.set_window (C.trace c) ~from_ms ~until_ms
-
-        let trace = C.trace
-
-        let consensus_violations c =
-          let state_machines =
-            List.init n (fun i ->
-                (i, Executor.state_machine (P.executor (C.replica c i))))
-          in
-          Consensus_check.check ~state_machines
-            ~keys:(touched_keys state_machines)
-
-        let busiest c =
-          let best = ref (0, 0.0) in
-          for i = 0 to n - 1 do
-            let b = C.replica_busy_ms c i in
-            if b > snd !best then best := (i, b)
-          done;
-          !best
-
-        let shard_leader_load c ~shard:_ = busiest c
-        let message_counts = C.message_counts
-        let retransmit_counts = C.retransmit_counts
-
-        let recovery_counts c =
-          (C.recoveries c, C.replay_ms_total c, C.timers_cancelled c)
-
-        let storage_totals = C.storage_totals
-      end in
-      drive (module D) cluster spec
-  | Some sh ->
-      let module S = Paxi_shard.Shard.Make (P) in
-      let faults = Faults.create () in
-      (match spec.faults with Some install -> install faults | None -> ());
-      let partitioner = partitioner_of spec sh in
-      let t =
-        S.create ~faults ~config:spec.config ~topology:spec.topology
-          ~partitioner ()
-      in
-      let n = spec.config.Config.n_replicas in
-      let module D = struct
-        type t = S.t
-
-        let sim = S.sim
-        let shards = S.shards
-        let route = S.route
-        let register_client = S.register_client
-        let nearest_replica = S.nearest_replica
-        let submit = S.submit
-        let pending = S.pending
-        let give_up = S.give_up
-        let set_window = S.set_window
-        let trace t = S.trace t ~shard:0
-
-        let consensus_violations t =
-          List.concat
-            (List.init (S.shards t) (fun shard ->
-                 let state_machines =
-                   List.init n (fun i ->
-                       ( i,
-                         Executor.state_machine
-                           (P.executor (S.replica t ~shard i)) ))
-                 in
-                 Consensus_check.check ~state_machines
-                   ~keys:(touched_keys state_machines)))
-
-        let busiest t =
-          let best = ref (0, 0.0) in
-          for s = 0 to S.shards t - 1 do
-            let i, b = S.busiest_in_shard t ~shard:s in
-            if b > snd !best then best := (i, b)
-          done;
-          !best
-
-        let shard_leader_load t ~shard = S.busiest_in_shard t ~shard
-        let message_counts = S.message_counts
-        let retransmit_counts = S.retransmit_counts
-
-        (* sum per-group counters across the K co-located groups *)
-        module C = Cluster.Make (P)
-
-        let fold_groups t f init =
-          let acc = ref init in
-          for s = 0 to S.shards t - 1 do
-            acc := f !acc (S.group t s)
-          done;
-          !acc
-
-        let recovery_counts t =
-          fold_groups t
-            (fun (r, ms, tc) g ->
-              ( r + C.recoveries g,
-                ms +. C.replay_ms_total g,
-                tc + C.timers_cancelled g ))
-            (0, 0.0, 0)
-
-        let storage_totals t =
-          fold_groups t
-            (fun (w, f, b, l) g ->
-              let w', f', b', l' = C.storage_totals g in
-              (w + w', f + f', b +. b', l + l'))
-            (0, 0, 0.0, 0)
-      end in
-      drive (module D) t spec
 
 (* Stable per-point seed, splittable from a fixed root: every
    experiment point owns a seed that depends only on the root and the

@@ -24,8 +24,10 @@ type sharding = {
 }
 (** Deployment-level sharding: the runner builds K groups of
     [config.n_replicas] replicas each over one shared simulator and
-    fault plane, and routes every command by key. The partitioned key
-    space is the union of the client specs' declared ranges. *)
+    fault plane ({!Paxi_shard.Shard}), and routes every command by key.
+    Every run is such a deployment; an unsharded one has K = 1. The
+    partitioned key space is the union of the client specs' declared
+    ranges. *)
 
 type client_spec = {
   region : Region.t option;
@@ -57,9 +59,8 @@ type spec = {
           group, in a sharded deployment) *)
   faults : (Faults.t -> unit) option;  (** fault schedule installer *)
   sharding : sharding option;
-      (** [None] (default) is the classic single-group deployment,
-          byte-identical to the pre-shard runner; [Some _] with
-          [shards = 1] performs the same event/draw sequence *)
+      (** [None] (default) is one group: the same deployment as
+          [Some { shards = 1; partition = `Hash }] *)
 }
 
 val spec :

@@ -158,16 +158,13 @@ let run ?n ?read_ratio ?read_path ?(relay_groups = 0) ?(shards = 1) ?arrival
      over the shared fault plane: every injected fault hits replica i
      of all K groups at once, and the oracle judges the union — the
      per-key histories still serialize because a key never changes
-     owner. [shards = 1] keeps the legacy single-group path (and its
-     fixed-seed pins) untouched. *)
-  let sharding =
-    if shards > 1 then Some { Runner.shards; partition = `Hash } else None
-  in
+     owner. [shards = 1] is the single-group deployment. *)
   let spec =
     Runner.spec ~warmup_ms ~duration_ms ~cooldown_ms:2_000.0
       ~collect_history:true ~check_consensus:profile.global_consensus
       ~faults:(Schedule.install schedule ~n:profile.n)
-      ?sharding ~config
+      ~sharding:{ Runner.shards; partition = `Hash }
+      ~config
       ~topology:(topology_for profile)
       ~client_specs:(client_specs_for ?arrival profile workload)
       ()

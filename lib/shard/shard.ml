@@ -4,7 +4,6 @@ module Make (P : Proto.RUNNABLE) = struct
   type t = {
     partitioner : Partitioner.t;
     groups : C.t array;
-    shared : C.shared;
   }
 
   let create ?sim ?faults ~config ~topology ~partitioner () =
@@ -16,15 +15,10 @@ module Make (P : Proto.RUNNABLE) = struct
       Array.init (Partitioner.shards partitioner) (fun gid ->
           C.create_group ~gid shared)
     in
-    { partitioner; groups; shared }
+    { partitioner; groups }
 
   let sim t = C.sim t.groups.(0)
-  let faults t = C.faults t.groups.(0)
-  let config t = C.config t.groups.(0)
-  let topology t = C.topology t.groups.(0)
-  let partitioner t = t.partitioner
   let shards t = Array.length t.groups
-  let group t gid = t.groups.(gid)
   let route t ~key = Partitioner.route t.partitioner key
 
   let register_client t ~id ?region () =
@@ -50,10 +44,6 @@ module Make (P : Proto.RUNNABLE) = struct
 
   let replica t ~shard i = C.replica t.groups.(shard) i
 
-  let leader_of_key t ~replica:r key =
-    let shard = route t ~key in
-    (shard, C.leader_of_key t.groups.(shard) ~replica:r key)
-
   let trace t ~shard = C.trace t.groups.(shard)
 
   let set_window t ~from_ms ~until_ms =
@@ -61,14 +51,20 @@ module Make (P : Proto.RUNNABLE) = struct
       (fun c -> Paxi_obs.Trace.set_window (C.trace c) ~from_ms ~until_ms)
       t.groups
 
-  let replica_busy_ms t ~shard i = C.replica_busy_ms t.groups.(shard) i
-
   let busiest_in_shard t ~shard =
     let c = t.groups.(shard) in
     let n = (C.config c).Config.n_replicas in
     let best = ref (0, 0.0) in
     for i = 0 to n - 1 do
       let b = C.replica_busy_ms c i in
+      if b > snd !best then best := (i, b)
+    done;
+    !best
+
+  let busiest t =
+    let best = ref (0, 0.0) in
+    for shard = 0 to shards t - 1 do
+      let i, b = busiest_in_shard t ~shard in
       if b > snd !best then best := (i, b)
     done;
     !best
@@ -86,4 +82,19 @@ module Make (P : Proto.RUNNABLE) = struct
         let r', d' = C.retransmit_counts c in
         (r + r', d + d'))
       (0, 0) t.groups
+
+  let recovery_counts t =
+    Array.fold_left
+      (fun (r, ms, tc) c ->
+        ( r + C.recoveries c,
+          ms +. C.replay_ms_total c,
+          tc + C.timers_cancelled c ))
+      (0, 0.0, 0) t.groups
+
+  let storage_totals t =
+    Array.fold_left
+      (fun (w, f, b, l) c ->
+        let w', f', b', l' = C.storage_totals c in
+        (w + w', f + f', b +. b', l + l'))
+      (0, 0, 0.0, 0) t.groups
 end

@@ -1,7 +1,8 @@
 (** Sharded multi-group deployments: K independent consensus groups of
     the same protocol behind a key-space {!Partitioner}, all running
     over one shared simulator, latency matrix and fault plane
-    ([Cluster.Make(P).shared]).
+    ([Cluster.Make(P).shared]). This is the runner's only deployment
+    shape: an unsharded run is K = 1.
 
     Each group is a full [Cluster.Make(P).t] — its own leader, its own
     failover clocks, its own transport/processing queues and reliable
@@ -10,7 +11,7 @@
     co-located by replica index on the shared fault plane: injected
     faults address [Address.replica i] and therefore hit replica [i]
     of every group (machine/rack-scoped failures). A 1-shard
-    deployment is byte-identical to the classic single-cluster path:
+    deployment is byte-identical to [Cluster.Make(P).create]:
     creation performs the same steps in the same order, and routing
     draws no randomness. *)
 
@@ -30,16 +31,10 @@ module Make (P : Proto.RUNNABLE) : sig
       group [g] gets [gid = g]. *)
 
   val sim : t -> Sim.t
-  val faults : t -> Faults.t
-  val config : t -> Config.t
-  val topology : t -> Topology.t
-  val partitioner : t -> Partitioner.t
   val shards : t -> int
 
   val route : t -> key:int -> int
   (** Owning shard for a key (pure, no RNG). *)
-
-  val group : t -> int -> Cluster.Make(P).t
 
   val register_client : t -> id:int -> ?region:Region.t -> unit -> unit
   (** Register the client with every group (one region assignment,
@@ -61,20 +56,26 @@ module Make (P : Proto.RUNNABLE) : sig
   val give_up : t -> shard:int -> client:int -> command:Command.t -> unit
   val replica : t -> shard:int -> int -> P.replica
 
-  val leader_of_key : t -> replica:int -> Command.key -> int * int option
-  (** [(shard, leader)] — the owning shard and, per the protocol's own
-      notion, the current leader of the key within that group. *)
-
   val trace : t -> shard:int -> Paxi_obs.Trace.t
   val set_window : t -> from_ms:float -> until_ms:float -> unit
-  val replica_busy_ms : t -> shard:int -> int -> float
 
   val busiest_in_shard : t -> shard:int -> int * float
   (** The group's most-occupied replica (index, busy ms) — the
       per-shard leader-load figure of the shard sweeps. *)
 
+  val busiest : t -> int * float
+  (** The most-occupied replica across all groups (index, busy ms); the
+      first group wins a tie. *)
+
   val message_counts : t -> int * int * int
   (** (sent, delivered, dropped), summed across groups. *)
 
   val retransmit_counts : t -> int * int
+
+  val recovery_counts : t -> int * float * int
+  (** (recoveries, replay ms, timers cancelled), summed across groups. *)
+
+  val storage_totals : t -> int * int * float * int
+  (** (writes, fsyncs, fsync busy ms, lost writes), summed across
+      groups. *)
 end

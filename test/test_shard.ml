@@ -1,7 +1,8 @@
 (* Sharded multi-group deployments (DESIGN.md §13): partitioner
    balance and boundary properties, hotspot key-mass, Poisson /
    bursty arrival-process statistics, the shards=1 byte-identity pin
-   against the unsharded runner, and a K=4 end-to-end smoke. *)
+   against the unsharded runner, a K=4 end-to-end smoke, and the
+   durable counters the runner sums across groups. *)
 
 open Paxi_benchmark
 module Partitioner = Paxi_shard.Partitioner
@@ -275,6 +276,61 @@ let test_k4_range_hotspot_imbalance () =
       (c 0 > 2 * c s)
   done
 
+(* ------------------------------------------------------------------ *)
+(* Counters the runner sums across groups                              *)
+(* ------------------------------------------------------------------ *)
+
+(* A durable paxos deployment with two staggered crashes, run unsharded
+   (K = 1) and as two hash groups co-located on the same fault plane:
+   every crash hits replica i of both groups, so recoveries, replay
+   time, cancelled timers and the storage bill are per-group sums.
+   Fixed-seed pins, the way [Runner.result] reports them. *)
+let durable_crash_run sharding =
+  let config =
+    {
+      (Config.default ~n_replicas:5) with
+      Config.seed = 5;
+      storage =
+        Some
+          { Storage.default_config with Storage.sync_mode = Storage.Sync_every };
+    }
+  in
+  let faults f =
+    Faults.crash f ~node:(Address.replica 0) ~from_ms:400.0 ~duration_ms:300.0;
+    Faults.crash f ~node:(Address.replica 3) ~from_ms:900.0 ~duration_ms:300.0
+  in
+  Runner.run
+    (Paxi_protocols.Registry.find_exn "paxos")
+    (Runner.spec ~warmup_ms:200.0 ~duration_ms:1_500.0 ~config ~faults
+       ?sharding
+       ~topology:(Topology.lan ~n_replicas:5 ())
+       ~client_specs:
+         [ Runner.clients ~target:Runner.Round_robin ~count:4 Workload.default ]
+       ())
+
+let check_counters name sharding ~completed ~recoveries ~replay_ms
+    ~timers_cancelled ~writes ~fsyncs ~lost =
+  let r = durable_crash_run sharding in
+  let pin what = Printf.sprintf "%s: %s" name what in
+  Alcotest.(check int) (pin "completed") completed r.Runner.completed;
+  Alcotest.(check int) (pin "recoveries") recoveries r.Runner.recoveries;
+  Alcotest.(check string) (pin "replay ms") replay_ms
+    (Printf.sprintf "%.2f" r.Runner.replay_ms_total);
+  Alcotest.(check int) (pin "timers cancelled") timers_cancelled
+    r.Runner.timers_cancelled;
+  Alcotest.(check int) (pin "storage writes") writes r.Runner.storage_writes;
+  Alcotest.(check int) (pin "storage fsyncs") fsyncs r.Runner.storage_fsyncs;
+  Alcotest.(check int) (pin "lost writes") lost r.Runner.storage_lost_writes
+
+let test_summed_counters () =
+  check_counters "unsharded" None ~completed:795 ~recoveries:2
+    ~replay_ms:"15.86" ~timers_cancelled:6 ~writes:10_489 ~fsyncs:4_034
+    ~lost:2;
+  check_counters "2 hash groups"
+    (Some { Runner.shards = 2; partition = `Hash })
+    ~completed:938 ~recoveries:4 ~replay_ms:"18.71" ~timers_cancelled:9
+    ~writes:12_372 ~fsyncs:4_760 ~lost:1
+
 let suite =
   ( "shard",
     [
@@ -292,4 +348,6 @@ let suite =
       Alcotest.test_case "K=4 sharded smoke" `Slow test_k4_smoke;
       Alcotest.test_case "K=4 range hotspot imbalance" `Slow
         test_k4_range_hotspot_imbalance;
+      Alcotest.test_case "durable crash counters summed across groups" `Slow
+        test_summed_counters;
     ] )
