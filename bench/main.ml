@@ -929,8 +929,8 @@ let read_path_tag = function
   | Some Config.Quorum -> "quorum"
   | Some Config.Tail -> "tail"
 
-(* One read-path point: n=5 LAN, closed-loop clients, the workload mix
-   overridden by [config.read_ratio]. Tracing is on so the fast-read
+(* One read-path point: n=5 LAN, closed-loop clients writing with
+   probability [1 - read_ratio]. Tracing is on so the fast-read
    counter distinguishes lease/quorum/tail serves from reads that fell
    through to the slot log. Lease and quorum reads are served by the
    leader, so clients pin there; chain clients pin to the tail, which
@@ -943,7 +943,6 @@ let read_point ~protocol ~read_path ~read_ratio ~concurrency =
     {
       (Config.default ~n_replicas:n) with
       Config.seed = point_seed ("reads", protocol, tag, read_ratio, concurrency);
-      read_ratio = Some read_ratio;
       read_path;
       tracing = true;
     }
@@ -954,7 +953,11 @@ let read_point ~protocol ~read_path ~read_ratio ~concurrency =
   let spec =
     Runner.spec ~warmup_ms ~duration_ms:measured_ms ~config
       ~topology:(Topology.lan ~n_replicas:n ())
-      ~client_specs:[ Runner.clients ~target ~count:concurrency Workload.default ]
+      ~client_specs:
+        [
+          Runner.clients ~target ~count:concurrency
+            { Workload.default with Workload.write_ratio = 1.0 -. read_ratio };
+        ]
       ()
   in
   Runner.run (module P) spec
@@ -1885,8 +1888,6 @@ let nemesis_term =
    model's Wq + ts + DL + DQ decomposition (§3.3). *)
 let dissect_main protocol load n_flag relay_groups shards arrival read_ratio
     read_path durable trace_file (_quick : bool) =
-  (* fsync jitter stays at the default 0 so the measured per-fsync
-     device time is gated exactly against the model term *)
   let durable = Option.map durable_cfg durable in
   let (module P) =
     match Paxi_protocols.Registry.find protocol with
@@ -1971,10 +1972,14 @@ let dissect_main protocol load n_flag relay_groups shards arrival read_ratio
            | _, g -> point_seed ("dissect", protocol, load, n, g));
       tracing = true;
       relay_groups = relay_groups;
-      read_ratio;
       read_path = read_path;
       storage = durable;
     }
+  in
+  let workload =
+    match read_ratio with
+    | Some r -> { Workload.default with Workload.write_ratio = 1.0 -. r }
+    | None -> Workload.default
   in
   let spec =
     Runner.spec ~warmup_ms ~duration_ms:measured_ms ~config
@@ -1991,7 +1996,7 @@ let dissect_main protocol load n_flag relay_groups shards arrival read_ratio
               (match arrival with
               | Some a -> arrival_per_client a ~count:4
               | None -> Runner.Open { rate_per_sec = rate /. 4.0 })
-            ~count:4 Workload.default ]
+            ~count:4 workload ]
       ()
   in
   Report.section
@@ -2126,9 +2131,9 @@ let dissect_main protocol load n_flag relay_groups shards arrival read_ratio
              request itself — so small positive errors are expected)";
           (match durable with
           | Some { Storage.sync_mode = Storage.Sync_every; _ } ->
-              (* CI's storage-smoke gate: with per-sync fsyncs and no
-                 jitter the measured device service time must land on
-                 the model term *)
+              (* CI's storage-smoke gate: with per-sync fsyncs the
+                 measured device service time must land on the model
+                 term *)
               let err =
                 Float.abs (fsync_meas -. b.Latency_model.durability_ms)
                 /. Float.max 1e-9 b.Latency_model.durability_ms

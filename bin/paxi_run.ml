@@ -129,14 +129,8 @@ let run protocol nodes wan seconds concurrency keys writes conflict locality
             match file_config with Some c -> c.Config.n_replicas | None -> nodes
           in
           let regions = Region.aws_five in
-          let topology, nodes =
-            if wan then begin
-              let per = Stdlib.max 1 (nodes / List.length regions) in
-              ( Topology.wan ~regions ~replicas_per_region:per (),
-                per * List.length regions )
-            end
-            else (Topology.lan ~n_replicas:nodes (), nodes)
-          in
+          let per_region = Stdlib.max 1 (nodes / List.length regions) in
+          let nodes = if wan then per_region * List.length regions else nodes in
           let config =
             match file_config with
             | Some c -> { c with Config.n_replicas = nodes }
@@ -155,6 +149,17 @@ let run protocol nodes wan seconds concurrency keys writes conflict locality
               dist = key_dist;
               conflict_ratio = conflict;
             }
+          in
+          (* reject bad flag values before anything is built from them *)
+          match Result.bind (Workload.validate base_workload) (fun () ->
+                    Config.validate config) with
+          | Error e ->
+              Printf.eprintf "%s\n" e;
+              1
+          | Ok () ->
+          let topology =
+            if wan then Topology.wan ~regions ~replicas_per_region:per_region ()
+            else Topology.lan ~n_replicas:nodes ()
           in
           let client_specs =
             if wan then

@@ -166,15 +166,9 @@ let run (module P : Proto.RUNNABLE) spec =
     incr next_client_id;
     S.register_client dep ~id:cid ?region:cspec.region ();
     let region = Topology.region_of spec.topology (Address.client cid) in
-    (* [config.read_ratio] overrides every client's workload mix so a
-       sweep can turn one knob; [None] leaves the specs untouched *)
-    let workload =
-      match spec.config.Config.read_ratio with
-      | Some _ as r -> { cspec.workload with Workload.read_ratio = r }
-      | None -> cspec.workload
-    in
     let gen =
-      Workload.generator workload ~rng:(Rng.split (Sim.rng sim)) ~client:cid
+      Workload.generator cspec.workload ~rng:(Rng.split (Sim.rng sim))
+        ~client:cid
     in
     let rr = ref 0 in
     let pick_target ~shard ~attempt =

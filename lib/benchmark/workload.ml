@@ -9,7 +9,6 @@ type t = {
   keys : int;
   min_key : int;
   write_ratio : float;
-  read_ratio : float option;
   dist : key_dist;
   conflict_ratio : float;
   hot_key : int;
@@ -20,7 +19,6 @@ let default =
     keys = 1000;
     min_key = 0;
     write_ratio = 0.5;
-    read_ratio = None;
     dist = Uniform;
     conflict_ratio = 0.0;
     hot_key = 0;
@@ -55,9 +53,6 @@ let validate t =
   if t.keys < 1 then err "keys must be >= 1"
   else if t.write_ratio < 0.0 || t.write_ratio > 1.0 then
     err "write_ratio must be in [0,1]"
-  else if
-    match t.read_ratio with Some r -> r < 0.0 || r > 1.0 | None -> false
-  then err "read_ratio must be in [0,1]"
   else if t.conflict_ratio < 0.0 || t.conflict_ratio > 1.0 then
     err "conflict_ratio must be in [0,1]"
   else
@@ -107,15 +102,7 @@ let next_op g ~now_ms =
     else spec.min_key + Dist.Discrete.sample g.sampler g.rng ~now_ms
   in
   g.counter <- g.counter + 1;
-  (* [read_ratio], when set, overrides [write_ratio] as 1 - r — but
-     through the same single Bernoulli draw, so [None] and
-     [Some (1 - write_ratio)] generate byte-identical streams *)
-  let p_write =
-    match spec.read_ratio with
-    | Some r -> 1.0 -. r
-    | None -> spec.write_ratio
-  in
-  if Rng.bernoulli g.rng ~p:p_write then
+  if Rng.bernoulli g.rng ~p:spec.write_ratio then
     (* unique value per (client, counter) so checkers can identify
        every write *)
     Command.Put (key, (g.client * 10_000_000) + g.counter)

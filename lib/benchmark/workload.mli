@@ -20,13 +20,10 @@ type key_dist =
 type t = {
   keys : int;  (** K: size of the key space *)
   min_key : int;  (** Min: first key number *)
-  write_ratio : float;  (** W *)
-  read_ratio : float option;
-      (** When set, overrides [write_ratio] as [1 - r] via the same
-          single Bernoulli draw per op — the read-path sweeps set 0.5 /
-          0.95 / 0.99 here without perturbing key selection. [None]
-          keeps the write-ratio parameterization (and its exact RNG
-          stream). *)
+  write_ratio : float;
+      (** W: each op is a [Put] with this probability, else a [Get] —
+          one Bernoulli draw per op. A read-ratio sweep sets
+          [1 - r] here. *)
   dist : key_dist;
   conflict_ratio : float;
       (** fraction of requests redirected to the hot key — the §5.3

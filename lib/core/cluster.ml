@@ -326,8 +326,7 @@ module Make (P : Proto.RUNNABLE) = struct
               Some
                 (Storage.create ~config:sc ~sim
                    ~schedule:(fun delay f ->
-                     ignore (Timers.track tm (Sim.schedule_after sim ~delay f)))
-                   ~rng_parent:(Sim.rng sim)))
+                     ignore (Timers.track tm (Sim.schedule_after sim ~delay f)))))
     in
     let t =
       {

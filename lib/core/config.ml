@@ -17,19 +17,16 @@ type t = {
   client_timeout_ms : float;
   q2_size : int option;
   fz : int;
-  leaders_per_region : int;
   epaxos_penalty : float;
   piggyback_commit : bool;
   thrifty : bool;
   migration_threshold : int;
-  migration_cooldown_ms : float;
   failover_timeout_ms : float;
   initial_object_owner : int option;
   master_region_index : int;
   batching : batching option;
   retransmit : retransmit option;
   tracing : bool;
-  read_ratio : float option;
   read_path : read_path option;
   relay_groups : int;
       (** 0 = direct fan-out (the legacy path, byte-identical to
@@ -55,19 +52,16 @@ let default ~n_replicas =
     client_timeout_ms = 1_000.0;
     q2_size = None;
     fz = 0;
-    leaders_per_region = 1;
     epaxos_penalty = 4.0;
     piggyback_commit = true;
     thrifty = false;
     migration_threshold = 3;
-    migration_cooldown_ms = 2_000.0;
     failover_timeout_ms = 1_000.0;
     initial_object_owner = None;
     master_region_index = 0;
     batching = None;
     retransmit = None;
     tracing = false;
-    read_ratio = None;
     read_path = None;
     relay_groups = 0;
     storage = None;
@@ -86,15 +80,10 @@ let validate t =
   else if t.bandwidth_mbps <= 0.0 then err "bandwidth must be positive"
   else if t.client_timeout_ms <= 0.0 then err "client timeout must be positive"
   else if t.fz < 0 then err "fz must be non-negative"
-  else if t.leaders_per_region < 1 then err "leaders_per_region must be >= 1"
   else if t.epaxos_penalty < 1.0 then err "epaxos_penalty must be >= 1.0"
   else if t.migration_threshold < 1 then err "migration_threshold must be >= 1"
-  else if t.migration_cooldown_ms < 0.0 then err "migration_cooldown_ms must be >= 0"
   else if t.failover_timeout_ms <= 0.0 then err "failover timeout must be positive"
   else if t.master_region_index < 0 then err "master_region_index must be >= 0"
-  else if
-    match t.read_ratio with Some r -> r < 0.0 || r > 1.0 | None -> false
-  then err "read_ratio must be in [0, 1]"
   else if
     match t.read_path with Some (Lease l) -> l.margin_ms < 0.0 | _ -> false
   then err "read_path lease margin_ms must be >= 0"
@@ -164,12 +153,10 @@ let to_json t =
        ("bandwidth_mbps", Json.Number t.bandwidth_mbps);
        ("client_timeout_ms", Json.Number t.client_timeout_ms);
        ("fz", Json.Number (float_of_int t.fz));
-       ("leaders_per_region", Json.Number (float_of_int t.leaders_per_region));
        ("epaxos_penalty", Json.Number t.epaxos_penalty);
        ("piggyback_commit", Json.Bool t.piggyback_commit);
        ("thrifty", Json.Bool t.thrifty);
        ("migration_threshold", Json.Number (float_of_int t.migration_threshold));
-       ("migration_cooldown_ms", Json.Number t.migration_cooldown_ms);
        ("failover_timeout_ms", Json.Number t.failover_timeout_ms);
        ("master_region_index", Json.Number (float_of_int t.master_region_index));
        ("tracing", Json.Bool t.tracing);
@@ -179,9 +166,6 @@ let to_json t =
       | None -> [])
     @ (match t.initial_object_owner with
       | Some o -> [ ("initial_object_owner", Json.Number (float_of_int o)) ]
-      | None -> [])
-    @ (match t.read_ratio with
-      | Some r -> [ ("read_ratio", Json.Number r) ]
       | None -> [])
     @ (if t.relay_groups > 0 then
          [ ("relay_groups", Json.Number (float_of_int t.relay_groups)) ]
@@ -232,14 +216,13 @@ let known_fields =
   [
     "n_replicas"; "seed"; "msg_size_bytes"; "t_in_ms"; "t_out_ms";
     "bandwidth_mbps"; "client_timeout_ms"; "q2_size"; "fz";
-    "leaders_per_region"; "epaxos_penalty"; "piggyback_commit"; "thrifty";
-    "migration_threshold"; "migration_cooldown_ms"; "failover_timeout_ms";
+    "epaxos_penalty"; "piggyback_commit"; "thrifty";
+    "migration_threshold"; "failover_timeout_ms";
     "initial_object_owner";
     "master_region_index";
     "batching";
     "retransmit";
     "tracing";
-    "read_ratio";
     "read_path";
     "relay_groups";
     "storage";
@@ -298,12 +281,10 @@ let of_json json =
             let* client_timeout_ms = floatf "client_timeout_ms" d.client_timeout_ms in
             let* q2_size = opt_int "q2_size" in
             let* fz = intf "fz" d.fz in
-            let* leaders_per_region = intf "leaders_per_region" d.leaders_per_region in
             let* epaxos_penalty = floatf "epaxos_penalty" d.epaxos_penalty in
             let* piggyback_commit = boolf "piggyback_commit" d.piggyback_commit in
             let* thrifty = boolf "thrifty" d.thrifty in
             let* migration_threshold = intf "migration_threshold" d.migration_threshold in
-            let* migration_cooldown_ms = floatf "migration_cooldown_ms" d.migration_cooldown_ms in
             let* failover_timeout_ms = floatf "failover_timeout_ms" d.failover_timeout_ms in
             let* initial_object_owner = opt_int "initial_object_owner" in
             let* master_region_index = intf "master_region_index" d.master_region_index in
@@ -343,14 +324,6 @@ let of_json json =
                   )
               | Some _ -> Error "retransmit must be an object or null"
             in
-            let* read_ratio =
-              match Json.member "read_ratio" json with
-              | Some Json.Null | None -> Ok None
-              | Some v -> (
-                  match Json.to_float v with
-                  | Some r -> Ok (Some r)
-                  | None -> Error "read_ratio must be a number")
-            in
             let* read_path =
               match Json.member "read_path" json with
               | Some Json.Null | None -> Ok None
@@ -383,11 +356,10 @@ let of_json json =
               {
                 n_replicas; seed; msg_size_bytes; t_in_ms; t_out_ms;
                 bandwidth_mbps; client_timeout_ms; q2_size; fz;
-                leaders_per_region; epaxos_penalty; piggyback_commit; thrifty;
-                migration_threshold; migration_cooldown_ms;
+                epaxos_penalty; piggyback_commit; thrifty; migration_threshold;
                 failover_timeout_ms; initial_object_owner;
                 master_region_index; batching; retransmit; tracing;
-                read_ratio; read_path; relay_groups; storage;
+                read_path; relay_groups; storage;
               }
             in
             let* () = validate config in

@@ -2,9 +2,9 @@
 
     One flat record carries the knobs shared by every protocol plus the
     per-protocol parameters the paper's evaluation varies: FPaxos
-    phase-2 quorum size, WPaxos fault-tolerance level [fz] and
-    leader-per-region restriction, the EPaxos conflict-bookkeeping
-    penalty, thrifty quorums and commit piggybacking. *)
+    phase-2 quorum size, WPaxos fault-tolerance level [fz], the
+    EPaxos conflict-bookkeeping penalty, thrifty quorums and commit
+    piggybacking. *)
 
 type batching = {
   max_batch : int;  (** flush a leader's batch at this many commands *)
@@ -53,9 +53,6 @@ type t = {
   q2_size : int option;
       (** FPaxos phase-2 quorum size; [None] = majority *)
   fz : int;  (** WPaxos: number of zone (region) failures tolerated *)
-  leaders_per_region : int;
-      (** WPaxos/WanKeeper leader restriction used in §5 (one per
-          region) *)
   epaxos_penalty : float;
       (** multiplier on message-processing cost at EPaxos replicas,
           accounting for dependency computation (§5) *)
@@ -67,10 +64,6 @@ type t = {
       (** consecutive remote accesses before object
           migration/stealing — the paper's "simple three-consecutive
           access policy" (§5.3) *)
-  migration_cooldown_ms : float;
-      (** minimum time between migrations of the same object; damps
-          ownership ping-pong when several regions interleave accesses
-          (uniform workloads) without slowing the first adaptation *)
   failover_timeout_ms : float;
       (** how long a follower waits without hearing from the leader
           before starting its own phase-1 (staggered by replica id) *)
@@ -93,11 +86,6 @@ type t = {
           {!Paxi_obs.Trace}); off by default. Tracing only reads
           timestamps the simulator already computed — a fixed-seed run
           produces byte-identical statistics either way *)
-  read_ratio : float option;
-      (** when set, overrides every client workload's read share: an
-          op is a [Get] with this probability (the workload's
-          [write_ratio] is ignored). [None] leaves workloads exactly
-          as specified — including their RNG draw sequence *)
   read_path : read_path option;
       (** read-serving strategy; [None] (the default) keeps reads on
           the write path and is byte-identical to builds without a

@@ -6,7 +6,4 @@ let map ?pool f xs =
 let mapi ?pool f xs =
   Pool.run_list (pool_of pool) (List.mapi (fun i x () -> f i x) xs)
 
-let map_array ?pool f xs =
-  Pool.run_array (pool_of pool) (Array.map (fun x () -> f x) xs)
-
 let iter ?pool f xs = ignore (map ?pool f xs)

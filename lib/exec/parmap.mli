@@ -9,5 +9,4 @@
 
 val map : ?pool:Pool.t -> ('a -> 'b) -> 'a list -> 'b list
 val mapi : ?pool:Pool.t -> (int -> 'a -> 'b) -> 'a list -> 'b list
-val map_array : ?pool:Pool.t -> ('a -> 'b) -> 'a array -> 'b array
 val iter : ?pool:Pool.t -> ('a -> unit) -> 'a list -> unit

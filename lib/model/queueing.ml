@@ -26,11 +26,3 @@ let wait_time kind ~lambda ~mu =
         *. (1.0 +. cs)
         *. (ca +. (rho *. rho *. cs))
         /. (2.0 *. lambda *. (1.0 -. rho) *. (1.0 +. (rho *. rho *. cs)))
-
-let sojourn_time kind ~lambda ~mu = wait_time kind ~lambda ~mu +. (1.0 /. mu)
-
-let pp_kind ppf = function
-  | Mm1 -> Format.pp_print_string ppf "M/M/1"
-  | Md1 -> Format.pp_print_string ppf "M/D/1"
-  | Mg1 _ -> Format.pp_print_string ppf "M/G/1"
-  | Gg1 _ -> Format.pp_print_string ppf "G/G/1"

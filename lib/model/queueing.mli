@@ -21,8 +21,3 @@ val wait_time : kind -> lambda:float -> mu:float -> float
 
 val utilization : lambda:float -> mu:float -> float
 val is_stable : lambda:float -> mu:float -> bool
-
-val sojourn_time : kind -> lambda:float -> mu:float -> float
-(** Wq + service time 1/µ. *)
-
-val pp_kind : Format.formatter -> kind -> unit

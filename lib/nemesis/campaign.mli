@@ -45,8 +45,8 @@ val run :
 (** Run [trials] independent trials ([max_faults] defaults to 4).
     Shrinking runs inside each trial's task, so pooling schedules
     whole trials. [?n] overrides the profile's cluster size;
-    [?read_ratio]/[?read_path] thread the read-path knobs into every
-    trial's config; [?relay_groups] routes paxos/raft rounds through
+    [?read_ratio]/[?read_path] set every trial's read share and
+    read-serving strategy; [?relay_groups] routes paxos/raft rounds through
     relay trees — the relay-crash campaign; [?skew] (default false)
     lets the generator draw clock-skew faults — with the read knobs,
     the adversarial read campaign. *)

@@ -130,7 +130,6 @@ let run ?n ?read_ratio ?read_path ?(relay_groups = 0) ?(shards = 1) ?arrival
     {
       (Config.default ~n_replicas:profile.n) with
       Config.seed;
-      Config.read_ratio;
       Config.read_path;
       Config.relay_groups;
       (* [?durable] arms the stable-storage model: crashes become real
@@ -154,6 +153,11 @@ let run ?n ?read_ratio ?read_path ?(relay_groups = 0) ?(shards = 1) ?arrival
     Float.max 1_500.0 (fault_end +. recovery_ms -. warmup_ms)
   in
   let workload = { Workload.default with Workload.keys = 15 } in
+  let workload =
+    match read_ratio with
+    | Some r -> { workload with Workload.write_ratio = 1.0 -. r }
+    | None -> workload
+  in
   (* sharded trials run K co-located groups behind a hash partitioner
      over the shared fault plane: every injected fault hits replica i
      of all K groups at once, and the oracle judges the union — the

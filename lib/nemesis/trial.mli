@@ -76,11 +76,12 @@ val run :
 (** Run one simulated cluster of [protocol] under the schedule, with
     closed-loop clients, and judge it. Deterministic in the
     arguments. [?n] overrides the profile's cluster size (zoned
-    profiles place [n / 3] replicas per zone); [?read_ratio] and
-    [?read_path] thread the PR 7 read-path knobs into the cluster
-    config; [?relay_groups] (default 0 = direct) the PR 8 relay-tree
-    knob — the relay-crash campaigns run paxos/raft behind relays and
-    demand commits survive relay failures. [?shards] (default 1) runs
+    profiles place [n / 3] replicas per zone); [?read_ratio] sets the
+    clients' read share (write ratio [1 - r]) and [?read_path] the
+    cluster's read-serving strategy; [?relay_groups] (default 0 =
+    direct) routes phase 2 through relay trees — the relay-crash
+    campaigns run paxos/raft behind relays and demand commits survive
+    relay failures. [?shards] (default 1) runs
     K hash-partitioned groups over the shared fault plane (faults are
     machine-scoped: replica [i] of every group fails together) and
     [?arrival] (default closed-loop) swaps the client pacing model, so

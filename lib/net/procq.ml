@@ -2,8 +2,7 @@
    mutable record fields: the record also holds ints, so it is not a
    flat float record, and without flambda every store to a mutable
    boxed-float field would allocate a fresh box. Float-array loads and
-   stores are always unboxed.  Slots: 0 = busy_until, 1 = busy_time,
-   2 = waited. *)
+   stores are always unboxed.  Slots: 0 = busy_until, 1 = busy_time. *)
 type t = {
   t_in_ms : float;
   t_out_ms : float;
@@ -20,7 +19,7 @@ let create ?(t_in_ms = 0.012) ?(t_out_ms = 0.008) ?(bandwidth_mbps = 10_000.0)
     t_out_ms;
     (* mbps are megabits/s: bytes per ms = mbps * 1e6 / 8 / 1e3 *)
     bytes_per_ms = bandwidth_mbps *. 125.0;
-    s = Array.make 3 0.0;
+    s = Array.make 2 0.0;
     processed = 0;
     free = false;
   }
@@ -30,7 +29,7 @@ let zero () =
     t_in_ms = 0.0;
     t_out_ms = 0.0;
     bytes_per_ms = infinity;
-    s = Array.make 3 0.0;
+    s = Array.make 2 0.0;
     processed = 0;
     free = true;
   }
@@ -46,7 +45,6 @@ let[@inline] occupy t ~now_ms ~cost =
     let finish = start +. cost in
     t.s.(0) <- finish;
     t.s.(1) <- t.s.(1) +. cost;
-    t.s.(2) <- t.s.(2) +. (start -. now_ms);
     finish
   end
 
@@ -61,7 +59,6 @@ let[@inline] occupy_split t ~now_ms ~cost =
     let finish = start +. cost in
     t.s.(0) <- finish;
     t.s.(1) <- t.s.(1) +. cost;
-    t.s.(2) <- t.s.(2) +. (start -. now_ms);
     (finish, start -. now_ms, cost)
   end
 
@@ -99,7 +96,6 @@ let occupy_incoming_into t ~now_ms ~size_bytes dst =
     let finish = start +. cost in
     t.s.(0) <- finish;
     t.s.(1) <- t.s.(1) +. cost;
-    t.s.(2) <- t.s.(2) +. (start -. now_ms);
     dst.(0) <- finish
   end
 
@@ -116,17 +112,14 @@ let occupy_outgoing_into t ~now_ms ~copies ~size_bytes dst =
     let finish = start +. cost in
     t.s.(0) <- finish;
     t.s.(1) <- t.s.(1) +. cost;
-    t.s.(2) <- t.s.(2) +. (start -. now_ms);
     dst.(0) <- finish
   end
 
 let busy_until t = t.s.(0)
 let busy_time t = t.s.(1)
-let waited_ms t = t.s.(2)
 let messages_processed t = t.processed
 
 let reset t =
   t.s.(0) <- 0.0;
   t.s.(1) <- 0.0;
-  t.s.(2) <- 0.0;
   t.processed <- 0

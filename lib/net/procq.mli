@@ -60,10 +60,5 @@ val busy_until : t -> float
 val busy_time : t -> float
 (** Total occupied time, for utilization = busy_time / elapsed. *)
 
-val waited_ms : t -> float
-(** Total queueing wait accumulated by messages before their
-    processing started — the measured counterpart of the model's
-    queue-wait term, summed over all messages. *)
-
 val messages_processed : t -> int
 val reset : t -> unit

@@ -1,5 +1,6 @@
 type t = {
   replica_regions : Region.t array;
+  regions : Region.t list; (* distinct, in first-appearance order *)
   rtt_ms : Region.t -> Region.t -> float;
   jitter : float; (* relative stddev of RTT samples *)
   clients : (int, Region.t) Hashtbl.t;
@@ -43,8 +44,15 @@ let make ~replica_regions ~rtt_ms ~jitter ~lan_sigma =
     if Array.length replica_regions > 0 then replica_regions.(0)
     else Region.local
   in
+  let regions =
+    Array.fold_left
+      (fun acc r -> if List.exists (Region.equal r) acc then acc else r :: acc)
+      [] replica_regions
+    |> List.rev
+  in
   {
     replica_regions;
+    regions;
     rtt_ms;
     jitter;
     clients = Hashtbl.create 16;
@@ -74,11 +82,7 @@ let custom ~replica_regions ~rtt_ms ?(jitter = 0.05) () =
 
 let n_replicas t = Array.length t.replica_regions
 
-let regions t =
-  Array.fold_left
-    (fun acc r -> if List.exists (Region.equal r) acc then acc else r :: acc)
-    [] t.replica_regions
-  |> List.rev
+let regions t = t.regions
 
 let region_of_replica t i =
   if i < 0 || i >= Array.length t.replica_regions then
@@ -100,6 +104,19 @@ let region_of t = function
       match Hashtbl.find_opt t.clients i with
       | Some r -> r
       | None -> t.default_client_region)
+
+let zones t = Array.of_list (List.map (replicas_in t) t.regions)
+
+let zone_of t addr =
+  let region = region_of t addr in
+  let rec find i = function
+    | r :: rest -> if Region.equal r region then i else find (i + 1) rest
+    | [] ->
+        invalid_arg
+          (Printf.sprintf "Topology.zone_of: no replica in region %s"
+             (Region.name region))
+  in
+  find 0 t.regions
 
 let rtt_mean t a b = t.rtt_ms a b
 

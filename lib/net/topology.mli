@@ -40,6 +40,16 @@ val assign_client : t -> id:int -> region:Region.t -> unit
 
 val region_of : t -> Address.t -> Region.t
 
+val zones : t -> int list array
+(** The replicas of each region, in {!regions} order: zone [z] is
+    [replicas_in t (List.nth (regions t) z)]. The multi-leader
+    protocols treat each region as one zone led by its first
+    replica. *)
+
+val zone_of : t -> Address.t -> int
+(** Index into {!zones} of the region an address lives in. Raises
+    [Invalid_argument] when no replica lives in that region. *)
+
 val sample_rtt : t -> Rng.t -> Address.t -> Address.t -> float
 (** Draw a round-trip latency (ms) between two addresses. *)
 

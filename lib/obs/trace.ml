@@ -115,7 +115,6 @@ type t = {
   mutable sp_end : float array;
   mutable sp_aux : int array;
   mutable n_spans : int;
-  mutable dropped : int;
 }
 
 let create ?(window_ms = 100.0) ?(max_spans = 200_000) ~enabled () =
@@ -151,7 +150,6 @@ let create ?(window_ms = 100.0) ?(max_spans = 200_000) ~enabled () =
     sp_end = [||];
     sp_aux = [||];
     n_spans = 0;
-    dropped = 0;
   }
 
 let enabled t = t.on
@@ -260,8 +258,7 @@ let grow_spans t =
   t.sp_end <- gf t.sp_end
 
 let push_span t ~kind ~track ~aux ~start_ms ~end_ms =
-  if t.n_spans >= t.max_spans then t.dropped <- t.dropped + 1
-  else begin
+  if t.n_spans < t.max_spans then begin
     if t.n_spans >= Array.length t.sp_kind then grow_spans t;
     let i = t.n_spans in
     t.sp_kind.(i) <- kind;
@@ -436,7 +433,6 @@ let series t =
   |> List.sort (fun (a, _, _) (b, _, _) -> Float.compare a b)
 
 let span_count t = t.n_spans
-let dropped_spans t = t.dropped
 
 let span_name t i =
   let kind = t.sp_kind.(i) in

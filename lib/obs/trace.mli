@@ -47,7 +47,7 @@ val pooling : bool ref
 val create : ?window_ms:float -> ?max_spans:int -> enabled:bool -> unit -> t
 (** [window_ms] (default 100) sizes the throughput/latency time-series
     buckets; [max_spans] (default 200_000) caps retained Chrome-trace
-    spans ([dropped_spans] counts the overflow). *)
+    spans; later spans are dropped. *)
 
 val enabled : t -> bool
 
@@ -173,7 +173,6 @@ val series : t -> (float * int * float) list
     warmup-aware throughput/latency time series. *)
 
 val span_count : t -> int
-val dropped_spans : t -> int
 
 val to_chrome_json : t -> Json.t
 (** The retained spans as a Chrome-trace (chrome://tracing /

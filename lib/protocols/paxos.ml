@@ -264,11 +264,6 @@ let lease_valid t =
   && Slot_log.exec_frontier t.log >= t.read_barrier
   && t.env.now () < t.lease_until -. lease_margin t
 
-let log_entry t slot =
-  Option.map
-    (fun (e : entry) -> (e.ballot, e.cmd, e.committed))
-    (Slot_log.get t.log slot)
-
 let leader_of_key t (_ : Command.key) =
   if t.ballot.Ballot.round > 0 then Some t.ballot.Ballot.owner else None
 

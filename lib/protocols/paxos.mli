@@ -19,8 +19,6 @@ val is_leader : replica -> bool
 val current_ballot : replica -> Ballot.t
 val commit_frontier : replica -> int
 val executor : replica -> Executor.t
-val log_entry : replica -> int -> (Ballot.t * Command.t * bool) option
-(** [(ballot, command, committed)] for a slot, for tests. *)
 
 (** {2 Read path} (PR 7) — all inert unless [config.read_path] is set. *)
 

@@ -46,31 +46,8 @@ type replica = {
   mutable migrations : int;
 }
 
-let zone_layout (env : _ Proto.env) =
-  Topology.regions env.Proto.topology
-  |> List.map (fun r -> Topology.replicas_in env.Proto.topology r)
-  |> Array.of_list
-
-let find_zone zones id =
-  let z = ref 0 in
-  Array.iteri (fun i members -> if List.mem id members then z := i) zones;
-  !z
-
 let zone_leader (t : replica) zone =
   match t.zones.(zone) with l :: _ -> l | [] -> invalid_arg "empty zone"
-
-let zone_of_address t addr =
-  let region = Topology.region_of t.env.topology addr in
-  let z = ref t.master_zone in
-  Array.iteri
-    (fun i members ->
-      match members with
-      | m :: _ ->
-          if Region.equal (Topology.region_of_replica t.env.topology m) region
-          then z := i
-      | [] -> ())
-    t.zones;
-  !z
 
 (* Config commands live on negative keys so they never collide with
    client data. *)
@@ -82,13 +59,16 @@ let executor t = t.exec
 let is_zone_leader t = Group.is_leader (group t)
 let is_master t = t.my_zone = t.master_zone && is_zone_leader t
 
+(* zone of the replica that initially owns every object, if any *)
+let initial_zone t =
+  Option.map
+    (fun owner -> Topology.zone_of t.env.topology (Address.replica owner))
+    t.env.config.Config.initial_object_owner
+
 let assigned_zone t key =
   match Hashtbl.find_opt t.assign key with
   | Some z -> Some z
-  | None -> (
-      match t.env.config.Config.initial_object_owner with
-      | Some owner -> Some (find_zone t.zones owner)
-      | None -> None)
+  | None -> initial_zone t
 
 let leader_of_key t key =
   Option.map (fun z -> zone_leader t z) (assigned_zone t key)
@@ -137,8 +117,8 @@ let flush_handoffs t =
 let on_assign t key zone =
   let previous = Hashtbl.find_opt t.assign key in
   let initial_mine, had_owner =
-    match t.env.config.Config.initial_object_owner with
-    | Some owner -> (find_zone t.zones owner = t.my_zone, true)
+    match initial_zone t with
+    | Some z -> (z = t.my_zone, true)
     | None -> (false, false)
   in
   let was_mine =
@@ -254,7 +234,9 @@ let on_request t ~client (request : Proto.request) =
             (* we just gave the key away; route to its new owner *)
             t.env.forward (zone_leader t dest) ~client request
         | None ->
-            note_access t key ~origin:(zone_of_address t client) ~client request)
+            note_access t key
+              ~origin:(Topology.zone_of t.env.topology client)
+              ~client request)
     | Some z -> t.env.forward (zone_leader t z) ~client request
     | None ->
         if is_master t then
@@ -276,7 +258,9 @@ let on_state t key ~value =
   Hashtbl.remove t.awaiting_state key;
   List.iter
     (fun (client, request) ->
-      note_access t key ~origin:(zone_of_address t client) ~client request)
+      note_access t key
+        ~origin:(Topology.zone_of t.env.topology client)
+        ~client request)
     queued
 
 let on_message t ~src = function
@@ -291,7 +275,8 @@ let on_message t ~src = function
   | VState { key; value } -> on_state t key ~value
 
 let create env =
-  let zones = zone_layout env in
+  let topology = env.Proto.topology in
+  let zones = Topology.zones topology in
   let master_zone =
     Stdlib.min env.Proto.config.Config.master_region_index (Array.length zones - 1)
   in
@@ -299,7 +284,7 @@ let create env =
     {
       env;
       zones;
-      my_zone = find_zone zones env.Proto.id;
+      my_zone = Topology.zone_of topology (Address.replica env.Proto.id);
       master_zone;
       group = None;
       exec = Executor.create ();

@@ -58,21 +58,12 @@ type replica = {
   mutable retractions : int;
 }
 
-let zone_layout (env : _ Proto.env) =
-  Topology.regions env.Proto.topology
-  |> List.map (fun r -> Topology.replicas_in env.Proto.topology r)
-  |> Array.of_list
-
-let find_zone zones id =
-  let z = ref 0 in
-  Array.iteri (fun i members -> if List.mem id members then z := i) zones;
-  !z
-
 let zone_leader (t : replica) zone =
   match t.zones.(zone) with l :: _ -> l | [] -> invalid_arg "empty zone"
 
 let create env =
-  let zones = zone_layout env in
+  let topology = env.Proto.topology in
+  let zones = Topology.zones topology in
   let master_zone =
     Stdlib.min env.Proto.config.Config.master_region_index (Array.length zones - 1)
   in
@@ -80,7 +71,7 @@ let create env =
     {
       env;
       zones;
-      my_zone = find_zone zones env.Proto.id;
+      my_zone = Topology.zone_of topology (Address.replica env.Proto.id);
       master_zone;
       group = None;
       exec = Executor.create ();

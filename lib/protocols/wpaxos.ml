@@ -71,40 +71,24 @@ type replica = {
   keys : (Command.key, key_state) Hashtbl.t;
   exec : Executor.t;
   mutable steals : int;
-  mutable committed : int;
 }
 
-let zone_layout (env : _ Proto.env) =
-  let regions = Topology.regions env.Proto.topology in
-  let zones =
-    List.map (fun r -> Topology.replicas_in env.Proto.topology r) regions
-  in
-  Array.of_list zones
+(* As in the paper's evaluation (§5), one leader per zone: its first
+   replica. *)
+let zone_leader (t : replica) zone =
+  match t.zones.(zone) with l :: _ -> l | [] -> invalid_arg "empty zone"
 
-let find_zone zones id =
-  let z = ref 0 in
-  Array.iteri (fun i members -> if List.mem id members then z := i) zones;
-  !z
-
-(* The paper's evaluation restricts leaders to the first
-   [leaders_per_region] replicas of each zone. *)
-let zone_leaders (t : replica) zone =
-  List.filteri
-    (fun rank _ -> rank < t.env.config.Config.leaders_per_region)
-    t.zones.(zone)
-
-let is_leader_node t = List.mem t.env.id (zone_leaders t t.my_zone)
+let is_leader_node t = t.env.id = zone_leader t t.my_zone
 
 let create env =
-  let zones = zone_layout env in
+  let topology = env.Proto.topology in
   {
     env;
-    zones;
-    my_zone = find_zone zones env.Proto.id;
+    zones = Topology.zones topology;
+    my_zone = Topology.zone_of topology (Address.replica env.Proto.id);
     keys = Hashtbl.create 256;
     exec = Executor.create ();
     steals = 0;
-    committed = 0;
   }
 
 let key_state t key =
@@ -140,7 +124,6 @@ let owner_of t key =
 
 let leader_of_key = owner_of
 let steals_started t = t.steals
-let commands_committed t = t.committed
 
 let n_zones t = Array.length t.zones
 
@@ -190,7 +173,6 @@ let advance t (ks : key_state) =
     ~executable:(fun (e : entry) -> e.committed)
     ~f:(fun _slot (e : entry) ->
       let read = Executor.execute t.exec e.cmd in
-      t.committed <- t.committed + 1;
       match e.client with
       | Some client ->
           e.client <- None;
@@ -288,19 +270,6 @@ let drain_pending t key ks =
       t.env.forward ks.ballot.Ballot.owner ~client request
     done
 
-let zone_of_address t addr =
-  let region = Topology.region_of t.env.topology addr in
-  let z = ref t.my_zone in
-  Array.iteri
-    (fun i members ->
-      match members with
-      | m :: _ ->
-          if Region.equal (Topology.region_of_replica t.env.topology m) region
-          then z := i
-      | [] -> ())
-    t.zones;
-  !z
-
 let become_owner t key ks (state : phase1_state) =
   ks.p1 <- None;
   ks.owner_active <- true;
@@ -392,10 +361,15 @@ let start_steal t key ks =
   (* a single-zone deployment is its own phase-1 quorum *)
   if Quorum.satisfied tracker then become_owner t key ks state
 
+(* Minimum time between migrations of the same object: damps ownership
+   ping-pong when several regions interleave accesses (uniform
+   workloads) without slowing the first adaptation. *)
+let migration_cooldown_ms = 2_000.0
+
 (* Owner-side adaptation: count consecutive requests from a single
    remote zone; at the threshold, tell that zone's leader to steal. *)
 let note_owner_access t key ks ~client =
-  let origin = zone_of_address t client in
+  let origin = Topology.zone_of t.env.topology client in
   if origin = t.my_zone then begin
     ks.streak_zone <- -1;
     ks.streak <- 0
@@ -408,25 +382,20 @@ let note_owner_access t key ks ~client =
     end;
     if
       ks.streak >= t.env.config.Config.migration_threshold
-      && t.env.now () -. ks.last_migration_ms
-         >= t.env.config.Config.migration_cooldown_ms
+      && t.env.now () -. ks.last_migration_ms >= migration_cooldown_ms
     then begin
       ks.streak <- 0;
       ks.streak_zone <- -1;
       ks.last_migration_ms <- t.env.now ();
-      match zone_leaders t origin with
-      | l :: _ -> t.env.send l (StealHint { key })
-      | [] -> ()
+      t.env.send (zone_leader t origin) (StealHint { key })
     end
   end
 
 let on_request t ~client (request : Proto.request) =
   let key = Command.key request.Proto.command in
-  (* Non-leader replicas hand requests to a leader in their zone. *)
+  (* Non-leader replicas hand requests to their zone's leader. *)
   if not (is_leader_node t) then
-    match zone_leaders t t.my_zone with
-    | l :: _ when l <> t.env.id -> t.env.forward l ~client request
-    | _ -> () (* no leader configured; drop *)
+    t.env.forward (zone_leader t t.my_zone) ~client request
   else begin
     let ks = key_state t key in
     if ks.owner_active then begin

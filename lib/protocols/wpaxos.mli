@@ -13,9 +13,8 @@
     adaptation policy, and [config.initial_object_owner] seeds
     ownership (the locality experiment starts all objects in Ohio).
 
-    As in the paper's evaluation (§5), only [config.leaders_per_region]
-    replicas per zone act as leaders; other replicas forward requests
-    to a leader in their zone. *)
+    As in the paper's evaluation (§5), only the first replica of each
+    zone acts as its leader; other replicas forward requests to it. *)
 
 include Proto.PROTOCOL
 
@@ -24,4 +23,3 @@ val executor : replica -> Executor.t
 val owns : replica -> Command.key -> bool
 val owner_of : replica -> Command.key -> int option
 val steals_started : replica -> int
-val commands_committed : replica -> int

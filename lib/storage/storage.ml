@@ -15,8 +15,7 @@
    - [Sync_none]   — the continuation runs synchronously; no events,
                      no RNG draws, no latency. Byte-identical to the
                      pre-storage simulator on fault-free runs (CI-gated).
-   - [Sync_every]  — every sync is its own fsync of [fsync_ms] (+
-                     uniform jitter).
+   - [Sync_every]  — every sync is its own fsync of [fsync_ms].
    - [Sync_batched]— group commit: syncs arriving within
                      [batch_window_ms] share one fsync.
 
@@ -48,8 +47,7 @@ let mode_of_string = function
 
 type config = {
   sync_mode : sync_mode;
-  fsync_ms : float;  (** mean service time of one fsync *)
-  fsync_jitter_ms : float;  (** uniform [0, jitter) added per fsync *)
+  fsync_ms : float;  (** service time of one fsync *)
   batch_window_ms : float;  (** group-commit window for [Sync_batched] *)
   snapshot_threshold : int;
       (** snapshot + truncate once the retained log exceeds this many
@@ -64,7 +62,6 @@ let default_config =
     (* cloud-SSD ballpark: an order of magnitude above the LAN RTT's
        0.0427ms one-way, per the Paxos-in-the-cloud measurements *)
     fsync_ms = 0.5;
-    fsync_jitter_ms = 0.0;
     batch_window_ms = 0.2;
     snapshot_threshold = 0;
     replay_ms_per_cmd = 0.01;
@@ -72,8 +69,6 @@ let default_config =
 
 let validate_config c =
   if c.fsync_ms < 0.0 then Error "storage.fsync_ms must be >= 0"
-  else if c.fsync_jitter_ms < 0.0 then
-    Error "storage.fsync_jitter_ms must be >= 0"
   else if c.batch_window_ms <= 0.0 && c.sync_mode = Sync_batched then
     Error "storage.batch_window_ms must be > 0 in batched mode"
   else if c.snapshot_threshold < 0 then
@@ -87,14 +82,27 @@ let config_to_json c =
     [
       ("mode", Json.String (mode_to_string c.sync_mode));
       ("fsync_ms", Json.Number c.fsync_ms);
-      ("fsync_jitter_ms", Json.Number c.fsync_jitter_ms);
       ("batch_window_ms", Json.Number c.batch_window_ms);
       ("snapshot_threshold", Json.Number (float_of_int c.snapshot_threshold));
       ("replay_ms_per_cmd", Json.Number c.replay_ms_per_cmd);
     ]
 
+let known_fields =
+  [ "mode"; "fsync_ms"; "batch_window_ms"; "snapshot_threshold";
+    "replay_ms_per_cmd" ]
+
 let config_of_json j =
   let ( let* ) = Result.bind in
+  let* () =
+    match j with
+    | Json.Obj fields -> (
+        match
+          List.find_opt (fun (k, _) -> not (List.mem k known_fields)) fields
+        with
+        | Some (k, _) -> Error (Printf.sprintf "unknown storage field %S" k)
+        | None -> Ok ())
+    | _ -> Error "storage must be an object"
+  in
   let floatf name default =
     match Json.member name j with
     | None -> Ok default
@@ -112,9 +120,6 @@ let config_of_json j =
         | None -> Error "storage.mode must be a string")
   in
   let* fsync_ms = floatf "fsync_ms" default_config.fsync_ms in
-  let* fsync_jitter_ms =
-    floatf "fsync_jitter_ms" default_config.fsync_jitter_ms
-  in
   let* batch_window_ms =
     floatf "batch_window_ms" default_config.batch_window_ms
   in
@@ -133,7 +138,6 @@ let config_of_json j =
     {
       sync_mode;
       fsync_ms;
-      fsync_jitter_ms;
       batch_window_ms;
       snapshot_threshold;
       replay_ms_per_cmd;
@@ -158,7 +162,6 @@ type t = {
   schedule : float -> (unit -> unit) -> unit;
       (* crash-domain-tracked scheduler: every completion event it
          creates dies with the owner at the crash edge *)
-  rng : Rng.t option; (* allocated only when a jitter draw can happen *)
   (* durable image *)
   mutable regs : int array;
   log : (int, entry) Hashtbl.t;
@@ -180,21 +183,11 @@ type t = {
   mutable in_flight : int;
 }
 
-let create ~config ~sim ~schedule ~rng_parent =
-  let rng =
-    (* mode=none never draws; jitter=0 never draws. Only split the
-       parent stream when a draw can actually happen, so storage-off
-       and jitter-free configurations leave every other RNG stream
-       untouched (byte-identity discipline, DESIGN.md §10). *)
-    if config.sync_mode <> Sync_none && config.fsync_jitter_ms > 0.0 then
-      Some (Rng.split rng_parent)
-    else None
-  in
+let create ~config ~sim ~schedule =
   {
     config;
     sim;
     schedule;
-    rng;
     regs = Array.make 4 0;
     log = Hashtbl.create 64;
     log_base = 0;
@@ -249,15 +242,12 @@ let write t op =
   t.pending <- op :: t.pending;
   t.n_pending <- t.n_pending + 1
 
-let jitter_draw t =
-  match t.rng with None -> 0.0 | Some rng -> Rng.float rng t.config.fsync_jitter_ms
-
 (* One fsync covering [ops]; run the continuations [ks] (oldest first)
    once it completes. FIFO device: starts when the previous fsync
    finishes. *)
 let begin_fsync t ops ks =
   let now = Sim.now t.sim in
-  let dur = t.config.fsync_ms +. jitter_draw t in
+  let dur = t.config.fsync_ms in
   let start = Float.max now t.busy_until in
   let done_at = start +. dur in
   t.busy_until <- done_at;
@@ -338,4 +328,3 @@ let writes t = t.writes
 let fsyncs t = t.fsyncs
 let busy_ms t = t.busy_ms
 let lost_writes t = t.lost_writes
-let pending_writes t = t.n_pending + t.in_flight

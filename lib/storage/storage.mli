@@ -13,7 +13,7 @@
     below the protocol layer. *)
 
 type sync_mode =
-  | Sync_none  (** durability is free: synchronous, no events, no draws *)
+  | Sync_none  (** durability is free: synchronous, no events *)
   | Sync_batched  (** group commit: one fsync per [batch_window_ms] *)
   | Sync_every  (** one fsync per {!sync} *)
 
@@ -23,7 +23,6 @@ val mode_of_string : string -> (sync_mode, string) result
 type config = {
   sync_mode : sync_mode;
   fsync_ms : float;
-  fsync_jitter_ms : float;
   batch_window_ms : float;
   snapshot_threshold : int;
   replay_ms_per_cmd : float;
@@ -50,13 +49,9 @@ val create :
   config:config ->
   sim:Sim.t ->
   schedule:(float -> (unit -> unit) -> unit) ->
-  rng_parent:Rng.t ->
   t
 (** [schedule delay k] must route through the owner's crash-domain
-    timer registry so fsync completions die with the replica. The
-    jitter stream is split from [rng_parent] only when a draw can
-    happen (mode ≠ none and jitter > 0), preserving byte-identity of
-    every other stream otherwise. *)
+    timer registry so fsync completions die with the replica. *)
 
 val mode : t -> sync_mode
 val snapshot_threshold : t -> int
@@ -106,5 +101,3 @@ val busy_ms : t -> float
 
 val lost_writes : t -> int
 (** Records discarded by crashes before their fsync completed. *)
-
-val pending_writes : t -> int

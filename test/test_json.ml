@@ -108,11 +108,17 @@ let test_config_minimal () =
       Alcotest.(check bool) "defaults fill in" true (c = Config.default ~n_replicas:5)
   | Error e -> Alcotest.fail e
 
+(* typos, and fields that no longer exist, are errors at any depth *)
 let test_config_rejects_unknown_field () =
-  Alcotest.(check bool) "typo caught" true
-    (Result.is_error
-       (Config.of_json
-          (Result.get_ok (Json.parse {|{"n_replicas": 5, "thirfty": true}|}))))
+  List.iter
+    (fun text ->
+      Alcotest.(check bool) text true
+        (Result.is_error (Config.of_json (Result.get_ok (Json.parse text)))))
+    [
+      {|{"n_replicas": 5, "thirfty": true}|};
+      {|{"n_replicas": 5, "read_ratio": 0.95}|};
+      {|{"n_replicas": 5, "storage": {"mode": "every", "fsync_jitter_ms": 0.1}}|};
+    ]
 
 let test_config_requires_n () =
   Alcotest.(check bool) "missing n" true

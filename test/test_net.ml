@@ -60,6 +60,32 @@ let test_client_region_assignment () =
   Alcotest.(check bool) "default" true
     (Region.equal (Topology.region_of t (Address.client 99)) Region.virginia)
 
+(* Zones are regions in first-appearance order, each listing its
+   replicas; an address's zone is its region's index. *)
+let test_zones () =
+  let az s = Region.make ("az-" ^ s) in
+  let t =
+    Topology.custom
+      ~replica_regions:[ az "b"; az "a"; az "b"; az "c"; az "a" ]
+      ~rtt_ms:(fun _ _ -> 1.0)
+      ()
+  in
+  Alcotest.(check (array (list int))) "zones" [| [ 0; 2 ]; [ 1; 4 ]; [ 3 ] |]
+    (Topology.zones t);
+  Alcotest.(check int) "replica" 1
+    (Topology.zone_of t (Address.replica 4));
+  Topology.assign_client t ~id:7 ~region:(az "c");
+  Alcotest.(check int) "assigned client" 2
+    (Topology.zone_of t (Address.client 7));
+  (* unassigned clients live in the first replica's region *)
+  Alcotest.(check int) "unassigned client" 0
+    (Topology.zone_of t (Address.client 8));
+  Topology.assign_client t ~id:9 ~region:(az "d");
+  Alcotest.(check bool) "region without replicas" true
+    (match Topology.zone_of t (Address.client 9) with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
 let test_aws_matrix_symmetric () =
   List.iter
     (fun a ->
@@ -478,6 +504,7 @@ let suite =
       Alcotest.test_case "rtt sampling plausible" `Quick test_rtt_sampling;
       Alcotest.test_case "one-way is half rtt" `Quick test_one_way_half_rtt;
       Alcotest.test_case "client region assignment" `Quick test_client_region_assignment;
+      Alcotest.test_case "zones" `Quick test_zones;
       Alcotest.test_case "aws matrix symmetric" `Quick test_aws_matrix_symmetric;
       Alcotest.test_case "crash window" `Quick test_faults_crash_window;
       Alcotest.test_case "drop is directional" `Quick test_faults_drop_directional;

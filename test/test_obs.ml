@@ -212,7 +212,6 @@ let traced_read_run ~read_path ~rate_per_sec ~seed =
       (Config.default ~n_replicas:n) with
       Config.seed;
       tracing = true;
-      read_ratio = Some 0.95;
       read_path = Some read_path;
     }
   in
@@ -223,7 +222,8 @@ let traced_read_run ~read_path ~rate_per_sec ~seed =
         [
           Runner.clients ~target:(Runner.Fixed 0)
             ~arrival:(Runner.Open { rate_per_sec = rate_per_sec /. 4.0 })
-            ~count:4 Workload.default;
+            ~count:4
+            { Workload.default with Workload.write_ratio = 1.0 -. 0.95 };
         ]
       ()
   in

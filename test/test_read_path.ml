@@ -1,9 +1,8 @@
 (* Read-path subsystem: leader leases serve linearizable local reads
    without consuming slot-log space, deposed leaders are blocked by
    lease expiry, quorum reads and chain tail reads answer correctly,
-   a lease point's reads beat its writes end to end, and the
-   read-ratio knob is byte-identity-safe (r=0 equals a
-   write-only run; pooled sweeps match sequential ones). *)
+   a lease point's reads beat its writes end to end, and pooled
+   read-heavy sweeps match sequential ones. *)
 
 open Paxi_benchmark
 module Paxos = Paxi_protocols.Paxos
@@ -17,6 +16,9 @@ let lease = Config.Lease { margin_ms = 300.0 }
 
 let lease_config ?(read_path = lease) n =
   { (Config.default ~n_replicas:n) with Config.read_path = Some read_path }
+
+(* the 95%-read mix the read-path sweeps drive *)
+let read_heavy = { Workload.default with Workload.write_ratio = 1.0 -. 0.95 }
 
 let put k v = Command.Put (k, v)
 let get k = Command.Get k
@@ -194,7 +196,6 @@ let linearizable_run ~protocol ~read_path ~seed =
     {
       (Config.default ~n_replicas:n) with
       Config.seed;
-      read_ratio = Some 0.95;
       read_path = Some read_path;
     }
   in
@@ -205,7 +206,7 @@ let linearizable_run ~protocol ~read_path ~seed =
     Runner.spec ~warmup_ms:200.0 ~duration_ms:1_500.0 ~collect_history:true
       ~check_consensus:true ~config
       ~topology:(Topology.lan ~n_replicas:n ())
-      ~client_specs:[ Runner.clients ~target ~count:8 Workload.default ]
+      ~client_specs:[ Runner.clients ~target ~count:8 read_heavy ]
       ()
   in
   let result = Runner.run (Paxi_protocols.Registry.find_exn protocol) spec in
@@ -241,7 +242,6 @@ let test_lease_point_beats_write_path () =
     {
       (lease_config 5) with
       Config.seed = 23049644;
-      read_ratio = Some 0.95;
       tracing = true;
     }
   in
@@ -252,8 +252,7 @@ let test_lease_point_beats_write_path () =
          ~topology:(Topology.lan ~n_replicas:5 ())
          ~client_specs:
            [
-             Runner.clients ~target:(Runner.Fixed 0) ~count:16
-               Workload.default;
+             Runner.clients ~target:(Runner.Fixed 0) ~count:16 read_heavy;
            ]
          ())
   in
@@ -267,38 +266,8 @@ let test_lease_point_beats_write_path () =
     true (read_p50 < write_p50)
 
 (* ------------------------------------------------------------------ *)
-(* Byte-identity: r=0 is the write path; pools don't perturb          *)
+(* Byte-identity: pools don't perturb                                  *)
 (* ------------------------------------------------------------------ *)
-
-let write_only_spec ~read_knob =
-  let config =
-    {
-      (Config.default ~n_replicas:5) with
-      Config.seed = 77;
-      read_ratio = (if read_knob then Some 0.0 else None);
-    }
-  in
-  Runner.spec ~warmup_ms:200.0 ~duration_ms:1_000.0 ~config
-    ~topology:(Topology.lan ~n_replicas:5 ())
-    ~client_specs:
-      [
-        Runner.clients ~target:Runner.Round_robin ~count:8
-          { Workload.default with Workload.write_ratio = 1.0 };
-      ]
-    ()
-
-(* read_ratio = 0 maps to p_write = 1.0 through the same single
-   Bernoulli draw as write_ratio = 1.0: the whole simulation must be
-   byte-identical, which is what keeps every pre-PR7 baseline valid. *)
-let test_read_ratio_zero_identity () =
-  let p = Paxi_protocols.Registry.find_exn "paxos" in
-  let a = Runner.run p (write_only_spec ~read_knob:false) in
-  let b = Runner.run p (write_only_spec ~read_knob:true) in
-  Alcotest.(check (float 0.0)) "same throughput" a.Runner.throughput_rps
-    b.Runner.throughput_rps;
-  Alcotest.(check int) "same events" a.Runner.sim_events b.Runner.sim_events;
-  Alcotest.(check bool) "identical latency samples" true
-    (Stats.samples a.Runner.latency = Stats.samples b.Runner.latency)
 
 (* Read-path points fanned over pools of different sizes come back
    byte-identical: the lease/quorum machinery draws nothing from any
@@ -310,14 +279,13 @@ let test_read_sweep_pool_identity () =
       {
         (Config.default ~n_replicas:5) with
         Config.seed;
-        read_ratio = Some 0.95;
         read_path;
       }
     in
     Runner.spec ~warmup_ms:200.0 ~duration_ms:800.0 ~config
       ~topology:(Topology.lan ~n_replicas:5 ())
       ~client_specs:
-        [ Runner.clients ~target:(Runner.Fixed 0) ~count:8 Workload.default ]
+        [ Runner.clients ~target:(Runner.Fixed 0) ~count:8 read_heavy ]
       ()
   in
   let points =
@@ -359,8 +327,6 @@ let suite =
         test_lease_point_beats_write_path;
       Alcotest.test_case "read paths linearizable" `Slow
         test_read_paths_linearizable;
-      Alcotest.test_case "read_ratio=0 byte identity" `Slow
-        test_read_ratio_zero_identity;
       Alcotest.test_case "read sweep pool identity" `Slow
         test_read_sweep_pool_identity;
     ] )

@@ -32,7 +32,6 @@ let make_storage ?(mode = Storage.Sync_every) () =
       ~config:(durable_with mode)
       ~sim
       ~schedule:(fun delay k -> ignore (Sim.schedule_after sim ~delay k))
-      ~rng_parent:(Rng.create ~seed:2)
   in
   (sim, st)
 

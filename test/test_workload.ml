@@ -115,14 +115,16 @@ let test_op_count () =
   ignore (collect g 17);
   Alcotest.(check int) "counted" 17 (Workload.op_count g)
 
-(* Read-ratio knob (PR 7): the generated mix lands within tolerance of
-   r for any seed and any of the swept ratios. *)
+(* Read-ratio sweeps set write_ratio = 1 - r: the generated mix lands
+   within tolerance of r for any seed and any of the swept ratios. *)
 let test_read_ratio_mix () =
   List.iter
     (fun seed ->
       List.iter
         (fun r ->
-          let spec = { Workload.default with Workload.read_ratio = Some r } in
+          let spec =
+            { Workload.default with Workload.write_ratio = 1.0 -. r }
+          in
           let g =
             Workload.generator spec ~rng:(Rng.create ~seed) ~client:0
           in
@@ -139,34 +141,6 @@ let test_read_ratio_mix () =
         [ 0.5; 0.95; 0.99 ])
     [ 1; 7; 42; 1000; 20190630 ]
 
-(* read_ratio = Some (1 - w) parameterizes the SAME single Bernoulli
-   draw as write_ratio = w: the op streams are byte-identical, and
-   None leaves the legacy stream untouched — the invariant that keeps
-   every pre-read-path baseline valid. *)
-let test_read_ratio_stream_identity () =
-  let stream spec =
-    collect (Workload.generator spec ~rng:(Rng.create ~seed:11) ~client:0) 2000
-  in
-  let a = stream { Workload.default with Workload.write_ratio = 0.3 } in
-  let b =
-    stream
-      { Workload.default with Workload.write_ratio = 0.3; read_ratio = Some 0.7 }
-  in
-  Alcotest.(check bool) "read_ratio 0.7 = write_ratio 0.3 stream" true (a = b);
-  let c = stream { Workload.default with Workload.read_ratio = Some 0.0 } in
-  let d = stream { Workload.default with Workload.write_ratio = 1.0 } in
-  Alcotest.(check bool) "read_ratio 0 = write-only stream" true (c = d)
-
-let test_read_ratio_validation () =
-  let bad spec =
-    Alcotest.(check bool) "invalid" true (Workload.validate spec <> Ok ())
-  in
-  bad { Workload.default with Workload.read_ratio = Some 1.5 };
-  bad { Workload.default with Workload.read_ratio = Some (-0.1) };
-  Alcotest.(check bool) "r=0.95 valid" true
-    (Workload.validate { Workload.default with Workload.read_ratio = Some 0.95 }
-    = Ok ())
-
 let suite =
   ( "workload",
     [
@@ -180,8 +154,4 @@ let suite =
       Alcotest.test_case "ycsb zipf skew" `Quick test_ycsb_zipf_skew;
       Alcotest.test_case "op count" `Quick test_op_count;
       Alcotest.test_case "read ratio mix" `Quick test_read_ratio_mix;
-      Alcotest.test_case "read ratio stream identity" `Quick
-        test_read_ratio_stream_identity;
-      Alcotest.test_case "read ratio validation" `Quick
-        test_read_ratio_validation;
     ] )
