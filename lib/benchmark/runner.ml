@@ -82,6 +82,8 @@ type result = {
   storage_writes : int;
   storage_fsyncs : int;
   storage_busy_ms : float;
+  storage_syncs : int;
+  storage_sync_wait_ms : float;
   storage_lost_writes : int;
   allocated_bytes : float;
   bytes_per_event : float;
@@ -296,9 +298,7 @@ let run (module P : Proto.RUNNABLE) spec =
   let messages_sent, _, _ = S.message_counts dep in
   let retransmits, dup_drops = S.retransmit_counts dep in
   let recoveries, replay_ms_total, timers_cancelled = S.recovery_counts dep in
-  let storage_writes, storage_fsyncs, storage_busy_ms, storage_lost_writes =
-    S.storage_totals dep
-  in
+  let storage = S.storage_totals dep in
   let shard_stats =
     Array.init nshards (fun s ->
         let shard_leader, shard_leader_busy_ms =
@@ -334,10 +334,12 @@ let run (module P : Proto.RUNNABLE) spec =
     recoveries;
     replay_ms_total;
     timers_cancelled;
-    storage_writes;
-    storage_fsyncs;
-    storage_busy_ms;
-    storage_lost_writes;
+    storage_writes = storage.Storage.writes;
+    storage_fsyncs = storage.Storage.fsyncs;
+    storage_busy_ms = storage.Storage.busy_ms;
+    storage_lost_writes = storage.Storage.lost_writes;
+    storage_syncs = storage.Storage.syncs;
+    storage_sync_wait_ms = storage.Storage.sync_wait_ms;
     allocated_bytes;
     bytes_per_event = allocated_bytes /. float_of_int (max 1 loop_events);
     trace = S.trace dep ~shard:0;

@@ -128,8 +128,14 @@ type result = {
   storage_fsyncs : int;  (** fsync operations serviced *)
   storage_busy_ms : float;
       (** total device occupancy servicing fsyncs;
-          [storage_busy_ms /. storage_fsyncs] is the measured mean
-          fsync latency compared against the model term *)
+          [storage_busy_ms /. storage_fsyncs] is the mean fsync
+          service time *)
+  storage_syncs : int;  (** syncs whose continuation ran *)
+  storage_sync_wait_ms : float;
+      (** summed wait from each sync to its continuation, device
+          queueing and group-commit windows included;
+          [storage_sync_wait_ms /. storage_syncs] is the measured fsync
+          term compared against the model's *)
   storage_lost_writes : int;
       (** records lost to crashes before their fsync completed *)
   allocated_bytes : float;

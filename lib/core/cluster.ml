@@ -479,13 +479,9 @@ module Make (P : Proto.RUNNABLE) = struct
 
   let storage_totals t =
     Array.fold_left
-      (fun (w, f, b, l) st ->
+      (fun acc st ->
         match st with
-        | None -> (w, f, b, l)
-        | Some st ->
-            ( w + Storage.writes st,
-              f + Storage.fsyncs st,
-              b +. Storage.busy_ms st,
-              l + Storage.lost_writes st ))
-      (0, 0, 0.0, 0) t.storages
+        | None -> acc
+        | Some st -> Storage.add_totals acc (Storage.totals st))
+      Storage.no_totals t.storages
 end

@@ -128,7 +128,7 @@ module Make (P : Proto.RUNNABLE) : sig
   (** Pending events mass-cancelled at crash edges across all
       replicas. *)
 
-  val storage_totals : t -> int * int * float * int
-  (** (writes, fsyncs, fsync busy ms, lost writes) summed over every
-      replica's storage device; zeros when storage is off. *)
+  val storage_totals : t -> Storage.totals
+  (** Every replica's storage device summed; zeros when storage is
+      off. *)
 end

@@ -165,30 +165,38 @@ type breakdown = {
 
 (* Expected fsync wait a commit pays when stable storage is armed.
    Acceptors fsync in parallel before acking, so the term enters the
-   round once, not per quorum member: one device service time under
-   Sync_every, plus the expected wait for the open group-commit window
-   to close under Sync_batched (a record lands uniformly inside the
+   round once, not per quorum member. Under Sync_every each replica
+   fsyncs once per op, so its device is an M/D/1 queue at
+   rho = lambda * s (lambda in ops per ms, s = fsync_ms): one service
+   time s plus the wait rho * s / (2 (1 - rho)), infinite once the
+   device saturates. Under
+   Sync_batched a record lands uniformly inside the open group-commit
    window, so waits [batch_window_ms / 2] on average before the single
-   shared fsync starts). Sync_none keeps durability off the critical
+   shared fsync starts. Sync_none keeps durability off the critical
    path entirely. *)
-let fsync_term_ms = function
+let fsync_term_ms ~lambda_rps = function
   | None -> 0.0
   | Some (c : Storage.config) -> (
       match c.Storage.sync_mode with
       | Storage.Sync_none -> 0.0
-      | Storage.Sync_every -> c.Storage.fsync_ms
+      | Storage.Sync_every ->
+          let s = c.Storage.fsync_ms in
+          s
+          +. Queueing.wait_time Queueing.Md1 ~lambda:(lambda_rps /. 1000.0)
+               ~mu:(1.0 /. s)
       | Storage.Sync_batched ->
           (c.Storage.batch_window_ms /. 2.0) +. c.Storage.fsync_ms)
 
 let lan_breakdown ?queue ?durable proto ~node ~lan ~rng ~lambda_rps =
   let rc = resolved_cost proto ~node ~lambda_rps in
+  let durability_ms = fsync_term_ms ~lambda_rps durable in
   match queue_wait_ms ?queue rc ~lambda_rps with
   | None -> None
+  | Some _ when durability_ms = infinity -> None
   | Some wq ->
       let dl, dq, dq_extra = lan_network_delays proto ~node ~lan ~rng in
       let c = effective_conflict proto ~node ~lambda_rps in
       let conflict_extra_ms = c *. dq_extra in
-      let durability_ms = fsync_term_ms durable in
       Some
         {
           wq_ms = wq;

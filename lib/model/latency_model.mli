@@ -75,15 +75,18 @@ type breakdown = {
     kept as separate components so measured per-request traces can be
     compared term by term against the model ([bench/main dissect]). *)
 
-val fsync_term_ms : Storage.config option -> float
+val fsync_term_ms : lambda_rps:float -> Storage.config option -> float
 (** Expected fsync wait one commit pays (DESIGN.md §14): acceptors
     fsync in parallel before acking, so the round absorbs the term
-    once — [fsync_ms] under [Sync_every],
-    [batch_window_ms / 2 + fsync_ms] under [Sync_batched] (a record
-    lands uniformly inside the open group-commit window), and [0]
-    under [Sync_none] or with storage off. [bench/main dissect
-    --durable] gates the measured per-fsync device time against this
-    term. *)
+    once. Under [Sync_every] each replica fsyncs once per op, so the
+    device is an M/D/1 queue at
+    [rho = lambda_rps * fsync_ms / 1000]:
+    [fsync_ms + rho * fsync_ms / (2 (1 - rho))], and [infinity] once
+    [rho >= 1]. [batch_window_ms / 2 + fsync_ms] under [Sync_batched]
+    (a record lands uniformly inside the open group-commit window),
+    and [0] under [Sync_none] or with storage off. [bench/main dissect
+    --protocol paxos --durable every] gates the measured mean wait
+    from sync to continuation against this term. *)
 
 val lan_breakdown :
   ?queue:Queueing.kind ->
@@ -94,8 +97,9 @@ val lan_breakdown :
   rng:Rng.t ->
   lambda_rps:float ->
   breakdown option
-(** [None] once the busiest node saturates. [?durable] adds the
-    {!fsync_term_ms} durability term to the commit path. *)
+(** [None] once the busiest node or the storage device saturates.
+    [?durable] adds the {!fsync_term_ms} durability term to the commit
+    path. *)
 
 (** {2 Read paths} (PR 7) *)
 

@@ -453,12 +453,13 @@ let relay_absorb_p2b t ~src ~ballot ~first_slot ~count ~ok =
    branch below falls through to the original code path, so
    memory-only runs stay byte-identical. *)
 
-let durable_ballot_ops (b : Ballot.t) =
-  [ Storage.Reg (0, b.Ballot.round); Storage.Reg (1, b.Ballot.owner) ]
+let write_ballot st (b : Ballot.t) =
+  Storage.set_reg st 0 b.Ballot.round;
+  Storage.set_reg st 1 b.Ballot.owner
 
-let entry_op ~slot ~(ballot : Ballot.t) ~cmd =
-  Storage.Entry
-    (slot, { Storage.a = ballot.Ballot.round; b = ballot.Ballot.owner; cmd })
+let write_accept st ~slot ~(ballot : Ballot.t) cmd =
+  Storage.append st ~index:slot ~a:ballot.Ballot.round ~b:ballot.Ballot.owner
+    cmd
 
 let commit_batch t first_slot (bs : batch_state) =
   Hashtbl.remove t.batches first_slot;
@@ -561,8 +562,7 @@ let propose t first_slot cmds =
   | None -> self_vote t first_slot bs
   | Some st ->
       for i = 0 to bs.count - 1 do
-        Storage.write st
-          (entry_op ~slot:(first_slot + i) ~ballot:bs.bballot ~cmd:cmds.(i))
+        write_accept st ~slot:(first_slot + i) ~ballot:bs.bballot cmds.(i)
       done;
       Storage.sync st (fun () ->
           if round_live t first_slot bs then self_vote t first_slot bs)
@@ -710,7 +710,7 @@ let become_leader t (state : phase1_state) =
         match t.env.Proto.storage with
         | None -> self_vote t slot bs
         | Some st ->
-            Storage.write st (entry_op ~slot ~ballot:t.ballot ~cmd);
+            write_accept st ~slot ~ballot:t.ballot cmd;
             resync := (slot, bs) :: !resync)
   done;
   (match t.env.Proto.storage with
@@ -719,7 +719,7 @@ let become_leader t (state : phase1_state) =
       (* one fsync covers the new term's ballot and every re-proposed
          accept; the self-votes land when it completes *)
       let rounds = !resync in
-      List.iter (Storage.write st) (durable_ballot_ops t.ballot);
+      write_ballot st t.ballot;
       Storage.sync st (fun () ->
           List.iter
             (fun (slot, bs) -> if round_live t slot bs then self_vote t slot bs)
@@ -765,7 +765,8 @@ let start_phase1 t =
       (* the candidacy's own implicit promise must be durable before
          anyone else can count on it *)
       let b = t.ballot in
-      Storage.persist st (durable_ballot_ops b) (fun () ->
+      write_ballot st b;
+      Storage.sync st (fun () ->
           match t.p1 with
           | Some s when s == state && Ballot.equal t.ballot b -> solicit ()
           | _ -> () (* candidacy superseded before the fsync *))
@@ -895,7 +896,8 @@ let on_p1a t ~src ~ballot ~frontier =
     (match t.env.Proto.storage with
     | None -> t.env.send src (P1b { ballot; ok = true; accepted = !accepted })
     | Some st ->
-        Storage.persist st (durable_ballot_ops ballot) (fun () ->
+        write_ballot st ballot;
+        Storage.sync st (fun () ->
             t.env.send src (P1b { ballot; ok = true; accepted = !accepted })));
     drain_pending t
   end
@@ -943,10 +945,9 @@ let accept_p2a t ~ballot ~first_slot ~cmds ~commit_up_to:bound =
     (match t.env.Proto.storage with
     | None -> ()
     | Some st ->
-        List.iter (Storage.write st) (durable_ballot_ops ballot);
+        write_ballot st ballot;
         for i = 0 to Array.length cmds - 1 do
-          Storage.write st
-            (entry_op ~slot:(first_slot + i) ~ballot ~cmd:cmds.(i))
+          write_accept st ~slot:(first_slot + i) ~ballot cmds.(i)
         done);
     commit_up_to t bound;
     true
@@ -1131,11 +1132,11 @@ let on_recover t =
   | Some st ->
       let round = Storage.reg st 0 and owner = Storage.reg st 1 in
       if round > 0 then t.ballot <- { Ballot.round; owner };
-      Storage.iter_entries st ~f:(fun slot (de : Storage.entry) ->
+      Storage.iter_entries st ~f:(fun slot ~a ~b cmd ->
           Slot_log.set t.log slot
             {
-              ballot = { Ballot.round = de.Storage.a; owner = de.Storage.b };
-              cmd = de.Storage.cmd;
+              ballot = { Ballot.round = a; owner = b };
+              cmd;
               client = None;
               committed = false;
             }));

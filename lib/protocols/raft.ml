@@ -213,14 +213,12 @@ let term_at t i =
    falls through to the original path, keeping memory-only runs
    byte-identical. *)
 
-let durable_term_ops t =
-  [
-    Storage.Reg (0, t.term);
-    Storage.Reg (1, (match t.voted_for with Some v -> v + 1 | None -> 0));
-  ]
+let write_term st t =
+  Storage.set_reg st 0 t.term;
+  Storage.set_reg st 1 (match t.voted_for with Some v -> v + 1 | None -> 0)
 
-let entry_op ~slot (e : entry) =
-  Storage.Entry (slot, { Storage.a = e.term; b = 0; cmd = e.cmd })
+let write_entry st ~slot (e : entry) =
+  Storage.append st ~index:slot ~a:e.term ~b:0 e.cmd
 
 let reset_election_timer t =
   let base = t.env.config.Config.failover_timeout_ms in
@@ -229,7 +227,7 @@ let reset_election_timer t =
 
 (* Threshold log compaction (Raft §7): once the applied prefix since
    the last compaction reaches [snapshot_threshold], capture the
-   state-machine image, persist it with a [Truncate], and drop the
+   state-machine image, persist it with a [truncate] record, and drop the
    in-memory slots below the frontier. The in-memory log truncates
    immediately (it is volatile either way); durability of the
    snapshot rides the next fsync, and a crash before it completes
@@ -244,8 +242,8 @@ let maybe_snapshot t =
         let image = Executor.image t.exec in
         t.snap_term <- term_at t (applied - 1);
         t.snap <- Some (applied, t.snap_term, image);
-        Storage.write st (Storage.Snapshot (applied, t.snap_term, image));
-        Storage.write st (Storage.Truncate applied);
+        Storage.write_snapshot st ~last_index:applied ~a:t.snap_term image;
+        Storage.truncate st ~upto:applied;
         Storage.sync st ignore;
         Slot_log.truncate t.log ~upto:applied;
         t.snapshots <- t.snapshots + 1
@@ -586,7 +584,7 @@ let become_leader t =
   t.read_barrier <- barrier;
   (match t.env.Proto.storage with
   | None -> t.match_index.(t.env.id) <- barrier + 1
-  | Some st -> Storage.write st (entry_op ~slot:barrier be));
+  | Some st -> write_entry st ~slot:barrier be);
   broadcast_append t;
   while not (Queue.is_empty t.pending) do
     let client, request = Queue.pop t.pending in
@@ -595,7 +593,7 @@ let become_leader t =
     Slot_log.set t.log slot e;
     match t.env.Proto.storage with
     | None -> t.match_index.(t.env.id) <- slot + 1
-    | Some st -> Storage.write st (entry_op ~slot e)
+    | Some st -> write_entry st ~slot e
   done;
   (match t.env.Proto.storage with
   | None -> advance_commit t (* a cluster of one commits alone *)
@@ -659,7 +657,8 @@ let start_election t =
       (* the candidacy's term and self-vote bind across crashes: the
          solicitation leaves only once they are on disk *)
       let term = t.term in
-      Storage.persist st (durable_term_ops t) (fun () ->
+      write_term st t;
+      Storage.sync st (fun () ->
           if t.state = Candidate && t.term = term then solicit ())
 
 let on_request t ~client (request : Proto.request) =
@@ -681,7 +680,7 @@ let on_request t ~client (request : Proto.request) =
       | Some st ->
           (* the leader's own match counts only once the entry's fsync
              completes — by then leadership may have moved on *)
-          Storage.write st (entry_op ~slot e);
+          write_entry st ~slot e;
           let term = t.term in
           Storage.sync st (fun () ->
               if t.state = Leader && t.term = term then begin
@@ -746,7 +745,8 @@ let on_request_vote t ~src ~term ~last_index:cand_last ~last_term =
   | Some st when granted ->
       (* the vote binds across crashes: it leaves only after term and
          voted_for are on disk *)
-      Storage.persist st (durable_term_ops t) (fun () ->
+      write_term st t;
+      Storage.sync st (fun () ->
           t.env.send src (VoteReply { term = reply_term; granted = true }))
   | _ -> t.env.send src (VoteReply { term = reply_term; granted })
 
@@ -795,7 +795,7 @@ let append_entries_core t ~leader ~term ~prev_index ~prev_term ~entries
               Slot_log.set t.log i { e with client = None };
               (match t.env.Proto.storage with
               | None -> ()
-              | Some st -> Storage.write st (entry_op ~slot:i e)))
+              | Some st -> write_entry st ~slot:i e))
         entries;
       let match_index = prev_index + 1 + List.length entries in
       if leader_commit > t.commit_index then begin
@@ -861,8 +861,8 @@ let on_install_snapshot t ~src ~term ~last_index ~last_term ~image =
       match t.env.Proto.storage with
       | None -> reply ()
       | Some st ->
-          Storage.write st (Storage.Snapshot (last_index, last_term, image));
-          Storage.write st (Storage.Truncate last_index);
+          Storage.write_snapshot st ~last_index ~a:last_term image;
+          Storage.truncate st ~upto:last_index;
           Storage.sync st reply
     end
     else
@@ -1057,10 +1057,9 @@ let on_recover t =
           t.snap <- Some (last, last_term, image);
           t.commit_index <- last
       | None -> ());
-      Storage.iter_entries st ~f:(fun slot (de : Storage.entry) ->
+      Storage.iter_entries st ~f:(fun slot ~a ~b:_ cmd ->
           if slot >= Slot_log.base t.log then
-            Slot_log.set t.log slot
-              { term = de.Storage.a; cmd = de.Storage.cmd; client = None }));
+            Slot_log.set t.log slot { term = a; cmd; client = None }));
   t.last_heard <- t.env.now ();
   reset_election_timer t;
   heartbeat_loop t;

@@ -93,8 +93,6 @@ module Make (P : Proto.RUNNABLE) = struct
 
   let storage_totals t =
     Array.fold_left
-      (fun (w, f, b, l) c ->
-        let w', f', b', l' = C.storage_totals c in
-        (w + w', f + f', b +. b', l + l'))
-      (0, 0, 0.0, 0) t.groups
+      (fun acc c -> Storage.add_totals acc (C.storage_totals c))
+      Storage.no_totals t.groups
 end

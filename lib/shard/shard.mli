@@ -75,7 +75,6 @@ module Make (P : Proto.RUNNABLE) : sig
   val recovery_counts : t -> int * float * int
   (** (recoveries, replay ms, timers cancelled), summed across groups. *)
 
-  val storage_totals : t -> int * int * float * int
-  (** (writes, fsyncs, fsync busy ms, lost writes), summed across
-      groups. *)
+  val storage_totals : t -> Storage.totals
+  (** Storage totals summed across groups. *)
 end

@@ -1,7 +1,8 @@
 (** Stable storage modeled as a second service queue.
 
-    One instance per replica: protocols {!write} persistent records
-    (ballot/term registers, accepted log entries, snapshots) and call
+    One instance per replica: protocols write persistent records
+    ({!set_reg}, {!append}, {!truncate}, {!write_snapshot}: ballot/term
+    registers, accepted log entries, snapshots) and call
     {!sync} with the continuation that sends the ack they owe — the
     continuation runs only after the simulated fsync completes, which
     puts the disk on the critical path exactly as the paper's
@@ -33,16 +34,6 @@ val validate_config : config -> (config, string) result
 val config_to_json : config -> Json.t
 val config_of_json : Json.t -> (config, string) result
 
-type entry = { a : int; b : int; cmd : Command.t }
-(** One durable log slot: [a]/[b] are protocol tags (paxos: accepted
-    ballot round/owner; raft: entry term), [cmd] the command. *)
-
-type op =
-  | Reg of int * int
-  | Entry of int * entry
-  | Truncate of int
-  | Snapshot of int * int * Command.t array
-
 type t
 
 val create :
@@ -51,27 +42,46 @@ val create :
   schedule:(float -> (unit -> unit) -> unit) ->
   t
 (** [schedule delay k] must route through the owner's crash-domain
-    timer registry so fsync completions die with the replica. *)
+    timer registry so fsync completions die with the replica. Every
+    array is allocated on first use. *)
 
 val mode : t -> sync_mode
 val snapshot_threshold : t -> int
 
-val write : t -> op -> unit
-(** Append a record to the unsynced tail (volatile until a sync
-    covering it completes). *)
+(** {2 Records}
+
+    Each writer appends one record to the unsynced tail; it stays
+    volatile until a {!sync} covering it completes. Writing a record
+    allocates nothing. *)
+
+val set_reg : t -> int -> int -> unit
+(** [set_reg t idx v]: register [idx] := [v]. *)
+
+val append : t -> index:int -> a:int -> b:int -> Command.t -> unit
+(** Log slot [index] := [(a, b, cmd)]; [a]/[b] are protocol tags
+    (paxos: accepted ballot round/owner; raft: entry term). A slot
+    below {!log_base} at fsync completion is ignored. *)
+
+val truncate : t -> upto:int -> unit
+(** Discard the log slots below [upto]. *)
+
+val write_snapshot : t -> last_index:int -> a:int -> Command.t array -> unit
+(** State-machine image through slot [last_index] (inclusive), with
+    [a] the protocol tag of that slot (raft: its term); the image is
+    the applied-command prefix, replayable in order. *)
 
 val sync : t -> (unit -> unit) -> unit
 (** Make the tail durable, then run the continuation. [Sync_none] is
     synchronous; [Sync_every] schedules one fsync on the FIFO device;
-    [Sync_batched] joins the open group-commit window. *)
-
-val persist : t -> op list -> (unit -> unit) -> unit
-(** [write] each op, then [sync]. *)
+    [Sync_batched] joins the open group-commit window. Continuations
+    run in sync order. The device allocates nothing for a sync; the
+    only allocation is the delay boxed through [schedule]. *)
 
 val crash : t -> unit
-(** Lose the unsynced tail (counted in {!lost_writes}), invalidate any
-    in-flight fsync completions, and reset the device clock. The
-    durable image survives. *)
+(** Lose every record not yet durable (counted in [lost_writes]),
+    drop the continuations waiting on them, invalidate any in-flight
+    fsync completions, and reset the device clock. The durable image
+    survives. *)
 
 (** {2 Recovery reads} *)
 
@@ -82,7 +92,7 @@ val log_base : t -> int
 val log_top : t -> int
 val snapshot : t -> (int * int * Command.t array) option
 val durable_entries : t -> int
-val iter_entries : t -> f:(int -> entry -> unit) -> unit
+val iter_entries : t -> f:(int -> a:int -> b:int -> Command.t -> unit) -> unit
 (** Durable log slots in index order, [log_base .. log_top). *)
 
 val replay_cost_ms : t -> float
@@ -92,12 +102,21 @@ val replay_cost_ms : t -> float
 
 (** {2 Metrics} *)
 
-val writes : t -> int
-val fsyncs : t -> int
-val busy_ms : t -> float
-(** Total simulated time the device spent servicing fsyncs;
-    [busy_ms /. fsyncs] is the measured mean fsync latency the dissect
-    gate compares against the model term. *)
+type totals = {
+  writes : int;  (** records written *)
+  fsyncs : int;  (** fsyncs issued *)
+  busy_ms : float;
+      (** simulated time the device spent servicing fsyncs;
+          [busy_ms /. fsyncs] is the mean fsync service time *)
+  lost_writes : int;  (** records discarded by crashes before durable *)
+  syncs : int;  (** syncs whose continuation ran *)
+  sync_wait_ms : float;
+      (** summed wait from each of those syncs to its continuation —
+          queueing behind earlier fsyncs and the group-commit window
+          included; [sync_wait_ms /. syncs] is the mean the dissect
+          gate compares against the model's fsync term *)
+}
 
-val lost_writes : t -> int
-(** Records discarded by crashes before their fsync completed. *)
+val no_totals : totals
+val totals : t -> totals
+val add_totals : totals -> totals -> totals

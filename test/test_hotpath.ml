@@ -279,6 +279,67 @@ let test_promoted_per_apply_pinned () =
     true
     (promoted <= promoted_bytes_per_apply_cap)
 
+(* Storage write-path pin. On a warmed [Sync_every] device, 100k steps
+   of [set_reg] x2 + [append] + [sync] with one preallocated
+   continuation, then the clock advanced past the fsync's completion.
+   Words come from [Gc.minor_words] around each phase and are
+   deterministic for the compiled code. Writing the three records
+   allocates nothing. A sync allocates 4 words: the delay boxed
+   through the [schedule] callback and the time the simulator boxes
+   for its event. The completion phase measures 9.06: the simulator
+   advancing its clock and firing the event, plus a fresh durable-log
+   page every 128 slots. *)
+let storage_sync_words_cap = 4.0
+let storage_completion_words_cap = 9.5
+
+let test_storage_write_path_words () =
+  let sim = Sim.create ~seed:1 () in
+  let st =
+    Storage.create
+      ~config:
+        { Storage.default_config with Storage.sync_mode = Storage.Sync_every }
+      ~sim
+      ~schedule:(fun delay k -> ignore (Sim.schedule_after sim ~delay k))
+  in
+  let cmd = Command.make ~id:0 ~client:0 (Command.Put (1, 1)) in
+  let acked = ref 0 in
+  let k () = incr acked in
+  let words = Array.make 3 0.0 in
+  let step i =
+    let w0 = Gc.minor_words () in
+    Storage.set_reg st 0 i;
+    Storage.set_reg st 1 i;
+    Storage.append st ~index:i ~a:1 ~b:0 cmd;
+    let w1 = Gc.minor_words () in
+    Storage.sync st k;
+    let w2 = Gc.minor_words () in
+    Sim.run_until sim (Sim.now sim +. 1.0);
+    let w3 = Gc.minor_words () in
+    words.(0) <- words.(0) +. (w1 -. w0);
+    words.(1) <- words.(1) +. (w2 -. w1);
+    words.(2) <- words.(2) +. (w3 -. w2)
+  in
+  let warm = 10_000 and n = 100_000 in
+  for i = 0 to warm - 1 do
+    step i
+  done;
+  Array.fill words 0 3 0.0;
+  for i = warm to warm + n - 1 do
+    step i
+  done;
+  let per phase = words.(phase) /. float_of_int n in
+  Alcotest.(check int) "every sync acknowledged" (warm + n) !acked;
+  Alcotest.(check (float 0.0)) "records allocate nothing" 0.0 (per 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "sync words %.2f <= %.0f" (per 1) storage_sync_words_cap)
+    true
+    (per 1 <= storage_sync_words_cap);
+  Alcotest.(check bool)
+    (Printf.sprintf "completion words %.2f <= %.0f" (per 2)
+       storage_completion_words_cap)
+    true
+    (per 2 <= storage_completion_words_cap)
+
 let check_safe name (r : Runner.result) =
   let anomalies = Linearizability.check r.Runner.history in
   List.iter
@@ -372,6 +433,8 @@ let suite =
       Alcotest.test_case "pooling invisible" `Slow test_pooling_invisible;
       Alcotest.test_case "allocation per event pinned" `Slow
         test_allocation_per_event_pinned;
+      Alcotest.test_case "storage write path words pinned" `Quick
+        test_storage_write_path_words;
       Alcotest.test_case "promoted bytes per apply pinned" `Quick
         test_promoted_per_apply_pinned;
       Alcotest.test_case "batched paxos safe" `Slow test_batched_paxos_safe;

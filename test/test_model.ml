@@ -325,6 +325,34 @@ let test_read_breakdown_quorum () =
       Alcotest.(check bool) "local read under the write path" true
         (local.Latency_model.total_ms < w.Latency_model.total_ms)
 
+(* The durability term: under sync=every each replica's device is an
+   M/D/1 queue at rho = lambda * fsync_ms, so at 1,200 rps and 0.5 ms
+   (rho = 0.6) a commit waits 0.5 + 0.6 * 0.5 / (2 * 0.4) = 0.875 ms. *)
+let test_fsync_term () =
+  let every =
+    { Storage.default_config with Storage.sync_mode = Storage.Sync_every }
+  in
+  let term c lambda_rps = Latency_model.fsync_term_ms ~lambda_rps c in
+  feq "storage off" 0.0 (term None 1200.0);
+  feq "sync=none" 0.0
+    (term (Some { every with Storage.sync_mode = Storage.Sync_none }) 1200.0);
+  feq "sync=every, idle device" 0.5 (term (Some every) 0.0);
+  feq "sync=every, rho 0.6" 0.875 (term (Some every) 1200.0);
+  feq "sync=batched" 0.6
+    (term (Some { every with Storage.sync_mode = Storage.Sync_batched }) 1200.0);
+  Alcotest.(check bool) "saturated device" true
+    (term (Some every) 2000.0 = infinity);
+  (* a 2 ms disk saturates at 500 rps, far below the CPU's knee *)
+  let breakdown durable =
+    Latency_model.lan_breakdown ?durable Latency_model.Paxos
+      ~node:(Service.default_node ~n:5) ~lan:Latency_model.default_lan
+      ~rng:(Rng.create ~seed:3) ~lambda_rps:600.0
+  in
+  Alcotest.(check bool) "memory-only round stable at 600 rps" true
+    (breakdown None <> None);
+  Alcotest.(check bool) "breakdown saturates with the device" true
+    (breakdown (Some { every with Storage.fsync_ms = 2.0 }) = None)
+
 let prop_wait_nonnegative =
   QCheck.Test.make ~name:"queue wait is non-negative" ~count:200
     QCheck.(pair (float_range 0.1 9.9) (float_range 10.0 20.0))
@@ -362,6 +390,7 @@ let suite =
       Alcotest.test_case "advisor paths" `Quick test_advisor_paths;
       Alcotest.test_case "read breakdown local/tail" `Quick
         test_read_breakdown_local_and_tail;
+      Alcotest.test_case "fsync term" `Quick test_fsync_term;
       Alcotest.test_case "read breakdown quorum" `Quick
         test_read_breakdown_quorum;
       QCheck_alcotest.to_alcotest prop_load_decreasing_in_leaders;

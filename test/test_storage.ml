@@ -1,6 +1,7 @@
 (* Stable storage and crash recovery (PR 10): device semantics
    (durability at fsync completion, group commit, crash losing the
-   unsynced tail), the timer ownership registry, slot-log truncation,
+   unsynced tail), case by case and against a list model over random
+   programs, the timer ownership registry, slot-log truncation,
    executor snapshot images, raft threshold snapshots and
    InstallSnapshot catch-up, fixed-seed crash-recover pins for
    paxos/raft, and the sync=none byte-identity pin. *)
@@ -36,13 +37,14 @@ let make_storage ?(mode = Storage.Sync_every) () =
   (sim, st)
 
 let cmd id = Command.make ~id ~client:0 (Command.Put (id, id))
-let entry id = { Storage.a = 1; b = 0; cmd = cmd id }
+let append st i = Storage.append st ~index:i ~a:1 ~b:0 (cmd i)
+let fsyncs st = (Storage.totals st).Storage.fsyncs
 
 let test_durable_only_at_fsync_completion () =
   let sim, st = make_storage () in
   let acked = ref false in
-  Storage.write st (Storage.Reg (0, 7));
-  Storage.write st (Storage.Entry (0, entry 0));
+  Storage.set_reg st 0 7;
+  append st 0;
   Storage.sync st (fun () -> acked := true);
   (* nothing is durable, and no ack has fired, before the device
      finishes the fsync *)
@@ -53,12 +55,12 @@ let test_durable_only_at_fsync_completion () =
   Alcotest.(check bool) "ack after fsync completion" true !acked;
   Alcotest.(check int) "register durable" 7 (Storage.reg st 0);
   Alcotest.(check int) "entry durable" 1 (Storage.durable_entries st);
-  Alcotest.(check int) "one fsync" 1 (Storage.fsyncs st)
+  Alcotest.(check int) "one fsync" 1 (fsyncs st)
 
 let test_crash_loses_unsynced_tail () =
   let sim, st = make_storage () in
   let acked = ref false in
-  Storage.write st (Storage.Reg (0, 3));
+  Storage.set_reg st 0 3;
   Storage.sync st (fun () -> acked := true);
   Sim.run_until sim 10.0;
   Alcotest.(check int) "first write durable" 3 (Storage.reg st 0);
@@ -66,51 +68,53 @@ let test_crash_loses_unsynced_tail () =
      image keeps the old value, the continuation never runs, and the
      loss is counted *)
   let late = ref false in
-  Storage.write st (Storage.Reg (0, 9));
-  Storage.write st (Storage.Entry (0, entry 0));
+  Storage.set_reg st 0 9;
+  append st 0;
   Storage.sync st (fun () -> late := true);
   Storage.crash st;
   Sim.run_until sim 20.0;
   Alcotest.(check bool) "stale completion suppressed" false !late;
   Alcotest.(check int) "register kept the durable value" 3 (Storage.reg st 0);
   Alcotest.(check int) "entry lost with the tail" 0 (Storage.durable_entries st);
-  Alcotest.(check bool) "losses counted" true (Storage.lost_writes st >= 2);
+  Alcotest.(check bool) "losses counted" true
+    ((Storage.totals st).Storage.lost_writes >= 2);
   Alcotest.(check bool) "ack survived from before" true !acked
 
 let test_batched_group_commit () =
   let sim, st = make_storage ~mode:Storage.Sync_batched () in
   let acks = ref 0 in
   for i = 0 to 2 do
-    Storage.write st (Storage.Entry (i, entry i));
+    append st i;
     Storage.sync st (fun () -> incr acks)
   done;
   Sim.run_until sim 10.0;
   (* three syncs inside one open window share a single fsync *)
-  Alcotest.(check int) "one group-commit fsync" 1 (Storage.fsyncs st);
+  Alcotest.(check int) "one group-commit fsync" 1 (fsyncs st);
   Alcotest.(check int) "all three acks fired" 3 !acks;
   Alcotest.(check int) "all three durable" 3 (Storage.durable_entries st)
 
 let test_sync_none_is_synchronous () =
   let sim, st = make_storage ~mode:Storage.Sync_none () in
   let acked = ref false in
-  Storage.persist st [ Storage.Reg (0, 5) ] (fun () -> acked := true);
+  Storage.set_reg st 0 5;
+  Storage.sync st (fun () -> acked := true);
   (* no events, no clock movement, durable immediately *)
   Alcotest.(check bool) "ack ran inline" true !acked;
   Alcotest.(check int) "durable immediately" 5 (Storage.reg st 0);
-  Alcotest.(check int) "no fsyncs" 0 (Storage.fsyncs st);
+  Alcotest.(check int) "no fsyncs" 0 (fsyncs st);
   Alcotest.(check (float 0.0)) "clock untouched" 0.0 (Sim.now sim)
 
 let test_snapshot_truncate_and_replay_cost () =
   let sim, st = make_storage () in
   for i = 0 to 9 do
-    Storage.write st (Storage.Entry (i, entry i))
+    append st i
   done;
   Storage.sync st ignore;
   Sim.run_until sim 10.0;
   let full_replay = Storage.replay_cost_ms st in
   Alcotest.(check bool) "replay scales with the log" true (full_replay > 0.0);
-  Storage.write st (Storage.Snapshot (6, 1, [| cmd 0 |]));
-  Storage.write st (Storage.Truncate 6);
+  Storage.write_snapshot st ~last_index:6 ~a:1 [| cmd 0 |];
+  Storage.truncate st ~upto:6;
   Storage.sync st ignore;
   Sim.run_until sim 20.0;
   Alcotest.(check int) "base rose to the snapshot" 6 (Storage.log_base st);
@@ -122,11 +126,270 @@ let test_snapshot_truncate_and_replay_cost () =
       Alcotest.(check int) "image length" 1 (Array.length image)
   | None -> Alcotest.fail "snapshot not durable");
   let seen = ref [] in
-  Storage.iter_entries st ~f:(fun slot _ -> seen := slot :: !seen);
+  Storage.iter_entries st ~f:(fun slot ~a:_ ~b:_ _ -> seen := slot :: !seen);
   Alcotest.(check (list int)) "iterates the retained suffix in order"
     [ 6; 7; 8; 9 ] (List.rev !seen);
   Alcotest.(check bool) "truncation cut the replay bill" true
     (Storage.replay_cost_ms st < full_replay)
+
+(* ------------------------------------------------------------------ *)
+(* Device against a list model                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* Random programs over every device operation, run on the real device
+   (through [make_storage]'s untracked scheduler, so completions
+   scheduled before a crash really do fire) and on a list model of the
+   device semantics: the records an fsync covers become durable when it
+   completes, in write order, and then its continuations run in sync
+   order. Every observable is compared after every step. *)
+
+type step =
+  | Set_reg of int * int
+  | Append of int * int * int
+  | Trunc of int
+  | Snap of int * int * int
+  | Sync
+  | Crash
+  | Advance of float
+
+let pp_step = function
+  | Set_reg (i, v) -> Printf.sprintf "set_reg %d %d" i v
+  | Append (i, a, b) -> Printf.sprintf "append %d %d %d" i a b
+  | Trunc u -> Printf.sprintf "truncate %d" u
+  | Snap (l, a, n) -> Printf.sprintf "snapshot %d %d [%d]" l a n
+  | Sync -> "sync"
+  | Crash -> "crash"
+  | Advance d -> Printf.sprintf "advance %g" d
+
+let gen_step =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map2 (fun i v -> Set_reg (i, v)) (int_bound 5) (int_bound 99));
+        ( 6,
+          map3 (fun i a b -> Append (i, a, b)) (int_bound 600) (int_bound 9)
+            (int_bound 9) );
+        (1, map (fun u -> Trunc u) (int_bound 600));
+        ( 1,
+          map3 (fun l a n -> Snap (l, a, n)) (int_bound 600) (int_bound 9)
+            (int_bound 3) );
+        (4, return Sync);
+        (1, return Crash);
+        ( 3,
+          map (fun d -> Advance d)
+            (oneofl [ 0.05; 0.1; 0.2; 0.25; 0.5; 1.0; 3.0 ]) );
+      ])
+
+let arb_program =
+  QCheck.make
+    ~print:(fun p -> String.concat "; " (List.map pp_step p))
+    ~shrink:QCheck.Shrink.list
+    QCheck.Gen.(list_size (int_range 1 200) gen_step)
+
+type mrecord =
+  | MReg of int * int
+  | MEntry of int * (int * int * int)
+  | MTrunc of int
+  | MSnap of int * int * int list
+
+type mevent = Flush | Complete of mrecord list * int list
+
+type model = {
+  mutable now : float;
+  mutable regs : (int * int) list;
+  mutable log : (int * (int * int * int)) list; (* slot -> (a, b, cmd id) *)
+  mutable base : int;
+  mutable top : int;
+  mutable snap : (int * int * int list) option;
+  mutable pending : mrecord list; (* unsynced, oldest first *)
+  mutable waiters : int list; (* batched window, oldest first *)
+  mutable flush_armed : bool;
+  mutable events : (float * int * mevent) list; (* (time, seq, event) *)
+  mutable seq : int;
+  mutable busy_until : float;
+  mutable in_flight : int;
+  mutable fsyncs : int;
+  mutable lost : int;
+  mutable fired : int list; (* continuation ids, newest first *)
+}
+
+let model_apply m = function
+  | MReg (i, v) -> m.regs <- (i, v) :: List.remove_assoc i m.regs
+  | MEntry (i, e) ->
+      if i >= m.base then begin
+        m.log <- (i, e) :: List.remove_assoc i m.log;
+        if i >= m.top then m.top <- i + 1
+      end
+  | MTrunc u ->
+      if u > m.base then begin
+        m.log <- List.filter (fun (i, _) -> i >= u) m.log;
+        m.base <- u;
+        if m.top < u then m.top <- u
+      end
+  | MSnap (l, a, image) -> m.snap <- Some (l, a, image)
+
+let model_schedule m delay ev =
+  m.events <- m.events @ [ (m.now +. Float.max 0.0 delay, m.seq, ev) ];
+  m.seq <- m.seq + 1
+
+let model_fsync (c : Storage.config) m ks =
+  let ops = m.pending in
+  m.pending <- [];
+  let done_at = Float.max m.now m.busy_until +. c.Storage.fsync_ms in
+  m.busy_until <- done_at;
+  m.fsyncs <- m.fsyncs + 1;
+  m.in_flight <- m.in_flight + List.length ops;
+  model_schedule m (done_at -. m.now) (Complete (ops, ks))
+
+let model_sync (c : Storage.config) m id =
+  match c.Storage.sync_mode with
+  | Storage.Sync_none ->
+      List.iter (model_apply m) m.pending;
+      m.pending <- [];
+      m.fired <- id :: m.fired
+  | Storage.Sync_every -> model_fsync c m [ id ]
+  | Storage.Sync_batched ->
+      m.waiters <- m.waiters @ [ id ];
+      if not m.flush_armed then begin
+        m.flush_armed <- true;
+        model_schedule m c.Storage.batch_window_ms Flush
+      end
+
+let model_crash m =
+  m.lost <- m.lost + List.length m.pending + m.in_flight;
+  m.pending <- [];
+  m.in_flight <- 0;
+  m.waiters <- [];
+  m.flush_armed <- false;
+  m.events <- [];
+  m.busy_until <- m.now
+
+(* Fire events up to [horizon] in (time, schedule order), like
+   [Sim.run_until]. *)
+let rec model_advance c m horizon =
+  let next =
+    List.fold_left
+      (fun acc ((at, seq, _) as e) ->
+        match acc with
+        | Some (at', seq', _) when (at', seq') <= (at, seq) -> acc
+        | _ -> Some e)
+      None m.events
+  in
+  match next with
+  | Some ((at, _, ev) as e) when at <= horizon ->
+      m.events <- List.filter (fun e' -> e' != e) m.events;
+      m.now <- at;
+      (match ev with
+      | Flush ->
+          m.flush_armed <- false;
+          let ks = m.waiters in
+          m.waiters <- [];
+          model_fsync c m ks
+      | Complete (ops, ks) ->
+          m.in_flight <- m.in_flight - List.length ops;
+          List.iter (model_apply m) ops;
+          m.fired <- List.rev_append ks m.fired);
+      model_advance c m horizon
+  | _ -> if horizon > m.now then m.now <- horizon
+
+let image_of n = Array.init n cmd
+
+let run_program mode program =
+  let c = durable_with mode in
+  let sim, st = make_storage ~mode () in
+  let m =
+    {
+      now = 0.0;
+      regs = [];
+      log = [];
+      base = 0;
+      top = 0;
+      snap = None;
+      pending = [];
+      waiters = [];
+      flush_armed = false;
+      events = [];
+      seq = 0;
+      busy_until = 0.0;
+      in_flight = 0;
+      fsyncs = 0;
+      lost = 0;
+      fired = [];
+    }
+  in
+  let fired = ref [] and doomed = ref [] and outstanding = ref [] in
+  let check n step =
+    let fail what =
+      QCheck.Test.fail_reportf "step %d (%s): %s differs from the model" n
+        (pp_step step) what
+    in
+    for i = 0 to 5 do
+      let v = try List.assoc i m.regs with Not_found -> 0 in
+      if Storage.reg st i <> v then fail (Printf.sprintf "register %d" i)
+    done;
+    let entries = ref [] in
+    Storage.iter_entries st ~f:(fun slot ~a ~b cmd ->
+        entries := (slot, (a, b, cmd.Command.id)) :: !entries);
+    if List.rev !entries <> List.sort compare m.log then fail "iter_entries";
+    if Storage.durable_entries st <> List.length m.log then
+      fail "durable_entries";
+    if Storage.log_base st <> m.base then fail "log_base";
+    if Storage.log_top st <> m.top then fail "log_top";
+    let snap =
+      Option.map
+        (fun (l, a, image) ->
+          (l, a, Array.to_list (Array.map (fun c -> c.Command.id) image)))
+        (Storage.snapshot st)
+    in
+    if snap <> m.snap then fail "snapshot";
+    let totals = Storage.totals st in
+    if totals.Storage.lost_writes <> m.lost then fail "lost_writes";
+    if totals.Storage.fsyncs <> m.fsyncs then fail "fsyncs";
+    if
+      Storage.replay_cost_ms st
+      <> c.Storage.replay_ms_per_cmd *. float_of_int (List.length m.log)
+    then fail "replay_cost_ms";
+    if !fired <> m.fired then fail "continuation order";
+    if List.exists (fun id -> List.mem id !doomed) !fired then
+      fail "continuation issued before a crash fired"
+  in
+  List.iteri
+    (fun n step ->
+      (match step with
+      | Set_reg (i, v) ->
+          Storage.set_reg st i v;
+          m.pending <- m.pending @ [ MReg (i, v) ]
+      | Append (i, a, b) ->
+          Storage.append st ~index:i ~a ~b (cmd i);
+          m.pending <- m.pending @ [ MEntry (i, (a, b, i)) ]
+      | Trunc u ->
+          Storage.truncate st ~upto:u;
+          m.pending <- m.pending @ [ MTrunc u ]
+      | Snap (l, a, k) ->
+          Storage.write_snapshot st ~last_index:l ~a (image_of k);
+          m.pending <- m.pending @ [ MSnap (l, a, List.init k Fun.id) ]
+      | Sync ->
+          outstanding := n :: !outstanding;
+          Storage.sync st (fun () -> fired := n :: !fired);
+          model_sync c m n
+      | Crash ->
+          doomed :=
+            List.filter (fun id -> not (List.mem id !fired)) !outstanding
+            @ !doomed;
+          Storage.crash st;
+          model_crash m
+      | Advance d ->
+          let horizon = Sim.now sim +. d in
+          Sim.run_until sim horizon;
+          model_advance c m horizon);
+      check n step)
+    program;
+  true
+
+let prop_device_matches_model mode =
+  QCheck.Test.make
+    ~name:("device matches list model, sync " ^ Storage.mode_to_string mode)
+    ~count:200 arb_program (run_program mode)
 
 (* ------------------------------------------------------------------ *)
 (* Timer ownership registry                                            *)
@@ -299,9 +562,11 @@ let test_paxos_crash_recovery_pin () =
     (CP.replay_ms_total cluster > 0.0);
   Alcotest.(check bool) "crash cancelled pending timers" true
     (CP.timers_cancelled cluster > 0);
-  let writes, fsyncs, busy, _ = CP.storage_totals cluster in
-  Alcotest.(check bool) "storage exercised" true (writes > 0 && fsyncs > 0);
-  Alcotest.(check bool) "device time accrued" true (busy > 0.0);
+  let totals = CP.storage_totals cluster in
+  Alcotest.(check bool) "storage exercised" true
+    (totals.Storage.writes > 0 && totals.Storage.fsyncs > 0);
+  Alcotest.(check bool) "device time accrued" true
+    (totals.Storage.busy_ms > 0.0);
   (* The recovered node 0 lost the leadership it booted with; whoever
      leads at the end re-won it through phase 1 under a strictly
      higher ballot — pause-not-crash would have resumed round 1. *)
@@ -475,6 +740,12 @@ let suite =
         test_sync_none_is_synchronous;
       Alcotest.test_case "snapshot+truncate+replay cost" `Quick
         test_snapshot_truncate_and_replay_cost;
+      QCheck_alcotest.to_alcotest
+        (prop_device_matches_model Storage.Sync_every);
+      QCheck_alcotest.to_alcotest
+        (prop_device_matches_model Storage.Sync_batched);
+      QCheck_alcotest.to_alcotest
+        (prop_device_matches_model Storage.Sync_none);
       Alcotest.test_case "timers cancel_all" `Quick test_timers_cancel_all;
       Alcotest.test_case "timers generation guard" `Quick
         test_timers_generation_guard;
