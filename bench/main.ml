@@ -45,34 +45,9 @@ let write_json path json =
 (* Shared experiment plumbing                                          *)
 (* ------------------------------------------------------------------ *)
 
-let zoned_protocols = [ "wpaxos"; "wankeeper"; "vpaxos" ]
-
-(* LAN deployments of multi-leader protocols use three co-located
-   zones (a single AZ): LAN latencies, zone structure for leaders. *)
-let lan_topology name n =
-  if List.mem name zoned_protocols then
-    Topology.custom
-      ~replica_regions:
-        (List.concat_map
-           (fun z -> List.init (n / 3) (fun _ -> Region.make z))
-           [ "az-a"; "az-b"; "az-c" ])
-      ~rtt_ms:(fun _ _ -> 0.4271)
-      ~jitter:0.02 ()
-  else Topology.lan ~n_replicas:n ()
-
-(* Clients of a zoned LAN deployment are spread across the co-located
-   zones (they connect through some replica's zone), so owner-side
-   locality tracking sees a uniform mix and does not collapse
-   ownership onto one leader. *)
-let lan_client_specs name ~concurrency workload =
-  if List.mem name zoned_protocols then
-    List.map
-      (fun z ->
-        Runner.clients ~region:(Region.make z) ~target:Runner.Round_robin
-          ~count:(Stdlib.max 1 (concurrency / 3))
-          workload)
-      [ "az-a"; "az-b"; "az-c" ]
-  else [ Runner.clients ~target:Runner.Round_robin ~count:concurrency workload ]
+(* Multi-leader protocols need zones: their LAN deployments use three
+   co-located zones (a single AZ), see {!Runner.lan_topology}. *)
+let zoned name = List.mem name [ "wpaxos"; "wankeeper"; "vpaxos" ]
 
 (* One LAN measurement point at a concurrency level, on the paper's
    uniform 1000-key 50%-write workload (§5.2). *)
@@ -87,8 +62,10 @@ let lan_point name ~concurrency =
   in
   let spec =
     Runner.spec ~warmup_ms ~duration_ms:measured_ms ~config
-      ~topology:(lan_topology name n)
-      ~client_specs:(lan_client_specs name ~concurrency Workload.default)
+      ~topology:(Runner.lan_topology ~zoned:(zoned name) n)
+      ~client_specs:
+        (Runner.lan_clients ~zoned:(zoned name) ~count:concurrency
+           Workload.default)
       ()
   in
   Runner.run (module P) spec
@@ -508,7 +485,7 @@ let fig13_run label name ~fz =
       Config.fz;
       seed = point_seed ("fig13", name, fz);
       master_region_index = 1 (* Ohio *);
-      initial_object_owner = (if List.mem name zoned_protocols then Some 1 else None);
+      initial_object_owner = (if zoned name then Some 1 else None);
     }
   in
   let client_specs =
@@ -837,9 +814,9 @@ let ycsb () =
                    (Config.default ~n_replicas:9) with
                    Config.seed = point_seed ("ycsb", name, kind);
                  }
-               ~topology:(lan_topology name 9)
+               ~topology:(Runner.lan_topology ~zoned:(zoned name) 9)
                ~client_specs:
-                 (lan_client_specs name ~concurrency:32
+                 (Runner.lan_clients ~zoned:(zoned name) ~count:32
                     (Workload.ycsb kind ~keys:1000))
                ()
            in

@@ -17,13 +17,6 @@ let rate_per_sec = function
   | Closed -> None
   | Open { rate_per_sec } | Bursty { rate_per_sec; _ } -> Some rate_per_sec
 
-let describe = function
-  | Closed -> "closed"
-  | Open { rate_per_sec } -> Printf.sprintf "poisson(%.0f/s)" rate_per_sec
-  | Bursty { rate_per_sec; on_ms; off_ms } ->
-      Printf.sprintf "bursty(%.0f/s avg, %.0f/%.0f ms on/off)" rate_per_sec
-        on_ms off_ms
-
 (* The burst-window rate that preserves the requested long-run average:
    all arrivals are squeezed into the on fraction of each cycle. *)
 let burst_rate ~rate_per_sec ~on_ms ~off_ms =

@@ -24,12 +24,6 @@ val validate : t -> (unit, string) result
 val rate_per_sec : t -> float option
 (** Long-run average arrival rate; [None] for [Closed]. *)
 
-val describe : t -> string
-
-val burst_rate : rate_per_sec:float -> on_ms:float -> off_ms:float -> float
-(** Instantaneous in-burst rate of the bursty model (exposed for
-    tests and capacity math). *)
-
 val next_gap_ms : t -> rng:Rng.t -> now_ms:float -> float
 (** Milliseconds from [now_ms] until the next arrival. Draws exactly
     one exponential per call for both open-loop models ([Bursty]

@@ -18,6 +18,29 @@ type client_spec = {
 let clients ?region ?(target = Nearest) ?(arrival = Closed) ~count workload =
   { region; count; target; arrival; workload }
 
+let lan_zones = [ "az-a"; "az-b"; "az-c" ]
+
+let lan_topology ~zoned n =
+  if zoned then
+    Topology.custom
+      ~replica_regions:
+        (List.concat_map
+           (fun z -> List.init (n / 3) (fun _ -> Region.make z))
+           lan_zones)
+      ~rtt_ms:(fun _ _ -> 0.4271)
+      ~jitter:0.02 ()
+  else Topology.lan ~n_replicas:n ()
+
+let lan_clients ?arrival ~zoned ~count workload =
+  if zoned then
+    List.map
+      (fun z ->
+        clients ~region:(Region.make z) ~target:Round_robin ?arrival
+          ~count:(Stdlib.max 1 (count / 3))
+          workload)
+      lan_zones
+  else [ clients ~target:Round_robin ?arrival ~count workload ]
+
 type spec = {
   config : Config.t;
   topology : Topology.t;

@@ -45,6 +45,20 @@ val clients :
   Workload.t ->
   client_spec
 
+val lan_topology : zoned:bool -> int -> Topology.t
+(** [n] replicas on one LAN. [zoned] spreads them evenly over three
+    co-located zones ([n / 3] each in "az-a", "az-b", "az-c") at a
+    flat LAN round trip: a single-AZ deployment that still gives the
+    multi-leader protocols (wpaxos, wankeeper, vpaxos) their zone
+    structure. *)
+
+val lan_clients :
+  ?arrival:arrival -> zoned:bool -> count:int -> Workload.t -> client_spec list
+(** [count] round-robin clients for {!lan_topology}. [zoned] spreads
+    them across the zones, [max 1 (count / 3)] per zone in zone order,
+    so owner-side locality tracking sees a uniform mix and does not
+    collapse ownership onto one leader. *)
+
 type spec = {
   config : Config.t;
   topology : Topology.t;

@@ -21,7 +21,6 @@ module Make (P : Proto.RUNNABLE) = struct
 
   type t = {
     shared : shared;
-    gid : int;
     transport : P.message envelope Transport.t;
     endpoints : (P.message, P.message envelope) Reliable.t array;
     replicas : P.replica array;
@@ -282,7 +281,7 @@ module Make (P : Proto.RUNNABLE) = struct
     let faults = match faults with Some f -> f | None -> Faults.create () in
     { sim; config; topology; faults }
 
-  let create_group ?(gid = 0) (shared : shared) =
+  let create_group (shared : shared) =
     let { sim; config; topology; faults } = shared in
     let factor = P.cpu_factor config in
     let processing _i =
@@ -331,7 +330,6 @@ module Make (P : Proto.RUNNABLE) = struct
     let t =
       {
         shared;
-        gid;
         transport;
         endpoints;
         replicas = [||];
@@ -417,8 +415,6 @@ module Make (P : Proto.RUNNABLE) = struct
   let config t = t.shared.config
   let topology t = t.shared.topology
   let faults t = t.shared.faults
-  let gid t = t.gid
-  let shared t = t.shared
   let replica t i = t.replicas.(i)
 
   let register_client t ~id ?region () =

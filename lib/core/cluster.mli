@@ -42,10 +42,9 @@ module Make (P : Proto.RUNNABLE) : sig
       Raises [Invalid_argument] on an invalid config or when the
       topology size disagrees with [config.n_replicas]. *)
 
-  val create_group : ?gid:int -> shared -> t
+  val create_group : shared -> t
   (** Instantiate one group over the shared context: replicas are
-      created and [P.on_start] runs at virtual time 0. [gid] (default
-      0) labels the group for sharded deployments. *)
+      created and [P.on_start] runs at virtual time 0. *)
 
   val create :
     ?sim:Sim.t ->
@@ -54,12 +53,10 @@ module Make (P : Proto.RUNNABLE) : sig
     topology:Topology.t ->
     unit ->
     t
-  (** [create_shared] followed by [create_group ~gid:0] — the classic
+  (** [create_shared] followed by [create_group] — the classic
       one-group deployment, byte-identical to the pre-shard engine. *)
 
   val sim : t -> Sim.t
-  val gid : t -> int
-  val shared : t -> shared
 
   val trace : t -> Paxi_obs.Trace.t
   (** The cluster's latency-dissection trace. Disabled (a no-op sink)

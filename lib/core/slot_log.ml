@@ -61,7 +61,6 @@ let set t i v =
   (* below [base]: the slot's effect is already folded into the
      snapshot — a late duplicate append carries no new information *)
 
-let update t i ~f = set t i (f (get t i))
 let next_slot t = t.high
 
 let reserve t =

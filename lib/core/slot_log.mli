@@ -7,7 +7,6 @@ type 'a t
 val create : unit -> 'a t
 val get : 'a t -> int -> 'a option
 val set : 'a t -> int -> 'a -> unit
-val update : 'a t -> int -> f:('a option -> 'a) -> unit
 val next_slot : 'a t -> int
 (** One past the highest occupied slot (0 when empty). *)
 
@@ -35,7 +34,7 @@ val commit_below :
 
     Contract: [mark v] makes [pending v] false, [pending] and [mark]
     do not touch the log, and an entry becomes pending again only by
-    being replaced through {!set} or {!update} — never in place. *)
+    being replaced through {!set} — never in place. *)
 
 val iter_filled : 'a t -> f:(int -> 'a -> unit) -> unit
 

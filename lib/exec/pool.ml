@@ -39,7 +39,6 @@ let default_jobs () =
             (Printf.sprintf "PAXI_JOBS=%S: expected a positive integer" s))
   | None -> Stdlib.max 1 (Domain.recommended_domain_count ())
 
-let jobs t = t.n_workers
 
 let take_own (d : deque) =
   Mutex.lock d.lock;

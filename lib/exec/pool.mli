@@ -20,32 +20,24 @@
 
 type t
 
-val default_jobs : unit -> int
-(** Parallelism used by {!default}: [PAXI_JOBS] if set to a positive
-    integer, otherwise [Domain.recommended_domain_count ()] (the
-    calling domain plus [recommended_domain_count () - 1] workers). *)
-
 val create : ?jobs:int -> unit -> t
 (** [create ~jobs ()] spawns [jobs - 1] worker domains; the caller
-    participates as the last worker during {!run_array}. [jobs]
-    defaults to {!default_jobs}. Raises [Invalid_argument] when
-    [jobs < 1]. *)
+    participates as the last worker during {!run_list}. [jobs]
+    defaults to [PAXI_JOBS] if set to a positive integer, otherwise
+    [Domain.recommended_domain_count ()] (the calling domain plus
+    [recommended_domain_count () - 1] workers). Raises
+    [Invalid_argument] when [jobs < 1]. *)
 
-val jobs : t -> int
-(** Total parallelism (worker domains + calling domain). *)
-
-val run_array : t -> (unit -> 'a) array -> 'a array
+val run_list : t -> (unit -> 'a) list -> 'a list
 (** Evaluate every thunk and return results in input order. If any
     thunk raises, the remaining thunks still run and the first
     exception (by completion time) is re-raised afterwards. Must be
     called from the domain that created the pool. *)
-
-val run_list : t -> (unit -> 'a) list -> 'a list
 
 val shutdown : t -> unit
 (** Join the worker domains. Idempotent; the pool must not be used
     afterwards. *)
 
 val default : unit -> t
-(** Shared lazily-created pool sized by {!default_jobs}; shut down
+(** Shared lazily-created pool sized as {!create}'s default; shut down
     automatically at exit. *)

@@ -35,15 +35,12 @@ type lan = { rtt_mu_ms : float; rtt_sigma_ms : float }
 val default_lan : lan
 (** The paper's measured intra-region RTT, N(0.4271, 0.0476) ms. *)
 
-val relay_touch_ms : float
-(** The relay's own per-round fan-out/aggregation service on the
-    quorum path, calibrated against measured ["relay:aggregate"] spans
-    at n = 25 (DESIGN.md §12). *)
-
 val relay_hop_lan : lan:lan -> n:int -> groups:int -> rng:Rng.t -> float
 (** Expected duration of one relay aggregation hop — first member
     delivery to combined-ack departure: the worst of the group's
-    [s - 1] member RTTs plus {!relay_touch_ms}, where
+    [s - 1] member RTTs plus the relay's own fan-out/aggregation
+    service (0.075 ms, calibrated against measured
+    ["relay:aggregate"] spans at n = 25; DESIGN.md §12), where
     [s = ceil ((n - 1) / groups)]. [bench/main dissect --relay-groups]
     validates measured hop spans against this term. *)
 

@@ -20,4 +20,3 @@ val wait_time : kind -> lambda:float -> mu:float -> float
 (** Expected wait Wq (seconds). *)
 
 val utilization : lambda:float -> mu:float -> float
-val is_stable : lambda:float -> mu:float -> bool

@@ -24,8 +24,6 @@ type report = {
   failures : outcome list;
 }
 
-val trial_seed : protocol:string -> root:int -> int -> int
-
 val run :
   ?pool:Paxi_exec.Pool.t ->
   ?shrink_budget:int ->

@@ -12,6 +12,7 @@
    fails because of one or two of them, and each successful drop
    removes all future probes of that fault. *)
 
+(* windows are not halved below twice this duration *)
 let duration_floor_ms = 50.0
 
 let remove_nth xs n = List.filteri (fun i _ -> i <> n) xs

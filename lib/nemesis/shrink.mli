@@ -3,9 +3,6 @@
     still fails — first by dropping whole faults, then by halving the
     surviving windows. *)
 
-val duration_floor_ms : float
-(** Windows are not halved below twice this duration. *)
-
 val shrink :
   ?budget:int ->
   still_fails:(Schedule.t -> bool) ->

@@ -1,10 +1,13 @@
 open Paxi_benchmark
 
 type profile = {
-  kinds : Schedule.kinds;
-  n : int;
-  zoned : bool;
+  kinds : Schedule.kinds;  (** fault kinds this protocol must survive *)
+  n : int;  (** cluster size the trial uses *)
+  zoned : bool;  (** three-zone topology (multi-leader families) *)
   global_consensus : bool;
+      (** whether the cross-replica consensus check applies — zone- or
+          coordinator-scoped protocols keep deliberately divergent
+          per-node state *)
 }
 
 (* What each family is expected to survive, matched to the recovery
@@ -84,28 +87,6 @@ let horizon_ms = 3_000.0
    to 3.5x for the highest replica id) plus a full client retry. *)
 let recovery_ms = 4_500.0
 
-let zones = [ "az-a"; "az-b"; "az-c" ]
-
-let topology_for profile =
-  if profile.zoned then
-    Topology.custom
-      ~replica_regions:
-        (List.concat_map
-           (fun z -> List.init (profile.n / 3) (fun _ -> Region.make z))
-           zones)
-      ~rtt_ms:(fun _ _ -> 0.4271)
-      ~jitter:0.02 ()
-  else Topology.lan ~n_replicas:profile.n ()
-
-let client_specs_for ?(arrival = Runner.Closed) profile workload =
-  if profile.zoned then
-    List.map
-      (fun z ->
-        Runner.clients ~region:(Region.make z) ~target:Runner.Round_robin
-          ~arrival ~count:1 workload)
-      zones
-  else [ Runner.clients ~target:Runner.Round_robin ~arrival ~count:3 workload ]
-
 (* [?n] overrides the profile's cluster size (zoned profiles spread
    [n / 3] replicas per zone) — regression trials pin behavior at
    sizes the default campaign does not visit, e.g. the two-replica
@@ -169,8 +150,9 @@ let run ?n ?read_ratio ?read_path ?(relay_groups = 0) ?(shards = 1) ?arrival
       ~faults:(Schedule.install schedule ~n:profile.n)
       ~sharding:{ Runner.shards; partition = `Hash }
       ~config
-      ~topology:(topology_for profile)
-      ~client_specs:(client_specs_for ?arrival profile workload)
+      ~topology:(Runner.lan_topology ~zoned:profile.zoned profile.n)
+      ~client_specs:
+        (Runner.lan_clients ?arrival ~zoned:profile.zoned ~count:3 workload)
       ()
   in
   let result = Runner.run (module P) spec in

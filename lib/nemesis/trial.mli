@@ -13,22 +13,9 @@
     - {e progress}: the run completed at least one operation at all.
 
     Each protocol is stressed only with the fault kinds its
-    implementation has a recovery path for (see {!profile_of}); the
-    profile table doubles as documentation of each family's fault
+    implementation has a recovery path for; the profile table in
+    [trial.ml] doubles as documentation of each family's fault
     tolerance. *)
-
-type profile = {
-  kinds : Schedule.kinds;  (** fault kinds this protocol must survive *)
-  n : int;  (** cluster size the trial uses *)
-  zoned : bool;  (** three-zone topology (multi-leader families) *)
-  global_consensus : bool;
-      (** whether the cross-replica consensus check applies — zone- or
-          coordinator-scoped protocols keep deliberately divergent
-          per-node state *)
-}
-
-val profile_of : string -> profile
-(** Raises [Invalid_argument] on an unknown protocol name. *)
 
 val horizon_ms : float
 (** Fault windows start inside [\[0, 0.75 * horizon_ms)]. *)

@@ -126,8 +126,6 @@ let create ~sim ~topology ?(faults = Faults.create ())
   }
 
 let sim t = t.sim
-let topology t = t.topology
-let faults t = t.faults
 let set_observer t obs = t.observer <- obs
 
 let grow_replica_arrays t n =

@@ -76,8 +76,6 @@ val create :
     [default_size_bytes] defaults to 128, a small command. *)
 
 val sim : 'm t -> Sim.t
-val topology : 'm t -> Topology.t
-val faults : 'm t -> Faults.t
 val procq : 'm t -> Address.t -> Procq.t
 
 val register : 'm t -> Address.t -> (src:Address.t -> 'm -> unit) -> unit

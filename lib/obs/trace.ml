@@ -409,19 +409,6 @@ let message_counts t =
   Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.msgs []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let merged_message_counts traces =
-  let acc = Hashtbl.create 32 in
-  List.iter
-    (fun t ->
-      List.iter
-        (fun (label, n) ->
-          Hashtbl.replace acc label
-            (n + Option.value ~default:0 (Hashtbl.find_opt acc label)))
-        (message_counts t))
-    traces;
-  Hashtbl.fold (fun k n l -> (k, n) :: l) acc []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
 let series t =
   Hashtbl.fold
     (fun b bk acc ->

@@ -162,11 +162,6 @@ val node_msgs : t -> int -> int
 val message_counts : t -> (string * int) list
 (** Per-message-type send counts, sorted by label. *)
 
-val merged_message_counts : t list -> (string * int) list
-(** Label-wise sum of {!message_counts} across traces — the aggregate
-    wire profile of a sharded deployment, where each group carries its
-    own trace. *)
-
 val series : t -> (float * int * float) list
 (** [(bucket_start_ms, completions, mean_latency_ms)] per non-empty
     bucket over the whole run (warmup included), sorted — the

@@ -11,7 +11,8 @@
     then writes the highest (tag, value) back to a majority before
     returning it, which makes reads linearizable. Every operation
     costs two majority round trips and no operation ever blocks behind
-    a leader — there is none. *)
+    a leader — there is none. The round itself is {!Abd_round}; this
+    module only records finished operations and answers clients. *)
 
 include Proto.PROTOCOL
 

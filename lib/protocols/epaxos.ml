@@ -44,7 +44,6 @@ type replica = {
   last_read_on_key : (Command.key, iid array) Hashtbl.t;
   exec : Executor.t;
   mutable blocked : iid list; (* committed, awaiting deps *)
-  mutable committed : int;
   mutable executed : int;
   mutable fast_commits : int;
   mutable slow_commits : int;
@@ -59,14 +58,12 @@ let create env =
     last_read_on_key = Hashtbl.create 256;
     exec = Executor.create ();
     blocked = [];
-    committed = 0;
     executed = 0;
     fast_commits = 0;
     slow_commits = 0;
   }
 
 let executor t = t.exec
-let committed_count t = t.committed
 let executed_count t = t.executed
 let fast_path_count t = t.fast_commits
 let slow_path_count t = t.slow_commits
@@ -287,10 +284,8 @@ let retry_blocked t =
     pending
 
 let commit_instance t (i : inst) =
-  if i.status <> Committed_st && i.status <> Executed_st then begin
+  if i.status <> Committed_st && i.status <> Executed_st then
     i.status <- Committed_st;
-    t.committed <- t.committed + 1
-  end;
   try_execute t i.iid;
   retry_blocked t
 

@@ -22,7 +22,6 @@ val cpu_factor : Config.t -> float
     for dependency bookkeeping, as in the paper's modeling (§5). *)
 
 val executor : replica -> Executor.t
-val committed_count : replica -> int
 val executed_count : replica -> int
 val fast_path_count : replica -> int
 (** Commands this replica led that committed on the fast path. *)

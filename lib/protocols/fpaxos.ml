@@ -25,4 +25,3 @@ let is_leader = Paxos.is_leader
 let executor = Paxos.executor
 let lease_valid = Paxos.lease_valid
 let local_reads_served = Paxos.local_reads_served
-let quorum_reads_served = Paxos.quorum_reads_served

@@ -16,5 +16,4 @@ val default_q2 : n:int -> int
 
 val lease_valid : replica -> bool
 val local_reads_served : replica -> int
-val quorum_reads_served : replica -> int
 (** Read-path accessors, shared with {!Paxos} (same replica type). *)

@@ -30,7 +30,6 @@ type t = {
   log : entry Slot_log.t;
   exec : Executor.t;
   on_executed : Command.t -> Address.t option -> Command.value option -> unit;
-  mutable committed_n : int;
 }
 
 let create ~env ~wrap ~members ~leader ~exec ~on_executed =
@@ -52,7 +51,6 @@ let create ~env ~wrap ~members ~leader ~exec ~on_executed =
     log = Slot_log.create ();
     exec;
     on_executed;
-    committed_n = 0;
   }
 
 let is_leader t = t.id = t.leader
@@ -65,7 +63,6 @@ let advance t =
   Slot_log.advance_frontier t.log
     ~executable:(fun (e : entry) -> e.committed)
     ~f:(fun _slot (e : entry) ->
-      t.committed_n <- t.committed_n + 1;
       let read = Executor.execute t.exec e.cmd in
       let client = e.client in
       e.client <- None;
@@ -139,6 +136,5 @@ let on_message t ~src = function
   | AcceptOk { slot } -> on_accept_ok t ~src ~slot
   | Commit { slot; cmd } -> on_commit t ~slot ~cmd
 
-let committed_count t = t.committed_n
 let last_proposed_slot t = Slot_log.next_slot t.log - 1
 let frontier t = Slot_log.exec_frontier t.log

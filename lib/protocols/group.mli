@@ -40,7 +40,6 @@ val propose : t -> client:Address.t option -> Command.t -> unit
 (** Leader-only; raises [Invalid_argument] elsewhere. *)
 
 val on_message : t -> src:int -> message -> unit
-val committed_count : t -> int
 
 val last_proposed_slot : t -> int
 (** Highest slot this leader has proposed; -1 before the first

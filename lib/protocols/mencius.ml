@@ -29,7 +29,6 @@ type replica = {
   exec : Executor.t;
   mutable next_own : int; (* smallest unused owned slot *)
   mutable skips : int;
-  mutable committed_n : int;
 }
 
 let create (env : _ Proto.env) =
@@ -39,13 +38,11 @@ let create (env : _ Proto.env) =
     exec = Executor.create ();
     next_own = env.Proto.id;
     skips = 0;
-    committed_n = 0;
   }
 
 let executor t = t.exec
 let next_owned_slot t = t.next_own
 let skips_issued t = t.skips
-let committed_count t = t.committed_n
 let leader_of_key (t : replica) (_ : Command.key) = Some t.env.id
 
 let all_ids (t : replica) = List.init t.env.n (fun i -> i)
@@ -54,7 +51,6 @@ let advance t =
   Slot_log.advance_frontier t.log
     ~executable:(fun (e : entry) -> e.committed)
     ~f:(fun _slot (e : entry) ->
-      t.committed_n <- t.committed_n + 1;
       let read = Executor.execute t.exec e.cmd in
       match e.client with
       | Some client ->

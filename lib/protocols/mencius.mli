@@ -20,4 +20,3 @@ val cpu_factor : Config.t -> float
 val executor : replica -> Executor.t
 val next_owned_slot : replica -> int
 val skips_issued : replica -> int
-val committed_count : replica -> int

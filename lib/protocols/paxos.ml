@@ -26,15 +26,9 @@ type message =
   | CommitAck of { slot : int }
       (** quorum-read mode: a follower applied this slot — the leader
           defers the client's write ack until a majority did *)
-  | ReadQ of { rid : int; key : Command.key }
-  | ReadQR of { rid : int; tag : Read_quorum.tag; value : Command.value option }
-  | ReadWB of {
-      rid : int;
-      key : Command.key;
-      tag : Read_quorum.tag;
-      value : Command.value option;
-    }
-  | ReadWBAck of { rid : int }
+  | Read of Abd_round.message
+      (** quorum-read mode: one message of an ABD read round over the
+          shadow registers *)
   | RelayRound of { gen : int; inner : message }
       (** leader → relay (Config.relay_groups > 0): apply [inner] (a
           P2a) locally, fan it out to the relay's rotation group, and
@@ -64,10 +58,7 @@ let message_label = function
   | Heartbeat _ -> "Heartbeat"
   | HeartbeatAck _ -> "HeartbeatAck"
   | CommitAck _ -> "CommitAck"
-  | ReadQ _ -> "ReadQ"
-  | ReadQR _ -> "ReadQR"
-  | ReadWB _ -> "ReadWB"
-  | ReadWBAck _ -> "ReadWBAck"
+  | Read m -> Abd_round.message_label m
   | RelayRound _ -> "RelayRound"
   | RelayAck _ -> "RelayAck"
 
@@ -99,14 +90,6 @@ type batch_state = {
           relay plan ([Sim.nil] outside relay rounds) *)
 }
 
-(* One quorum read in flight at its coordinating replica: an ABD round
-   over the shadow registers. *)
-type qread = {
-  rclient : Address.t;
-  rcmd : Command.t;
-  round : Command.value option Read_quorum.t;
-}
-
 type replica = {
   env : message Proto.env;
   ids : int list Lazy.t;
@@ -125,29 +108,18 @@ type replica = {
   batches : (int, batch_state) Hashtbl.t;
       (* in-flight phase-2 rounds keyed by first_slot *)
   (* ---- read path: leader leases (Config.read_path = Lease) ---- *)
+  lease : Lease.t;
   mutable lease_epoch : int; (* leader: renewal round counter *)
   mutable lease_sent_at : float; (* leader: local clock at renewal send *)
   mutable lease_acks : Quorum.t option; (* leader: grants for lease_epoch *)
-  mutable lease_until : float; (* leader: serve until (local clock) *)
-  mutable lease_holder : int; (* follower: who holds our grant *)
-  mutable lease_granted_until : float;
-      (* follower: refuse foreign phase-1 until (local clock) *)
-  mutable read_barrier : int;
-      (* leader: serve reads only once exec_frontier reached this —
-         the first slot of our own term, so every predecessor's
-         acknowledged write is applied locally *)
-  pending_reads : (Address.t * Proto.request) Queue.t;
-  mutable local_reads : int; (* lease reads served from local state *)
   (* ---- read path: quorum reads (Config.read_path = Quorum) ---- *)
-  shadow : (Command.key, Command.value option Read_quorum.register) Hashtbl.t;
-      (* per-key (tag = (slot, 0), value) of the freshest locally
-         applied write; fed only in quorum mode, never touches the KV *)
-  qreads : (int, qread) Hashtbl.t; (* in-flight ABD rounds by rid *)
-  mutable next_rid : int;
+  abd : Abd_round.t;
+      (* ABD read rounds over shadow registers: per key, (tag = (slot,
+         0), value) of the freshest locally applied write; fed only in
+         quorum mode, never touches the KV *)
   held : (int, Address.t * Command.t * Command.value option) Hashtbl.t;
       (* leader: write replies deferred until a majority applied *)
   commit_acks : (int, Quorum.t) Hashtbl.t; (* slot -> applied-at votes *)
-  mutable quorum_reads : int; (* ABD reads completed here *)
   relay : message Relay.t;
       (* relay trees (Config.relay_groups > 0; DESIGN.md §12); relay
          records are keyed by the round's first slot *)
@@ -190,7 +162,14 @@ let relay_ack first_slot (a : Relay.agg) =
       bits = a.Relay.a_bits;
     }
 
+(* A quorum read's round finished at its coordinator: answer it. *)
+let quorum_read_done (env : message Proto.env) ~client command read =
+  env.Proto.obs.Proto.on_read ();
+  env.Proto.reply client
+    { Proto.command; read; replier = env.Proto.id; leader_hint = None }
+
 let create env =
+  let exec = Executor.create () in
   let t =
     {
       env;
@@ -198,28 +177,23 @@ let create env =
       ballot = Ballot.zero;
       active = false;
       log = Slot_log.create ();
-      exec = Executor.create ();
+      exec;
       p1 = None;
       pending = Queue.create ();
       last_heard = 0.0;
       batch_buf = Queue.create ();
       flush_timer = Sim.nil;
       batches = Hashtbl.create 16;
+      lease = Lease.create env exec;
       lease_epoch = 0;
       lease_sent_at = neg_infinity;
       lease_acks = None;
-      lease_until = neg_infinity;
-      lease_holder = -1;
-      lease_granted_until = neg_infinity;
-      read_barrier = 0;
-      pending_reads = Queue.create ();
-      local_reads = 0;
-      shadow = Hashtbl.create 64;
-      qreads = Hashtbl.create 16;
-      next_rid = 0;
+      abd =
+        Abd_round.create ~env
+          ~wrap:(fun m -> Read m)
+          ~finish:(quorum_read_done env);
       held = Hashtbl.create 32;
       commit_acks = Hashtbl.create 32;
-      quorum_reads = 0;
       relay = Relay.create env ~ack:relay_ack;
     }
   in
@@ -227,29 +201,22 @@ let create env =
   Relay.set_current t.relay (fun a ->
       a.Relay.a_tag = t.ballot.Ballot.round
       && a.Relay.a_leader = t.ballot.Ballot.owner);
+  (* lease reads wait for the term's barrier slot to execute *)
+  Lease.set_progress t.lease (fun () -> Slot_log.exec_frontier t.log);
   t
 
 let is_leader t = t.active
 let current_ballot t = t.ballot
 let commit_frontier t = Slot_log.exec_frontier t.log
 let executor t = t.exec
-let local_reads_served t = t.local_reads
-let quorum_reads_served t = t.quorum_reads
-
-let lease_mode t =
-  match t.env.config.Config.read_path with
-  | Some (Config.Lease _) -> true
-  | _ -> false
+let local_reads_served t = Lease.served t.lease
+let quorum_reads_served t = Abd_round.completed t.abd
+let lease_valid t = Lease.valid t.lease
 
 let quorum_mode t =
   match t.env.config.Config.read_path with
   | Some Config.Quorum -> true
   | _ -> false
-
-let lease_margin t =
-  match t.env.config.Config.read_path with
-  | Some (Config.Lease { margin_ms }) -> margin_ms
-  | _ -> 0.0
 
 (* A follower that granted a lease holds its own phase-1 for at least
    the minimum staggered failover timeout (base × 1.5, replica id 0),
@@ -259,28 +226,8 @@ let lease_margin t =
    inside every grantor's hold window (DESIGN.md §11). *)
 let serve_window t = t.env.config.Config.failover_timeout_ms *. 1.5
 
-let lease_valid t =
-  t.active
-  && Slot_log.exec_frontier t.log >= t.read_barrier
-  && t.env.now () < t.lease_until -. lease_margin t
-
 let leader_of_key t (_ : Command.key) =
   if t.ballot.Ballot.round > 0 then Some t.ballot.Ballot.owner else None
-
-let serve_local_read t ~client (request : Proto.request) =
-  let cmd = request.Proto.command in
-  let read = Executor.read t.exec cmd in
-  t.local_reads <- t.local_reads + 1;
-  t.env.obs.Proto.on_read ();
-  t.env.reply client
-    { Proto.command = cmd; read; replier = t.env.id; leader_hint = Some t.env.id }
-
-let maybe_serve_reads t =
-  if not (Queue.is_empty t.pending_reads) then
-    while lease_valid t && not (Queue.is_empty t.pending_reads) do
-      let client, request = Queue.pop t.pending_reads in
-      serve_local_read t ~client request
-    done
 
 let commit_tracker t slot =
   match Hashtbl.find_opt t.commit_acks slot with
@@ -327,9 +274,7 @@ let advance t =
              | Command.Put (_, v) -> Some v
              | _ -> None
            in
-           Read_quorum.adopt
-             (Read_quorum.lookup t.shadow ~empty:None (Command.key e.cmd))
-             ~tag:(slot, 0) ~value);
+           Abd_round.adopt t.abd (Command.key e.cmd) ~tag:(slot, 0) value);
         if t.active then begin
           (match e.client with
           | Some client ->
@@ -361,7 +306,7 @@ let advance t =
                 leader_hint = (if t.active then Some t.env.id else None);
               }
         | None -> ());
-  if lease_mode t then maybe_serve_reads t
+  Lease.drain t.lease
 
 let commit_up_to t bound =
   if
@@ -621,18 +566,25 @@ let drain_pending t =
    for plain runs. *)
 let resign_read_path t =
   t.lease_acks <- None;
-  t.lease_until <- neg_infinity;
-  Queue.transfer t.pending_reads t.pending;
+  Lease.revoke t.lease ~pending:t.pending;
   if Hashtbl.length t.held > 0 then Hashtbl.reset t.held;
   if Hashtbl.length t.commit_acks > 0 then Hashtbl.reset t.commit_acks
+
+(* Once the epoch's grants meet the renewal quorum, serve for a window
+   from the beat's send instant. *)
+let renew t tracker =
+  if Quorum.satisfied tracker then
+    Lease.extend t.lease ~until:(t.lease_sent_at +. serve_window t)
 
 (* Start (or renew) the lease alongside the keep-alive heartbeat: each
    beat opens a new epoch whose grants are tracked against a fresh
    quorum. The tracker needs only [q2_size] grants — a set of q2
    refusers blocks every phase-1 quorum of n − q2 + 1 — which makes
-   FPaxos lease renewal as cheap as its phase-2. *)
+   FPaxos lease renewal as cheap as its phase-2. With a renewal quorum
+   of one (n = 1, or FPaxos with q2 = 1) the leader's own grant renews
+   the lease at once (DESIGN.md §11). *)
 let send_heartbeat t =
-  if lease_mode t then begin
+  if Lease.on t.lease then begin
     t.lease_epoch <- t.lease_epoch + 1;
     t.lease_sent_at <- t.env.now ();
     let tracker =
@@ -648,18 +600,15 @@ let send_heartbeat t =
          commit_up_to = Slot_log.exec_frontier t.log;
          epoch = t.lease_epoch;
        });
-  t.last_heard <- t.env.now ()
+  t.last_heard <- t.env.now ();
+  Option.iter (renew t) t.lease_acks
 
 let on_heartbeat_ack t ~src ~ballot ~epoch =
   if t.active && Ballot.equal ballot t.ballot && epoch = t.lease_epoch then
     match t.lease_acks with
     | Some tracker ->
         Quorum.ack tracker src;
-        if Quorum.satisfied tracker then begin
-          let until = t.lease_sent_at +. serve_window t in
-          if until > t.lease_until then t.lease_until <- until;
-          maybe_serve_reads t
-        end
+        renew t tracker
     | None -> ()
 
 let on_commit_ack t ~src ~slot =
@@ -727,9 +676,8 @@ let become_leader t (state : phase1_state) =
   (* Read barrier: reads wait until everything up to and including the
      recovered tail is applied locally, so no predecessor's
      acknowledged write can be missing from a lease read. *)
-  t.read_barrier <- Slot_log.next_slot t.log;
-  t.lease_until <- neg_infinity;
-  if lease_mode t then send_heartbeat t;
+  Lease.lead t.lease ~barrier:(Slot_log.next_slot t.log);
+  if Lease.on t.lease then send_heartbeat t;
   drain_pending t
 
 let start_phase1 t =
@@ -789,71 +737,17 @@ let step_down t ~ballot =
   Queue.transfer t.batch_buf t.pending;
   drain_pending t
 
-(* Quorum-read coordination: any replica runs an ABD round over the
-   shadow registers — query a majority for the freshest applied
-   (tag, value) of the key, write the winner back to a majority, then
-   answer. Safe because write acks are deferred until a majority
-   applied (see [advance]/[maybe_release_held]): every acknowledged
-   write is visible to every majority the read can draw. *)
-let start_quorum_read t ~client (request : Proto.request) =
-  let cmd = request.Proto.command in
-  let key = Command.key cmd in
-  let rid = t.next_rid in
-  t.next_rid <- t.next_rid + 1;
-  let r = Read_quorum.lookup t.shadow ~empty:None key in
-  let round =
-    Read_quorum.create
-      (Quorum.Majority (all_ids t))
-      ~self:t.env.id ~local_tag:r.Read_quorum.tag
-      ~local_value:r.Read_quorum.value
-  in
-  Hashtbl.replace t.qreads rid { rclient = client; rcmd = cmd; round };
-  t.env.broadcast (ReadQ { rid; key })
-
-let on_readq t ~src ~rid ~key =
-  let r = Read_quorum.lookup t.shadow ~empty:None key in
-  t.env.send src
-    (ReadQR { rid; tag = r.Read_quorum.tag; value = r.Read_quorum.value })
-
-let on_readqr t ~src ~rid ~tag ~value =
-  match Hashtbl.find_opt t.qreads rid with
-  | Some qr when Read_quorum.query_ack qr.round ~src ~tag ~value ->
-      let tag, value = Read_quorum.best qr.round in
-      Read_quorum.begin_store qr.round ~self:t.env.id ~tag ~value;
-      Read_quorum.adopt
-        (Read_quorum.lookup t.shadow ~empty:None (Command.key qr.rcmd))
-        ~tag ~value;
-      t.env.broadcast (ReadWB { rid; key = Command.key qr.rcmd; tag; value })
-  | _ -> ()
-
-let on_readwb t ~src ~rid ~key ~tag ~value =
-  Read_quorum.adopt (Read_quorum.lookup t.shadow ~empty:None key) ~tag ~value;
-  t.env.send src (ReadWBAck { rid })
-
-let on_readwback t ~src ~rid =
-  match Hashtbl.find_opt t.qreads rid with
-  | Some qr when Read_quorum.store_ack qr.round ~src ->
-      Hashtbl.remove t.qreads rid;
-      let _, value = Read_quorum.best qr.round in
-      t.quorum_reads <- t.quorum_reads + 1;
-      t.env.obs.Proto.on_read ();
-      t.env.reply qr.rclient
-        {
-          Proto.command = qr.rcmd;
-          read = value;
-          replier = t.env.id;
-          leader_hint = None;
-        }
-  | _ -> ()
-
+(* Client ingress. In quorum-read mode any replica coordinates a read
+   as an ABD read round over the shadow registers. Safe because write
+   acks are deferred until a majority applied (see
+   [advance]/[maybe_release_held]): every acknowledged write is visible
+   to every majority the read can draw. *)
 let on_request t ~client (request : Proto.request) =
   if quorum_mode t && Command.is_read request.Proto.command then
-    start_quorum_read t ~client request
+    Abd_round.start t.abd ~client request.Proto.command
   else if t.active then
-    if lease_mode t && Command.is_read request.Proto.command then begin
-      if lease_valid t then serve_local_read t ~client request
-      else Queue.push (client, request) t.pending_reads
-    end
+    if Lease.on t.lease && Command.is_read request.Proto.command then
+      Lease.read t.lease ~client request
     else enqueue t ~client request
   else if
     t.ballot.Ballot.round > 0
@@ -868,11 +762,7 @@ let on_p1a t ~src ~ballot ~frontier =
      leader from forming inside the grantee's serve window. The nok
      is harmless to liveness: the candidate's reliable-delivery layer
      retransmits the P1a and the promise succeeds after expiry. *)
-  let lease_blocks =
-    lease_mode t
-    && ballot.Ballot.owner <> t.lease_holder
-    && t.env.now () < t.lease_granted_until
-  in
+  let lease_blocks = Lease.refuses t.lease ballot.Ballot.owner in
   (* Promise not only strictly higher ballots but also the exact
      ballot we already hold when [src] owns it: we may have adopted it
      from a nok P2b or a duplicate (retransmitted) P1a before this
@@ -1055,12 +945,9 @@ let on_heartbeat t ~src ~ballot ~commit_up_to:bound ~epoch =
     t.last_heard <- t.env.now ();
     (* Accepting the beat is the lease grant: promise not to help any
        other candidate for a serve window, and tell the leader so. The
-       grant is renewed wholesale — [lease_granted_until] only moves
-       forward here since beats arrive every window/6. *)
-    if lease_mode t && ballot.Ballot.owner <> t.env.id then begin
-      t.lease_holder <- ballot.Ballot.owner;
-      let until = t.env.now () +. serve_window t in
-      if until > t.lease_granted_until then t.lease_granted_until <- until;
+       grant is renewed wholesale, every window/6. *)
+    if Lease.on t.lease && ballot.Ballot.owner <> t.env.id then begin
+      Lease.grant t.lease ~holder:ballot.Ballot.owner ~window:(serve_window t);
       t.env.send src (HeartbeatAck { ballot; epoch })
     end;
     commit_up_to t bound;
@@ -1080,10 +967,7 @@ let on_message t ~src msg =
       on_heartbeat t ~src ~ballot ~commit_up_to ~epoch
   | HeartbeatAck { ballot; epoch } -> on_heartbeat_ack t ~src ~ballot ~epoch
   | CommitAck { slot } -> on_commit_ack t ~src ~slot
-  | ReadQ { rid; key } -> on_readq t ~src ~rid ~key
-  | ReadQR { rid; tag; value } -> on_readqr t ~src ~rid ~tag ~value
-  | ReadWB { rid; key; tag; value } -> on_readwb t ~src ~rid ~key ~tag ~value
-  | ReadWBAck { rid } -> on_readwback t ~src ~rid
+  | Read m -> Abd_round.on_message t.abd ~src m
   | RelayRound { gen; inner } -> on_relay_round t ~src ~gen ~inner
   | RelayAck { ballot; gen; first_slot; count; bits } ->
       on_relay_ack t ~src ~ballot ~gen ~first_slot ~count ~bits

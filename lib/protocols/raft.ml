@@ -81,14 +81,9 @@ type replica = {
      probe to i (0 = none outstanding); [acked_at.(i)] the latest such
      proven-contact time. The lease extends to the majority-th largest
      acked_at plus the minimum election delay. *)
+  lease : Lease.t;
   mutable probe_sent_at : float array;
   mutable acked_at : float array;
-  mutable lease_until : float;
-  mutable lease_holder : int;
-  mutable lease_granted_until : float;
-  mutable read_barrier : int;
-  pending_reads : (Address.t * Proto.request) Queue.t;
-  mutable local_reads : int;
   (* ---- relay trees (Config.relay_groups > 0; DESIGN.md §12) ---- *)
   relay : message Relay.t;
       (* relay records are keyed by the match index their round
@@ -117,6 +112,7 @@ let relay_ack expected (a : Relay.agg) =
     }
 
 let create env =
+  let exec = Executor.create () in
   let t =
     {
       env;
@@ -126,7 +122,7 @@ let create env =
       leader_id = None;
       log = Slot_log.create ();
       commit_index = 0;
-      exec = Executor.create ();
+      exec;
       next_index = Array.make env.Proto.n 0;
       match_index = Array.make env.Proto.n 0;
       votes = None;
@@ -137,14 +133,9 @@ let create env =
       flush_timer = Sim.nil;
       append_key = Array.make env.Proto.n 0;
       inflight_match = Array.make env.Proto.n 0;
+      lease = Lease.create env exec;
       probe_sent_at = Array.make env.Proto.n 0.0;
       acked_at = Array.make env.Proto.n neg_infinity;
-      lease_until = neg_infinity;
-      lease_holder = -1;
-      lease_granted_until = neg_infinity;
-      read_barrier = 0;
-      pending_reads = Queue.create ();
-      local_reads = 0;
       relay = Relay.create env ~ack:relay_ack;
       relay_akey = 0;
       relay_expected = 0;
@@ -157,6 +148,8 @@ let create env =
   (* a relay record is current while we follow in its term *)
   Relay.set_current t.relay (fun a ->
       a.Relay.a_tag = t.term && t.state <> Leader);
+  (* lease reads wait for the term's no-op barrier to commit *)
+  Lease.set_progress t.lease (fun () -> t.commit_index);
   t
 
 let role t = t.state
@@ -164,30 +157,16 @@ let current_term t = t.term
 let commit_index t = t.commit_index
 let executor t = t.exec
 let log_length t = Slot_log.next_slot t.log
-let local_reads_served t = t.local_reads
+let local_reads_served t = Lease.served t.lease
 let log_base t = Slot_log.base t.log
 let snapshots_taken t = t.snapshots
-
-let lease_mode t =
-  match t.env.Proto.config.Config.read_path with
-  | Some (Config.Lease _) -> true
-  | _ -> false
-
-let lease_margin t =
-  match t.env.Proto.config.Config.read_path with
-  | Some (Config.Lease { margin_ms }) -> margin_ms
-  | _ -> 0.0
 
 (* A follower that heard from the leader waits at least
    [base + U(0, base)] before standing for election, so [base] is the
    window a proven contact buys — the same length the follower grants
    and refuses foreign votes for. *)
 let lease_window t = t.env.Proto.config.Config.failover_timeout_ms
-
-let lease_valid t =
-  t.state = Leader
-  && t.commit_index > t.read_barrier
-  && t.env.Proto.now () < t.lease_until -. lease_margin t
+let lease_valid t = Lease.valid t.lease
 
 let log_term_at t i =
   Option.map (fun (e : entry) -> e.term) (Slot_log.get t.log i)
@@ -269,32 +248,12 @@ let apply_committed t =
       | None -> ());
   maybe_snapshot t
 
-(* Serve a read from the local state machine without consuming a
-   slot: legal exactly while {!lease_valid} holds. *)
-let serve_local_read t ~client (request : Proto.request) =
-  let read = Executor.read t.exec request.Proto.command in
-  t.local_reads <- t.local_reads + 1;
-  t.env.obs.Proto.on_read ();
-  t.env.reply client
-    {
-      Proto.command = request.Proto.command;
-      read;
-      replier = t.env.id;
-      leader_hint = Some t.env.id;
-    }
-
-let maybe_serve_reads t =
-  while lease_valid t && not (Queue.is_empty t.pending_reads) do
-    let client, request = Queue.pop t.pending_reads in
-    serve_local_read t ~client request
-  done
-
 (* Every append (probe) may extend the lease once answered; remember
    the oldest outstanding send time per follower — conservative, since
    the follower's grant starts no earlier than the probe that reached
    it. *)
 let note_probe t dsts =
-  if lease_mode t then
+  if Lease.on t.lease then
     let now = t.env.now () in
     List.iter
       (fun f -> if t.probe_sent_at.(f) = 0.0 then t.probe_sent_at.(f) <- now)
@@ -303,18 +262,16 @@ let note_probe t dsts =
 (* The lease holds as long as a majority (self included) was in
    contact within the last window: sort contact times ascending and
    take the majority-th largest — that instant plus the window is the
-   earliest any majority member could start helping a rival. *)
+   earliest any majority member could start helping a rival. The
+   leader's own contact is always now, so at n = 1 it alone renews
+   the window (DESIGN.md §11). *)
 let recompute_lease t =
-  if lease_mode t && t.state = Leader then begin
+  if Lease.on t.lease && t.state = Leader then begin
     let contact = Array.copy t.acked_at in
     contact.(t.env.id) <- t.env.now ();
     Array.sort Float.compare contact;
     let pivot = contact.(t.env.n - Config.majority t.env.config) in
-    let until = pivot +. lease_window t in
-    if until > t.lease_until then begin
-      t.lease_until <- until;
-      maybe_serve_reads t
-    end
+    Lease.extend t.lease ~until:(pivot +. lease_window t)
   end
 
 (* With batching on, an AppendEntries carrying k entries costs k
@@ -436,29 +393,30 @@ let relay_withdraw t =
     t.relay_fb <- Sim.nil
   end
 
-(* Group followers that share the same next_index so the CPU
-   serializes the batch once (etcd replicates a shared log the same
-   way); stragglers with a lagging next_index get tailored sends. *)
+(* Followers grouped by next_index, so the CPU serializes each
+   group's message once (etcd replicates a shared log the same way);
+   stragglers with a lagging next_index get tailored sends. *)
+let followers_by_next t =
+  let groups = Hashtbl.create 4 in
+  for i = 0 to t.env.n - 1 do
+    if i <> t.env.id then begin
+      let next = t.next_index.(i) in
+      let members = Option.value (Hashtbl.find_opt groups next) ~default:[] in
+      Hashtbl.replace groups next (i :: members)
+    end
+  done;
+  groups
+
 let rec broadcast_append t =
   (* every replication round ships the full unreplicated tail, so any
      deferred batch flush is satisfied by it *)
   t.unflushed <- 0;
   t.env.Proto.cancel t.flush_timer;
   t.flush_timer <- Sim.nil;
-  if not (relay_broadcast_append t) then begin
-    let groups = Hashtbl.create 4 in
-    List.iter
-      (fun i ->
-        if i <> t.env.id then begin
-          let next = t.next_index.(i) in
-          let members =
-            Option.value (Hashtbl.find_opt groups next) ~default:[]
-          in
-          Hashtbl.replace groups next (i :: members)
-        end)
-      (all_ids t);
-    Hashtbl.iter (fun next members -> post_append t ~dsts:members ~next) groups
-  end
+  if not (relay_broadcast_append t) then
+    Hashtbl.iter
+      (fun next members -> post_append t ~dsts:members ~next)
+      (followers_by_next t)
 
 (* Route one replication round through the relays. Applies only when
    every follower shares the same next_index — so one wrapped
@@ -482,7 +440,7 @@ and relay_broadcast_append t =
        done;
        let entries = tail_from t next in
        (* every follower is probed through its relay this round *)
-       if lease_mode t then
+       if Lease.on t.lease then
          note_probe t (List.filter (fun i -> i <> t.env.id) (all_ids t));
        let gen = Relay.route t.relay in
        t.relay_akey <-
@@ -515,21 +473,12 @@ and relay_fallback t =
    frontier; lost-append recovery is the reliable layer's job, so the
    beat no longer re-ships the unreplicated tail. *)
 let broadcast_keepalive t =
-  let groups = Hashtbl.create 4 in
-  List.iter
-    (fun i ->
-      if i <> t.env.id then begin
-        let next = t.next_index.(i) in
-        let members = Option.value (Hashtbl.find_opt groups next) ~default:[] in
-        Hashtbl.replace groups next (i :: members)
-      end)
-    (all_ids t);
   Hashtbl.iter
     (fun next members ->
       note_probe t members;
       t.env.multicast_sized members ~size_bytes:(append_size t [])
         (append_msg t ~next []))
-    groups
+    (followers_by_next t)
 
 (* Leadership changed hands (or is being contested): the open relayed
    round and every relay record belong to the old leadership. The
@@ -557,7 +506,7 @@ let advance_commit t =
     done;
     apply_committed t;
     (* the barrier committing may unblock queued lease reads *)
-    if lease_mode t then maybe_serve_reads t
+    Lease.drain t.lease
   end
 
 let become_leader t =
@@ -572,16 +521,15 @@ let become_leader t =
   t.inflight_match <- Array.make t.env.n 0;
   t.probe_sent_at <- Array.make t.env.n 0.0;
   t.acked_at <- Array.make t.env.n neg_infinity;
-  t.lease_until <- neg_infinity;
   (* No-op barrier: an entry of the new term lets the leader commit
      any uncommitted tail from previous terms (Raft §5.4.2). Lease
-     reads additionally wait for it to commit ([read_barrier]), so a
+     reads additionally wait for it to commit (the lease barrier), so a
      fresh leader never serves a read before applying every write its
      predecessors could have acknowledged. *)
   let barrier = Slot_log.reserve t.log in
   let be = { term = t.term; cmd = Command.noop; client = None } in
   Slot_log.set t.log barrier be;
-  t.read_barrier <- barrier;
+  Lease.lead t.lease ~barrier:(barrier + 1);
   (match t.env.Proto.storage with
   | None -> t.match_index.(t.env.id) <- barrier + 1
   | Some st -> write_entry st ~slot:barrier be);
@@ -608,7 +556,8 @@ let become_leader t =
               t.match_index.(t.env.id) <- top;
             advance_commit t
           end));
-  if Slot_log.next_slot t.log > len then broadcast_append t
+  if Slot_log.next_slot t.log > len then broadcast_append t;
+  recompute_lease t
 
 let become_follower t ~term =
   if term > t.term then begin
@@ -620,9 +569,8 @@ let become_follower t ~term =
   t.unflushed <- 0;
   t.env.Proto.cancel t.flush_timer;
   t.flush_timer <- Sim.nil;
-  t.lease_until <- neg_infinity;
   (* queued lease reads go back to [pending] and get forwarded *)
-  Queue.transfer t.pending_reads t.pending;
+  Lease.revoke t.lease ~pending:t.pending;
   (* open append posts belong to a leadership this replica just lost *)
   t.env.rel.unpost_all ();
   relay_clear_leader t;
@@ -663,9 +611,8 @@ let start_election t =
 
 let on_request t ~client (request : Proto.request) =
   match t.state with
-  | Leader when lease_mode t && Command.is_read request.Proto.command ->
-      if lease_valid t then serve_local_read t ~client request
-      else Queue.push (client, request) t.pending_reads
+  | Leader when Lease.on t.lease && Command.is_read request.Proto.command ->
+      Lease.read t.lease ~client request
   | Leader -> (
       let slot = Slot_log.reserve t.log in
       let e =
@@ -725,11 +672,7 @@ let on_request_vote t ~src ~term ~last_index:cand_last ~last_term =
   (* Lease safety: having accepted an AppendEntries grants its sender
      a window during which this replica helps no other candidate win —
      the counterpart of the leader's {!recompute_lease} bound. *)
-  let lease_blocks =
-    lease_mode t
-    && src <> t.lease_holder
-    && t.env.now () < t.lease_granted_until
-  in
+  let lease_blocks = Lease.refuses t.lease src in
   let granted =
     (not lease_blocks)
     && term = t.term
@@ -775,11 +718,7 @@ let append_entries_core t ~leader ~term ~prev_index ~prev_term ~entries
     reset_election_timer t;
     (* the accepted append doubles as the lease grant; the reply (of
        either polarity) is the leader's proof of it *)
-    if lease_mode t then begin
-      t.lease_holder <- leader;
-      let until = t.env.now () +. lease_window t in
-      if until > t.lease_granted_until then t.lease_granted_until <- until
-    end;
+    Lease.grant t.lease ~holder:leader ~window:(lease_window t);
     drain_pending_to_leader t;
     let consistent = prev_index < 0 || term_at t prev_index = prev_term in
     if not consistent then
@@ -840,11 +779,7 @@ let on_install_snapshot t ~src ~term ~last_index ~last_term ~image =
     t.leader_id <- Some src;
     t.last_heard <- t.env.now ();
     reset_election_timer t;
-    if lease_mode t then begin
-      t.lease_holder <- src;
-      let until = t.env.now () +. lease_window t in
-      if until > t.lease_granted_until then t.lease_granted_until <- until
-    end;
+    Lease.grant t.lease ~holder:src ~window:(lease_window t);
     drain_pending_to_leader t;
     let reply_term = t.term in
     if last_index > Slot_log.exec_frontier t.log then begin
@@ -933,7 +868,7 @@ let on_relay_append_ack t ~src ~term ~gen ~expected ~bits =
         t.relay_akey <> 0 && expected = t.relay_expected
         && Relay.covers group ~bits
       then t.env.rel.settle ~dst:src ~key:t.relay_akey;
-      let lease = lease_mode t in
+      let lease = Lease.on t.lease in
       for i = 0 to Array.length group - 1 do
         if Relay.acked ~bits i then begin
           let m = group.(i) in
@@ -966,7 +901,7 @@ let on_append_reply t ~src ~term ~success ~match_index =
        accepted an append of ours sent no earlier than the recorded
        probe time — it reset its election timer and granted then — so
        the probe round-trip extends the lease. *)
-    if lease_mode t && t.probe_sent_at.(src) > 0.0 then begin
+    if Lease.on t.lease && t.probe_sent_at.(src) > 0.0 then begin
       if t.probe_sent_at.(src) > t.acked_at.(src) then
         t.acked_at.(src) <- t.probe_sent_at.(src);
       t.probe_sent_at.(src) <- 0.0;
@@ -1007,9 +942,11 @@ let rec heartbeat_loop t =
   let period = t.env.config.Config.failover_timeout_ms /. 4.0 in
   ignore
   @@ t.env.schedule period (fun () ->
-         (if t.state = Leader then
+         (if t.state = Leader then begin
             if t.unflushed > 0 then broadcast_append t
-            else broadcast_keepalive t);
+            else broadcast_keepalive t;
+            recompute_lease t
+          end);
          heartbeat_loop t)
 
 let rec election_loop t =

@@ -27,8 +27,8 @@
 
     Rotation: the follower list is rotated by the generation before it
     is cut into contiguous groups, so relay duty and membership both
-    shift. The generation advances every {!gen_window} routed rounds
-    and on every {!stall}. With [relay_groups = 0] nothing here runs:
+    shift. The generation advances every 1024 routed rounds and on
+    every {!stall}. With [relay_groups = 0] nothing here runs:
     no messages, no timers, no RNG draws. *)
 
 type plan = {
@@ -44,8 +44,6 @@ type plan = {
 val compute : n:int -> leader:int -> r:int -> gen:int -> plan
 (** The partition of [leader]'s [n-1] followers into [r] groups at
     generation [gen]. Deterministic; total in [1 <= r <= n-1]. *)
-
-val gen_window : int
 
 val full_mask : int -> int
 (** [full_mask k] has the low [k] bits set: every member of a group of

@@ -143,7 +143,6 @@ let rejected t =
   not (satisfied_with t.spec optimistic)
 
 let acks t = List.rev t.acked
-let nacks t = List.rev t.nacked
 
 let clear_flag t flag id =
   let f = Char.code (Bytes.unsafe_get t.flags id) in

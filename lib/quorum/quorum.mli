@@ -53,7 +53,6 @@ val rejected : t -> bool
     become true. *)
 
 val acks : t -> int list
-val nacks : t -> int list
 val reset : t -> unit
 val spec : t -> spec
 

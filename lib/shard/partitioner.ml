@@ -51,10 +51,3 @@ let route t key =
         if off < 0 then 0
         else if off >= t.keys then t.shards - 1
         else off * t.shards / t.keys
-
-let describe t =
-  match t.kind with
-  | `Hash -> Printf.sprintf "hash(%d)" t.shards
-  | `Range ->
-      Printf.sprintf "range(%d over [%d,%d))" t.shards t.min_key
-        (t.min_key + t.keys)

@@ -26,5 +26,3 @@ val kind : t -> kind
 val route : t -> int -> int
 (** Owning shard of a key, in [0 .. shards-1]. Deterministic: equal
     keys always route to the same shard. *)
-
-val describe : t -> string

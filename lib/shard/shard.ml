@@ -12,8 +12,8 @@ module Make (P : Proto.RUNNABLE) = struct
        exactly the same creation sequence (and RNG splits) as the
        classic [C.create] *)
     let groups =
-      Array.init (Partitioner.shards partitioner) (fun gid ->
-          C.create_group ~gid shared)
+      Array.init (Partitioner.shards partitioner) (fun _ ->
+          C.create_group shared)
     in
     { partitioner; groups }
 

@@ -27,8 +27,7 @@ module Make (P : Proto.RUNNABLE) : sig
     unit ->
     t
   (** Build [Partitioner.shards] groups over one shared context. Every
-      group uses the same config (n_replicas per group) and topology;
-      group [g] gets [gid = g]. *)
+      group uses the same config (n_replicas per group) and topology. *)
 
   val sim : t -> Sim.t
   val shards : t -> int

@@ -232,7 +232,6 @@ type t = {
   mutable n_lost : int;
 }
 
-let mode t = t.config.sync_mode
 let snapshot_threshold t = t.config.snapshot_threshold
 
 (* A fresh ring of capacity [cap] (a power of two) holding sequences

@@ -45,7 +45,6 @@ val create :
     timer registry so fsync completions die with the replica. Every
     array is allocated on first use. *)
 
-val mode : t -> sync_mode
 val snapshot_threshold : t -> int
 
 (** {2 Records}

@@ -3,19 +3,10 @@
 
 open Paxi_benchmark
 
-let lan_topology_for name n =
-  (* multi-leader protocols need zones even "in LAN": give them three
-     co-located zones with LAN-like latencies, as a single-AZ AWS
-     deployment would *)
-  if List.mem name [ "wpaxos"; "wankeeper"; "vpaxos" ] then
-    Topology.custom
-      ~replica_regions:
-        (List.concat_map
-           (fun z -> List.init (n / 3) (fun _ -> Region.make z))
-           [ "az-a"; "az-b"; "az-c" ])
-      ~rtt_ms:(fun _ _ -> 0.4271)
-      ~jitter:0.02 ()
-  else Topology.lan ~n_replicas:n ()
+(* multi-leader protocols need zones even "in LAN": they get three
+   co-located zones with LAN-like latencies, as a single-AZ AWS
+   deployment would, and clients spread across them *)
+let zoned name = List.mem name [ "wpaxos"; "wankeeper"; "vpaxos" ]
 
 (* protocols without one global RSM (zone groups, or per-coordinator
    bookkeeping) are exempt from the cross-replica consensus check *)
@@ -24,22 +15,13 @@ let zone_scoped name = List.mem name [ "wankeeper"; "vpaxos"; "abd" ]
 let run_one name ?(conflict = 0.0) ?(concurrency = 6) ?(duration = 1_500.0) () =
   let (module P) = Paxi_protocols.Registry.find_exn name in
   let n = 9 in
-  let topology = lan_topology_for name n in
+  let topology = Runner.lan_topology ~zoned:(zoned name) n in
   let config = Config.default ~n_replicas:n in
   let workload =
     { Workload.default with Workload.keys = 40; conflict_ratio = conflict }
   in
   let client_specs =
-    if List.mem name [ "wpaxos"; "wankeeper"; "vpaxos" ] then
-      (* spread clients across the co-located zones *)
-      List.map
-        (fun z ->
-          Runner.clients ~region:(Region.make z) ~target:Runner.Round_robin
-            ~count:(Stdlib.max 1 (concurrency / 3))
-            workload)
-        [ "az-a"; "az-b"; "az-c" ]
-    else
-      [ Runner.clients ~target:Runner.Round_robin ~count:concurrency workload ]
+    Runner.lan_clients ~zoned:(zoned name) ~count:concurrency workload
   in
   let spec =
     Runner.spec ~warmup_ms:200.0 ~duration_ms:duration ~collect_history:true

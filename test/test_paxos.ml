@@ -161,12 +161,19 @@ let test_fpaxos_q2_one_commits_alone () =
    own accept majority; epaxos: its own fast quorum; wpaxos: its own
    phase-1 and phase-2 zone quorums): it must elect
    itself where there is a leader and serve writes and reads, with or
-   without durable storage, and the history must linearize. *)
-let test_single_replica protocol storage () =
+   without durable storage, on every read path, and the history must
+   linearize. A lease leader's own grant is its renewal quorum, and a
+   quorum read's own vote is its query and store majority. *)
+let test_single_replica protocol storage read_path () =
   let open Paxi_benchmark in
   let p = Paxi_protocols.Registry.find_exn protocol in
   let config =
-    { (Config.default ~n_replicas:1) with Config.seed = 3; storage }
+    {
+      (Config.default ~n_replicas:1) with
+      Config.seed = 3;
+      storage;
+      read_path;
+    }
   in
   let r =
     Runner.run p
@@ -198,6 +205,9 @@ let test_single_replica protocol storage () =
 let sync_every =
   Some { Storage.default_config with Storage.sync_mode = Storage.Sync_every }
 
+let lease = Some (Config.Lease { margin_ms = 300.0 })
+let quorum = Some Config.Quorum
+
 let suite =
   ( "paxos",
     [
@@ -215,21 +225,31 @@ let suite =
       Alcotest.test_case "wan deployment" `Quick test_wan_paxos;
       Alcotest.test_case "fpaxos q2=1 commits alone" `Quick
         test_fpaxos_q2_one_commits_alone;
-      Alcotest.test_case "n=1 paxos" `Quick (test_single_replica "paxos" None);
+      Alcotest.test_case "n=1 paxos" `Quick (test_single_replica "paxos" None None);
       Alcotest.test_case "n=1 fpaxos" `Quick
-        (test_single_replica "fpaxos" None);
+        (test_single_replica "fpaxos" None None);
       Alcotest.test_case "n=1 paxos durable" `Quick
-        (test_single_replica "paxos" sync_every);
+        (test_single_replica "paxos" sync_every None);
       Alcotest.test_case "n=1 fpaxos durable" `Quick
-        (test_single_replica "fpaxos" sync_every);
-      Alcotest.test_case "n=1 raft" `Quick (test_single_replica "raft" None);
+        (test_single_replica "fpaxos" sync_every None);
+      Alcotest.test_case "n=1 raft" `Quick (test_single_replica "raft" None None);
       Alcotest.test_case "n=1 raft durable" `Quick
-        (test_single_replica "raft" sync_every);
-      Alcotest.test_case "n=1 abd" `Quick (test_single_replica "abd" None);
+        (test_single_replica "raft" sync_every None);
+      Alcotest.test_case "n=1 abd" `Quick (test_single_replica "abd" None None);
       Alcotest.test_case "n=1 mencius" `Quick
-        (test_single_replica "mencius" None);
+        (test_single_replica "mencius" None None);
       Alcotest.test_case "n=1 epaxos" `Quick
-        (test_single_replica "epaxos" None);
+        (test_single_replica "epaxos" None None);
       Alcotest.test_case "n=1 wpaxos" `Quick
-        (test_single_replica "wpaxos" None);
+        (test_single_replica "wpaxos" None None);
+      Alcotest.test_case "n=1 paxos lease" `Quick
+        (test_single_replica "paxos" None lease);
+      Alcotest.test_case "n=1 fpaxos lease" `Quick
+        (test_single_replica "fpaxos" None lease);
+      Alcotest.test_case "n=1 raft lease" `Quick
+        (test_single_replica "raft" None lease);
+      Alcotest.test_case "n=1 paxos quorum" `Quick
+        (test_single_replica "paxos" None quorum);
+      Alcotest.test_case "n=1 fpaxos quorum" `Quick
+        (test_single_replica "fpaxos" None quorum);
     ] )
