@@ -31,10 +31,14 @@ type profile = {
      and link blackouts all heal once the network does; only a crash
      is fatal (a dead zone leader takes its mandatory zone-majority
      vote with it — there is no reconfiguration).
-   - chain/wankeeper/vpaxos: chain hops, token moves and ownership
-     handoffs ride the explicitly-acked reliable channel, so any
-     transient loss heals; their fixed role assignments (chain order,
-     master zone, static group leaders) still make a crash fatal. *)
+   - chain: explicitly-acked hops heal any transient loss; the fixed
+     head-to-tail order makes a crash fatal.
+   - wankeeper/vpaxos: token moves and ownership handoffs ride the
+     explicitly-acked reliable channel and are re-sent until they take
+     effect, zone leaders (the master too) fail over, and token and
+     ownership state is committed in the zone groups, so partitions
+     heal. Crash stays off until it is validated at campaign scale
+     (ROADMAP); the master zone itself is fixed. *)
 let profile_of name =
   let open Schedule in
   (* Clock skew only means anything to lease-based read paths; the

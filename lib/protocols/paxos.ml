@@ -208,6 +208,7 @@ let create env =
 let is_leader t = t.active
 let current_ballot t = t.ballot
 let commit_frontier t = Slot_log.exec_frontier t.log
+let last_proposed_slot t = Slot_log.next_slot t.log - 1
 let executor t = t.exec
 let local_reads_served t = Lease.served t.lease
 let quorum_reads_served t = Abd_round.completed t.abd

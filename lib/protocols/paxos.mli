@@ -18,6 +18,9 @@ val cpu_factor : Config.t -> float
 val is_leader : replica -> bool
 val current_ballot : replica -> Ballot.t
 val commit_frontier : replica -> int
+val last_proposed_slot : replica -> int
+(** Highest slot in the log; -1 when empty. *)
+
 val executor : replica -> Executor.t
 
 (** {2 Read path} (PR 7) — all inert unless [config.read_path] is set. *)

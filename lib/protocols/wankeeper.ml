@@ -1,5 +1,5 @@
 type message =
-  | G of Group.message
+  | G of Paxos.message
   | WkRequest of {
       key : Command.key;
       zone : int;
@@ -19,161 +19,92 @@ let name = "wankeeper"
 let cpu_factor (_ : Config.t) = 1.0
 
 let message_label = function
-  | G g -> Group.message_label g
+  | G g -> Paxos.message_label g
   | WkRequest _ -> "WkRequest"
   | TokenGrant _ -> "TokenGrant"
   | TokenRetract _ -> "TokenRetract"
   | RetractAck _ -> "RetractAck"
 
-(* Master-side per-key token bookkeeping. *)
+(* Token state lives in the zone groups ({!Zone_paxos} claims), so a
+   new zone leader finds it. The token's generation counts its grants.
+   The master zone claims generation [g] while it holds the token
+   (none committed: generation 0) and records the zone each grant goes
+   to; a region claims the generation it was granted, and gives it back
+   on retraction. *)
+
+(* Master-side per-object bookkeeping, local to the master's term. *)
 type token = {
-  mutable holder : int option; (* zone currently holding the token *)
-  mutable gen : int; (* bumped on every grant *)
   mutable streak_zone : int;
   mutable streak : int;
-  mutable retracting : bool;
-  mutable queued : (Address.t * Proto.request) list; (* newest first *)
+  mutable moving : bool; (* a grant or a return is committing *)
+  mutable retracting : int; (* generation being retracted, 0 if none *)
+  mutable queued : (int * Address.t * Proto.request) list;
+      (* (zone, client, request), newest first *)
 }
 
 type replica = {
   env : message Proto.env;
-  zones : int list array;
-  my_zone : int;
+  zones : Zone_paxos.zones;
   master_zone : int;
-  mutable group : Group.t option;
-  exec : Executor.t;
-  have_token : (Command.key, int) Hashtbl.t; (* key -> grant generation *)
+  group : Zone_paxos.t;
   tokens : (Command.key, token) Hashtbl.t; (* at the master *)
-  (* zone leader: retract acks deferred until in-flight group
-     proposals drain, so the shipped value reflects every command the
-     zone committed while it held the token *)
-  pending_retracts : (Command.key, int * int) Hashtbl.t; (* gen, slot bound *)
-  (* zone leader: retractions that overtook their own grant in flight *)
-  early_retracts : (Command.key, int) Hashtbl.t; (* gen *)
-  (* master: grants deferred the same way *)
-  pending_grants : (Command.key, int * int * int * (Address.t * Proto.request) list) Hashtbl.t;
-      (* dest zone, gen, slot bound, requests to hand over *)
-  mutable sync_counter : int;
+  (* region leader: grants installing; their requests wait until the
+     claim executes, so no command on the object commits in the zone
+     before it *)
+  acquiring : (Command.key, int * (Address.t * Proto.request) list) Hashtbl.t;
+  (* region leader: generations being given back *)
+  releasing : (Command.key, int) Hashtbl.t;
+  (* region leader: retractions that overtook their own grant *)
+  early_retracts : (Command.key, int) Hashtbl.t;
   mutable grants : int;
   mutable retractions : int;
 }
 
-let zone_leader (t : replica) zone =
-  match t.zones.(zone) with l :: _ -> l | [] -> invalid_arg "empty zone"
-
-let create env =
-  let topology = env.Proto.topology in
-  let zones = Topology.zones topology in
-  let master_zone =
-    Stdlib.min env.Proto.config.Config.master_region_index (Array.length zones - 1)
-  in
-  let t =
-    {
-      env;
-      zones;
-      my_zone = Topology.zone_of topology (Address.replica env.Proto.id);
-      master_zone;
-      group = None;
-      exec = Executor.create ();
-      have_token = Hashtbl.create 256;
-      tokens = Hashtbl.create 256;
-      pending_retracts = Hashtbl.create 16;
-      early_retracts = Hashtbl.create 16;
-      pending_grants = Hashtbl.create 16;
-      sync_counter = 0;
-      grants = 0;
-      retractions = 0;
-    }
-  in
-  let on_executed cmd client read =
-    match client with
-    | Some c ->
-        env.Proto.reply c
-          { Proto.command = cmd; read; replier = env.Proto.id; leader_hint = None }
-    | None -> ()
-  in
-  t.group <-
-    Some
-      (Group.create ~env
-         ~wrap:(fun m -> G m)
-         ~members:t.zones.(t.my_zone) ~leader:(zone_leader t t.my_zone)
-         ~exec:t.exec ~on_executed);
-  t
-
-let group t = Option.get t.group
-let executor t = t.exec
-let is_zone_leader t = Group.is_leader (group t)
-let is_master t = t.my_zone = t.master_zone && is_zone_leader t
-let tokens_held t = Hashtbl.length t.have_token
+let executor t = Zone_paxos.executor t.group
+let is_zone_leader t = Zone_paxos.is_leader t.group
+let in_master_zone t = Zone_paxos.my_zone t.zones = t.master_zone
+let is_master t = in_master_zone t && is_zone_leader t
+let master t = Zone_paxos.address t.zones t.master_zone
 let grants t = t.grants
 let retractions t = t.retractions
 
+(* master: (generation, holding zone) *)
+let holder t key =
+  match Zone_paxos.claim t.group key with
+  | None -> (0, t.master_zone)
+  | Some c when c land 1 = 1 -> (c / 2, t.master_zone)
+  | Some c ->
+      ((c / 2) + 1, Option.value (Zone_paxos.recorded t.group key) ~default:t.master_zone)
+
+(* region: the claim, 0 before any grant *)
+let region_claim t key = Option.value (Zone_paxos.claim t.group key) ~default:0
+
+let holds t key =
+  region_claim t key land 1 = 1 && not (Hashtbl.mem t.releasing key)
+
+let tokens_held t =
+  if in_master_zone t then 0 else List.length (Zone_paxos.taken t.group)
+
 let leader_of_key t key =
-  if Hashtbl.mem t.have_token key then Some t.env.id
-  else if is_master t then
-    match Hashtbl.find_opt t.tokens key with
-    | Some { holder = Some z; _ } -> Some (zone_leader t z)
-    | _ -> Some t.env.id
+  if is_master t then
+    let _, zone = holder t key in
+    Some (if zone = t.master_zone then t.env.id else Zone_paxos.address t.zones zone)
+  else if is_zone_leader t && holds t key then Some t.env.id
   else None
 
-let master_replica t = zone_leader t t.master_zone
+let propose t ~client request = Zone_paxos.propose t.group ~client request
 
-let local_value t key =
-  Kv.get (State_machine.store (Executor.state_machine t.exec)) key
+(* A zone-bound message that reached a member which does not lead its
+   zone: pass it to the leader it knows of (retries cover a drop). *)
+let relay t msg =
+  match Zone_paxos.leader t.group with
+  | Some l when l <> t.env.id -> t.env.send l msg
+  | _ -> ()
 
-(* Re-commit a moved object's latest value in the local group so
-   member state machines observe it before subsequent commands. The
-   writer id is unique per (replica, counter) to survive exactly-once
-   dedup. *)
-let sync_value t key = function
-  | Some v ->
-      let id = t.sync_counter in
-      t.sync_counter <- t.sync_counter + 1;
-      let cmd =
-        Command.make ~id ~client:(-2 - t.env.id) (Command.Put (key, v))
-      in
-      Group.propose (group t) ~client:None cmd
-  | None -> ()
-
-let propose_request t ~client (request : Proto.request) =
-  Group.propose (group t) ~client:(Some client) request.Proto.command
-
-(* Send deferred retract-acks/grants whose in-flight proposals have
-   executed locally, so the value they carry is complete. *)
-let flush_token_moves t =
-  let g = group t in
-  let ready_retracts =
-    Hashtbl.fold
-      (fun key (gen, bound) acc ->
-        if Group.frontier g > bound then (key, gen) :: acc else acc)
-      t.pending_retracts []
-  in
-  List.iter
-    (fun (key, gen) ->
-      Hashtbl.remove t.pending_retracts key;
-      (* token moves are one-shot state transfers with no natural
-         retry: post them explicitly-acked so a lost hop cannot strand
-         the token (dedup suppresses the duplicate deliveries) *)
-      ignore
-        (t.env.rel.post ~ack:Reliable.Explicit (master_replica t)
-           (RetractAck { key; gen; value = local_value t key })))
-    ready_retracts;
-  let ready_grants =
-    Hashtbl.fold
-      (fun key (zone, gen, bound, pending) acc ->
-        if Group.frontier g > bound then (key, zone, gen, pending) :: acc else acc)
-      t.pending_grants []
-  in
-  List.iter
-    (fun (key, zone, gen, pending) ->
-      Hashtbl.remove t.pending_grants key;
-      ignore
-        (t.env.rel.post ~ack:Reliable.Explicit (zone_leader t zone)
-           (TokenGrant { key; gen; value = local_value t key; pending })))
-    ready_grants
-
-let schedule_flush t =
-  ignore (t.env.schedule 0.5 (fun () -> flush_token_moves t))
+(* token moves are one-shot state transfers: post them
+   explicitly-acked so a lost hop heals without waiting for a re-send
+   (dedup suppresses the duplicate deliveries) *)
+let post t dst msg = ignore (t.env.rel.post ~ack:Reliable.Explicit dst msg)
 
 (* ---- master logic ------------------------------------------------ *)
 
@@ -182,143 +113,230 @@ let token t key =
   | Some tok -> tok
   | None ->
       let tok =
-        {
-          holder = None;
-          gen = 0;
-          streak_zone = -1;
-          streak = 0;
-          retracting = false;
-          queued = [];
-        }
+        { streak_zone = -1; streak = 0; moving = false; retracting = 0; queued = [] }
       in
       Hashtbl.add t.tokens key tok;
       tok
 
-let master_execute t ~client request = propose_request t ~client request
+(* The master's value of an object is final while another zone holds
+   its token: the master runs no command on it meanwhile. *)
+let send_grant t key ~gen ~dst pending =
+  post t dst (TokenGrant { key; gen; value = Zone_paxos.value t.group key; pending })
 
-let begin_retract t key tok =
-  if not tok.retracting then begin
-    tok.retracting <- true;
+(* Retract generation [gen] from [zone]. A retraction can reach a
+   leader that then loses its zone, so while it is outstanding the
+   master sends it again, with the grant (a zone that never installed
+   the grant installs it and gives it straight back), to every member
+   of the zone: each passes it to its leader. *)
+let retract t key tok ~gen ~zone =
+  if tok.retracting <> gen then begin
+    tok.retracting <- gen;
     t.retractions <- t.retractions + 1;
-    match tok.holder with
-    | Some z ->
-        ignore
-          (t.env.rel.post ~ack:Reliable.Explicit (zone_leader t z)
-             (TokenRetract { key; gen = tok.gen }))
-    | None -> tok.retracting <- false
+    post t (Zone_paxos.address t.zones zone) (TokenRetract { key; gen });
+    let rec again () =
+      ignore
+      @@ t.env.schedule t.env.config.Config.failover_timeout_ms (fun () ->
+             match Hashtbl.find_opt t.tokens key with
+             | Some tok' when tok' == tok && tok.retracting = gen && is_master t ->
+                 List.iter
+                   (fun dst ->
+                     send_grant t key ~gen ~dst [];
+                     post t dst (TokenRetract { key; gen }))
+                   (Zone_paxos.members t.zones zone);
+                 again ()
+             | _ -> ())
+    in
+    again ()
   end
 
-let master_on_request t key ~zone ~client (request : Proto.request) =
+let rec master_on_request t key ~zone ~client (request : Proto.request) =
   let tok = token t key in
   if tok.streak_zone = zone then tok.streak <- tok.streak + 1
   else begin
     tok.streak_zone <- zone;
     tok.streak <- 1
   end;
-  match tok.holder with
-  | Some z when z = zone -> (
-      (* requester's zone holds (or is about to receive) the token *)
-      match Hashtbl.find_opt t.pending_grants key with
-      | Some (dest, gen, bound, pending) when dest = zone ->
-          Hashtbl.replace t.pending_grants key
-            (dest, gen, bound, pending @ [ (client, request) ])
-      | _ -> t.env.forward (zone_leader t z) ~client request)
-  | Some _ ->
-      tok.queued <- (client, request) :: tok.queued;
-      begin_retract t key tok
-  | None ->
-      if
-        zone <> t.master_zone
-        && tok.streak >= t.env.config.Config.migration_threshold
-        && not (Hashtbl.mem t.pending_grants key)
+  if tok.moving then tok.queued <- (zone, client, request) :: tok.queued
+  else
+    let gen, holder = holder t key in
+    if holder = t.master_zone then
+      if zone <> t.master_zone && tok.streak >= t.env.config.Config.migration_threshold
       then begin
-        tok.holder <- Some zone;
-        tok.gen <- tok.gen + 1;
+        (* commit the new holder first; the token ships once it
+           executes, after every earlier command on the object *)
+        tok.moving <- true;
+        tok.queued <- [ (zone, client, request) ];
         t.grants <- t.grants + 1;
-        Hashtbl.replace t.pending_grants key
-          (zone, tok.gen, Group.last_proposed_slot (group t), [ (client, request) ]);
-        flush_token_moves t;
-        if Hashtbl.mem t.pending_grants key then schedule_flush t
+        Zone_paxos.record t.group key ~gen:(gen + 1) zone;
+        Zone_paxos.give t.group key ~gen
       end
-      else master_execute t ~client request
+      else propose t ~client request
+    else if holder = zone && tok.retracting = 0 then
+      (* the holder's leader asks for its own object: it has not
+         installed the grant (still in flight, or lost with a leader) *)
+      send_grant t key ~gen ~dst:(Zone_paxos.address t.zones zone) [ (client, request) ]
+    else begin
+      tok.queued <- (zone, client, request) :: tok.queued;
+      retract t key tok ~gen ~zone:holder
+    end
+
+(* The token is the master's again, or granted: serve what waited. *)
+and master_moved t key =
+  match Hashtbl.find_opt t.tokens key with
+  | Some tok when tok.moving && is_master t ->
+      let gen, zone = holder t key in
+      tok.moving <- false;
+      let queued = List.rev tok.queued in
+      tok.queued <- [];
+      let handed, others = List.partition (fun (z, _, _) -> z = zone) queued in
+      if zone <> t.master_zone then
+        send_grant t key ~gen ~dst:(Zone_paxos.address t.zones zone)
+          (List.map (fun (_, client, request) -> (client, request)) handed);
+      List.iter
+        (fun (zone, client, request) -> master_on_request t key ~zone ~client request)
+        (if zone <> t.master_zone then others else queued)
+  | _ -> ()
 
 let master_on_retract_ack t key ~gen ~value =
+  let g, holder = holder t key in
   let tok = token t key in
-  if not (tok.retracting && gen = tok.gen) then ()
-  else begin
-  tok.retracting <- false;
-  tok.holder <- None;
-  sync_value t key value;
-  let queued = List.rev tok.queued in
-  tok.queued <- [];
-  List.iter
-    (fun (client, request) ->
-      master_on_request t key ~zone:t.master_zone ~client request)
-    queued
+  if holder <> t.master_zone && g = gen && not tok.moving then begin
+    tok.moving <- true;
+    tok.retracting <- 0;
+    Zone_paxos.take t.group key ~gen value
   end
 
-(* ---- zone-leader logic ------------------------------------------- *)
+(* ---- region-leader logic ----------------------------------------- *)
 
-let leader_on_request t key ~client (request : Proto.request) =
-  if is_master t then master_on_request t key ~zone:t.my_zone ~client request
-  else if Hashtbl.mem t.have_token key then propose_request t ~client request
-  else
-    t.env.send (master_replica t)
-      (WkRequest { key; zone = t.my_zone; client; request })
+let send_ack t key ~gen =
+  post t (master t) (RetractAck { key; gen; value = Zone_paxos.value t.group key })
+
+let ask_master t key ~client request =
+  t.env.send (master t)
+    (WkRequest { key; zone = Zone_paxos.my_zone t.zones; client; request })
+
+let region_on_request t key ~client request =
+  match Hashtbl.find_opt t.acquiring key with
+  | Some (gen, pending) ->
+      Hashtbl.replace t.acquiring key (gen, pending @ [ (client, request) ])
+  | None ->
+      if holds t key then propose t ~client request else ask_master t key ~client request
+
+(* Give generation [gen] back; the ack leaves once the claim executes,
+   after every command the zone ran on the object. *)
+let release t key ~gen =
+  if not (Hashtbl.mem t.releasing key) then begin
+    Hashtbl.replace t.releasing key gen;
+    Zone_paxos.give t.group key ~gen
+  end
 
 let on_token_grant t key ~gen ~value ~pending =
-  sync_value t key value;
-  List.iter (fun (client, request) -> propose_request t ~client request) pending;
-  match Hashtbl.find_opt t.early_retracts key with
-  | Some gen' when gen' = gen ->
-      (* the retraction overtook this grant: serve the handed-over
-         requests, then immediately give the token back *)
-      Hashtbl.remove t.early_retracts key;
-      Hashtbl.replace t.pending_retracts key (gen, Group.last_proposed_slot (group t));
-      flush_token_moves t;
-      if Hashtbl.mem t.pending_retracts key then schedule_flush t
-  | _ -> Hashtbl.replace t.have_token key gen
+  if region_claim t key >= 2 * gen then begin
+    (* installed already: a re-sent grant *)
+    if holds t key then List.iter (fun (client, request) -> propose t ~client request) pending
+    else begin
+      if region_claim t key = 2 * gen then send_ack t key ~gen;
+      List.iter (fun (client, request) -> ask_master t key ~client request) pending
+    end
+  end
+  else
+    match Hashtbl.find_opt t.acquiring key with
+    | Some (g, held) when g >= gen -> Hashtbl.replace t.acquiring key (g, held @ pending)
+    | _ ->
+        Hashtbl.replace t.acquiring key (gen, pending);
+        Zone_paxos.take t.group key ~gen value
+
+let region_installed t key ~gen =
+  match Hashtbl.find_opt t.acquiring key with
+  | Some (g, pending) when g = gen ->
+      Hashtbl.remove t.acquiring key;
+      List.iter (fun (client, request) -> propose t ~client request) pending;
+      if Hashtbl.find_opt t.early_retracts key = Some gen then begin
+        (* the retraction overtook this grant: serve the handed-over
+           requests, then give the token straight back *)
+        Hashtbl.remove t.early_retracts key;
+        release t key ~gen
+      end
+  | _ -> ()
 
 let on_token_retract t key ~gen =
-  match Hashtbl.find_opt t.have_token key with
-  | Some g when g = gen ->
-      Hashtbl.remove t.have_token key;
-      Hashtbl.replace t.pending_retracts key (gen, Group.last_proposed_slot (group t));
-      flush_token_moves t;
-      if Hashtbl.mem t.pending_retracts key then schedule_flush t
-  | Some _ -> () (* stale retraction for a generation we no longer hold *)
-  | None ->
-      (* the matching grant has not arrived yet; remember the
-         retraction and bounce the token on arrival *)
-      Hashtbl.replace t.early_retracts key gen
+  let m = region_claim t key in
+  if m = (2 * gen) + 1 then release t key ~gen
+  else if m = 2 * gen then send_ack t key ~gen (* the ack was lost with a leader *)
+  else if m < 2 * gen then
+    (* the matching grant has not installed yet; give the token back
+       once it has *)
+    Hashtbl.replace t.early_retracts key gen
 
 (* ---- dispatch ----------------------------------------------------- *)
 
+(* A claim committed where it was proposed. *)
+let on_committed t key = function
+  | Zone_paxos.Claim _ when in_master_zone t -> master_moved t key
+  | Zone_paxos.Claim c when c land 1 = 1 -> region_installed t key ~gen:(c / 2)
+  | Zone_paxos.Claim c ->
+      Hashtbl.remove t.releasing key;
+      send_ack t key ~gen:(c / 2)
+  | Zone_paxos.Record _ -> ()
+
+(* a new term: the previous term's leader-local state is stale *)
+let on_lead t =
+  Hashtbl.reset t.tokens;
+  Hashtbl.reset t.acquiring;
+  Hashtbl.reset t.releasing;
+  Hashtbl.reset t.early_retracts
+
+let create env =
+  let zones = Zone_paxos.zones env in
+  let self = ref None in
+  let with_t f = Option.iter f !self in
+  let t =
+    {
+      env;
+      zones;
+      master_zone =
+        Stdlib.min env.Proto.config.Config.master_region_index
+          (Zone_paxos.count zones - 1);
+      group =
+        Zone_paxos.create ~env ~wrap:(fun m -> G m)
+          ~members:(Zone_paxos.members zones (Zone_paxos.my_zone zones))
+          ~on_committed:(fun key c -> with_t (fun t -> on_committed t key c))
+          ~on_lead:(fun () -> with_t on_lead);
+      tokens = Hashtbl.create 256;
+      acquiring = Hashtbl.create 16;
+      releasing = Hashtbl.create 16;
+      early_retracts = Hashtbl.create 16;
+      grants = 0;
+      retractions = 0;
+    }
+  in
+  self := Some t;
+  t
+
 let on_request t ~client (request : Proto.request) =
-  let key = Command.key request.Proto.command in
-  if is_zone_leader t then leader_on_request t key ~client request
-  else t.env.forward (zone_leader t t.my_zone) ~client request
+  if Zone_paxos.admit t.group ~client request then begin
+    let key = Command.key request.Proto.command in
+    if in_master_zone t then master_on_request t key ~zone:t.master_zone ~client request
+    else region_on_request t key ~client request
+  end
 
-let on_message t ~src = function
-  | G m ->
-      Group.on_message (group t) ~src m;
-      flush_token_moves t
+let on_message t ~src msg =
+  match msg with
+  | G m -> Zone_paxos.on_message t.group ~src m
   | WkRequest { key; zone; client; request } ->
-      if is_master t then master_on_request t key ~zone ~client request
-      else if is_zone_leader t && Hashtbl.mem t.have_token key then
-        (* token raced ahead of the request; commit locally *)
-        propose_request t ~client request
-      else t.env.forward (zone_leader t t.my_zone) ~client request
-  | TokenGrant { key; gen; value; pending } ->
-      on_token_grant t key ~gen ~value ~pending
-  | TokenRetract { key; gen } -> on_token_retract t key ~gen
+      Zone_paxos.heard t.zones ~zone ~src;
+      if is_master t then master_on_request t key ~zone ~client request else relay t msg
   | RetractAck { key; gen; value } ->
-      if is_master t then master_on_retract_ack t key ~gen ~value
+      if is_master t then master_on_retract_ack t key ~gen ~value else relay t msg
+  | TokenGrant { key; gen; value; pending } ->
+      Zone_paxos.heard t.zones ~zone:t.master_zone ~src;
+      if is_zone_leader t then on_token_grant t key ~gen ~value ~pending else relay t msg
+  | TokenRetract { key; gen } ->
+      Zone_paxos.heard t.zones ~zone:t.master_zone ~src;
+      if is_zone_leader t then on_token_retract t key ~gen else relay t msg
 
-let on_start (_ : replica) = ()
+let on_start t = Zone_paxos.on_start t.group
 
-(* In-memory protocol: a crash-recovery edge reboots it from scratch
-   (no durable state to reload) — the cluster engine only pairs
-   [Config.storage] with protocols that persist, so this is a
-   rejoin-from-zero fallback. *)
-let on_recover = on_start
+(* The zone group recovers through paxos, and with it the token
+   claims; the leader-local bookkeeping comes back empty. *)
+let on_recover t = Zone_paxos.on_recover t.group

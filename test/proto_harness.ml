@@ -11,20 +11,25 @@ module Make (P : Proto.RUNNABLE) = struct
     faults : Faults.t;
     config : Config.t;
     mutable next_client : int;
+    mutable history : Paxi_benchmark.Linearizability.op list;
+        (* every operation [submit_seq] completed, newest first *)
   }
 
-  let make ?config ~topology () =
+  (* [schedule] is installed before the cluster exists, so durable
+     clusters see its crash windows as real crash/recovery edges. *)
+  let make ?config ?(schedule = []) ~topology () =
     let n = Topology.n_replicas topology in
     let config = match config with Some c -> c | None -> Config.default ~n_replicas:n in
     let faults = Faults.create () in
+    Paxi_nemesis.Schedule.install schedule ~n faults;
     let cluster = C.create ~faults ~config ~topology () in
-    { cluster; sim = C.sim cluster; faults; config; next_client = 0 }
+    { cluster; sim = C.sim cluster; faults; config; next_client = 0; history = [] }
 
   let lan ?config ~n () = make ?config ~topology:(Topology.lan ~n_replicas:n ()) ()
 
   (* Three regions, three replicas each: the paper's 9-node WAN. *)
-  let wan3 ?config () =
-    make ?config
+  let wan3 ?config ?schedule () =
+    make ?config ?schedule
       ~topology:
         (Topology.wan
            ~regions:[ Region.virginia; Region.ohio; Region.california ]
@@ -56,10 +61,25 @@ module Make (P : Proto.RUNNABLE) = struct
       | [] -> ()
       | (id, op) :: rest ->
           let command = Command.make ~id ~client op in
+          let invoked_ms = Sim.now t.sim in
           let rec attempt k =
             C.submit t.cluster ~client ~target:((target + k) mod n) ~command
               ~on_reply:(fun reply ->
                 replies := reply :: !replies;
+                t.history <-
+                  {
+                    Paxi_benchmark.Linearizability.client;
+                    op_id = id;
+                    key = Command.key command;
+                    kind =
+                      (match op with
+                      | Command.Put (_, v) -> Paxi_benchmark.Linearizability.Write v
+                      | Command.Delete _ -> Paxi_benchmark.Linearizability.Del
+                      | Command.Get _ -> Paxi_benchmark.Linearizability.Read reply.Proto.read);
+                    invoked_ms;
+                    responded_ms = Sim.now t.sim;
+                  }
+                  :: t.history;
                 issue rest);
             ignore
             @@ Sim.schedule_after t.sim ~delay:t.config.Config.client_timeout_ms

@@ -27,7 +27,7 @@ let () =
       Test_model.suite;
       Test_integration.suite;
       Test_misc.suite;
-      Test_group.suite;
+      Test_zone_paxos.suite;
       Test_fault_properties.suite;
       Test_extra_protocols.suite;
       Test_json.suite;

@@ -1,4 +1,4 @@
-(* Mseries, Report, Registry, Group *)
+(* Mseries, Report, Registry *)
 
 open Paxi_benchmark
 

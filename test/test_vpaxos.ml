@@ -111,6 +111,87 @@ let test_per_region_locality_distribution () =
   Alcotest.(check (option int)) "OH key" (Some 1) (V.assigned_zone (H.replica h 1) 100);
   Alcotest.(check (option int)) "CA key" (Some 2) (V.assigned_zone (H.replica h 1) 200)
 
+(* Virginia's zone leader (replica 0) crashes for 1 s on a durable
+   cluster, so it loses its volatile state and comes back a follower;
+   the zone's next member takes over and Virginia's operations resume
+   through it. Every object starts in Ohio and never migrates (the
+   access threshold is out of reach), so Virginia owns nothing when its
+   leader dies. *)
+let test_zone_leader_failover () =
+  let config =
+    {
+      (Config.default ~n_replicas:9) with
+      Config.master_region_index = 1;
+      initial_object_owner = Some 1;
+      migration_threshold = 1_000_000;
+      storage = Some Storage.default_config;
+      retransmit = Some { Config.base_ms = 40.0; max_ms = 320.0; max_tries = 25 };
+    }
+  in
+  let crash =
+    Paxi_nemesis.Schedule.Crash { node = 0; from_ms = 1_000.0; duration_ms = 1_000.0 }
+  in
+  let h = H.wan3 ~config ~schedule:[ crash ] () in
+  (* one client per sequence: [submit_seq] numbers commands from 0 *)
+  let client region = H.new_client h ~region in
+  ignore (H.submit_seq h ~client:(client Region.virginia) ~target:3 [ put 1 1; get 1 ]);
+  H.run_for h (1_200.0 -. Sim.now (H.sim h));
+  ignore (H.submit_seq h ~client:(client Region.ohio) ~target:1 [ put 1 2; get 1 ]);
+  H.run_for h (5_000.0 -. Sim.now (H.sim h));
+  Alcotest.(check bool) "crashed leader is a follower" false
+    (V.is_zone_leader (H.replica h 0));
+  Alcotest.(check bool) "VA leadership moved" true
+    (V.is_zone_leader (H.replica h 3) || V.is_zone_leader (H.replica h 6));
+  let t0 = Sim.now (H.sim h) in
+  let replies =
+    H.submit_seq h ~client:(client Region.virginia) ~target:3 [ get 1; put 1 3; get 1 ]
+  in
+  Alcotest.(check int) "VA operations resume" 3 (List.length replies);
+  Alcotest.(check bool) "served through VA, no client retry" true
+    (Sim.now (H.sim h) -. t0 < config.Config.client_timeout_ms);
+  Alcotest.(check (option int)) "read sees the last write" (Some 3)
+    (List.nth replies 2).Proto.read;
+  Alcotest.(check int) "linearizable" 0
+    (List.length (Paxi_benchmark.Linearizability.check h.H.history))
+
+(* Key 3 migrates from Ohio to Virginia, then Virginia's zone leader
+   (replica 0) crashes for 1 s on a durable cluster. Ownership is
+   committed in the zone group, so the member that takes over owns the
+   key too: Virginia keeps serving it in-region with its last value. *)
+let test_ownership_survives_leader_crash () =
+  let config =
+    {
+      (Config.default ~n_replicas:9) with
+      Config.master_region_index = 1;
+      initial_object_owner = Some 1;
+      storage = Some Storage.default_config;
+      retransmit = Some { Config.base_ms = 40.0; max_ms = 320.0; max_tries = 25 };
+    }
+  in
+  let crash =
+    Paxi_nemesis.Schedule.Crash { node = 0; from_ms = 1_500.0; duration_ms = 1_000.0 }
+  in
+  let h = H.wan3 ~config ~schedule:[ crash ] () in
+  let client region = H.new_client h ~region in
+  ignore
+    (H.submit_seq h ~client:(client Region.virginia) ~target:0
+       (List.init 8 (fun i -> put 3 i)));
+  H.run_for h (1_200.0 -. Sim.now (H.sim h));
+  Alcotest.(check (option int)) "VA owns key 3" (Some 0) (V.assigned_zone (H.replica h 1) 3);
+  H.run_for h (5_000.0 -. Sim.now (H.sim h));
+  let leader = if V.is_zone_leader (H.replica h 3) then 3 else 6 in
+  Alcotest.(check bool) "VA leadership moved" true (V.is_zone_leader (H.replica h leader));
+  let replies =
+    H.submit_seq h ~client:(client Region.virginia) ~target:leader [ get 3; put 3 100 ]
+  in
+  Alcotest.(check (option int)) "VA reads its last write" (Some 7)
+    (List.hd replies).Proto.read;
+  Alcotest.(check int) "served in VA" leader (List.nth replies 1).Proto.replier;
+  let replies = H.submit_seq h ~client:(client Region.ohio) ~target:1 [ get 3 ] in
+  Alcotest.(check (option int)) "OH reads VA's write" (Some 100) (List.hd replies).Proto.read;
+  Alcotest.(check int) "linearizable" 0
+    (List.length (Paxi_benchmark.Linearizability.check h.H.history))
+
 let suite =
   ( "vpaxos",
     [
@@ -123,4 +204,6 @@ let suite =
       Alcotest.test_case "fresh key assigned to requester" `Quick test_fresh_key_assigned_to_requester;
       Alcotest.test_case "ping-pong contention converges" `Quick test_ping_pong_contention_converges;
       Alcotest.test_case "per-region locality distribution" `Quick test_per_region_locality_distribution;
+      Alcotest.test_case "zone leader failover" `Quick test_zone_leader_failover;
+      Alcotest.test_case "ownership survives leader crash" `Quick test_ownership_survives_leader_crash;
     ] )

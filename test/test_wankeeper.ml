@@ -97,6 +97,86 @@ let test_reads_after_writes_across_regions () =
   Alcotest.(check (option int)) "ohio sees VA write" (Some 42)
     (List.hd replies).Proto.read
 
+(* Virginia's zone leader (replica 0) crashes for 1 s on a durable
+   cluster, so it loses its volatile state and comes back a follower;
+   the zone's next member takes over and Virginia's operations resume
+   through it. No token ever leaves the master (the access threshold is
+   out of reach), so the zone holds none when its leader dies. *)
+let test_zone_leader_failover () =
+  let config =
+    {
+      (Config.default ~n_replicas:9) with
+      Config.master_region_index = 1;
+      migration_threshold = 1_000_000;
+      storage = Some Storage.default_config;
+      retransmit = Some { Config.base_ms = 40.0; max_ms = 320.0; max_tries = 25 };
+    }
+  in
+  let crash =
+    Paxi_nemesis.Schedule.Crash { node = 0; from_ms = 1_000.0; duration_ms = 1_000.0 }
+  in
+  let h = H.wan3 ~config ~schedule:[ crash ] () in
+  (* one client per sequence: [submit_seq] numbers commands from 0 *)
+  let client region = H.new_client h ~region in
+  ignore (H.submit_seq h ~client:(client Region.virginia) ~target:3 [ put 1 1; get 1 ]);
+  H.run_for h (1_200.0 -. Sim.now (H.sim h));
+  ignore (H.submit_seq h ~client:(client Region.ohio) ~target:1 [ put 1 2; get 1 ]);
+  H.run_for h (5_000.0 -. Sim.now (H.sim h));
+  Alcotest.(check bool) "crashed leader is a follower" false
+    (WK.is_zone_leader (H.replica h 0));
+  Alcotest.(check bool) "VA leadership moved" true
+    (WK.is_zone_leader (H.replica h 3) || WK.is_zone_leader (H.replica h 6));
+  let t0 = Sim.now (H.sim h) in
+  let replies =
+    H.submit_seq h ~client:(client Region.virginia) ~target:3 [ get 1; put 1 3; get 1 ]
+  in
+  Alcotest.(check int) "VA operations resume" 3 (List.length replies);
+  Alcotest.(check bool) "served through VA, no client retry" true
+    (Sim.now (H.sim h) -. t0 < config.Config.client_timeout_ms);
+  Alcotest.(check (option int)) "read sees the last write" (Some 3)
+    (List.nth replies 2).Proto.read;
+  Alcotest.(check int) "linearizable" 0
+    (List.length (Paxi_benchmark.Linearizability.check h.H.history))
+
+(* Virginia wins key 1's token, then its zone leader (replica 0)
+   crashes for 1 s on a durable cluster. The token is committed in the
+   zone group, so the member that takes over holds it too: Virginia
+   keeps serving the key in-region, and Ohio's read then retracts it
+   with every write Virginia made. *)
+let test_token_survives_leader_crash () =
+  let config =
+    {
+      (Config.default ~n_replicas:9) with
+      Config.master_region_index = 1;
+      storage = Some Storage.default_config;
+      retransmit = Some { Config.base_ms = 40.0; max_ms = 320.0; max_tries = 25 };
+    }
+  in
+  let crash =
+    Paxi_nemesis.Schedule.Crash { node = 0; from_ms = 1_500.0; duration_ms = 1_000.0 }
+  in
+  let h = H.wan3 ~config ~schedule:[ crash ] () in
+  let client region = H.new_client h ~region in
+  ignore
+    (H.submit_seq h ~client:(client Region.virginia) ~target:0
+       (List.init 8 (fun i -> put 1 i)));
+  Alcotest.(check bool) "VA holds the token" true (WK.tokens_held (H.replica h 0) >= 1);
+  H.run_for h (5_000.0 -. Sim.now (H.sim h));
+  let leader = if WK.is_zone_leader (H.replica h 3) then 3 else 6 in
+  Alcotest.(check bool) "VA leadership moved" true (WK.is_zone_leader (H.replica h leader));
+  Alcotest.(check bool) "the new VA leader holds the token" true
+    (WK.tokens_held (H.replica h leader) >= 1);
+  let replies =
+    H.submit_seq h ~client:(client Region.virginia) ~target:leader [ get 1; put 1 100 ]
+  in
+  Alcotest.(check (option int)) "VA reads its last write" (Some 7)
+    (List.hd replies).Proto.read;
+  Alcotest.(check int) "served in VA" leader (List.nth replies 1).Proto.replier;
+  let replies = H.submit_seq h ~client:(client Region.ohio) ~target:1 [ get 1 ] in
+  Alcotest.(check (option int)) "OH reads VA's write" (Some 100) (List.hd replies).Proto.read;
+  Alcotest.(check int) "linearizable" 0
+    (List.length (Paxi_benchmark.Linearizability.check h.H.history))
+
 let suite =
   ( "wankeeper",
     [
@@ -108,4 +188,6 @@ let suite =
       Alcotest.test_case "master region has local latency" `Quick test_master_region_local_latency;
       Alcotest.test_case "keys partition across regions" `Quick test_many_keys_partition_across_regions;
       Alcotest.test_case "cross-region read-your-writes" `Quick test_reads_after_writes_across_regions;
+      Alcotest.test_case "zone leader failover" `Quick test_zone_leader_failover;
+      Alcotest.test_case "token survives leader crash" `Quick test_token_survives_leader_crash;
     ] )
