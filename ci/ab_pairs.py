@@ -2,7 +2,7 @@
 """Compare two checkouts on one perfbench workload in alternating pairs.
 
     python3 ci/ab_pairs.py PARENT_DIR CHANGE_DIR --workload relay-n49 \\
-        --pairs 10 --seconds 20 --seed 1
+        --pairs 10 --seconds 20 --seed 1 [--trace-pairs K]
 
 Builds perfbench/main.exe in each checkout (dune, shared cache off),
 then runs `main.exe --workload W --seed K --seconds S --trace 0` once
@@ -12,6 +12,15 @@ median with its quartiles, the change's median, the ratio change /
 parent and the number of pairs the change won (ties count for
 neither). It also reports whether the simulated metrics and `failed`
 were identical across every run of both sides.
+
+With --trace-pairs K (default 0), it then runs K `--trace 1`
+invocations per side, alternating order, and prints each side's
+median of sim.events_per_op, sim.engine_ns_per_event, engine ns per
+op (their product, taken per run), sim.bytes_per_event,
+net.send_ns_per_op and gc.minor_collections. A change that alters
+how many events a run takes moves the denominator of every per-event
+figure, so engine ns per op is the one to compare across such a
+change.
 
 Exits 1 if any run fails or prints "correct": false, 2 if a build fails.
 """
@@ -28,6 +37,17 @@ RUN_TIMEOUT_S = 170
 # Metrics of the simulated system: a fixed seed must reproduce them
 # bit for bit, whatever the simulator's speed.
 SIMULATED = ("ops_per_s", "p50_ms", "p99_ms", "p999_ms", "unavail_ms")
+# Per-layer figures of a traced run: (label, metric or a function of
+# the run's metrics).
+TRACED = (
+    ("sim.events_per_op", "sim.events_per_op"),
+    ("sim.engine_ns_per_event", "sim.engine_ns_per_event"),
+    ("engine ns per op", lambda m: m["sim.engine_ns_per_event"]["value"]
+     * m["sim.events_per_op"]["value"]),
+    ("sim.bytes_per_event", "sim.bytes_per_event"),
+    ("net.send_ns_per_op", "net.send_ns_per_op"),
+    ("gc.minor_collections", "gc.minor_collections"),
+)
 
 
 def build(root):
@@ -62,6 +82,7 @@ def main():
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", default="20")
     ap.add_argument("--seed", default="1")
+    ap.add_argument("--trace-pairs", type=int, default=0)
     a = ap.parse_args()
 
     for root in (a.parent, a.change):
@@ -108,6 +129,24 @@ def main():
         for r in every)
     print(f"simulated metrics ({', '.join(SIMULATED)}) and failed identical "
           f"across all runs: {'yes' if same else 'NO'}")
+    traced = {"parent": [], "change": []}
+    targs = args[:-1] + ["1"]
+    for i in range(a.trace_pairs):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            traced[side].append(run(a.parent if side == "parent" else a.change, targs))
+    if a.trace_pairs:
+        print(f"traced (--trace 1), medians of {a.trace_pairs} runs per side")
+        print(f"{'figure':<24} {'parent':>14} {'change':>14} {'ratio':>8}")
+        for label, f in TRACED:
+            get = f if callable(f) else (lambda m, f=f: m[f]["value"])
+            pm = statistics.median(get(r["metrics"]) for r in traced["parent"])
+            cm = statistics.median(get(r["metrics"]) for r in traced["change"])
+            ratio = f"{cm / pm:.4f}" if pm else "n/a"
+            print(f"{label:<24} {pm:>14.6g} {cm:>14.6g} {ratio:>8}")
+        runs["parent"] += traced["parent"]
+        runs["change"] += traced["change"]
+
     bad = [side for side in runs for r in runs[side] if not r["correct"]]
     if bad:
         print(f"ab_pairs: \"correct\": false in {len(bad)} run(s) ({', '.join(sorted(set(bad)))})",

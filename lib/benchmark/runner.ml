@@ -351,7 +351,7 @@ let run (module P : Proto.RUNNABLE) spec =
     busiest_node;
     messages_sent;
     sim_events = Sim.events_fired sim;
-    sim_events_inlined = Sim.events_inlined sim;
+    sim_events_inlined = 0;
     retransmits;
     dup_drops;
     recoveries;

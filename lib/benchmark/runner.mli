@@ -122,8 +122,9 @@ type result = {
   messages_sent : int;
   sim_events : int;  (** simulator events executed during the run *)
   sim_events_inlined : int;
-      (** subset of [sim_events] run inline at their arrival site by
-          the collapsed-delivery fast path, never entering the heap *)
+      (** always 0: no event runs outside the scheduler since every
+          message became one event (DESIGN.md §6); kept for readers
+          of the field *)
   retransmits : int;
       (** message copies re-sent by the reliable-delivery layer's
           backoff timers (0 unless [Config.retransmit] is set) *)

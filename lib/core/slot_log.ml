@@ -70,13 +70,17 @@ let reserve t =
 
 let exec_frontier t = t.frontier
 
+(* The frontier passes a slot before [f] runs on it, so an [f] that
+   commits and advances again continues from the next slot: every slot
+   runs once, in order, however deeply the calls nest. *)
 let advance_frontier t ~executable ~f =
   let continue = ref true in
   while !continue do
-    match get t t.frontier with
+    let slot = t.frontier in
+    match get t slot with
     | Some v when executable v ->
-        f t.frontier v;
-        t.frontier <- t.frontier + 1
+        t.frontier <- slot + 1;
+        f slot v
     | _ -> continue := false
   done
 

@@ -19,7 +19,10 @@ val exec_frontier : 'a t -> int
 val advance_frontier :
   'a t -> executable:('a -> bool) -> f:(int -> 'a -> unit) -> unit
 (** Run [f] on consecutive slots starting at the frontier while each
-    slot is filled and [executable]; advances the frontier past them. *)
+    slot is filled and [executable]; advances the frontier past them.
+    The frontier is already past a slot while [f] runs on it, so [f]
+    may call [advance_frontier] again: the nested call starts at the
+    next slot, and every slot runs exactly once, in order. *)
 
 val commit_below :
   'a t -> int -> pending:('a -> bool) -> mark:('a -> unit) -> bool

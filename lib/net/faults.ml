@@ -43,6 +43,8 @@ let clear t =
   t.rules <- [];
   t.hi <- neg_infinity
 
+let is_empty t = t.rules = []
+
 let refresh t now =
   let edge (lo, hi) e =
     if e <= now then (Float.max lo e, hi) else (lo, Float.min hi e)

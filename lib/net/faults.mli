@@ -61,6 +61,9 @@ val skew :
 
 val is_crashed : t -> now_ms:float -> Address.t -> bool
 
+val is_empty : t -> bool
+(** No rule has been added since creation or the last {!clear}. *)
+
 val crash_windows : t -> Address.t -> (float * float) list
 (** All crash windows scheduled for [node], oldest-first, as
     [(from_ms, until_ms)] pairs — including windows already expired at

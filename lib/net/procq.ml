@@ -85,18 +85,23 @@ let[@inline] occupy_outgoing_split t ~now_ms ~copies ~size_bytes =
 
 (* Out-parameter forms for the transport hot path: same accounting and
    IEEE operation order as [occupy_incoming]/[occupy_outgoing], but
-   the ready time lands in [dst.(0)] instead of a boxed return. *)
-let occupy_incoming_into t ~now_ms ~size_bytes dst =
-  t.processed <- t.processed + 1;
+   the ready time lands in [dst.(0)] instead of a boxed return.
+   [incoming_ready_into] computes it without occupying the queue. *)
+let incoming_ready_into t ~now_ms ~size_bytes dst =
   if t.free then dst.(0) <- now_ms
   else begin
     let cost = t.t_in_ms +. (float_of_int size_bytes /. t.bytes_per_ms) in
     let b = t.s.(0) in
     let start = if now_ms > b then now_ms else b in
-    let finish = start +. cost in
-    t.s.(0) <- finish;
-    t.s.(1) <- t.s.(1) +. cost;
-    dst.(0) <- finish
+    dst.(0) <- start +. cost
+  end
+
+let occupy_incoming_into t ~now_ms ~size_bytes dst =
+  t.processed <- t.processed + 1;
+  incoming_ready_into t ~now_ms ~size_bytes dst;
+  if not t.free then begin
+    t.s.(0) <- dst.(0);
+    t.s.(1) <- t.s.(1) +. (t.t_in_ms +. (float_of_int size_bytes /. t.bytes_per_ms))
   end
 
 let occupy_outgoing_into t ~now_ms ~copies ~size_bytes dst =

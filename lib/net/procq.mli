@@ -51,6 +51,12 @@ val occupy_incoming_into : t -> now_ms:float -> size_bytes:int -> float array ->
     allocation-free (a boxed float return allocates without
     flambda). *)
 
+val incoming_ready_into :
+  t -> now_ms:float -> size_bytes:int -> float array -> unit
+(** The ready time {!occupy_incoming_into} would store for the same
+    arguments, bit for bit, stored in [dst.(0)] without occupying the
+    queue or counting the message. *)
+
 val occupy_outgoing_into :
   t -> now_ms:float -> copies:int -> size_bytes:int -> float array -> unit
 (** Like {!occupy_outgoing}, storing the departure time in

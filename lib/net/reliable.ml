@@ -12,12 +12,6 @@ type 'p packet =
    message rather than the transport's default command size. *)
 let ack_size_bytes = 32
 
-(* Reference switch for the hot-path pooling: flipped to false (tests
-   only), post records are freshly allocated per post and never
-   reused. Results must be identical either way — the determinism
-   suite pins that. *)
-let pooling = ref true
-
 (* Open posts are pooled on an intrusive free list ([next_free];
    pointing at itself marks a detached record) so the loss-free fast
    path — post, arm, ack, settle — recycles one record and one
@@ -129,13 +123,11 @@ let advance_frontier t =
 let free_post t post =
   Hashtbl.remove t.posts post.pkey;
   advance_frontier t;
-  if !pooling then begin
-    post.packet <- t.dummy_packet;
-    post.remaining <- [];
-    post.timer <- Sim.nil;
-    post.next_free <- t.pool;
-    t.pool <- post
-  end
+  post.packet <- t.dummy_packet;
+  post.remaining <- [];
+  post.timer <- Sim.nil;
+  post.next_free <- t.pool;
+  t.pool <- post
 
 let rec on_timer t post =
   post.timer <- Sim.nil;
@@ -153,7 +145,7 @@ and arm t post =
   post.timer <- Sim.schedule_after t.sim ~delay post.retransmit
 
 let alloc_post t =
-  if !pooling && t.pool != t.sentinel then begin
+  if t.pool != t.sentinel then begin
     let p = t.pool in
     t.pool <- p.next_free;
     p.next_free <- p;

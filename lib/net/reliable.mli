@@ -31,19 +31,13 @@
     is still byte-identical to the inert path.
 
     The per-post hot path is (near-)allocation-free: post records are
-    recycled on a free list with a pre-built retransmit thunk each
-    ({!pooling} is the escape hatch), receiver dedup uses packed
+    recycled on a free list with a pre-built retransmit thunk each,
+    receiver dedup uses packed
     [(sender, key)] int keys over an int-keyed table, and every
     payload advertises the sender's settled {e frontier} — the key
     below which every post has closed — so receivers prune dedup
     entries (and drop late stray copies) instead of remembering every
     key forever. *)
-
-val pooling : bool ref
-(** Reference switch for the post-record free list, defaulting to
-    [true]. With pooling off every post
-    allocates fresh records and thunks; fixed-seed statistics must be
-    byte-identical either way (pinned in [test_hotpath]). *)
 
 type policy = { base_ms : float; max_ms : float; max_tries : int }
 (** Retransmit after [base_ms], then doubling up to [max_ms], at most

@@ -11,7 +11,18 @@
     + the link adds a sampled one-way delay (plus fault-injected slow
       delay), unless a drop/crash/partition rule discards the message,
     + the receiver's queue deserializes ([t_in] + NIC time), and the
-      registered handler runs when that completes. *)
+      registered handler runs when that completes.
+
+    A message costs one scheduler event, its handler call: each node
+    keeps its in-flight arrivals and the messages already in its queue,
+    and one {!Sim.agent} at its next handler call. The node's queue
+    takes each arrival in the same (time, seq) order relative to the
+    node's own sends as if the arrival were an event of its own, so
+    every ready time, {!Procq} statistic and counter is the same.
+
+    The fault timeline must be installed before the messages it
+    affects are sent: whether a destination is crashed at a message's
+    arrival time is decided when the message is sent. *)
 
 type 'm t
 
@@ -49,20 +60,6 @@ val set_observer : 'm t -> 'm observer option -> unit
 (** Install (or clear) the tracing observer. With [None] — the default
     — the instrumented code paths are skipped entirely. *)
 
-val inline_delivery : bool ref
-(** When true (the default), a delivery whose queue-ready completion is
-    provably next in the global event order runs inline inside the
-    arrival event instead of scheduling a second event. Firing order,
-    RNG stream and all statistics are identical either way; flip this
-    to [false] to force the two-event schedule (used by the
-    determinism tests). *)
-
-val pooling : bool ref
-(** Reference switch for the in-flight delivery-record free list,
-    defaulting to [true]. With pooling off every delivery allocates
-    fresh records and thunks; fixed-seed statistics must be
-    byte-identical either way (pinned in [test_hotpath]). *)
-
 val create :
   sim:Sim.t ->
   topology:Topology.t ->
@@ -76,7 +73,10 @@ val create :
     [default_size_bytes] defaults to 128, a small command. *)
 
 val sim : 'm t -> Sim.t
+
 val procq : 'm t -> Address.t -> Procq.t
+(** The node's queue, with every arrival before the current position
+    taken into it. *)
 
 val register : 'm t -> Address.t -> (src:Address.t -> 'm -> unit) -> unit
 (** Install the message handler for an address (replaces any previous
@@ -93,4 +93,8 @@ val multicast :
 
 val sent_count : 'm t -> int
 val delivered_count : 'm t -> int
+
 val dropped_count : 'm t -> int
+(** Copies dropped so far: at the sender, at a destination crashed
+    when the copy arrived, or at one crashed or without a handler when
+    its handler was due. *)

@@ -33,12 +33,6 @@ let rec req_nil =
     rnext = req_nil;
   }
 
-(* Reference switch mirroring [Reliable.pooling]: flipped to false
-   (tests only), request records are freshly allocated per request.
-   Fixed-seed statistics are identical either way — the hooks never
-   draw randomness or schedule events. *)
-let pooling = ref true
-
 (* Requests are keyed by (client, cmd_id) packed into one int: client
    ids are small and dense, per-client command ids are per-run
    counters far below 2^40. *)
@@ -162,7 +156,7 @@ let window t = (t.from_ms, t.until_ms)
 
 let alloc_req t ~client ~cmd_id ~now_ms =
   let r =
-    if !pooling && t.req_pool != req_nil then begin
+    if t.req_pool != req_nil then begin
       let r = t.req_pool in
       t.req_pool <- r.rnext;
       r.rnext <- r;
@@ -199,10 +193,8 @@ let alloc_req t ~client ~cmd_id ~now_ms =
   r
 
 let release_req t r =
-  if !pooling then begin
-    r.rnext <- t.req_pool;
-    t.req_pool <- r
-  end
+  r.rnext <- t.req_pool;
+  t.req_pool <- r
 
 let on_submit t ~client ~cmd_id ~is_read ~now_ms =
   if t.on then begin

@@ -39,11 +39,6 @@
 
 type t
 
-val pooling : bool ref
-(** Reference switch for the request-record free list, defaulting to
-    [true]. Statistics are identical either way (pinned in
-    [test_hotpath]). *)
-
 val create : ?window_ms:float -> ?max_spans:int -> enabled:bool -> unit -> t
 (** [window_ms] (default 100) sizes the throughput/latency time-series
     buckets; [max_spans] (default 200_000) caps retained Chrome-trace

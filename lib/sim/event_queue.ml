@@ -75,8 +75,8 @@ let sift_up t ~hole ~src =
   keys.(!i) <- key;
   pos.(key land slot_mask) <- !i
 
-(* Move the entry at [src] (at or past [n]) into the hole at [hole],
-   toward the leaves of the first [n] entries. *)
+(* Move the entry at [src] (at or past [n], or the hole itself) into
+   the hole at [hole], toward the leaves of the first [n] entries. *)
 let sift_down t ~hole ~src ~n =
   let times = t.times and keys = t.keys and pos = t.pos in
   let time = times.(src) and key = keys.(src) in
@@ -110,8 +110,8 @@ let sift_down t ~hole ~src ~n =
   keys.(!i) <- key;
   pos.(key land slot_mask) <- !i
 
-let push t ~time slot =
-  let key = (alloc_seq t lsl slot_bits) lor slot in
+let insert t ~time ~seq slot =
+  let key = (seq lsl slot_bits) lor slot in
   if t.size >= Array.length t.times then grow t;
   if slot >= Array.length t.pos then grow_pos t slot;
   let n = t.size in
@@ -119,6 +119,26 @@ let push t ~time slot =
   t.keys.(n) <- key;
   t.size <- n + 1;
   sift_up t ~hole:n ~src:n
+
+let push t ~time slot = insert t ~time ~seq:(alloc_seq t) slot
+
+(* Rewrite the entry's key where it sits, then move it the way the key
+   moved: toward the root if it got earlier, toward the leaves if
+   later. *)
+let update t slot ~time ~seq =
+  let i = t.pos.(slot) in
+  let key = (seq lsl slot_bits) lor slot in
+  let ot = t.times.(i) and ok = t.keys.(i) in
+  if time < ot || (time = ot && key < ok) then begin
+    t.times.(i) <- time;
+    t.keys.(i) <- key;
+    sift_up t ~hole:i ~src:i
+  end
+  else if time > ot || key > ok then begin
+    t.times.(i) <- time;
+    t.keys.(i) <- key;
+    sift_down t ~hole:i ~src:i ~n:t.size
+  end
 
 let top_time t = t.times.(0)
 let top_seq t = t.keys.(0) lsr slot_bits

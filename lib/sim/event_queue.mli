@@ -24,6 +24,16 @@ val push : t -> time:float -> int -> unit
 (** [push q ~time slot] queues [slot] at [time] with the next sequence
     number. A slot may be queued at most once at a time. *)
 
+val insert : t -> time:float -> seq:int -> int -> unit
+(** [insert q ~time ~seq slot] queues [slot] at [(time, seq)], a seq
+    claimed earlier with {!alloc_seq}. No two queued entries may share
+    a seq. *)
+
+val update : t -> int -> time:float -> seq:int -> unit
+(** [update q slot ~time ~seq] moves [slot]'s entry to the key
+    [(time, seq)], earlier or later, in O(log n). [slot] must be
+    queued; an unchanged key is a no-op. *)
+
 val top_time : t -> float
 (** Time of the earliest entry. Undefined on an empty queue — guard
     with {!is_empty}. *)

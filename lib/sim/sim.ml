@@ -4,18 +4,22 @@
    indices; a [handle] packs (generation, slot) into one immediate
    int, so scheduling and cancellation allocate nothing.
 
-   [state.(slot)] packs [(gen lsl 2) lor (in_heap lsl 1) lor
-   cancelled]. The generation is bumped whenever the slot is retired
-   (its event fired, was skipped, or was cancelled out of the heap),
-   which makes every outstanding handle for the old occupant stale:
-   [cancel] compares the handle's generation against the slot's and
-   ignores mismatches, so late cancels of already-fired timers are
-   safe no-ops — callers keep a plain [handle] (or {!nil}) instead of
-   a [handle option].
+   [state.(slot)] packs [(gen lsl 4) lor (uncounted lsl 3) lor (agent
+   lsl 2) lor (in_heap lsl 1) lor cancelled]. The generation is bumped
+   whenever the slot is retired (its event fired, was skipped, or was
+   cancelled out of the heap), which makes every outstanding handle
+   for the old occupant stale: [cancel] compares the handle's
+   generation against the slot's and ignores mismatches, so late
+   cancels of already-fired timers are safe no-ops — callers keep a
+   plain [handle] (or {!nil}) instead of a [handle option].
 
    Cancelling a heap entry removes it from the heap and retires its
    slot at once. A cancelled lane entry stays in the ring, marked, and
-   is skipped when it reaches the front. *)
+   is skipped when it reaches the front.
+
+   An agent's slot is never retired: it keeps its thunk and sits in
+   the heap whenever its owner has set it, at a key the owner chose,
+   and leaves the heap when it fires or is put to rest. *)
 
 let nop () = ()
 
@@ -48,15 +52,11 @@ type t = {
   mutable lane_head : int;
   mutable lane_len : int;
   mutable clock : float;
+  mutable cur_seq : int;
+      (* seq of the event running now (or last run by [step]); after
+         [run]/[run_until], one above every seq claimed before *)
   mutable fired : int;
-  mutable inlined : int;
-  mutable horizon : float;
-      (* upper bound on clock advancement for [try_inline]; only
-         meaningful while [inline_ok]. *)
-  mutable inline_ok : bool;
-      (* true only inside [run]/[run_until]: [step]-driven harnesses
-         expect one externally visible event per call, so inlining is
-         disabled there. *)
+  mutable on_stop : (unit -> unit) list;
   root_rng : Rng.t;
 }
 
@@ -73,17 +73,18 @@ let create ?(seed = 42) () =
     lane_head = 0;
     lane_len = 0;
     clock = 0.0;
+    cur_seq = -1;
     fired = 0;
-    inlined = 0;
-    horizon = neg_infinity;
-    inline_ok = false;
+    on_stop = [];
     root_rng = Rng.create ~seed;
   }
 
 let now t = t.clock
 let rng t = t.root_rng
 let events_fired t = t.fired
-let events_inlined t = t.inlined
+let current_seq t = t.cur_seq
+let alloc_seq t = Event_queue.alloc_seq t.queue
+let on_stop t f = t.on_stop <- f :: t.on_stop
 
 (* ---- timer slots ---------------------------------------------------- *)
 
@@ -121,11 +122,11 @@ let alloc_slot t thunk =
    the slot to the free stack. *)
 let retire t s =
   t.thunks.(s) <- nop;
-  t.state.(s) <- ((t.state.(s) lsr 2) + 1) lsl 2;
+  t.state.(s) <- ((t.state.(s) lsr 4) + 1) lsl 4;
   t.free.(t.free_top) <- s;
   t.free_top <- t.free_top + 1
 
-let handle_of t s = ((t.state.(s) lsr 2) lsl slot_bits) lor s
+let handle_of t s = ((t.state.(s) lsr 4) lsl slot_bits) lor s
 
 (* ---- lane ring ------------------------------------------------------ *)
 
@@ -183,14 +184,14 @@ let live t h =
   s < t.n_slots
   &&
   let st = t.state.(s) in
-  st lsr 2 = h lsr slot_bits && st land 1 = 0
+  st lsr 4 = h lsr slot_bits && st land 1 = 0
 
 let cancel t h =
   if h >= 0 then begin
     let s = h land slot_mask in
     if s < t.n_slots then begin
       let st = t.state.(s) in
-      if st lsr 2 = h lsr slot_bits && st land 1 = 0 then
+      if st lsr 4 = h lsr slot_bits && st land 1 = 0 then
         if st land 2 <> 0 then begin
           Event_queue.remove t.queue s;
           retire t s
@@ -199,16 +200,48 @@ let cancel t h =
     end
   end
 
+(* ---- agents --------------------------------------------------------- *)
+
+type agent = int
+
+let agent ?(counted = true) t thunk =
+  let s = alloc_slot t thunk in
+  t.state.(s) <- t.state.(s) lor (if counted then 4 else 12);
+  s
+
+let wake t a ~time ~seq =
+  let st = t.state.(a) in
+  if st land 2 <> 0 then Event_queue.update t.queue a ~time ~seq
+  else begin
+    Event_queue.insert t.queue ~time ~seq a;
+    t.state.(a) <- st lor 2
+  end
+
+let rest t a =
+  let st = t.state.(a) in
+  if st land 2 <> 0 then begin
+    Event_queue.remove t.queue a;
+    t.state.(a) <- st land lnot 2
+  end
+
 (* ---- execution ------------------------------------------------------ *)
 
-let exec t time slot =
+let exec t time seq slot =
   t.clock <- time;
+  t.cur_seq <- seq;
   let st = t.state.(slot) in
   let thunk = t.thunks.(slot) in
-  retire t slot;
-  if st land 1 = 0 then begin
-    t.fired <- t.fired + 1;
+  if st land 4 <> 0 then begin
+    t.state.(slot) <- st land lnot 2;
+    if st land 8 = 0 then t.fired <- t.fired + 1;
     thunk ()
+  end
+  else begin
+    retire t slot;
+    if st land 1 = 0 then begin
+      t.fired <- t.fired + 1;
+      thunk ()
+    end
   end
 
 let exec_lane_head t =
@@ -216,13 +249,14 @@ let exec_lane_head t =
   let slot = t.lane_slots.(i) in
   t.lane_head <- (i + 1) land (Array.length t.lane_seqs - 1);
   t.lane_len <- t.lane_len - 1;
-  exec t t.clock slot
+  exec t t.clock t.lane_seqs.(i) slot
 
 let exec_heap_top t =
   let time = Event_queue.top_time t.queue in
+  let seq = Event_queue.top_seq t.queue in
   let slot = Event_queue.top_slot t.queue in
   Event_queue.drop_top t.queue;
-  exec t time slot
+  exec t time seq slot
 
 (* Earliest event across the heap and the lane. Lane entries all sit
    at [t.clock]; a heap entry at the same time fires first iff its seq
@@ -232,10 +266,13 @@ let heap_precedes_lane t =
   && Event_queue.top_time t.queue <= t.clock
   && Event_queue.top_seq t.queue < t.lane_seqs.(t.lane_head)
 
+(* Every event up to the clock has run: the position is past every
+   seq claimed so far. *)
+let stop t =
+  t.cur_seq <- Event_queue.alloc_seq t.queue;
+  List.iter (fun f -> f ()) t.on_stop
+
 let run_until t horizon =
-  let saved_ok = t.inline_ok and saved_h = t.horizon in
-  t.inline_ok <- true;
-  t.horizon <- horizon;
   let continue = ref true in
   while !continue do
     if t.lane_len > 0 then
@@ -246,14 +283,10 @@ let run_until t horizon =
     then exec_heap_top t
     else continue := false
   done;
-  t.inline_ok <- saved_ok;
-  t.horizon <- saved_h;
-  if horizon > t.clock then t.clock <- horizon
+  if horizon > t.clock then t.clock <- horizon;
+  stop t
 
 let run t =
-  let saved_ok = t.inline_ok and saved_h = t.horizon in
-  t.inline_ok <- true;
-  t.horizon <- infinity;
   let continue = ref true in
   while !continue do
     if t.lane_len > 0 then
@@ -261,8 +294,7 @@ let run t =
     else if not (Event_queue.is_empty t.queue) then exec_heap_top t
     else continue := false
   done;
-  t.inline_ok <- saved_ok;
-  t.horizon <- saved_h
+  stop t
 
 let step t =
   if t.lane_len > 0 then begin
@@ -271,23 +303,6 @@ let step t =
   end
   else if not (Event_queue.is_empty t.queue) then begin
     exec_heap_top t;
-    true
-  end
-  else false
-
-let try_inline t ~time thunk =
-  if
-    t.inline_ok && time >= t.clock && time <= t.horizon && t.lane_len = 0
-    && (Event_queue.is_empty t.queue || Event_queue.top_time t.queue > time)
-  then begin
-    (* No pending event precedes (time, fresh-seq), so running the
-       thunk here with the clock advanced is observationally identical
-       to scheduling it — same RNG stream, same order. Counted in
-       [fired] so event totals match the non-inlined schedule. *)
-    t.clock <- time;
-    t.fired <- t.fired + 1;
-    t.inlined <- t.inlined + 1;
-    thunk ();
     true
   end
   else false

@@ -8,10 +8,10 @@
 
     Events are totally ordered by (time, sequence number). Zero-delay
     events — those scheduled at exactly the current clock — go through
-    a FIFO lane instead of the heap, and [try_inline] lets the network
-    layer run a provably next-in-order continuation without scheduling
-    it at all. Both preserve the exact firing order of the plain
-    heap-only scheduler. *)
+    a FIFO lane instead of the heap, in the same order the heap would
+    give them. An {!agent} is a standing event its owner moves to any
+    (time, seq) key it claimed: the network layer keeps one per node,
+    at that node's next handler call. *)
 
 type t
 
@@ -74,17 +74,46 @@ val run : t -> unit
 
 val step : t -> bool
 (** Process exactly one event. Returns [false] when the queue is
-    empty. Inline execution ({!try_inline}) is disabled under [step]
-    so harnesses observe one event per call. *)
+    empty. *)
 
-val try_inline : t -> time:float -> (unit -> unit) -> bool
-(** [try_inline t ~time thunk] runs [thunk] immediately with the clock
-    advanced to [time] — counting it as a fired event — iff doing so
-    is indistinguishable from [schedule_at t ~time thunk]: we are
-    inside [run]/[run_until], [now <= time <= horizon], and no pending
-    event (heap or lane) precedes [(time, fresh seq)]. Returns [false]
-    without side effects otherwise; the caller must then schedule
-    normally. *)
+val on_stop : t -> (unit -> unit) -> unit
+(** [on_stop t f] runs [f] whenever {!run} or {!run_until} returns,
+    after the clock is final: a component that defers work up to the
+    current position settles it there. [f] must schedule nothing. *)
+
+(** {2 Positions and agents} *)
+
+val alloc_seq : t -> int
+(** Claim the next sequence number of the (time, seq) order, for a
+    key an agent will be set to or for an ordering decision made
+    later. *)
+
+val current_seq : t -> int
+(** The seq of the event running now: with {!now} it is the current
+    position, and a key below [(now, current_seq)] is in the past.
+    After {!step} it is the seq of the event just run; after {!run} or
+    {!run_until}, a seq above every one claimed before they returned;
+    before anything has run, [-1]. *)
+
+type agent
+(** A standing event: a slot owned for the life of the simulation,
+    firing one fixed thunk each time its key comes up. *)
+
+val agent : ?counted:bool -> t -> (unit -> unit) -> agent
+(** A new agent, at rest (not queued). With [~counted:false] its
+    firings are not counted in {!events_fired}: bookkeeping that must
+    happen at its place in the order but is no event of the simulated
+    system. *)
+
+val wake : t -> agent -> time:float -> seq:int -> unit
+(** [wake t a ~time ~seq] queues [a] at [(time, seq)], or moves it
+    there if it is queued already. The key must not be in the past,
+    and [seq] is one claimed with {!alloc_seq} that no other queued
+    event holds. Firing takes the agent out of the queue (it runs
+    once per wake). *)
+
+val rest : t -> agent -> unit
+(** Take [a] out of the queue if it is there. *)
 
 val pending : t -> int
 (** Number of scheduled events still queued: uncancelled ones plus any
@@ -92,11 +121,5 @@ val pending : t -> int
     leaves the count at once. *)
 
 val events_fired : t -> int
-(** Number of event thunks executed so far (cancelled events are not
-    counted) — the denominator-free simulator throughput metric
-    reported by the perf guard. Includes inlined continuations, so the
-    total matches a run with inlining disabled. *)
-
-val events_inlined : t -> int
-(** How many of {!events_fired} ran inline via {!try_inline} instead
-    of through the queue. *)
+(** Number of event thunks executed so far, counted agents' firings
+    included (cancelled events are not counted). *)

@@ -11,6 +11,9 @@ module Make (P : Proto.RUNNABLE) = struct
     faults : Faults.t;
     config : Config.t;
     mutable next_client : int;
+    next_cmd : (int, int) Hashtbl.t;
+        (* per client, the id of its next command: ids never repeat, so
+           the executor's exactly-once memo never answers a new command *)
     mutable history : Paxi_benchmark.Linearizability.op list;
         (* every operation [submit_seq] completed, newest first *)
   }
@@ -23,7 +26,15 @@ module Make (P : Proto.RUNNABLE) = struct
     let faults = Faults.create () in
     Paxi_nemesis.Schedule.install schedule ~n faults;
     let cluster = C.create ~faults ~config ~topology () in
-    { cluster; sim = C.sim cluster; faults; config; next_client = 0; history = [] }
+    {
+      cluster;
+      sim = C.sim cluster;
+      faults;
+      config;
+      next_client = 0;
+      next_cmd = Hashtbl.create 8;
+      history = [];
+    }
 
   let lan ?config ~n () = make ?config ~topology:(Topology.lan ~n_replicas:n ()) ()
 
@@ -89,9 +100,11 @@ module Make (P : Proto.RUNNABLE) = struct
           in
           attempt 0
     in
+    let first = Option.value (Hashtbl.find_opt t.next_cmd client) ~default:0 in
+    Hashtbl.replace t.next_cmd client (first + List.length ops);
     ignore
       (Sim.schedule_at t.sim ~time:(Sim.now t.sim) (fun () ->
-           issue (List.mapi (fun i op -> (i, op)) ops)));
+           issue (List.mapi (fun i op -> (first + i, op)) ops)));
     (* Step event-by-event and stop as soon as the last reply lands, so
        the virtual clock after this call reflects completion time. *)
     let want = List.length ops in

@@ -178,6 +178,81 @@ let prop_remove_matches_reference =
       && Event_queue.length q = List.length !model
       && drain q = sorted ())
 
+(* Pushes, removals, rekeys and drop_tops against a list model of
+   (time, seq, slot): after every step the queue's top and length
+   must be the model's. A rekey moves a queued slot to a new time,
+   keeping its seq, taking a fresh one or taking back an older one no
+   queued entry holds, so entries move both toward the root and toward
+   the leaves, and equal times are ordered by seq alone. *)
+let prop_update_matches_reference =
+  QCheck.Test.make ~name:"push/remove/update/drop_top matches list model"
+    ~count:300
+    QCheck.(list (int_bound 99_999))
+    (fun ops ->
+      let q = Event_queue.create () in
+      let model = ref [] in
+      let free = ref (List.init 64 Fun.id) in
+      let spare = ref [] (* seqs of entries that left the queue *) in
+      let key (t, s, _) = (t, s) in
+      let sorted () = List.sort (fun a b -> compare (key a) (key b)) !model in
+      let take v =
+        List.iter
+          (fun (_, sq, v') -> if v' = v then spare := sq :: !spare)
+          !model;
+        model := List.filter (fun (_, _, v') -> v' <> v) !model;
+        free := v :: !free
+      in
+      let top_ok () =
+        Event_queue.length q = List.length !model
+        &&
+        match sorted () with
+        | [] -> Event_queue.is_empty q
+        | (t, sq, v) :: _ ->
+            Event_queue.top_time q = t
+            && Event_queue.top_seq q = sq
+            && Event_queue.top_slot q = v
+      in
+      let step op =
+        let time = float_of_int (op / 10 mod 6) in
+        match (op mod 10, !free, !model) with
+        | (0 | 1 | 2), s :: rest, _ ->
+            free := rest;
+            let seq = Event_queue.alloc_seq q in
+            Event_queue.insert q ~time ~seq s;
+            model := (time, seq, s) :: !model
+        | (3 | 4 | 5 | 6), _, (_ :: _ as m) ->
+            let _, old_seq, v = List.nth m (op / 100 mod List.length m) in
+            let seq =
+              match (op / 60 mod 3, !spare) with
+              | 0, _ -> old_seq
+              | 1, sq :: rest ->
+                  spare := old_seq :: rest;
+                  sq
+              | _ ->
+                  spare := old_seq :: !spare;
+                  Event_queue.alloc_seq q
+            in
+            Event_queue.update q v ~time ~seq;
+            model :=
+              List.map
+                (fun ((_, _, v') as e) -> if v' = v then (time, seq, v) else e)
+                !model
+        | 7, _, (_ :: _ as m) ->
+            let _, _, v = List.nth m (op / 10 mod List.length m) in
+            Event_queue.remove q v;
+            take v
+        | (8 | 9), _, _ :: _ ->
+            let _, _, v = List.hd (sorted ()) in
+            Event_queue.drop_top q;
+            take v
+        | _ -> ()
+      in
+      List.for_all
+        (fun op ->
+          step op;
+          top_ok ())
+        ops)
+
 let prop_heap_sorted =
   QCheck.Test.make ~name:"pop yields non-decreasing times" ~count:200
     QCheck.(list (float_range 0.0 1000.0))
@@ -203,4 +278,5 @@ let suite =
       QCheck_alcotest.to_alcotest prop_heap_sorted;
       QCheck_alcotest.to_alcotest prop_matches_reference;
       QCheck_alcotest.to_alcotest prop_remove_matches_reference;
+      QCheck_alcotest.to_alcotest prop_update_matches_reference;
     ] )

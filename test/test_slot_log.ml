@@ -189,9 +189,41 @@ let test_refill_below_frontier () =
   Alcotest.(check (option bool)) "slot 0 left pending" (Some false)
     (Option.map (fun e -> e.committed) (Slot_log.get log 0))
 
+(* A one-member group commits inside the propose call: the reply sent
+   while slot [k] executes proposes again, and the new slot commits and
+   advances the frontier before [f] for [k] returns. Every slot must
+   still run exactly once, in order. *)
+let test_reentrant_advance () =
+  let log = Slot_log.create () in
+  let runs = Array.make 16 0 and order = ref [] and proposals = ref 0 in
+  let rec advance () =
+    Slot_log.advance_frontier log
+      ~executable:(fun e -> e.committed)
+      ~f:(fun slot _ ->
+        runs.(slot) <- runs.(slot) + 1;
+        order := slot :: !order;
+        if !proposals < 6 then begin
+          incr proposals;
+          let s = Slot_log.next_slot log in
+          Slot_log.set log s { tag = s; committed = true };
+          advance ()
+        end)
+  in
+  Slot_log.set log 0 { tag = 0; committed = true };
+  Slot_log.set log 1 { tag = 1; committed = true };
+  advance ();
+  Alcotest.(check (list int)) "each slot once, in order" (List.init 8 Fun.id)
+    (List.rev !order);
+  Alcotest.(check (array int)) "run counts"
+    (Array.init 16 (fun i -> if i < 8 then 1 else 0))
+    runs;
+  Alcotest.(check int) "frontier past them all" 8 (Slot_log.exec_frontier log)
+
 let suite =
   ( "slot_log",
     [
+      Alcotest.test_case "advance_frontier is re-entrant" `Quick
+        test_reentrant_advance;
       QCheck_alcotest.to_alcotest prop_matches_reference;
       Alcotest.test_case "commit_below is linear behind a hole" `Quick
         test_linear_behind_hole;

@@ -236,6 +236,185 @@ let test_accounting_fault_free () =
   Alcotest.(check int) "dropped = missing handlers" 3
     (Transport.dropped_count tr)
 
+(* The per-node delivery queue against a model. Node 0 has a real
+   queue; nodes 1-3 have free ones and a fixed 1 ms link, so every
+   arrival time is exact and equal times are common. Nodes 1-3 send to
+   node 0 at generated times and sizes; node 0 replies to every third
+   message from its handler and multicasts from its own timers; crash
+   windows cover node 0. The model is the schedule written out as
+   events in (time, seq) order: a send claims one seq per copy on the
+   wire; the copy's arrival at (arrival, seq) occupies the receiver's
+   queue ([Procq.occupy_incoming]); its handler runs at (ready, seq);
+   a send occupies the sender's queue ([Procq.occupy_outgoing]) when
+   it happens. Every handler call's time and order, node 0's busy time
+   and message count, and the delivered and dropped totals must match. *)
+type ev =
+  | Ev_send of { src : int; dsts : int list; size : int; tag : int }
+  | Ev_arrive of { src : int; dst : int; size : int; tag : int }
+  | Ev_handle of { src : int; dst : int; tag : int }
+
+let queue_model ~sends ~timers ~crashes =
+  let t_in = 0.25 and t_out = 0.125 and mbps = 80.0 and delay = 1.0 in
+  let procq i =
+    if i = 0 then Procq.create ~t_in_ms:t_in ~t_out_ms:t_out ~bandwidth_mbps:mbps ()
+    else Procq.zero ()
+  in
+  let crashed now node =
+    node = 0
+    && List.exists (fun (f, d) -> now >= f && now < f +. d) crashes
+  in
+  (* the model *)
+  let qs = Array.init 4 procq in
+  let seq = ref 0 and pending = ref [] and calls = ref [] in
+  let sent = ref 0 and delivered = ref 0 and dropped = ref 0 in
+  let push time kind ev =
+    let s = !seq in
+    incr seq;
+    pending := ((time, s, kind), ev) :: !pending;
+    s
+  in
+  let send now ~src ~dsts ~size ~tag =
+    let copies = List.length dsts in
+    if crashed now src then begin
+      sent := !sent + copies;
+      dropped := !dropped + copies
+    end
+    else begin
+      let departure =
+        Procq.occupy_outgoing qs.(src) ~now_ms:now ~copies ~size_bytes:size
+      in
+      List.iter
+        (fun dst ->
+          incr sent;
+          if crashed now dst then incr dropped
+          else
+            ignore
+              (push (departure +. delay) 0 (Ev_arrive { src; dst; size; tag })))
+        dsts
+    end
+  in
+  List.iteri
+    (fun tag (time, src, size) ->
+      ignore (push time 0 (Ev_send { src; dsts = [ 0 ]; size; tag })))
+    sends;
+  List.iter
+    (fun (time, copies, size) ->
+      ignore
+        (push time 0
+           (Ev_send { src = 0; dsts = List.init copies succ; size; tag = -1 })))
+    timers;
+  let rec loop () =
+    match List.sort compare (List.map fst !pending) with
+    | [] -> ()
+    | ((now, s, _) as key) :: _ ->
+        let ev = List.assoc key !pending in
+        pending := List.remove_assoc key !pending;
+        (match ev with
+        | Ev_send { src; dsts; size; tag } -> send now ~src ~dsts ~size ~tag
+        | Ev_arrive { src; dst; size; tag } ->
+            if crashed now dst then incr dropped
+            else
+              let ready =
+                Procq.occupy_incoming qs.(dst) ~now_ms:now ~size_bytes:size
+              in
+              pending :=
+                ((ready, s, 1), Ev_handle { src; dst; tag }) :: !pending
+        | Ev_handle { src; dst; tag } ->
+            if crashed now dst then incr dropped
+            else begin
+              incr delivered;
+              calls := (dst, now, tag) :: !calls;
+              if dst = 0 && tag mod 3 = 0 then
+                send now ~src:0 ~dsts:[ src ] ~size:1250 ~tag
+            end);
+        loop ()
+  in
+  loop ();
+  let model =
+    ( List.rev !calls,
+      Procq.busy_time qs.(0),
+      Procq.messages_processed qs.(0),
+      !delivered,
+      !dropped,
+      !sent )
+  in
+  (* the transport *)
+  let sim = Sim.create () in
+  let faults = Faults.create () in
+  List.iter
+    (fun (f, d) ->
+      Faults.crash faults ~node:(Address.replica 0) ~from_ms:f ~duration_ms:d)
+    crashes;
+  let topology =
+    Topology.custom
+      ~replica_regions:(List.init 4 (fun _ -> Region.local))
+      ~rtt_ms:(fun _ _ -> 2.0 *. delay)
+      ~jitter:0.0 ()
+  in
+  let tr = Transport.create ~sim ~topology ~faults ~processing:procq () in
+  let calls = ref [] in
+  for i = 0 to 3 do
+    Transport.register tr (Address.replica i) (fun ~src (Ping tag) ->
+        calls := (i, Sim.now sim, tag) :: !calls;
+        if i = 0 && tag mod 3 = 0 then
+          Transport.send tr ~src:(Address.replica 0) ~dst:src ~size_bytes:1250
+            (Ping tag))
+  done;
+  List.iteri
+    (fun tag (time, src, size) ->
+      ignore
+        (Sim.schedule_at sim ~time (fun () ->
+             Transport.send tr ~src:(Address.replica src)
+               ~dst:(Address.replica 0) ~size_bytes:size (Ping tag))))
+    sends;
+  List.iter
+    (fun (time, copies, size) ->
+      ignore
+        (Sim.schedule_at sim ~time (fun () ->
+             Transport.multicast tr ~src:(Address.replica 0)
+               ~dsts:(List.init copies (fun i -> Address.replica (i + 1)))
+               ~size_bytes:size (Ping (-1)))))
+    timers;
+  Sim.run sim;
+  let q0 = Transport.procq tr (Address.replica 0) in
+  let got =
+    ( List.rev !calls,
+      Procq.busy_time q0,
+      Procq.messages_processed q0,
+      Transport.delivered_count tr,
+      Transport.dropped_count tr,
+      Transport.sent_count tr )
+  in
+  (model, got)
+
+let prop_delivery_queue_matches_model =
+  let quarter = QCheck.Gen.map (fun q -> float_of_int q *. 0.25) in
+  let size = QCheck.Gen.oneofl [ 0; 1250; 2500 ] in
+  let gen =
+    QCheck.Gen.(
+      triple
+        (list_size (int_range 1 16)
+           (triple (quarter (int_bound 15)) (int_range 1 3) size))
+        (list_size (int_bound 5)
+           (triple (quarter (int_bound 23)) (int_range 1 3) size))
+        (list_size (int_bound 2)
+           (pair (quarter (int_bound 20)) (quarter (int_range 1 8)))))
+  in
+  let print (sends, timers, crashes) =
+    let f = Printf.sprintf in
+    f "sends %s; timers %s; crashes %s"
+      (String.concat " " (List.map (fun (t, s, z) -> f "%g:%d:%d" t s z) sends))
+      (String.concat " " (List.map (fun (t, c, z) -> f "%g:%d:%d" t c z) timers))
+      (String.concat " " (List.map (fun (a, d) -> f "%g+%g" a d) crashes))
+  in
+  QCheck.Test.make ~name:"delivery queue matches the event model" ~count:1000
+    (QCheck.make ~print
+       ~shrink:QCheck.Shrink.(triple list list list)
+       gen)
+    (fun (sends, timers, crashes) ->
+      let model, got = queue_model ~sends ~timers ~crashes in
+      model = got)
+
 let suite =
   ( "transport",
     [
@@ -253,4 +432,5 @@ let suite =
       Alcotest.test_case "queueing backpressure" `Quick test_queueing_backpressure;
       Alcotest.test_case "accounting fault-free" `Quick test_accounting_fault_free;
       QCheck_alcotest.to_alcotest prop_accounting_invariant;
+      QCheck_alcotest.to_alcotest prop_delivery_queue_matches_model;
     ] )

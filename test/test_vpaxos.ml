@@ -132,7 +132,6 @@ let test_zone_leader_failover () =
     Paxi_nemesis.Schedule.Crash { node = 0; from_ms = 1_000.0; duration_ms = 1_000.0 }
   in
   let h = H.wan3 ~config ~schedule:[ crash ] () in
-  (* one client per sequence: [submit_seq] numbers commands from 0 *)
   let client region = H.new_client h ~region in
   ignore (H.submit_seq h ~client:(client Region.virginia) ~target:3 [ put 1 1; get 1 ]);
   H.run_for h (1_200.0 -. Sim.now (H.sim h));
