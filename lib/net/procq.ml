@@ -1,8 +1,8 @@
-(* The three running floats live in a 3-slot float array rather than
-   mutable record fields: the record also holds ints, so it is not a
-   flat float record, and without flambda every store to a mutable
-   boxed-float field would allocate a fresh box. Float-array loads and
-   stores are always unboxed.  Slots: 0 = busy_until, 1 = busy_time. *)
+(* The two running floats live in a 2-slot float array rather than
+   mutable record fields: the record also holds ints and a bool, so it
+   is not a flat float record, and every store to a mutable float field
+   of such a record allocates a fresh box. Float-array loads and stores
+   are always unboxed.  Slots: 0 = busy_until, 1 = busy_time. *)
 type t = {
   t_in_ms : float;
   t_out_ms : float;
@@ -83,41 +83,14 @@ let[@inline] occupy_outgoing_split t ~now_ms ~copies ~size_bytes =
   occupy_split t ~now_ms
     ~cost:(t.t_out_ms +. (float_of_int copies *. nic_cost t ~size_bytes))
 
-(* Out-parameter forms for the transport hot path: same accounting and
-   IEEE operation order as [occupy_incoming]/[occupy_outgoing], but
-   the ready time lands in [dst.(0)] instead of a boxed return.
-   [incoming_ready_into] computes it without occupying the queue. *)
-let incoming_ready_into t ~now_ms ~size_bytes dst =
-  if t.free then dst.(0) <- now_ms
+(* The ready time [occupy_incoming] would return, bit for bit, without
+   occupying the queue or counting the message. *)
+let[@inline] incoming_ready t ~now_ms ~size_bytes =
+  if t.free then now_ms
   else begin
-    let cost = t.t_in_ms +. (float_of_int size_bytes /. t.bytes_per_ms) in
     let b = t.s.(0) in
     let start = if now_ms > b then now_ms else b in
-    dst.(0) <- start +. cost
-  end
-
-let occupy_incoming_into t ~now_ms ~size_bytes dst =
-  t.processed <- t.processed + 1;
-  incoming_ready_into t ~now_ms ~size_bytes dst;
-  if not t.free then begin
-    t.s.(0) <- dst.(0);
-    t.s.(1) <- t.s.(1) +. (t.t_in_ms +. (float_of_int size_bytes /. t.bytes_per_ms))
-  end
-
-let occupy_outgoing_into t ~now_ms ~copies ~size_bytes dst =
-  t.processed <- t.processed + 1;
-  if t.free then dst.(0) <- now_ms
-  else begin
-    let cost =
-      t.t_out_ms
-      +. (float_of_int copies *. (float_of_int size_bytes /. t.bytes_per_ms))
-    in
-    let b = t.s.(0) in
-    let start = if now_ms > b then now_ms else b in
-    let finish = start +. cost in
-    t.s.(0) <- finish;
-    t.s.(1) <- t.s.(1) +. cost;
-    dst.(0) <- finish
+    start +. (t.t_in_ms +. nic_cost t ~size_bytes)
   end
 
 let busy_until t = t.s.(0)

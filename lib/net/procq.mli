@@ -44,23 +44,10 @@ val occupy_outgoing_split :
   t -> now_ms:float -> copies:int -> size_bytes:int -> float * float * float
 (** Like {!occupy_outgoing}, split as [(departure, wait, service)]. *)
 
-val occupy_incoming_into : t -> now_ms:float -> size_bytes:int -> float array -> unit
-(** Like {!occupy_incoming}, storing the ready time in [dst.(0)]
-    instead of returning it. Same accounting and bit-identical ready
-    time; the out-parameter form keeps the per-message queue update
-    allocation-free (a boxed float return allocates without
-    flambda). *)
-
-val incoming_ready_into :
-  t -> now_ms:float -> size_bytes:int -> float array -> unit
-(** The ready time {!occupy_incoming_into} would store for the same
-    arguments, bit for bit, stored in [dst.(0)] without occupying the
-    queue or counting the message. *)
-
-val occupy_outgoing_into :
-  t -> now_ms:float -> copies:int -> size_bytes:int -> float array -> unit
-(** Like {!occupy_outgoing}, storing the departure time in
-    [dst.(0)]. *)
+val incoming_ready : t -> now_ms:float -> size_bytes:int -> float
+(** The ready time {!occupy_incoming} would return for the same
+    arguments, bit for bit, without occupying the queue or counting
+    the message. *)
 
 val busy_until : t -> float
 val busy_time : t -> float

@@ -27,17 +27,20 @@ let aws_pairs =
     (Region.ireland, Region.japan, 220.0);
   ]
 
+(* A plain recursive search rather than [List.find_opt] over a closure:
+   the lookup runs on every WAN delay draw, and this form allocates
+   nothing (the float it returns is the list's own). *)
+let rec pair_rtt a b = function
+  | (x, y, rtt) :: rest ->
+      if
+        (Region.equal a x && Region.equal b y)
+        || (Region.equal a y && Region.equal b x)
+      then rtt
+      else pair_rtt a b rest
+  | [] -> 100.0
+
 let aws_rtt_ms a b =
-  if Region.equal a b then lan_mu_default
-  else
-    let found =
-      List.find_opt
-        (fun (x, y, _) ->
-          (Region.equal a x && Region.equal b y)
-          || (Region.equal a y && Region.equal b x))
-        aws_pairs
-    in
-    match found with Some (_, _, rtt) -> rtt | None -> 100.0
+  if Region.equal a b then lan_mu_default else pair_rtt a b aws_pairs
 
 let make ~replica_regions ~rtt_ms ~jitter ~lan_sigma =
   let default_client_region =
@@ -133,33 +136,3 @@ let[@inline] sample_rtt t rng a b =
 let[@inline] sample_delay t rng a b =
   if Address.equal a b then 0.005 (* loopback *)
   else sample_rtt t rng a b /. 2.0
-
-(* Out-parameter form of [sample_delay] for the transport hot path:
-   same RNG draws and IEEE operation order, but the result is written
-   to [dst.(0)] and the [Float.max 0.01] clamp is expressed as a plain
-   comparison (identical for the non-nan values a Gaussian over a
-   finite mean produces), so no intermediate float is boxed. *)
-let sample_delay_into t rng a b dst =
-  if Address.equal a b then dst.(0) <- 0.005 (* loopback *)
-  else begin
-    let ra = region_of t a and rb = region_of t b in
-    let mu = t.rtt_ms ra rb in
-    let sampled =
-      match t.lan_sigma with
-      | Some sigma when Region.equal ra rb ->
-          Rng.normal_into rng ~mu ~sigma dst;
-          true
-      | _ ->
-          if t.jitter <= 0.0 then false
-          else begin
-            Rng.normal_into rng ~mu ~sigma:(mu *. t.jitter) dst;
-            true
-          end
-    in
-    if sampled then begin
-      let x = dst.(0) in
-      let rtt = if x > 0.01 then x else 0.01 in
-      dst.(0) <- rtt /. 2.0
-    end
-    else dst.(0) <- mu /. 2.0
-  end

@@ -57,13 +57,6 @@ val sample_delay : t -> Rng.t -> Address.t -> Address.t -> float
 (** One-way delay: half of a sampled RTT. Same-node delivery is a
     small constant loopback cost. *)
 
-val sample_delay_into : t -> Rng.t -> Address.t -> Address.t -> float array -> unit
-(** [sample_delay_into t rng a b dst] stores the same value
-    {!sample_delay} would return in [dst.(0)], drawing identically
-    from [rng]. The out-parameter form keeps the per-message delay
-    draw allocation-free (a boxed float return allocates on every call
-    without flambda). *)
-
 val rtt_mean : t -> Region.t -> Region.t -> float
 (** Mean RTT between two regions (no jitter), for analytic use. *)
 

@@ -84,11 +84,6 @@ type 'm t = {
      each at its place in the order *)
   mutable doomed : (float * int) list;
   doom_agent : Sim.agent;
-  (* single-slot out-parameter for the [_into] procq/topology calls on
-     the hot path: float-array stores and loads are unboxed, where a
-     boxed float return would allocate per message. Each value is read
-     back out before the next [_into] call overwrites the slot. *)
-  scratch : float array;
   departure : float array; (* the sender's departure time, per send *)
   mutable sent : int;
   mutable delivered : int;
@@ -215,9 +210,9 @@ let commit t n ~now ~seq =
     let id = fl_pop t n in
     (match t.observer with
     | None ->
-        Procq.occupy_incoming_into n.q ~now_ms:t.d_arrival.(id)
-          ~size_bytes:t.d_size.(id) t.scratch;
-        t.d_ready.(id) <- t.scratch.(0)
+        t.d_ready.(id) <-
+          Procq.occupy_incoming n.q ~now_ms:t.d_arrival.(id)
+            ~size_bytes:t.d_size.(id)
     | Some obs -> (
         let arrival = t.d_arrival.(id) in
         let ready, wait, service =
@@ -249,9 +244,11 @@ let resched t n =
   end
   else if n.fl_n > 0 then begin
     let id = n.fl.(0) in
-    Procq.incoming_ready_into n.q ~now_ms:t.d_arrival.(id)
-      ~size_bytes:t.d_size.(id) t.scratch;
-    Sim.wake t.sim n.agent ~time:t.scratch.(0) ~seq:t.d_seq.(id)
+    Sim.wake t.sim n.agent
+      ~time:
+        (Procq.incoming_ready n.q ~now_ms:t.d_arrival.(id)
+           ~size_bytes:t.d_size.(id))
+      ~seq:t.d_seq.(id)
   end
   else Sim.rest t.sim n.agent
 
@@ -387,7 +384,6 @@ let create ~sim ~topology ?(faults = Faults.create ())
       d_cap = 0;
       doomed = [];
       doom_agent;
-      scratch = Array.make 1 0.0;
       departure = Array.make 1 0.0;
       sent = 0;
       delivered = 0;
@@ -416,7 +412,8 @@ let occupy_outgoing t src ~now ~copies ~size_bytes =
   commit_to_position t n;
   (match t.observer with
   | None ->
-      Procq.occupy_outgoing_into n.q ~now_ms:now ~copies ~size_bytes t.departure
+      t.departure.(0) <-
+        Procq.occupy_outgoing n.q ~now_ms:now ~copies ~size_bytes
   | Some obs ->
       let departure, wait, service =
         Procq.occupy_outgoing_split n.q ~now_ms:now ~copies ~size_bytes
@@ -455,8 +452,7 @@ let transmit t ~src ~dst ~size_bytes ~now msg =
   if Faults.should_drop t.faults t.rng ~now_ms:now ~src ~dst then
     t.dropped <- t.dropped + 1
   else begin
-    Topology.sample_delay_into t.topology t.rng src dst t.scratch;
-    let delay = t.scratch.(0) in
+    let delay = Topology.sample_delay t.topology t.rng src dst in
     let extra = Faults.extra_delay t.faults t.rng ~now_ms:now ~src ~dst in
     deliver t ~src ~dst ~size_bytes ~sent:now msg
       ~arrival:(t.departure.(0) +. delay +. extra)

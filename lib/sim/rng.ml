@@ -2,37 +2,38 @@ type t = Random.State.t
 
 let create ~seed = Random.State.make [| seed; 0x9e3779b9; seed lxor 0x85ebca6b |]
 let split t = Random.State.split t
-let[@inline] float t bound = Random.State.float t bound
+
+(* A draw from [\[0, 1)], bit for bit what [Random.State.float t 1.0]
+   returns: the first iteration of the stdlib's [rawfloat], whose
+   recursion keeps it (and every float it returns) out of line. In the
+   1-in-2^53 case where the top 53 bits are all zero, the stdlib's own
+   loop draws again. *)
+let[@inline] unit_float t =
+  let n = Int64.shift_right_logical (Random.State.bits64 t) 11 in
+  if n <> 0L then Int64.to_float n *. 0x1.p-53 else Random.State.float t 1.0
+
+let[@inline] float t bound = unit_float t *. bound
 
 let int t bound =
   assert (bound > 0);
   Random.State.int t bound
 
 let bool t = Random.State.bool t
-let[@inline] bernoulli t ~p = Random.State.float t 1.0 < p
+let[@inline] bernoulli t ~p = unit_float t < p
 
 let[@inline] uniform t ~lo ~hi =
   assert (lo <= hi);
-  lo +. Random.State.float t (hi -. lo)
+  lo +. float t (hi -. lo)
 
 (* Box–Muller: draw u1 away from 0 to keep [log] finite. *)
 let[@inline] normal t ~mu ~sigma =
-  let u1 = 1.0 -. Random.State.float t 1.0 in
-  let u2 = Random.State.float t 1.0 in
+  let u1 = 1.0 -. unit_float t in
+  let u2 = unit_float t in
   mu +. (sigma *. sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2))
-
-(* Same draws and operation order as [normal], but the result lands in
-   [dst.(0)] instead of a boxed return value: without flambda every
-   cross-function float return allocates, and this sampler sits on the
-   per-message delay path. *)
-let normal_into t ~mu ~sigma dst =
-  let u1 = 1.0 -. Random.State.float t 1.0 in
-  let u2 = Random.State.float t 1.0 in
-  dst.(0) <- mu +. (sigma *. sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2))
 
 let[@inline] exponential t ~rate =
   assert (rate > 0.0);
-  let u = 1.0 -. Random.State.float t 1.0 in
+  let u = 1.0 -. unit_float t in
   -.log u /. rate
 
 let shuffle t a =

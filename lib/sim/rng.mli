@@ -32,13 +32,6 @@ val uniform : t -> lo:float -> hi:float -> float
 val normal : t -> mu:float -> sigma:float -> float
 (** Gaussian draw via the Box–Muller transform. *)
 
-val normal_into : t -> mu:float -> sigma:float -> float array -> unit
-(** [normal_into t ~mu ~sigma dst] stores a Gaussian draw in
-    [dst.(0)]. Identical draws and IEEE operation order to {!normal};
-    the out-parameter form exists because a boxed float return
-    allocates on every call without flambda, and the delay sampler
-    runs once per simulated message. *)
-
 val exponential : t -> rate:float -> float
 (** Exponential draw with rate [rate] (mean [1/rate]). *)
 

@@ -144,14 +144,14 @@ let test_lan_spec_retransmit_traced_pinned () =
 
 (* Allocation-regression pin, per message sent: what remains is
    dominated by the protocol message values themselves, which are real
-   data, not hot-path machinery. The cap is the earlier 380 B per event
-   times the 2.0005 events per message of the two-event delivery, so a
-   run may allocate no more than that pin allowed; the scenario
-   measured 523 B per message then. Reintroducing boxed-float returns,
-   per-message closures on the delivery path, or closures built by
-   fault queries while no rule is active (each 200+ B per message)
-   trips it. *)
-let bytes_per_message_cap = 760.0
+   data, not hot-path machinery. The scenario measures 370.4 B per
+   message, with the transport's procq, delay and wake calls inlined
+   and unboxed (see the boxing pins below); the cap leaves 14.6 B,
+   less than one boxed float (16 B) per message. Reintroducing a boxed
+   float on the per-message path, a per-message closure on the
+   delivery path, or closures built by fault queries while no rule is
+   active trips it. *)
+let bytes_per_message_cap = 385.0
 
 let bytes_per_message (r : Runner.result) =
   r.Runner.allocated_bytes /. float_of_int r.Runner.messages_sent
@@ -233,13 +233,15 @@ let test_promoted_per_apply_pinned () =
    continuation, then the clock advanced past the fsync's completion.
    Words come from [Gc.minor_words] around each phase and are
    deterministic for the compiled code. Writing the three records
-   allocates nothing. A sync allocates 4 words: the delay boxed
-   through the [schedule] callback and the time the simulator boxes
-   for its event. The completion phase measures 9.06: the simulator
-   advancing its clock and firing the event, plus a fresh durable-log
-   page every 128 slots. *)
-let storage_sync_words_cap = 4.0
-let storage_completion_words_cap = 9.5
+   allocates nothing. A sync allocates 2 words: the delay boxed to
+   pass through the [schedule] callback, a closure the device cannot
+   inline. The completion phase measures 7.06: two stores to the
+   simulator's mutable clock, a float field of a mixed record (the
+   event's time, then the horizon), box 2 words each, and a fresh
+   durable-log page every 128 slots costs 3.06. Each cap leaves less
+   than one 2-word box of margin. *)
+let storage_sync_words_cap = 2.5
+let storage_completion_words_cap = 7.5
 
 let test_storage_write_path_words () =
   let sim = Sim.create ~seed:1 () in
@@ -280,14 +282,109 @@ let test_storage_write_path_words () =
   Alcotest.(check int) "every sync acknowledged" (warm + n) !acked;
   Alcotest.(check (float 0.0)) "records allocate nothing" 0.0 (per 0);
   Alcotest.(check bool)
-    (Printf.sprintf "sync words %.2f <= %.0f" (per 1) storage_sync_words_cap)
+    (Printf.sprintf "sync words %.2f <= %.1f" (per 1) storage_sync_words_cap)
     true
     (per 1 <= storage_sync_words_cap);
   Alcotest.(check bool)
-    (Printf.sprintf "completion words %.2f <= %.0f" (per 2)
+    (Printf.sprintf "completion words %.2f <= %.1f" (per 2)
        storage_completion_words_cap)
     true
     (per 2 <= storage_completion_words_cap)
+
+(* Boxing pins. Each per-message primitive below is called 1M times
+   after a warm-up, consuming its float result into a float array, and
+   must allocate nothing: no float boxed for an argument, a result or
+   an intermediate. They hold only while the simulator is built
+   without [-opaque] (the release profile of dune-workspace), which
+   lets these calls inline across modules; under [--profile dev] each
+   boxes again and these pins fail. *)
+let sink = Array.make 1 0.0
+
+let minor_words_per_call f =
+  let n = 1_000_000 in
+  for i = 0 to 9_999 do
+    f i
+  done;
+  let w0 = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    f i
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+let check_no_words name f =
+  Alcotest.(check (float 0.0)) (name ^ " words/call") 0.0
+    (minor_words_per_call f)
+
+let test_hot_calls_allocate_nothing () =
+  let sim = Sim.create ~seed:1 () in
+  let agent = Sim.agent sim (fun () -> ()) in
+  check_no_words "Sim.wake" (fun i ->
+      Sim.wake sim agent ~time:(float_of_int i) ~seq:i);
+  let q = Procq.create () in
+  check_no_words "Procq.occupy_incoming" (fun i ->
+      sink.(0) <-
+        Procq.occupy_incoming q ~now_ms:(float_of_int i *. 0.01)
+          ~size_bytes:128);
+  check_no_words "Procq.occupy_outgoing" (fun i ->
+      sink.(0) <-
+        Procq.occupy_outgoing q ~now_ms:(float_of_int i *. 0.01) ~copies:4
+          ~size_bytes:128);
+  let rng = Rng.create ~seed:1 in
+  let a = Address.replica 0 and b = Address.replica 1 in
+  let lan = Topology.lan ~n_replicas:3 () in
+  check_no_words "Topology.sample_delay (lan, sigma)" (fun _ ->
+      sink.(0) <- Topology.sample_delay lan rng a b);
+  let wan =
+    Topology.wan ~regions:[ Region.virginia; Region.ohio ]
+      ~replicas_per_region:1 ~jitter:0.05 ()
+  in
+  check_no_words "Topology.sample_delay (wan, jitter)" (fun _ ->
+      sink.(0) <- Topology.sample_delay wan rng a b);
+  check_no_words "Rng.float" (fun _ -> sink.(0) <- Rng.float rng 2.5);
+  check_no_words "Rng.normal" (fun _ ->
+      sink.(0) <- Rng.normal rng ~mu:0.4 ~sigma:0.05);
+  check_no_words "Rng.uniform" (fun _ ->
+      sink.(0) <- Rng.uniform rng ~lo:1.0 ~hi:3.0);
+  check_no_words "Rng.exponential" (fun _ ->
+      sink.(0) <- Rng.exponential rng ~rate:0.8);
+  check_no_words "Rng.bernoulli" (fun _ ->
+      if Rng.bernoulli rng ~p:0.3 then sink.(0) <- sink.(0) +. 1.0)
+
+(* [Rng]'s samplers draw their unit floats without going through
+   [Random.State.float]; 1M draws of each must still equal, bit for
+   bit, the same formula over [Random.State.float] on a generator
+   seeded as [Rng.create] seeds it. *)
+let test_rng_draws_identical () =
+  let seed = 11 in
+  let n = 1_000_000 in
+  let check name draw reference =
+    let rng = Rng.create ~seed
+    and r = Random.State.make [| seed; 0x9e3779b9; seed lxor 0x85ebca6b |] in
+    let differ = ref 0 in
+    for _ = 1 to n do
+      if Int64.bits_of_float (draw rng) <> Int64.bits_of_float (reference r)
+      then incr differ
+    done;
+    Alcotest.(check int) (name ^ " draws differing") 0 !differ
+  in
+  check "float"
+    (fun rng -> Rng.float rng 2.5)
+    (fun r -> Random.State.float r 2.5);
+  check "uniform"
+    (fun rng -> Rng.uniform rng ~lo:1.0 ~hi:3.0)
+    (fun r -> 1.0 +. Random.State.float r (3.0 -. 1.0));
+  check "normal"
+    (fun rng -> Rng.normal rng ~mu:0.4 ~sigma:0.05)
+    (fun r ->
+      let u1 = 1.0 -. Random.State.float r 1.0 in
+      let u2 = Random.State.float r 1.0 in
+      0.4 +. (0.05 *. sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2)));
+  check "exponential"
+    (fun rng -> Rng.exponential rng ~rate:0.8)
+    (fun r -> -.log (1.0 -. Random.State.float r 1.0) /. 0.8);
+  check "bernoulli"
+    (fun rng -> if Rng.bernoulli rng ~p:0.3 then 1.0 else 0.0)
+    (fun r -> if Random.State.float r 1.0 < 0.3 then 1.0 else 0.0)
 
 let check_safe name (r : Runner.result) =
   let anomalies = Linearizability.check r.Runner.history in
@@ -384,6 +481,10 @@ let suite =
         test_allocation_per_message_pinned;
       Alcotest.test_case "storage write path words pinned" `Quick
         test_storage_write_path_words;
+      Alcotest.test_case "hot calls allocate nothing" `Quick
+        test_hot_calls_allocate_nothing;
+      Alcotest.test_case "rng draws identical to Random.State" `Quick
+        test_rng_draws_identical;
       Alcotest.test_case "promoted bytes per apply pinned" `Quick
         test_promoted_per_apply_pinned;
       Alcotest.test_case "batched paxos safe" `Slow test_batched_paxos_safe;
