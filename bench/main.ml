@@ -1,29 +1,22 @@
 (* Benchmark harness: regenerates every table and figure of the
-   paper's evaluation section. Run everything with
+   paper's evaluation section. Run the default set with
 
      dune exec bench/main.exe
 
-   or a subset by name:
+   or one experiment by name:
 
-     dune exec bench/main.exe -- fig9 fig11 formulas
+     dune exec bench/main.exe -- fig9
 
    Absolute numbers come from the calibrated simulator (DESIGN.md);
    the reproduction targets are the shapes — who wins, by what
    factor, where crossovers fall. EXPERIMENTS.md records the
-   side-by-side against the paper. Set PAXI_BENCH_QUICK=1 for a
-   shortened smoke run. *)
+   side-by-side against the paper. Every experiment takes --quick for
+   a shortened smoke run; `--help` lists them. *)
 
 open Paxi_benchmark
 open Paxi_model
 module Parmap = Paxi_exec.Parmap
-
-(* --quick on the command line is equivalent to PAXI_BENCH_QUICK=1
-   (`recovery --quick` and `dissect --quick` use the flag form). *)
-let quick =
-  Array.exists (String.equal "--quick") Sys.argv
-  || Sys.getenv_opt "PAXI_BENCH_QUICK" = Some "1"
-let measured_ms = if quick then 1_000.0 else 2_000.0
-let warmup_ms = if quick then 300.0 else 1_000.0
+module Nemesis = Paxi_nemesis
 
 (* Every measurement point below is an independent simulation, so
    whole grids fan out across the domain pool (Parmap.map, sized by
@@ -34,74 +27,109 @@ let warmup_ms = if quick then 300.0 else 1_000.0
 let root_seed = 42
 let point_seed key = Runner.derive_seed ~root:root_seed (Hashtbl.hash key)
 
-(* the sweeps' result files: one JSON document and a newline *)
-let write_json path json =
+let num x = Json.Number x
+let int_num i = Json.Number (float_of_int i)
+
+(* a sweep's result file, BENCH_pr<pr>.json: one JSON document and a
+   newline *)
+let write_result ~pr ~quick ~suite fields =
+  let path = Printf.sprintf "BENCH_pr%d.json" pr in
+  let json =
+    Json.Obj
+      (("pr", int_num pr) :: ("quick", Json.Bool quick)
+      :: ("suite", Json.String suite) :: fields)
+  in
   Out_channel.with_open_text path (fun oc ->
       output_string oc (Json.to_string json);
       output_char oc '\n');
   print_endline ("wrote " ^ path)
 
+(* [total] per event, 0 when there were none *)
+let per total count = if count = 0 then 0.0 else total /. float_of_int count
+
 (* ------------------------------------------------------------------ *)
 (* Shared experiment plumbing                                          *)
 (* ------------------------------------------------------------------ *)
+
+(* One simulated measurement point: protocol [name] on [n] replicas
+   with the default configuration, seeded by [seed] (a {!point_seed}
+   of the point's identity; the configuration's own seed when
+   omitted) and then adjusted by [configure]; an [n]-replica LAN
+   unless a [topology] is given. The measured window is the mode's:
+   1 s after a 0.3 s warmup under --quick, 2 s after 1 s otherwise. *)
+let point ~quick ?(warmup_ms = if quick then 300.0 else 1_000.0)
+    ?(duration_ms = if quick then 1_000.0 else 2_000.0) ?seed
+    ?(configure = Fun.id) ?topology ?sharding ?faults ?collect_history ~n
+    name client_specs =
+  let (module P) = Paxi_protocols.Registry.find_exn name in
+  let config = Config.default ~n_replicas:n in
+  let config =
+    configure
+      (match seed with Some seed -> { config with Config.seed } | None -> config)
+  in
+  let topology =
+    Option.value topology ~default:(Topology.lan ~n_replicas:n ())
+  in
+  Runner.run
+    (module P)
+    (Runner.spec ~warmup_ms ~duration_ms ?collect_history ?faults ?sharding
+       ~config ~topology ~client_specs ())
+
+let round_robin count workload =
+  [ Runner.clients ~target:Runner.Round_robin ~count workload ]
+
+let tput (r : Runner.result) = Report.frate r.Runner.throughput_rps
+let mean_lat (r : Runner.result) = Report.fms (Stats.mean r.Runner.latency)
+
+(* [l] cut into consecutive runs of [k]: a point grid back into its
+   series *)
+let rec chunks k = function
+  | [] -> []
+  | l ->
+      List.filteri (fun i _ -> i < k) l
+      :: chunks k (List.filteri (fun i _ -> i >= k) l)
+
+(* the model's mean latency at [lambda_rps], "-" past saturation *)
+let model_lat ?queue proto ~node ~rng lambda_rps =
+  match
+    Latency_model.lan_point ?queue proto ~node ~lan:Latency_model.default_lan
+      ~rng ~lambda_rps
+  with
+  | Some p -> Report.fms p.Latency_model.latency_ms
+  | None -> "-"
+
+let region_stats (r : Runner.result) region =
+  Option.map snd
+    (List.find_opt (fun (rg, _) -> Region.equal rg region) r.Runner.per_region)
 
 (* Multi-leader protocols need zones: their LAN deployments use three
    co-located zones (a single AZ), see {!Runner.lan_topology}. *)
 let zoned name = List.mem name [ "wpaxos"; "wankeeper"; "vpaxos" ]
 
-(* One LAN measurement point at a concurrency level, on the paper's
-   uniform 1000-key 50%-write workload (§5.2). *)
-let lan_point name ~concurrency =
-  let (module P) = Paxi_protocols.Registry.find_exn name in
-  let n = 9 in
-  let config =
-    {
-      (Config.default ~n_replicas:n) with
-      Config.seed = point_seed ("lan", name, concurrency);
-    }
-  in
-  let spec =
-    Runner.spec ~warmup_ms ~duration_ms:measured_ms ~config
-      ~topology:(Runner.lan_topology ~zoned:(zoned name) n)
-      ~client_specs:
-        (Runner.lan_clients ~zoned:(zoned name) ~count:concurrency
-           Workload.default)
-      ()
-  in
-  Runner.run (module P) spec
-
-let concurrency_grid = if quick then [ 2; 16; 48 ] else [ 1; 8; 32; 64 ]
+(* A 9-node LAN point with [count] round-robin clients, zoned for the
+   multi-leader protocols *)
+let lan_point ~quick ~seed name ~count workload =
+  let zoned = zoned name in
+  point ~quick ~n:9 ~seed ~topology:(Runner.lan_topology ~zoned 9) name
+    (Runner.lan_clients ~zoned ~count workload)
 
 (* Sweep several protocols' whole concurrency grids as one pool batch
    (figures that plot multiple protocols side by side would otherwise
-   only parallelize within one curve at a time). *)
-let lan_series_many names =
-  let points =
-    List.concat_map
-      (fun name -> List.map (fun c -> (name, c)) concurrency_grid)
-      names
-  in
+   only parallelize within one curve at a time), on the paper's
+   uniform 1000-key 50%-write workload (§5.2). *)
+let lan_series_many ~quick names =
+  let grid = if quick then [ 2; 16; 48 ] else [ 1; 8; 32; 64 ] in
   let rows =
     Parmap.map
       (fun (name, c) ->
-        let r = lan_point name ~concurrency:c in
-        (name, (c, r.Runner.throughput_rps, Stats.mean r.Runner.latency)))
-      points
+        let r =
+          lan_point ~quick ~seed:(point_seed ("lan", name, c)) name ~count:c
+            Workload.default
+        in
+        (c, r.Runner.throughput_rps, Stats.mean r.Runner.latency))
+      (List.concat_map (fun name -> List.map (fun c -> (name, c)) grid) names)
   in
-  List.map
-    (fun name ->
-      ( name,
-        List.filter_map
-          (fun (n, row) -> if n = name then Some row else None)
-          rows ))
-    names
-
-let lan_series name = List.assoc name (lan_series_many [ name ])
-
-let series_rows series =
-  List.map
-    (fun (c, thr, lat) -> [ string_of_int c; Report.frate thr; Report.fms lat ])
-    series
+  List.combine names (chunks (List.length grid) rows)
 
 let max_throughput series =
   List.fold_left (fun acc (_, thr, _) -> Float.max acc thr) 0.0 series
@@ -157,19 +185,12 @@ let fig3 () =
 (* Fig. 4 — queueing models vs the Paxi reference implementation       *)
 (* ------------------------------------------------------------------ *)
 
-let fig4 () =
+let fig4 quick =
   Report.section "Fig 4: queueing models vs Paxi/Paxos (9-node LAN)";
   let node = Service.default_node ~n:9 in
   let rng = Rng.create ~seed:4 in
-  let measured = lan_series "paxos" in
-  let model kind thr =
-    match
-      Latency_model.lan_point ~queue:kind Latency_model.Paxos ~node
-        ~lan:Latency_model.default_lan ~rng ~lambda_rps:thr
-    with
-    | Some p -> Report.fms p.Latency_model.latency_ms
-    | None -> "-"
-  in
+  let measured = List.assoc "paxos" (lan_series_many ~quick [ "paxos" ]) in
+  let model queue thr = model_lat ~queue Latency_model.Paxos ~node ~rng thr in
   Report.print_table
     ~header:[ "throughput"; "M/M/1"; "M/D/1"; "M/G/1"; "G/G/1"; "Paxi (measured)" ]
     ~rows:
@@ -192,9 +213,9 @@ let fig4 () =
 (* Fig. 7 — Paxi/Paxos vs an independent Raft                          *)
 (* ------------------------------------------------------------------ *)
 
-let fig7 () =
+let fig7 quick =
   Report.section "Fig 7: Paxi/Paxos vs independent Raft (9 replicas, LAN)";
-  let all = lan_series_many [ "paxos"; "raft" ] in
+  let all = lan_series_many ~quick [ "paxos"; "raft" ] in
   let paxos = List.assoc "paxos" all in
   let raft = List.assoc "raft" all in
   Report.print_table
@@ -243,32 +264,27 @@ let fig8 () =
   Report.print_table ~header:[ "protocol"; "latency (ms)" ]
     ~rows:
       (List.map
-         (fun (name, proto) ->
-           [
-             name;
-             (match
-                Latency_model.lan_point proto ~node ~lan:Latency_model.default_lan
-                  ~rng ~lambda_rps:2000.0
-              with
-             | Some p -> Report.fms p.Latency_model.latency_ms
-             | None -> "-");
-           ])
+         (fun (name, proto) -> [ name; model_lat proto ~node ~rng 2000.0 ])
          fig8_protocols)
 
 (* ------------------------------------------------------------------ *)
 (* Fig. 9 — experimental LAN performance                               *)
 (* ------------------------------------------------------------------ *)
 
-let fig9 () =
+let fig9 quick =
   Report.section
     "Fig 9: experimental LAN latency vs throughput (9 nodes, 1000 keys, 50% writes)";
   let names = [ "paxos"; "fpaxos"; "epaxos"; "wpaxos"; "wankeeper" ] in
-  let all = lan_series_many names in
+  let all = lan_series_many ~quick names in
   List.iter
     (fun (name, series) ->
       Printf.printf "\n%s\n" name;
       Report.print_table ~header:[ "clients"; "ops/s"; "mean latency (ms)" ]
-        ~rows:(series_rows series))
+        ~rows:
+          (List.map
+             (fun (c, thr, lat) ->
+               [ string_of_int c; Report.frate thr; Report.fms lat ])
+             series))
     all;
   let cap name = max_throughput (List.assoc name all) in
   Report.section "Fig 9 summary (the paper's qualitative findings)";
@@ -324,62 +340,55 @@ let fig10 () =
 
 let fig11_regions = [ Region.virginia; Region.ohio; Region.california ]
 
-let fig11_run name ~fz ~conflict =
-  let (module P) = Paxi_protocols.Registry.find_exn name in
+(* The WAN figures' master region is Ohio (index 1), which is also the
+   objects' first home when [owned] *)
+let ohio_master ~fz ~owned c =
+  {
+    c with
+    Config.fz;
+    master_region_index = 1;
+    initial_object_owner = (if owned then Some 1 else None);
+  }
+
+let fig11_run ~quick name ~fz ~conflict =
   (* Paxos's stable leader is replica 0, i.e. the first region: home
      it with the hot object in Ohio, like the other protocols *)
   let topo_regions =
     if name = "paxos" then Region.[ ohio; virginia; california ]
     else fig11_regions
   in
-  let topology = Topology.wan ~regions:topo_regions ~replicas_per_region:3 () in
-  let config =
-    {
-      (Config.default ~n_replicas:9) with
-      Config.fz;
-      seed = point_seed ("fig11", name, fz, conflict);
-      master_region_index = 1 (* Ohio *);
-      initial_object_owner =
-        (if name = "epaxos" || name = "paxos" then None else Some 1);
-    }
+  let r =
+    point ~quick ~n:9
+      ~seed:(point_seed ("fig11", name, fz, conflict))
+      ~configure:(ohio_master ~fz ~owned:(name <> "epaxos" && name <> "paxos"))
+      ~topology:(Topology.wan ~regions:topo_regions ~replicas_per_region:3 ())
+      name
+      (List.mapi
+         (fun i region ->
+           Runner.clients ~region ~count:2
+             {
+               Workload.default with
+               Workload.keys = 900;
+               min_key = 100;
+               hot_key = 0 (* the designated conflict object, homed in Ohio *);
+               conflict_ratio = conflict;
+               dist =
+                 (let k = 900.0 in
+                  Workload.Normal
+                    {
+                      mu = (float_of_int i +. 0.5) *. k /. 3.0;
+                      sigma = k /. 9.0;
+                      speed_ms = 0.0;
+                      drift = 0.0;
+                    });
+             })
+         fig11_regions)
   in
-  let client_specs =
-    List.mapi
-      (fun i region ->
-        Runner.clients ~region ~count:2
-          {
-            Workload.default with
-            Workload.keys = 900;
-            min_key = 100;
-            hot_key = 0 (* the designated conflict object, homed in Ohio *);
-            conflict_ratio = conflict;
-            dist =
-              (let k = 900.0 in
-               Workload.Normal
-                 {
-                   mu = (float_of_int i +. 0.5) *. k /. 3.0;
-                   sigma = k /. 9.0;
-                   speed_ms = 0.0;
-                   drift = 0.0;
-                 });
-          })
-      fig11_regions
-  in
-  let spec =
-    Runner.spec ~warmup_ms ~duration_ms:measured_ms ~config ~topology
-      ~client_specs ()
-  in
-  let r = Runner.run (module P) spec in
   List.map
-    (fun region ->
-      match
-        List.find_opt (fun (rg, _) -> Region.equal rg region) r.Runner.per_region
-      with
-      | Some (_, s) -> Stats.mean s
-      | None -> nan)
+    (fun region -> Option.fold (region_stats r region) ~none:nan ~some:Stats.mean)
     fig11_regions
 
-let fig11 () =
+let fig11 quick =
   Report.section
     "Fig 11: per-region latency under a conflict workload (hot object in Ohio)";
   let configs =
@@ -395,24 +404,13 @@ let fig11 () =
   let conflicts =
     if quick then [ 0.0; 0.5; 1.0 ] else [ 0.0; 0.2; 0.4; 0.6; 0.8; 1.0 ]
   in
-  let points =
-    List.concat_map
-      (fun (label, name, fz) ->
-        List.map (fun c -> (label, name, fz, c)) conflicts)
-      configs
-  in
-  let rows =
-    Parmap.map (fun (_, name, fz, c) -> fig11_run name ~fz ~conflict:c) points
-  in
-  let table = List.combine points rows in
-  let results =
-    List.map
-      (fun (label, _, _) ->
-        ( label,
-          List.filter_map
-            (fun ((l, _, _, c), r) -> if l = label then Some (c, r) else None)
-            table ))
-      configs
+  let series =
+    chunks (List.length conflicts)
+      (Parmap.map
+         (fun (name, fz, c) -> fig11_run ~quick name ~fz ~conflict:c)
+         (List.concat_map
+            (fun (_, name, fz) -> List.map (fun c -> (name, fz, c)) conflicts)
+            configs))
   in
   List.iteri
     (fun ri region ->
@@ -420,18 +418,14 @@ let fig11 () =
         (Char.chr (Char.code 'a' + ri))
         (Region.name region);
       Report.print_table
-        ~header:("conflict" :: List.map fst results)
+        ~header:("conflict" :: List.map (fun (label, _, _) -> label) configs)
         ~rows:
-          (List.map
-             (fun c ->
+          (List.mapi
+             (fun ci c ->
                Printf.sprintf "%.0f%%" (c *. 100.0)
                :: List.map
-                    (fun (_, series) ->
-                      let _, per_region =
-                        List.find (fun (c', _) -> c' = c) series
-                      in
-                      Report.fms (List.nth per_region ri))
-                    results)
+                    (fun s -> Report.fms (List.nth (List.nth s ci) ri))
+                    series)
              conflicts))
     fig11_regions;
   print_endline
@@ -448,6 +442,9 @@ let fig12 () =
   Report.section "Fig 12: modeled max throughput vs conflict ratio (5 nodes)";
   let node = Service.default_node ~n:5 in
   let paxos_cap = Latency_model.lan_max_throughput Latency_model.Paxos ~node in
+  let cap c =
+    Latency_model.lan_max_throughput (Latency_model.Epaxos { conflict = c }) ~node
+  in
   Report.print_table
     ~header:[ "conflict %"; "epaxos max (rps)"; "paxos max (rps)" ]
     ~rows:
@@ -455,16 +452,10 @@ let fig12 () =
          (fun c ->
            [
              Printf.sprintf "%.0f" (c *. 100.0);
-             Report.frate
-               (Latency_model.lan_max_throughput
-                  (Latency_model.Epaxos { conflict = c })
-                  ~node);
+             Report.frate (cap c);
              Report.frate paxos_cap;
            ])
          [ 0.0; 0.2; 0.4; 0.6; 0.8; 1.0 ]);
-  let cap c =
-    Latency_model.lan_max_throughput (Latency_model.Epaxos { conflict = c }) ~node
-  in
   Printf.printf "degradation c=0 -> c=1: %.0f%% (paper: as much as ~40%%)\n"
     ((1.0 -. (cap 1.0 /. cap 0.0)) *. 100.0)
 
@@ -474,44 +465,32 @@ let fig12 () =
 
 let fig13_regions = Region.aws_five
 
-let fig13_run label name ~fz =
-  let (module P) = Paxi_protocols.Registry.find_exn name in
-  let per = 1 in
-  let n = per * List.length fig13_regions in
-  let topology = Topology.wan ~regions:fig13_regions ~replicas_per_region:per () in
-  let config =
-    {
-      (Config.default ~n_replicas:n) with
-      Config.fz;
-      seed = point_seed ("fig13", name, fz);
-      master_region_index = 1 (* Ohio *);
-      initial_object_owner = (if zoned name then Some 1 else None);
-    }
-  in
-  let client_specs =
-    List.mapi
-      (fun i region ->
-        Runner.clients ~region ~count:2
-          (Workload.with_locality
-             { Workload.default with Workload.keys = 1000 }
-             ~region_index:i
-             ~regions:(List.length fig13_regions)))
-      fig13_regions
-  in
+let fig13_run ~quick label name ~fz =
   (* the paper runs this workload for 60 s so object placement can
      settle; give adaptation a long warmup in full mode *)
-  let spec =
-    Runner.spec
+  ( label,
+    point ~quick
       ~warmup_ms:(if quick then 2_000.0 else 8_000.0)
       ~duration_ms:(if quick then 3_000.0 else 20_000.0)
-      ~config ~topology ~client_specs ()
-  in
-  (label, Runner.run (module P) spec)
+      ~n:(List.length fig13_regions)
+      ~seed:(point_seed ("fig13", name, fz))
+      ~configure:(ohio_master ~fz ~owned:(zoned name))
+      ~topology:
+        (Topology.wan ~regions:fig13_regions ~replicas_per_region:1 ())
+      name
+      (List.mapi
+         (fun i region ->
+           Runner.clients ~region ~count:2
+             (Workload.with_locality
+                { Workload.default with Workload.keys = 1000 }
+                ~region_index:i
+                ~regions:(List.length fig13_regions)))
+         fig13_regions) )
 
-let fig13 () =
+let fig13 quick =
   let results =
     Parmap.map
-      (fun (label, name, fz) -> fig13_run label name ~fz)
+      (fun (label, name, fz) -> fig13_run ~quick label name ~fz)
       [
         ("wpaxos fz=0", "wpaxos", 0);
         ("wankeeper", "wankeeper", 0);
@@ -527,17 +506,12 @@ let fig13 () =
     ~header:("protocol" :: List.map Region.name fig13_regions)
     ~rows:
       (List.map
-         (fun (label, (r : Runner.result)) ->
+         (fun (label, r) ->
            label
            :: List.map
                 (fun region ->
-                  match
-                    List.find_opt
-                      (fun (rg, _) -> Region.equal rg region)
-                      r.Runner.per_region
-                  with
-                  | Some (_, s) -> Report.fms (Stats.mean s)
-                  | None -> "-")
+                  Option.fold (region_stats r region) ~none:"-" ~some:(fun s ->
+                      Report.fms (Stats.mean s)))
                 fig13_regions)
          results);
   Report.section "Fig 13b: latency CDF (ms at quantile)";
@@ -588,105 +562,63 @@ let formulas () =
 (* Ablations (design decisions called out in DESIGN.md)                *)
 (* ------------------------------------------------------------------ *)
 
-let ablation_run name ~config ~concurrency =
-  let (module P) = Paxi_protocols.Registry.find_exn name in
-  let spec =
-    Runner.spec ~warmup_ms ~duration_ms:measured_ms ~config
-      ~topology:(Topology.lan ~n_replicas:config.Config.n_replicas ())
-      ~client_specs:
-        [ Runner.clients ~target:Runner.Round_robin ~count:concurrency Workload.default ]
-      ()
-  in
-  Runner.run (module P) spec
-
-let ablate_thrifty () =
-  Report.section "Ablation: thrifty quorums (paxos, 9-node LAN, 32 clients)";
-  let run thrifty =
-    ablation_run "paxos"
-      ~config:
-        {
-          (Config.default ~n_replicas:9) with
-          Config.thrifty;
-          seed = point_seed ("ablate-thrifty", thrifty);
-        }
-      ~concurrency:32
-  in
-  let variants =
-    List.combine [ "off"; "on" ] (Parmap.map run [ false; true ])
+(* One 9-node LAN point per variant (label, value): [set value]
+   applied to the default configuration, seeded by the experiment's
+   name and the value, round-robin clients; one row each. *)
+let ablation ~quick ~name ~title ~protocol ~concurrency ~set ~label ~columns
+    variants =
+  Report.section title;
+  let results =
+    Parmap.map
+      (fun (_, v) ->
+        point ~quick ~n:9 ~seed:(point_seed (name, v)) ~configure:(set v)
+          protocol
+          (round_robin concurrency Workload.default))
+      variants
   in
   Report.print_table
-    ~header:[ "thrifty"; "ops/s"; "mean lat (ms)"; "leader busy (ms)"; "msgs" ]
+    ~header:(label :: List.map fst columns)
     ~rows:
-      (List.map
-         (fun (label, (r : Runner.result)) ->
-           [
-             label;
-             Report.frate r.Runner.throughput_rps;
-             Report.fms (Stats.mean r.Runner.latency);
-             Report.frate r.Runner.busiest_node_busy_ms;
-             string_of_int r.Runner.messages_sent;
-           ])
-         variants);
+      (List.map2
+         (fun (l, _) r -> l :: List.map (fun (_, f) -> f r) columns)
+         variants results)
+
+let msgs = ("msgs", fun (r : Runner.result) -> string_of_int r.Runner.messages_sent)
+
+let ablate_thrifty quick =
+  ablation ~quick ~name:"ablate-thrifty"
+    ~title:"Ablation: thrifty quorums (paxos, 9-node LAN, 32 clients)"
+    ~protocol:"paxos" ~concurrency:32
+    ~set:(fun thrifty c -> { c with Config.thrifty })
+    ~label:"thrifty"
+    ~columns:
+      [
+        ("ops/s", tput);
+        ("mean lat (ms)", mean_lat);
+        ( "leader busy (ms)",
+          fun r -> Report.frate r.Runner.busiest_node_busy_ms );
+        msgs;
+      ]
+    [ ("off", false); ("on", true) ];
   print_endline
     "(thrifty cuts the leader's copies from N-1 to Q-1 per round —\n\
      the assumption behind Formula 3)"
 
-let ablate_commit () =
-  Report.section "Ablation: piggybacked vs explicit commit (paxos, 9-node LAN)";
-  let run piggyback_commit =
-    ablation_run "paxos"
-      ~config:
-        {
-          (Config.default ~n_replicas:9) with
-          Config.piggyback_commit;
-          seed = point_seed ("ablate-commit", piggyback_commit);
-        }
-      ~concurrency:32
-  in
-  let variants =
-    List.combine [ "piggybacked"; "explicit" ] (Parmap.map run [ true; false ])
-  in
-  Report.print_table
-    ~header:[ "commit"; "ops/s"; "mean lat (ms)"; "msgs" ]
-    ~rows:
-      (List.map
-         (fun (label, (r : Runner.result)) ->
-           [
-             label;
-             Report.frate r.Runner.throughput_rps;
-             Report.fms (Stats.mean r.Runner.latency);
-             string_of_int r.Runner.messages_sent;
-           ])
-         variants)
+let ablate_commit quick =
+  ablation ~quick ~name:"ablate-commit"
+    ~title:"Ablation: piggybacked vs explicit commit (paxos, 9-node LAN)"
+    ~protocol:"paxos" ~concurrency:32
+    ~set:(fun piggyback_commit c -> { c with Config.piggyback_commit })
+    ~label:"commit" ~columns:[ ("ops/s", tput); ("mean lat (ms)", mean_lat); msgs ]
+    [ ("piggybacked", true); ("explicit", false) ]
 
-let ablate_penalty () =
-  Report.section "Ablation: EPaxos dependency-bookkeeping penalty (9-node LAN)";
-  let penalties = [ 1.0; 2.0; 3.0; 4.0 ] in
-  let results =
-    Parmap.map
-      (fun p ->
-        ( p,
-          ablation_run "epaxos"
-            ~config:
-              {
-                (Config.default ~n_replicas:9) with
-                Config.epaxos_penalty = p;
-                seed = point_seed ("ablate-penalty", p);
-              }
-            ~concurrency:48 ))
-      penalties
-  in
-  Report.print_table
-    ~header:[ "penalty"; "ops/s"; "mean lat (ms)" ]
-    ~rows:
-      (List.map
-         (fun (p, (r : Runner.result)) ->
-           [
-             Printf.sprintf "%.1fx" p;
-             Report.frate r.Runner.throughput_rps;
-             Report.fms (Stats.mean r.Runner.latency);
-           ])
-         results);
+let ablate_penalty quick =
+  ablation ~quick ~name:"ablate-penalty"
+    ~title:"Ablation: EPaxos dependency-bookkeeping penalty (9-node LAN)"
+    ~protocol:"epaxos" ~concurrency:48
+    ~set:(fun p c -> { c with Config.epaxos_penalty = p })
+    ~label:"penalty" ~columns:[ ("ops/s", tput); ("mean lat (ms)", mean_lat) ]
+    (List.map (fun p -> (Printf.sprintf "%.1fx" p, p)) [ 1.0; 2.0; 3.0; 4.0 ]);
   print_endline
     "(without the processing penalty EPaxos out-throughputs Paxos — the\n\
      penalty drives its poor LAN showing, exactly as the paper argues)"
@@ -695,7 +627,7 @@ let ablate_penalty () =
 (* §4.2 benchmark tiers: scalability, availability, YCSB            *)
 (* ------------------------------------------------------------------ *)
 
-let scalability () =
+let scalability quick =
   Report.section
     "Scalability tier (§4.2): throughput vs cluster size and key-space size";
   let sizes = [ 3; 5; 7; 9 ] in
@@ -711,35 +643,19 @@ let scalability () =
     List.combine points
       (Parmap.map
          (fun (name, n, keys) ->
-           let (module P) = Paxi_protocols.Registry.find_exn name in
-           let spec =
-             Runner.spec ~warmup_ms ~duration_ms:measured_ms
-               ~config:
-                 {
-                   (Config.default ~n_replicas:n) with
-                   Config.seed = point_seed ("scalability", name, n, keys);
-                 }
-               ~topology:(Topology.lan ~n_replicas:n ())
-               ~client_specs:
-                 [ Runner.clients ~target:Runner.Round_robin ~count:32
-                     { Workload.default with Workload.keys } ]
-               ()
-           in
-           Runner.run (module P) spec)
+           point ~quick ~n
+             ~seed:(point_seed ("scalability", name, n, keys))
+             name
+             (round_robin 32 { Workload.default with Workload.keys }))
          points)
   in
-  let get name n keys = List.assoc (name, n, keys) results in
+  let get name n keys = tput (List.assoc (name, n, keys) results) in
   Printf.printf "\ncluster-size sweep (paxos vs epaxos, 1000 keys):\n";
   Report.print_table
     ~header:[ "nodes"; "paxos ops/s"; "epaxos ops/s" ]
     ~rows:
       (List.map
-         (fun n ->
-           [
-             string_of_int n;
-             Report.frate (get "paxos" n 1000).Runner.throughput_rps;
-             Report.frate (get "epaxos" n 1000).Runner.throughput_rps;
-           ])
+         (fun n -> [ string_of_int n; get "paxos" n 1000; get "epaxos" n 1000 ])
          sizes);
   Printf.printf
     "\n(single-leader throughput shrinks with N — the leader handles N+2\n\
@@ -747,103 +663,66 @@ let scalability () =
   Printf.printf "\nkey-space sweep (paxos, 9 nodes):\n";
   Report.print_table
     ~header:[ "keys"; "ops/s" ]
-    ~rows:
-      (List.map
-         (fun k ->
-           [ string_of_int k; Report.frate (get "paxos" 9 k).Runner.throughput_rps ])
-         key_sizes)
+    ~rows:(List.map (fun k -> [ string_of_int k; get "paxos" 9 k ]) key_sizes)
 
-let availability () =
+let availability quick =
   Report.section
     "Availability tier (§4.2): throughput timeline across a leader crash";
-  let (module P) = Paxi_protocols.Registry.find_exn "paxos" in
   let crash_at = 6_000.0 and crash_for = 8_000.0 in
-  let spec =
-    Runner.spec ~warmup_ms:500.0 ~duration_ms:20_000.0 ~collect_history:true
+  let result =
+    point ~quick ~warmup_ms:500.0 ~duration_ms:20_000.0 ~collect_history:true
       ~faults:(fun f ->
         Faults.crash f ~node:(Address.replica 0) ~from_ms:crash_at
           ~duration_ms:crash_for)
-      ~config:(Config.default ~n_replicas:5)
-      ~topology:(Topology.lan ~n_replicas:5 ())
-      ~client_specs:
-        [ Runner.clients ~target:Runner.Round_robin ~count:8
-            { Workload.default with Workload.keys = 100 } ]
-      ()
+      ~n:5 "paxos"
+      (round_robin 8 { Workload.default with Workload.keys = 100 })
   in
-  let result = Runner.run (module P) spec in
-  let buckets = Hashtbl.create 32 in
+  (* completions per second of the run *)
+  let counts = Array.make 21 0 in
   List.iter
     (fun (op : Linearizability.op) ->
       let b = int_of_float (op.Linearizability.responded_ms /. 1_000.0) in
-      Hashtbl.replace buckets b
-        (1 + Option.value (Hashtbl.find_opt buckets b) ~default:0))
+      if b <= 20 then counts.(b) <- counts.(b) + 1)
     result.Runner.history;
-  for b = 0 to 20 do
-    let count = Option.value (Hashtbl.find_opt buckets b) ~default:0 in
-    let note =
-      if float_of_int b *. 1_000.0 >= crash_at
-         && float_of_int b *. 1_000.0 < crash_at +. crash_for
-      then "  <- leader down"
-      else ""
-    in
-    Printf.printf "  t=%2d s  %6d ops%s\n" b count note
-  done;
+  Array.iteri
+    (fun b count ->
+      let t = float_of_int b *. 1_000.0 in
+      Printf.printf "  t=%2d s  %6d ops%s\n" b count
+        (if t >= crash_at && t < crash_at +. crash_for then "  <- leader down"
+         else ""))
+    counts;
   Printf.printf
     "(single-leader Paxos loses availability until failover elects a new\n\
      leader; multi-leader protocols only lose the crashed leader's share)\n"
 
-let ycsb () =
+let ycsb quick =
   Report.section "YCSB core workloads (paxos vs epaxos vs wpaxos, 9-node LAN)";
   let kinds = [ ("A (50/50)", `A); ("B (95/5)", `B); ("C (reads)", `C);
                 ("D (latest)", `D); ("F (rmw)", `F) ] in
   let protos = [ "paxos"; "epaxos"; "wpaxos" ] in
-  let points =
-    List.concat_map
-      (fun (_, kind) -> List.map (fun name -> (name, kind)) protos)
-      kinds
-  in
   let results =
-    List.combine points
-      (Parmap.map
-         (fun (name, kind) ->
-           let (module P) = Paxi_protocols.Registry.find_exn name in
-           let spec =
-             Runner.spec ~warmup_ms ~duration_ms:measured_ms
-               ~config:
-                 {
-                   (Config.default ~n_replicas:9) with
-                   Config.seed = point_seed ("ycsb", name, kind);
-                 }
-               ~topology:(Runner.lan_topology ~zoned:(zoned name) 9)
-               ~client_specs:
-                 (Runner.lan_clients ~zoned:(zoned name) ~count:32
-                    (Workload.ycsb kind ~keys:1000))
-               ()
-           in
-           Runner.run (module P) spec)
-         points)
+    Parmap.map
+      (fun (name, kind) ->
+        lan_point ~quick ~seed:(point_seed ("ycsb", name, kind)) name ~count:32
+          (Workload.ycsb kind ~keys:1000))
+      (List.concat_map
+         (fun (_, kind) -> List.map (fun name -> (name, kind)) protos)
+         kinds)
   in
-  let get name kind = List.assoc (name, kind) results in
   Report.print_table
     ~header:[ "workload"; "paxos ops/s"; "epaxos ops/s"; "wpaxos ops/s" ]
     ~rows:
-      (List.map
-         (fun (label, kind) ->
-           [
-             label;
-             Report.frate (get "paxos" kind).Runner.throughput_rps;
-             Report.frate (get "epaxos" kind).Runner.throughput_rps;
-             Report.frate (get "wpaxos" kind).Runner.throughput_rps;
-           ])
-         kinds);
+      (List.map2
+         (fun (label, _) row -> label :: List.map tput row)
+         kinds
+         (chunks (List.length protos) results));
   print_endline
     "(read-heavy workloads favour the leaderless fast path — the Fig. 14\n\
      guidance; zipfian skew concentrates WPaxos ownership churn)"
 
-let openloop () =
+let openloop quick =
   Report.section
     "Open-loop cross-validation: Poisson arrivals vs the M/D/1 model (paxos)";
-  let (module P) = Paxi_protocols.Registry.find_exn "paxos" in
   let node = Service.default_node ~n:9 in
   let rng = Rng.create ~seed:44 in
   let cap = Latency_model.lan_max_throughput Latency_model.Paxos ~node in
@@ -853,38 +732,25 @@ let openloop () =
     Parmap.map
       (fun frac ->
         let rate = frac *. cap in
-        let spec =
-          Runner.spec ~warmup_ms ~duration_ms:measured_ms
-            ~config:
-              {
-                (Config.default ~n_replicas:9) with
-                Config.seed = point_seed ("openloop", frac);
-              }
-            ~topology:(Topology.lan ~n_replicas:9 ())
-            ~client_specs:
-              [ (* straight to the leader, as the model's DL assumes *)
-                Runner.clients ~target:(Runner.Fixed 0)
-                  ~arrival:(Runner.Open { rate_per_sec = rate /. 4.0 })
-                  ~count:4 Workload.default ]
-            ()
-        in
-        (rate, Runner.run (module P) spec))
+        ( rate,
+          point ~quick ~n:9
+            ~seed:(point_seed ("openloop", frac))
+            "paxos"
+            [ (* straight to the leader, as the model's DL assumes *)
+              Runner.clients ~target:(Runner.Fixed 0)
+                ~arrival:(Runner.Open { rate_per_sec = rate /. 4.0 })
+                ~count:4 Workload.default ] ))
       [ 0.2; 0.4; 0.6; 0.8 ]
   in
   Report.print_table
     ~header:[ "offered load (rps)"; "measured lat (ms)"; "M/D/1 model (ms)" ]
     ~rows:
       (List.map
-         (fun (rate, (r : Runner.result)) ->
+         (fun (rate, r) ->
            [
              Report.frate rate;
-             Report.fms (Stats.mean r.Runner.latency);
-             (match
-                Latency_model.lan_point Latency_model.Paxos ~node
-                  ~lan:Latency_model.default_lan ~rng ~lambda_rps:rate
-              with
-             | Some p -> Report.fms p.Latency_model.latency_ms
-             | None -> "-");
+             mean_lat r;
+             model_lat Latency_model.Paxos ~node ~rng rate;
            ])
          measured);
   print_endline
@@ -912,39 +778,27 @@ let read_path_tag = function
    through to the slot log. Lease and quorum reads are served by the
    leader, so clients pin there; chain clients pin to the tail, which
    serves reads directly and forwards the writes to the head. *)
-let read_point ~protocol ~read_path ~read_ratio ~concurrency =
-  let (module P) = Paxi_protocols.Registry.find_exn protocol in
+let read_point ~quick ~protocol ~read_path ~read_ratio ~concurrency =
   let n = 5 in
   let tag = read_path_tag read_path in
-  let config =
-    {
-      (Config.default ~n_replicas:n) with
-      Config.seed = point_seed ("reads", protocol, tag, read_ratio, concurrency);
-      read_path;
-      tracing = true;
-    }
-  in
   let target =
     if protocol = "chain" then Runner.Fixed (n - 1) else Runner.Fixed 0
   in
-  let spec =
-    Runner.spec ~warmup_ms ~duration_ms:measured_ms ~config
-      ~topology:(Topology.lan ~n_replicas:n ())
-      ~client_specs:
-        [
-          Runner.clients ~target ~count:concurrency
-            { Workload.default with Workload.write_ratio = 1.0 -. read_ratio };
-        ]
-      ()
-  in
-  Runner.run (module P) spec
+  point ~quick ~n
+    ~seed:(point_seed ("reads", protocol, tag, read_ratio, concurrency))
+    ~configure:(fun c -> { c with Config.read_path; tracing = true })
+    protocol
+    [
+      Runner.clients ~target ~count:concurrency
+        { Workload.default with Workload.write_ratio = 1.0 -. read_ratio };
+    ]
 
 (* Read-ratio sweep (r = 0.5 / 0.95 / 0.99): the write path priced
    against lease reads (paxos/fpaxos/raft), ABD quorum reads (paxos)
    and chain tail reads. The headline figure is the read p50 — a local
    lease read skips the slot log and its quorum round, so at r = 0.95
    it should sit well under the write-path read p50. *)
-let reads () =
+let reads quick =
   Report.section
     "Read paths: lease / quorum / tail reads vs the write path";
   let concurrency = 16 in
@@ -968,7 +822,7 @@ let reads () =
   let results =
     Parmap.map
       (fun (protocol, read_path, read_ratio) ->
-        read_point ~protocol ~read_path ~read_ratio ~concurrency)
+        read_point ~quick ~protocol ~read_path ~read_ratio ~concurrency)
       points
   in
   let p50_or_dash s =
@@ -976,21 +830,15 @@ let reads () =
   in
   Report.print_table
     ~header:
-      [
-        "protocol/path";
-        "read ratio";
-        "ops/s";
-        "read p50 (ms)";
-        "write p50 (ms)";
-        "fast reads";
-      ]
+      [ "protocol/path"; "read ratio"; "ops/s"; "read p50 (ms)";
+        "write p50 (ms)"; "fast reads" ]
     ~rows:
       (List.map2
          (fun (protocol, read_path, read_ratio) (r : Runner.result) ->
            [
              Printf.sprintf "%s/%s" protocol (read_path_tag read_path);
              Printf.sprintf "%.2f" read_ratio;
-             Report.frate r.Runner.throughput_rps;
+             tput r;
              p50_or_dash r.Runner.read_latency;
              p50_or_dash r.Runner.write_latency;
              string_of_int (Paxi_obs.Trace.fast_reads r.Runner.trace);
@@ -1010,23 +858,19 @@ let reads () =
    ~2*8 — both flat as n grows. *)
 let scale_relay_groups n = Stdlib.max 1 ((n + 6) / 8)
 
-let scale_point ~protocol ~n ~relay_groups =
-  let (module P) = Paxi_protocols.Registry.find_exn protocol in
-  let config =
-    {
-      (Config.default ~n_replicas:n) with
-      Config.seed = point_seed ("scale", protocol, n, relay_groups);
-      relay_groups;
-    }
-  in
-  let spec =
-    Runner.spec ~warmup_ms ~duration_ms:measured_ms ~config
-      ~topology:(Topology.lan ~n_replicas:n ())
-      ~client_specs:
-        [ Runner.clients ~target:Runner.Round_robin ~count:64 Workload.default ]
-      ()
-  in
-  Runner.run (module P) spec
+let scale_point ~quick ~protocol ~n ~relay_groups =
+  point ~quick ~n
+    ~seed:(point_seed ("scale", protocol, n, relay_groups))
+    ~configure:(fun c -> { c with Config.relay_groups })
+    protocol
+    (round_robin 64 Workload.default)
+
+(* Identical throughput, latency samples and event count: two runs
+   that must be the same stream. *)
+let same_stream (a : Runner.result) (b : Runner.result) =
+  a.Runner.throughput_rps = b.Runner.throughput_rps
+  && Stats.samples a.Runner.latency = Stats.samples b.Runner.latency
+  && a.Runner.sim_events = b.Runner.sim_events
 
 (* Throughput vs cluster size, direct vs relay trees (DESIGN.md §12):
    64 closed-loop clients saturate the leader, so the direct series
@@ -1034,7 +878,7 @@ let scale_point ~protocol ~n ~relay_groups =
    while the relay series holds near-flat at 2r. Writes
    BENCH_pr8.json; CI's scale-smoke job gates the relay-vs-direct gain
    at n = 49 and the monotone direct decline on it. *)
-let scale () =
+let scale quick =
   Report.section
     "Scale: saturation throughput vs cluster size, direct vs relay trees";
   let sizes = [ 9; 25; 49; 81 ] in
@@ -1050,7 +894,7 @@ let scale () =
   let results =
     Parmap.map
       (fun (protocol, n, r) ->
-        ((protocol, n, r), scale_point ~protocol ~n ~relay_groups:r))
+        ((protocol, n, r), scale_point ~quick ~protocol ~n ~relay_groups:r))
       points
   in
   let find protocol n r = List.assoc (protocol, n, r) results in
@@ -1067,8 +911,8 @@ let scale () =
                let d = find protocol n 0 and v = find protocol n r in
                [
                  string_of_int n;
-                 Report.frate d.Runner.throughput_rps;
-                 Report.frate v.Runner.throughput_rps;
+                 tput d;
+                 tput v;
                  string_of_int r;
                  Printf.sprintf "%.2fx"
                    (v.Runner.throughput_rps /. d.Runner.throughput_rps);
@@ -1081,43 +925,32 @@ let scale () =
      a binary carrying relay code matches one that never had it — is
      held by the committed fig9 baseline diff and the fixed-seed pins
      in test/test_relay.ml.) *)
-  let d0 = find "paxos" 25 0 in
-  let d1 = scale_point ~protocol:"paxos" ~n:25 ~relay_groups:0 in
   let relay_zero_identical =
-    d0.Runner.throughput_rps = d1.Runner.throughput_rps
-    && Stats.samples d0.Runner.latency = Stats.samples d1.Runner.latency
-    && d0.Runner.sim_events = d1.Runner.sim_events
+    same_stream (find "paxos" 25 0)
+      (scale_point ~quick ~protocol:"paxos" ~n:25 ~relay_groups:0)
   in
   Printf.printf "relay_groups=0 byte-identical across re-run: %b\n"
     relay_zero_identical;
-  let num x = Json.Number x in
   let point_json ((protocol, n, r), (res : Runner.result)) =
     Json.Obj
       [
         ("protocol", Json.String protocol);
-        ("n", num (float_of_int n));
-        ("relay_groups", num (float_of_int r));
+        ("n", int_num n);
+        ("relay_groups", int_num r);
         ("throughput_rps", num res.Runner.throughput_rps);
         ("mean_latency_ms", num (Stats.mean res.Runner.latency));
-        ("completed", num (float_of_int res.Runner.completed));
-        ("sim_events", num (float_of_int res.Runner.sim_events));
+        ("completed", int_num res.Runner.completed);
+        ("sim_events", int_num res.Runner.sim_events);
       ]
   in
-  let json =
-    Json.Obj
-      [
-        ("pr", num 8.0);
-        ("quick", Json.Bool quick);
-        ( "suite",
-          Json.String
-            "scale: throughput vs cluster size, direct vs relay trees" );
-        ("clients", num 64.0);
-        ("sizes", Json.List (List.map (fun n -> num (float_of_int n)) sizes));
-        ("points", Json.List (List.map point_json results));
-        ("relay_zero_identical", Json.Bool relay_zero_identical);
-      ]
-  in
-  write_json "BENCH_pr8.json" json
+  write_result ~pr:8 ~quick
+    ~suite:"scale: throughput vs cluster size, direct vs relay trees"
+    [
+      ("clients", num 64.0);
+      ("sizes", Json.List (List.map int_num sizes));
+      ("points", Json.List (List.map point_json results));
+      ("relay_zero_identical", Json.Bool relay_zero_identical);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Shard sweep: BENCH_pr9.json                                         *)
@@ -1130,10 +963,6 @@ let shard_n = 3
 
 let shard_dist_name = function `Uniform -> "uniform" | `Hotspot -> "hotspot"
 let shard_partition_name = function `Hash -> "hash" | `Range -> "range"
-
-let shard_workload = function
-  | `Uniform -> Workload.default
-  | `Hotspot -> Workload.hotspot ~keys:1000
 
 (* max/mean of the per-shard throughput series: 1.0 is perfect
    balance; K means one shard carries everything *)
@@ -1154,8 +983,7 @@ let shard_imbalance (res : Runner.result) =
    each group's initial leader. The client timeout exceeds the run
    horizon so over-the-knee points measure the saturated service rate,
    not a retry storm compounding the overload. *)
-let shard_point ?(arrival = `Poisson) ~shards ~partition ~dist ~rate () =
-  let (module P) = Paxi_protocols.Registry.find_exn "paxos" in
+let shard_point ~quick ?(arrival = `Poisson) ~shards ~partition ~dist ~rate () =
   let clients = 4 * shards in
   let per_client = rate /. float_of_int clients in
   let arrival_spec, arrival_tag =
@@ -1166,39 +994,32 @@ let shard_point ?(arrival = `Poisson) ~shards ~partition ~dist ~rate () =
             { rate_per_sec = per_client; on_ms = 50.0; off_ms = 150.0 },
           "bursty" )
   in
-  let config =
-    {
-      (Config.default ~n_replicas:shard_n) with
-      Config.seed =
-        point_seed
-          ( "shard",
-            shards,
-            shard_partition_name partition,
-            shard_dist_name dist,
-            arrival_tag,
-            int_of_float rate );
-      client_timeout_ms = 6_000.0;
-    }
-  in
-  let spec =
-    Runner.spec ~warmup_ms ~duration_ms:measured_ms ~config
-      ~topology:(Topology.lan ~n_replicas:shard_n ())
-      ~sharding:{ Runner.shards; partition }
-      ~client_specs:
-        [
-          Runner.clients ~target:(Runner.Fixed 0) ~arrival:arrival_spec
-            ~count:clients (shard_workload dist);
-        ]
-      ()
-  in
-  Runner.run (module P) spec
+  point ~quick ~n:shard_n
+    ~seed:
+      (point_seed
+         ( "shard",
+           shards,
+           shard_partition_name partition,
+           shard_dist_name dist,
+           arrival_tag,
+           int_of_float rate ))
+    ~configure:(fun c -> { c with Config.client_timeout_ms = 6_000.0 })
+    ~sharding:{ Runner.shards; partition }
+    "paxos"
+    [
+      Runner.clients ~target:(Runner.Fixed 0) ~arrival:arrival_spec
+        ~count:clients
+        (match dist with
+        | `Uniform -> Workload.default
+        | `Hotspot -> Workload.hotspot ~keys:1000);
+    ]
 
 (* Sharded saturation: K = 1/2/4/8 groups over one simulator, Poisson
    arrival ramp past the modeled knee, uniform vs 80/20 hotspot keys
    under hash vs range partitioning. Writes BENCH_pr9.json; CI's
    shard-smoke job gates the K=4-vs-K=1 saturation gain and the
    shards=1 identity bool on it. *)
-let shard () =
+let shard quick =
   Report.section
     "Shard: open-loop saturation vs group count K (paxos, 3 replicas/group)";
   let node = Service.default_node ~n:shard_n in
@@ -1223,15 +1044,11 @@ let shard () =
   let results =
     Parmap.map
       (fun ((dist, partition, shards, _, rate) as p) ->
-        (p, shard_point ~shards ~partition ~dist ~rate ()))
+        (p, shard_point ~quick ~shards ~partition ~dist ~rate ()))
       points
   in
   let find dist partition shards frac =
-    snd
-      (List.find
-         (fun ((d, p, k, f, _), _) ->
-           d = dist && p = partition && k = shards && f = frac)
-         results)
+    List.assoc (dist, partition, shards, frac, frac *. cap shards) results
   in
   let saturation dist partition shards =
     List.fold_left
@@ -1247,13 +1064,8 @@ let shard () =
       let sat1 = saturation dist partition 1 in
       Report.print_table
         ~header:
-          [
-            "K";
-            "saturation (ops/s)";
-            "vs K=1";
-            "imbalance (max/mean)";
-            "p99 at 1.2-1.3x (ms)";
-          ]
+          [ "K"; "saturation (ops/s)"; "vs K=1"; "imbalance (max/mean)";
+            "p99 at 1.2-1.3x (ms)" ]
         ~rows:
           (List.map
              (fun shards ->
@@ -1278,17 +1090,14 @@ let shard () =
      same requests/sec through the K=4 deployment but pays in p99 *)
   let b_shards = 4 in
   let b_rate = 0.7 *. cap b_shards in
-  let poisson_r, bursty_r =
-    match
-      Parmap.map
-        (fun arrival ->
-          shard_point ~arrival ~shards:b_shards ~partition:`Hash
-            ~dist:`Uniform ~rate:b_rate ())
-        [ `Poisson; `Bursty ]
-    with
-    | [ a; b ] -> (a, b)
-    | _ -> assert false
+  let b_runs =
+    Parmap.map
+      (fun arrival ->
+        shard_point ~quick ~arrival ~shards:b_shards ~partition:`Hash
+          ~dist:`Uniform ~rate:b_rate ())
+      [ `Poisson; `Bursty ]
   in
+  let poisson_r = List.nth b_runs 0 and bursty_r = List.nth b_runs 1 in
   let p99 (r : Runner.result) = Stats.percentile r.Runner.latency 99.0 in
   Printf.printf
     "K=4 at %.0f rps mean: poisson p99 %s ms, bursty (50/150ms on/off) p99 \
@@ -1302,60 +1111,40 @@ let shard () =
      the committed fig9 and shard baseline diffs and the fixed-seed
      pins in test/test_shard.ml.) *)
   let identity_run sharding =
-    let (module P) = Paxi_protocols.Registry.find_exn "paxos" in
-    let config =
-      {
-        (Config.default ~n_replicas:5) with
-        Config.seed = point_seed ("shard", "identity");
-      }
-    in
-    Runner.run
-      (module P)
-      (Runner.spec ~warmup_ms ~duration_ms:measured_ms ~config
-         ~topology:(Topology.lan ~n_replicas:5 ())
-         ?sharding
-         ~client_specs:
-           [ Runner.clients ~target:Runner.Round_robin ~count:8 Workload.default ]
-         ())
+    point ~quick ~n:5
+      ~seed:(point_seed ("shard", "identity"))
+      ?sharding "paxos"
+      (round_robin 8 Workload.default)
   in
   let legacy = identity_run None in
-  let sharded1 = identity_run (Some { Runner.shards = 1; partition = `Hash }) in
   let k1_identity =
-    legacy.Runner.throughput_rps = sharded1.Runner.throughput_rps
-    && Stats.samples legacy.Runner.latency
-       = Stats.samples sharded1.Runner.latency
-    && legacy.Runner.sim_events = sharded1.Runner.sim_events
+    same_stream legacy
+      (identity_run (Some { Runner.shards = 1; partition = `Hash }))
   in
   Printf.printf "shards=1 closed-loop byte-identical to the unsharded runner: %b\n"
     k1_identity;
-  let num x = Json.Number x in
+  let per_shard f (res : Runner.result) =
+    Json.List (Array.to_list (Array.map (fun s -> num (f s)) res.Runner.shard_stats))
+  in
   let point_json ((dist, partition, shards, frac, rate), (res : Runner.result))
       =
     Json.Obj
       [
         ("dist", Json.String (shard_dist_name dist));
         ("partition", Json.String (shard_partition_name partition));
-        ("shards", num (float_of_int shards));
+        ("shards", int_num shards);
         ("frac", num frac);
         ("offered_rps", num rate);
         ("throughput_rps", num res.Runner.throughput_rps);
         ("mean_latency_ms", num (Stats.mean res.Runner.latency));
         ("p99_latency_ms", num (Stats.percentile res.Runner.latency 99.0));
-        ("gave_up", num (float_of_int res.Runner.gave_up));
+        ("gave_up", int_num res.Runner.gave_up);
         ("imbalance", num (shard_imbalance res));
         ( "shard_throughput_rps",
-          Json.List
-            (Array.to_list
-               (Array.map
-                  (fun s -> num s.Runner.shard_throughput_rps)
-                  res.Runner.shard_stats)) );
+          per_shard (fun s -> s.Runner.shard_throughput_rps) res );
         ( "shard_leader_busy_ms",
-          Json.List
-            (Array.to_list
-               (Array.map
-                  (fun s -> num s.Runner.shard_leader_busy_ms)
-                  res.Runner.shard_stats)) );
-        ("sim_events", num (float_of_int res.Runner.sim_events));
+          per_shard (fun s -> s.Runner.shard_leader_busy_ms) res );
+        ("sim_events", int_num res.Runner.sim_events);
       ]
   in
   let sat_json =
@@ -1367,7 +1156,7 @@ let shard () =
               [
                 ("dist", Json.String (shard_dist_name dist));
                 ("partition", Json.String (shard_partition_name partition));
-                ("shards", num (float_of_int shards));
+                ("shards", int_num shards);
                 ("saturation_rps", num (saturation dist partition shards));
                 ( "imbalance",
                   num (shard_imbalance (find dist partition shards top_frac))
@@ -1376,36 +1165,27 @@ let shard () =
           ks)
       combos
   in
-  let json =
-    Json.Obj
-      [
-        ("pr", num 9.0);
-        ("quick", Json.Bool quick);
-        ( "suite",
-          Json.String
-            "shard: open-loop saturation vs group count, hotspot vs uniform" );
-        ("group_n", num (float_of_int shard_n));
-        ("ks", Json.List (List.map (fun k -> num (float_of_int k)) ks));
-        ("points", Json.List (List.map point_json results));
-        ("saturation", Json.List sat_json);
-        ( "bursty",
-          Json.Obj
-            [
-              ("shards", num (float_of_int b_shards));
-              ("rate_rps", num b_rate);
-              ("poisson_p99_ms", num (p99 poisson_r));
-              ("bursty_p99_ms", num (p99 bursty_r));
-            ] );
-        ("k1_identity", Json.Bool k1_identity);
-      ]
-  in
-  write_json "BENCH_pr9.json" json
+  write_result ~pr:9 ~quick
+    ~suite:"shard: open-loop saturation vs group count, hotspot vs uniform"
+    [
+      ("group_n", int_num shard_n);
+      ("ks", Json.List (List.map int_num ks));
+      ("points", Json.List (List.map point_json results));
+      ("saturation", Json.List sat_json);
+      ( "bursty",
+        Json.Obj
+          [
+            ("shards", int_num b_shards);
+            ("rate_rps", num b_rate);
+            ("poisson_p99_ms", num (p99 poisson_r));
+            ("bursty_p99_ms", num (p99 bursty_r));
+          ] );
+      ("k1_identity", Json.Bool k1_identity);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Recovery sweep: BENCH_pr10.json                                     *)
 (* ------------------------------------------------------------------ *)
-
-module Nemesis = Paxi_nemesis
 
 (* Durable-mode measurements (DESIGN.md §14), three parts:
 
@@ -1433,35 +1213,17 @@ let recovery_mode_tag = function
   | None -> "off"
   | Some (c : Storage.config) -> Storage.mode_to_string c.Storage.sync_mode
 
-let recovery_tax_point ~storage =
-  let (module P) = Paxi_protocols.Registry.find_exn "paxos" in
-  let config =
-    {
-      (Config.default ~n_replicas:5) with
-      (* one seed across all four modes: sync=none must reproduce the
-         storage-off stream bit for bit, and the other modes then
-         isolate the durability tax from seed noise *)
-      Config.seed = point_seed ("recovery", "tax");
-      Config.storage = storage;
-    }
-  in
-  Runner.run
-    (module P)
-    (Runner.spec ~warmup_ms ~duration_ms:measured_ms ~config
-       ~topology:(Topology.lan ~n_replicas:5 ())
-       ~client_specs:
-         [ Runner.clients ~target:(Runner.Fixed 0) ~count:16 Workload.default ]
-       ())
+let recovery_tax_point ~quick ~storage =
+  point ~quick ~n:5
+    (* one seed across all four modes: sync=none must reproduce the
+       storage-off stream bit for bit, and the other modes then
+       isolate the durability tax from seed noise *)
+    ~seed:(point_seed ("recovery", "tax"))
+    ~configure:(fun c -> { c with Config.storage })
+    "paxos"
+    [ Runner.clients ~target:(Runner.Fixed 0) ~count:16 Workload.default ]
 
-let recovery_crash_schedule ~seed =
-  let kinds =
-    { Nemesis.Schedule.no_kinds with Nemesis.Schedule.crash = true }
-  in
-  let rng = Rng.create ~seed in
-  Nemesis.Schedule.generate ~rng ~n:5 ~kinds ~max_faults:3
-    ~horizon_ms:Nemesis.Trial.horizon_ms
-
-let recovery () =
+let recovery quick =
   Report.section "Recovery: durability tax (paxos, 5-replica LAN, 16 clients)";
   let modes =
     [
@@ -1471,10 +1233,11 @@ let recovery () =
       Some (durable_cfg Storage.Sync_every);
     ]
   in
-  let tax = Parmap.map (fun m -> (m, recovery_tax_point ~storage:m)) modes in
+  let tax =
+    Parmap.map (fun m -> (m, recovery_tax_point ~quick ~storage:m)) modes
+  in
   let mean_fsync_ms (r : Runner.result) =
-    if r.Runner.storage_fsyncs = 0 then 0.0
-    else r.Runner.storage_busy_ms /. float_of_int r.Runner.storage_fsyncs
+    per r.Runner.storage_busy_ms r.Runner.storage_fsyncs
   in
   Report.print_table
     ~header:
@@ -1485,7 +1248,7 @@ let recovery () =
            [
              recovery_mode_tag m;
              Printf.sprintf "%.0f" r.Runner.throughput_rps;
-             Report.fms (Stats.mean r.Runner.latency);
+             mean_lat r;
              string_of_int r.Runner.storage_fsyncs;
              Report.fms (mean_fsync_ms r);
            ])
@@ -1498,10 +1261,7 @@ let recovery () =
      event heap or an RNG stream, so the run must be indistinguishable
      from a memory-only one *)
   let sync_none_identity =
-    off.Runner.throughput_rps = none.Runner.throughput_rps
-    && Stats.samples off.Runner.latency = Stats.samples none.Runner.latency
-    && off.Runner.sim_events = none.Runner.sim_events
-    && off.Runner.messages_sent = none.Runner.messages_sent
+    same_stream off none && off.Runner.messages_sent = none.Runner.messages_sent
   in
   Printf.printf "sync=none byte-identical to storage off: %b\n"
     sync_none_identity;
@@ -1509,9 +1269,7 @@ let recovery () =
   let seeds = if quick then [ 7; 8 ] else [ 7; 8; 9; 10; 11; 12 ] in
   (* raft additionally snapshots every 40 applied commands in the
      threshold-on arm, so its recoveries replay a bounded suffix *)
-  let arms =
-    [ ("paxos", 0); ("raft", 0); ("raft", 40) ]
-  in
+  let arms = [ ("paxos", 0); ("raft", 0); ("raft", 40) ] in
   let points =
     List.concat_map
       (fun (protocol, threshold) ->
@@ -1521,20 +1279,22 @@ let recovery () =
   let crash =
     Parmap.map
       (fun (protocol, threshold, seed) ->
-        let schedule = recovery_crash_schedule ~seed in
-        let v =
+        (* a crash-only schedule on the trial's five replicas *)
+        let schedule =
+          Nemesis.Schedule.generate ~rng:(Rng.create ~seed) ~n:5
+            ~kinds:{ Nemesis.Schedule.no_kinds with Nemesis.Schedule.crash = true }
+            ~max_faults:3 ~horizon_ms:Nemesis.Trial.horizon_ms
+        in
+        ( protocol,
+          threshold,
+          seed,
           Nemesis.Trial.run
             ~durable:(durable_cfg ~threshold Storage.Sync_every)
-            ~protocol ~seed schedule
-        in
-        (protocol, threshold, seed, v))
+            ~protocol ~seed schedule ))
       points
   in
   let replay_per_recovery (v : Nemesis.Trial.verdict) =
-    if v.Nemesis.Trial.recoveries = 0 then 0.0
-    else
-      v.Nemesis.Trial.replay_ms_total
-      /. float_of_int v.Nemesis.Trial.recoveries
+    per v.Nemesis.Trial.replay_ms_total v.Nemesis.Trial.recoveries
   in
   Report.print_table
     ~header:
@@ -1561,82 +1321,67 @@ let recovery () =
         Printf.printf "FAIL %s thr=%d seed %d: %s\n" protocol threshold seed
           (String.concat "; " v.Nemesis.Trial.reasons))
     crash;
-  let arm_stats want_proto want_thr =
+  let arm_replay want_proto want_thr =
     let vs =
       List.filter_map
         (fun (p, t, _, v) ->
           if p = want_proto && t = want_thr then Some v else None)
         crash
     in
-    let recs =
-      List.fold_left (fun a v -> a + v.Nemesis.Trial.recoveries) 0 vs
-    in
-    let replay =
-      List.fold_left (fun a v -> a +. v.Nemesis.Trial.replay_ms_total) 0.0 vs
-    in
-    (recs, if recs = 0 then 0.0 else replay /. float_of_int recs)
+    per
+      (List.fold_left (fun a v -> a +. v.Nemesis.Trial.replay_ms_total) 0.0 vs)
+      (List.fold_left (fun a v -> a + v.Nemesis.Trial.recoveries) 0 vs)
   in
-  let _, raft_plain_replay = arm_stats "raft" 0 in
-  let _, raft_snap_replay = arm_stats "raft" 40 in
+  let raft_plain_replay = arm_replay "raft" 0 in
+  let raft_snap_replay = arm_replay "raft" 40 in
   Printf.printf
     "raft replay per recovery: %.3f ms unbounded log, %.3f ms with \
      threshold-40 snapshots\n"
     raft_plain_replay raft_snap_replay;
   let all_ok = List.for_all (fun (_, _, _, v) -> v.Nemesis.Trial.ok) crash in
-  let num x = Json.Number x in
-  let json =
-    Json.Obj
-      [
-        ("pr", num 10.0);
-        ("quick", Json.Bool quick);
-        ( "suite",
-          Json.String
-            "recovery: durability tax, crash-and-recover, snapshot replay" );
-        ( "tax",
-          Json.List
-            (List.map
-               (fun (m, (r : Runner.result)) ->
-                 Json.Obj
-                   [
-                     ("mode", Json.String (recovery_mode_tag m));
-                     ("throughput_rps", num r.Runner.throughput_rps);
-                     ("mean_latency_ms", num (Stats.mean r.Runner.latency));
-                     ("fsyncs", num (float_of_int r.Runner.storage_fsyncs));
-                     ( "storage_writes",
-                       num (float_of_int r.Runner.storage_writes) );
-                     ("mean_fsync_ms", num (mean_fsync_ms r));
-                   ])
-               tax) );
-        ("sync_none_identity", Json.Bool sync_none_identity);
-        ( "crash",
-          Json.List
-            (List.map
-               (fun (protocol, threshold, seed, (v : Nemesis.Trial.verdict)) ->
-                 Json.Obj
-                   [
-                     ("protocol", Json.String protocol);
-                     ("snapshot_threshold", num (float_of_int threshold));
-                     ("seed", num (float_of_int seed));
-                     ("ok", Json.Bool v.Nemesis.Trial.ok);
-                     ( "recoveries",
-                       num (float_of_int v.Nemesis.Trial.recoveries) );
-                     ("replay_ms_total", num v.Nemesis.Trial.replay_ms_total);
-                     ("replay_ms_per_recovery", num (replay_per_recovery v));
-                     ( "timers_cancelled",
-                       num (float_of_int v.Nemesis.Trial.timers_cancelled) );
-                     ("completed", num (float_of_int v.Nemesis.Trial.completed));
-                   ])
-               crash) );
-        ("crash_all_ok", Json.Bool all_ok);
-        ( "raft_replay_ms_per_recovery",
-          Json.Obj
-            [
-              ("unbounded", num raft_plain_replay);
-              ("threshold_40", num raft_snap_replay);
-            ] );
-      ]
-  in
-  write_json "BENCH_pr10.json" json;
+  write_result ~pr:10 ~quick
+    ~suite:"recovery: durability tax, crash-and-recover, snapshot replay"
+    [
+      ( "tax",
+        Json.List
+          (List.map
+             (fun (m, (r : Runner.result)) ->
+               Json.Obj
+                 [
+                   ("mode", Json.String (recovery_mode_tag m));
+                   ("throughput_rps", num r.Runner.throughput_rps);
+                   ("mean_latency_ms", num (Stats.mean r.Runner.latency));
+                   ("fsyncs", int_num r.Runner.storage_fsyncs);
+                   ("storage_writes", int_num r.Runner.storage_writes);
+                   ("mean_fsync_ms", num (mean_fsync_ms r));
+                 ])
+             tax) );
+      ("sync_none_identity", Json.Bool sync_none_identity);
+      ( "crash",
+        Json.List
+          (List.map
+             (fun (protocol, threshold, seed, (v : Nemesis.Trial.verdict)) ->
+               Json.Obj
+                 [
+                   ("protocol", Json.String protocol);
+                   ("snapshot_threshold", int_num threshold);
+                   ("seed", int_num seed);
+                   ("ok", Json.Bool v.Nemesis.Trial.ok);
+                   ("recoveries", int_num v.Nemesis.Trial.recoveries);
+                   ("replay_ms_total", num v.Nemesis.Trial.replay_ms_total);
+                   ("replay_ms_per_recovery", num (replay_per_recovery v));
+                   ("timers_cancelled", int_num v.Nemesis.Trial.timers_cancelled);
+                   ("completed", int_num v.Nemesis.Trial.completed);
+                 ])
+             crash) );
+      ("crash_all_ok", Json.Bool all_ok);
+      ( "raft_replay_ms_per_recovery",
+        Json.Obj
+          [
+            ("unbounded", num raft_plain_replay);
+            ("threshold_40", num raft_snap_replay);
+          ] );
+    ];
   if not sync_none_identity then begin
     prerr_endline "recovery: sync=none diverged from the memory-only stream";
     exit 1
@@ -1645,39 +1390,6 @@ let recovery () =
     prerr_endline "recovery: a crash-and-recover trial failed its oracle";
     exit 1
   end
-
-(* ------------------------------------------------------------------ *)
-(* Dispatch                                                            *)
-(* ------------------------------------------------------------------ *)
-
-(* (name, run, in the run-everything default); the rest are runnable
-   by name only *)
-let experiments =
-  [
-    ("table1", table1, true);
-    ("fig3", fig3, true);
-    ("fig4", fig4, true);
-    ("fig7", fig7, true);
-    ("fig8", fig8, true);
-    ("fig9", fig9, true);
-    ("fig10", fig10, true);
-    ("fig11", fig11, true);
-    ("fig12", fig12, true);
-    ("fig13", fig13, true);
-    ("fig14", fig14, true);
-    ("formulas", formulas, true);
-    ("scalability", scalability, true);
-    ("availability", availability, true);
-    ("ycsb", ycsb, true);
-    ("openloop", openloop, true);
-    ("reads", reads, true);
-    ("ablate-thrifty", ablate_thrifty, true);
-    ("ablate-commit", ablate_commit, true);
-    ("ablate-penalty", ablate_penalty, true);
-    ("scale", scale, false);
-    ("shard", shard, false);
-    ("recovery", recovery, false);
-  ]
 
 (* ------------------------------------------------------------------ *)
 (* Flag values shared by the nemesis and dissect subcommands           *)
@@ -1749,18 +1461,22 @@ let arrival_arg =
     & opt (some (checked ~expects parse print)) None
     & info [ "arrival" ] ~docv:"ARRIVAL" ~doc:expects)
 
-(* split an aggregate-rate arrival across [count] clients *)
-let arrival_per_client arrival ~count =
-  let c = float_of_int count in
-  match arrival with
-  | Runner.Closed -> Runner.Closed
-  | Runner.Open { rate_per_sec } ->
-      Runner.Open { rate_per_sec = rate_per_sec /. c }
-  | Runner.Bursty { rate_per_sec; on_ms; off_ms } ->
-      Runner.Bursty { rate_per_sec = rate_per_sec /. c; on_ms; off_ms }
+let int_opt ?(from = 1) names ~doc =
+  Arg.(value & opt (some (int_from from)) None & info names ~docv:"N" ~doc)
 
-let int_opt name ~from ~doc =
-  Arg.(value & opt (some (int_from from)) None & info [ name ] ~docv:"N" ~doc)
+let quick_arg =
+  Arg.(
+    value & flag
+    & info [ "quick" ]
+        ~doc:"Shortened smoke run: fewer points and shorter measured windows.")
+
+(* exit 2 on a protocol the registry does not know *)
+let check_protocol cmd p =
+  if Paxi_protocols.Registry.find p = None then begin
+    Printf.eprintf "%s: unknown protocol %S (known: %s)\n" cmd p
+      (String.concat ", " Paxi_protocols.Registry.names);
+    exit 2
+  end
 
 (* ------------------------------------------------------------------ *)
 (* nemesis subcommand                                                  *)
@@ -1771,20 +1487,11 @@ let int_opt name ~from ~doc =
    printing a shrunk one-line repro for each failure. *)
 let nemesis_main protocols trials seed max_faults n relay_groups shards arrival
     read_ratio read_path skew json replay =
-  (* the trial drives 3 clients; split the aggregate rate *)
-  let arrival = Option.map (fun a -> arrival_per_client a ~count:3) arrival in
   let protocols =
     match List.concat protocols with
     | [] -> Paxi_protocols.Registry.names
     | ps ->
-        List.iter
-          (fun p ->
-            if Paxi_protocols.Registry.find p = None then begin
-              Printf.eprintf "nemesis: unknown protocol %S (known: %s)\n" p
-                (String.concat ", " Paxi_protocols.Registry.names);
-              exit 2
-            end)
-          ps;
+        List.iter (check_protocol "nemesis") ps;
         ps
   in
   (* lease campaigns always face the clock-skew fault: skew is what a
@@ -1844,9 +1551,9 @@ let nemesis_term =
     $ Arg.(value & opt (int_from 1) 8 & info [ "trials" ] ~docv:"N")
     $ Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N")
     $ Arg.(value & opt (int_from 1) 4 & info [ "max-faults" ] ~docv:"N")
-    $ int_opt "n" ~from:1 ~doc:"Cluster size (also spelled --n)."
-    $ int_opt "relay-groups" ~from:1 ~doc:"Relay groups per broadcast."
-    $ int_opt "shards" ~from:1 ~doc:"Independent consensus groups."
+    $ int_opt [ "n"; "nodes" ] ~doc:"Cluster size."
+    $ int_opt [ "relay-groups" ] ~doc:"Relay groups per broadcast."
+    $ int_opt [ "shards" ] ~doc:"Independent consensus groups."
     $ arrival_arg $ read_ratio_arg $ read_path_arg
     $ Arg.(value & flag & info [ "skew" ] ~doc:"Add the clock-skew fault.")
     $ Arg.(value & flag & info [ "json" ] ~doc:"Print the reports as JSON.")
@@ -1860,20 +1567,26 @@ let nemesis_term =
 (* dissect subcommand                                                  *)
 (* ------------------------------------------------------------------ *)
 
+(* A measured-vs-model table row, with the relative error *)
+let model_row name meas model =
+  [
+    name;
+    Report.fms meas;
+    Report.fms model;
+    (if model > 0.0 then
+       Printf.sprintf "%+.1f%%" (100.0 *. (meas -. model) /. model)
+     else "-");
+  ]
+
+let model_header = [ "term"; "measured (ms)"; "model (ms)"; "rel err" ]
+
 (* Latency dissection: run one traced open-loop point and print the
    measured wait/service/network breakdown next to the analytic
    model's Wq + ts + DL + DQ decomposition (§3.3). *)
 let dissect_main protocol load n_flag relay_groups shards arrival read_ratio
-    read_path durable trace_file (_quick : bool) =
+    read_path durable trace_file quick =
   let durable = Option.map durable_cfg durable in
-  let (module P) =
-    match Paxi_protocols.Registry.find protocol with
-    | Some p -> p
-    | None ->
-        Printf.eprintf "dissect: unknown protocol %S (known: %s)\n" protocol
-          (String.concat ", " Paxi_protocols.Registry.names);
-        exit 2
-  in
+  check_protocol "dissect" protocol;
   let n = Option.value n_flag ~default:5 in
   let node = Service.default_node ~n in
   let model_proto =
@@ -1922,65 +1635,52 @@ let dissect_main protocol load n_flag relay_groups shards arrival read_ratio
      otherwise; no read flags leaves the write-path point (and its
      seed) exactly as before *)
   let read_ratio =
-    match (read_ratio, read_path) with
-    | (Some _ as r), _ -> r
-    | None, Some _ -> Some 0.95
-    | None, None -> None
+    if read_ratio = None && read_path <> None then Some 0.95 else read_ratio
   in
-  let config =
-    {
-      (Config.default ~n_replicas:n) with
-      Config.seed =
-        (* big-n / relay / sharded / custom-arrival / durable points
-           get their own seed families; the default n=5 direct seeds
-           stay exactly as before *)
-        (if durable <> None then
-           point_seed
-             ("dissect", protocol, load, "durable", recovery_mode_tag durable)
-         else if shards > 1 || arrival <> None then
-           point_seed ("dissect", protocol, load, "shards", shards)
-         else
-           match (n_flag, relay_groups) with
-           | None, 0 -> (
-               match (read_ratio, read_path) with
-               | None, None -> point_seed ("dissect", protocol, load)
-               | r, p ->
-                   point_seed ("dissect", protocol, load, r, read_path_tag p))
-           | _, g -> point_seed ("dissect", protocol, load, n, g));
-      tracing = true;
-      relay_groups = relay_groups;
-      read_path = read_path;
-      storage = durable;
-    }
+  let seed =
+    (* big-n / relay / sharded / custom-arrival / durable points get
+       their own seed families; the default n=5 direct seeds stay
+       exactly as before *)
+    if durable <> None then
+      point_seed
+        ("dissect", protocol, load, "durable", recovery_mode_tag durable)
+    else if shards > 1 || arrival <> None then
+      point_seed ("dissect", protocol, load, "shards", shards)
+    else
+      match (n_flag, relay_groups) with
+      | None, 0 -> (
+          match (read_ratio, read_path) with
+          | None, None -> point_seed ("dissect", protocol, load)
+          | r, p -> point_seed ("dissect", protocol, load, r, read_path_tag p))
+      | _, g -> point_seed ("dissect", protocol, load, n, g)
   in
   let workload =
     match read_ratio with
     | Some r -> { Workload.default with Workload.write_ratio = 1.0 -. r }
     | None -> Workload.default
   in
-  let spec =
-    Runner.spec ~warmup_ms ~duration_ms:measured_ms ~config
-      ~topology:(Topology.lan ~n_replicas:n ())
-      ~sharding:{ Runner.shards; partition = `Hash }
-      ~client_specs:
-        [ (* straight to the serving node, as the model's DL assumes:
-             the leader, or the tail for chain tail reads *)
-          Runner.clients
-            ~target:
-              (Runner.Fixed
-                 (match read_path with Some Config.Tail -> n - 1 | _ -> 0))
-            ~arrival:
-              (match arrival with
-              | Some a -> arrival_per_client a ~count:4
-              | None -> Runner.Open { rate_per_sec = rate /. 4.0 })
-            ~count:4 workload ]
-      ()
-  in
   Report.section
     (Printf.sprintf "Latency dissection: %s at %.0f%% of modeled capacity \
                      (%.0f rps offered)"
        protocol (100.0 *. load) rate);
-  let result = Runner.run (module P) spec in
+  let result =
+    point ~quick ~n ~seed
+      ~configure:(fun c ->
+        { c with Config.tracing = true; relay_groups; read_path; storage = durable })
+      ~sharding:{ Runner.shards; partition = `Hash }
+      protocol
+      [ (* straight to the serving node, as the model's DL assumes:
+           the leader, or the tail for chain tail reads *)
+        Runner.clients
+          ~target:
+            (Runner.Fixed
+               (match read_path with Some Config.Tail -> n - 1 | _ -> 0))
+          ~arrival:
+            (Arrival.split ~count:4
+               (Option.value arrival
+                  ~default:(Runner.Open { rate_per_sec = rate })))
+          ~count:4 workload ]
+  in
   if shards > 1 then
     Printf.printf
       "(%d hash-partitioned groups; the trace, breakdown and model terms \
@@ -1994,6 +1694,10 @@ let dissect_main protocol load n_flag relay_groups shards arrival read_ratio
     exit 1
   end;
   let e2e_mean = Stats.mean e2e in
+  (* client RTT, measured on every request's first and last hop *)
+  let dl_meas =
+    Stats.mean (Paxi_obs.Trace.net_in tr) +. Stats.mean (Paxi_obs.Trace.net_out tr)
+  in
   let components = Paxi_obs.Trace.components tr in
   let sum_means =
     List.fold_left (fun acc (_, s) -> acc +. Stats.mean s) 0.0 components
@@ -2053,27 +1757,12 @@ let dissect_main protocol load n_flag relay_groups shards arrival read_ratio
              unsharded): its trace, its busiest replica, per-group
              offered load for the model *)
           let leader = result.Runner.shard_stats.(0).Runner.shard_leader in
-          let per_req total = total /. float_of_int requests in
-          let wq_meas = per_req (Paxi_obs.Trace.node_wait_ms tr leader) in
-          let ts_meas = per_req (Paxi_obs.Trace.node_busy_ms tr leader) in
-          let dl_meas =
-            Stats.mean (Paxi_obs.Trace.net_in tr)
-            +. Stats.mean (Paxi_obs.Trace.net_out tr)
-          in
+          let wq_meas = per (Paxi_obs.Trace.node_wait_ms tr leader) requests in
+          let ts_meas = per (Paxi_obs.Trace.node_busy_ms tr leader) requests in
           let dq_meas =
             let c = Paxi_obs.Trace.quorum_wait tr in
             if Stats.count c > 0 then Stats.mean c
             else Stats.mean (Paxi_obs.Trace.server_residency tr)
-          in
-          let row name meas model =
-            [
-              name;
-              Report.fms meas;
-              Report.fms model;
-              (if model > 0.0 then
-                 Printf.sprintf "%+.1f%%" (100.0 *. (meas -. model) /. model)
-               else "-");
-            ]
           in
           let who = if relay_groups > 0 then "busiest" else "leader" in
           (* the mean wait from a sync to its continuation (device
@@ -2081,28 +1770,24 @@ let dissect_main protocol load n_flag relay_groups shards arrival read_ratio
              model's durability term; 0 when storage is off or never
              on the measured path *)
           let fsync_meas =
-            if result.Runner.storage_syncs = 0 then 0.0
-            else
-              result.Runner.storage_sync_wait_ms
-              /. float_of_int result.Runner.storage_syncs
+            per result.Runner.storage_sync_wait_ms result.Runner.storage_syncs
           in
-          Report.print_table
-            ~header:[ "term"; "measured (ms)"; "model (ms)"; "rel err" ]
+          Report.print_table ~header:model_header
             ~rows:
               ([
-                 row
+                 model_row
                    (Printf.sprintf "queue wait Wq (%s)" who)
                    wq_meas b.Latency_model.wq_ms;
-                 row
+                 model_row
                    (Printf.sprintf "service ts (%s)" who)
                    ts_meas b.Latency_model.service_ms;
-                 row "client net DL" dl_meas b.Latency_model.dl_ms;
-                 row "quorum DQ" dq_meas b.Latency_model.dq_ms;
+                 model_row "client net DL" dl_meas b.Latency_model.dl_ms;
+                 model_row "quorum DQ" dq_meas b.Latency_model.dq_ms;
                ]
               @ (if durable <> None then
-                   [ row "fsync Dfsync" fsync_meas b.Latency_model.durability_ms ]
+                   [ model_row "fsync Dfsync" fsync_meas b.Latency_model.durability_ms ]
                  else [])
-              @ [ row "total" e2e_mean b.Latency_model.total_ms ]);
+              @ [ model_row "total" e2e_mean b.Latency_model.total_ms ]);
           print_endline
             "(measured leader wait/occupancy include every message at the \n\
              busiest node — heartbeats and quorum replies, not only the \n\
@@ -2179,35 +1864,19 @@ let dissect_main protocol load n_flag relay_groups shards arrival read_ratio
              ~lan:Latency_model.default_lan ~rng
          in
          let read_mean = Stats.mean reads in
-         (* client RTT is measured on every request's first and last
-            hop; the remainder of a fast read is serve time (plus the
-            quorum rounds for ABD reads), which the model prices as
-            service + DQ *)
-         let dl_meas =
-           Stats.mean (Paxi_obs.Trace.net_in tr)
-           +. Stats.mean (Paxi_obs.Trace.net_out tr)
-         in
-         let row name meas model =
-           [
-             name;
-             Report.fms meas;
-             Report.fms model;
-             (if model > 0.0 then
-                Printf.sprintf "%+.1f%%" (100.0 *. (meas -. model) /. model)
-              else "-");
-           ]
-         in
          Report.section
            (Printf.sprintf "Read path: %s measured vs model"
               (Latency_model.read_kind_name kind));
-         Report.print_table
-           ~header:[ "term"; "measured (ms)"; "model (ms)"; "rel err" ]
+         (* the remainder of a fast read past the client RTT is serve
+            time (plus the quorum rounds for ABD reads), which the
+            model prices as service + DQ *)
+         Report.print_table ~header:model_header
            ~rows:
              [
-               row "client net DL" dl_meas rb.Latency_model.dl_ms;
-               row "serve + quorum (residual)" (read_mean -. dl_meas)
+               model_row "client net DL" dl_meas rb.Latency_model.dl_ms;
+               model_row "serve + quorum (residual)" (read_mean -. dl_meas)
                  (rb.Latency_model.service_ms +. rb.Latency_model.dq_ms);
-               row "read end-to-end" read_mean rb.Latency_model.total_ms;
+               model_row "read end-to-end" read_mean rb.Latency_model.total_ms;
              ];
          if Stats.count writes > 0 then
            Printf.printf
@@ -2237,7 +1906,7 @@ let dissect_main protocol load n_flag relay_groups shards arrival read_ratio
       (List.map
          (fun (label, count) -> [ label; string_of_int count ])
          (Paxi_obs.Trace.message_counts tr));
-  (match trace_file with
+  match trace_file with
   | None -> ()
   | Some path ->
       Out_channel.with_open_text path (fun oc ->
@@ -2245,7 +1914,7 @@ let dissect_main protocol load n_flag relay_groups shards arrival read_ratio
             (Json.to_string (Paxi_obs.Trace.to_chrome_json tr)));
       Printf.printf "wrote %d spans to %s (open in chrome://tracing)\n"
         (Paxi_obs.Trace.span_count tr)
-        path)
+        path
 
 let dissect_term =
   let durable =
@@ -2263,7 +1932,7 @@ let dissect_term =
             0.6
         & info [ "load" ] ~docv:"FRAC"
             ~doc:"Offered load as a fraction of modeled capacity.")
-    $ int_opt "n" ~from:3 ~doc:"Cluster size (also spelled --n; default 5)."
+    $ int_opt ~from:3 [ "n"; "nodes" ] ~doc:"Cluster size (default 5)."
     $ Arg.(value & opt (int_from 0) 0 & info [ "relay-groups" ] ~docv:"N")
     $ Arg.(value & opt (int_from 1) 1 & info [ "shards" ] ~docv:"N")
     $ arrival_arg $ read_ratio_arg $ read_path_arg
@@ -2276,43 +1945,69 @@ let dissect_term =
         value
         & opt (some string) None
         & info [ "trace" ] ~docv:"FILE" ~doc:"Write a Chrome trace to FILE.")
-    (* the global [quick] reads --quick off argv; declared so it parses *)
-    $ Arg.(
-        value & flag
-        & info [ "quick" ] ~doc:"Shortened run, as PAXI_BENCH_QUICK=1."))
+    $ quick_arg)
 
-(* Evaluate a subcommand on the argv tail after its name. Cmdliner
-   spells a one-letter option -n; the cluster-size flag has always
-   been --n, so that spelling is passed on as -n. Exceptions escape
-   uncaught, as they did before cmdliner. *)
-let eval_subcommand name term args =
-  let name = "main.exe " ^ name in
-  let args = List.map (function "--n" -> "-n" | a -> a) args in
-  exit
-    (Cmd.eval ~catch:false
-       ~argv:(Array.of_list (name :: args))
-       (Cmd.v (Cmd.info name) term))
+(* ------------------------------------------------------------------ *)
+(* Command line                                                       *)
+(* ------------------------------------------------------------------ *)
 
-let run_experiments names =
-  let names = List.filter (fun n -> n <> "--quick") names in
-  let find name =
-    match List.find_opt (fun (n, _, _) -> n = name) experiments with
-    | Some (_, run, _) -> run
-    | None ->
-        Printf.eprintf "unknown experiment %S (known: %s, nemesis, dissect)\n"
-          name
-          (String.concat ", " (List.map (fun (n, _, _) -> n) experiments));
-        exit 1
-  in
-  match names with
-  | [] ->
-      List.iter (fun (_, run, in_default) -> if in_default then run ())
-        experiments
-  | _ -> List.iter (fun name -> find name ()) names
+(* the analytic experiments have no shortened mode *)
+let model f (_ : bool) = f ()
+
+(* (name, summary, run, in the run-everything default); the rest are
+   runnable by name only *)
+let experiments =
+  [
+    ("table1", "Queue waiting-time models.", model table1, true);
+    ("fig3", "Intra-region RTT distribution.", model fig3, true);
+    ("fig4", "Queueing models vs measured Paxos.", fig4, true);
+    ("fig7", "Paxos vs Raft on a 9-replica LAN.", fig7, true);
+    ("fig8", "Modeled LAN latency vs throughput.", model fig8, true);
+    ("fig9", "Measured LAN latency vs throughput.", fig9, true);
+    ("fig10", "Modeled WAN latency vs throughput.", model fig10, true);
+    ("fig11", "Per-region latency vs conflict ratio.", fig11, true);
+    ("fig12", "Modeled EPaxos capacity vs conflict ratio.", model fig12, true);
+    ("fig13", "Locality workload across five regions.", fig13, true);
+    ("fig14", "Table 4 and the protocol selection flowchart.", model fig14, true);
+    ("formulas", "Section 6 load, capacity and latency formulas.", model formulas, true);
+    ("scalability", "Throughput vs cluster and key-space size.", scalability, true);
+    ("availability", "Throughput timeline across a leader crash.", availability, true);
+    ("ycsb", "YCSB core workloads.", ycsb, true);
+    ("openloop", "Poisson arrivals vs the M/D/1 model.", openloop, true);
+    ("reads", "Read paths vs the write path.", reads, true);
+    ("ablate-thrifty", "Thrifty quorums on and off.", ablate_thrifty, true);
+    ("ablate-commit", "Piggybacked vs explicit commit.", ablate_commit, true);
+    ("ablate-penalty", "EPaxos dependency-bookkeeping penalty.", ablate_penalty, true);
+    ("scale", "Relay trees vs cluster size; writes BENCH_pr8.json.", scale, false);
+    ("shard", "Sharded saturation; writes BENCH_pr9.json.", shard, false);
+    ("recovery", "Durability tax and crash recovery; writes BENCH_pr10.json.", recovery, false);
+  ]
 
 let () =
-  match Array.to_list Sys.argv with
-  | _ :: "nemesis" :: rest -> eval_subcommand "nemesis" nemesis_term rest
-  | _ :: "dissect" :: rest -> eval_subcommand "dissect" dissect_term rest
-  | _ :: names -> run_experiments names
-  | [] -> run_experiments []
+  let experiment (name, doc, run, _) =
+    Cmd.v (Cmd.info name ~doc) Term.(const run $ quick_arg)
+  in
+  let default_set quick =
+    List.iter (fun (_, _, run, in_default) -> if in_default then run quick)
+      experiments
+  in
+  let cmds =
+    List.map experiment experiments
+    @ [
+        Cmd.v
+          (Cmd.info "nemesis" ~doc:"Randomized fault-schedule campaigns.")
+          nemesis_term;
+        Cmd.v
+          (Cmd.info "dissect" ~doc:"Measured latency breakdown vs the model.")
+          dissect_term;
+      ]
+  in
+  exit
+    (Cmd.eval ~catch:false
+       (Cmd.group
+          ~default:Term.(const default_set $ quick_arg)
+          (Cmd.info "main.exe"
+             ~doc:"Regenerate the paper's tables and figures. With no \
+                   command, runs every experiment except scale, shard and \
+                   recovery.")
+          cmds))

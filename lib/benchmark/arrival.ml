@@ -17,6 +17,14 @@ let rate_per_sec = function
   | Closed -> None
   | Open { rate_per_sec } | Bursty { rate_per_sec; _ } -> Some rate_per_sec
 
+let split t ~count =
+  let c = float_of_int count in
+  match t with
+  | Closed -> Closed
+  | Open { rate_per_sec } -> Open { rate_per_sec = rate_per_sec /. c }
+  | Bursty { rate_per_sec; on_ms; off_ms } ->
+      Bursty { rate_per_sec = rate_per_sec /. c; on_ms; off_ms }
+
 (* The burst-window rate that preserves the requested long-run average:
    all arrivals are squeezed into the on fraction of each cycle. *)
 let burst_rate ~rate_per_sec ~on_ms ~off_ms =

@@ -24,6 +24,9 @@ val validate : t -> (unit, string) result
 val rate_per_sec : t -> float option
 (** Long-run average arrival rate; [None] for [Closed]. *)
 
+val split : t -> count:int -> t
+(** One of [count] equal streams whose rates sum to [t]'s. *)
+
 val next_gap_ms : t -> rng:Rng.t -> now_ms:float -> float
 (** Milliseconds from [now_ms] until the next arrival. Draws exactly
     one exponential per call for both open-loop models ([Bursty]

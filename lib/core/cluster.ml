@@ -321,11 +321,7 @@ module Make (P : Proto.RUNNABLE) = struct
       | None -> Array.make n None
       | Some sc ->
           Array.init n (fun i ->
-              let tm = timers.(i) in
-              Some
-                (Storage.create ~config:sc ~sim
-                   ~schedule:(fun delay f ->
-                     ignore (Timers.track tm (Sim.schedule_after sim ~delay f)))))
+              Some (Storage.create ~config:sc ~sim ~timers:timers.(i)))
     in
     let t =
       {

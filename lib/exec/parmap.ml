@@ -2,8 +2,3 @@ let pool_of = function Some p -> p | None -> Pool.default ()
 
 let map ?pool f xs =
   Pool.run_list (pool_of pool) (List.map (fun x () -> f x) xs)
-
-let mapi ?pool f xs =
-  Pool.run_list (pool_of pool) (List.mapi (fun i x () -> f i x) xs)
-
-let iter ?pool f xs = ignore (map ?pool f xs)

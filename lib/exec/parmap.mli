@@ -8,5 +8,3 @@
     honours [PAXI_JOBS]. *)
 
 val map : ?pool:Pool.t -> ('a -> 'b) -> 'a list -> 'b list
-val mapi : ?pool:Pool.t -> (int -> 'a -> 'b) -> 'a list -> 'b list
-val iter : ?pool:Pool.t -> ('a -> unit) -> 'a list -> unit

@@ -4,7 +4,6 @@ type kind =
   | Mg1 of { service_cv2 : float }
   | Gg1 of { arrival_cv2 : float; service_cv2 : float }
 
-let utilization ~lambda ~mu = lambda /. mu
 let is_stable ~lambda ~mu = lambda > 0.0 && lambda < mu
 
 let wait_time kind ~lambda ~mu =

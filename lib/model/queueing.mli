@@ -19,4 +19,3 @@ type kind =
 val wait_time : kind -> lambda:float -> mu:float -> float
 (** Expected wait Wq (seconds). *)
 
-val utilization : lambda:float -> mu:float -> float

@@ -60,26 +60,6 @@ let paxos_relay p ~groups =
     follow_share = 0.0;
   }
 
-(* Batched leader round of b commands: b client requests in, ONE
-   phase-2 broadcast serialization (the batch is one message), N-1
-   batched acks in, b client replies out. Per command that is the
-   s(b) = t_poll + b*t_op shape: the (N-1)*t_in + t_out round overhead
-   amortizes across the batch while per-command work (client in/out,
-   NIC bytes) stays linear. Reduces to [paxos] at b = 1. *)
-let paxos_batched p ~size =
-  let b = fi (Stdlib.max 1 size) in
-  let n = fi p.n in
-  let lead_cpu =
-    (((b +. n -. 1.0) *. p.t_in_ms) +. ((b +. 1.0) *. p.t_out_ms)) /. b
-  in
-  let lead_nic = 2.0 *. n *. nic_ms p in
-  {
-    lead_ms = lead_cpu +. lead_nic;
-    follow_ms = 0.0;
-    lead_share = 1.0;
-    follow_share = 0.0;
-  }
-
 let epaxos p ~penalty ~conflict =
   let ti = p.t_in_ms *. penalty and to_ = p.t_out_ms *. penalty in
   let n = fi p.n in

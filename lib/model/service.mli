@@ -49,14 +49,6 @@ val paxos_relay : node_params -> groups:int -> round_cost
     (that node gates saturation); [follow_ms] reports the relay's own
     cost. Reduces to roughly {!paxos} at r = N-1. *)
 
-val paxos_batched : node_params -> size:int -> round_cost
-(** Leader batching at batch size [b = size]: one phase-2 broadcast and one
-    ack per follower cover [b] commands, so per-command leader CPU is
-    [((b + N - 1)*t_in + (b + 1)*t_out) / b] — the [s(b) = t_poll +
-    b*t_op] amortization with the round's fixed overhead spread over
-    the batch. NIC time per command is unchanged (the batched message
-    carries [b] commands' bytes). Equals {!paxos} at [size = 1]. *)
-
 val epaxos : node_params -> penalty:float -> conflict:float -> round_cost
 (** Every node leads 1/N of rounds; [penalty] multiplies CPU costs for
     dependency bookkeeping; conflicting rounds add an accept phase. *)

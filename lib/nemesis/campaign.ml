@@ -15,6 +15,7 @@ type report = {
   max_faults : int;
   passed : int;
   failures : outcome list;
+  deployment : string list;
 }
 
 (* Each trial's seed hashes its own identity (protocol, root seed,
@@ -28,23 +29,49 @@ let run_trial ?n ?read_ratio ?read_path ?relay_groups ?shards ?arrival ~skew
     ~protocol ~root ~max_faults ~shrink_budget index =
   let seed = trial_seed ~protocol ~root index in
   let schedule = Trial.generate ?n ~skew ~protocol ~seed ~max_faults () in
-  let verdict =
+  let trial =
     Trial.run ?n ?read_ratio ?read_path ?relay_groups ?shards ?arrival
-      ~protocol ~seed schedule
+      ~protocol ~seed
   in
+  let verdict = trial schedule in
   let shrunk =
     if verdict.Trial.ok then None
     else
       Some
         (Shrink.shrink ~budget:shrink_budget
-           ~still_fails:(fun candidate ->
-             not
-               (Trial.run ?n ?read_ratio ?read_path ?relay_groups ?shards
-                  ?arrival ~protocol ~seed candidate)
-                 .Trial.ok)
+           ~still_fails:(fun candidate -> not (trial candidate).Trial.ok)
            schedule)
   in
   { trial = index; seed; schedule; verdict; shrunk }
+
+(* The deployment flags in the bench CLI's spelling (a lease is its
+   300 ms margin). Floats print in the shortest of %.15g / %.17g that
+   reads back exactly: a repro replays the very rate the trial ran. *)
+let deployment_flags ?n ?read_ratio ?read_path ?relay_groups ?shards ?arrival
+    () =
+  let exact x =
+    let s = Printf.sprintf "%.15g" x in
+    if float_of_string s = x then s else Printf.sprintf "%.17g" x
+  in
+  let flag name show = Option.fold ~none:[] ~some:(fun v -> [ name; show v ]) in
+  List.concat
+    [
+      flag "-n" string_of_int n;
+      flag "--relay-groups" string_of_int relay_groups;
+      flag "--shards" string_of_int shards;
+      flag "--read-ratio" exact read_ratio;
+      flag "--read-path"
+        (function
+          | Config.Lease _ -> "lease" | Quorum -> "quorum" | Tail -> "tail")
+        read_path;
+      flag "--arrival"
+        (function
+          | Runner.Closed -> "closed"
+          | Open { rate_per_sec } -> "poisson:" ^ exact rate_per_sec
+          | Bursty { rate_per_sec = r; on_ms; off_ms } ->
+              String.concat ":" [ "bursty"; exact r; exact on_ms; exact off_ms ])
+        arrival;
+    ]
 
 let run ?pool ?(shrink_budget = 120) ?(max_faults = 4) ?n ?read_ratio
     ?read_path ?relay_groups ?shards ?arrival ?(skew = false) ~protocol
@@ -65,11 +92,16 @@ let run ?pool ?(shrink_budget = 120) ?(max_faults = 4) ?n ?read_ratio
     max_faults;
     passed = trials - List.length failures;
     failures;
+    deployment =
+      deployment_flags ?n ?read_ratio ?read_path ?relay_groups ?shards
+        ?arrival ();
   }
 
-let repro_line ~protocol ~seed schedule =
-  Printf.sprintf "bench/main.exe -- nemesis --protocol %s --seed %d --replay '%s'"
-    protocol seed
+let repro_line r ~seed schedule =
+  Printf.sprintf "bench/main.exe -- nemesis --protocol %s%s --seed %d --replay '%s'"
+    r.protocol
+    (String.concat "" (List.map (( ^ ) " ") r.deployment))
+    seed
     (Json.to_string (Schedule.to_json schedule))
 
 let outcome_to_json o =
@@ -122,5 +154,5 @@ let pp ppf r =
         probes (List.length shrunk)
         (if List.length shrunk = 1 then "" else "s")
         (Schedule.to_string shrunk)
-        (repro_line ~protocol:r.protocol ~seed:o.seed shrunk))
+        (repro_line r ~seed:o.seed shrunk))
     r.failures

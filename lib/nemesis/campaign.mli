@@ -22,6 +22,11 @@ type report = {
   max_faults : int;
   passed : int;
   failures : outcome list;
+  deployment : string list;
+      (** the deployment flags the trials ran with ([-n],
+          [--relay-groups], [--shards], [--read-ratio], [--read-path],
+          [--arrival]), in the bench CLI's spelling; empty at the
+          defaults *)
 }
 
 val run :
@@ -44,13 +49,16 @@ val run :
     Shrinking runs inside each trial's task, so pooling schedules
     whole trials. [?n] overrides the profile's cluster size;
     [?read_ratio]/[?read_path] set every trial's read share and
-    read-serving strategy; [?relay_groups] routes paxos/raft rounds through
+    read-serving strategy; [?arrival] is the aggregate offered load
+    ({!Trial.run}); [?relay_groups] routes paxos/raft rounds through
     relay trees — the relay-crash campaign; [?skew] (default false)
     lets the generator draw clock-skew faults — with the read knobs,
     the adversarial read campaign. *)
 
-val repro_line : protocol:string -> seed:int -> Schedule.t -> string
-(** The exact CLI invocation that replays a (shrunk) failing trial. *)
+val repro_line : report -> seed:int -> Schedule.t -> string
+(** The exact CLI invocation that replays a (shrunk) failing trial of
+    the campaign: its protocol and deployment flags, the trial's seed
+    and the schedule. *)
 
 val to_json : report -> Json.t
 (** Deterministic report encoding; CI diffs this across [PAXI_JOBS]

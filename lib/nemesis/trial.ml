@@ -156,7 +156,9 @@ let run ?n ?read_ratio ?read_path ?(relay_groups = 0) ?(shards = 1) ?arrival
       ~config
       ~topology:(Runner.lan_topology ~zoned:profile.zoned profile.n)
       ~client_specs:
-        (Runner.lan_clients ?arrival ~zoned:profile.zoned ~count:3 workload)
+        (Runner.lan_clients
+           ?arrival:(Option.map (Arrival.split ~count:3) arrival)
+           ~zoned:profile.zoned ~count:3 workload)
       ()
   in
   let result = Runner.run (module P) spec in

@@ -71,7 +71,8 @@ val run :
     relay failures. [?shards] (default 1) runs
     K hash-partitioned groups over the shared fault plane (faults are
     machine-scoped: replica [i] of every group fails together) and
-    [?arrival] (default closed-loop) swaps the client pacing model, so
+    [?arrival] (default closed-loop) swaps the client pacing model, its
+    rate the aggregate split across the trial's three clients, so
     the oracle also covers sharded and open-loop configurations.
     [?durable] (default off) arms the stable-storage model: crashes
     destroy volatile state and recovery boots a fresh replica from

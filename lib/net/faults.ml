@@ -117,52 +117,55 @@ let partition_severed groups src dst =
   | Some ga, Some gb -> not (ga == gb)
   | _ -> false
 
+(* The rule scans sit apart from the queries below, as [crashed] does
+   for [is_crashed], so the queries inline and the clock reading they
+   take stays unboxed while no rule is active. *)
+let skew_sum rules ~now_ms node =
+  List.fold_left
+    (fun acc rule ->
+      match rule with
+      | Skew { node = n; w; offset_ms }
+        when Address.equal n node && in_window w now_ms ->
+          acc +. offset_ms
+      | _ -> acc)
+    0.0 rules
+
 (* Deterministic (no RNG draws): a node's clock error at a given
    instant is the sum of the active skew offsets, so fault-free runs
    and runs whose skew windows never overlap a query are bit-identical
    to a skew-free schedule. *)
 let clock_offset t ~now_ms node =
-  match active t ~now_ms with
-  | [] -> 0.0
-  | rules ->
-      List.fold_left
-        (fun acc rule ->
-          match rule with
-          | Skew { node = n; w; offset_ms }
-            when Address.equal n node && in_window w now_ms ->
-              acc +. offset_ms
-          | _ -> acc)
-        0.0 rules
+  match active t ~now_ms with [] -> 0.0 | rules -> skew_sum rules ~now_ms node
+
+let dropped rules rng ~now_ms ~src ~dst =
+  crashed rules ~now_ms src || crashed rules ~now_ms dst
+  || List.exists
+       (function
+         | Drop { src = s; dst = d; w } ->
+             in_window w now_ms && link_matches ~src ~dst s d
+         | Flaky { src = s; dst = d; w; p_drop } ->
+             in_window w now_ms && link_matches ~src ~dst s d
+             && Rng.bernoulli rng ~p:p_drop
+         | Partition { groups; w } ->
+             in_window w now_ms && partition_severed groups src dst
+         | Crash _ | Slow _ | Skew _ -> false)
+       rules
+
+let slowed rules rng ~now_ms ~src ~dst =
+  List.fold_left
+    (fun acc rule ->
+      match rule with
+      | Slow { src = s; dst = d; w; extra_ms }
+        when in_window w now_ms && link_matches ~src ~dst s d ->
+          acc +. Rng.float rng extra_ms
+      | _ -> acc)
+    0.0 rules
 
 let should_drop t rng ~now_ms ~src ~dst =
-  match active t ~now_ms with
-  | [] -> false
-  | rules ->
-      crashed rules ~now_ms src || crashed rules ~now_ms dst
-      || List.exists
-           (function
-             | Drop { src = s; dst = d; w } ->
-                 in_window w now_ms && link_matches ~src ~dst s d
-             | Flaky { src = s; dst = d; w; p_drop } ->
-                 in_window w now_ms && link_matches ~src ~dst s d
-                 && Rng.bernoulli rng ~p:p_drop
-             | Partition { groups; w } ->
-                 in_window w now_ms && partition_severed groups src dst
-             | Crash _ | Slow _ | Skew _ -> false)
-           rules
+  match active t ~now_ms with [] -> false | r -> dropped r rng ~now_ms ~src ~dst
 
 let extra_delay t rng ~now_ms ~src ~dst =
-  match active t ~now_ms with
-  | [] -> 0.0
-  | rules ->
-      List.fold_left
-        (fun acc rule ->
-          match rule with
-          | Slow { src = s; dst = d; w; extra_ms }
-            when in_window w now_ms && link_matches ~src ~dst s d ->
-              acc +. Rng.float rng extra_ms
-          | _ -> acc)
-        0.0 rules
+  match active t ~now_ms with [] -> 0.0 | r -> slowed r rng ~now_ms ~src ~dst
 
 let rule_count t = List.length t.rules
 

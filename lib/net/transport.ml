@@ -198,8 +198,10 @@ let ring_pop n =
 
 (* ---- commit and the node's agent ------------------------------------ *)
 
-(* Commit every arrival at [n] up to the position [(now, seq)]. *)
-let commit t n ~now ~seq =
+(* Commit every arrival at [n] up to the simulator's position: its
+   clock and the running event's seq. *)
+let commit t n =
+  let now = Sim.now t.sim and seq = Sim.current_seq t.sim in
   while
     n.fl_n > 0
     &&
@@ -230,9 +232,6 @@ let commit t n ~now ~seq =
     ring_push n id
   done
 
-let commit_to_position t n =
-  if n.fl_n > 0 then commit t n ~now:(Sim.now t.sim) ~seq:(Sim.current_seq t.sim)
-
 (* Set [n]'s agent to its next handler call: the committed head, or
    else the earliest arrival at the ready time committing it would
    give. The queue as it stands is the one that arrival will join: a
@@ -257,13 +256,12 @@ let resched t n =
    before the handler runs — a handler that sends sees a settled
    queue. *)
 let fire t n =
-  let now = Sim.now t.sim in
-  commit t n ~now ~seq:(Sim.current_seq t.sim);
+  commit t n;
   let id = ring_pop n in
   resched t n;
   let src = t.d_src.(id) and msg = t.d_msg.(id) in
   free_delivery t id;
-  if Faults.is_crashed t.faults ~now_ms:now n.addr then
+  if Faults.is_crashed t.faults ~now_ms:(Sim.now t.sim) n.addr then
     t.dropped <- t.dropped + 1
   else
     match (n.handler, msg) with
@@ -319,13 +317,8 @@ let node t addr =
 (* ---- settling ------------------------------------------------------ *)
 
 let settle t =
-  let now = Sim.now t.sim and seq = Sim.current_seq t.sim in
-  Array.iter
-    (function Some n when n.fl_n > 0 -> commit t n ~now ~seq | _ -> ())
-    t.r_nodes;
-  Address.Table.iter
-    (fun _ n -> if n.fl_n > 0 then commit t n ~now ~seq)
-    t.c_nodes
+  Array.iter (function Some n -> commit t n | None -> ()) t.r_nodes;
+  Address.Table.iter (fun _ n -> commit t n) t.c_nodes
 
 let wake_doom t =
   match t.doomed with
@@ -397,19 +390,21 @@ let create ~sim ~topology ?(faults = Faults.create ())
 
 let procq t addr =
   let n = node t addr in
-  commit_to_position t n;
+  commit t n;
   n.q
 
 let register t addr handler = (node t addr).handler <- Some handler
 
 (* ---- sending -------------------------------------------------------- *)
 
-(* Occupy [src]'s queue for one outgoing batch at [now], after
-   committing what arrived before it; the departure time lands in
-   [t.departure.(0)]. *)
-let occupy_outgoing t src ~now ~copies ~size_bytes =
+(* Occupy [src]'s queue for one outgoing batch now, after committing
+   what arrived before it; the departure time lands in
+   [t.departure.(0)]. The send path reads the clock where it uses it,
+   since a float passed to a call that is not inlined is boxed. *)
+let occupy_outgoing t src ~copies ~size_bytes =
+  let now = Sim.now t.sim in
   let n = node t src in
-  commit_to_position t n;
+  commit t n;
   (match t.observer with
   | None ->
       t.departure.(0) <-
@@ -426,7 +421,7 @@ let occupy_outgoing t src ~now ~copies ~size_bytes =
 
 (* Queue one copy for [dst], arriving at [arrival]. The seq claimed
    here is the one the arrival would hold as an event of its own. *)
-let deliver t ~src ~dst ~size_bytes ~sent msg ~arrival =
+let deliver t ~src ~dst ~size_bytes msg ~arrival =
   let seq = Sim.alloc_seq t.sim in
   if
     (not (Faults.is_empty t.faults))
@@ -439,7 +434,7 @@ let deliver t ~src ~dst ~size_bytes ~sent msg ~arrival =
     t.d_msg.(id) <- msg;
     t.d_size.(id) <- size_bytes;
     t.d_seq.(id) <- seq;
-    t.d_sent.(id) <- sent;
+    t.d_sent.(id) <- Sim.now t.sim;
     t.d_arrival.(id) <- arrival;
     fl_push t n id;
     if n.r_n = 0 && n.fl.(0) = id then resched t n
@@ -447,14 +442,15 @@ let deliver t ~src ~dst ~size_bytes ~sent msg ~arrival =
 
 (* One copy on the wire: drop draw, delay draw, extra-delay draw, in
    that order, after the sender's queue gave its departure time. *)
-let transmit t ~src ~dst ~size_bytes ~now msg =
+let transmit t ~src ~dst ~size_bytes msg =
+  let now = Sim.now t.sim in
   t.sent <- t.sent + 1;
   if Faults.should_drop t.faults t.rng ~now_ms:now ~src ~dst then
     t.dropped <- t.dropped + 1
   else begin
     let delay = Topology.sample_delay t.topology t.rng src dst in
     let extra = Faults.extra_delay t.faults t.rng ~now_ms:now ~src ~dst in
-    deliver t ~src ~dst ~size_bytes ~sent:now msg
+    deliver t ~src ~dst ~size_bytes msg
       ~arrival:(t.departure.(0) +. delay +. extra)
   end
 
@@ -462,8 +458,7 @@ let transmit t ~src ~dst ~size_bytes ~now msg =
    replies, forwards, acks — has one destination. Accounting and draw
    order are [dispatch ~dsts:[dst]]'s. *)
 let send_one t ~src ~dst ~size_bytes msg =
-  let now = Sim.now t.sim in
-  if Faults.is_crashed t.faults ~now_ms:now src then begin
+  if Faults.is_crashed t.faults ~now_ms:(Sim.now t.sim) src then begin
     (* a crashed sender still "attempts" the send: count it in [sent]
        exactly like the live path so sent = delivered + dropped +
        in-flight holds on both paths. *)
@@ -471,8 +466,8 @@ let send_one t ~src ~dst ~size_bytes msg =
     t.dropped <- t.dropped + 1
   end
   else begin
-    occupy_outgoing t src ~now ~copies:1 ~size_bytes;
-    transmit t ~src ~dst ~size_bytes ~now (Some msg)
+    occupy_outgoing t src ~copies:1 ~size_bytes;
+    transmit t ~src ~dst ~size_bytes (Some msg)
   end
 
 let dispatch t ~src ~dsts ~size_bytes msg =
@@ -480,16 +475,15 @@ let dispatch t ~src ~dsts ~size_bytes msg =
   | [] -> ()
   | [ dst ] -> send_one t ~src ~dst ~size_bytes msg
   | dsts ->
-      let now = Sim.now t.sim in
       let copies = List.length dsts in
-      if Faults.is_crashed t.faults ~now_ms:now src then begin
+      if Faults.is_crashed t.faults ~now_ms:(Sim.now t.sim) src then begin
         t.sent <- t.sent + copies;
         t.dropped <- t.dropped + copies
       end
       else begin
-        occupy_outgoing t src ~now ~copies ~size_bytes;
+        occupy_outgoing t src ~copies ~size_bytes;
         let msg = Some msg in
-        List.iter (fun dst -> transmit t ~src ~dst ~size_bytes ~now msg) dsts
+        List.iter (fun dst -> transmit t ~src ~dst ~size_bytes msg) dsts
       end
 
 let send t ~src ~dst ?size_bytes msg =

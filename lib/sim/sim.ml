@@ -51,7 +51,9 @@ type t = {
   mutable lane_slots : int array;
   mutable lane_head : int;
   mutable lane_len : int;
-  mutable clock : float;
+  clock : float array;
+      (* the virtual clock in a 1-slot float array: a mutable float
+         field of this mixed record would box on every store *)
   mutable cur_seq : int;
       (* seq of the event running now (or last run by [step]); after
          [run]/[run_until], one above every seq claimed before *)
@@ -72,14 +74,14 @@ let create ?(seed = 42) () =
     lane_slots = [||];
     lane_head = 0;
     lane_len = 0;
-    clock = 0.0;
+    clock = Array.make 1 0.0;
     cur_seq = -1;
     fired = 0;
     on_stop = [];
     root_rng = Rng.create ~seed;
   }
 
-let now t = t.clock
+let now t = t.clock.(0)
 let rng t = t.root_rng
 let events_fired t = t.fired
 let current_seq t = t.cur_seq
@@ -155,11 +157,11 @@ let lane_push t ~seq ~slot =
 (* ---- scheduling ----------------------------------------------------- *)
 
 let schedule_at t ~time thunk =
-  if time < t.clock then
+  if time < t.clock.(0) then
     invalid_arg
-      (Printf.sprintf "Sim.schedule_at: time %g < now %g" time t.clock);
+      (Printf.sprintf "Sim.schedule_at: time %g < now %g" time t.clock.(0));
   let s = alloc_slot t thunk in
-  if time = t.clock then
+  if time = t.clock.(0) then
     lane_push t ~seq:(Event_queue.alloc_seq t.queue) ~slot:s
   else begin
     Event_queue.push t.queue ~time s;
@@ -168,7 +170,7 @@ let schedule_at t ~time thunk =
   handle_of t s
 
 let schedule_after t ~delay thunk =
-  schedule_at t ~time:(t.clock +. Float.max 0.0 delay) thunk
+  schedule_at t ~time:(t.clock.(0) +. Float.max 0.0 delay) thunk
 
 let schedule_immediate t thunk =
   let s = alloc_slot t thunk in
@@ -226,8 +228,9 @@ let rest t a =
 
 (* ---- execution ------------------------------------------------------ *)
 
-let exec t time seq slot =
-  t.clock <- time;
+(* Run [slot]'s event at position [seq]; the caller has set the clock
+   to the event's time. *)
+let exec t seq slot =
   t.cur_seq <- seq;
   let st = t.state.(slot) in
   let thunk = t.thunks.(slot) in
@@ -249,21 +252,21 @@ let exec_lane_head t =
   let slot = t.lane_slots.(i) in
   t.lane_head <- (i + 1) land (Array.length t.lane_seqs - 1);
   t.lane_len <- t.lane_len - 1;
-  exec t t.clock t.lane_seqs.(i) slot
+  exec t t.lane_seqs.(i) slot
 
 let exec_heap_top t =
-  let time = Event_queue.top_time t.queue in
+  t.clock.(0) <- Event_queue.top_time t.queue;
   let seq = Event_queue.top_seq t.queue in
   let slot = Event_queue.top_slot t.queue in
   Event_queue.drop_top t.queue;
-  exec t time seq slot
+  exec t seq slot
 
 (* Earliest event across the heap and the lane. Lane entries all sit
    at [t.clock]; a heap entry at the same time fires first iff its seq
    is smaller (it was scheduled earlier). *)
 let heap_precedes_lane t =
   (not (Event_queue.is_empty t.queue))
-  && Event_queue.top_time t.queue <= t.clock
+  && Event_queue.top_time t.queue <= t.clock.(0)
   && Event_queue.top_seq t.queue < t.lane_seqs.(t.lane_head)
 
 (* Every event up to the clock has run: the position is past every
@@ -283,7 +286,7 @@ let run_until t horizon =
     then exec_heap_top t
     else continue := false
   done;
-  if horizon > t.clock then t.clock <- horizon;
+  if horizon > t.clock.(0) then t.clock.(0) <- horizon;
   stop t
 
 let run t =

@@ -29,11 +29,10 @@
    snapshot.
 
    Writing a record allocates nothing, and a sync nothing beyond the
-   caller's continuation and the delay it boxes for [schedule]
-   (DESIGN.md §14): records wait in a ring of parallel arrays, syncs
-   in a ring of (continuation, sync time), and in-flight fsyncs in a
-   FIFO ring of (journal end, waiter end); the durable log is pages of
-   parallel arrays.
+   caller's continuation (DESIGN.md §14): records wait in a ring of
+   parallel arrays, syncs in a ring of (continuation, sync time), and
+   in-flight fsyncs in a FIFO ring of (journal end, waiter end); the
+   durable log is pages of parallel arrays.
 
    The record vocabulary is deliberately protocol-agnostic — integer
    registers, (index, a, b, cmd) log entries, snapshot images of
@@ -185,9 +184,9 @@ type clock = {
 type t = {
   config : config;
   sim : Sim.t;
-  schedule : float -> (unit -> unit) -> unit;
-      (* crash-domain-tracked scheduler: every completion event it
-         creates dies with the owner at the crash edge *)
+  timers : Timers.t;
+      (* the owner's crash domain: every completion event is tracked
+         there and dies with the owner at the crash edge *)
   (* durable image *)
   mutable regs : int array;
   mutable pages : page array;
@@ -385,6 +384,9 @@ let complete t =
     k ()
   done
 
+let[@inline] schedule t ~delay k =
+  ignore (Timers.track t.timers (Sim.schedule_after t.sim ~delay k))
+
 (* One fsync covering every record and waiter so far; it starts when
    the previous fsync finishes. *)
 let begin_fsync t =
@@ -403,7 +405,7 @@ let begin_fsync t =
   t.clock.busy_until <- done_at;
   t.clock.busy_ms <- t.clock.busy_ms +. dur;
   t.n_fsyncs <- t.n_fsyncs + 1;
-  t.schedule (done_at -. now) t.complete
+  schedule t ~delay:(done_at -. now) t.complete
 
 let flush t =
   t.flush_scheduled <- false;
@@ -416,12 +418,12 @@ let arm t =
   t.complete <- (fun () -> if t.epoch = epoch then complete t);
   t.flush <- (fun () -> if t.epoch = epoch then flush t)
 
-let create ~config ~sim ~schedule =
+let create ~config ~sim ~timers =
   let t =
     {
       config;
       sim;
-      schedule;
+      timers;
       regs = [||];
       pages = [||];
       entries = 0;
@@ -478,7 +480,7 @@ let sync t k =
       if t.config.sync_mode = Sync_every then begin_fsync t
       else if not t.flush_scheduled then begin
         t.flush_scheduled <- true;
-        t.schedule t.config.batch_window_ms t.flush
+        schedule t ~delay:t.config.batch_window_ms t.flush
       end
 
 (* ---- crash ----------------------------------------------------------- *)

@@ -39,11 +39,12 @@ type t
 val create :
   config:config ->
   sim:Sim.t ->
-  schedule:(float -> (unit -> unit) -> unit) ->
+  timers:Timers.t ->
   t
-(** [schedule delay k] must route through the owner's crash-domain
-    timer registry so fsync completions die with the replica. Every
-    array is allocated on first use. *)
+(** Device events (fsync completions, group-commit flushes) are
+    scheduled on [sim] and tracked in [timers], the owner's crash
+    domain, so they die with the replica. Every array is allocated on
+    first use. *)
 
 val snapshot_threshold : t -> int
 
@@ -73,8 +74,7 @@ val sync : t -> (unit -> unit) -> unit
 (** Make the tail durable, then run the continuation. [Sync_none] is
     synchronous; [Sync_every] schedules one fsync on the FIFO device;
     [Sync_batched] joins the open group-commit window. Continuations
-    run in sync order. The device allocates nothing for a sync; the
-    only allocation is the delay boxed through [schedule]. *)
+    run in sync order. The device allocates nothing for a sync. *)
 
 val crash : t -> unit
 (** Lose every record not yet durable (counted in [lost_writes]),

@@ -1,31 +1,6 @@
-(* Mseries, Report, Registry *)
+(* Report, Registry *)
 
 open Paxi_benchmark
-
-let test_mseries_counting () =
-  let m = Mseries.create ~window_ms:100.0 in
-  Mseries.record m ~now_ms:10.0;
-  Mseries.record m ~now_ms:50.0;
-  Mseries.record m ~now_ms:150.0;
-  Mseries.record_n m ~now_ms:250.0 ~n:3;
-  Alcotest.(check int) "total" 6 (Mseries.total m);
-  Alcotest.(check (list (pair (float 0.0) int)))
-    "buckets"
-    [ (0.0, 2); (100.0, 1); (200.0, 3) ]
-    (Mseries.buckets m)
-
-let test_mseries_rate () =
-  let m = Mseries.create ~window_ms:100.0 in
-  for i = 0 to 9 do
-    Mseries.record m ~now_ms:(float_of_int i *. 100.0)
-  done;
-  (* 10 events over 1 second *)
-  Alcotest.(check (float 1e-9)) "rate" 10.0
-    (Mseries.rate_per_sec m ~from_ms:0.0 ~until_ms:1000.0);
-  Alcotest.(check (float 1e-9)) "partial window" 10.0
-    (Mseries.rate_per_sec m ~from_ms:0.0 ~until_ms:500.0);
-  Alcotest.(check (float 0.0)) "empty interval" 0.0
-    (Mseries.rate_per_sec m ~from_ms:100.0 ~until_ms:100.0)
 
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
@@ -119,8 +94,6 @@ let test_registry_find_exn_raises () =
 let suite =
   ( "misc",
     [
-      Alcotest.test_case "mseries counting" `Quick test_mseries_counting;
-      Alcotest.test_case "mseries rate" `Quick test_mseries_rate;
       Alcotest.test_case "report table" `Quick test_report_table;
       Alcotest.test_case "report csv" `Quick test_report_csv;
       Alcotest.test_case "report csv quoting" `Quick test_report_csv_quoting;

@@ -20,7 +20,7 @@ let test_campaign protocol () =
       Printf.printf "%s trial %d failed: %s\n  repro: %s\n" protocol
         o.Campaign.trial
         (String.concat "; " o.Campaign.verdict.Trial.reasons)
-        (Campaign.repro_line ~protocol ~seed:o.Campaign.seed shrunk))
+        (Campaign.repro_line report ~seed:o.Campaign.seed shrunk))
     report.Campaign.failures;
   Alcotest.(check int)
     (protocol ^ " campaign failures")
@@ -367,7 +367,7 @@ let test_lease_campaign_with_skew protocol () =
       Printf.printf "%s lease trial %d failed: %s\n  repro: %s\n" protocol
         o.Campaign.trial
         (String.concat "; " o.Campaign.verdict.Trial.reasons)
-        (Campaign.repro_line ~protocol ~seed:o.Campaign.seed shrunk))
+        (Campaign.repro_line report ~seed:o.Campaign.seed shrunk))
     report.Campaign.failures;
   Alcotest.(check int)
     (protocol ^ " lease campaign failures")
@@ -388,6 +388,35 @@ let test_trial_detects_unsurvivable_fault () =
   let v = Trial.run ~protocol:"mencius" ~seed:11 schedule in
   Alcotest.(check bool) "mencius fails under partition" false v.Trial.ok;
   Alcotest.(check bool) "made some progress first" true (v.Trial.completed > 0)
+
+(* A repro line replays the failing trial only if it carries the
+   deployment the campaign ran with: every flag, in the CLI's
+   spelling, with rates and ratios that read back bit for bit. *)
+let test_repro_carries_deployment () =
+  let schedule =
+    [ Schedule.Crash { node = 1; from_ms = 400.0; duration_ms = 600.0 } ]
+  in
+  let replay = Json.to_string (Schedule.to_json schedule) in
+  let plain = Campaign.run ~protocol:"paxos" ~trials:0 ~seed:42 () in
+  Alcotest.(check string) "defaults add no flags"
+    ("bench/main.exe -- nemesis --protocol paxos --seed 7 --replay '"
+   ^ replay ^ "'")
+    (Campaign.repro_line plain ~seed:7 schedule);
+  let rate = 0.1 +. 0.2 in
+  let r =
+    Campaign.run ~protocol:"raft" ~trials:0 ~seed:42 ~n:9 ~relay_groups:2
+      ~shards:4 ~read_ratio:0.95
+      ~read_path:(Config.Lease { margin_ms = 300.0 })
+      ~arrival:(Paxi_benchmark.Runner.Open { rate_per_sec = rate })
+      ()
+  in
+  Alcotest.(check string) "every deployment flag"
+    ("bench/main.exe -- nemesis --protocol raft -n 9 --relay-groups 2 \
+      --shards 4 --read-ratio 0.95 --read-path lease --arrival \
+      poisson:0.30000000000000004 --seed 7 --replay '" ^ replay ^ "'")
+    (Campaign.repro_line r ~seed:7 schedule);
+  Alcotest.(check (float 0.0)) "rate reads back exactly" rate
+    (float_of_string "0.30000000000000004")
 
 let suite =
   ( "nemesis",
@@ -422,6 +451,8 @@ let suite =
         Alcotest.test_case "trial detects unsurvivable fault" `Slow
           test_trial_detects_unsurvivable_fault;
         Alcotest.test_case "skew opt-in" `Quick test_skew_opt_in;
+        Alcotest.test_case "repro carries deployment flags" `Quick
+          test_repro_carries_deployment;
         Alcotest.test_case "skew schedule roundtrip" `Quick
           test_skew_schedule_roundtrip;
         Alcotest.test_case "lease reads survive partition+skew" `Slow

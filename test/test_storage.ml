@@ -28,11 +28,9 @@ let durable_with ?(threshold = 0) mode =
 
 let make_storage ?(mode = Storage.Sync_every) () =
   let sim = Sim.create ~seed:1 () in
+  (* a crash domain that is never cancelled *)
   let st =
-    Storage.create
-      ~config:(durable_with mode)
-      ~sim
-      ~schedule:(fun delay k -> ignore (Sim.schedule_after sim ~delay k))
+    Storage.create ~config:(durable_with mode) ~sim ~timers:(Timers.create sim)
   in
   (sim, st)
 
