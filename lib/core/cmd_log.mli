@@ -1,0 +1,66 @@
+(** The command log of the multi-Paxos slot protocols — paxos, wpaxos
+    (one log per object) and mencius: a {!Slot_log} of command entries
+    and the four rules every one of them applies to it. A protocol
+    keeps its own ballots, quorums and slot ownership; this module
+    decides what an accept, a learned commit and execution do to an
+    entry.
+
+    Displaced clients: an entry records the client its proposer
+    answers once the slot executes. When an accept or a learned commit
+    puts a different command in the slot, that client is dropped: its
+    command did not take the slot, and it must never receive another
+    command's result. It retries, and the executor's memo answers a
+    command decided twice. *)
+
+type entry = {
+  mutable ballot : Ballot.t;  (** of the accepted command *)
+  mutable cmd : Command.t;
+  mutable client : Address.t option;  (** answered when the slot executes *)
+  mutable committed : bool;
+}
+
+type t
+
+val create : Executor.t -> _ Proto.env -> t
+(** An empty log that applies commands through the executor and
+    answers clients through the env's [reply], as its replica. *)
+
+val set_leading : t -> (unit -> bool) -> unit
+(** Whether the replica leads right now; {!execute}'s replies then
+    name it as the leader. Never, by default. *)
+
+val set_apply : t -> (int -> entry -> Command.value option -> unit) -> unit
+(** A hook {!execute} runs on each slot right after applying it and
+    before answering its client; it may take the client
+    ([e.client <- None]) to answer it later. None by default. *)
+
+val get : t -> int -> entry option
+val exec_frontier : t -> int
+val next_slot : t -> int
+val iter_from : t -> start:int -> f:(int -> entry -> unit) -> unit
+
+val propose :
+  t -> int -> ballot:Ballot.t -> client:Address.t -> Command.t -> unit
+(** A fresh proposal at an unused slot, answered to [client]. *)
+
+val accept : t -> int -> ballot:Ballot.t -> Command.t -> bool
+(** Accept a command at [ballot] unless the slot is committed
+    ([false], nothing changes). A different command already there is
+    displaced. *)
+
+val learn : t -> int -> ballot:Ballot.t -> Command.t -> unit
+(** The slot committed this command (which displaces a different one);
+    [ballot] is recorded only for a slot the log lacked. *)
+
+val commit : t -> int -> bool
+(** The slot's phase-2 quorum is complete: mark its accepted command
+    committed. [false] when the slot is empty or was committed. *)
+
+val commit_below : t -> int -> bool
+(** Mark committed every accepted slot below a commit frontier the
+    leader advertised ({!Slot_log.commit_below}); whether any was. *)
+
+val execute : t -> unit
+(** Apply the committed prefix in slot order, answering each recorded
+    client once. Nothing else executes; re-entrant calls from a hook
+    or a reply continue at the next slot. *)

@@ -1,6 +1,8 @@
 (** Growable replicated-log abstraction shared by the multi-decree
     protocols: a sparse array of per-slot entries plus an execution
-    frontier. The entry type is protocol-specific. *)
+    frontier. Paxos, wpaxos and mencius hold {!Cmd_log} entries and
+    reach this module only through it; raft keeps its own entry type,
+    because it replaces entries by truncation and commits by index. *)
 
 type 'a t
 

@@ -25,17 +25,6 @@ let pp ppf = function
 
 let to_string t = Format.asprintf "%a" pp t
 
-let of_string s =
-  if String.length s < 2 then None
-  else
-    match int_of_string_opt (String.sub s 1 (String.length s - 1)) with
-    | Some i when i >= 0 -> (
-        match s.[0] with
-        | 'n' -> Some (Replica i)
-        | 'c' -> Some (Client i)
-        | _ -> None)
-    | _ -> None
-
 module Ord = struct
   type nonrec t = t
 

@@ -17,10 +17,6 @@ val hash : t -> int
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
-val of_string : string -> t option
-(** Inverse of {!to_string}: ["n3"] is [Replica 3], ["c7"] is
-    [Client 7]. *)
-
 module Map : Map.S with type key = t
 module Set : Set.S with type elt = t
 module Table : Hashtbl.S with type key = t

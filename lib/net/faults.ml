@@ -219,88 +219,6 @@ let rule_to_json = function
         @ [ ("offset_ms", Json.Number offset_ms) ])
 
 (* Rules are stored newest-first; serialize in the order they were
-   added so [of_json] re-adds them in the same order and rebuilds an
-   identical internal list (flaky rules draw from the RNG in list
-   order, so order is part of behaviour). *)
+   added (flaky rules draw from the RNG in list order, so order is
+   part of behaviour). *)
 let to_json t = Json.List (List.rev_map rule_to_json t.rules)
-
-let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
-
-(* [List.map] in the result monad: the first error wins. *)
-let map_ok f l =
-  let* rev =
-    List.fold_left
-      (fun acc x ->
-        let* acc = acc in
-        let* y = f x in
-        Ok (y :: acc))
-      (Ok []) l
-  in
-  Ok (List.rev rev)
-
-let parse_addr ctx = function
-  | Some (Json.String s) -> (
-      match Address.of_string s with
-      | Some a -> Ok a
-      | None -> Error (Printf.sprintf "%s: bad address %S" ctx s))
-  | _ -> Error (Printf.sprintf "%s: expected an address string" ctx)
-
-let parse_float ctx = function
-  | Some (Json.Number f) -> Ok f
-  | _ -> Error (Printf.sprintf "%s: expected a number" ctx)
-
-let rule_of_json j =
-  match Json.member "kind" j with
-  | Some (Json.String kind) -> (
-      let* from_ms = parse_float "from_ms" (Json.member "from_ms" j) in
-      let* duration_ms =
-        parse_float "duration_ms" (Json.member "duration_ms" j)
-      in
-      let w = window ~from_ms ~duration_ms in
-      let link () =
-        let* src = parse_addr "src" (Json.member "src" j) in
-        let* dst = parse_addr "dst" (Json.member "dst" j) in
-        Ok (src, dst)
-      in
-      match kind with
-      | "crash" ->
-          let* node = parse_addr "node" (Json.member "node" j) in
-          Ok (Crash { node; w })
-      | "drop" ->
-          let* src, dst = link () in
-          Ok (Drop { src; dst; w })
-      | "slow" ->
-          let* src, dst = link () in
-          let* extra_ms = parse_float "extra_ms" (Json.member "extra_ms" j) in
-          Ok (Slow { src; dst; w; extra_ms })
-      | "flaky" ->
-          let* src, dst = link () in
-          let* p_drop = parse_float "p_drop" (Json.member "p_drop" j) in
-          Ok (Flaky { src; dst; w; p_drop })
-      | "skew" ->
-          let* node = parse_addr "node" (Json.member "node" j) in
-          let* offset_ms = parse_float "offset_ms" (Json.member "offset_ms" j) in
-          Ok (Skew { node; w; offset_ms })
-      | "partition" -> (
-          match Json.member "groups" j with
-          | Some (Json.List groups) ->
-              let group = function
-                | Json.List ms ->
-                    let addr m = parse_addr "group member" (Some m) in
-                    let* ms = map_ok addr ms in
-                    Ok (Address.Set.of_list ms)
-                | _ -> Error "partition: group must be a list"
-              in
-              let* groups = map_ok group groups in
-              Ok (Partition { groups; w })
-          | _ -> Error "partition: missing groups")
-      | k -> Error (Printf.sprintf "unknown fault kind %S" k))
-  | _ -> Error "fault rule: missing kind"
-
-let of_json = function
-  | Json.List rules ->
-      let* rules = map_ok rule_of_json rules in
-      let t = create () in
-      List.iter (add t) rules;
-      Ok t
-  | _ -> Error "fault schedule: expected a list"

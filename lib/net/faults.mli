@@ -92,8 +92,3 @@ val to_json : t -> Json.t
 (** Serialize the schedule, preserving the order rules were added in
     (flaky rules consume RNG draws in rule order, so order is part of
     behaviour). *)
-
-val of_json : Json.t -> (t, string) result
-(** Inverse of {!to_json}: [of_json (to_json s)] yields a schedule
-    with verdict-identical [should_drop] / [extra_delay] /
-    [is_crashed] behaviour, RNG draw for RNG draw. *)

@@ -16,26 +16,23 @@ let message_label = function
   | MSkip _ -> "MSkip"
   | MCommit _ -> "MCommit"
 
-type entry = {
-  mutable cmd : Command.t;
-  mutable client : Address.t option;
-  mutable quorum : Quorum.t option;
-  mutable committed : bool;
-}
-
 type replica = {
   env : message Proto.env;
-  log : entry Slot_log.t;
+  log : Cmd_log.t;
   exec : Executor.t;
+  flights : (int, Quorum.t) Hashtbl.t;
+      (* own slots awaiting their accept majority *)
   mutable next_own : int; (* smallest unused owned slot *)
   mutable skips : int;
 }
 
 let create (env : _ Proto.env) =
+  let exec = Executor.create () in
   {
     env;
-    log = Slot_log.create ();
-    exec = Executor.create ();
+    log = Cmd_log.create exec env;
+    exec;
+    flights = Hashtbl.create 16;
     next_own = env.Proto.id;
     skips = 0;
   }
@@ -47,24 +44,8 @@ let leader_of_key (t : replica) (_ : Command.key) = Some t.env.id
 
 let all_ids (t : replica) = List.init t.env.n (fun i -> i)
 
-let advance t =
-  Slot_log.advance_frontier t.log
-    ~executable:(fun (e : entry) -> e.committed)
-    ~f:(fun _slot (e : entry) ->
-      let read = Executor.execute t.exec e.cmd in
-      match e.client with
-      | Some client ->
-          e.client <- None;
-          t.env.reply client
-            { Proto.command = e.cmd; read; replier = t.env.id; leader_hint = None }
-      | None -> ())
-
-let commit_up_to t bound =
-  if
-    Slot_log.commit_below t.log bound
-      ~pending:(fun (e : entry) -> not e.committed)
-      ~mark:(fun (e : entry) -> e.committed <- true)
-  then advance t
+let advance t = Cmd_log.execute t.log
+let commit_up_to t bound = if Cmd_log.commit_below t.log bound then advance t
 
 (* Commit no-ops in [owner_id]'s slots within [from_slot, upto).
    [from_slot] is the owner's first unused slot at announce time, so
@@ -74,15 +55,7 @@ let apply_skip t ~owner_id ~from_slot ~upto =
   (* first owned slot of owner_id at or above from_slot *)
   let slot = ref (owner_id + (((Stdlib.max 0 (from_slot - owner_id)) + n - 1) / n * n)) in
   while !slot < upto do
-    (match Slot_log.get t.log !slot with
-    | Some (e : entry) when e.committed -> ()
-    | Some e ->
-        e.cmd <- Command.noop;
-        e.client <- None;
-        e.committed <- true
-    | None ->
-        Slot_log.set t.log !slot
-          { cmd = Command.noop; client = None; quorum = None; committed = true });
+    Cmd_log.learn t.log !slot ~ballot:Ballot.zero Command.noop;
     slot := !slot + n
   done;
   advance t
@@ -104,33 +77,20 @@ let on_request t ~client (request : Proto.request) =
   t.next_own <- slot + t.env.n;
   let tracker = Quorum.create (Quorum.Majority (all_ids t)) in
   Quorum.ack tracker t.env.id;
-  let e =
-    {
-      cmd = request.Proto.command;
-      client = Some client;
-      quorum = Some tracker;
-      committed = false;
-    }
-  in
-  Slot_log.set t.log slot e;
+  Cmd_log.propose t.log slot ~ballot:Ballot.zero ~client request.Proto.command;
   t.env.broadcast
     (MAccept
-       { slot; cmd = request.Proto.command; commit_up_to = Slot_log.exec_frontier t.log });
+       { slot; cmd = request.Proto.command; commit_up_to = Cmd_log.exec_frontier t.log });
   (* at n = 1 the self-ack is already a majority: no MAcceptOk will
      ever arrive to complete it *)
   if Quorum.satisfied tracker then begin
-    e.committed <- true;
+    ignore (Cmd_log.commit t.log slot);
     advance t
   end
+  else Hashtbl.replace t.flights slot tracker
 
 let on_accept t ~src ~slot ~cmd ~commit_up_to:bound =
-  (match Slot_log.get t.log slot with
-  | Some (e : entry) when e.committed -> ()
-  | Some e ->
-      if not (Command.equal e.cmd cmd) then e.client <- None;
-      e.cmd <- cmd
-  | None ->
-      Slot_log.set t.log slot { cmd; client = None; quorum = None; committed = false });
+  ignore (Cmd_log.accept t.log slot ~ballot:Ballot.zero cmd);
   commit_up_to t bound;
   (* another owner is at [slot]; skip our own stale slots below it so
      the frontier can advance without us *)
@@ -138,24 +98,21 @@ let on_accept t ~src ~slot ~cmd ~commit_up_to:bound =
   t.env.send src (MAcceptOk { slot })
 
 let on_accept_ok t ~src ~slot =
-  match Slot_log.get t.log slot with
-  | Some ({ quorum = Some tracker; committed = false; _ } as e : entry) ->
+  match Hashtbl.find_opt t.flights slot with
+  | Some tracker ->
       Quorum.ack tracker src;
       if Quorum.satisfied tracker then begin
-        e.committed <- true;
-        advance t;
-        t.env.broadcast (MCommit { slot; cmd = e.cmd })
+        Hashtbl.remove t.flights slot;
+        match Cmd_log.get t.log slot with
+        | Some e when Cmd_log.commit t.log slot ->
+            advance t;
+            t.env.broadcast (MCommit { slot; cmd = e.Cmd_log.cmd })
+        | _ -> ()
       end
-  | _ -> ()
+  | None -> ()
 
 let on_commit t ~slot ~cmd =
-  (match Slot_log.get t.log slot with
-  | Some (e : entry) ->
-      if not (Command.equal e.cmd cmd) then e.client <- None;
-      e.cmd <- cmd;
-      e.committed <- true
-  | None ->
-      Slot_log.set t.log slot { cmd; client = None; quorum = None; committed = true });
+  Cmd_log.learn t.log slot ~ballot:Ballot.zero cmd;
   advance t;
   skip_own_below t slot
 

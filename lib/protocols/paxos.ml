@@ -62,13 +62,6 @@ let message_label = function
   | RelayRound _ -> "RelayRound"
   | RelayAck _ -> "RelayAck"
 
-type entry = {
-  mutable ballot : Ballot.t;
-  mutable cmd : Command.t;
-  mutable client : Address.t option;
-  mutable committed : bool;
-}
-
 type phase1_state = {
   tracker : Quorum.t;
   mutable recovered : (int * Ballot.t * Command.t) list;
@@ -97,7 +90,7 @@ type replica = {
          replica that runs a round: followers never need it *)
   mutable ballot : Ballot.t;
   mutable active : bool; (* self is the established leader *)
-  log : entry Slot_log.t;
+  log : Cmd_log.t;
   exec : Executor.t;
   mutable p1 : phase1_state option;
   pending : (Address.t * Proto.request) Queue.t;
@@ -168,67 +161,10 @@ let quorum_read_done (env : message Proto.env) ~client command read =
   env.Proto.reply client
     { Proto.command; read; replier = env.Proto.id; leader_hint = None }
 
-let create env =
-  let exec = Executor.create () in
-  let t =
-    {
-      env;
-      ids = lazy (List.init env.Proto.n Fun.id);
-      ballot = Ballot.zero;
-      active = false;
-      log = Slot_log.create ();
-      exec;
-      p1 = None;
-      pending = Queue.create ();
-      last_heard = 0.0;
-      batch_buf = Queue.create ();
-      flush_timer = Sim.nil;
-      batches = Hashtbl.create 16;
-      lease = Lease.create env exec;
-      lease_epoch = 0;
-      lease_sent_at = neg_infinity;
-      lease_acks = None;
-      abd =
-        Abd_round.create ~env
-          ~wrap:(fun m -> Read m)
-          ~finish:(quorum_read_done env);
-      held = Hashtbl.create 32;
-      commit_acks = Hashtbl.create 32;
-      relay = Relay.create env ~ack:relay_ack;
-    }
-  in
-  (* a relay record is current while it belongs to our ballot *)
-  Relay.set_current t.relay (fun a ->
-      a.Relay.a_tag = t.ballot.Ballot.round
-      && a.Relay.a_leader = t.ballot.Ballot.owner);
-  (* lease reads wait for the term's barrier slot to execute *)
-  Lease.set_progress t.lease (fun () -> Slot_log.exec_frontier t.log);
-  t
-
-let is_leader t = t.active
-let current_ballot t = t.ballot
-let commit_frontier t = Slot_log.exec_frontier t.log
-let last_proposed_slot t = Slot_log.next_slot t.log - 1
-let executor t = t.exec
-let local_reads_served t = Lease.served t.lease
-let quorum_reads_served t = Abd_round.completed t.abd
-let lease_valid t = Lease.valid t.lease
-
 let quorum_mode t =
   match t.env.config.Config.read_path with
   | Some Config.Quorum -> true
   | _ -> false
-
-(* A follower that granted a lease holds its own phase-1 for at least
-   the minimum staggered failover timeout (base × 1.5, replica id 0),
-   measured on its local clock from heartbeat receipt. The leader's
-   serve window runs from the earlier *send* instant on its own clock,
-   so with clocks within [margin/2] the serve window ends strictly
-   inside every grantor's hold window (DESIGN.md §11). *)
-let serve_window t = t.env.config.Config.failover_timeout_ms *. 1.5
-
-let leader_of_key t (_ : Command.key) =
-  if t.ballot.Ballot.round > 0 then Some t.ballot.Ballot.owner else None
 
 let commit_tracker t slot =
   match Hashtbl.find_opt t.commit_acks slot with
@@ -258,63 +194,103 @@ let maybe_release_held t slot =
       | None -> ())
   | _ -> ()
 
-(* Execute committed slots in order; the proposer replies to its
-   recorded clients as their commands execute. In quorum-read mode the
-   reply is deferred (held until a majority acks application) and
-   every apply feeds the per-key shadow register / CommitAck stream. *)
+(* Quorum-read mode's per-slot apply hook: every apply feeds the
+   per-key shadow register, and the leader takes the slot's client to
+   hold its reply until a majority acks application. *)
+let quorum_apply t slot (e : Cmd_log.entry) read =
+  (if Command.is_write e.cmd then
+     let value =
+       match e.cmd.Command.op with
+       | Command.Put (_, v) -> Some v
+       | _ -> None
+     in
+     Abd_round.adopt t.abd (Command.key e.cmd) ~tag:(slot, 0) value);
+  if t.active then begin
+    (match e.client with
+    | Some client ->
+        e.client <- None;
+        Hashtbl.replace t.held slot (client, e.cmd, read)
+    | None -> ());
+    Quorum.ack (commit_tracker t slot) t.env.id;
+    maybe_release_held t slot
+  end
+  else begin
+    (* A deposed proposer must not ack its recorded client here: the
+       write may not be majority-applied yet, and a quorum read could
+       miss it. The client's retry reaches the new leader, which
+       re-proposes and defers the ack properly. *)
+    e.client <- None;
+    if t.ballot.Ballot.round > 0 && t.ballot.Ballot.owner <> t.env.id then
+      t.env.send t.ballot.Ballot.owner (CommitAck { slot })
+  end
+
+let create env =
+  let exec = Executor.create () in
+  let t =
+    {
+      env;
+      ids = lazy (List.init env.Proto.n Fun.id);
+      ballot = Ballot.zero;
+      active = false;
+      log = Cmd_log.create exec env;
+      exec;
+      p1 = None;
+      pending = Queue.create ();
+      last_heard = 0.0;
+      batch_buf = Queue.create ();
+      flush_timer = Sim.nil;
+      batches = Hashtbl.create 16;
+      lease = Lease.create env exec;
+      lease_epoch = 0;
+      lease_sent_at = neg_infinity;
+      lease_acks = None;
+      abd =
+        Abd_round.create ~env
+          ~wrap:(fun m -> Read m)
+          ~finish:(quorum_read_done env);
+      held = Hashtbl.create 32;
+      commit_acks = Hashtbl.create 32;
+      relay = Relay.create env ~ack:relay_ack;
+    }
+  in
+  (* a relay record is current while it belongs to our ballot *)
+  Relay.set_current t.relay (fun a ->
+      a.Relay.a_tag = t.ballot.Ballot.round
+      && a.Relay.a_leader = t.ballot.Ballot.owner);
+  (* lease reads wait for the term's barrier slot to execute *)
+  Lease.set_progress t.lease (fun () -> Cmd_log.exec_frontier t.log);
+  (* replies hint this replica while it leads *)
+  Cmd_log.set_leading t.log (fun () -> t.active);
+  if quorum_mode t then Cmd_log.set_apply t.log (quorum_apply t);
+  t
+
+let is_leader t = t.active
+let current_ballot t = t.ballot
+let commit_frontier t = Cmd_log.exec_frontier t.log
+let last_proposed_slot t = Cmd_log.next_slot t.log - 1
+let executor t = t.exec
+let local_reads_served t = Lease.served t.lease
+let quorum_reads_served t = Abd_round.completed t.abd
+let lease_valid t = Lease.valid t.lease
+
+(* A follower that granted a lease holds its own phase-1 for at least
+   the minimum staggered failover timeout (base × 1.5, replica id 0),
+   measured on its local clock from heartbeat receipt. The leader's
+   serve window runs from the earlier *send* instant on its own clock,
+   so with clocks within [margin/2] the serve window ends strictly
+   inside every grantor's hold window (DESIGN.md §11). *)
+let serve_window t = t.env.config.Config.failover_timeout_ms *. 1.5
+
+let leader_of_key t (_ : Command.key) =
+  if t.ballot.Ballot.round > 0 then Some t.ballot.Ballot.owner else None
+
+(* Execute committed slots in order (answering or holding clients),
+   then serve the lease reads waiting on the frontier. *)
 let advance t =
-  let qmode = quorum_mode t in
-  Slot_log.advance_frontier t.log
-    ~executable:(fun e -> e.committed)
-    ~f:(fun slot e ->
-      let read = Executor.execute t.exec e.cmd in
-      if qmode then begin
-        (if Command.is_write e.cmd then
-           let value =
-             match e.cmd.Command.op with
-             | Command.Put (_, v) -> Some v
-             | _ -> None
-           in
-           Abd_round.adopt t.abd (Command.key e.cmd) ~tag:(slot, 0) value);
-        if t.active then begin
-          (match e.client with
-          | Some client ->
-              e.client <- None;
-              Hashtbl.replace t.held slot (client, e.cmd, read)
-          | None -> ());
-          Quorum.ack (commit_tracker t slot) t.env.id;
-          maybe_release_held t slot
-        end
-        else begin
-          (* A deposed proposer must not ack its recorded client here:
-             the write may not be majority-applied yet, and a quorum
-             read could miss it. The client's retry reaches the new
-             leader, which re-proposes and defers the ack properly. *)
-          e.client <- None;
-          if t.ballot.Ballot.round > 0 && t.ballot.Ballot.owner <> t.env.id then
-            t.env.send t.ballot.Ballot.owner (CommitAck { slot })
-        end
-      end
-      else
-        match e.client with
-        | Some client ->
-            e.client <- None;
-            t.env.reply client
-              {
-                Proto.command = e.cmd;
-                read;
-                replier = t.env.id;
-                leader_hint = (if t.active then Some t.env.id else None);
-              }
-        | None -> ());
+  Cmd_log.execute t.log;
   Lease.drain t.lease
 
-let commit_up_to t bound =
-  if
-    Slot_log.commit_below t.log bound
-      ~pending:(fun e -> not e.committed)
-      ~mark:(fun e -> e.committed <- true)
-  then advance t
+let commit_up_to t bound = if Cmd_log.commit_below t.log bound then advance t
 
 (* ---- relay trees (Config.relay_groups > 0; DESIGN.md §12) ----
    The leader wraps a phase-2 round in [RelayRound] and multicasts it
@@ -345,8 +321,8 @@ let relay_fallback t first_slot (bs : batch_state) =
     t.env.rel.settle_all ~key:bs.rkey;
     let cmds =
       Array.init bs.count (fun i ->
-          match Slot_log.get t.log (first_slot + i) with
-          | Some e -> e.cmd
+          match Cmd_log.get t.log (first_slot + i) with
+          | Some e -> e.Cmd_log.cmd
           | None -> Command.noop)
     in
     let size_bytes = bs.count * t.env.config.Config.msg_size_bytes in
@@ -359,7 +335,7 @@ let relay_fallback t first_slot (bs : batch_state) =
              ballot = t.ballot;
              first_slot;
              cmds;
-             commit_up_to = Slot_log.exec_frontier t.log;
+             commit_up_to = Cmd_log.exec_frontier t.log;
            })
   end
 
@@ -415,11 +391,7 @@ let commit_batch t first_slot (bs : batch_state) =
     bs.fb <- Sim.nil
   end;
   for slot = first_slot to first_slot + bs.count - 1 do
-    match Slot_log.get t.log slot with
-    | Some e when not e.committed ->
-        e.committed <- true;
-        t.env.obs.Proto.on_quorum ~slot
-    | _ -> ()
+    if Cmd_log.commit t.log slot then t.env.obs.Proto.on_quorum ~slot
   done;
   advance t;
   (* quorum-read mode forces the explicit commit broadcast even under
@@ -427,8 +399,8 @@ let commit_batch t first_slot (bs : batch_state) =
      client's ack is waiting on their CommitAcks *)
   if (not t.env.config.Config.piggyback_commit) || quorum_mode t then
     for slot = first_slot to first_slot + bs.count - 1 do
-      match Slot_log.get t.log slot with
-      | Some e -> t.env.broadcast (Commit { slot; cmd = e.cmd })
+      match Cmd_log.get t.log slot with
+      | Some e -> t.env.broadcast (Commit { slot; cmd = e.Cmd_log.cmd })
       | None -> ()
     done
 
@@ -452,7 +424,7 @@ let open_round t ~direct first_slot cmds =
         ballot = t.ballot;
         first_slot;
         cmds;
-        commit_up_to = Slot_log.exec_frontier t.log;
+        commit_up_to = Cmd_log.exec_frontier t.log;
       }
   in
   let size_bytes = count * t.env.config.Config.msg_size_bytes in
@@ -493,9 +465,8 @@ let open_round t ~direct first_slot cmds =
    ballot; its reply happens as the slot executes in [advance]. *)
 let log_command t client (request : Proto.request) =
   let cmd = request.Proto.command in
-  let slot = Slot_log.reserve t.log in
-  Slot_log.set t.log slot
-    { ballot = t.ballot; cmd; client = Some client; committed = false };
+  let slot = Cmd_log.next_slot t.log in
+  Cmd_log.propose t.log slot ~ballot:t.ballot ~client cmd;
   t.env.obs.Proto.on_propose ~slot ~cmd;
   cmd
 
@@ -517,7 +488,7 @@ let flush_batch t =
   t.env.Proto.cancel t.flush_timer;
   t.flush_timer <- Sim.nil;
   if t.active && not (Queue.is_empty t.batch_buf) then begin
-    let first_slot = Slot_log.next_slot t.log in
+    let first_slot = Cmd_log.next_slot t.log in
     let cmds = Array.make (Queue.length t.batch_buf) Command.noop in
     for i = 0 to Array.length cmds - 1 do
       let client, request = Queue.pop t.batch_buf in
@@ -531,7 +502,7 @@ let flush_batch t =
 let enqueue t ~client request =
   match t.env.config.Config.batching with
   | None ->
-      let first_slot = Slot_log.next_slot t.log in
+      let first_slot = Cmd_log.next_slot t.log in
       propose t first_slot [| log_command t client request |]
   | Some b ->
       Queue.push (client, request) t.batch_buf;
@@ -598,7 +569,7 @@ let send_heartbeat t =
     (Heartbeat
        {
          ballot = t.ballot;
-         commit_up_to = Slot_log.exec_frontier t.log;
+         commit_up_to = Cmd_log.exec_frontier t.log;
          epoch = t.lease_epoch;
        });
   t.last_heard <- t.env.now ();
@@ -636,7 +607,7 @@ let become_leader t (state : phase1_state) =
       | _ -> Hashtbl.replace best slot (b, cmd))
     state.recovered;
   let max_slot = Hashtbl.fold (fun s _ acc -> Stdlib.max s acc) best (-1) in
-  let frontier = Slot_log.exec_frontier t.log in
+  let frontier = Cmd_log.exec_frontier t.log in
   let resync = ref [] in
   for slot = frontier to max_slot do
     let cmd =
@@ -644,24 +615,16 @@ let become_leader t (state : phase1_state) =
       | Some (_, cmd) -> cmd
       | None -> Command.noop
     in
-    match Slot_log.get t.log slot with
-    | Some e when e.committed -> () (* keep committed state *)
-    | found -> (
-        (match found with
-        | Some e ->
-            if not (Command.equal e.cmd cmd) then e.client <- None;
-            e.ballot <- t.ballot;
-            e.cmd <- cmd
-        | None ->
-            Slot_log.set t.log slot
-              { ballot = t.ballot; cmd; client = None; committed = false });
-        (* a round of one per slot, sent straight to every peer *)
-        let bs = open_round t ~direct:true slot [| cmd |] in
-        match t.env.Proto.storage with
-        | None -> self_vote t slot bs
-        | Some st ->
-            write_accept st ~slot ~ballot:t.ballot cmd;
-            resync := (slot, bs) :: !resync)
+    (* committed slots keep their state; the rest are re-proposed in a
+       round of one per slot, sent straight to every peer *)
+    if Cmd_log.accept t.log slot ~ballot:t.ballot cmd then begin
+      let bs = open_round t ~direct:true slot [| cmd |] in
+      match t.env.Proto.storage with
+      | None -> self_vote t slot bs
+      | Some st ->
+          write_accept st ~slot ~ballot:t.ballot cmd;
+          resync := (slot, bs) :: !resync
+    end
   done;
   (match t.env.Proto.storage with
   | None -> ()
@@ -677,7 +640,7 @@ let become_leader t (state : phase1_state) =
   (* Read barrier: reads wait until everything up to and including the
      recovered tail is applied locally, so no predecessor's
      acknowledged write can be missing from a lease read. *)
-  Lease.lead t.lease ~barrier:(Slot_log.next_slot t.log);
+  Lease.lead t.lease ~barrier:(Cmd_log.next_slot t.log);
   if Lease.on t.lease then send_heartbeat t;
   drain_pending t
 
@@ -695,10 +658,10 @@ let start_phase1 t =
   let state = { tracker; recovered = []; rkey = t.env.rel.fresh () } in
   t.p1 <- Some state;
   Quorum.ack tracker t.env.id;
-  let frontier = Slot_log.exec_frontier t.log in
+  let frontier = Cmd_log.exec_frontier t.log in
   (* self-report own accepted entries *)
-  Slot_log.iter_from t.log ~start:frontier ~f:(fun slot e ->
-      state.recovered <- (slot, e.ballot, e.cmd) :: state.recovered);
+  Cmd_log.iter_from t.log ~start:frontier ~f:(fun slot e ->
+      state.recovered <- (slot, e.Cmd_log.ballot, e.cmd) :: state.recovered);
   (* with a phase-1 quorum of one (n = 1, or FPaxos with q2 = n) the
      self-promise alone elects us *)
   let solicit () =
@@ -780,8 +743,8 @@ let on_p1a t ~src ~ballot ~frontier =
     resign_read_path t;
     t.last_heard <- t.env.now ();
     let accepted = ref [] in
-    Slot_log.iter_from t.log ~start:frontier ~f:(fun slot e ->
-        accepted := (slot, e.ballot, e.cmd) :: !accepted);
+    Cmd_log.iter_from t.log ~start:frontier ~f:(fun slot e ->
+        accepted := (slot, e.Cmd_log.ballot, e.cmd) :: !accepted);
     (* the promise binds across crashes: it leaves only after the
        promised ballot is on disk *)
     (match t.env.Proto.storage with
@@ -819,19 +782,7 @@ let accept_p2a t ~ballot ~first_slot ~cmds ~commit_up_to:bound =
     end;
     t.last_heard <- t.env.now ();
     for i = 0 to Array.length cmds - 1 do
-      let slot = first_slot + i and cmd = cmds.(i) in
-      match Slot_log.get t.log slot with
-      | Some e when e.committed -> () (* never overwrite a commit *)
-      | Some e ->
-          (* a different command displaced this slot: the old
-             proposer's client must not be answered with the new
-             command's result *)
-          if not (Command.equal e.cmd cmd) then e.client <- None;
-          e.ballot <- ballot;
-          e.cmd <- cmd
-      | None ->
-          Slot_log.set t.log slot
-            { ballot; cmd; client = None; committed = false }
+      ignore (Cmd_log.accept t.log (first_slot + i) ~ballot cmds.(i))
     done;
     (match t.env.Proto.storage with
     | None -> ()
@@ -882,7 +833,7 @@ let on_relay_round t ~src ~gen ~inner =
               not
                 (Relay.start t.relay ~key:first_slot
                    ~leader:ballot.Ballot.owner ~gen ~tag:ballot.Ballot.round
-                   ~aux:count ~mark:(Slot_log.exec_frontier t.log) ~size_bytes
+                   ~aux:count ~mark:(Cmd_log.exec_frontier t.log) ~size_bytes
                    inner)
             then
               (* not a relay under this plan (the round raced a plan
@@ -927,13 +878,7 @@ let on_relay_ack t ~src ~ballot ~gen ~first_slot ~count ~bits =
   end
 
 let on_commit t ~slot ~cmd =
-  (match Slot_log.get t.log slot with
-  | Some e ->
-      e.cmd <- cmd;
-      e.committed <- true
-  | None ->
-      Slot_log.set t.log slot
-        { ballot = t.ballot; cmd; client = None; committed = true });
+  Cmd_log.learn t.log slot ~ballot:t.ballot cmd;
   advance t
 
 let on_heartbeat t ~src ~ballot ~commit_up_to:bound ~epoch =
@@ -1018,13 +963,9 @@ let on_recover t =
       let round = Storage.reg st 0 and owner = Storage.reg st 1 in
       if round > 0 then t.ballot <- { Ballot.round; owner };
       Storage.iter_entries st ~f:(fun slot ~a ~b cmd ->
-          Slot_log.set t.log slot
-            {
-              ballot = { Ballot.round = a; owner = b };
-              cmd;
-              client = None;
-              committed = false;
-            }));
+          ignore
+            (Cmd_log.accept t.log slot ~ballot:{ Ballot.round = a; owner = b }
+               cmd)));
   t.last_heard <- t.env.now ();
   heartbeat_loop t;
   failover_loop t

@@ -32,14 +32,10 @@ let message_label = function
   | CommitK _ -> "CommitK"
   | StealHint _ -> "StealHint"
 
-type entry = {
-  mutable ballot : Ballot.t;
-  mutable cmd : Command.t;
-  mutable client : Address.t option;
-  mutable quorum : Quorum.t option;
-  mutable committed : bool;
-  mutable rkey : int;
-      (** reliable-delivery key of the in-flight P2a (0 when none) *)
+(* An owned slot's open phase-2 round. *)
+type flight = {
+  tracker : Quorum.t;
+  rkey : int;  (** reliable-delivery key of its P2a *)
 }
 
 type phase1_state = {
@@ -51,7 +47,8 @@ type phase1_state = {
 type key_state = {
   mutable ballot : Ballot.t;
   mutable owner_active : bool; (* this replica completed phase-1 *)
-  log : entry Slot_log.t;
+  log : Cmd_log.t;
+  flights : (int, flight) Hashtbl.t;  (* by slot, while this replica owns *)
   mutable p1 : phase1_state option;
   pending : (Address.t * Proto.request) Queue.t;
   (* owner-side locality tracking: consecutive requests from one
@@ -104,7 +101,8 @@ let key_state t key =
         {
           ballot;
           owner_active;
-          log = Slot_log.create ();
+          log = Cmd_log.create t.exec t.env;
+          flights = Hashtbl.create 8;
           p1 = None;
           pending = Queue.create ();
           streak_zone = -1;
@@ -166,31 +164,8 @@ let q2_spec t =
       per_zone = Quorum.Per_zone_majority;
     }
 
-(* Execute committed per-key slots in order; the owner answers
-   clients. *)
-let advance t (ks : key_state) =
-  Slot_log.advance_frontier ks.log
-    ~executable:(fun (e : entry) -> e.committed)
-    ~f:(fun _slot (e : entry) ->
-      let read = Executor.execute t.exec e.cmd in
-      match e.client with
-      | Some client ->
-          e.client <- None;
-          t.env.reply client
-            {
-              Proto.command = e.cmd;
-              read;
-              replier = t.env.id;
-              leader_hint = None;
-            }
-      | None -> ())
-
-let commit_up_to t ks bound =
-  if
-    Slot_log.commit_below ks.log bound
-      ~pending:(fun (e : entry) -> not e.committed)
-      ~mark:(fun (e : entry) -> e.committed <- true)
-  then advance t ks
+let commit_up_to (ks : key_state) bound =
+  if Cmd_log.commit_below ks.log bound then Cmd_log.execute ks.log
 
 (* Stop retransmitting everything this replica had in flight for one
    object: its steal's P1a and any owner-side P2as. Called wherever
@@ -199,60 +174,49 @@ let withdraw_posts t (ks : key_state) =
   (match ks.p1 with
   | Some st when st.rkey <> 0 -> t.env.rel.settle_all ~key:st.rkey
   | _ -> ());
-  Slot_log.iter_from ks.log ~start:(Slot_log.exec_frontier ks.log)
-    ~f:(fun _slot (e : entry) ->
-      if e.rkey <> 0 then begin
-        t.env.rel.settle_all ~key:e.rkey;
-        e.rkey <- 0
-      end)
+  Hashtbl.iter
+    (fun _slot (f : flight) -> t.env.rel.settle_all ~key:f.rkey)
+    ks.flights;
+  Hashtbl.reset ks.flights
 
 (* The owner's phase-2 quorum for [slot] is complete: commit, execute
    what is now contiguous, and tell everyone. *)
-let commit_owned t key ks ~slot (e : entry) =
-  e.committed <- true;
-  t.env.rel.settle_all ~key:e.rkey;
-  advance t ks;
-  t.env.broadcast (CommitK { key; slot; cmd = e.cmd })
+let commit_owned t key ks ~slot (f : flight) =
+  Hashtbl.remove ks.flights slot;
+  t.env.rel.settle_all ~key:f.rkey;
+  match Cmd_log.get ks.log slot with
+  | Some e when Cmd_log.commit ks.log slot ->
+      Cmd_log.execute ks.log;
+      t.env.broadcast (CommitK { key; slot; cmd = e.Cmd_log.cmd })
+  | _ -> ()
 
-let propose t key ks ~client (request : Proto.request) =
-  let slot = Slot_log.reserve ks.log in
+(* Open the phase-2 round of an accepted owned slot: cast the own
+   vote, post the P2a (with [thrifty], to the phase-2 zones only), and
+   commit at once when that vote is the whole quorum (1-replica zones
+   with fz = 0: no P2b will arrive). *)
+let open_round t key ks ~slot cmd ~thrifty =
   let tracker = Quorum.create (q2_spec t) in
   Quorum.ack tracker t.env.id;
-  let entry =
-    {
-      ballot = ks.ballot;
-      cmd = request.Proto.command;
-      client = Some client;
-      quorum = Some tracker;
-      committed = false;
-      rkey = 0;
-    }
+  let commit_up_to = Cmd_log.exec_frontier ks.log in
+  let msg = P2a { key; ballot = ks.ballot; slot; cmd; commit_up_to } in
+  let rkey =
+    if thrifty then
+      let dsts =
+        List.concat_map (fun z -> t.zones.(z)) (q2_zones t)
+        |> List.filter (fun i -> i <> t.env.id)
+      in
+      t.env.rel.post_multi ~ack:Reliable.Piggyback dsts msg
+    else t.env.rel.post_all ~ack:Reliable.Piggyback msg
+    (* full replication, as in §5 *)
   in
-  Slot_log.set ks.log slot entry;
-  let msg =
-    P2a
-      {
-        key;
-        ballot = ks.ballot;
-        slot;
-        cmd = request.Proto.command;
-        commit_up_to = Slot_log.exec_frontier ks.log;
-      }
-  in
-  entry.rkey <-
-    (if t.env.config.Config.thrifty then begin
-       (* contact only the phase-2 zones *)
-       let dsts =
-         List.concat_map (fun z -> t.zones.(z)) (q2_zones t)
-         |> List.filter (fun i -> i <> t.env.id)
-       in
-       t.env.rel.post_multi ~ack:Reliable.Piggyback dsts msg
-     end
-     else t.env.rel.post_all ~ack:Reliable.Piggyback msg
-       (* full replication, as in §5 *));
-  (* with 1-replica zones and fz = 0 the self-ack is already the whole
-     phase-2 quorum: no P2b will ever arrive to complete it *)
-  if Quorum.satisfied tracker then commit_owned t key ks ~slot entry
+  let f = { tracker; rkey } in
+  Hashtbl.replace ks.flights slot f;
+  if Quorum.satisfied tracker then commit_owned t key ks ~slot f
+
+let propose t key ks ~client (request : Proto.request) =
+  let slot = Cmd_log.next_slot ks.log and cmd = request.Proto.command in
+  Cmd_log.propose ks.log slot ~ballot:ks.ballot ~client cmd;
+  open_round t key ks ~slot cmd ~thrifty:t.env.config.Config.thrifty
 
 let drain_pending t key ks =
   if ks.owner_active then
@@ -291,52 +255,18 @@ let become_owner t key ks (state : phase1_state) =
       | None -> Hashtbl.replace best slot (b, cmd, committed))
     state.recovered;
   let max_slot = Hashtbl.fold (fun s _ acc -> Stdlib.max s acc) best (-1) in
-  for slot = Slot_log.exec_frontier ks.log to max_slot do
+  for slot = Cmd_log.exec_frontier ks.log to max_slot do
     let cmd, already_committed =
       match Hashtbl.find_opt best slot with
       | Some (_, cmd, committed) -> (cmd, committed)
       | None -> (Command.noop, false)
     in
-    (match Slot_log.get ks.log slot with
-    | Some (e : entry) when e.committed -> ()
-    | Some e ->
-        if not (Command.equal e.cmd cmd) then e.client <- None;
-        e.ballot <- ks.ballot;
-        e.cmd <- cmd;
-        if already_committed then e.committed <- true
-        else begin
-          let tracker = Quorum.create (q2_spec t) in
-          Quorum.ack tracker t.env.id;
-          e.quorum <- Some tracker
-        end
-    | None ->
-        let tracker = Quorum.create (q2_spec t) in
-        Quorum.ack tracker t.env.id;
-        Slot_log.set ks.log slot
-          {
-            ballot = ks.ballot;
-            cmd;
-            client = None;
-            quorum = Some tracker;
-            committed = already_committed;
-            rkey = 0;
-          });
-    match Slot_log.get ks.log slot with
-    | Some ({ quorum = Some tracker; _ } as e : entry) when not e.committed ->
-        e.rkey <-
-          t.env.rel.post_all ~ack:Reliable.Piggyback
-            (P2a
-               {
-                 key;
-                 ballot = ks.ballot;
-                 slot;
-                 cmd = e.cmd;
-                 commit_up_to = Slot_log.exec_frontier ks.log;
-               });
-        if Quorum.satisfied tracker then commit_owned t key ks ~slot e
-    | _ -> ()
+    if Cmd_log.accept ks.log slot ~ballot:ks.ballot cmd then
+      if already_committed then ignore (Cmd_log.commit ks.log slot)
+      else
+        open_round t key ks ~slot cmd ~thrifty:false
   done;
-  advance t ks;
+  Cmd_log.execute ks.log;
   drain_pending t key ks
 
 let start_steal t key ks =
@@ -352,9 +282,10 @@ let start_steal t key ks =
   let state = { tracker; recovered = []; rkey = t.env.rel.fresh () } in
   ks.p1 <- Some state;
   Quorum.ack tracker t.env.id;
-  let frontier = Slot_log.exec_frontier ks.log in
-  Slot_log.iter_from ks.log ~start:frontier ~f:(fun slot (e : entry) ->
-      state.recovered <- (slot, e.ballot, e.cmd, e.committed) :: state.recovered);
+  let frontier = Cmd_log.exec_frontier ks.log in
+  Cmd_log.iter_from ks.log ~start:frontier ~f:(fun slot e ->
+      state.recovered <-
+        (slot, e.Cmd_log.ballot, e.cmd, e.committed) :: state.recovered);
   ignore
     (t.env.rel.post_all ~key:state.rkey ~ack:Reliable.Piggyback
        (P1a { key; ballot = ks.ballot; frontier }));
@@ -436,8 +367,8 @@ let on_p1a t ~src ~key ~ballot ~frontier =
     ks.owner_active <- false;
     ks.p1 <- None;
     let accepted = ref [] in
-    Slot_log.iter_from ks.log ~start:frontier ~f:(fun slot (e : entry) ->
-        accepted := (slot, e.ballot, e.cmd, e.committed) :: !accepted);
+    Cmd_log.iter_from ks.log ~start:frontier ~f:(fun slot e ->
+        accepted := (slot, e.Cmd_log.ballot, e.cmd, e.committed) :: !accepted);
     t.env.send src (P1b { key; ballot; ok = true; accepted = !accepted });
     drain_pending t key ks
   end
@@ -470,16 +401,8 @@ let on_p2a t ~src ~key ~ballot ~slot ~cmd ~commit_up_to:bound =
       ks.owner_active <- false;
       ks.p1 <- None
     end;
-    (match Slot_log.get ks.log slot with
-    | Some (e : entry) when e.committed -> ()
-    | Some e ->
-        if not (Command.equal e.cmd cmd) then e.client <- None;
-        e.ballot <- ballot;
-        e.cmd <- cmd
-    | None ->
-        Slot_log.set ks.log slot
-          { ballot; cmd; client = None; quorum = None; committed = false; rkey = 0 });
-    commit_up_to t ks bound;
+    ignore (Cmd_log.accept ks.log slot ~ballot cmd);
+    commit_up_to ks bound;
     t.env.send src (P2b { key; ballot; slot; ok = true });
     drain_pending t key ks
   end
@@ -488,15 +411,16 @@ let on_p2a t ~src ~key ~ballot ~slot ~cmd ~commit_up_to:bound =
 let on_p2b t ~src ~key ~ballot ~slot ~ok =
   let ks = key_state t key in
   if ok && ks.owner_active && Ballot.equal ballot ks.ballot then begin
-    match Slot_log.get ks.log slot with
-    | Some ({ quorum = Some tracker; committed = false; _ } as e : entry) ->
-        t.env.rel.settle ~dst:src ~key:e.rkey;
-        Quorum.ack tracker src;
-        if Quorum.satisfied tracker then commit_owned t key ks ~slot e
-    | Some ({ committed = true; rkey; _ } : entry) when rkey <> 0 ->
-        (* late ack for an already-committed slot: stop the timer *)
-        t.env.rel.settle ~dst:src ~key:rkey
-    | _ -> ()
+    match Hashtbl.find_opt ks.flights slot with
+    | Some f -> (
+        t.env.rel.settle ~dst:src ~key:f.rkey;
+        (* a slot learned committed meanwhile only stops the timer *)
+        match Cmd_log.get ks.log slot with
+        | Some e when not e.Cmd_log.committed ->
+            Quorum.ack f.tracker src;
+            if Quorum.satisfied f.tracker then commit_owned t key ks ~slot f
+        | _ -> ())
+    | None -> ()
   end
   else if (not ok) && Ballot.(ballot > ks.ballot) then begin
     withdraw_posts t ks;
@@ -508,22 +432,8 @@ let on_p2b t ~src ~key ~ballot ~slot ~ok =
 
 let on_commit t ~key ~slot ~cmd =
   let ks = key_state t key in
-  (match Slot_log.get ks.log slot with
-  | Some (e : entry) ->
-      if not (Command.equal e.cmd cmd) then e.client <- None;
-      e.cmd <- cmd;
-      e.committed <- true
-  | None ->
-      Slot_log.set ks.log slot
-        {
-          ballot = ks.ballot;
-          cmd;
-          client = None;
-          quorum = None;
-          committed = true;
-          rkey = 0;
-        });
-  advance t ks
+  Cmd_log.learn ks.log slot ~ballot:ks.ballot cmd;
+  Cmd_log.execute ks.log
 
 let on_message t ~src = function
   | P1a { key; ballot; frontier } -> on_p1a t ~src ~key ~ballot ~frontier

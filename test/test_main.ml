@@ -44,4 +44,5 @@ let () =
       Test_storage.suite;
       Test_slot_log.suite;
       Test_fault_pins.suite;
+      Test_cmd_log.suite;
     ]

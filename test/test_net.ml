@@ -226,38 +226,6 @@ let test_faults_pruning_preserves_verdicts () =
            ~dst:(r 0)))
     [ 0.0; 15.0; 31.0; 45.0; 60.0; 71.0; 124.0; 126.0; 500.0 ]
 
-(* JSON round-trip: [of_json (to_json s)] must be verdict-identical to
-   [s] — same [should_drop] answers, same [extra_delay], drawn from
-   identically-seeded RNGs (rule order, and hence RNG draw order, is
-   part of the contract). *)
-let fault_schedule_gen =
-  QCheck.Gen.(
-    let addr = map Address.replica (int_range 0 4) in
-    let win = pair (float_range 0.0 500.0) (float_range 1.0 300.0) in
-    let rule =
-      frequency
-        [
-          ( 2,
-            let* node = addr and* f, d = win in
-            return (`Crash (node, f, d)) );
-          ( 2,
-            let* s = addr and* t = addr and* f, d = win in
-            return (`Drop (s, t, f, d)) );
-          ( 2,
-            let* s = addr and* t = addr and* f, d = win
-            and* e = float_range 0.1 10.0 in
-            return (`Slow (s, t, f, d, e)) );
-          ( 2,
-            let* s = addr and* t = addr and* f, d = win
-            and* p = float_range 0.0 1.0 in
-            return (`Flaky (s, t, f, d, p)) );
-          ( 1,
-            let* k = int_range 1 4 and* f, d = win in
-            return (`Partition (k, f, d)) );
-        ]
-    in
-    list_size (int_range 0 8) rule)
-
 let install_gen_rules f rules =
   List.iter
     (function
@@ -280,35 +248,6 @@ let install_gen_rules f rules =
           in
           Faults.partition f ~groups:[ minority; rest ] ~from_ms ~duration_ms)
     rules
-
-let prop_faults_json_roundtrip =
-  QCheck.Test.make ~name:"faults json round-trip verdict-identical" ~count:100
-    (QCheck.make fault_schedule_gen) (fun rules ->
-      let f = Faults.create () in
-      install_gen_rules f rules;
-      let f' =
-        match Faults.of_json (Faults.to_json f) with
-        | Ok f' -> f'
-        | Error msg -> QCheck.Test.fail_reportf "of_json: %s" msg
-      in
-      (* text-level fixpoint too: serialize-parse-serialize is stable *)
-      if
-        Json.to_string (Faults.to_json f) <> Json.to_string (Faults.to_json f')
-      then QCheck.Test.fail_reportf "to_json not a fixpoint";
-      let rng_a = Rng.create ~seed:7 and rng_b = Rng.create ~seed:7 in
-      List.for_all
-        (fun now_ms ->
-          List.for_all
-            (fun src ->
-              List.for_all
-                (fun dst ->
-                  Faults.should_drop f rng_a ~now_ms ~src ~dst
-                  = Faults.should_drop f' rng_b ~now_ms ~src ~dst
-                  && Faults.extra_delay f rng_a ~now_ms ~src ~dst
-                     = Faults.extra_delay f' rng_b ~now_ms ~src ~dst)
-                (List.init 5 Address.replica))
-            (List.init 5 Address.replica))
-        [ 0.0; 100.0; 250.0; 400.0; 799.0 ])
 
 (* The edge-indexed active-set cache must answer every query exactly
    as a direct scan of the rule list would, RNG draw for RNG draw.
@@ -516,7 +455,6 @@ let suite =
         test_faults_clear_no_resurrection;
       Alcotest.test_case "pruning preserves verdicts" `Quick
         test_faults_pruning_preserves_verdicts;
-      QCheck_alcotest.to_alcotest prop_faults_json_roundtrip;
       QCheck_alcotest.to_alcotest prop_faults_plane_matches_scan;
       Alcotest.test_case "procq queueing" `Quick test_procq_queueing;
       Alcotest.test_case "broadcast serializes once" `Quick test_procq_broadcast_serializes_once;
