@@ -1670,11 +1670,17 @@ let dissect_main protocol load n_flag relay_groups shards arrival read_ratio
       ~sharding:{ Runner.shards; partition = `Hash }
       protocol
       [ (* straight to the serving node, as the model's DL assumes:
-           the leader, or the tail for chain tail reads *)
+           the leader, or the tail for chain tail reads. Leaderless
+           protocols have no serving node: the EPaxos model prices a
+           round led by each replica, and one replica leading every
+           round saturates well below the load scaled off the model. *)
         Runner.clients
           ~target:
-            (Runner.Fixed
-               (match read_path with Some Config.Tail -> n - 1 | _ -> 0))
+            (match read_path with
+            | Some Config.Tail -> Runner.Fixed (n - 1)
+            | _ when protocol = "epaxos" || protocol = "abd" ->
+                Runner.Round_robin
+            | _ -> Runner.Fixed 0)
           ~arrival:
             (Arrival.split ~count:4
                (Option.value arrival

@@ -119,6 +119,21 @@ let kind_of_op (op : Command.op) (read : Command.value option) =
   | Command.Delete _ -> Linearizability.Del
   | Command.Get _ -> Linearizability.Read read
 
+(* A client's request in flight. Records are recycled through the
+   client's free stack: one serves every attempt of its command, and
+   its two callbacks are built once, when the record is. [invoked] is
+   a 1-slot float array because a mutable float field of this mixed
+   record would box on every store. *)
+type request = {
+  mutable command : Command.t;
+  mutable shard : int;
+  mutable attempt : int;
+  mutable timeout : Sim.handle;
+  invoked : float array;
+  on_reply : Proto.reply -> unit;
+  on_timeout : unit -> unit;
+}
+
 (* union of keys touched by any of the group's state machines *)
 let touched_keys state_machines =
   let keys = Hashtbl.create 64 in
@@ -186,6 +201,7 @@ let run (module P : Proto.RUNNABLE) spec =
   let gave_up = ref 0 in
   let history = ref [] in
   let next_client_id = ref 0 in
+  let timeout_ms = spec.config.Config.client_timeout_ms in
   let start_client cspec =
     let cid = !next_client_id in
     incr next_client_id;
@@ -207,79 +223,128 @@ let run (module P : Proto.RUNNABLE) spec =
           (!rr + attempt) mod n
     in
     let op_counter = ref 0 in
-    (* [issue ~continue] sends one command; [continue] fires once the
-       command resolves (closed loop chains the next request there;
-       open loop passes a no-op, pacing on an arrival clock instead). *)
-    let issue ~continue =
+    (* the client's region series, resolved at its first in-window
+       completion: the moment [region_stats] used to be asked, so
+       [per_region] keeps its order *)
+    let region_latency = ref None in
+    (* finished request records, reused by the next [issue] *)
+    let free = ref [||] and nfree = ref 0 in
+    let release r =
+      if !nfree = Array.length !free then begin
+        let grown = Array.make (Int.max 4 (2 * !nfree)) r in
+        Array.blit !free 0 grown 0 !nfree;
+        free := grown
+      end;
+      !free.(!nfree) <- r;
+      incr nfree
+    in
+    (* [send r] is one attempt: the submit, then the attempt's timeout,
+       cancelled on reply so a finished request leaves nothing in the
+       event heap — the same calls, in the same order, as a request
+       built from fresh closures *)
+    let rec send r =
+      S.submit dep ~shard:r.shard ~client:cid
+        ~target:(pick_target ~shard:r.shard ~attempt:r.attempt)
+        ~command:r.command ~on_reply:r.on_reply;
+      r.timeout <- Sim.schedule_after sim ~delay:timeout_ms r.on_timeout
+    and reply r (rep : Proto.reply) =
+      Sim.cancel sim r.timeout;
+      let responded = Sim.now sim in
+      let invoked = r.invoked.(0) in
+      incr completed;
+      if invoked >= window_start && responded <= window_end then begin
+        incr in_window;
+        shard_in_window.(r.shard) <- shard_in_window.(r.shard) + 1;
+        let l = responded -. invoked in
+        Stats.add latency l;
+        Stats.add
+          (if Command.is_read r.command then read_latency else write_latency)
+          l;
+        let rs =
+          match !region_latency with
+          | Some s -> s
+          | None ->
+              let s = region_stats region in
+              region_latency := Some s;
+              s
+        in
+        Stats.add rs l;
+        Stats.add shard_latency.(r.shard) l
+      end;
+      if spec.collect_history then
+        history :=
+          {
+            Linearizability.client = cid;
+            op_id = r.command.Command.id;
+            key = Command.key r.command;
+            kind = kind_of_op r.command.Command.op rep.Proto.read;
+            invoked_ms = invoked;
+            responded_ms = responded;
+          }
+          :: !history;
+      release r;
+      continue ()
+    and expire r =
+      if S.pending dep ~shard:r.shard ~client:cid ~command:r.command then
+        if r.attempt < spec.max_retries then begin
+          r.attempt <- r.attempt + 1;
+          send r
+        end
+        else begin
+          S.give_up dep ~shard:r.shard ~client:cid ~command:r.command;
+          incr gave_up;
+          release r;
+          continue ()
+        end
+    (* [issue ()] sends one command; [continue] runs once the command
+       resolves (closed loop chains the next request there; open loop
+       paces on an arrival clock instead). *)
+    and issue () =
       let now = Sim.now sim in
       if now < window_end then begin
         let id = !op_counter in
         incr op_counter;
         let op = Workload.next_op gen ~now_ms:now in
         let command = Command.make ~id ~client:cid op in
-        (* routing is pure arithmetic: no RNG, no events *)
-        let shard = S.route dep ~key:(Command.key command) in
-        let invoked = now in
-        let rec attempt_send attempt =
-          (* the attempt's timeout, cancelled on reply so a finished
-             request leaves nothing in the event heap *)
-          let timeout = ref Sim.nil in
-          let on_reply (reply : Proto.reply) =
-            Sim.cancel sim !timeout;
-            let responded = Sim.now sim in
-            incr completed;
-            if invoked >= window_start && responded <= window_end then begin
-              incr in_window;
-              shard_in_window.(shard) <- shard_in_window.(shard) + 1;
-              let l = responded -. invoked in
-              Stats.add latency l;
-              Stats.add
-                (if Command.is_read command then read_latency else write_latency)
-                l;
-              Stats.add (region_stats region) l;
-              Stats.add shard_latency.(shard) l
-            end;
-            if spec.collect_history then
-              history :=
-                {
-                  Linearizability.client = cid;
-                  op_id = id;
-                  key = Command.key command;
-                  kind = kind_of_op op reply.Proto.read;
-                  invoked_ms = invoked;
-                  responded_ms = responded;
-                }
-                :: !history;
-            continue ()
-          in
-          S.submit dep ~shard ~client:cid
-            ~target:(pick_target ~shard ~attempt)
-            ~command ~on_reply;
-          timeout :=
-            Sim.schedule_after sim ~delay:spec.config.Config.client_timeout_ms
-              (fun () ->
-                if S.pending dep ~shard ~client:cid ~command then
-                  if attempt < spec.max_retries then attempt_send (attempt + 1)
-                  else begin
-                    S.give_up dep ~shard ~client:cid ~command;
-                    incr gave_up;
-                    continue ()
-                  end)
+        let r =
+          if !nfree > 0 then begin
+            decr nfree;
+            !free.(!nfree)
+          end
+          else
+            let rec r =
+              {
+                command;
+                shard = 0;
+                attempt = 0;
+                timeout = Sim.nil;
+                invoked = [| now |];
+                on_reply = (fun rep -> reply r rep);
+                on_timeout = (fun () -> expire r);
+              }
+            in
+            r
         in
-        attempt_send 0
+        r.command <- command;
+        (* routing is pure arithmetic: no RNG, no events *)
+        r.shard <- S.route dep ~key:(Command.key command);
+        r.attempt <- 0;
+        r.invoked.(0) <- now;
+        send r
       end
+    and continue () =
+      match cspec.arrival with Closed -> issue () | Open _ | Bursty _ -> ()
     in
     let jitter = Rng.float (Sim.rng sim) 5.0 in
     match cspec.arrival with
     | Closed ->
         (* Stagger client start a little to avoid lock-step *)
-        let rec closed_loop () = issue ~continue:closed_loop in
-        ignore (Sim.schedule_at sim ~time:jitter (fun () -> closed_loop ()))
+        ignore (Sim.schedule_at sim ~time:jitter issue)
     | (Open _ | Bursty _) as arrival ->
         let rng = Rng.split (Sim.rng sim) in
         let rec tick () =
           if Sim.now sim < window_end then begin
-            issue ~continue:(fun () -> ());
+            issue ();
             let gap = Arrival.next_gap_ms arrival ~rng ~now_ms:(Sim.now sim) in
             ignore (Sim.schedule_after sim ~delay:gap tick)
           end

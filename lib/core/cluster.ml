@@ -48,11 +48,13 @@ module Make (P : Proto.RUNNABLE) = struct
     if reply.command.Command.client <> cid then ()
     else
       let key = pending_key ~client:cid ~id:reply.command.Command.id in
-      match Hashtbl.find_opt t.pending key with
-      | Some cb ->
+      (* [find], not [find_opt]: no [Some] box per reply *)
+      match Hashtbl.find t.pending key with
+      | cb ->
           Hashtbl.remove t.pending key;
           cb reply
-      | None -> () (* late duplicate reply after retry already answered *)
+      | exception Not_found ->
+          () (* late duplicate reply after retry already answered *)
 
   let make_env t transport i : P.message Proto.env =
     let addr = Address.replica i in
@@ -380,19 +382,20 @@ module Make (P : Proto.RUNNABLE) = struct
            fresh instance and deliveries must reach it, never the dead
            one. [down] holds the slot offline between the crash
            window's end and the end of log replay. *)
+        let on_peer ~src m =
+          P.on_message t.replicas.(i) ~src:(Address.replica_id src) m
+        in
         Transport.register transport (Address.replica i) (fun ~src msg ->
             if t.down.(i) then ()
             else
-              let replica = t.replicas.(i) in
               match msg with
-              | Peer m -> P.on_message replica ~src:(Address.replica_id src) m
+              | Peer m -> on_peer ~src m
               | Request { client; request } ->
-                  P.on_request replica ~client request
+                  P.on_request t.replicas.(i) ~client request
               | Rel pkt ->
-                  Reliable.on_packet t.endpoints.(i) ~src
-                    ~deliver:(fun ~src m ->
-                      P.on_message replica ~src:(Address.replica_id src) m)
-                    pkt
+                  (* [on_packet] calls [deliver] before it returns, so
+                     one callback per replica serves every packet *)
+                  Reliable.on_packet t.endpoints.(i) ~src ~deliver:on_peer pkt
               | Reply _ -> () (* replicas never receive replies *)))
       replicas;
     Array.iter
@@ -427,7 +430,7 @@ module Make (P : Proto.RUNNABLE) = struct
     Hashtbl.replace t.pending
       (pending_key ~client ~id:command.Command.id)
       on_reply;
-    let request = { Proto.command; sent_at_ms = Sim.now t.shared.sim } in
+    let request = { Proto.command } in
     if Paxi_obs.Trace.enabled t.trace then
       Paxi_obs.Trace.on_submit t.trace ~client ~cmd_id:command.Command.id
         ~is_read:(Command.is_read command) ~now_ms:(Sim.now t.shared.sim);

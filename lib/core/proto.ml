@@ -1,4 +1,4 @@
-type request = { command : Command.t; sent_at_ms : float }
+type request = { command : Command.t }
 
 type reply = {
   command : Command.t;

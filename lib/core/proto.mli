@@ -7,7 +7,7 @@
     [message] is the Messages block, and the [PROTOCOL] replica
     callbacks are the Replica block. *)
 
-type request = { command : Command.t; sent_at_ms : float }
+type request = { command : Command.t }
 
 type reply = {
   command : Command.t;

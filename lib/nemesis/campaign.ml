@@ -14,6 +14,7 @@ type report = {
   trials : int;
   max_faults : int;
   passed : int;
+  outcomes : outcome list;
   failures : outcome list;
   deployment : string list;
 }
@@ -91,6 +92,7 @@ let run ?pool ?(shrink_budget = 120) ?(max_faults = 4) ?n ?read_ratio
     trials;
     max_faults;
     passed = trials - List.length failures;
+    outcomes;
     failures;
     deployment =
       deployment_flags ?n ?read_ratio ?read_path ?relay_groups ?shards
@@ -128,6 +130,26 @@ let outcome_to_json o =
   in
   Json.Obj (base @ shrunk)
 
+(* A trial's outputs, every trial, passing or not: a change that moves
+   completions, traffic or latency under faults without flipping a
+   verdict still shows in a diff. Latencies print as [%h] bits. *)
+let trial_to_json o =
+  let v = o.verdict in
+  let int i = Json.Number (float_of_int i) in
+  Json.Obj
+    [
+      ("trial", int o.trial);
+      ("seed", int o.seed);
+      ("ok", Json.Bool v.Trial.ok);
+      ("completed", int v.Trial.completed);
+      ("gave_up", int v.Trial.gave_up);
+      ("messages_sent", int v.Trial.messages_sent);
+      ("sim_events", int v.Trial.sim_events);
+      ("retransmits", int v.Trial.retransmits);
+      ("p50_ms", Json.String (Printf.sprintf "%h" v.Trial.p50_ms));
+      ("p99_ms", Json.String (Printf.sprintf "%h" v.Trial.p99_ms));
+    ]
+
 let to_json r =
   Json.Obj
     [
@@ -137,6 +159,7 @@ let to_json r =
       ("max_faults", Json.Number (float_of_int r.max_faults));
       ("passed", Json.Number (float_of_int r.passed));
       ("failures", Json.List (List.map outcome_to_json r.failures));
+      ("results", Json.List (List.map trial_to_json r.outcomes));
     ]
 
 let pp ppf r =

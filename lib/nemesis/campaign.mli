@@ -21,6 +21,7 @@ type report = {
   trials : int;
   max_faults : int;
   passed : int;
+  outcomes : outcome list;  (** every trial, in index order *)
   failures : outcome list;
   deployment : string list;
       (** the deployment flags the trials ran with ([-n],
@@ -62,6 +63,9 @@ val repro_line : report -> seed:int -> Schedule.t -> string
 
 val to_json : report -> Json.t
 (** Deterministic report encoding; CI diffs this across [PAXI_JOBS]
-    settings. *)
+    settings. Besides the verdicts it carries every trial's outputs
+    under ["results"]: completed, gave_up, messages sent, simulator
+    events, retransmits and the in-window p50/p99 latency as [%h]
+    bits. *)
 
 val pp : Format.formatter -> report -> unit

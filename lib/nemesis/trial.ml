@@ -82,6 +82,11 @@ type verdict = {
   recoveries : int;
   replay_ms_total : float;
   timers_cancelled : int;
+  messages_sent : int;
+  sim_events : int;
+  retransmits : int;
+  p50_ms : float;
+  p99_ms : float;
 }
 
 let horizon_ms = 3_000.0
@@ -200,4 +205,9 @@ let run ?n ?read_ratio ?read_path ?(relay_groups = 0) ?(shards = 1) ?arrival
     recoveries = result.Runner.recoveries;
     replay_ms_total = result.Runner.replay_ms_total;
     timers_cancelled = result.Runner.timers_cancelled;
+    messages_sent = result.Runner.messages_sent;
+    sim_events = result.Runner.sim_events;
+    retransmits = result.Runner.retransmits;
+    p50_ms = Stats.median result.Runner.latency;
+    p99_ms = Stats.percentile result.Runner.latency 99.0;
   }

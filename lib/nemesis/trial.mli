@@ -31,6 +31,11 @@ type verdict = {
       (** crash-recovery edges completed (0 on memory-only trials) *)
   replay_ms_total : float;  (** simulated log-replay time at recovery *)
   timers_cancelled : int;  (** timer events mass-cancelled at crashes *)
+  messages_sent : int;
+  sim_events : int;  (** simulator events the run executed *)
+  retransmits : int;  (** reliable-delivery re-sends *)
+  p50_ms : float;  (** in-window latency median; [nan] when none *)
+  p99_ms : float;
 }
 
 val generate :

@@ -1,7 +1,19 @@
 type t = Replica of int | Client of int
 
-let replica i = Replica i
-let client i = Client i
+(* Every send names its endpoints, so the constructors hand out
+   prebuilt values for the ids a deployment actually uses instead of a
+   fresh two-word block per call. Values stay structural: nothing
+   compares addresses physically. *)
+let interned = 1024
+let replicas = Array.init interned (fun i -> Replica i)
+let clients = Array.init interned (fun i -> Client i)
+
+let replica i =
+  if i >= 0 && i < interned then Array.unsafe_get replicas i else Replica i
+
+let client i =
+  if i >= 0 && i < interned then Array.unsafe_get clients i else Client i
+
 let is_replica = function Replica _ -> true | Client _ -> false
 let is_client = function Client _ -> true | Replica _ -> false
 

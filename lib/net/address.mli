@@ -3,6 +3,11 @@
 
 type t = Replica of int | Client of int
 
+(** [replica] and [client] return a prebuilt value for ids in
+    [\[0, 1024)], so the per-message paths that name an endpoint
+    allocate nothing; larger ids build a fresh one. Either way the
+    result is [equal] to the constructor's. *)
+
 val replica : int -> t
 val client : int -> t
 val is_replica : t -> bool

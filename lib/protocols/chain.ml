@@ -68,7 +68,7 @@ let handle_write t ~client cmd =
     Hashtbl.replace t.pending seq (cmd, client);
     apply_ready t
   end
-  else t.env.forward (head t) ~client { Proto.command = cmd; sent_at_ms = 0.0 }
+  else t.env.forward (head t) ~client { Proto.command = cmd }
 
 let handle_read t ~client cmd =
   if is_tail t then
@@ -85,7 +85,7 @@ let handle_read t ~client cmd =
     | _ ->
         let read = Executor.execute t.exec cmd in
         reply t ~client ~cmd ~read
-  else t.env.forward (tail t) ~client { Proto.command = cmd; sent_at_ms = 0.0 }
+  else t.env.forward (tail t) ~client { Proto.command = cmd }
 
 let on_request t ~client (request : Proto.request) =
   let cmd = request.Proto.command in

@@ -236,10 +236,7 @@ let record_key key = -2 - (2 * key)
 
 let submit t ~key ~gen ~step op =
   propose t ~client:synthetic
-    {
-      Proto.command = Command.make ~id:((4 * gen) + step) ~client:(-2 - key) op;
-      sent_at_ms = 0.0;
-    }
+    { Proto.command = Command.make ~id:((4 * gen) + step) ~client:(-2 - key) op }
 
 let claim t key = value t (claim_key key)
 let recorded t key = value t (record_key key)

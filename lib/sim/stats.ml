@@ -1,16 +1,21 @@
+(* The running moments live in one float array, [m], indexed by the
+   constants below: a mutable float field of this mixed record would
+   box on every store, five boxes per [add]. Welford running moments:
+   the textbook sumsq - n*m^2 form cancels catastrophically once
+   samples sit on a large offset (virtual-time stamps late in a run),
+   so the second moment is accumulated as the centered [m2] instead.
+   [sum] is kept alongside because [mean] as sum/n is the historically
+   pinned value in fixed-seed outputs. *)
+let slot_sum = 0
+let slot_wmean = 1
+let slot_m2 = 2
+let slot_lo = 3
+let slot_hi = 4
+
 type t = {
   mutable data : float array;
   mutable n : int;
-  mutable sum : float;
-  (* Welford running moments: the textbook sumsq - n*m^2 form cancels
-     catastrophically once samples sit on a large offset (virtual-time
-     stamps late in a run), so the second moment is accumulated as the
-     centered [m2] instead. [sum] is kept alongside because [mean] as
-     sum/n is the historically pinned value in fixed-seed outputs. *)
-  mutable wmean : float;
-  mutable m2 : float;
-  mutable lo : float;
-  mutable hi : float;
+  m : float array;
   mutable sorted_n : int;
       (* [data.(0 .. sorted_n-1)] is sorted; [data.(sorted_n .. n-1)]
          is the unsorted tail appended since the last query *)
@@ -20,11 +25,7 @@ let create () =
   {
     data = [||];
     n = 0;
-    sum = 0.0;
-    wmean = 0.0;
-    m2 = 0.0;
-    lo = infinity;
-    hi = neg_infinity;
+    m = [| 0.0; 0.0; 0.0; infinity; neg_infinity |];
     sorted_n = 0;
   }
 
@@ -37,23 +38,24 @@ let add t x =
   end;
   t.data.(t.n) <- x;
   t.n <- t.n + 1;
-  t.sum <- t.sum +. x;
-  let d = x -. t.wmean in
-  t.wmean <- t.wmean +. (d /. float_of_int t.n);
-  t.m2 <- t.m2 +. (d *. (x -. t.wmean));
-  if x < t.lo then t.lo <- x;
-  if x > t.hi then t.hi <- x
+  let m = t.m in
+  m.(slot_sum) <- m.(slot_sum) +. x;
+  let d = x -. m.(slot_wmean) in
+  m.(slot_wmean) <- m.(slot_wmean) +. (d /. float_of_int t.n);
+  m.(slot_m2) <- m.(slot_m2) +. (d *. (x -. m.(slot_wmean)));
+  if x < m.(slot_lo) then m.(slot_lo) <- x;
+  if x > m.(slot_hi) then m.(slot_hi) <- x
 
 let add_all t xs = List.iter (add t) xs
 let count t = t.n
-let mean t = if t.n = 0 then nan else t.sum /. float_of_int t.n
+let mean t = if t.n = 0 then nan else t.m.(slot_sum) /. float_of_int t.n
 
 let variance t =
-  if t.n < 2 then nan else t.m2 /. float_of_int (t.n - 1)
+  if t.n < 2 then nan else t.m.(slot_m2) /. float_of_int (t.n - 1)
 
 let stddev t = sqrt (variance t)
-let min t = if t.n = 0 then nan else t.lo
-let max t = if t.n = 0 then nan else t.hi
+let min t = if t.n = 0 then nan else t.m.(slot_lo)
+let max t = if t.n = 0 then nan else t.m.(slot_hi)
 
 (* Reporting interleaves [add] and [percentile] (per-region tables,
    CDFs, summaries), so re-sorting all [n] samples on every query is
@@ -115,7 +117,7 @@ let cdf t ~points =
 let histogram t ~bins =
   if t.n = 0 || bins <= 0 then []
   else begin
-    let lo = t.lo and hi = t.hi in
+    let lo = t.m.(slot_lo) and hi = t.m.(slot_hi) in
     let width = if hi > lo then (hi -. lo) /. float_of_int bins else 1.0 in
     let counts = Array.make bins 0 in
     for i = 0 to t.n - 1 do

@@ -132,7 +132,7 @@ module Stub (P : Proto.PROTOCOL) = struct
     { replicas; queue; sent; replies }
 
   let request t ~client command =
-    P.on_request t.replicas.(0) ~client { Proto.command; sent_at_ms = 0.0 }
+    P.on_request t.replicas.(0) ~client { Proto.command }
 
   let run ?(drop = []) t =
     while not (Queue.is_empty t.queue) do

@@ -1,11 +1,11 @@
-(* Simulated outputs pinned per fault kind. The nemesis harness reports
-   pass counts only, so nothing else holds a faulty run's outputs byte
-   for byte. Each case runs paxos, raft or epaxos at n = 5, seed 11,
-   under one schedule — one per fault kind, a mixed one with
-   overlapping and abutting windows, and loss on every leader link —
-   with retransmission off and on,
-   and pins completions, messages sent, retransmits and the bits of the
-   mean latency. A change to the fault plane, the transport or the
+(* Simulated outputs pinned per fault kind. The nemesis reports hold
+   the outputs of generated schedules, which move whenever the
+   generator does; these hold one named schedule per kind. Each case
+   runs paxos, raft or epaxos at n = 5, seed 11, under one schedule —
+   one per fault kind, a mixed one with overlapping and abutting
+   windows, and loss on every leader link — with retransmission off
+   and on, and pins completions, messages sent, retransmits and the
+   bits of the mean latency. A change to the fault plane, the transport or the
    client loop that moves any verdict, RNG draw or event order shows
    up here as a changed row. *)
 
@@ -175,10 +175,53 @@ let test_leader_links_retransmit () =
     true (res.Runner.retransmits > 0);
   Alcotest.(check int) "nothing gave up" 0 res.Runner.gave_up
 
+(* The client's retry and give-up paths, which no schedule above
+   reaches (nothing gives up there). Open-loop clients keep several
+   requests in flight, aimed at replica 0, with a 30 ms timeout and
+   two retries, while replica 0 is down for 400 ms. Requests time
+   out, move to the next replicas, give up while the group is stalled,
+   and complete out of order once retransmission heals it, so the
+   runner's request records are recycled in every order. The row is
+   [row]'s plus [gave_up] and the history length. *)
+let test_client_give_up_pinned () =
+  let n = 5 in
+  let config =
+    {
+      (Config.default ~n_replicas:n) with
+      Config.seed = 11;
+      client_timeout_ms = 30.0;
+      retransmit = Some retransmit;
+    }
+  in
+  let spec =
+    Runner.spec ~warmup_ms:200.0 ~duration_ms:1_000.0 ~max_retries:2
+      ~collect_history:true
+      ~faults:(List.assoc "crash" schedules)
+      ~config
+      ~topology:(Topology.lan ~n_replicas:n ())
+      ~client_specs:
+        [
+          Runner.clients ~target:(Runner.Fixed 0)
+            ~arrival:(Runner.Open { rate_per_sec = 1_000.0 })
+            ~count:3
+            { Workload.default with Workload.keys = 20 };
+        ]
+      ()
+  in
+  let res = Runner.run (Paxi_protocols.Registry.find_exn "paxos") spec in
+  Alcotest.(check string) "paxos crash, open loop, 2 retries"
+    "2022 1569 43039 16 4024692c846074f9 2022"
+    (Printf.sprintf "%d %d %d %d %Lx %d" res.Runner.completed
+       res.Runner.gave_up res.Runner.messages_sent res.Runner.retransmits
+       (Int64.bits_of_float (Stats.mean res.Runner.latency))
+       (List.length res.Runner.history))
+
 let suite =
   ( "fault_pins",
     [
       Alcotest.test_case "outputs pinned per fault kind" `Slow test_pins;
       Alcotest.test_case "leader links recover by retransmission" `Quick
         test_leader_links_retransmit;
+      Alcotest.test_case "client retries and give-ups pinned" `Quick
+        test_client_give_up_pinned;
     ] )

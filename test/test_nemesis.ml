@@ -28,7 +28,8 @@ let test_campaign protocol () =
     (List.length report.Campaign.failures)
 
 (* Trials are seeded by identity, so the same campaign on pools of
-   different sizes produces byte-identical JSON reports. *)
+   different sizes produces byte-identical JSON reports, and each
+   report carries every trial's outputs, not only the pass count. *)
 let test_campaign_pool_deterministic () =
   let report_with jobs =
     let pool = Paxi_exec.Pool.create ~jobs () in
@@ -36,9 +37,23 @@ let test_campaign_pool_deterministic () =
     Paxi_exec.Pool.shutdown pool;
     Json.to_string (Campaign.to_json r)
   in
+  let seq = report_with 1 in
   Alcotest.(check string)
-    "campaign json identical at jobs=1 and jobs=4" (report_with 1)
-    (report_with 4)
+    "campaign json identical at jobs=1 and jobs=4" seq (report_with 4);
+  let rows =
+    match Result.map (Json.member "results") (Json.parse seq) with
+    | Ok (Some (Json.List rows)) -> rows
+    | _ -> []
+  in
+  Alcotest.(check int) "one results row per trial" 3 (List.length rows);
+  List.iter
+    (fun row ->
+      List.iter
+        (fun k ->
+          Alcotest.(check bool) ("row has " ^ k) true
+            (Json.member k row <> None))
+        [ "completed"; "messages_sent"; "sim_events"; "p99_ms" ])
+    rows
 
 (* ------------------------------------------------------------------ *)
 (* Schedule generation and serialization                               *)
