@@ -17,10 +17,10 @@ With --trace-pairs K (default 0), it then runs K `--trace 1`
 invocations per side, alternating order, and prints each side's
 median of sim.events_per_op, sim.engine_ns_per_event, engine ns per
 op (their product, taken per run), sim.bytes_per_event,
-net.send_ns_per_op and gc.minor_collections. A change that alters
-how many events a run takes moves the denominator of every per-event
-figure, so engine ns per op is the one to compare across such a
-change.
+net.send_ns_per_op, gc.minor_collections and gc.promoted_mb. A change
+that alters how many events a run takes moves the denominator of every
+per-event figure, so engine ns per op is the one to compare across
+such a change.
 
 Exits 1 if any run fails or prints "correct": false, 2 if a build fails.
 """
@@ -47,6 +47,7 @@ TRACED = (
     ("sim.bytes_per_event", "sim.bytes_per_event"),
     ("net.send_ns_per_op", "net.send_ns_per_op"),
     ("gc.minor_collections", "gc.minor_collections"),
+    ("gc.promoted_mb", "gc.promoted_mb"),
 )
 
 
@@ -84,6 +85,10 @@ def main():
     ap.add_argument("--seed", default="1")
     ap.add_argument("--trace-pairs", type=int, default=0)
     a = ap.parse_args()
+    # [run] both joins EXE to a checkout and runs in it: a relative
+    # path would be resolved twice.
+    a.parent = os.path.abspath(a.parent)
+    a.change = os.path.abspath(a.change)
 
     for root in (a.parent, a.change):
         if not build(root):

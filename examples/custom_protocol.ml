@@ -43,9 +43,8 @@ module Primary_backup = struct
     t.env.Proto.reply client
       { Proto.command = cmd; read; replier = t.env.Proto.id; leader_hint = Some primary }
 
-  let on_request t ~client (request : Proto.request) =
-    let cmd = request.Proto.command in
-    if not (is_primary t) then t.env.Proto.forward primary ~client request
+  let on_request t ~client (cmd : Command.t) =
+    if not (is_primary t) then t.env.Proto.forward primary ~client cmd
     else if Command.is_read cmd then
       (* reads are served at the primary, which has every acked write *)
       reply t ~client ~cmd ~read:(Executor.execute t.exec cmd)

@@ -21,4 +21,16 @@ val ( < ) : t -> t -> bool
 val ( <= ) : t -> t -> bool
 val ( > ) : t -> t -> bool
 val ( >= ) : t -> t -> bool
+val max_round : int
+val max_owner : int
+
+val pack : t -> int
+(** The ballot as one non-negative int below [2^56], ordered as
+    {!compare} orders ballots. Raises [Invalid_argument] for a round
+    outside [\[0, max_round\]] or an owner outside
+    [\[-1, max_owner\]] (the owner of {!zero} is [-1]). *)
+
+val unpack : int -> t
+(** Inverse of {!pack}. *)
+
 val pp : Format.formatter -> t -> unit

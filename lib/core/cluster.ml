@@ -1,6 +1,6 @@
 type 'p envelope =
   | Peer of 'p
-  | Request of { client : Address.t; request : Proto.request }
+  | Request of { client : Address.t; command : Command.t }
   | Reply of Proto.reply
   | Rel of 'p Reliable.packet
       (** a protocol message under reliable-delivery bookkeeping, or
@@ -166,10 +166,10 @@ module Make (P : Proto.RUNNABLE) = struct
           tally_reply ();
           Transport.send transport ~src:addr ~dst:client (Reply r));
       forward =
-        (fun dst ~client request ->
+        (fun dst ~client command ->
           tally_forward ();
           Transport.send transport ~src:addr ~dst:(Address.replica dst)
-            (Request { client; request }));
+            (Request { client; command }));
       rel =
         {
           Proto.active = rel_active;
@@ -348,9 +348,9 @@ module Make (P : Proto.RUNNABLE) = struct
                (fun ~src:_ ~dst ~size_bytes:_ ~sent_ms ~arrival_ms ~wait_ms
                     ~service_ms ~ready_ms msg ->
                  (match msg with
-                 | Request { client = Address.Client cid; request } ->
+                 | Request { client = Address.Client cid; command } ->
                      Paxi_obs.Trace.on_request_arrival trace ~client:cid
-                       ~cmd_id:request.Proto.command.Command.id ~arrival_ms
+                       ~cmd_id:command.Command.id ~arrival_ms
                        ~wait_ms ~service_ms ~ready_ms
                  | Reply r ->
                      Paxi_obs.Trace.on_reply trace
@@ -390,8 +390,8 @@ module Make (P : Proto.RUNNABLE) = struct
             else
               match msg with
               | Peer m -> on_peer ~src m
-              | Request { client; request } ->
-                  P.on_request t.replicas.(i) ~client request
+              | Request { client; command } ->
+                  P.on_request t.replicas.(i) ~client command
               | Rel pkt ->
                   (* [on_packet] calls [deliver] before it returns, so
                      one callback per replica serves every packet *)
@@ -430,13 +430,12 @@ module Make (P : Proto.RUNNABLE) = struct
     Hashtbl.replace t.pending
       (pending_key ~client ~id:command.Command.id)
       on_reply;
-    let request = { Proto.command } in
     if Paxi_obs.Trace.enabled t.trace then
       Paxi_obs.Trace.on_submit t.trace ~client ~cmd_id:command.Command.id
         ~is_read:(Command.is_read command) ~now_ms:(Sim.now t.shared.sim);
     Transport.send t.transport ~src:(Address.client client)
       ~dst:(Address.replica target)
-      (Request { client = Address.client client; request })
+      (Request { client = Address.client client; command })
 
   let pending t ~client ~command =
     Hashtbl.mem t.pending (pending_key ~client ~id:command.Command.id)

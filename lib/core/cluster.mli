@@ -9,7 +9,7 @@
 
 type 'p envelope =
   | Peer of 'p
-  | Request of { client : Address.t; request : Proto.request }
+  | Request of { client : Address.t; command : Command.t }
   | Reply of Proto.reply
   | Rel of 'p Reliable.packet
       (** a protocol message under reliable-delivery bookkeeping, or

@@ -1,87 +1,122 @@
-type entry = {
-  mutable ballot : Ballot.t;
-  mutable cmd : Command.t;
-  mutable client : Address.t option;
-  mutable committed : bool;
-}
+type entry = { ballot : Ballot.t; cmd : Command.t; committed : bool }
+
+(* A slot's meta word: its accepted ballot ([Ballot.pack]) above the
+   commit bit. *)
+let committed_bit = 1
+let word ballot ~committed = (Ballot.pack ballot lsl 1) lor committed
+let is_committed m = m land committed_bit <> 0
+let uncommitted m = m land committed_bit = 0
+let with_commit m = m lor committed_bit
 
 type t = {
-  slots : entry Slot_log.t;
+  slots : Slot_log.t;
   exec : Executor.t;
   reply : Address.t -> Proto.reply -> unit;
   replier : int;
+  hint : int option;  (** [Some replier], built once *)
   mutable leading : unit -> bool;
-  mutable apply : (int -> entry -> Command.value option -> unit) option;
+  mutable apply : (int -> Command.t -> Command.value option -> unit) option;
+  mutable step : int -> unit;  (** [run] on this log, built once *)
 }
 
+(* Execute one slot the frontier just passed: apply, run the hook,
+   answer the recorded client. The reply reads the slot's command
+   after the hook, as a re-entrant learn may have replaced it. *)
+let run t slot =
+  let read = Executor.execute t.exec (Slot_log.cmd t.slots slot) in
+  (match t.apply with
+  | Some f -> f slot (Slot_log.cmd t.slots slot) read
+  | None -> ());
+  let client = Slot_log.take_client t.slots slot in
+  if client <> Slot_log.no_client then
+    t.reply (Address.of_code client)
+      {
+        Proto.command = Slot_log.cmd t.slots slot;
+        read;
+        replier = t.replier;
+        leader_hint = (if t.leading () then t.hint else None);
+      }
+
 let create exec (env : _ Proto.env) =
-  {
-    slots = Slot_log.create ();
-    exec;
-    reply = env.Proto.reply;
-    replier = env.Proto.id;
-    leading = (fun () -> false);
-    apply = None;
-  }
+  let t =
+    {
+      slots = Slot_log.create ();
+      exec;
+      reply = env.Proto.reply;
+      replier = env.Proto.id;
+      hint = Some env.Proto.id;
+      leading = (fun () -> false);
+      apply = None;
+      step = ignore;
+    }
+  in
+  t.step <- run t;
+  t
 
 let set_leading t f = t.leading <- f
 let set_apply t f = t.apply <- Some f
-let get t slot = Slot_log.get t.slots slot
+
+let view t slot =
+  let m = Slot_log.meta t.slots slot in
+  {
+    ballot = Ballot.unpack (m lsr 1);
+    cmd = Slot_log.cmd t.slots slot;
+    committed = is_committed m;
+  }
+
+let get t slot = if Slot_log.mem t.slots slot then Some (view t slot) else None
+let mem t slot = Slot_log.mem t.slots slot
+let command t slot = Slot_log.cmd t.slots slot
+
+let committed t slot =
+  Slot_log.mem t.slots slot && is_committed (Slot_log.meta t.slots slot)
+
+let take_client t slot =
+  let code = Slot_log.take_client t.slots slot in
+  if code = Slot_log.no_client then None else Some (Address.of_code code)
+
 let exec_frontier t = Slot_log.exec_frontier t.slots
 let next_slot t = Slot_log.next_slot t.slots
-let iter_from t ~start ~f = Slot_log.iter_from t.slots ~start ~f
+
+let iter_from t ~start ~f =
+  Slot_log.iter_from t.slots ~start ~f:(fun slot -> f slot (view t slot))
 
 let propose t slot ~ballot ~client cmd =
-  Slot_log.set t.slots slot
-    { ballot; cmd; client = Some client; committed = false }
+  Slot_log.set t.slots slot ~meta:(word ballot ~committed:0) cmd;
+  Slot_log.set_client t.slots slot client
+
+(* A different command in a filled slot displaces its client. *)
+let replace t slot ~meta cmd =
+  if not (Command.equal (Slot_log.cmd t.slots slot) cmd) then
+    ignore (Slot_log.take_client t.slots slot);
+  Slot_log.update t.slots slot ~meta cmd
 
 let accept t slot ~ballot cmd =
-  match Slot_log.get t.slots slot with
-  | Some e when e.committed -> false
-  | Some e ->
-      if not (Command.equal e.cmd cmd) then e.client <- None;
-      e.ballot <- ballot;
-      e.cmd <- cmd;
-      true
-  | None ->
-      Slot_log.set t.slots slot { ballot; cmd; client = None; committed = false };
-      true
+  if not (Slot_log.mem t.slots slot) then begin
+    Slot_log.set t.slots slot ~meta:(word ballot ~committed:0) cmd;
+    true
+  end
+  else if is_committed (Slot_log.meta t.slots slot) then false
+  else begin
+    replace t slot ~meta:(word ballot ~committed:0) cmd;
+    true
+  end
 
 let learn t slot ~ballot cmd =
-  match Slot_log.get t.slots slot with
-  | Some e ->
-      if not (Command.equal e.cmd cmd) then e.client <- None;
-      e.cmd <- cmd;
-      e.committed <- true
-  | None ->
-      Slot_log.set t.slots slot { ballot; cmd; client = None; committed = true }
+  if Slot_log.mem t.slots slot then
+    replace t slot ~meta:(with_commit (Slot_log.meta t.slots slot)) cmd
+  else Slot_log.set t.slots slot ~meta:(word ballot ~committed:committed_bit) cmd
 
 let commit t slot =
-  match Slot_log.get t.slots slot with
-  | Some e when not e.committed ->
-      e.committed <- true;
-      true
-  | _ -> false
+  let m = Slot_log.meta t.slots slot in
+  if Slot_log.mem t.slots slot && uncommitted m then begin
+    Slot_log.set_meta t.slots slot (with_commit m);
+    true
+  end
+  else false
 
 let commit_below t bound =
-  Slot_log.commit_below t.slots bound
-    ~pending:(fun e -> not e.committed)
-    ~mark:(fun e -> e.committed <- true)
+  Slot_log.commit_below t.slots bound ~pending:uncommitted ~mark:with_commit
 
 let execute t =
-  Slot_log.advance_frontier t.slots
-    ~executable:(fun e -> e.committed)
-    ~f:(fun slot e ->
-      let read = Executor.execute t.exec e.cmd in
-      (match t.apply with Some f -> f slot e read | None -> ());
-      match e.client with
-      | Some client ->
-          e.client <- None;
-          t.reply client
-            {
-              Proto.command = e.cmd;
-              read;
-              replier = t.replier;
-              leader_hint = (if t.leading () then Some t.replier else None);
-            }
-      | None -> ())
+  Slot_log.advance_frontier t.slots ~executable:is_committed ~f:t.step

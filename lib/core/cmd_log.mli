@@ -1,23 +1,30 @@
 (** The command log of the multi-Paxos slot protocols — paxos, wpaxos
-    (one log per object) and mencius: a {!Slot_log} of command entries
-    and the four rules every one of them applies to it. A protocol
-    keeps its own ballots, quorums and slot ownership; this module
-    decides what an accept, a learned commit and execution do to an
-    entry.
+    (one log per object) and mencius: a {!Slot_log} of commands and the
+    four rules every one of them applies to it. A protocol keeps its
+    own ballots, quorums and slot ownership; this module decides what
+    an accept, a learned commit and execution do to a slot.
 
-    Displaced clients: an entry records the client its proposer
-    answers once the slot executes. When an accept or a learned commit
-    puts a different command in the slot, that client is dropped: its
-    command did not take the slot, and it must never receive another
-    command's result. It retries, and the executor's memo answers a
-    command decided twice. *)
+    A slot is no record: its accepted ballot ({!Ballot.pack}) and its
+    commit bit share the slot's meta word, its command sits in the
+    page beside it, and its client, if this replica proposed it, in a
+    client page only the proposer allocates (DESIGN.md §10). Accept,
+    commit and execute read and write those words in place and
+    allocate nothing but the replies they send; an {!entry} is a view
+    built only for phase 1 and recovery ({!get}, {!iter_from}).
+
+    Displaced clients: a slot records the client its proposer answers
+    once the slot executes. When an accept or a learned commit puts a
+    different command in the slot, that client is dropped: its command
+    did not take the slot, and it must never receive another command's
+    result. It retries, and the executor's memo answers a command
+    decided twice. *)
 
 type entry = {
-  mutable ballot : Ballot.t;  (** of the accepted command *)
-  mutable cmd : Command.t;
-  mutable client : Address.t option;  (** answered when the slot executes *)
-  mutable committed : bool;
+  ballot : Ballot.t;  (** of the accepted command *)
+  cmd : Command.t;
+  committed : bool;
 }
+(** A view of one slot, built on demand. *)
 
 type t
 
@@ -29,12 +36,23 @@ val set_leading : t -> (unit -> bool) -> unit
 (** Whether the replica leads right now; {!execute}'s replies then
     name it as the leader. Never, by default. *)
 
-val set_apply : t -> (int -> entry -> Command.value option -> unit) -> unit
-(** A hook {!execute} runs on each slot right after applying it and
-    before answering its client; it may take the client
-    ([e.client <- None]) to answer it later. None by default. *)
+val set_apply : t -> (int -> Command.t -> Command.value option -> unit) -> unit
+(** A hook {!execute} runs on each slot right after applying its
+    command and before answering its client; it may take the client
+    ({!take_client}) to answer it later. None by default. *)
 
 val get : t -> int -> entry option
+val mem : t -> int -> bool
+
+val command : t -> int -> Command.t
+(** The slot's command; {!Command.noop} for an empty slot. *)
+
+val committed : t -> int -> bool
+(** The slot is filled and committed. *)
+
+val take_client : t -> int -> Address.t option
+(** Remove and return the client the slot answers, if any. *)
+
 val exec_frontier : t -> int
 val next_slot : t -> int
 val iter_from : t -> start:int -> f:(int -> entry -> unit) -> unit

@@ -77,7 +77,7 @@ let execute t c =
     if tag = read_none then None
     else if tag = read_some then Some t.reads.(i)
     else begin
-      let { State_machine.read; _ } = State_machine.apply t.sm c in
+      let read = State_machine.apply t.sm c in
       t.count <- t.count + 1;
       let i =
         if 4 * t.count > 3 * Array.length t.keys then (grow t; find_slot t k)

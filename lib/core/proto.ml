@@ -1,5 +1,3 @@
-type request = { command : Command.t }
-
 type reply = {
   command : Command.t;
   read : Command.value option;
@@ -88,7 +86,7 @@ type 'm env = {
   broadcast_sized : size_bytes:int -> 'm -> unit;
   multicast_sized : int list -> size_bytes:int -> 'm -> unit;
   reply : Address.t -> reply -> unit;
-  forward : int -> client:Address.t -> request -> unit;
+  forward : int -> client:Address.t -> Command.t -> unit;
   rel : 'm rel;
   obs : obs;
   storage : Storage.t option;
@@ -101,7 +99,7 @@ module type PROTOCOL = sig
   val name : string
   val message_label : message -> string
   val create : message env -> replica
-  val on_request : replica -> client:Address.t -> request -> unit
+  val on_request : replica -> client:Address.t -> Command.t -> unit
   val on_message : replica -> src:int -> message -> unit
   val on_start : replica -> unit
   val on_recover : replica -> unit

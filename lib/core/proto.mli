@@ -7,8 +7,6 @@
     [message] is the Messages block, and the [PROTOCOL] replica
     callbacks are the Replica block. *)
 
-type request = { command : Command.t }
-
 type reply = {
   command : Command.t;
   read : Command.value option;  (** value observed by a read *)
@@ -97,7 +95,7 @@ type 'm env = {
   broadcast_sized : size_bytes:int -> 'm -> unit;
   multicast_sized : int list -> size_bytes:int -> 'm -> unit;
   reply : Address.t -> reply -> unit;  (** answer a client *)
-  forward : int -> client:Address.t -> request -> unit;
+  forward : int -> client:Address.t -> Command.t -> unit;
       (** hand a client request over to another replica, preserving the
           originating client address *)
   rel : 'm rel;  (** reliable-delivery operations *)
@@ -121,9 +119,9 @@ module type PROTOCOL = sig
 
   val create : message env -> replica
 
-  val on_request : replica -> client:Address.t -> request -> unit
-  (** A client request arrived at this replica (directly or
-      forwarded). *)
+  val on_request : replica -> client:Address.t -> Command.t -> unit
+  (** A client request — its command — arrived at this replica
+      (directly or forwarded). *)
 
   val on_message : replica -> src:int -> message -> unit
 

@@ -31,6 +31,11 @@ let compare a b =
 let equal a b = compare a b = 0
 let hash = function Replica i -> (2 * i) + 1 | Client i -> 2 * i
 
+let code = hash
+
+let of_code c =
+  if c land 1 = 1 then replica (c asr 1) else client (c asr 1)
+
 let pp ppf = function
   | Replica i -> Format.fprintf ppf "n%d" i
   | Client i -> Format.fprintf ppf "c%d" i

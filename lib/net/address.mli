@@ -19,6 +19,15 @@ val replica_id : t -> int
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val hash : t -> int
+val code : t -> int
+(** The address as one int: [2i + 1] for [Replica i], [2i] for
+    [Client i] (the same int as {!hash}). [min_int] is the code of no
+    address an id above [min_int / 2] names. *)
+
+val of_code : int -> t
+(** Inverse of {!code}, through {!replica} and {!client}: prebuilt
+    values for small ids. *)
+
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 

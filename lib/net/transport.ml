@@ -66,10 +66,11 @@ type 'm t = {
   mutable peers : Address.t list array;
   mutable peers_n : int;
   (* messages in flight, by delivery id: parallel arrays with a free
-     stack, so queueing a message allocates nothing but its
-     [Some msg] cell (shared by every copy of a multicast) *)
+     stack, so queueing a message allocates nothing *)
   mutable d_src : Address.t array;
-  mutable d_msg : 'm option array; (* [None] while free *)
+  mutable d_msg : 'm array;
+      (* a free slot holds [d_msg.(0)], so it keeps no message of its
+         own alive *)
   mutable d_size : int array;
   mutable d_seq : int array;
   mutable d_sent : float array;
@@ -96,7 +97,9 @@ let set_observer t obs = t.observer <- obs
 
 (* ---- delivery slab -------------------------------------------------- *)
 
-let grow_deliveries t =
+(* [msg], the message being queued, fills the new slots of the first
+   growth: the slab has no message of its own before it. *)
+let grow_deliveries t msg =
   let cap = t.d_cap in
   let ncap = if cap = 0 then 64 else cap * 2 in
   let g a fill =
@@ -105,7 +108,7 @@ let grow_deliveries t =
     na
   in
   t.d_src <- g t.d_src (Address.replica 0);
-  t.d_msg <- g t.d_msg None;
+  t.d_msg <- g t.d_msg (if cap = 0 then msg else t.d_msg.(0));
   t.d_size <- g t.d_size 0;
   t.d_seq <- g t.d_seq 0;
   t.d_sent <- g t.d_sent 0.0;
@@ -119,13 +122,13 @@ let grow_deliveries t =
   done;
   t.d_cap <- ncap
 
-let alloc_delivery t =
-  if t.d_free_n = 0 then grow_deliveries t;
+let alloc_delivery t msg =
+  if t.d_free_n = 0 then grow_deliveries t msg;
   t.d_free_n <- t.d_free_n - 1;
   t.d_free.(t.d_free_n)
 
 let free_delivery t id =
-  t.d_msg.(id) <- None;
+  t.d_msg.(id) <- t.d_msg.(0);
   t.d_free.(t.d_free_n) <- id;
   t.d_free_n <- t.d_free_n + 1
 
@@ -222,13 +225,9 @@ let commit t n =
             ~size_bytes:t.d_size.(id)
         in
         t.d_ready.(id) <- ready;
-        match t.d_msg.(id) with
-        | Some msg ->
-            obs.on_delivery ~src:t.d_src.(id) ~dst:n.addr
-              ~size_bytes:t.d_size.(id) ~sent_ms:t.d_sent.(id)
-              ~arrival_ms:arrival ~wait_ms:wait ~service_ms:service
-              ~ready_ms:ready msg
-        | None -> ()));
+        obs.on_delivery ~src:t.d_src.(id) ~dst:n.addr ~size_bytes:t.d_size.(id)
+          ~sent_ms:t.d_sent.(id) ~arrival_ms:arrival ~wait_ms:wait
+          ~service_ms:service ~ready_ms:ready t.d_msg.(id)));
     ring_push n id
   done
 
@@ -264,11 +263,11 @@ let fire t n =
   if Faults.is_crashed t.faults ~now_ms:(Sim.now t.sim) n.addr then
     t.dropped <- t.dropped + 1
   else
-    match (n.handler, msg) with
-    | Some handler, Some msg ->
+    match n.handler with
+    | Some handler ->
         t.delivered <- t.delivered + 1;
         handler ~src msg
-    | _ -> t.dropped <- t.dropped + 1
+    | None -> t.dropped <- t.dropped + 1
 
 let make_node t addr q =
   let self = ref None in
@@ -429,7 +428,7 @@ let deliver t ~src ~dst ~size_bytes msg ~arrival =
   then doom t ~arrival ~seq
   else begin
     let n = node t dst in
-    let id = alloc_delivery t in
+    let id = alloc_delivery t msg in
     t.d_src.(id) <- src;
     t.d_msg.(id) <- msg;
     t.d_size.(id) <- size_bytes;
@@ -467,7 +466,7 @@ let send_one t ~src ~dst ~size_bytes msg =
   end
   else begin
     occupy_outgoing t src ~copies:1 ~size_bytes;
-    transmit t ~src ~dst ~size_bytes (Some msg)
+    transmit t ~src ~dst ~size_bytes msg
   end
 
 let dispatch t ~src ~dsts ~size_bytes msg =
@@ -482,7 +481,6 @@ let dispatch t ~src ~dsts ~size_bytes msg =
       end
       else begin
         occupy_outgoing t src ~copies ~size_bytes;
-        let msg = Some msg in
         List.iter (fun dst -> transmit t ~src ~dst ~size_bytes msg) dsts
       end
 

@@ -24,8 +24,8 @@ let executor t = t.exec
 let leader_of_key _ _ = None
 let stored_tag t key = Abd_round.stored_tag t.round key
 
-let on_request t ~client (request : Proto.request) =
-  Abd_round.start t.round ~client request.Proto.command
+let on_request t ~client (cmd : Command.t) =
+  Abd_round.start t.round ~client cmd
 
 let on_message t ~src msg = Abd_round.on_message t.round ~src msg
 let on_start (_ : replica) = ()

@@ -68,7 +68,7 @@ let handle_write t ~client cmd =
     Hashtbl.replace t.pending seq (cmd, client);
     apply_ready t
   end
-  else t.env.forward (head t) ~client { Proto.command = cmd }
+  else t.env.forward (head t) ~client cmd
 
 let handle_read t ~client cmd =
   if is_tail t then
@@ -85,10 +85,9 @@ let handle_read t ~client cmd =
     | _ ->
         let read = Executor.execute t.exec cmd in
         reply t ~client ~cmd ~read
-  else t.env.forward (tail t) ~client { Proto.command = cmd }
+  else t.env.forward (tail t) ~client cmd
 
-let on_request t ~client (request : Proto.request) =
-  let cmd = request.Proto.command in
+let on_request t ~client (cmd : Command.t) =
   if Command.is_write cmd then handle_write t ~client cmd
   else handle_read t ~client cmd
 

@@ -317,8 +317,7 @@ let finalize_commit t (i : inst) ~fast =
   t.env.broadcast (Commit { iid = i.iid; cmd = i.cmd; seq = i.seq; deps = i.deps });
   commit_instance t i
 
-let on_request t ~client (request : Proto.request) =
-  let cmd = request.Proto.command in
+let on_request t ~client (cmd : Command.t) =
   let no = t.next_no in
   t.next_no <- t.next_no + 1;
   let iid = (t.env.id, no) in

@@ -13,7 +13,7 @@ type t = {
   (* leader: serve until (local clock), once progress reaches barrier *)
   mutable until : float;
   mutable barrier : int;
-  reads : (Address.t * Proto.request) Queue.t;
+  reads : (Address.t * Command.t) Queue.t;
   mutable served : int;
 }
 
@@ -56,8 +56,7 @@ let refuses t candidate =
 
 let valid t = t.progress () >= t.barrier && t.now () < t.until -. t.margin
 
-let serve t ~client (request : Proto.request) =
-  let command = request.Proto.command in
+let serve t ~client command =
   let read = Executor.read t.exec command in
   t.served <- t.served + 1;
   t.on_read ();
@@ -66,12 +65,12 @@ let serve t ~client (request : Proto.request) =
 let drain t =
   if not (Queue.is_empty t.reads) then
     while valid t && not (Queue.is_empty t.reads) do
-      let client, request = Queue.pop t.reads in
-      serve t ~client request
+      let client, cmd = Queue.pop t.reads in
+      serve t ~client cmd
     done
 
-let read t ~client request =
-  if valid t then serve t ~client request else Queue.push (client, request) t.reads
+let read t ~client cmd =
+  if valid t then serve t ~client cmd else Queue.push (client, cmd) t.reads
 
 let lead t ~barrier =
   t.barrier <- barrier;

@@ -55,14 +55,14 @@ val extend : t -> until:float -> unit
 (** The renewal quorum is met: open the window to [until] (local
     clock) if that is later, then serve queued reads. *)
 
-val revoke : t -> pending:(Address.t * Proto.request) Queue.t -> unit
+val revoke : t -> pending:(Address.t * Command.t) Queue.t -> unit
 (** Leadership lost or promised away: close the window and move queued
     reads onto [pending], from where the protocol forwards them. *)
 
 val valid : t -> bool
 (** The leader may serve a read locally right now. *)
 
-val read : t -> client:Address.t -> Proto.request -> unit
+val read : t -> client:Address.t -> Command.t -> unit
 (** A client read at the leader: served now if {!valid}, else
     queued. *)
 

@@ -72,15 +72,15 @@ let skip_own_below t upto =
     t.env.broadcast (MSkip { from_slot; upto })
   end
 
-let on_request t ~client (request : Proto.request) =
+let on_request t ~client (cmd : Command.t) =
   let slot = t.next_own in
   t.next_own <- slot + t.env.n;
   let tracker = Quorum.create (Quorum.Majority (all_ids t)) in
   Quorum.ack tracker t.env.id;
-  Cmd_log.propose t.log slot ~ballot:Ballot.zero ~client request.Proto.command;
+  Cmd_log.propose t.log slot ~ballot:Ballot.zero ~client cmd;
   t.env.broadcast
     (MAccept
-       { slot; cmd = request.Proto.command; commit_up_to = Cmd_log.exec_frontier t.log });
+       { slot; cmd; commit_up_to = Cmd_log.exec_frontier t.log });
   (* at n = 1 the self-ack is already a majority: no MAcceptOk will
      ever arrive to complete it *)
   if Quorum.satisfied tracker then begin
@@ -103,11 +103,10 @@ let on_accept_ok t ~src ~slot =
       Quorum.ack tracker src;
       if Quorum.satisfied tracker then begin
         Hashtbl.remove t.flights slot;
-        match Cmd_log.get t.log slot with
-        | Some e when Cmd_log.commit t.log slot ->
-            advance t;
-            t.env.broadcast (MCommit { slot; cmd = e.Cmd_log.cmd })
-        | _ -> ()
+        if Cmd_log.commit t.log slot then begin
+          advance t;
+          t.env.broadcast (MCommit { slot; cmd = Cmd_log.command t.log slot })
+        end
       end
   | None -> ()
 

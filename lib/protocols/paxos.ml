@@ -93,10 +93,10 @@ type replica = {
   log : Cmd_log.t;
   exec : Executor.t;
   mutable p1 : phase1_state option;
-  pending : (Address.t * Proto.request) Queue.t;
+  pending : (Address.t * Command.t) Queue.t;
   mutable last_heard : float;
   (* leader command batching (Config.batching) *)
-  batch_buf : (Address.t * Proto.request) Queue.t;
+  batch_buf : (Address.t * Command.t) Queue.t;
   mutable flush_timer : Sim.handle; (* Sim.nil when no flush is pending *)
   batches : (int, batch_state) Hashtbl.t;
       (* in-flight phase-2 rounds keyed by first_slot *)
@@ -197,19 +197,17 @@ let maybe_release_held t slot =
 (* Quorum-read mode's per-slot apply hook: every apply feeds the
    per-key shadow register, and the leader takes the slot's client to
    hold its reply until a majority acks application. *)
-let quorum_apply t slot (e : Cmd_log.entry) read =
-  (if Command.is_write e.cmd then
+let quorum_apply t slot cmd read =
+  (if Command.is_write cmd then
      let value =
-       match e.cmd.Command.op with
+       match cmd.Command.op with
        | Command.Put (_, v) -> Some v
        | _ -> None
      in
-     Abd_round.adopt t.abd (Command.key e.cmd) ~tag:(slot, 0) value);
+     Abd_round.adopt t.abd (Command.key cmd) ~tag:(slot, 0) value);
   if t.active then begin
-    (match e.client with
-    | Some client ->
-        e.client <- None;
-        Hashtbl.replace t.held slot (client, e.cmd, read)
+    (match Cmd_log.take_client t.log slot with
+    | Some client -> Hashtbl.replace t.held slot (client, cmd, read)
     | None -> ());
     Quorum.ack (commit_tracker t slot) t.env.id;
     maybe_release_held t slot
@@ -219,7 +217,7 @@ let quorum_apply t slot (e : Cmd_log.entry) read =
        write may not be majority-applied yet, and a quorum read could
        miss it. The client's retry reaches the new leader, which
        re-proposes and defers the ack properly. *)
-    e.client <- None;
+    ignore (Cmd_log.take_client t.log slot);
     if t.ballot.Ballot.round > 0 && t.ballot.Ballot.owner <> t.env.id then
       t.env.send t.ballot.Ballot.owner (CommitAck { slot })
   end
@@ -320,10 +318,7 @@ let relay_fallback t first_slot (bs : batch_state) =
     Relay.stall t.relay;
     t.env.rel.settle_all ~key:bs.rkey;
     let cmds =
-      Array.init bs.count (fun i ->
-          match Cmd_log.get t.log (first_slot + i) with
-          | Some e -> e.Cmd_log.cmd
-          | None -> Command.noop)
+      Array.init bs.count (fun i -> Cmd_log.command t.log (first_slot + i))
     in
     let size_bytes = bs.count * t.env.config.Config.msg_size_bytes in
     (* in place: the storage sync callback finds its round by
@@ -352,19 +347,23 @@ let relay_record_is ~(ballot : Ballot.t) ~count (a : Relay.agg) =
 let relay_absorb_p2b t ~src ~ballot ~first_slot ~count ~ok =
   (not t.active) && Relay.active t.relay
   &&
-  match Relay.lookup t.relay first_slot with
-  | Some a when ok && relay_record_is ~ballot ~count a ->
-      Relay.absorb t.relay first_slot a ~src;
-      true
-  | Some a when (not ok) && a.Relay.a_aux = count ->
+  let a = Relay.lookup t.relay first_slot in
+  if a == Relay.agg_nil then false
+  else if ok && relay_record_is ~ballot ~count a then begin
+    Relay.absorb t.relay first_slot a ~src;
+    true
+  end
+  else begin
+    if (not ok) && a.Relay.a_aux = count then begin
       (* the member knows a higher ballot: relay the nok to the
          round's leader (it must step down), then take the normal nok
          path ourselves *)
       t.env.send a.Relay.a_leader
         (P2b { ballot; first_slot; count; ok = false });
-      Relay.drop t.relay first_slot a;
-      false
-  | _ -> false
+      Relay.drop t.relay first_slot a
+    end;
+    false
+  end
 
 (* ---- stable storage (Config.storage; DESIGN.md §14) ----------------
    Registers 0/1 hold the durable promised ballot (round, owner); the
@@ -399,9 +398,8 @@ let commit_batch t first_slot (bs : batch_state) =
      client's ack is waiting on their CommitAcks *)
   if (not t.env.config.Config.piggyback_commit) || quorum_mode t then
     for slot = first_slot to first_slot + bs.count - 1 do
-      match Cmd_log.get t.log slot with
-      | Some e -> t.env.broadcast (Commit { slot; cmd = e.Cmd_log.cmd })
-      | None -> ()
+      if Cmd_log.mem t.log slot then
+        t.env.broadcast (Commit { slot; cmd = Cmd_log.command t.log slot })
     done
 
 (* The leader's own phase-2 vote; with [q2 = 1] it alone commits. *)
@@ -463,8 +461,7 @@ let open_round t ~direct first_slot cmds =
 
 (* Log a client command at the next free slot under the current
    ballot; its reply happens as the slot executes in [advance]. *)
-let log_command t client (request : Proto.request) =
-  let cmd = request.Proto.command in
+let log_command t client (cmd : Command.t) =
   let slot = Cmd_log.next_slot t.log in
   Cmd_log.propose t.log slot ~ballot:t.ballot ~client cmd;
   t.env.obs.Proto.on_propose ~slot ~cmd;
@@ -491,21 +488,21 @@ let flush_batch t =
     let first_slot = Cmd_log.next_slot t.log in
     let cmds = Array.make (Queue.length t.batch_buf) Command.noop in
     for i = 0 to Array.length cmds - 1 do
-      let client, request = Queue.pop t.batch_buf in
-      cmds.(i) <- log_command t client request
+      let client, cmd = Queue.pop t.batch_buf in
+      cmds.(i) <- log_command t client cmd
     done;
     propose t first_slot cmds
   end
 
 (* Active-leader ingress: propose a round of one immediately, or
    coalesce into the current batch when Config.batching is on. *)
-let enqueue t ~client request =
+let enqueue t ~client cmd =
   match t.env.config.Config.batching with
   | None ->
       let first_slot = Cmd_log.next_slot t.log in
-      propose t first_slot [| log_command t client request |]
+      propose t first_slot [| log_command t client cmd |]
   | Some b ->
-      Queue.push (client, request) t.batch_buf;
+      Queue.push (client, cmd) t.batch_buf;
       if Queue.length t.batch_buf >= b.Config.max_batch then flush_batch t
       else if Sim.is_nil t.flush_timer then
         t.flush_timer <-
@@ -516,8 +513,8 @@ let enqueue t ~client request =
 let drain_pending t =
   if t.active then
     while not (Queue.is_empty t.pending) do
-      let client, request = Queue.pop t.pending in
-      enqueue t ~client request
+      let client, cmd = Queue.pop t.pending in
+      enqueue t ~client cmd
     done
   else if
     t.ballot.Ballot.round > 0
@@ -525,8 +522,8 @@ let drain_pending t =
     && t.p1 = None
   then
     while not (Queue.is_empty t.pending) do
-      let client, request = Queue.pop t.pending in
-      t.env.forward t.ballot.Ballot.owner ~client request
+      let client, cmd = Queue.pop t.pending in
+      t.env.forward t.ballot.Ballot.owner ~client cmd
     done
 
 (* Leaving leadership (or candidacy for it): stop serving lease reads,
@@ -706,19 +703,19 @@ let step_down t ~ballot =
    acks are deferred until a majority applied (see
    [advance]/[maybe_release_held]): every acknowledged write is visible
    to every majority the read can draw. *)
-let on_request t ~client (request : Proto.request) =
-  if quorum_mode t && Command.is_read request.Proto.command then
-    Abd_round.start t.abd ~client request.Proto.command
+let on_request t ~client (cmd : Command.t) =
+  if quorum_mode t && Command.is_read cmd then
+    Abd_round.start t.abd ~client cmd
   else if t.active then
-    if Lease.on t.lease && Command.is_read request.Proto.command then
-      Lease.read t.lease ~client request
-    else enqueue t ~client request
+    if Lease.on t.lease && Command.is_read cmd then
+      Lease.read t.lease ~client cmd
+    else enqueue t ~client cmd
   else if
     t.ballot.Ballot.round > 0
     && t.ballot.Ballot.owner <> t.env.id
     && t.p1 = None
-  then t.env.forward t.ballot.Ballot.owner ~client request
-  else Queue.push (client, request) t.pending
+  then t.env.forward t.ballot.Ballot.owner ~client cmd
+  else Queue.push (client, cmd) t.pending
 
 let on_p1a t ~src ~ballot ~frontier =
   (* Lease safety: while our grant to the current leader is live we
@@ -816,31 +813,28 @@ let on_p2a t ~src ~ballot ~first_slot ~cmds ~commit_up_to =
    re-fans to the members whose bits are still clear. *)
 let on_relay_round t ~src ~gen ~inner =
   match inner with
-  | P2a { ballot; first_slot; cmds; commit_up_to } -> (
+  | P2a { ballot; first_slot; cmds; commit_up_to } ->
       let count = Array.length cmds in
       let size_bytes = count * t.env.config.Config.msg_size_bytes in
-      match Relay.lookup t.relay first_slot with
-      | Some a when relay_record_is ~ballot ~count a ->
-          Relay.resend t.relay first_slot a ~size_bytes inner
-      | _ ->
-          if not (accept_p2a t ~ballot ~first_slot ~cmds ~commit_up_to) then
-            (* we know a higher ballot: nok straight back to the
-               leader, exactly as the direct path would *)
-            t.env.send src
-              (P2b { ballot = t.ballot; first_slot; count; ok = false })
-          else begin
-            if
-              not
-                (Relay.start t.relay ~key:first_slot
-                   ~leader:ballot.Ballot.owner ~gen ~tag:ballot.Ballot.round
-                   ~aux:count ~mark:(Cmd_log.exec_frontier t.log) ~size_bytes
-                   inner)
-            then
-              (* not a relay under this plan (the round raced a plan
-                 rotation): behave like a plain acceptor *)
-              t.env.send src (P2b { ballot; first_slot; count; ok = true });
-            drain_pending t
-          end)
+      let a = Relay.lookup t.relay first_slot in
+      if a != Relay.agg_nil && relay_record_is ~ballot ~count a then
+        Relay.resend t.relay first_slot a ~size_bytes inner
+      else if not (accept_p2a t ~ballot ~first_slot ~cmds ~commit_up_to) then
+        (* we know a higher ballot: nok straight back to the leader,
+           exactly as the direct path would *)
+        t.env.send src (P2b { ballot = t.ballot; first_slot; count; ok = false })
+      else begin
+        if
+          not
+            (Relay.start t.relay ~key:first_slot ~leader:ballot.Ballot.owner
+               ~gen ~tag:ballot.Ballot.round ~aux:count
+               ~mark:(Cmd_log.exec_frontier t.log) ~size_bytes inner)
+        then
+          (* not a relay under this plan (the round raced a plan
+             rotation): behave like a plain acceptor *)
+          t.env.send src (P2b { ballot; first_slot; count; ok = true });
+        drain_pending t
+      end
   | _ -> ()
 
 let on_p2b t ~src ~ballot ~first_slot ~count ~ok =

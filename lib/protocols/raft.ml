@@ -1,5 +1,3 @@
-type entry = { term : int; cmd : Command.t; client : Address.t option }
-
 type message =
   | RequestVote of { term : int; last_index : int; last_term : int }
   | VoteReply of { term : int; granted : bool }
@@ -7,7 +5,10 @@ type message =
       term : int;
       prev_index : int;
       prev_term : int;
-      entries : entry list;
+      terms : int array;
+      cmds : Command.t array;
+          (** entry [prev_index + 1 + i] is command [cmds.(i)] of term
+              [terms.(i)] *)
       leader_commit : int;
     }
   | AppendReply of { term : int; success : bool; match_index : int }
@@ -55,7 +56,7 @@ type replica = {
   mutable voted_for : int option;
   mutable state : role;
   mutable leader_id : int option;
-  log : entry Slot_log.t;
+  log : Slot_log.t; (* meta word = the entry's term *)
   mutable commit_index : int; (* one past last committed slot *)
   exec : Executor.t;
   mutable next_index : int array;
@@ -63,7 +64,7 @@ type replica = {
   mutable votes : Quorum.t option;
   mutable last_heard : float;
   mutable election_deadline : float;
-  pending : (Address.t * Proto.request) Queue.t;
+  pending : (Address.t * Command.t) Queue.t;
   (* leader command batching (Config.batching): entries appended since
      the last replication round, and the pending deferred-flush timer *)
   mutable unflushed : int;
@@ -169,7 +170,7 @@ let lease_window t = t.env.Proto.config.Config.failover_timeout_ms
 let lease_valid t = Lease.valid t.lease
 
 let log_term_at t i =
-  Option.map (fun (e : entry) -> e.term) (Slot_log.get t.log i)
+  if Slot_log.mem t.log i then Some (Slot_log.meta t.log i) else None
 
 let leader_of_key t (_ : Command.key) = t.leader_id
 
@@ -181,7 +182,7 @@ let term_at t i =
     (* the slot right below the compacted base: its term survives in
        the snapshot record so consistency checks still line up *)
     t.snap_term
-  else match Slot_log.get t.log i with Some e -> e.term | None -> 0
+  else Slot_log.meta t.log i
 
 (* ---- stable storage (Config.storage; DESIGN.md §14) ----------------
    Register 0 holds the durable term, register 1 the durable vote
@@ -196,8 +197,7 @@ let write_term st t =
   Storage.set_reg st 0 t.term;
   Storage.set_reg st 1 (match t.voted_for with Some v -> v + 1 | None -> 0)
 
-let write_entry st ~slot (e : entry) =
-  Storage.append st ~index:slot ~a:e.term ~b:0 e.cmd
+let write_entry st ~slot ~term cmd = Storage.append st ~index:slot ~a:term ~b:0 cmd
 
 let reset_election_timer t =
   let base = t.env.config.Config.failover_timeout_ms in
@@ -231,21 +231,19 @@ let maybe_snapshot t =
 (* Apply committed entries in order; leaders answer recorded clients. *)
 let apply_committed t =
   Slot_log.advance_frontier t.log
-    ~executable:(fun (e : entry) ->
-      ignore e;
-      Slot_log.exec_frontier t.log < t.commit_index)
-    ~f:(fun _i (e : entry) ->
-      let read = Executor.execute t.exec e.cmd in
-      match e.client with
-      | Some client ->
-          t.env.reply client
-            {
-              Proto.command = e.cmd;
-              read;
-              replier = t.env.id;
-              leader_hint = t.leader_id;
-            }
-      | None -> ());
+    ~executable:(fun _ -> Slot_log.exec_frontier t.log < t.commit_index)
+    ~f:(fun i ->
+      let cmd = Slot_log.cmd t.log i in
+      let read = Executor.execute t.exec cmd in
+      let client = Slot_log.take_client t.log i in
+      if client <> Slot_log.no_client then
+        t.env.reply (Address.of_code client)
+          {
+            Proto.command = cmd;
+            read;
+            replier = t.env.id;
+            leader_hint = t.leader_id;
+          });
   maybe_snapshot t
 
 (* Every append (probe) may extend the lease once answered; remember
@@ -278,10 +276,10 @@ let recompute_lease t =
    message sizes on the wire (but still one t_in/t_out) — without it,
    sends keep the flat per-message default so unbatched runs are
    bit-identical to the pre-batching simulator. *)
-let append_size t entries =
+let append_size t cmds =
   match t.env.config.Config.batching with
   | Some _ ->
-      Stdlib.max 1 (List.length entries) * t.env.config.Config.msg_size_bytes
+      Stdlib.max 1 (Array.length cmds) * t.env.config.Config.msg_size_bytes
   | None -> t.env.config.Config.msg_size_bytes
 
 (* ---- relay trees (Config.relay_groups = r > 0; DESIGN.md §12) ----
@@ -302,11 +300,12 @@ let append_size t entries =
 let relay_absorb_reply t ~src ~term ~success ~match_index =
   t.state <> Leader && Relay.active t.relay && success
   &&
-  match Relay.lookup t.relay match_index with
-  | Some a when a.Relay.a_tag = term ->
-      Relay.absorb t.relay match_index a ~src;
-      true
-  | _ -> false
+  let a = Relay.lookup t.relay match_index in
+  a != Relay.agg_nil && a.Relay.a_tag = term
+  && begin
+       Relay.absorb t.relay match_index a ~src;
+       true
+     end
 
 (* A follower's next_index fell below our compacted base: the slots it
    needs are gone, so ship the state-machine image instead. Answered
@@ -323,24 +322,27 @@ let send_install_snapshot t ~dsts =
       t.env.multicast_sized dsts ~size_bytes
         (InstallSnapshot { term = t.term; last_index = last; last_term; image })
 
-(* The log from [next] on. *)
+(* The filled slots from [next] on: their terms and commands. *)
 let tail_from t next =
-  let entries = ref [] in
-  for i = last_index t downto next do
-    match Slot_log.get t.log i with
-    | Some e -> entries := e :: !entries
-    | None -> ()
-  done;
-  !entries
+  let k = ref 0 in
+  Slot_log.iter_from t.log ~start:next ~f:(fun _ -> incr k);
+  let terms = Array.make !k 0 and cmds = Array.make !k Command.noop in
+  k := 0;
+  Slot_log.iter_from t.log ~start:next ~f:(fun i ->
+      terms.(!k) <- Slot_log.meta t.log i;
+      cmds.(!k) <- Slot_log.cmd t.log i;
+      incr k);
+  (terms, cmds)
 
-let append_msg t ~next entries =
+let append_msg t ~next (terms, cmds) =
   let prev_index = next - 1 in
   AppendEntries
     {
       term = t.term;
       prev_index;
       prev_term = term_at t prev_index;
-      entries;
+      terms;
+      cmds;
       leader_commit = t.commit_index;
     }
 
@@ -359,15 +361,15 @@ let settle_append t f =
    open per follower and it always carries the freshest state. An
    empty tail is a plain probe — nothing to recover. *)
 let post_append_tail t ~dsts ~next =
-  let entries = tail_from t next in
+  let ((_, cmds) as entries) = tail_from t next in
   let msg = append_msg t ~next entries in
-  let size_bytes = append_size t entries in
+  let size_bytes = append_size t cmds in
   note_probe t dsts;
   List.iter (settle_append t) dsts;
-  if entries = [] then t.env.multicast_sized dsts ~size_bytes msg
+  if Array.length cmds = 0 then t.env.multicast_sized dsts ~size_bytes msg
   else begin
     let key = t.env.rel.post_multi ~size_bytes ~ack:Reliable.Piggyback dsts msg in
-    let expected = next + List.length entries in
+    let expected = next + Array.length cmds in
     List.iter
       (fun f ->
         t.append_key.(f) <- key;
@@ -438,17 +440,17 @@ and relay_broadcast_append t =
        for f = 0 to t.env.n - 1 do
          if f <> t.env.id then settle_append t f
        done;
-       let entries = tail_from t next in
+       let ((_, cmds) as entries) = tail_from t next in
        (* every follower is probed through its relay this round *)
        if Lease.on t.lease then
          note_probe t (List.filter (fun i -> i <> t.env.id) (all_ids t));
        let gen = Relay.route t.relay in
        t.relay_akey <-
-         t.env.rel.post_multi ~size_bytes:(append_size t entries)
+         t.env.rel.post_multi ~size_bytes:(append_size t cmds)
            ~ack:Reliable.Piggyback
            (Relay.relays t.relay ~gen)
            (RelayAppend { gen; inner = append_msg t ~next entries });
-       t.relay_expected <- next + List.length entries;
+       t.relay_expected <- next + Array.length cmds;
        t.relay_fb <-
          t.env.schedule (Relay.fallback_ms t.relay) (fun () ->
              relay_fallback t);
@@ -476,8 +478,8 @@ let broadcast_keepalive t =
   Hashtbl.iter
     (fun next members ->
       note_probe t members;
-      t.env.multicast_sized members ~size_bytes:(append_size t [])
-        (append_msg t ~next []))
+      t.env.multicast_sized members ~size_bytes:(append_size t [||])
+        (append_msg t ~next ([||], [||])))
     (followers_by_next t)
 
 (* Leadership changed hands (or is being contested): the open relayed
@@ -527,21 +529,20 @@ let become_leader t =
      fresh leader never serves a read before applying every write its
      predecessors could have acknowledged. *)
   let barrier = Slot_log.reserve t.log in
-  let be = { term = t.term; cmd = Command.noop; client = None } in
-  Slot_log.set t.log barrier be;
+  Slot_log.set t.log barrier ~meta:t.term Command.noop;
   Lease.lead t.lease ~barrier:(barrier + 1);
   (match t.env.Proto.storage with
   | None -> t.match_index.(t.env.id) <- barrier + 1
-  | Some st -> write_entry st ~slot:barrier be);
+  | Some st -> write_entry st ~slot:barrier ~term:t.term Command.noop);
   broadcast_append t;
   while not (Queue.is_empty t.pending) do
-    let client, request = Queue.pop t.pending in
+    let client, cmd = Queue.pop t.pending in
     let slot = Slot_log.reserve t.log in
-    let e = { term = t.term; cmd = request.Proto.command; client = Some client } in
-    Slot_log.set t.log slot e;
+    Slot_log.set t.log slot ~meta:t.term cmd;
+    Slot_log.set_client t.log slot client;
     match t.env.Proto.storage with
     | None -> t.match_index.(t.env.id) <- slot + 1
-    | Some st -> write_entry st ~slot e
+    | Some st -> write_entry st ~slot ~term:t.term cmd
   done;
   (match t.env.Proto.storage with
   | None -> advance_commit t (* a cluster of one commits alone *)
@@ -609,17 +610,15 @@ let start_election t =
       Storage.sync st (fun () ->
           if t.state = Candidate && t.term = term then solicit ())
 
-let on_request t ~client (request : Proto.request) =
+let on_request t ~client (cmd : Command.t) =
   match t.state with
-  | Leader when Lease.on t.lease && Command.is_read request.Proto.command ->
-      Lease.read t.lease ~client request
+  | Leader when Lease.on t.lease && Command.is_read cmd ->
+      Lease.read t.lease ~client cmd
   | Leader -> (
       let slot = Slot_log.reserve t.log in
-      let e =
-        { term = t.term; cmd = request.Proto.command; client = Some client }
-      in
-      Slot_log.set t.log slot e;
-      t.env.obs.Proto.on_propose ~slot ~cmd:request.Proto.command;
+      Slot_log.set t.log slot ~meta:t.term cmd;
+      Slot_log.set_client t.log slot client;
+      t.env.obs.Proto.on_propose ~slot ~cmd:cmd;
       (match t.env.Proto.storage with
       | None ->
           t.match_index.(t.env.id) <- slot + 1;
@@ -627,7 +626,7 @@ let on_request t ~client (request : Proto.request) =
       | Some st ->
           (* the leader's own match counts only once the entry's fsync
              completes — by then leadership may have moved on *)
-          write_entry st ~slot e;
+          write_entry st ~slot ~term:t.term cmd;
           let term = t.term in
           Storage.sync st (fun () ->
               if t.state = Leader && t.term = term then begin
@@ -651,15 +650,15 @@ let on_request t ~client (request : Proto.request) =
                     broadcast_append t))
   | Follower | Candidate -> (
       match t.leader_id with
-      | Some l when l <> t.env.id -> t.env.forward l ~client request
-      | _ -> Queue.push (client, request) t.pending)
+      | Some l when l <> t.env.id -> t.env.forward l ~client cmd
+      | _ -> Queue.push (client, cmd) t.pending)
 
 let drain_pending_to_leader t =
   match t.leader_id with
   | Some l when l <> t.env.id && t.state <> Leader ->
       while not (Queue.is_empty t.pending) do
-        let client, request = Queue.pop t.pending in
-        t.env.forward l ~client request
+        let client, cmd = Queue.pop t.pending in
+        t.env.forward l ~client cmd
       done
   | _ -> ()
 
@@ -708,7 +707,7 @@ let on_vote_reply t ~src ~term ~granted =
    relay). Returns the reply's (success, match_index); the caller
    sends it — with [t.term] read after this returns, since a higher
    [term] is adopted here. *)
-let append_entries_core t ~leader ~term ~prev_index ~prev_term ~entries
+let append_entries_core t ~leader ~term ~prev_index ~prev_term ~terms ~cmds
     ~leader_commit =
   if term < t.term then (false, 0)
   else begin
@@ -725,18 +724,16 @@ let append_entries_core t ~leader ~term ~prev_index ~prev_term ~entries
       (false, Int.min prev_index (Slot_log.next_slot t.log))
     else begin
       (* Append, overwriting conflicting suffixes. *)
-      List.iteri
-        (fun off (e : entry) ->
-          let i = prev_index + 1 + off in
-          match Slot_log.get t.log i with
-          | Some existing when existing.term = e.term -> ()
-          | _ ->
-              Slot_log.set t.log i { e with client = None };
-              (match t.env.Proto.storage with
-              | None -> ()
-              | Some st -> write_entry st ~slot:i e))
-        entries;
-      let match_index = prev_index + 1 + List.length entries in
+      for off = 0 to Array.length cmds - 1 do
+        let i = prev_index + 1 + off and term = terms.(off) in
+        if not (Slot_log.mem t.log i && Slot_log.meta t.log i = term) then begin
+          Slot_log.set t.log i ~meta:term cmds.(off);
+          match t.env.Proto.storage with
+          | None -> ()
+          | Some st -> write_entry st ~slot:i ~term cmds.(off)
+        end
+      done;
+      let match_index = prev_index + 1 + Array.length cmds in
       if leader_commit > t.commit_index then begin
         t.commit_index <- Int.min leader_commit match_index;
         apply_committed t
@@ -745,15 +742,15 @@ let append_entries_core t ~leader ~term ~prev_index ~prev_term ~entries
     end
   end
 
-let on_append_entries t ~src ~term ~prev_index ~prev_term ~entries
+let on_append_entries t ~src ~term ~prev_index ~prev_term ~terms ~cmds
     ~leader_commit =
   let success, match_index =
-    append_entries_core t ~leader:src ~term ~prev_index ~prev_term ~entries
+    append_entries_core t ~leader:src ~term ~prev_index ~prev_term ~terms ~cmds
       ~leader_commit
   in
   let reply_term = t.term in
   match t.env.Proto.storage with
-  | Some st when success && entries <> [] ->
+  | Some st when success && Array.length cmds > 0 ->
       (* the accept vote leaves only after its records are durable *)
       Storage.sync st (fun () ->
           t.env.send src
@@ -815,10 +812,10 @@ let on_install_snapshot t ~src ~term ~last_index ~last_term ~image =
    reply to the relay so it can aggregate. *)
 let on_fan_append t ~src ~origin ~inner =
   match inner with
-  | AppendEntries { term; prev_index; prev_term; entries; leader_commit } ->
+  | AppendEntries { term; prev_index; prev_term; terms; cmds; leader_commit } ->
       let success, match_index =
         append_entries_core t ~leader:origin ~term ~prev_index ~prev_term
-          ~entries ~leader_commit
+          ~terms ~cmds ~leader_commit
       in
       t.env.send src (AppendReply { term = t.term; success; match_index })
   | _ -> ()
@@ -829,31 +826,32 @@ let on_fan_append t ~src ~origin ~inner =
    the leader, which handles it exactly like a direct nack. *)
 let on_relay_append t ~src ~gen ~inner =
   match inner with
-  | AppendEntries { term; prev_index; prev_term; entries; leader_commit } -> (
-      let expected = prev_index + 1 + List.length entries in
-      let size_bytes = append_size t entries in
-      match Relay.lookup t.relay expected with
-      | Some a when a.Relay.a_tag = term && a.Relay.a_leader = src ->
-          (* the leader's retransmission *)
-          Relay.resend t.relay expected a ~size_bytes
-            (FanAppend { origin = src; inner })
-      | _ ->
-          let success, match_index =
-            append_entries_core t ~leader:src ~term ~prev_index ~prev_term
-              ~entries ~leader_commit
-          in
-          if not (success && match_index = expected) then
-            t.env.send src
-              (AppendReply { term = t.term; success; match_index })
-          else if
-            not
-              (Relay.start t.relay ~key:expected ~leader:src ~gen ~tag:term
-                 ~aux:0 ~mark:t.commit_index ~size_bytes
-                 (FanAppend { origin = src; inner }))
-          then
-            (* plans disagree (a gen raced a bump): answer direct *)
-            t.env.send src
-              (AppendReply { term = t.term; success = true; match_index }))
+  | AppendEntries { term; prev_index; prev_term; terms; cmds; leader_commit }
+    ->
+      let expected = prev_index + 1 + Array.length cmds in
+      let size_bytes = append_size t cmds in
+      let a = Relay.lookup t.relay expected in
+      if a != Relay.agg_nil && a.Relay.a_tag = term && a.Relay.a_leader = src
+      then
+        (* the leader's retransmission *)
+        Relay.resend t.relay expected a ~size_bytes
+          (FanAppend { origin = src; inner })
+      else
+        let success, match_index =
+          append_entries_core t ~leader:src ~term ~prev_index ~prev_term ~terms
+            ~cmds ~leader_commit
+        in
+        if not (success && match_index = expected) then
+          t.env.send src (AppendReply { term = t.term; success; match_index })
+        else if
+          not
+            (Relay.start t.relay ~key:expected ~leader:src ~gen ~tag:term ~aux:0
+               ~mark:t.commit_index ~size_bytes
+               (FanAppend { origin = src; inner }))
+        then
+          (* plans disagree (a gen raced a bump): answer direct *)
+          t.env.send src
+            (AppendReply { term = t.term; success = true; match_index })
   | _ -> ()
 
 (* One aggregated bitmap covers a whole rotation group: credit every
@@ -926,8 +924,8 @@ let on_message t ~src = function
   | RequestVote { term; last_index; last_term } ->
       on_request_vote t ~src ~term ~last_index ~last_term
   | VoteReply { term; granted } -> on_vote_reply t ~src ~term ~granted
-  | AppendEntries { term; prev_index; prev_term; entries; leader_commit } ->
-      on_append_entries t ~src ~term ~prev_index ~prev_term ~entries
+  | AppendEntries { term; prev_index; prev_term; terms; cmds; leader_commit } ->
+      on_append_entries t ~src ~term ~prev_index ~prev_term ~terms ~cmds
         ~leader_commit
   | AppendReply { term; success; match_index } ->
       on_append_reply t ~src ~term ~success ~match_index
@@ -996,7 +994,7 @@ let on_recover t =
       | None -> ());
       Storage.iter_entries st ~f:(fun slot ~a ~b:_ cmd ->
           if slot >= Slot_log.base t.log then
-            Slot_log.set t.log slot { term = a; cmd; client = None }));
+            Slot_log.set t.log slot ~meta:a cmd));
   t.last_heard <- t.env.now ();
   reset_election_timer t;
   heartbeat_loop t;

@@ -197,7 +197,11 @@ let set_bit a i = a.a_bits <- a.a_bits lor (1 lsl i)
 (* Every member acked. Bits only grow, and the ack leaves exactly when
    the bitmap fills, so a complete record has sent its full ack. *)
 let complete a = covers a.a_group ~bits:a.a_bits
-let lookup t key = Hashtbl.find_opt t.aggs key
+let lookup t key =
+  match Hashtbl.find t.aggs key with
+  | a -> a
+  | exception Not_found -> agg_nil
+
 let send_ack t key a = t.env.Proto.send a.a_leader (t.ack key a)
 
 let drop t key a =
@@ -230,15 +234,15 @@ let finalize t key a =
    groups, then keep waiting. Records the protocol no longer counts as
    current are dropped instead of re-armed. *)
 let rec flush t key =
-  match Hashtbl.find_opt t.aggs key with
-  | Some a when not (complete a) ->
-      a.a_flush <- Sim.nil;
-      if t.current a then begin
-        send_ack t key a;
-        a.a_flush <- t.env.Proto.schedule (flush_ms t) (fun () -> flush t key)
-      end
-      else drop t key a
-  | _ -> ()
+  let a = lookup t key in
+  if a != agg_nil && not (complete a) then begin
+    a.a_flush <- Sim.nil;
+    if t.current a then begin
+      send_ack t key a;
+      a.a_flush <- t.env.Proto.schedule (flush_ms t) (fun () -> flush t key)
+    end
+    else drop t key a
+  end
 
 (* Completed records linger so a duplicate round (the leader's
    retransmission racing our ack) gets a full-ack resend; prune them
@@ -261,9 +265,8 @@ let fan t a ~size_bytes msg =
   done
 
 let start t ~key ~leader ~gen ~tag ~aux ~mark ~size_bytes msg =
-  (match Hashtbl.find_opt t.aggs key with
-  | Some old -> drop t key old
-  | None -> ());
+  let old = lookup t key in
+  if old != agg_nil then drop t key old;
   let p = plan t ~leader ~gen in
   let gi = p.group_of.(t.env.Proto.id) in
   if gi < 0 || p.groups.(gi).(0) <> t.env.Proto.id then false

@@ -118,7 +118,11 @@ val acked : bits:int -> int -> bool
 
 (** {1 Relay side} *)
 
-val lookup : 'm t -> int -> agg option
+val agg_nil : agg
+(** The pooled records' sentinel: never live, never stored. *)
+
+val lookup : 'm t -> int -> agg
+(** The record stored under the key, or {!agg_nil}. *)
 
 val start :
   'm t ->

@@ -4,7 +4,7 @@ type message =
       key : Command.key;
       zone : int;
       client : Address.t;
-      request : Proto.request;
+      cmd : Command.t;
     }
   | VAssign of { key : Command.key; zone : int; gen : int; prev : int }
   | VMigrateReq of { key : Command.key; to_zone : int; gen : int }
@@ -35,7 +35,7 @@ type acquisition = {
   gen : int;
   prev : int;
   mutable installing : bool; (* the state is committing *)
-  mutable waiting : (Address.t * Proto.request) list; (* oldest first *)
+  mutable waiting : (Address.t * Command.t) list; (* oldest first *)
 }
 
 type replica = {
@@ -46,7 +46,7 @@ type replica = {
   (* every leader's routing hint: (epoch, owning zone) *)
   views : (Command.key, int * int) Hashtbl.t;
   (* master: assignments committing, with the lookups waiting on them *)
-  moving : (Command.key, (Address.t * Proto.request) list) Hashtbl.t;
+  moving : (Command.key, (Address.t * Command.t) list) Hashtbl.t;
   (* owner: consecutive remote accesses per key: (origin zone, count) *)
   streaks : (Command.key, int * int) Hashtbl.t;
   acquiring : (Command.key, acquisition) Hashtbl.t;
@@ -101,7 +101,7 @@ let assigned_zone t key =
 
 let leader_of_key t key = Option.map (zone_address t) (assigned_zone t key)
 
-let propose t ~client request = Zone_paxos.propose t.group ~client request
+let propose t ~client cmd = Zone_paxos.propose t.group ~client cmd
 
 (* ownership moves are one-shot state transfers: post them
    explicitly-acked so a lost hop heals without waiting for a re-send
@@ -187,19 +187,19 @@ let notify t key ~gen ~zone ~prev dsts =
 let commit_assignment t key ~gen ~zone ~prev =
   Zone_paxos.record t.group key ~gen ((((gen * zone_bits) + zone) * zone_bits) + prev + 1)
 
-let master_on_lookup t key ~zone ~client (request : Proto.request) =
+let master_on_lookup t key ~zone ~client (cmd : Command.t) =
   match Hashtbl.find_opt t.moving key with
-  | Some queued -> Hashtbl.replace t.moving key ((client, request) :: queued)
+  | Some queued -> Hashtbl.replace t.moving key ((client, cmd) :: queued)
   | None ->
       let gen, owner, prev = assignment t key in
       if owner >= 0 then begin
         (* tell the asker, and the owner in case it missed its epoch *)
         notify t key ~gen ~zone:owner ~prev [ zone; owner ];
-        t.env.forward (zone_address t owner) ~client request
+        t.env.forward (zone_address t owner) ~client cmd
       end
       else begin
         (* never assigned: the asker's zone takes it, with no state *)
-        Hashtbl.replace t.moving key [ (client, request) ];
+        Hashtbl.replace t.moving key [ (client, cmd) ];
         commit_assignment t key ~gen:1 ~zone ~prev:(-1)
       end
 
@@ -222,14 +222,14 @@ let master_assigned t key ~gen ~zone ~prev =
       Hashtbl.remove t.moving key;
       notify t key ~gen ~zone ~prev (List.init (Zone_paxos.count t.zones) Fun.id);
       List.iter
-        (fun (client, request) -> t.env.forward (zone_address t zone) ~client request)
+        (fun (client, cmd) -> t.env.forward (zone_address t zone) ~client cmd)
         (List.rev queued)
   | _ -> ()
 
 (* ---- data plane ---------------------------------------------------- *)
 
-let note_access t key ~origin ~client (request : Proto.request) =
-  propose t ~client request;
+let note_access t key ~origin ~client (cmd : Command.t) =
+  propose t ~client cmd;
   if origin = my_zone t then Hashtbl.remove t.streaks key
   else begin
     let zone, count =
@@ -247,30 +247,30 @@ let note_access t key ~origin ~client (request : Proto.request) =
     end
   end
 
-let route t key ~client (request : Proto.request) =
+let route t key ~client (cmd : Command.t) =
   match Hashtbl.find_opt t.acquiring key with
-  | Some a -> a.waiting <- a.waiting @ [ (client, request) ]
+  | Some a -> a.waiting <- a.waiting @ [ (client, cmd) ]
   | None ->
       if owns t key then
-        note_access t key ~origin:(Topology.zone_of t.env.topology client) ~client request
+        note_access t key ~origin:(Topology.zone_of t.env.topology client) ~client cmd
       else if is_master t then
         let _, owner, _ = assignment t key in
         if owner >= 0 && owner <> my_zone t then
-          t.env.forward (zone_address t owner) ~client request
-        else master_on_lookup t key ~zone:(my_zone t) ~client request
+          t.env.forward (zone_address t owner) ~client cmd
+        else master_on_lookup t key ~zone:(my_zone t) ~client cmd
       else
         let zone = view t key in
         if zone >= 0 && zone <> my_zone t then
-          t.env.forward (zone_address t zone) ~client request
+          t.env.forward (zone_address t zone) ~client cmd
         else
           post t (zone_address t t.master_zone)
-            (VLookup { key; zone = my_zone t; client; request })
+            (VLookup { key; zone = my_zone t; client; cmd })
 
 let installed t key ~gen =
   match Hashtbl.find_opt t.acquiring key with
   | Some a when a.gen = gen ->
       Hashtbl.remove t.acquiring key;
-      List.iter (fun (client, request) -> route t key ~client request) a.waiting;
+      List.iter (fun (client, cmd) -> route t key ~client cmd) a.waiting;
       (match Hashtbl.find_opt t.early key with
       | Some (g, dest) when g = gen + 1 ->
           Hashtbl.remove t.early key;
@@ -330,16 +330,16 @@ let create env =
   self := Some t;
   t
 
-let on_request t ~client (request : Proto.request) =
-  if Zone_paxos.admit t.group ~client request then
-    route t (Command.key request.Proto.command) ~client request
+let on_request t ~client (cmd : Command.t) =
+  if Zone_paxos.admit t.group ~client cmd then
+    route t (Command.key cmd) ~client cmd
 
 let on_message t ~src msg =
   match msg with
   | G m -> Zone_paxos.on_message t.group ~src m
-  | VLookup { key; zone; client; request } ->
+  | VLookup { key; zone; client; cmd } ->
       Zone_paxos.heard t.zones ~zone ~src;
-      if is_master t then master_on_lookup t key ~zone ~client request else relay t msg
+      if is_master t then master_on_lookup t key ~zone ~client cmd else relay t msg
   | VMigrateReq { key; to_zone; gen } ->
       if is_master t then master_on_migrate t key ~to_zone ~gen else relay t msg
   | VAssign { key; zone; gen; prev } ->

@@ -4,13 +4,13 @@ type message =
       key : Command.key;
       zone : int;
       client : Address.t;
-      request : Proto.request;
+      cmd : Command.t;
     }
   | TokenGrant of {
       key : Command.key;
       gen : int;  (** token generation: serializes grant/retract pairs *)
       value : Command.value option;
-      pending : (Address.t * Proto.request) list;
+      pending : (Address.t * Command.t) list;
     }
   | TokenRetract of { key : Command.key; gen : int }
   | RetractAck of { key : Command.key; gen : int; value : Command.value option }
@@ -38,7 +38,7 @@ type token = {
   mutable streak : int;
   mutable moving : bool; (* a grant or a return is committing *)
   mutable retracting : int; (* generation being retracted, 0 if none *)
-  mutable queued : (int * Address.t * Proto.request) list;
+  mutable queued : (int * Address.t * Command.t) list;
       (* (zone, client, request), newest first *)
 }
 
@@ -51,7 +51,7 @@ type replica = {
   (* region leader: grants installing; their requests wait until the
      claim executes, so no command on the object commits in the zone
      before it *)
-  acquiring : (Command.key, int * (Address.t * Proto.request) list) Hashtbl.t;
+  acquiring : (Command.key, int * (Address.t * Command.t) list) Hashtbl.t;
   (* region leader: generations being given back *)
   releasing : (Command.key, int) Hashtbl.t;
   (* region leader: retractions that overtook their own grant *)
@@ -92,7 +92,7 @@ let leader_of_key t key =
   else if is_zone_leader t && holds t key then Some t.env.id
   else None
 
-let propose t ~client request = Zone_paxos.propose t.group ~client request
+let propose t ~client cmd = Zone_paxos.propose t.group ~client cmd
 
 (* A zone-bound message that reached a member which does not lead its
    zone: pass it to the leader it knows of (retries cover a drop). *)
@@ -149,14 +149,14 @@ let retract t key tok ~gen ~zone =
     again ()
   end
 
-let rec master_on_request t key ~zone ~client (request : Proto.request) =
+let rec master_on_request t key ~zone ~client (cmd : Command.t) =
   let tok = token t key in
   if tok.streak_zone = zone then tok.streak <- tok.streak + 1
   else begin
     tok.streak_zone <- zone;
     tok.streak <- 1
   end;
-  if tok.moving then tok.queued <- (zone, client, request) :: tok.queued
+  if tok.moving then tok.queued <- (zone, client, cmd) :: tok.queued
   else
     let gen, holder = holder t key in
     if holder = t.master_zone then
@@ -165,18 +165,18 @@ let rec master_on_request t key ~zone ~client (request : Proto.request) =
         (* commit the new holder first; the token ships once it
            executes, after every earlier command on the object *)
         tok.moving <- true;
-        tok.queued <- [ (zone, client, request) ];
+        tok.queued <- [ (zone, client, cmd) ];
         t.grants <- t.grants + 1;
         Zone_paxos.record t.group key ~gen:(gen + 1) zone;
         Zone_paxos.give t.group key ~gen
       end
-      else propose t ~client request
+      else propose t ~client cmd
     else if holder = zone && tok.retracting = 0 then
       (* the holder's leader asks for its own object: it has not
          installed the grant (still in flight, or lost with a leader) *)
-      send_grant t key ~gen ~dst:(Zone_paxos.address t.zones zone) [ (client, request) ]
+      send_grant t key ~gen ~dst:(Zone_paxos.address t.zones zone) [ (client, cmd) ]
     else begin
-      tok.queued <- (zone, client, request) :: tok.queued;
+      tok.queued <- (zone, client, cmd) :: tok.queued;
       retract t key tok ~gen ~zone:holder
     end
 
@@ -191,9 +191,9 @@ and master_moved t key =
       let handed, others = List.partition (fun (z, _, _) -> z = zone) queued in
       if zone <> t.master_zone then
         send_grant t key ~gen ~dst:(Zone_paxos.address t.zones zone)
-          (List.map (fun (_, client, request) -> (client, request)) handed);
+          (List.map (fun (_, client, cmd) -> (client, cmd)) handed);
       List.iter
-        (fun (zone, client, request) -> master_on_request t key ~zone ~client request)
+        (fun (zone, client, cmd) -> master_on_request t key ~zone ~client cmd)
         (if zone <> t.master_zone then others else queued)
   | _ -> ()
 
@@ -211,16 +211,16 @@ let master_on_retract_ack t key ~gen ~value =
 let send_ack t key ~gen =
   post t (master t) (RetractAck { key; gen; value = Zone_paxos.value t.group key })
 
-let ask_master t key ~client request =
+let ask_master t key ~client cmd =
   t.env.send (master t)
-    (WkRequest { key; zone = Zone_paxos.my_zone t.zones; client; request })
+    (WkRequest { key; zone = Zone_paxos.my_zone t.zones; client; cmd })
 
-let region_on_request t key ~client request =
+let region_on_request t key ~client cmd =
   match Hashtbl.find_opt t.acquiring key with
   | Some (gen, pending) ->
-      Hashtbl.replace t.acquiring key (gen, pending @ [ (client, request) ])
+      Hashtbl.replace t.acquiring key (gen, pending @ [ (client, cmd) ])
   | None ->
-      if holds t key then propose t ~client request else ask_master t key ~client request
+      if holds t key then propose t ~client cmd else ask_master t key ~client cmd
 
 (* Give generation [gen] back; the ack leaves once the claim executes,
    after every command the zone ran on the object. *)
@@ -233,10 +233,10 @@ let release t key ~gen =
 let on_token_grant t key ~gen ~value ~pending =
   if region_claim t key >= 2 * gen then begin
     (* installed already: a re-sent grant *)
-    if holds t key then List.iter (fun (client, request) -> propose t ~client request) pending
+    if holds t key then List.iter (fun (client, cmd) -> propose t ~client cmd) pending
     else begin
       if region_claim t key = 2 * gen then send_ack t key ~gen;
-      List.iter (fun (client, request) -> ask_master t key ~client request) pending
+      List.iter (fun (client, cmd) -> ask_master t key ~client cmd) pending
     end
   end
   else
@@ -250,7 +250,7 @@ let region_installed t key ~gen =
   match Hashtbl.find_opt t.acquiring key with
   | Some (g, pending) when g = gen ->
       Hashtbl.remove t.acquiring key;
-      List.iter (fun (client, request) -> propose t ~client request) pending;
+      List.iter (fun (client, cmd) -> propose t ~client cmd) pending;
       if Hashtbl.find_opt t.early_retracts key = Some gen then begin
         (* the retraction overtook this grant: serve the handed-over
            requests, then give the token straight back *)
@@ -313,19 +313,19 @@ let create env =
   self := Some t;
   t
 
-let on_request t ~client (request : Proto.request) =
-  if Zone_paxos.admit t.group ~client request then begin
-    let key = Command.key request.Proto.command in
-    if in_master_zone t then master_on_request t key ~zone:t.master_zone ~client request
-    else region_on_request t key ~client request
+let on_request t ~client (cmd : Command.t) =
+  if Zone_paxos.admit t.group ~client cmd then begin
+    let key = Command.key cmd in
+    if in_master_zone t then master_on_request t key ~zone:t.master_zone ~client cmd
+    else region_on_request t key ~client cmd
   end
 
 let on_message t ~src msg =
   match msg with
   | G m -> Zone_paxos.on_message t.group ~src m
-  | WkRequest { key; zone; client; request } ->
+  | WkRequest { key; zone; client; cmd } ->
       Zone_paxos.heard t.zones ~zone ~src;
-      if is_master t then master_on_request t key ~zone ~client request else relay t msg
+      if is_master t then master_on_request t key ~zone ~client cmd else relay t msg
   | RetractAck { key; gen; value } ->
       if is_master t then master_on_retract_ack t key ~gen ~value else relay t msg
   | TokenGrant { key; gen; value; pending } ->

@@ -50,7 +50,7 @@ type key_state = {
   log : Cmd_log.t;
   flights : (int, flight) Hashtbl.t;  (* by slot, while this replica owns *)
   mutable p1 : phase1_state option;
-  pending : (Address.t * Proto.request) Queue.t;
+  pending : (Address.t * Command.t) Queue.t;
   (* owner-side locality tracking: consecutive requests from one
      remote zone (the three-consecutive-access policy, §5.3). The
      owner sees the globally interleaved request stream, so contended
@@ -184,11 +184,10 @@ let withdraw_posts t (ks : key_state) =
 let commit_owned t key ks ~slot (f : flight) =
   Hashtbl.remove ks.flights slot;
   t.env.rel.settle_all ~key:f.rkey;
-  match Cmd_log.get ks.log slot with
-  | Some e when Cmd_log.commit ks.log slot ->
-      Cmd_log.execute ks.log;
-      t.env.broadcast (CommitK { key; slot; cmd = e.Cmd_log.cmd })
-  | _ -> ()
+  if Cmd_log.commit ks.log slot then begin
+    Cmd_log.execute ks.log;
+    t.env.broadcast (CommitK { key; slot; cmd = Cmd_log.command ks.log slot })
+  end
 
 (* Open the phase-2 round of an accepted owned slot: cast the own
    vote, post the P2a (with [thrifty], to the phase-2 zones only), and
@@ -213,16 +212,16 @@ let open_round t key ks ~slot cmd ~thrifty =
   Hashtbl.replace ks.flights slot f;
   if Quorum.satisfied tracker then commit_owned t key ks ~slot f
 
-let propose t key ks ~client (request : Proto.request) =
-  let slot = Cmd_log.next_slot ks.log and cmd = request.Proto.command in
+let propose t key ks ~client (cmd : Command.t) =
+  let slot = Cmd_log.next_slot ks.log in
   Cmd_log.propose ks.log slot ~ballot:ks.ballot ~client cmd;
   open_round t key ks ~slot cmd ~thrifty:t.env.config.Config.thrifty
 
 let drain_pending t key ks =
   if ks.owner_active then
     while not (Queue.is_empty ks.pending) do
-      let client, request = Queue.pop ks.pending in
-      propose t key ks ~client request
+      let client, cmd = Queue.pop ks.pending in
+      propose t key ks ~client cmd
     done
   else if
     ks.ballot.Ballot.round > 0
@@ -230,8 +229,8 @@ let drain_pending t key ks =
     && ks.p1 = None
   then
     while not (Queue.is_empty ks.pending) do
-      let client, request = Queue.pop ks.pending in
-      t.env.forward ks.ballot.Ballot.owner ~client request
+      let client, cmd = Queue.pop ks.pending in
+      t.env.forward ks.ballot.Ballot.owner ~client cmd
     done
 
 let become_owner t key ks (state : phase1_state) =
@@ -322,24 +321,24 @@ let note_owner_access t key ks ~client =
     end
   end
 
-let on_request t ~client (request : Proto.request) =
-  let key = Command.key request.Proto.command in
+let on_request t ~client (cmd : Command.t) =
+  let key = Command.key cmd in
   (* Non-leader replicas hand requests to their zone's leader. *)
   if not (is_leader_node t) then
-    t.env.forward (zone_leader t t.my_zone) ~client request
+    t.env.forward (zone_leader t t.my_zone) ~client cmd
   else begin
     let ks = key_state t key in
     if ks.owner_active then begin
       note_owner_access t key ks ~client;
-      propose t key ks ~client request
+      propose t key ks ~client cmd
     end
-    else if ks.p1 <> None then Queue.push (client, request) ks.pending
+    else if ks.p1 <> None then Queue.push (client, cmd) ks.pending
     else if ks.ballot.Ballot.round = 0 then begin
       (* unowned: claim it *)
-      Queue.push (client, request) ks.pending;
+      Queue.push (client, cmd) ks.pending;
       start_steal t key ks
     end
-    else t.env.forward ks.ballot.Ballot.owner ~client request
+    else t.env.forward ks.ballot.Ballot.owner ~client cmd
   end
 
 let on_steal_hint t key =
@@ -415,11 +414,11 @@ let on_p2b t ~src ~key ~ballot ~slot ~ok =
     | Some f -> (
         t.env.rel.settle ~dst:src ~key:f.rkey;
         (* a slot learned committed meanwhile only stops the timer *)
-        match Cmd_log.get ks.log slot with
-        | Some e when not e.Cmd_log.committed ->
-            Quorum.ack f.tracker src;
-            if Quorum.satisfied f.tracker then commit_owned t key ks ~slot f
-        | _ -> ())
+        if Cmd_log.mem ks.log slot && not (Cmd_log.committed ks.log slot)
+        then begin
+          Quorum.ack f.tracker src;
+          if Quorum.satisfied f.tracker then commit_owned t key ks ~slot f
+        end)
     | None -> ()
   end
   else if (not ok) && Ballot.(ballot > ks.ballot) then begin

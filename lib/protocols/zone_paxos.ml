@@ -4,11 +4,11 @@ type t = {
   self : int; (* this member's global id *)
   global : int array; (* local id -> global id *)
   local : int array; (* global id -> local id, -1 off the zone *)
-  forward : int -> client:Address.t -> Proto.request -> unit;
+  forward : int -> client:Address.t -> Command.t -> unit;
   drain : unit -> unit; (* runs [on_committed] on the executed commands *)
   on_lead : unit -> unit;
   depth : int ref; (* adapter calls in progress on this member *)
-  held : (Address.t * Proto.request) Queue.t; (* awaiting a known leader *)
+  held : (Address.t * Command.t) Queue.t; (* awaiting a known leader *)
   mutable term : int; (* ballot round of this member's current term, -1 if none *)
   mutable barrier : int; (* last slot of earlier terms at the term's start *)
   mutable ready : bool; (* the term's barrier has executed *)
@@ -161,12 +161,12 @@ let call t f =
   t.drain ();
   decr t.depth
 
-let propose t ~client request = call t (fun p -> Paxos.on_request p ~client request)
+let propose t ~client cmd = call t (fun p -> Paxos.on_request p ~client cmd)
 
-let to_leader t ~client request =
+let to_leader t ~client cmd =
   match leader t with
-  | Some l -> t.forward l ~client request
-  | None -> Queue.push (client, request) t.held
+  | Some l -> t.forward l ~client cmd
+  | None -> Queue.push (client, cmd) t.held
 
 (* Track this member's term: a term starts when paxos elects it, and
    the member leads once every slot logged by then has executed. Held
@@ -191,19 +191,19 @@ let refresh t =
   if (not (Queue.is_empty t.held)) && leader t <> None then begin
     let held = Queue.copy t.held in
     Queue.clear t.held;
-    Queue.iter (fun (client, request) -> to_leader t ~client request) held
+    Queue.iter (fun (client, cmd) -> to_leader t ~client cmd) held
   end
 
-let admit t ~client request =
+let admit t ~client cmd =
   refresh t;
   if is_synthetic client then begin
     (* a zone-internal command forwarded by a member's paxos *)
-    propose t ~client request;
+    propose t ~client cmd;
     false
   end
   else if t.ready then true
   else begin
-    to_leader t ~client request;
+    to_leader t ~client cmd;
     false
   end
 
@@ -236,7 +236,7 @@ let record_key key = -2 - (2 * key)
 
 let submit t ~key ~gen ~step op =
   propose t ~client:synthetic
-    { Proto.command = Command.make ~id:((4 * gen) + step) ~client:(-2 - key) op }
+    (Command.make ~id:((4 * gen) + step) ~client:(-2 - key) op)
 
 let claim t key = value t (claim_key key)
 let recorded t key = value t (record_key key)

@@ -51,7 +51,7 @@ val leader : t -> int option
 val executor : t -> Executor.t
 val value : t -> Command.key -> Command.value option
 
-val admit : t -> client:Address.t -> Proto.request -> bool
+val admit : t -> client:Address.t -> Command.t -> bool
 (** The ingress of a request that reached this member: [true] when this
     member is the leader and the enclosing protocol handles the request
     itself; [false] when the adapter took it — a zone-internal command
@@ -59,7 +59,7 @@ val admit : t -> client:Address.t -> Proto.request -> bool
     goes to the leader, or waits until one is known (this member, once
     caught up: it then comes back through [env.forward] to itself). *)
 
-val propose : t -> client:Address.t -> Proto.request -> unit
+val propose : t -> client:Address.t -> Command.t -> unit
 (** Hand a client command to the group's paxos. *)
 
 val on_message : t -> src:int -> Paxos.message -> unit

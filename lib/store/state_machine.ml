@@ -1,17 +1,31 @@
-type result = { command : Command.t; read : Command.value option }
+(* The applied sequence is paged like the replica log (Slot_log):
+   command [i] sits at offset [i land (page_slots - 1)] of page
+   [i lsr page_bits]. Page 0 doubles from 16 commands to 1,024; later
+   pages are allocated whole, so growth copies nothing but the spine. *)
+let page_bits = 10
+let page_slots = 1 lsl page_bits
+let first_page = 16
 
-(* The applied sequence is [applied.(0 .. n - 1)], grown by doubling. *)
-type t = { kv : Kv.t; mutable applied : Command.t array; mutable n : int }
+type t = { kv : Kv.t; mutable pages : Command.t array array; mutable n : int }
 
-let create () = { kv = Kv.create (); applied = [||]; n = 0 }
+let create () = { kv = Kv.create (); pages = [||]; n = 0 }
 
 let record t cmd =
-  if t.n = Array.length t.applied then begin
-    let applied = Array.make (max 16 (2 * t.n)) cmd in
-    Array.blit t.applied 0 applied 0 t.n;
-    t.applied <- applied
+  let p = t.n lsr page_bits and o = t.n land (page_slots - 1) in
+  if p = Array.length t.pages then begin
+    let pages = Array.make (Int.max 1 (2 * p)) [||] in
+    Array.blit t.pages 0 pages 0 p;
+    t.pages <- pages
   end;
-  t.applied.(t.n) <- cmd;
+  let page = t.pages.(p) in
+  if o = Array.length page then begin
+    let grown =
+      Array.make (if p > 0 then page_slots else Int.max first_page (2 * o)) cmd
+    in
+    Array.blit page 0 grown 0 o;
+    t.pages.(p) <- grown
+  end;
+  t.pages.(p).(o) <- cmd;
   t.n <- t.n + 1
 
 let apply t cmd =
@@ -25,10 +39,11 @@ let apply t cmd =
           None
   in
   record t cmd;
-  { command = cmd; read }
+  read
 
-let applied t = List.init t.n (Array.get t.applied)
-let image t = Array.sub t.applied 0 t.n
+let nth t i = t.pages.(i lsr page_bits).(i land (page_slots - 1))
+let applied t = List.init t.n (nth t)
+let image t = Array.init t.n (nth t)
 let applied_count t = t.n
 let store t = t.kv
 

@@ -2,6 +2,32 @@
    cluster, push sequences of commands through closed-loop test
    clients with retry, and inspect replica state afterwards. *)
 
+(* The env of a replica [id] of [n] that sends nothing: for driving one
+   module (a log, a relay) by hand. [reply] sees every client answer. *)
+let quiet_env ?(reply = fun _ _ -> ()) ~n id =
+  let sim = Sim.create () in
+  {
+    Proto.id;
+    n;
+    config = Config.default ~n_replicas:n;
+    topology = Topology.lan ~n_replicas:n ();
+    rng = Rng.create ~seed:0;
+    now = (fun () -> Sim.now sim);
+    schedule = (fun delay f -> Sim.schedule_after sim ~delay f);
+    cancel = Sim.cancel sim;
+    send = (fun _ _ -> ());
+    broadcast = ignore;
+    multicast = (fun _ _ -> ());
+    send_sized = (fun _ ~size_bytes:_ _ -> ());
+    broadcast_sized = (fun ~size_bytes:_ _ -> ());
+    multicast_sized = (fun _ ~size_bytes:_ _ -> ());
+    reply;
+    forward = (fun _ ~client:_ _ -> ());
+    rel = Proto.null_rel ();
+    obs = Proto.null_obs;
+    storage = None;
+  }
+
 module Make (P : Proto.RUNNABLE) = struct
   module C = Cluster.Make (P)
 

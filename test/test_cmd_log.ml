@@ -1,6 +1,7 @@
 (* The command log paxos, wpaxos and mencius share: fixed-seed pins for
-   the two that no other test pins byte for byte, and its
-   displaced-client rule driven through each protocol's own messages. *)
+   the two that no other test pins byte for byte, its displaced-client
+   rule driven through each protocol's own messages, the flat log
+   against a list model, and the size of a one-slot log. *)
 
 open Paxi_benchmark
 
@@ -132,7 +133,7 @@ module Stub (P : Proto.PROTOCOL) = struct
     { replicas; queue; sent; replies }
 
   let request t ~client command =
-    P.on_request t.replicas.(0) ~client { Proto.command }
+    P.on_request t.replicas.(0) ~client command
 
   let run ?(drop = []) t =
     while not (Queue.is_empty t.queue) do
@@ -173,6 +174,225 @@ let displaced_client (module P : Proto.PROTOCOL) ~config ~accept ~commit () =
   Alcotest.(check int) "its own commit answers the client once" 1 (answers c1);
   Alcotest.(check int) "a displacing commit never answers it" 0 (answers c2)
 
+(* ---- the flat log against a list model ------------------------------ *)
+
+(* The reference: an association list of slot records, with accept,
+   learn, commit, commit_below and execute written out as Cmd_log
+   states them, and a full walk for commit_below. *)
+type m_slot = {
+  mutable mb : Ballot.t;
+  mutable mc : Command.t;
+  mutable mdone : bool;  (** committed *)
+  mutable mclient : Address.t option;
+}
+
+type model = {
+  mutable slots : (int * m_slot) list;
+  mutable frontier : int;
+  mexec : Executor.t;
+  mutable mreplies : (Address.t * Command.t * Command.value option) list;
+}
+
+let m_find m s = List.assoc_opt s m.slots
+let m_add m s e = m.slots <- (s, e) :: m.slots
+
+let m_next m = List.fold_left (fun acc (s, _) -> Int.max acc (s + 1)) 0 m.slots
+
+let m_replace e cmd =
+  if not (Command.equal e.mc cmd) then e.mclient <- None;
+  e.mc <- cmd
+
+let m_accept m s ~ballot cmd =
+  match m_find m s with
+  | Some e when e.mdone -> false
+  | Some e ->
+      m_replace e cmd;
+      e.mb <- ballot;
+      true
+  | None ->
+      m_add m s { mb = ballot; mc = cmd; mdone = false; mclient = None };
+      true
+
+let m_learn m s ~ballot cmd =
+  match m_find m s with
+  | Some e ->
+      m_replace e cmd;
+      e.mdone <- true
+  | None -> m_add m s { mb = ballot; mc = cmd; mdone = true; mclient = None }
+
+let m_commit m s =
+  match m_find m s with
+  | Some e when not e.mdone ->
+      e.mdone <- true;
+      true
+  | _ -> false
+
+let m_commit_below m bound =
+  let changed = ref false in
+  for s = m.frontier to bound - 1 do
+    if m_commit m s then changed := true
+  done;
+  !changed
+
+let rec m_execute m =
+  match m_find m m.frontier with
+  | Some e when e.mdone ->
+      m.frontier <- m.frontier + 1;
+      let read = Executor.execute m.mexec e.mc in
+      (match e.mclient with
+      | Some c ->
+          e.mclient <- None;
+          m.mreplies <- (c, e.mc, read) :: m.mreplies
+      | None -> ());
+      m_execute m
+  | _ -> ()
+
+type op =
+  | Propose of int * int * int  (** slot, ballot, command: at an unused slot *)
+  | Accept of int * int * int
+  | Learn of int * int * int
+  | Commit of int
+  | Commit_below of int
+  | Execute
+  | Learn_range of int * int  (** first slot, count *)
+
+(* Slots on both sides of the first page's doublings (16, 32) and of
+   the first whole page (1,024), the second page's end, and two far
+   sparse slots. *)
+let slot_pool =
+  [| 0; 1; 2; 3; 4; 5; 6; 7; 14; 15; 16; 17; 31; 32; 33; 1022; 1023; 1024;
+     1025; 1026; 2047; 2048; 2049; 5_000; 100_000 |]
+
+let bound_pool = [| 0; 3; 8; 16; 17; 33; 1_024; 1_026; 2_050; 5_001 |]
+
+let commands =
+  Array.init 6 (fun k ->
+      Command.make ~id:k ~client:(k mod 3)
+        (if k mod 2 = 0 then Command.Put (k, 10 + k) else Command.Get (k - 1)))
+
+(* rounds 0-3, owners -1..2 *)
+let ballot_of b = { Ballot.round = b / 4; owner = (b mod 4) - 1 }
+let range_command s = Command.make ~id:(1_000 + s) ~client:7 (Command.Put (s mod 5, s))
+
+let show_op = function
+  | Propose (s, b, c) -> Printf.sprintf "propose %d b%d c%d" s b c
+  | Accept (s, b, c) -> Printf.sprintf "accept %d b%d c%d" s b c
+  | Learn (s, b, c) -> Printf.sprintf "learn %d b%d c%d" s b c
+  | Commit s -> Printf.sprintf "commit %d" s
+  | Commit_below b -> Printf.sprintf "commit<%d" b
+  | Execute -> "execute"
+  | Learn_range (s, n) -> Printf.sprintf "learn [%d, %d)" s (s + n)
+
+let gen_op =
+  QCheck.Gen.(
+    let slot = map (Array.get slot_pool) (int_bound (Array.length slot_pool - 1)) in
+    let ballot = int_bound 15 and cmd = int_bound 5 in
+    frequency
+      [
+        (4, map3 (fun s b c -> Propose (s, b, c)) slot ballot cmd);
+        (5, map3 (fun s b c -> Accept (s, b, c)) slot ballot cmd);
+        (2, map3 (fun s b c -> Learn (s, b, c)) slot ballot cmd);
+        (3, map (fun s -> Commit s) slot);
+        ( 3,
+          map
+            (fun i -> Commit_below bound_pool.(i))
+            (int_bound (Array.length bound_pool - 1)) );
+        (3, return Execute);
+        ( 1,
+          map2
+            (fun s n -> Learn_range (s, n))
+            (oneofl [ 0; 8; 1_000; 2_040 ])
+            (oneofl [ 4; 40; 1_030 ]) );
+      ])
+
+let arb_ops =
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map show_op ops))
+    ~shrink:QCheck.Shrink.list
+    QCheck.Gen.(list_size (int_range 1 60) gen_op)
+
+let view_of (e : m_slot) =
+  { Cmd_log.ballot = e.mb; cmd = e.mc; committed = e.mdone }
+
+let log_matches_model ops =
+  let replies = ref [] in
+  let env =
+    Proto_harness.quiet_env ~n:3 0 ~reply:(fun c (r : Proto.reply) ->
+        replies := (c, r.Proto.command, r.Proto.read) :: !replies)
+  in
+  let log = Cmd_log.create (Executor.create ()) env in
+  let m = { slots = []; frontier = 0; mexec = Executor.create (); mreplies = [] } in
+  let same_slot s = Cmd_log.get log s = Option.map view_of (m_find m s) in
+  let agrees () =
+    Cmd_log.exec_frontier log = m.frontier
+    && Cmd_log.next_slot log = m_next m
+    && Array.for_all same_slot slot_pool
+    && !replies = m.mreplies
+  in
+  let step = function
+    | Propose (s, b, c) ->
+        if m_find m s = None then begin
+          let client = Address.client (20 + c) and ballot = ballot_of b in
+          Cmd_log.propose log s ~ballot ~client commands.(c);
+          m_add m s
+            { mb = ballot; mc = commands.(c); mdone = false; mclient = Some client }
+        end;
+        true
+    | Accept (s, b, c) ->
+        let ballot = ballot_of b in
+        Cmd_log.accept log s ~ballot commands.(c)
+        = m_accept m s ~ballot commands.(c)
+    | Learn (s, b, c) ->
+        let ballot = ballot_of b in
+        Cmd_log.learn log s ~ballot commands.(c);
+        m_learn m s ~ballot commands.(c);
+        true
+    | Commit s -> Cmd_log.commit log s = m_commit m s
+    | Commit_below b -> Cmd_log.commit_below log b = m_commit_below m b
+    | Execute ->
+        Cmd_log.execute log;
+        m_execute m;
+        true
+    | Learn_range (lo, n) ->
+        for s = lo to lo + n - 1 do
+          Cmd_log.learn log s ~ballot:Ballot.zero (range_command s);
+          m_learn m s ~ballot:Ballot.zero (range_command s)
+        done;
+        true
+  in
+  List.for_all (fun op -> step op && agrees ()) ops
+  &&
+  let listed = ref [] in
+  Cmd_log.iter_from log ~start:0 ~f:(fun s e -> listed := (s, e) :: !listed);
+  List.rev !listed
+  = List.map
+      (fun (s, e) -> (s, view_of e))
+      (List.sort (fun (a, _) (b, _) -> Int.compare a b) m.slots)
+
+let prop_matches_model =
+  QCheck.Test.make ~name:"flat log matches the list model" ~count:300 arb_ops
+    log_matches_model
+
+(* A log allocates its first page only when a slot is written, and a
+   log of one slot stays that small: WPaxos keeps one log per object,
+   and a 1,024-slot first page costs ~2,050 words per log. Sizes are
+   the words reachable from the log less its executor's. *)
+let test_one_slot_log_small () =
+  let exec = Executor.create () and env = Proto_harness.quiet_env ~n:3 0 in
+  let log = Cmd_log.create exec env in
+  let words () =
+    Obj.reachable_words (Obj.repr log) - Obj.reachable_words (Obj.repr exec)
+  in
+  let empty = words () in
+  ignore (Cmd_log.accept log 0 ~ballot:Ballot.zero commands.(0));
+  let one_slot = words () in
+  Alcotest.(check bool)
+    (Printf.sprintf "empty log: %d words <= 48" empty)
+    true (empty <= 48);
+  Alcotest.(check bool)
+    (Printf.sprintf "one-slot log: %d words <= 112" one_slot)
+    true (one_slot <= 112)
+
 let config n = Config.default ~n_replicas:n
 
 let suite =
@@ -193,4 +413,7 @@ let suite =
         (displaced_client
            (module Paxi_protocols.Mencius)
            ~config:(config 3) ~accept:"MAccept" ~commit:"MCommit");
+      QCheck_alcotest.to_alcotest prop_matches_model;
+      Alcotest.test_case "one-slot log stays small" `Quick
+        test_one_slot_log_small;
     ] )

@@ -146,22 +146,24 @@ let test_lan_spec_retransmit_traced_pinned () =
    dominated by the protocol message values themselves, which are real
    data, not hot-path machinery. Minor words around [Runner.run] are
    deterministic for the compiled code: every run of [lan_spec]
-   allocates the same 4.33M of them, 21.55 words (172.4 B) per message,
+   allocates the same 2.65M of them, 13.19 words (105.6 B) per message,
    with the transport's procq, delay and wake calls inlined and
-   unboxed (see the boxing pins below), the clock read unboxed, and a
+   unboxed (see the boxing pins below), the clock read unboxed, a
    request's trip from the runner to its reply callback allocating
-   only its command (and, when collected, its history record). The
-   cap leaves 1.45 words (11.6 B), less than one boxed float (16 B)
-   per message. [allocated_bytes] also counts what is promoted and
-   what goes straight to the major heap, so it moves with what ran
-   earlier in the process: the scenario reads 230.0-239.1 B per
-   message, over runs started at 24 different minor-heap fill levels;
-   its cap leaves at least 5.9 B. Reintroducing a boxed float
-   on the per-message path, a per-message closure on the delivery
-   path, a per-request closure on the client path, or closures built
-   by fault queries while no rule is active trips them. *)
-let words_per_message_cap = 23.0
-let bytes_per_message_cap = 245.0
+   only its command (and, when collected, its history record), and a
+   slot's accept, commit and execute allocating nothing at any replica
+   but the messages they send. The cap leaves 1.8 words (14.4 B), less
+   than one boxed float (16 B) per message. [allocated_bytes] also
+   counts what is promoted and what goes straight to the major heap,
+   so it moves with what ran earlier in the process: the scenario
+   reads 157.1-166.8 B per message, over runs started at 24 different
+   minor-heap fill levels; its cap leaves at least 23.2 B.
+   Reintroducing a boxed float on the per-message path, a per-message
+   closure on the delivery path, a per-request closure on the client
+   path, a heap block per log slot, or closures built by fault queries
+   while no rule is active trips them. *)
+let words_per_message_cap = 15.0
+let bytes_per_message_cap = 190.0
 
 let bytes_per_message (r : Runner.result) =
   r.Runner.allocated_bytes /. float_of_int r.Runner.messages_sent
@@ -377,7 +379,34 @@ let test_hot_calls_allocate_nothing () =
   check_no_words "Address.replica" (fun i ->
       sink_addr.(0) <- Address.replica (i land 63));
   check_no_words "Address.client" (fun i ->
-      sink_addr.(0) <- Address.client (i land 1023))
+      sink_addr.(0) <- Address.client (i land 1023));
+  (* The slot log: an accept into a filled slot (alternating commands,
+     so every call displaces), and a fresh slot accepted, committed and
+     executed (one command, re-decided: the executor answers from its
+     memo). A far slot written first sizes the page spine, so the
+     1,024-slot pages, allocated outside the minor heap, are all the
+     fresh slots add. *)
+  let log = Cmd_log.create (Executor.create ()) (Proto_harness.quiet_env ~n:3 0) in
+  let c0 = Command.make ~id:0 ~client:0 (Command.Put (1, 1))
+  and c1 = Command.make ~id:1 ~client:0 (Command.Put (1, 2)) in
+  let ballot = Ballot.initial ~owner:0 in
+  for s = 0 to 1023 do
+    ignore (Cmd_log.accept log s ~ballot c0)
+  done;
+  check_no_words "Cmd_log.accept (filled slot)" (fun i ->
+      ignore
+        (Cmd_log.accept log (i land 1023) ~ballot (if i land 1 = 0 then c0 else c1)));
+  let log = Cmd_log.create (Executor.create ()) (Proto_harness.quiet_env ~n:3 0) in
+  ignore (Cmd_log.accept log 1_100_000 ~ballot c0);
+  let next = ref 0 in
+  check_no_words "Cmd_log.accept/commit/execute (fresh slot)" (fun _ ->
+      let s = !next in
+      next := s + 1;
+      ignore (Cmd_log.accept log s ~ballot c0);
+      ignore (Cmd_log.commit log s);
+      Cmd_log.execute log);
+  Alcotest.(check int) "every fresh slot executed" !next
+    (Cmd_log.exec_frontier log)
 
 (* [Rng]'s samplers draw their unit floats without going through
    [Random.State.float]; 1M draws of each must still equal, bit for

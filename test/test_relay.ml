@@ -148,9 +148,8 @@ let start_round ?(key = 10) ?(aux = 1) ?(mark = 0) s =
     (Round key)
 
 let record s key =
-  match Relay.lookup s.relay key with
-  | Some a -> a
-  | None -> Alcotest.fail "no relay record"
+  let a = Relay.lookup s.relay key in
+  if a == Relay.agg_nil then Alcotest.fail "no relay record" else a
 
 let test_plan_cache_reuses () =
   let s = stub ~n:49 ~r:6 () in
@@ -245,7 +244,7 @@ let test_partial_flush () =
   Sim.run_until s.sim ((3.0 *. flush_ms) +. 0.001);
   Alcotest.(check bool) "stale record sends nothing" true (take s = []);
   Alcotest.(check bool) "stale record dropped" true
-    (Relay.lookup s.relay 10 = None);
+    (Relay.lookup s.relay 10 == Relay.agg_nil);
   Sim.run_until s.sim (10.0 *. flush_ms);
   Alcotest.(check bool) "no timer left" true (take s = []);
   ignore (start_round ~key:11 s);
@@ -259,17 +258,17 @@ let test_prune_below_mark () =
     ignore (start_round ~key:(k * 2) ~aux:2 ~mark:0 s)
   done;
   Alcotest.(check bool) "nothing pruned at mark 0" true
-    (Relay.lookup s.relay 0 <> None);
+    (Relay.lookup s.relay 0 != Relay.agg_nil);
   ignore (start_round ~key:1000 ~aux:2 ~mark:101 s);
   for k = 0 to 128 do
     let key = k * 2 in
     Alcotest.(check bool)
       (Printf.sprintf "record %d kept iff %d + 2 > 101" key key)
       (key + 2 > 101)
-      (Relay.lookup s.relay key <> None)
+      (Relay.lookup s.relay key != Relay.agg_nil)
   done;
   Alcotest.(check bool) "new record kept" true
-    (Relay.lookup s.relay 1000 <> None)
+    (Relay.lookup s.relay 1000 != Relay.agg_nil)
 
 let test_absorb_non_member () =
   let s = stub ~n:9 ~r:2 () in
@@ -285,7 +284,7 @@ let test_absorb_non_member () =
 let test_start_not_relay () =
   let s = stub ~id:2 ~n:9 ~r:2 () in
   Alcotest.(check bool) "member declines" false (start_round s);
-  Alcotest.(check bool) "no record" true (Relay.lookup s.relay 10 = None);
+  Alcotest.(check bool) "no record" true (Relay.lookup s.relay 10 == Relay.agg_nil);
   Alcotest.(check bool) "nothing sent" true (take s = [])
 
 (* ------------------------------------------------------------------ *)

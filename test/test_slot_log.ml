@@ -1,23 +1,26 @@
 (* Slot_log.commit_below: the incremental commit marking must make the
    same marks and return the same [changed] as a walk of the whole
    [frontier, bound) range, and its work must stay linear behind a
-   permanent hole at the frontier. *)
+   permanent hole at the frontier. A slot's meta word here is a tag
+   above a commit bit, the way Cmd_log packs its ballot. *)
 
-type entry = { tag : int; mutable committed : bool }
+let word ~tag ~committed = (tag lsl 1) lor if committed then 1 else 0
+let committed m = m land 1 = 1
+let pending m = not (committed m)
+let mark m = m lor 1
 
-let pending e = not e.committed
-let mark e = e.committed <- true
+(* Fill slot [i] with meta word [meta]; the command is never read. *)
+let set log i meta = Slot_log.set log i ~meta Command.noop
 
 (* The walk every protocol ran before [commit_below]; kept here as the
    reference the incremental version is checked against. *)
 let reference_commit log bound ~pending ~mark =
   let changed = ref false in
   for slot = Slot_log.exec_frontier log to bound - 1 do
-    match Slot_log.get log slot with
-    | Some e when pending e ->
-        mark e;
-        changed := true
-    | _ -> ()
+    if Slot_log.mem log slot && pending (Slot_log.meta log slot) then begin
+      Slot_log.set_meta log slot (mark (Slot_log.meta log slot));
+      changed := true
+    end
   done;
   !changed
 
@@ -63,9 +66,7 @@ let agrees ops =
   let inc = Slot_log.create () and ref_ = Slot_log.create () in
   let tag = ref 0 in
   let slot_state log i =
-    match Slot_log.get log i with
-    | Some e -> Some (e.tag, e.committed)
-    | None -> None
+    if Slot_log.mem log i then Some (Slot_log.meta log i) else None
   in
   let same_state () =
     Slot_log.exec_frontier inc = Slot_log.exec_frontier ref_
@@ -81,23 +82,24 @@ let agrees ops =
         match op with
         | Set (i, c) ->
             incr tag;
-            Slot_log.set inc i { tag = !tag; committed = c };
-            Slot_log.set ref_ i { tag = !tag; committed = c };
+            set inc i (word ~tag:!tag ~committed:c);
+            set ref_ i (word ~tag:!tag ~committed:c);
             true
         | Commit b ->
             Slot_log.commit_below inc b ~pending ~mark
             = reference_commit ref_ b ~pending ~mark
         | Mark i ->
             List.iter
-              (fun log -> Option.iter mark (Slot_log.get log i))
+              (fun log ->
+                if Slot_log.mem log i then
+                  Slot_log.set_meta log i (mark (Slot_log.meta log i)))
               [ inc; ref_ ];
             true
         | Advance ->
             List.iter
               (fun log ->
-                Slot_log.advance_frontier log
-                  ~executable:(fun e -> e.committed)
-                  ~f:(fun _ _ -> ()))
+                Slot_log.advance_frontier log ~executable:committed
+                  ~f:(fun _ -> ()))
               [ inc; ref_ ];
             true
         | Truncate u ->
@@ -120,21 +122,19 @@ let test_linear_behind_hole () =
   let n = 2_000 and h = 5 in
   let run commit =
     let log = Slot_log.create () and calls = ref 0 in
-    let pending e =
+    let pending m =
       incr calls;
-      not e.committed
+      not (committed m)
     in
     for s = 0 to h - 1 do
-      Slot_log.set log s { tag = s; committed = false }
+      set log s (word ~tag:s ~committed:false)
     done;
     ignore (commit log h ~pending ~mark);
-    Slot_log.advance_frontier log
-      ~executable:(fun e -> e.committed)
-      ~f:(fun _ _ -> ());
+    Slot_log.advance_frontier log ~executable:committed ~f:(fun _ -> ());
     Alcotest.(check int) "frontier at the hole" h (Slot_log.exec_frontier log);
     calls := 0;
     for s = h + 1 to h + n do
-      Slot_log.set log s { tag = s; committed = false };
+      set log s (word ~tag:s ~committed:false);
       if not (commit log (s + 1) ~pending ~mark) then
         Alcotest.fail "a new slot went unmarked"
     done;
@@ -158,20 +158,18 @@ let test_linear_behind_hole () =
 let test_late_fill_below_watermark () =
   let log = Slot_log.create () in
   for s = 1 to 9 do
-    Slot_log.set log s { tag = s; committed = false }
+    set log s (word ~tag:s ~committed:false)
   done;
   Alcotest.(check bool) "slots above the hole marked" true
     (Slot_log.commit_below log 10 ~pending ~mark);
   Alcotest.(check bool) "nothing new below 10" false
     (Slot_log.commit_below log 10 ~pending ~mark);
-  Slot_log.set log 0 { tag = 0; committed = false };
+  set log 0 (word ~tag:0 ~committed:false);
   Alcotest.(check bool) "lower bound leaves the late slot queued" false
     (Slot_log.commit_below log 0 ~pending ~mark);
   Alcotest.(check bool) "late slot marked once its bound arrives" true
     (Slot_log.commit_below log 1 ~pending ~mark);
-  Slot_log.advance_frontier log
-    ~executable:(fun e -> e.committed)
-    ~f:(fun _ _ -> ());
+  Slot_log.advance_frontier log ~executable:committed ~f:(fun _ -> ());
   Alcotest.(check int) "frontier past the filled hole" 10
     (Slot_log.exec_frontier log)
 
@@ -179,15 +177,13 @@ let test_late_fill_below_watermark () =
    past the watermark without [commit_below] and the slot is refilled. *)
 let test_refill_below_frontier () =
   let log = Slot_log.create () in
-  Slot_log.set log 0 { tag = 0; committed = true };
-  Slot_log.advance_frontier log
-    ~executable:(fun e -> e.committed)
-    ~f:(fun _ _ -> ());
-  Slot_log.set log 0 { tag = 1; committed = false };
+  set log 0 (word ~tag:0 ~committed:true);
+  Slot_log.advance_frontier log ~executable:committed ~f:(fun _ -> ());
+  set log 0 (word ~tag:1 ~committed:false);
   Alcotest.(check bool) "nothing marked" false
     (Slot_log.commit_below log 1 ~pending ~mark);
-  Alcotest.(check (option bool)) "slot 0 left pending" (Some false)
-    (Option.map (fun e -> e.committed) (Slot_log.get log 0))
+  Alcotest.(check bool) "slot 0 left pending" true
+    (Slot_log.mem log 0 && pending (Slot_log.meta log 0))
 
 (* A one-member group commits inside the propose call: the reply sent
    while slot [k] executes proposes again, and the new slot commits and
@@ -197,20 +193,18 @@ let test_reentrant_advance () =
   let log = Slot_log.create () in
   let runs = Array.make 16 0 and order = ref [] and proposals = ref 0 in
   let rec advance () =
-    Slot_log.advance_frontier log
-      ~executable:(fun e -> e.committed)
-      ~f:(fun slot _ ->
+    Slot_log.advance_frontier log ~executable:committed ~f:(fun slot ->
         runs.(slot) <- runs.(slot) + 1;
         order := slot :: !order;
         if !proposals < 6 then begin
           incr proposals;
           let s = Slot_log.next_slot log in
-          Slot_log.set log s { tag = s; committed = true };
+          set log s (word ~tag:s ~committed:true);
           advance ()
         end)
   in
-  Slot_log.set log 0 { tag = 0; committed = true };
-  Slot_log.set log 1 { tag = 1; committed = true };
+  set log 0 (word ~tag:0 ~committed:true);
+  set log 1 (word ~tag:1 ~committed:true);
   advance ();
   Alcotest.(check (list int)) "each slot once, in order" (List.init 8 Fun.id)
     (List.rev !order);

@@ -435,26 +435,25 @@ let test_timers_generation_guard () =
 
 let test_slot_log_truncate () =
   let log = Slot_log.create () in
+  let cmd i = Command.make ~id:i ~client:0 (Command.Put (i, i)) in
   for i = 0 to 9 do
-    Slot_log.set log i i
+    Slot_log.set log i ~meta:i (cmd i)
   done;
   Slot_log.truncate log ~upto:5;
   Alcotest.(check int) "base rose" 5 (Slot_log.base log);
   Alcotest.(check int) "next_slot unchanged" 10 (Slot_log.next_slot log);
-  Alcotest.(check (option int)) "discarded slot reads None" None
-    (Slot_log.get log 3);
-  Alcotest.(check (option int)) "retained slot survives" (Some 7)
-    (Slot_log.get log 7);
+  Alcotest.(check bool) "discarded slot reads empty" false
+    (Slot_log.mem log 3);
+  Alcotest.(check int) "retained slot survives" 7 (Slot_log.meta log 7);
   Alcotest.(check bool) "frontier at least the base" true
     (Slot_log.exec_frontier log >= 5);
   (* writes below the base are ignored, and truncation never regresses *)
-  Slot_log.set log 2 99;
-  Alcotest.(check (option int)) "set below base ignored" None
-    (Slot_log.get log 2);
+  Slot_log.set log 2 ~meta:99 (cmd 99);
+  Alcotest.(check bool) "set below base ignored" false (Slot_log.mem log 2);
   Slot_log.truncate log ~upto:3;
   Alcotest.(check int) "truncate below base is a no-op" 5 (Slot_log.base log);
   let seen = ref [] in
-  Slot_log.iter_filled log ~f:(fun i _ -> seen := i :: !seen);
+  Slot_log.iter_from log ~start:0 ~f:(fun i -> seen := i :: !seen);
   Alcotest.(check (list int)) "iter covers the retained suffix"
     [ 5; 6; 7; 8; 9 ] (List.rev !seen)
 

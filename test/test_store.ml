@@ -44,11 +44,11 @@ let test_kv_keys () =
 let test_state_machine_apply () =
   let sm = State_machine.create () in
   let r1 = State_machine.apply sm (cmd 1 (Command.Put (1, 10))) in
-  Alcotest.(check (option int)) "write returns none" None r1.State_machine.read;
+  Alcotest.(check (option int)) "write returns none" None r1;
   let r2 = State_machine.apply sm (cmd 2 (Command.Get 1)) in
-  Alcotest.(check (option int)) "read sees write" (Some 10) r2.State_machine.read;
+  Alcotest.(check (option int)) "read sees write" (Some 10) r2;
   let r3 = State_machine.apply sm (cmd 3 (Command.Get 99)) in
-  Alcotest.(check (option int)) "missing key" None r3.State_machine.read;
+  Alcotest.(check (option int)) "missing key" None r3;
   Alcotest.(check int) "applied count" 3 (State_machine.applied_count sm)
 
 let test_state_machine_noop () =
@@ -250,7 +250,7 @@ let prop_store_matches_model =
             (Kv.get (State_machine.store (Executor.state_machine e)) k)
             (Model.get me.Model.sm k);
           (* the raw state machine applies duplicates and no-ops too *)
-          expect "apply" pp_opt (State_machine.apply sm c).State_machine.read
+          expect "apply" pp_opt (State_machine.apply sm c)
             (Model.apply msm c))
         stream;
       check_final "executor" (Executor.state_machine e) me.Model.sm;
@@ -280,36 +280,76 @@ let test_ballot_ordering () =
   Alcotest.(check bool) "succ bigger" true (b1 < succ b1);
   Alcotest.(check bool) "equal" true (equal b1 (initial ~owner:0))
 
+(* A packed ballot orders as the ballot does and unpacks to it; a round
+   or an owner outside the packable range is refused, not wrapped into
+   another ballot. *)
+let test_ballot_packing () =
+  let b round owner = { Ballot.round; owner } in
+  let ballots =
+    [ Ballot.zero; b 0 0; b 1 (-1); b 1 0; b 1 2; b 2 0; b 7 Ballot.max_owner;
+      b Ballot.max_round (-1); b Ballot.max_round Ballot.max_owner ]
+  in
+  List.iter
+    (fun x ->
+      Alcotest.(check bool) "round trip" true
+        (Ballot.equal x (Ballot.unpack (Ballot.pack x)));
+      List.iter
+        (fun y ->
+          Alcotest.(check int) "order kept"
+            (Ballot.compare x y)
+            (Int.compare (Ballot.pack x) (Ballot.pack y)))
+        ballots)
+    ballots;
+  let refused x =
+    match Ballot.pack x with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "negative round" true (refused (b (-1) 0));
+  Alcotest.(check bool) "round above max_round" true
+    (refused (b (Ballot.max_round + 1) 0));
+  Alcotest.(check bool) "owner below -1" true (refused (b 1 (-2)));
+  Alcotest.(check bool) "owner above max_owner" true
+    (refused (b 1 (Ballot.max_owner + 1)));
+  Alcotest.(check bool) "packed below 2^56" true
+    (Ballot.pack (b Ballot.max_round Ballot.max_owner) < 1 lsl 56)
+
+(* [Slot_log] holds commands; these name slot [i]'s by [i]. *)
+let sl_cmd i = Command.make ~id:i ~client:0 (Command.Put (i, i))
+let sl_id log i = (Slot_log.cmd log i).Command.id
+
 let test_slot_log () =
   let log = Slot_log.create () in
-  Alcotest.(check (option int)) "empty" None (Slot_log.get log 0);
-  Slot_log.set log 2 20;
-  Alcotest.(check (option int)) "sparse" (Some 20) (Slot_log.get log 2);
+  Alcotest.(check bool) "empty" false (Slot_log.mem log 0);
+  Slot_log.set log 2 ~meta:7 (sl_cmd 20);
+  Alcotest.(check bool) "sparse" true (Slot_log.mem log 2);
+  Alcotest.(check int) "sparse meta" 7 (Slot_log.meta log 2);
+  Alcotest.(check int) "sparse command" 20 (sl_id log 2);
   Alcotest.(check int) "next" 3 (Slot_log.next_slot log);
   Alcotest.(check int) "reserve" 3 (Slot_log.reserve log);
   Alcotest.(check int) "filled" 1 (Slot_log.filled_count log)
 
 let test_slot_log_frontier () =
   let log = Slot_log.create () in
-  Slot_log.set log 0 "a";
-  Slot_log.set log 2 "c";
+  Slot_log.set log 0 ~meta:0 (sl_cmd 0);
+  Slot_log.set log 2 ~meta:0 (sl_cmd 2);
   let executed = ref [] in
   Slot_log.advance_frontier log
     ~executable:(fun _ -> true)
-    ~f:(fun i v -> executed := (i, v) :: !executed);
+    ~f:(fun i -> executed := (i, sl_id log i) :: !executed);
   Alcotest.(check int) "stops at gap" 1 (Slot_log.exec_frontier log);
-  Slot_log.set log 1 "b";
+  Slot_log.set log 1 ~meta:0 (sl_cmd 1);
   Slot_log.advance_frontier log
     ~executable:(fun _ -> true)
-    ~f:(fun i v -> executed := (i, v) :: !executed);
+    ~f:(fun i -> executed := (i, sl_id log i) :: !executed);
   Alcotest.(check int) "resumes past gap" 3 (Slot_log.exec_frontier log);
-  Alcotest.(check (list (pair int string))) "order" [ (0, "a"); (1, "b"); (2, "c") ]
+  Alcotest.(check (list (pair int int))) "order" [ (0, 0); (1, 1); (2, 2) ]
     (List.rev !executed)
 
 let test_slot_log_growth () =
   let log = Slot_log.create () in
-  Slot_log.set log 1000 42;
-  Alcotest.(check (option int)) "grown" (Some 42) (Slot_log.get log 1000)
+  Slot_log.set log 1000 ~meta:1 (sl_cmd 42);
+  Alcotest.(check int) "grown" 42 (sl_id log 1000)
 
 let test_config_validation () =
   let ok c = Alcotest.(check bool) "valid" true (Config.validate c = Ok ()) in
@@ -346,6 +386,8 @@ let suite =
         ~rand:(Random.State.make [| 17 |])
         prop_store_matches_model;
       Alcotest.test_case "ballot ordering" `Quick test_ballot_ordering;
+      Alcotest.test_case "ballot packing range-checked" `Quick
+        test_ballot_packing;
       Alcotest.test_case "slot log basics" `Quick test_slot_log;
       Alcotest.test_case "slot log frontier" `Quick test_slot_log_frontier;
       Alcotest.test_case "slot log growth" `Quick test_slot_log_growth;
