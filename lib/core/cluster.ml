@@ -84,6 +84,17 @@ module Make (P : Proto.RUNNABLE) = struct
       else fun () -> ()
     in
     let tally_reply = tag "reply" and tally_forward = tag "forward" in
+    (* A post's destinations as addresses, mapped once per list: a
+       leader posts every relayed round to the same relay list (its
+       plan's) until the rotation moves. *)
+    let post_ids = ref [] and post_addrs = ref [] in
+    let post_dsts dsts =
+      if dsts != !post_ids then begin
+        post_addrs := List.map Address.replica dsts;
+        post_ids := dsts
+      end;
+      !post_addrs
+    in
     let obs =
       if Paxi_obs.Trace.enabled t.trace then
         {
@@ -104,6 +115,7 @@ module Make (P : Proto.RUNNABLE) = struct
         }
       else Proto.null_obs
     in
+    let clock = { Proto.sim = t.shared.sim; faults = t.shared.faults; node = addr } in
     {
       Proto.id = i;
       n = config.Config.n_replicas;
@@ -116,10 +128,8 @@ module Make (P : Proto.RUNNABLE) = struct
          offset; event scheduling stays on true simulator time. The
          fold is exactly 0.0 on an empty schedule, so fault-free runs
          are byte-identical. *)
-      now =
-        (fun () ->
-          let t0 = Sim.now t.shared.sim in
-          t0 +. Faults.clock_offset t.shared.faults ~now_ms:t0 addr);
+      now = (fun () -> Proto.local_now clock);
+      clock;
       schedule =
         (* durable clusters route every protocol timer through the
            replica's ownership registry so a crash can mass-cancel
@@ -149,16 +159,16 @@ module Make (P : Proto.RUNNABLE) = struct
       send_sized =
         (fun dst ~size_bytes m ->
           tally m;
-          Transport.send transport ~src:addr ~dst:(Address.replica dst)
+          Transport.send_sized transport ~src:addr ~dst:(Address.replica dst)
             ~size_bytes (Peer m));
       broadcast_sized =
         (fun ~size_bytes m ->
           tally m;
-          Transport.broadcast transport ~src:addr ~size_bytes (Peer m));
+          Transport.broadcast_sized transport ~src:addr ~size_bytes (Peer m));
       multicast_sized =
         (fun dsts ~size_bytes m ->
           tally m;
-          Transport.multicast transport ~src:addr
+          Transport.multicast_sized transport ~src:addr
             ~dsts:(List.map Address.replica dsts)
             ~size_bytes (Peer m));
       reply =
@@ -182,8 +192,7 @@ module Make (P : Proto.RUNNABLE) = struct
           post_multi =
             (fun ?key ?size_bytes ~ack dsts m ->
               tally m;
-              Reliable.post_multi ep ?key ?size_bytes ~ack
-                ~dsts:(List.map Address.replica dsts)
+              Reliable.post_multi ep ?key ?size_bytes ~ack ~dsts:(post_dsts dsts)
                 m);
           post_all =
             (fun ?key ?size_bytes ~ack m ->

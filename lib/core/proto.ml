@@ -70,6 +70,30 @@ let null_obs =
     on_relay = (fun ~start_ms:_ ~end_ms:_ -> ());
   }
 
+(* A replica's local clock as data: [local_now] inlines into its
+   caller, so a stamp stored into a float slot boxes nothing, where a
+   call of the [now] closure returns a boxed float. *)
+type clock = { sim : Sim.t; faults : Faults.t; node : Address.t }
+
+let local_now c =
+  let t0 = Sim.now c.sim in
+  t0 +. Faults.clock_offset c.faults ~now_ms:t0 c.node
+
+let sim_clock sim ~id = { sim; faults = Faults.create (); node = Address.replica id }
+
+(* [Some] wire sizes of rounds of 0 .. max_batch commands (0 .. 1
+   without batching), built once per replica: posting a round passes
+   a prebuilt option to [rel] instead of boxing its size. *)
+let round_sizes config =
+  let most =
+    match config.Config.batching with Some b -> b.Config.max_batch | None -> 1
+  in
+  Array.init (most + 1) (fun k -> Some (k * config.Config.msg_size_bytes))
+
+let round_size sizes config count =
+  if count >= 0 && count < Array.length sizes then Array.unsafe_get sizes count
+  else Some (count * config.Config.msg_size_bytes)
+
 type 'm env = {
   id : int;
   n : int;
@@ -77,6 +101,7 @@ type 'm env = {
   topology : Topology.t;
   rng : Rng.t;
   now : unit -> float;
+  clock : clock;
   schedule : float -> (unit -> unit) -> Sim.handle;
   cancel : Sim.handle -> unit;
   send : int -> 'm -> unit;

@@ -71,6 +71,31 @@ type obs = {
 val null_obs : obs
 (** Inert hooks ([active = false]) for harness env stubs. *)
 
+(** A replica's local clock: simulator time plus whatever skew the
+    fault plane injects at [node] (exactly simulator time with no skew
+    rule active). *)
+type clock = { sim : Sim.t; faults : Faults.t; node : Address.t }
+
+val local_now : clock -> float
+(** The clock's reading, the same value [env.now ()] returns. It
+    inlines into its caller, so storing it into a float slot (a float
+    array, a float-only record) allocates nothing; per-message stamps
+    read it instead of calling [now]. *)
+
+val sim_clock : Sim.t -> id:int -> clock
+(** Replica [id]'s clock on [sim] with no fault plane, for harness env
+    stubs whose [now] reads [Sim.now sim]. *)
+
+val round_sizes : Config.t -> int option array
+(** The wire sizes, as [Some (k * msg_size_bytes)], of rounds of [k =
+    0 .. max_batch] commands ([0 .. 1] without batching), built once
+    per replica so a reliable post of a round passes its [?size_bytes]
+    without boxing it. *)
+
+val round_size : int option array -> Config.t -> int -> int option
+(** [round_size sizes config k]: entry [k] of {!round_sizes}, or a
+    fresh [Some] past its end. *)
+
 (** Capabilities handed to a replica by the cluster engine. Peer
     identifiers are replica ids [0 .. n-1]. *)
 type 'm env = {
@@ -80,6 +105,7 @@ type 'm env = {
   topology : Topology.t;
   rng : Rng.t;
   now : unit -> float;
+  clock : clock;  (** what [now] reads, for closure-free stamps *)
   schedule : float -> (unit -> unit) -> Sim.handle;
       (** [schedule delay thunk] — virtual-time timer. *)
   cancel : Sim.handle -> unit;

@@ -469,7 +469,7 @@ let send_one t ~src ~dst ~size_bytes msg =
     transmit t ~src ~dst ~size_bytes msg
   end
 
-let dispatch t ~src ~dsts ~size_bytes msg =
+let rec dispatch t ~src ~dsts ~size_bytes msg =
   match dsts with
   | [] -> ()
   | [ dst ] -> send_one t ~src ~dst ~size_bytes msg
@@ -481,8 +481,16 @@ let dispatch t ~src ~dsts ~size_bytes msg =
       end
       else begin
         occupy_outgoing t src ~copies ~size_bytes;
-        List.iter (fun dst -> transmit t ~src ~dst ~size_bytes msg) dsts
+        transmit_all t ~src ~size_bytes msg dsts
       end
+
+and transmit_all t ~src ~size_bytes msg = function
+  | [] -> ()
+  | dst :: rest ->
+      transmit t ~src ~dst ~size_bytes msg;
+      transmit_all t ~src ~size_bytes msg rest
+
+let send_sized t ~src ~dst ~size_bytes msg = send_one t ~src ~dst ~size_bytes msg
 
 let send t ~src ~dst ?size_bytes msg =
   let size_bytes = Option.value size_bytes ~default:t.default_size_bytes in
@@ -511,9 +519,15 @@ let peers_of t src =
       done;
       !dsts
 
+let broadcast_sized t ~src ~size_bytes msg =
+  dispatch t ~src ~dsts:(peers_of t src) ~size_bytes msg
+
 let broadcast t ~src ?size_bytes msg =
   let size_bytes = Option.value size_bytes ~default:t.default_size_bytes in
-  dispatch t ~src ~dsts:(peers_of t src) ~size_bytes msg
+  broadcast_sized t ~src ~size_bytes msg
+
+let multicast_sized t ~src ~dsts ~size_bytes msg =
+  dispatch t ~src ~dsts ~size_bytes msg
 
 let multicast t ~src ~dsts ?size_bytes msg =
   let size_bytes = Option.value size_bytes ~default:t.default_size_bytes in

@@ -91,6 +91,17 @@ val broadcast : 'm t -> src:Address.t -> ?size_bytes:int -> 'm -> unit
 val multicast :
   'm t -> src:Address.t -> dsts:Address.t list -> ?size_bytes:int -> 'm -> unit
 
+(** {2 Sized forms}
+
+    The same three calls with the wire size as a plain int: a caller
+    that always knows the size passes it without building a [Some]. *)
+
+val send_sized : 'm t -> src:Address.t -> dst:Address.t -> size_bytes:int -> 'm -> unit
+val broadcast_sized : 'm t -> src:Address.t -> size_bytes:int -> 'm -> unit
+
+val multicast_sized :
+  'm t -> src:Address.t -> dsts:Address.t list -> size_bytes:int -> 'm -> unit
+
 val sent_count : 'm t -> int
 val delivered_count : 'm t -> int
 

@@ -36,7 +36,9 @@ type message =
           the rotation plan every replica derives identically
           (DESIGN.md §12) *)
   | RelayAck of {
-      ballot : Ballot.t;
+      round : int;
+      owner : int;
+          (** the round's ballot, as the relay's record holds it *)
       gen : int;
       first_slot : int;
       count : int;
@@ -69,10 +71,13 @@ type phase1_state = {
 }
 
 (* One in-flight phase-2 round: a single quorum covers the slot range
-   [first_slot, first_slot + count). *)
+   [first, first + count). Records are pooled per replica: a round
+   takes one from [free] and resets it, and its tracker (the same spec
+   every round) and fallback thunk are built once per record. *)
 type batch_state = {
-  bballot : Ballot.t;
-  count : int;
+  mutable bballot : Ballot.t;
+  mutable first : int;
+  mutable count : int;
   tracker : Quorum.t;
   mutable rkey : int;
       (** reliable-delivery key of the round's P2a — settled per
@@ -81,7 +86,32 @@ type batch_state = {
       (** relay-mode fallback timer: if the round is still uncommitted
           when it fires, the leader re-sends direct and rotates the
           relay plan ([Sim.nil] outside relay rounds) *)
+  mutable on_fb : unit -> unit;  (** the timer's thunk, built once *)
+  mutable epoch : int;
+      (** bumped whenever the record opens a round: a late callback
+          (an fsync completion) names the round it was made for *)
+  mutable orphan : bool;
+      (** dropped from [batches] while its fallback timer was pending:
+          the timer returns the record to the pool when it fires *)
+  mutable next_free : batch_state;
 }
+
+let no_batch =
+  let rec b =
+    {
+      bballot = Ballot.zero;
+      first = 0;
+      count = 0;
+      tracker = Quorum.create (Quorum.Count { members = []; threshold = 1 });
+      rkey = 0;
+      fb = Sim.nil;
+      on_fb = ignore;
+      epoch = 0;
+      orphan = false;
+      next_free = b;
+    }
+  in
+  b
 
 type replica = {
   env : message Proto.env;
@@ -94,12 +124,15 @@ type replica = {
   exec : Executor.t;
   mutable p1 : phase1_state option;
   pending : (Address.t * Command.t) Queue.t;
-  mutable last_heard : float;
+  last_heard : float array;
+      (* one slot, stamped through [Proto.local_now]: no box per stamp *)
   (* leader command batching (Config.batching) *)
   batch_buf : (Address.t * Command.t) Queue.t;
   mutable flush_timer : Sim.handle; (* Sim.nil when no flush is pending *)
   batches : (int, batch_state) Hashtbl.t;
       (* in-flight phase-2 rounds keyed by first_slot *)
+  mutable free : batch_state;  (* pooled round records; [no_batch] = none *)
+  sizes : int option array;  (* [Proto.round_sizes]: wire sizes of rounds *)
   (* ---- read path: leader leases (Config.read_path = Lease) ---- *)
   lease : Lease.t;
   mutable lease_epoch : int; (* leader: renewal round counter *)
@@ -119,6 +152,9 @@ type replica = {
 }
 
 let all_ids (t : replica) = Lazy.force t.ids
+
+(* Stamp [last_heard] with the local clock; nothing is boxed. *)
+let stamp t = t.last_heard.(0) <- Proto.local_now t.env.Proto.clock
 
 let q2_size (t : replica) = Config.phase2_quorum_size t.env.config
 
@@ -148,7 +184,8 @@ let phase2_peers (t : replica) =
 let relay_ack first_slot (a : Relay.agg) =
   RelayAck
     {
-      ballot = { Ballot.round = a.Relay.a_tag; owner = a.Relay.a_leader };
+      round = a.Relay.a_tag;
+      owner = a.Relay.a_leader;
       gen = a.Relay.a_gen;
       first_slot;
       count = a.Relay.a_aux;
@@ -234,10 +271,12 @@ let create env =
       exec;
       p1 = None;
       pending = Queue.create ();
-      last_heard = 0.0;
+      last_heard = [| 0.0 |];
       batch_buf = Queue.create ();
       flush_timer = Sim.nil;
       batches = Hashtbl.create 16;
+      free = no_batch;
+      sizes = Proto.round_sizes env.Proto.config;
       lease = Lease.create env exec;
       lease_epoch = 0;
       lease_sent_at = neg_infinity;
@@ -298,33 +337,57 @@ let commit_up_to t bound = if Cmd_log.commit_below t.log bound then advance t
    live in {!Relay}; paxos keeps its per-round fallback and the
    ballot/slot-range rules. *)
 
-(* Is [bs] still this leader's open round at [first_slot]: same term,
-   and neither committed nor abandoned (step-down) since it was
-   posted? Late callbacks — an fsync completion, a relay fallback —
-   act only on live rounds. *)
-let round_live t first_slot (bs : batch_state) =
-  t.active
+(* The open round at [first_slot], or [no_batch]; no [Some] built. *)
+let find_batch t first_slot =
+  match Hashtbl.find t.batches first_slot with
+  | bs -> bs
+  | exception Not_found -> no_batch
+
+(* Is [bs] still this leader's open round [epoch]: same term, and
+   neither committed nor abandoned (step-down) since it was posted?
+   Late callbacks — an fsync completion, a relay fallback — act only
+   on live rounds. *)
+let round_live t (bs : batch_state) ~epoch =
+  bs.epoch = epoch && t.active
   && Ballot.equal t.ballot bs.bballot
-  &&
-  match Hashtbl.find_opt t.batches first_slot with
-  | Some bs' -> bs' == bs
-  | None -> false
+  && find_batch t bs.first == bs
+
+(* A round record leaves [batches]: back to the pool, unless its
+   fallback timer is still pending — then the timer's thunk, which
+   must not fire on a later round, returns it when it fires. *)
+let release t (bs : batch_state) =
+  if Sim.is_nil bs.fb then begin
+    bs.next_free <- t.free;
+    t.free <- bs
+  end
+  else bs.orphan <- true
+
+(* Abandon every open round (a new term, or a step-down). *)
+let drop_batches t =
+  Hashtbl.iter (fun _ bs -> release t bs) t.batches;
+  Hashtbl.reset t.batches
 
 (* The relayed round was still uncommitted after [Relay.fallback_ms]:
    rotate the plan, open the bypass window, and re-post it direct. *)
-let relay_fallback t first_slot (bs : batch_state) =
-  if round_live t first_slot bs then begin
-    bs.fb <- Sim.nil;
+let relay_fallback t (bs : batch_state) =
+  bs.fb <- Sim.nil;
+  if bs.orphan then begin
+    bs.orphan <- false;
+    release t bs
+  end
+  else if round_live t bs ~epoch:bs.epoch then begin
     Relay.stall t.relay;
     t.env.rel.settle_all ~key:bs.rkey;
+    let first_slot = bs.first in
     let cmds =
       Array.init bs.count (fun i -> Cmd_log.command t.log (first_slot + i))
     in
-    let size_bytes = bs.count * t.env.config.Config.msg_size_bytes in
     (* in place: the storage sync callback finds its round by
-       physical identity *)
+       physical identity and epoch *)
     bs.rkey <-
-      t.env.rel.post_all ~size_bytes ~ack:Reliable.Piggyback
+      t.env.rel.post_all
+        ?size_bytes:(Proto.round_size t.sizes t.env.config bs.count)
+        ~ack:Reliable.Piggyback
         (P2a
            {
              ballot = t.ballot;
@@ -350,7 +413,7 @@ let relay_absorb_p2b t ~src ~ballot ~first_slot ~count ~ok =
   let a = Relay.lookup t.relay first_slot in
   if a == Relay.agg_nil then false
   else if ok && relay_record_is ~ballot ~count a then begin
-    Relay.absorb t.relay first_slot a ~src;
+    Relay.absorb t.relay a ~src;
     true
   end
   else begin
@@ -360,7 +423,7 @@ let relay_absorb_p2b t ~src ~ballot ~first_slot ~count ~ok =
          path ourselves *)
       t.env.send a.Relay.a_leader
         (P2b { ballot; first_slot; count; ok = false });
-      Relay.drop t.relay first_slot a
+      Relay.drop t.relay a
     end;
     false
   end
@@ -382,14 +445,16 @@ let write_accept st ~slot ~(ballot : Ballot.t) cmd =
   Storage.append st ~index:slot ~a:ballot.Ballot.round ~b:ballot.Ballot.owner
     cmd
 
-let commit_batch t first_slot (bs : batch_state) =
+let commit_batch t (bs : batch_state) =
+  let first_slot = bs.first and count = bs.count in
   Hashtbl.remove t.batches first_slot;
   t.env.rel.settle_all ~key:bs.rkey;
   if not (Sim.is_nil bs.fb) then begin
     t.env.Proto.cancel bs.fb;
     bs.fb <- Sim.nil
   end;
-  for slot = first_slot to first_slot + bs.count - 1 do
+  release t bs;
+  for slot = first_slot to first_slot + count - 1 do
     if Cmd_log.commit t.log slot then t.env.obs.Proto.on_quorum ~slot
   done;
   advance t;
@@ -397,15 +462,40 @@ let commit_batch t first_slot (bs : batch_state) =
      piggybacking: followers must learn commits promptly, because the
      client's ack is waiting on their CommitAcks *)
   if (not t.env.config.Config.piggyback_commit) || quorum_mode t then
-    for slot = first_slot to first_slot + bs.count - 1 do
+    for slot = first_slot to first_slot + count - 1 do
       if Cmd_log.mem t.log slot then
         t.env.broadcast (Commit { slot; cmd = Cmd_log.command t.log slot })
     done
 
 (* The leader's own phase-2 vote; with [q2 = 1] it alone commits. *)
-let self_vote t first_slot (bs : batch_state) =
+let self_vote t (bs : batch_state) =
   Quorum.ack bs.tracker t.env.id;
-  if Quorum.satisfied bs.tracker then commit_batch t first_slot bs
+  if Quorum.satisfied bs.tracker then commit_batch t bs
+
+(* A pooled round record reset for a new round, or a fresh one with
+   its tracker and fallback thunk. *)
+let take_batch t =
+  if t.free != no_batch then begin
+    let bs = t.free in
+    t.free <- bs.next_free;
+    bs.next_free <- no_batch;
+    Quorum.reset bs.tracker;
+    bs.epoch <- bs.epoch + 1;
+    bs
+  end
+  else begin
+    let bs =
+      {
+        no_batch with
+        tracker =
+          Quorum.create
+            (Quorum.Count { members = all_ids t; threshold = q2_size t });
+        next_free = no_batch;
+      }
+    in
+    bs.on_fb <- (fun () -> relay_fallback t bs);
+    bs
+  end
 
 (* Open the phase-2 round for the already-logged slots [first_slot,
    first_slot + Array.length cmds): a single shared quorum tracker and
@@ -416,6 +506,7 @@ let self_vote t first_slot (bs : batch_state) =
    leader's own vote. *)
 let open_round t ~direct first_slot cmds =
   let count = Array.length cmds in
+  let size_bytes = Proto.round_size t.sizes t.env.config count in
   let msg =
     P2a
       {
@@ -425,37 +516,28 @@ let open_round t ~direct first_slot cmds =
         commit_up_to = Cmd_log.exec_frontier t.log;
       }
   in
-  let size_bytes = count * t.env.config.Config.msg_size_bytes in
-  let bs =
-    {
-      bballot = t.ballot;
-      count;
-      tracker =
-        Quorum.create
-          (Quorum.Count { members = all_ids t; threshold = q2_size t });
-      rkey = 0;
-      fb = Sim.nil;
-    }
-  in
+  let bs = take_batch t in
+  bs.bballot <- t.ballot;
+  bs.first <- first_slot;
+  bs.count <- count;
+  bs.rkey <- 0;
   (if direct then
-     bs.rkey <- t.env.rel.post_all ~size_bytes ~ack:Reliable.Piggyback msg
+     bs.rkey <- t.env.rel.post_all ?size_bytes ~ack:Reliable.Piggyback msg
    else
      let gen = Relay.route t.relay in
      if gen >= 0 then begin
        bs.rkey <-
-         t.env.rel.post_multi ~size_bytes ~ack:Reliable.Piggyback
+         t.env.rel.post_multi ?size_bytes ~ack:Reliable.Piggyback
            (Relay.relays t.relay ~gen)
            (RelayRound { gen; inner = msg });
-       bs.fb <-
-         t.env.schedule (Relay.fallback_ms t.relay) (fun () ->
-             relay_fallback t first_slot bs)
+       bs.fb <- t.env.schedule (Relay.fallback_ms t.relay) bs.on_fb
      end
      else
        bs.rkey <-
          (if t.env.config.Config.thrifty then
-            t.env.rel.post_multi ~size_bytes ~ack:Reliable.Piggyback
+            t.env.rel.post_multi ?size_bytes ~ack:Reliable.Piggyback
               (phase2_peers t) msg
-          else t.env.rel.post_all ~size_bytes ~ack:Reliable.Piggyback msg));
+          else t.env.rel.post_all ?size_bytes ~ack:Reliable.Piggyback msg));
   Hashtbl.replace t.batches first_slot bs;
   bs
 
@@ -473,13 +555,13 @@ let log_command t client (cmd : Command.t) =
 let propose t first_slot cmds =
   let bs = open_round t ~direct:false first_slot cmds in
   match t.env.Proto.storage with
-  | None -> self_vote t first_slot bs
+  | None -> self_vote t bs
   | Some st ->
       for i = 0 to bs.count - 1 do
         write_accept st ~slot:(first_slot + i) ~ballot:bs.bballot cmds.(i)
       done;
-      Storage.sync st (fun () ->
-          if round_live t first_slot bs then self_vote t first_slot bs)
+      let epoch = bs.epoch in
+      Storage.sync st (fun () -> if round_live t bs ~epoch then self_vote t bs)
 
 let flush_batch t =
   t.env.Proto.cancel t.flush_timer;
@@ -569,7 +651,7 @@ let send_heartbeat t =
          commit_up_to = Cmd_log.exec_frontier t.log;
          epoch = t.lease_epoch;
        });
-  t.last_heard <- t.env.now ();
+  stamp t;
   Option.iter (renew t) t.lease_acks
 
 let on_heartbeat_ack t ~src ~ballot ~epoch =
@@ -589,11 +671,11 @@ let on_commit_ack t ~src ~slot =
 let become_leader t (state : phase1_state) =
   t.p1 <- None;
   t.active <- true;
-  t.last_heard <- t.env.now ();
+  stamp t;
   (* stop re-soliciting promises from stragglers: they will learn the
      ballot from the P2as and heartbeats that follow *)
   t.env.rel.settle_all ~key:state.rkey;
-  Hashtbl.reset t.batches (* stale rounds from a previous leadership *);
+  drop_batches t (* stale rounds from a previous leadership *);
   (* Adopt the highest-ballot command reported for every slot at or
      above our commit frontier, fill gaps with no-ops, re-propose. *)
   let best = Hashtbl.create 16 in
@@ -617,10 +699,10 @@ let become_leader t (state : phase1_state) =
     if Cmd_log.accept t.log slot ~ballot:t.ballot cmd then begin
       let bs = open_round t ~direct:true slot [| cmd |] in
       match t.env.Proto.storage with
-      | None -> self_vote t slot bs
+      | None -> self_vote t bs
       | Some st ->
           write_accept st ~slot ~ballot:t.ballot cmd;
-          resync := (slot, bs) :: !resync
+          resync := (bs.epoch, bs) :: !resync
     end
   done;
   (match t.env.Proto.storage with
@@ -632,7 +714,7 @@ let become_leader t (state : phase1_state) =
       write_ballot st t.ballot;
       Storage.sync st (fun () ->
           List.iter
-            (fun (slot, bs) -> if round_live t slot bs then self_vote t slot bs)
+            (fun (epoch, bs) -> if round_live t bs ~epoch then self_vote t bs)
             rounds));
   (* Read barrier: reads wait until everything up to and including the
      recovered tail is applied locally, so no predecessor's
@@ -685,14 +767,14 @@ let step_down t ~ballot =
   t.active <- false;
   t.p1 <- None;
   resign_read_path t;
-  t.last_heard <- t.env.now ();
+  stamp t;
   (* everything this replica was retransmitting carried the lost
      ballot; the new leader re-proposes whatever survives phase-1 *)
   t.env.rel.unpost_all ();
   Relay.reset t.relay;
   (* abandon in-flight batch rounds; buffered-but-unproposed commands
      go back to [pending] so they are forwarded to the new leader *)
-  Hashtbl.reset t.batches;
+  drop_batches t;
   t.env.Proto.cancel t.flush_timer;
   t.flush_timer <- Sim.nil;
   Queue.transfer t.batch_buf t.pending;
@@ -738,7 +820,7 @@ let on_p1a t ~src ~ballot ~frontier =
     t.active <- false;
     t.p1 <- None;
     resign_read_path t;
-    t.last_heard <- t.env.now ();
+    stamp t;
     let accepted = ref [] in
     Cmd_log.iter_from t.log ~start:frontier ~f:(fun slot e ->
         accepted := (slot, e.Cmd_log.ballot, e.cmd) :: !accepted);
@@ -777,7 +859,7 @@ let accept_p2a t ~ballot ~first_slot ~cmds ~commit_up_to:bound =
       t.active <- false;
       t.p1 <- None
     end;
-    t.last_heard <- t.env.now ();
+    stamp t;
     for i = 0 to Array.length cmds - 1 do
       ignore (Cmd_log.accept t.log (first_slot + i) ~ballot cmds.(i))
     done;
@@ -818,7 +900,7 @@ let on_relay_round t ~src ~gen ~inner =
       let size_bytes = count * t.env.config.Config.msg_size_bytes in
       let a = Relay.lookup t.relay first_slot in
       if a != Relay.agg_nil && relay_record_is ~ballot ~count a then
-        Relay.resend t.relay first_slot a ~size_bytes inner
+        Relay.resend t.relay a ~size_bytes inner
       else if not (accept_p2a t ~ballot ~first_slot ~cmds ~commit_up_to) then
         (* we know a higher ballot: nok straight back to the leader,
            exactly as the direct path would *)
@@ -840,12 +922,13 @@ let on_relay_round t ~src ~gen ~inner =
 let on_p2b t ~src ~ballot ~first_slot ~count ~ok =
   if relay_absorb_p2b t ~src ~ballot ~first_slot ~count ~ok then ()
   else if ok && t.active && Ballot.equal ballot t.ballot then begin
-    match Hashtbl.find_opt t.batches first_slot with
-    | Some bs when bs.count = count && Ballot.equal bs.bballot ballot ->
-        t.env.rel.settle ~dst:src ~key:bs.rkey;
-        Quorum.ack bs.tracker src;
-        if Quorum.satisfied bs.tracker then commit_batch t first_slot bs
-    | _ -> ()
+    let bs = find_batch t first_slot in
+    if bs != no_batch && bs.count = count && Ballot.equal bs.bballot ballot
+    then begin
+      t.env.rel.settle ~dst:src ~key:bs.rkey;
+      Quorum.ack bs.tracker src;
+      if Quorum.satisfied bs.tracker then commit_batch t bs
+    end
   end
   else if (not ok) && Ballot.(ballot > t.ballot) then step_down t ~ballot
 
@@ -856,19 +939,25 @@ let on_p2b t ~src ~ballot ~first_slot ~count ~ok =
    FULL group bitmap: a partial flush keeps the wrapper
    retransmitting, which is what re-prods the relay to re-fan to its
    silent members. *)
-let on_relay_ack t ~src ~ballot ~gen ~first_slot ~count ~bits =
-  if t.active && Relay.active t.relay && Ballot.equal ballot t.ballot then begin
+let on_relay_ack t ~src ~round ~owner ~gen ~first_slot ~count ~bits =
+  if
+    t.active && Relay.active t.relay
+    && round = t.ballot.Ballot.round
+    && owner = t.ballot.Ballot.owner
+  then begin
     let group = Relay.relay_group t.relay ~src ~gen in
-    if Array.length group > 0 then
-      match Hashtbl.find_opt t.batches first_slot with
-      | Some bs when bs.count = count && Ballot.equal bs.bballot ballot ->
-          if Relay.covers group ~bits then
-            t.env.rel.settle ~dst:src ~key:bs.rkey;
-          for i = 0 to Array.length group - 1 do
-            if Relay.acked ~bits i then Quorum.ack bs.tracker group.(i)
-          done;
-          if Quorum.satisfied bs.tracker then commit_batch t first_slot bs
-      | _ -> ()
+    let bs = find_batch t first_slot in
+    if
+      Array.length group > 0
+      && bs != no_batch && bs.count = count
+      && Ballot.equal bs.bballot t.ballot
+    then begin
+      if Relay.covers group ~bits then t.env.rel.settle ~dst:src ~key:bs.rkey;
+      for i = 0 to Array.length group - 1 do
+        if Relay.acked ~bits i then Quorum.ack bs.tracker group.(i)
+      done;
+      if Quorum.satisfied bs.tracker then commit_batch t bs
+    end
   end
 
 let on_commit t ~slot ~cmd =
@@ -882,7 +971,7 @@ let on_heartbeat t ~src ~ballot ~commit_up_to:bound ~epoch =
       if t.active then resign_read_path t;
       t.active <- false
     end;
-    t.last_heard <- t.env.now ();
+    stamp t;
     (* Accepting the beat is the lease grant: promise not to help any
        other candidate for a serve window, and tell the leader so. The
        grant is renewed wholesale, every window/6. *)
@@ -909,8 +998,8 @@ let on_message t ~src msg =
   | CommitAck { slot } -> on_commit_ack t ~src ~slot
   | Read m -> Abd_round.on_message t.abd ~src m
   | RelayRound { gen; inner } -> on_relay_round t ~src ~gen ~inner
-  | RelayAck { ballot; gen; first_slot; count; bits } ->
-      on_relay_ack t ~src ~ballot ~gen ~first_slot ~count ~bits
+  | RelayAck { round; owner; gen; first_slot; count; bits } ->
+      on_relay_ack t ~src ~round ~owner ~gen ~first_slot ~count ~bits
 
 let rec heartbeat_loop t =
   let period = t.env.config.Config.failover_timeout_ms /. 4.0 in
@@ -932,12 +1021,12 @@ let rec failover_loop t =
   @@ t.env.schedule (base /. 2.0) (fun () ->
          if
            (not t.active) && t.p1 = None
-           && t.env.now () -. t.last_heard > timeout
+           && t.env.now () -. t.last_heard.(0) > timeout
          then start_phase1 t;
          failover_loop t)
 
 let on_start t =
-  t.last_heard <- t.env.now ();
+  stamp t;
   if t.env.id = 0 then start_phase1 t;
   heartbeat_loop t;
   failover_loop t
@@ -960,6 +1049,6 @@ let on_recover t =
           ignore
             (Cmd_log.accept t.log slot ~ballot:{ Ballot.round = a; owner = b }
                cmd)));
-  t.last_heard <- t.env.now ();
+  stamp t;
   heartbeat_loop t;
   failover_loop t

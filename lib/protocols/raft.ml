@@ -62,7 +62,6 @@ type replica = {
   mutable next_index : int array;
   mutable match_index : int array; (* one past last known replicated *)
   mutable votes : Quorum.t option;
-  mutable last_heard : float;
   mutable election_deadline : float;
   pending : (Address.t * Command.t) Queue.t;
   (* leader command batching (Config.batching): entries appended since
@@ -89,6 +88,7 @@ type replica = {
   relay : message Relay.t;
       (* relay records are keyed by the match index their round
          establishes (strictly increasing, so keys never collide) *)
+  sizes : int option array; (* [Proto.round_sizes], for posted appends *)
   mutable relay_akey : int; (* leader: open relay-round post (0 = none) *)
   mutable relay_expected : int; (* match index that round establishes *)
   mutable relay_fb : Sim.handle; (* leader: relay fallback timer *)
@@ -127,7 +127,6 @@ let create env =
       next_index = Array.make env.Proto.n 0;
       match_index = Array.make env.Proto.n 0;
       votes = None;
-      last_heard = 0.0;
       election_deadline = 0.0;
       pending = Queue.create ();
       unflushed = 0;
@@ -138,6 +137,7 @@ let create env =
       probe_sent_at = Array.make env.Proto.n 0.0;
       acked_at = Array.make env.Proto.n neg_infinity;
       relay = Relay.create env ~ack:relay_ack;
+      sizes = Proto.round_sizes env.Proto.config;
       relay_akey = 0;
       relay_expected = 0;
       relay_fb = Sim.nil;
@@ -276,11 +276,16 @@ let recompute_lease t =
    message sizes on the wire (but still one t_in/t_out) — without it,
    sends keep the flat per-message default so unbatched runs are
    bit-identical to the pre-batching simulator. *)
-let append_size t cmds =
+let append_count t cmds =
   match t.env.config.Config.batching with
-  | Some _ ->
-      Stdlib.max 1 (Array.length cmds) * t.env.config.Config.msg_size_bytes
-  | None -> t.env.config.Config.msg_size_bytes
+  | Some _ -> Stdlib.max 1 (Array.length cmds)
+  | None -> 1
+
+let append_size t cmds = append_count t cmds * t.env.config.Config.msg_size_bytes
+
+(* The same size as a prebuilt option, for the reliable posts. *)
+let append_size_opt t cmds =
+  Proto.round_size t.sizes t.env.config (append_count t cmds)
 
 (* ---- relay trees (Config.relay_groups = r > 0; DESIGN.md §12) ----
 
@@ -303,7 +308,7 @@ let relay_absorb_reply t ~src ~term ~success ~match_index =
   let a = Relay.lookup t.relay match_index in
   a != Relay.agg_nil && a.Relay.a_tag = term
   && begin
-       Relay.absorb t.relay match_index a ~src;
+       Relay.absorb t.relay a ~src;
        true
      end
 
@@ -363,12 +368,15 @@ let settle_append t f =
 let post_append_tail t ~dsts ~next =
   let ((_, cmds) as entries) = tail_from t next in
   let msg = append_msg t ~next entries in
-  let size_bytes = append_size t cmds in
   note_probe t dsts;
   List.iter (settle_append t) dsts;
-  if Array.length cmds = 0 then t.env.multicast_sized dsts ~size_bytes msg
+  if Array.length cmds = 0 then
+    t.env.multicast_sized dsts ~size_bytes:(append_size t cmds) msg
   else begin
-    let key = t.env.rel.post_multi ~size_bytes ~ack:Reliable.Piggyback dsts msg in
+    let key =
+      t.env.rel.post_multi ?size_bytes:(append_size_opt t cmds)
+        ~ack:Reliable.Piggyback dsts msg
+    in
     let expected = next + Array.length cmds in
     List.iter
       (fun f ->
@@ -446,7 +454,7 @@ and relay_broadcast_append t =
          note_probe t (List.filter (fun i -> i <> t.env.id) (all_ids t));
        let gen = Relay.route t.relay in
        t.relay_akey <-
-         t.env.rel.post_multi ~size_bytes:(append_size t cmds)
+         t.env.rel.post_multi ?size_bytes:(append_size_opt t cmds)
            ~ack:Reliable.Piggyback
            (Relay.relays t.relay ~gen)
            (RelayAppend { gen; inner = append_msg t ~next entries });
@@ -713,7 +721,6 @@ let append_entries_core t ~leader ~term ~prev_index ~prev_term ~terms ~cmds
   else begin
     if term > t.term || t.state <> Follower then become_follower t ~term;
     t.leader_id <- Some leader;
-    t.last_heard <- t.env.now ();
     reset_election_timer t;
     (* the accepted append doubles as the lease grant; the reply (of
        either polarity) is the leader's proof of it *)
@@ -774,7 +781,6 @@ let on_install_snapshot t ~src ~term ~last_index ~last_term ~image =
   else begin
     if term > t.term || t.state <> Follower then become_follower t ~term;
     t.leader_id <- Some src;
-    t.last_heard <- t.env.now ();
     reset_election_timer t;
     Lease.grant t.lease ~holder:src ~window:(lease_window t);
     drain_pending_to_leader t;
@@ -834,7 +840,7 @@ let on_relay_append t ~src ~gen ~inner =
       if a != Relay.agg_nil && a.Relay.a_tag = term && a.Relay.a_leader = src
       then
         (* the leader's retransmission *)
-        Relay.resend t.relay expected a ~size_bytes
+        Relay.resend t.relay a ~size_bytes
           (FanAppend { origin = src; inner })
       else
         let success, match_index =
@@ -956,7 +962,6 @@ let rec election_loop t =
          election_loop t)
 
 let on_start t =
-  t.last_heard <- t.env.now ();
   (* Deterministic fast start: replica 0 stands for election right
      away so the common case elects it immediately, as with etcd's
      initial election. *)
@@ -995,7 +1000,6 @@ let on_recover t =
       Storage.iter_entries st ~f:(fun slot ~a ~b:_ cmd ->
           if slot >= Slot_log.base t.log then
             Slot_log.set t.log slot ~meta:a cmd));
-  t.last_heard <- t.env.now ();
   reset_election_timer t;
   heartbeat_loop t;
   election_loop t

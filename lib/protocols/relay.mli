@@ -49,20 +49,27 @@ val full_mask : int -> int
 (** [full_mask k] has the low [k] bits set: every member of a group of
     size [k] acked. *)
 
-(** One round in flight at a relay: the group's ack bitmap, the
-    protocol's tag (Paxos: ballot round; Raft: term) and extent
+(** One round in flight at a relay: its key, the group's ack bitmap,
+    the protocol's tag (Paxos: ballot round; Raft: term) and extent
     (Paxos: slot count; Raft: 0), and a partial-flush timer. Records
-    recycle on an intrusive free list, so steady-state aggregation
-    allocates no record per round. *)
+    recycle on an intrusive free list, each with its flush thunk built
+    once, so steady-state aggregation allocates nothing per round
+    beyond the messages it sends. *)
 type agg = private {
+  mutable a_key : int;  (** the key the record is stored under *)
   mutable a_leader : int;
   mutable a_gen : int;
   mutable a_group : int array;  (** shared with the plan, never copied *)
   mutable a_bits : int;
   mutable a_tag : int;
   mutable a_aux : int;
-  mutable a_t0 : float;  (** when the round reached the relay (obs) *)
+  a_t0 : float array;
+      (** one slot: when the round reached the relay (obs), stored
+          unboxed *)
   mutable a_flush : Paxi_sim.Sim.handle;
+  mutable a_on_flush : unit -> unit;
+      (** the record's partial flush, built with the record and reused
+          by every timer it arms *)
   mutable a_next : agg;  (** free-list link; physically [self] when live *)
 }
 
@@ -122,7 +129,9 @@ val agg_nil : agg
 (** The pooled records' sentinel: never live, never stored. *)
 
 val lookup : 'm t -> int -> agg
-(** The record stored under the key, or {!agg_nil}. *)
+(** The record stored under the key, or {!agg_nil}. Records live in a
+    table sorted by key: a lookup is a binary search and allocates
+    nothing. *)
 
 val start :
   'm t ->
@@ -140,21 +149,22 @@ val start :
     [leader]'s plan at [gen] — take a record with its own bit set, fan
     the message to the rest of the group, arm the partial flush (or
     ack at once for a group of one), prune the records with
-    [key + aux <= mark], and return [true]. [false] means no relay
-    under that plan (the round raced a rotation): the caller answers
-    the leader directly. *)
+    [key + aux <= mark] in key order once more than 128 are held, and
+    return [true]. [false] means no relay under that plan (the round
+    raced a rotation): the caller answers the leader directly. *)
 
-val resend : 'm t -> int -> agg -> size_bytes:int -> 'm -> unit
+val resend : 'm t -> agg -> size_bytes:int -> 'm -> unit
 (** A duplicate of the round in [a] (the leader retransmits): resend
     the full ack if the record is complete, else re-fan the message to
     the members whose bits are clear. *)
 
-val absorb : 'm t -> int -> agg -> src:int -> unit
+val absorb : 'm t -> agg -> src:int -> unit
 (** Fold member [src]'s ack into [a] (non-members are ignored); the
     completing ack sends the combined reply. *)
 
-val drop : 'm t -> int -> agg -> unit
+val drop : 'm t -> agg -> unit
 (** Cancel the record's flush timer, remove it, recycle it. *)
 
 val reset : 'm t -> unit
-(** Drop every record: this replica's view of leadership moved on. *)
+(** Drop every record, in key order: this replica's view of leadership
+    moved on. *)

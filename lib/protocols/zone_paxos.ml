@@ -82,6 +82,7 @@ let create ~(env : 'outer Proto.env) ~wrap ~members ~on_committed ~on_lead =
       topology = env.Proto.topology;
       rng = env.Proto.rng;
       now = env.Proto.now;
+      clock = env.Proto.clock;
       schedule = env.Proto.schedule;
       cancel = env.Proto.cancel;
       send = (fun dst m -> env.Proto.send global.(dst) (wrap m));

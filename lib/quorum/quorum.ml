@@ -47,17 +47,16 @@ let min_size = function
    computed once at [create]: the deduped member list, the vote
    threshold for the flat specs, and a per-replica flag byte indexed
    by id (ids are small ints, see the mli) holding membership and
-   acked/nacked bits. A vote is then one bounds check and one byte
-   read/write — no list scan — which is what keeps [ack] O(1) at
-   n = 81 where the old [List.mem] walks cost O(n) per vote. *)
+   acked/nacked bits. The flags are the whole vote state: a vote is
+   one bounds check and one byte read/write, with no list scan (which
+   keeps [ack] O(1) at n = 81) and no cons cell, and the flat specs
+   count their acks as they land. *)
 type t = {
   spec : spec;
   memb : int list;  (** [members spec], deduped once at creation *)
   threshold : int;  (** acks needed among [memb]; unused for [Zones] *)
   flags : Bytes.t;  (** per-id bits: 1 = member, 2 = acked, 4 = nacked *)
-  mutable acked : int list;
   mutable n_acked : int;
-  mutable nacked : int list;
 }
 
 let flag_member = 1
@@ -78,26 +77,27 @@ let create spec =
   List.iter
     (fun m -> if m >= 0 then Bytes.unsafe_set flags m (Char.unsafe_chr flag_member))
     memb;
-  { spec; memb; threshold; flags; acked = []; n_acked = 0; nacked = [] }
+  { spec; memb; threshold; flags; n_acked = 0 }
 
-let ack t id =
-  if id >= 0 && id < Bytes.length t.flags then begin
-    let f = Char.code (Bytes.unsafe_get t.flags id) in
-    if f land (flag_member lor flag_acked) = flag_member then begin
-      Bytes.unsafe_set t.flags id (Char.unsafe_chr (f lor flag_acked));
-      t.acked <- id :: t.acked;
-      t.n_acked <- t.n_acked + 1
-    end
-  end
+let flag t id = Char.code (Bytes.unsafe_get t.flags id)
 
-let nack t id =
-  if id >= 0 && id < Bytes.length t.flags then begin
-    let f = Char.code (Bytes.unsafe_get t.flags id) in
-    if f land (flag_member lor flag_nacked) = flag_member then begin
-      Bytes.unsafe_set t.flags id (Char.unsafe_chr (f lor flag_nacked));
-      t.nacked <- id :: t.nacked
-    end
-  end
+(* Set [bit] on member [id] unless it is already set; [true] if it was
+   newly set. Strays (non-members, ids out of range) are ignored. *)
+let mark t id bit =
+  id >= 0
+  && id < Bytes.length t.flags
+  &&
+  let f = flag t id in
+  f land (flag_member lor bit) = flag_member
+  && begin
+       Bytes.unsafe_set t.flags id (Char.unsafe_chr (f lor bit));
+       true
+     end
+
+let ack t id = if mark t id flag_acked then t.n_acked <- t.n_acked + 1
+let nack t id = ignore (mark t id flag_nacked)
+
+let has t bit id = id >= 0 && id < Bytes.length t.flags && flag t id land bit <> 0
 
 let count_in acked group =
   List.fold_left (fun acc m -> if List.mem m acked then acc + 1 else acc) 0 group
@@ -119,41 +119,43 @@ let satisfied_with spec acked =
       in
       List.length ok_zones >= need_zones
 
+(* Zone members carrying the acked flag, counted off the flags: no
+   closure, no list. *)
+let rec acked_in t n = function
+  | [] -> n
+  | m :: rest -> acked_in t (if has t flag_acked m then n + 1 else n) rest
+
+let rec zones_ok t per_zone n = function
+  | [] -> n
+  | z :: rest ->
+      zones_ok t per_zone
+        (if acked_in t 0 z >= zone_need per_zone z then n + 1 else n)
+        rest
+
 let satisfied t =
   match t.spec with
   | Majority _ | Fast _ | Count _ ->
       (* [ack] admits each member at most once, so [n_acked] is exactly
-         [count_in t.acked memb] without walking either list. *)
+         the number of acked members *)
       t.n_acked >= t.threshold
   | Zones { zones; need_zones; per_zone } ->
-      let ok =
-        List.fold_left
-          (fun acc z ->
-            if count_in t.acked z >= zone_need per_zone z then acc + 1 else acc)
-          0 zones
-      in
-      ok >= need_zones
+      zones_ok t per_zone 0 zones >= need_zones
 
 let rejected t =
   (* Satisfaction impossible even if every silent member eventually
      acks: treat all non-nacked members as acked and re-check. *)
-  let optimistic =
-    List.filter (fun m -> not (List.mem m t.nacked)) t.memb
-  in
+  let optimistic = List.filter (fun m -> not (has t flag_nacked m)) t.memb in
   not (satisfied_with t.spec optimistic)
 
-let acks t = List.rev t.acked
+let acks t = List.filter (has t flag_acked) t.memb
 
-let clear_flag t flag id =
-  let f = Char.code (Bytes.unsafe_get t.flags id) in
-  Bytes.unsafe_set t.flags id (Char.unsafe_chr (f land lnot flag))
-
+(* Clear every vote: each member's byte goes back to its membership
+   bit alone, whatever it held. *)
 let reset t =
-  List.iter (clear_flag t flag_acked) t.acked;
-  List.iter (clear_flag t flag_nacked) t.nacked;
-  t.acked <- [];
-  t.n_acked <- 0;
-  t.nacked <- []
+  for id = 0 to Bytes.length t.flags - 1 do
+    Bytes.unsafe_set t.flags id (Char.unsafe_chr (flag t id land flag_member))
+  done;
+  t.n_acked <- 0
 
 let spec t = t.spec
 let is_quorum spec acked = satisfied_with spec (dedup acked)

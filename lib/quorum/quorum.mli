@@ -42,7 +42,8 @@ type t
 
 val create : spec -> t
 val ack : t -> int -> unit
-(** Record a positive vote; unknown or duplicate voters are ignored. *)
+(** Record a positive vote; unknown or duplicate voters are ignored.
+    Allocates nothing: votes live in one flag byte per member. *)
 
 val nack : t -> int -> unit
 (** Record a rejection. *)
@@ -53,7 +54,14 @@ val rejected : t -> bool
     become true. *)
 
 val acks : t -> int list
+(** The members that acked, in increasing id order, read off the
+    tracker's flags. Built on each call; the vote path never needs
+    it. *)
+
 val reset : t -> unit
+(** Clear every vote, member by member, so the tracker can count a new
+    round; membership and threshold are kept. *)
+
 val spec : t -> spec
 
 (** {1 Static validation} *)

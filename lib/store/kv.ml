@@ -79,7 +79,8 @@ let write t (writer : Command.t) =
   end
   else begin
     if c.len = Array.length c.writers then begin
-      let writers = Array.make (2 * c.len) writer in
+      (* [noop], not the young [writer]: see [State_machine.record] *)
+      let writers = Array.make (2 * c.len) Command.noop in
       Array.blit c.writers 0 writers 0 c.len;
       c.writers <- writers
     end;

@@ -19,8 +19,13 @@ let record t cmd =
   end;
   let page = t.pages.(p) in
   if o = Array.length page then begin
+    (* filled with the static [noop], never with [cmd]: for an array
+       past 256 words a young initial value makes [Array.make] empty
+       the minor heap first *)
     let grown =
-      Array.make (if p > 0 then page_slots else Int.max first_page (2 * o)) cmd
+      Array.make
+        (if p > 0 then page_slots else Int.max first_page (2 * o))
+        Command.noop
     in
     Array.blit page 0 grown 0 o;
     t.pages.(p) <- grown

@@ -13,6 +13,7 @@ let quiet_env ?(reply = fun _ _ -> ()) ~n id =
     topology = Topology.lan ~n_replicas:n ();
     rng = Rng.create ~seed:0;
     now = (fun () -> Sim.now sim);
+    clock = Proto.sim_clock sim ~id;
     schedule = (fun delay f -> Sim.schedule_after sim ~delay f);
     cancel = Sim.cancel sim;
     send = (fun _ _ -> ());

@@ -94,6 +94,7 @@ module Stub (P : Proto.PROTOCOL) = struct
         topology = Topology.lan ~n_replicas:n ();
         rng = Rng.create ~seed:i;
         now = (fun () -> Sim.now sim);
+        clock = Proto.sim_clock sim ~id:i;
         schedule = (fun delay f -> Sim.schedule_after sim ~delay f);
         cancel = Sim.cancel sim;
         send;

@@ -7,10 +7,9 @@ open Paxi_benchmark
 let paxos = Paxi_protocols.Registry.find_exn "paxos"
 let raft = Paxi_protocols.Registry.find_exn "raft"
 
-let lan_spec ?batching ?retransmit ?(tracing = false) ?(seed = 7)
-    ?(concurrency = 12) ?(duration_ms = 1_500.0) ?(collect_history = false)
-    ?(check_consensus = false) ?faults () =
-  let n = 5 in
+let lan_spec ?(n = 5) ?(relay_groups = 0) ?batching ?retransmit
+    ?(tracing = false) ?(seed = 7) ?(concurrency = 12) ?(duration_ms = 1_500.0)
+    ?(collect_history = false) ?(check_consensus = false) ?faults () =
   let config =
     {
       (Config.default ~n_replicas:n) with
@@ -18,6 +17,7 @@ let lan_spec ?batching ?retransmit ?(tracing = false) ?(seed = 7)
       batching;
       retransmit;
       tracing;
+      relay_groups;
     }
   in
   Runner.spec ~warmup_ms:300.0 ~duration_ms ~collect_history ~check_consensus
@@ -146,37 +146,53 @@ let test_lan_spec_retransmit_traced_pinned () =
    dominated by the protocol message values themselves, which are real
    data, not hot-path machinery. Minor words around [Runner.run] are
    deterministic for the compiled code: every run of [lan_spec]
-   allocates the same 2.65M of them, 13.19 words (105.6 B) per message,
+   allocates the same 1.59M of them, 7.90 words (63.2 B) per message,
    with the transport's procq, delay and wake calls inlined and
-   unboxed (see the boxing pins below), the clock read unboxed, a
-   request's trip from the runner to its reply callback allocating
-   only its command (and, when collected, its history record), and a
-   slot's accept, commit and execute allocating nothing at any replica
-   but the messages they send. The cap leaves 1.8 words (14.4 B), less
-   than one boxed float (16 B) per message. [allocated_bytes] also
-   counts what is promoted and what goes straight to the major heap,
-   so it moves with what ran earlier in the process: the scenario
-   reads 157.1-166.8 B per message, over runs started at 24 different
-   minor-heap fill levels; its cap leaves at least 23.2 B.
-   Reintroducing a boxed float on the per-message path, a per-message
-   closure on the delivery path, a per-request closure on the client
-   path, a heap block per log slot, or closures built by fault queries
-   while no rule is active trips them. *)
-let words_per_message_cap = 15.0
-let bytes_per_message_cap = 190.0
+   unboxed (see the boxing pins below), the clock read and every clock
+   stamp unboxed, a request's trip from the runner to its reply
+   callback allocating only its command (and, when collected, its
+   history record), a slot's accept, commit and execute allocating
+   nothing at any replica but the messages they send, quorum votes
+   kept in flag bytes, and the leader's round record pooled. The relay
+   point (n = 13, three relay groups) reads 7.26 words per message:
+   its relays and members add no record, closure or box per round.
+   Each words cap leaves under 0.75 words (6 B) per message, less than
+   one boxed float (16 B); a cons cell per quorum vote (+0.90 and
+   +1.04 words per message) exceeds it. [allocated_bytes] also counts what is
+   promoted and what goes straight to the major heap, so it moves with
+   what ran earlier in the process: over runs started at 24 different
+   minor-heap fill levels the plain scenario reads 110.0-119.1 B per
+   message and the idle-rule one 109.6-122.6 B; the cap leaves at
+   least 22.4 B. Reintroducing a boxed float on the per-message path,
+   a per-message closure on the delivery path, a per-request closure
+   on the client path, a heap block per log slot, a cons cell per
+   quorum vote, a closure per relay member ack, or closures built by
+   fault queries while no rule is active trips them. *)
+let words_per_message_cap = 8.6
+let relay_words_per_message_cap = 8.0
+let bytes_per_message_cap = 145.0
 
 let bytes_per_message (r : Runner.result) =
   r.Runner.allocated_bytes /. float_of_int r.Runner.messages_sent
 
-let test_allocation_per_message_pinned () =
+let words_per_message spec =
   let w0 = Gc.minor_words () in
-  let r = Runner.run paxos (lan_spec ()) in
-  let words = (Gc.minor_words () -. w0) /. float_of_int r.Runner.messages_sent in
+  let r = Runner.run paxos spec in
+  ((Gc.minor_words () -. w0) /. float_of_int r.Runner.messages_sent, r)
+
+let test_allocation_per_message_pinned () =
+  let words, r = words_per_message (lan_spec ()) in
   Alcotest.(check bool)
     (Printf.sprintf "minor words/message %.3f <= %.1f" words
        words_per_message_cap)
     true
     (words <= words_per_message_cap);
+  let relay_words, _ = words_per_message (lan_spec ~n:13 ~relay_groups:3 ()) in
+  Alcotest.(check bool)
+    (Printf.sprintf "relay minor words/message %.3f <= %.1f" relay_words
+       relay_words_per_message_cap)
+    true
+    (relay_words <= relay_words_per_message_cap);
   Alcotest.(check bool)
     (Printf.sprintf "bytes/message %.1f <= %.0f" (bytes_per_message r)
        bytes_per_message_cap)
@@ -406,7 +422,43 @@ let test_hot_calls_allocate_nothing () =
       ignore (Cmd_log.commit log s);
       Cmd_log.execute log);
   Alcotest.(check int) "every fresh slot executed" !next
-    (Cmd_log.exec_frontier log)
+    (Cmd_log.exec_frontier log);
+  (* A relay's member ack on a live record: the member's position in
+     the group, its bit, no completion (member 4 never acks). *)
+  let module Relay = Paxi_protocols.Relay in
+  let renv =
+    let env = Proto_harness.quiet_env ~n:9 1 in
+    { env with Proto.config = { env.Proto.config with Config.relay_groups = 2 } }
+  in
+  let relay = Relay.create renv ~ack:(fun _ _ -> ()) in
+  ignore
+    (Relay.start relay ~key:10 ~leader:0 ~gen:0 ~tag:1 ~aux:1 ~mark:0
+       ~size_bytes:128 ());
+  let live = Relay.lookup relay 10 in
+  check_no_words "Relay.absorb (live record)" (fun i ->
+      Relay.absorb relay live ~src:(2 + (i land 1)));
+  Alcotest.(check int) "bits of members 1-3" 7 live.Relay.a_bits;
+  (* A phase-2 vote on the leader's tracker, a fresh vote each call. *)
+  let q =
+    Quorum.create (Quorum.Count { members = List.init 49 Fun.id; threshold = 25 })
+  in
+  check_no_words "Quorum.ack + satisfied (Count)" (fun i ->
+      let id = i mod 49 in
+      if id = 0 then Quorum.reset q;
+      Quorum.ack q id;
+      if Quorum.satisfied q then sink.(0) <- sink.(0) +. 1.0);
+  (* A sized send and its delivery ([Sim.step]: [run_until]'s stop
+     hook walks the transport's client table once per call). *)
+  let tsim = Sim.create ~seed:1 () in
+  let tr =
+    Transport.create ~sim:tsim ~topology:(Topology.lan ~n_replicas:2 ()) ()
+  in
+  Transport.register tr b (fun ~src:_ () -> ());
+  check_no_words "Transport.send_sized + delivery" (fun _ ->
+      Transport.send_sized tr ~src:a ~dst:b ~size_bytes:256 ();
+      while Sim.step tsim do
+        ()
+      done)
 
 (* [Rng]'s samplers draw their unit floats without going through
    [Random.State.float]; 1M draws of each must still equal, bit for

@@ -105,6 +105,47 @@ let test_reset () =
   Quorum.reset t;
   Alcotest.(check bool) "reset" false (Quorum.satisfied t)
 
+(* Votes live in the tracker's flag bytes: [acks] reads them back in
+   id order whatever order they arrived in, and [reset] clears them
+   member by member, nacks too, so the tracker counts a new round from
+   zero. *)
+let test_acks_in_id_order () =
+  let t = Quorum.create (Quorum.Count { members = [ 7; 2; 9; 4; 0 ]; threshold = 3 }) in
+  List.iter (Quorum.ack t) [ 9; 2; 11; 7; 2 ];
+  Alcotest.(check (list int)) "id order, strays and duplicates out" [ 2; 7; 9 ]
+    (Quorum.acks t);
+  Alcotest.(check bool) "3 of threshold 3" true (Quorum.satisfied t);
+  Quorum.nack t 0;
+  Quorum.nack t 4;
+  Quorum.reset t;
+  Alcotest.(check (list int)) "reset clears acks" [] (Quorum.acks t);
+  Alcotest.(check bool) "reset clears satisfied" false (Quorum.satisfied t);
+  Alcotest.(check bool) "reset clears nacks" false (Quorum.rejected t);
+  List.iter (Quorum.ack t) [ 4; 0 ];
+  Alcotest.(check bool) "re-acked members count again" false (Quorum.satisfied t);
+  Quorum.ack t 9;
+  Alcotest.(check bool) "3 re-acks satisfy" true (Quorum.satisfied t);
+  Alcotest.(check (list int)) "re-acks in id order" [ 0; 4; 9 ] (Quorum.acks t);
+  Alcotest.(check (list int)) "members kept" [ 0; 2; 4; 7; 9 ]
+    (Quorum.members (Quorum.spec t))
+
+let test_zones_reset_reack () =
+  let zones = [ [ 6; 7; 8 ]; [ 0; 1; 2 ]; [ 3; 4; 5 ] ] in
+  let t =
+    Quorum.create
+      (Quorum.Zones { zones; need_zones = 2; per_zone = Quorum.Per_zone_majority })
+  in
+  List.iter (Quorum.ack t) [ 8; 1; 6; 2 ];
+  Alcotest.(check bool) "zones {6,7,8} and {0,1,2}" true (Quorum.satisfied t);
+  Alcotest.(check (list int)) "zone acks in id order" [ 1; 2; 6; 8 ] (Quorum.acks t);
+  Quorum.reset t;
+  Alcotest.(check bool) "reset" false (Quorum.satisfied t);
+  List.iter (Quorum.ack t) [ 5; 6; 3 ];
+  Alcotest.(check bool) "one zone after re-ack" false (Quorum.satisfied t);
+  Quorum.ack t 7;
+  Alcotest.(check bool) "two zones after re-ack" true (Quorum.satisfied t);
+  Alcotest.(check (list int)) "re-acks in id order" [ 3; 5; 6; 7 ] (Quorum.acks t)
+
 let test_min_size () =
   Alcotest.(check int) "majority 9" 5 (Quorum.min_size (Quorum.Majority (ids 9)));
   Alcotest.(check int) "count" 3
@@ -196,6 +237,9 @@ let suite =
       Alcotest.test_case "zones all (grid row)" `Quick test_zones_all;
       Alcotest.test_case "majority tracker at n=81" `Quick test_majority_n81;
       Alcotest.test_case "reset" `Quick test_reset;
+      Alcotest.test_case "acks in id order, reset then re-ack" `Quick
+        test_acks_in_id_order;
+      Alcotest.test_case "zones reset then re-ack" `Quick test_zones_reset_reack;
       Alcotest.test_case "min_size" `Quick test_min_size;
       Alcotest.test_case "minimal quorums of majority" `Quick test_minimal_quorums_majority;
       Alcotest.test_case "majority self-intersection" `Quick test_majority_intersects_itself;

@@ -108,6 +108,7 @@ let stub ?(id = 1) ~n ~r () =
       topology = Topology.lan ~n_replicas:n ();
       rng = Rng.create ~seed:0;
       now = (fun () -> Sim.now sim);
+      clock = Proto.sim_clock sim ~id;
       schedule = (fun delay f -> Sim.schedule_after sim ~delay f);
       cancel = (fun h -> Sim.cancel sim h);
       send;
@@ -181,19 +182,19 @@ let test_bitmap_exact () =
   let a = record s 10 in
   Alcotest.(check int) "self bit" 1 a.Relay.a_bits;
   ignore (take s);
-  Relay.absorb s.relay 10 a ~src:2;
-  Relay.absorb s.relay 10 a ~src:2;
+  Relay.absorb s.relay a ~src:2;
+  Relay.absorb s.relay a ~src:2;
   Alcotest.(check int) "absorb idempotent" 3 a.Relay.a_bits;
-  Relay.absorb s.relay 10 a ~src:3;
+  Relay.absorb s.relay a ~src:3;
   Alcotest.(check bool) "partial sends nothing" true (take s = []);
-  Relay.absorb s.relay 10 a ~src:4;
+  Relay.absorb s.relay a ~src:4;
   Alcotest.(check bool) "full bitmap sends one full ack" true
     (take s = [ (0, Ack { key = 10; bits = 15 }) ]);
   Alcotest.(check int) "hop traced" 1 !(s.hops);
   Alcotest.(check bool) "covers" true (Relay.covers group ~bits:15);
   Alcotest.(check bool) "partial does not cover" false
     (Relay.covers group ~bits:7);
-  Relay.drop s.relay 10 a;
+  Relay.drop s.relay a;
   Alcotest.(check bool) "relay restarts" true (start_round ~key:11 s);
   Alcotest.(check bool) "pool recycles records" true (record s 11 == a);
   Alcotest.(check int) "recycled bits cleared" 1 a.Relay.a_bits
@@ -206,9 +207,9 @@ let test_duplicate_complete () =
   Alcotest.(check bool) "fan to members" true
     (take s = [ (2, Round 10); (3, Round 10); (4, Round 10) ]);
   let a = record s 10 in
-  List.iter (fun src -> Relay.absorb s.relay 10 a ~src) [ 2; 3; 4 ];
+  List.iter (fun src -> Relay.absorb s.relay a ~src) [ 2; 3; 4 ];
   ignore (take s);
-  Relay.resend s.relay 10 a ~size_bytes:64 (Round 10);
+  Relay.resend s.relay a ~size_bytes:64 (Round 10);
   Alcotest.(check bool) "full ack resent, no re-fan" true
     (take s = [ (0, Ack { key = 10; bits = 15 }) ])
 
@@ -216,9 +217,9 @@ let test_duplicate_incomplete () =
   let s = stub ~n:9 ~r:2 () in
   ignore (start_round s);
   let a = record s 10 in
-  Relay.absorb s.relay 10 a ~src:3;
+  Relay.absorb s.relay a ~src:3;
   ignore (take s);
-  Relay.resend s.relay 10 a ~size_bytes:64 (Round 10);
+  Relay.resend s.relay a ~size_bytes:64 (Round 10);
   Alcotest.(check bool) "re-fan only to clear bits" true
     (take s = [ (2, Round 10); (4, Round 10) ])
 
@@ -231,7 +232,7 @@ let test_partial_flush () =
   Relay.set_current s.relay (fun _ -> !current);
   ignore (start_round s);
   let a = record s 10 in
-  Relay.absorb s.relay 10 a ~src:2;
+  Relay.absorb s.relay a ~src:2;
   ignore (take s);
   let flush_ms = Relay.fallback_ms s.relay in
   Sim.run_until s.sim (flush_ms +. 0.001);
@@ -275,8 +276,8 @@ let test_absorb_non_member () =
   ignore (start_round s);
   let a = record s 10 in
   ignore (take s);
-  Relay.absorb s.relay 10 a ~src:7;
-  Relay.absorb s.relay 10 a ~src:0;
+  Relay.absorb s.relay a ~src:7;
+  Relay.absorb s.relay a ~src:0;
   Alcotest.(check int) "bitmap untouched" 1 a.Relay.a_bits;
   Alcotest.(check bool) "nothing sent" true (take s = [])
 

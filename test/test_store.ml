@@ -369,6 +369,37 @@ let test_config_quorums () =
   let c = { c with Config.q2_size = Some 3 } in
   Alcotest.(check int) "fpaxos q2" 3 (Config.phase2_quorum_size c)
 
+(* For an array past 256 words, [Array.make] with a young initial
+   value empties the minor heap before it allocates. A new page of the
+   applied sequence (the 1,025th command) and a writer chain doubling
+   past 256 writers are such arrays; recording a freshly built command
+   there must start no minor collection. *)
+let minor_collections_during f =
+  Gc.minor ();
+  let before = (Gc.quick_stat ()).Gc.minor_collections in
+  f ();
+  (Gc.quick_stat ()).Gc.minor_collections - before
+
+let test_growth_forces_no_minor () =
+  let sm = State_machine.create () in
+  for i = 0 to 1023 do
+    ignore (State_machine.apply sm (cmd i (Command.Get 1)))
+  done;
+  Alcotest.(check int) "new applied page" 0
+    (minor_collections_during (fun () ->
+         ignore
+           (State_machine.apply sm
+              (cmd (Sys.opaque_identity 1024) (Command.Get 1)))));
+  Alcotest.(check int) "applied" 1025 (State_machine.applied_count sm);
+  let kv = Kv.create () in
+  for i = 0 to 255 do
+    Kv.write kv (cmd i (Command.Put (3, i)))
+  done;
+  Alcotest.(check int) "chain doubling past 256 writers" 0
+    (minor_collections_during (fun () ->
+         Kv.write kv (cmd (Sys.opaque_identity 256) (Command.Put (3, 256)))));
+  Alcotest.(check int) "writers" 257 (List.length (Kv.versions kv 3))
+
 let suite =
   ( "store",
     [
@@ -379,6 +410,8 @@ let suite =
       Alcotest.test_case "state machine apply" `Quick test_state_machine_apply;
       Alcotest.test_case "state machine noop" `Quick test_state_machine_noop;
       Alcotest.test_case "key history" `Quick test_key_history;
+      Alcotest.test_case "page growth forces no minor collection" `Quick
+        test_growth_forces_no_minor;
       Alcotest.test_case "executor dedup" `Quick test_executor_dedup;
       Alcotest.test_case "executor noop" `Quick test_executor_noop;
       Alcotest.test_case "executor distinct clients" `Quick test_executor_distinct_clients;

@@ -225,6 +225,7 @@ let stub_env sim ~id ~n =
       topology = Topology.lan ~n_replicas:n ();
       rng = Rng.create ~seed:0;
       now = (fun () -> Sim.now sim);
+      clock = Proto.sim_clock sim ~id;
       schedule = (fun delay f -> Sim.schedule_after sim ~delay f);
       cancel = (fun h -> Sim.cancel sim h);
       send = (fun d m -> push [ d ] m);
