@@ -1461,6 +1461,20 @@ let arrival_arg =
     & opt (some (checked ~expects parse print)) None
     & info [ "arrival" ] ~docv:"ARRIVAL" ~doc:expects)
 
+(* --durable none|batched|every: stable storage on the default device
+   with this sync mode *)
+let durable_arg =
+  let mode =
+    Arg.conv'
+      ( Storage.mode_of_string,
+        fun ppf m -> Format.pp_print_string ppf (Storage.mode_to_string m) )
+  in
+  Arg.(
+    value
+    & opt (some mode) None
+    & info [ "durable" ] ~docv:"none|batched|every"
+        ~doc:"Durable storage sync mode.")
+
 let int_opt ?(from = 1) names ~doc =
   Arg.(value & opt (some (int_from from)) None & info names ~docv:"N" ~doc)
 
@@ -1486,7 +1500,8 @@ let check_protocol cmd p =
    against the named protocols; exits non-zero when any trial fails,
    printing a shrunk one-line repro for each failure. *)
 let nemesis_main protocols trials seed max_faults n relay_groups shards arrival
-    read_ratio read_path skew json replay =
+    read_ratio read_path durable skew json replay =
+  let durable = Option.map durable_cfg durable in
   let protocols =
     match List.concat protocols with
     | [] -> Paxi_protocols.Registry.names
@@ -1507,7 +1522,7 @@ let nemesis_main protocols trials seed max_faults n relay_groups shards arrival
         (fun protocol ->
           let v =
             Nemesis.Trial.run ?n ?read_ratio ?read_path ?relay_groups ?shards
-              ?arrival ~protocol ~seed schedule
+              ?arrival ?durable ~protocol ~seed schedule
           in
           if not v.Nemesis.Trial.ok then failed := true;
           Printf.printf "nemesis %s seed %d: %s (%d completed, %d gave up)\n"
@@ -1522,7 +1537,8 @@ let nemesis_main protocols trials seed max_faults n relay_groups shards arrival
         List.map
           (fun protocol ->
             Nemesis.Campaign.run ~protocol ~trials ~seed ~max_faults ?n
-              ?read_ratio ?read_path ?relay_groups ?shards ?arrival ~skew ())
+              ?read_ratio ?read_path ?relay_groups ?shards ?arrival ?durable
+              ~skew ())
           protocols
       in
       if json then
@@ -1554,7 +1570,7 @@ let nemesis_term =
     $ int_opt [ "n"; "nodes" ] ~doc:"Cluster size."
     $ int_opt [ "relay-groups" ] ~doc:"Relay groups per broadcast."
     $ int_opt [ "shards" ] ~doc:"Independent consensus groups."
-    $ arrival_arg $ read_ratio_arg $ read_path_arg
+    $ arrival_arg $ read_ratio_arg $ read_path_arg $ durable_arg
     $ Arg.(value & flag & info [ "skew" ] ~doc:"Add the clock-skew fault.")
     $ Arg.(value & flag & info [ "json" ] ~doc:"Print the reports as JSON.")
     $ Arg.(
@@ -1923,11 +1939,6 @@ let dissect_main protocol load n_flag relay_groups shards arrival read_ratio
         path
 
 let dissect_term =
-  let durable =
-    Arg.conv'
-      ( Storage.mode_of_string,
-        fun ppf m -> Format.pp_print_string ppf (Storage.mode_to_string m) )
-  in
   Term.(
     const dissect_main
     $ Arg.(value & opt string "paxos" & info [ "protocol" ] ~docv:"NAME")
@@ -1941,12 +1952,7 @@ let dissect_term =
     $ int_opt ~from:3 [ "n"; "nodes" ] ~doc:"Cluster size (default 5)."
     $ Arg.(value & opt (int_from 0) 0 & info [ "relay-groups" ] ~docv:"N")
     $ Arg.(value & opt (int_from 1) 1 & info [ "shards" ] ~docv:"N")
-    $ arrival_arg $ read_ratio_arg $ read_path_arg
-    $ Arg.(
-        value
-        & opt (some durable) None
-        & info [ "durable" ] ~docv:"none|batched|every"
-            ~doc:"Durable storage sync mode.")
+    $ arrival_arg $ read_ratio_arg $ read_path_arg $ durable_arg
     $ Arg.(
         value
         & opt (some string) None

@@ -33,9 +33,9 @@ type t = {
           pre-relay builds); r > 0 partitions the followers into r
           relay groups and routes phase-2 traffic through them. *)
   storage : Storage.config option;
-      (** [None] = memory-only replicas (the legacy semantics: nemesis
-          crashes pause, durability is free, byte-identical to
-          pre-storage builds). [Some c] arms the stable-storage model:
+      (** [None] = memory-only replicas: nemesis crashes pause, and
+          durability is free (paxos and raft write to
+          {!Storage.volatile}). [Some c] arms the stable-storage model:
           persistent writes traverse a simulated fsync queue before a
           replica may ack, and nemesis crashes destroy volatile state
           — recovery reloads only what storage holds. *)

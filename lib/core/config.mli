@@ -107,9 +107,11 @@ type t = {
           may ack, arms Raft snapshot/log-compaction, and turns
           nemesis crashes into real crashes — volatile state is lost,
           timers are mass-cancelled, and recovery replays the durable
-          log on the simulated clock. [None] (the default) keeps the
-          legacy memory-only semantics and is byte-identical to
-          pre-storage builds. Incompatible with [relay_groups]. *)
+          log on the simulated clock. [None] (the default) is
+          memory-only: paxos and raft run the same durable code on
+          {!Storage.volatile}, which writes nothing and acks at once,
+          and a nemesis crash only pauses the replica. Incompatible
+          with [relay_groups]. *)
 }
 
 val default : n_replicas:int -> t

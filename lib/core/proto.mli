@@ -128,8 +128,12 @@ type 'm env = {
   obs : obs;  (** tracing hooks; inert when tracing is off *)
   storage : Storage.t option;
       (** this replica's stable storage ([Config.storage]); [None] =
-          memory-only, where durability is free and protocols must
-          keep their pre-storage behavior byte-for-byte *)
+          memory-only. Paxos and raft then write to
+          {!Storage.volatile}, which records nothing and runs every
+          ack at once, so their one durable path serves both. It stays
+          an option because a device names its replica across a crash
+          (perfbench's span timer finds a recovered instance by it),
+          and the one shared volatile device names none *)
 }
 
 module type PROTOCOL = sig

@@ -26,13 +26,13 @@ type report = {
 let trial_seed ~protocol ~root index =
   Runner.derive_seed ~root (Hashtbl.hash (protocol, index))
 
-let run_trial ?n ?read_ratio ?read_path ?relay_groups ?shards ?arrival ~skew
-    ~protocol ~root ~max_faults ~shrink_budget index =
+let run_trial ?n ?read_ratio ?read_path ?relay_groups ?shards ?arrival ?durable
+    ~skew ~protocol ~root ~max_faults ~shrink_budget index =
   let seed = trial_seed ~protocol ~root index in
   let schedule = Trial.generate ?n ~skew ~protocol ~seed ~max_faults () in
   let trial =
     Trial.run ?n ?read_ratio ?read_path ?relay_groups ?shards ?arrival
-      ~protocol ~seed
+      ?durable ~protocol ~seed
   in
   let verdict = trial schedule in
   let shrunk =
@@ -49,7 +49,7 @@ let run_trial ?n ?read_ratio ?read_path ?relay_groups ?shards ?arrival ~skew
    300 ms margin). Floats print in the shortest of %.15g / %.17g that
    reads back exactly: a repro replays the very rate the trial ran. *)
 let deployment_flags ?n ?read_ratio ?read_path ?relay_groups ?shards ?arrival
-    () =
+    ?durable () =
   let exact x =
     let s = Printf.sprintf "%.15g" x in
     if float_of_string s = x then s else Printf.sprintf "%.17g" x
@@ -72,17 +72,20 @@ let deployment_flags ?n ?read_ratio ?read_path ?relay_groups ?shards ?arrival
           | Bursty { rate_per_sec = r; on_ms; off_ms } ->
               String.concat ":" [ "bursty"; exact r; exact on_ms; exact off_ms ])
         arrival;
+      flag "--durable"
+        (fun (c : Storage.config) -> Storage.mode_to_string c.Storage.sync_mode)
+        durable;
     ]
 
 let run ?pool ?(shrink_budget = 120) ?(max_faults = 4) ?n ?read_ratio
-    ?read_path ?relay_groups ?shards ?arrival ?(skew = false) ~protocol
-    ~trials ~seed () =
+    ?read_path ?relay_groups ?shards ?arrival ?durable ?(skew = false)
+    ~protocol ~trials ~seed () =
   (* shrinking happens inside the trial task, so a pool schedules whole
      trials and determinism needs nothing beyond per-trial seeds *)
   let outcomes =
     Paxi_exec.Parmap.map ?pool
       (run_trial ?n ?read_ratio ?read_path ?relay_groups ?shards ?arrival
-         ~skew ~protocol ~root:seed ~max_faults ~shrink_budget)
+         ?durable ~skew ~protocol ~root:seed ~max_faults ~shrink_budget)
       (List.init trials Fun.id)
   in
   let failures = List.filter (fun o -> not o.verdict.Trial.ok) outcomes in
@@ -96,7 +99,7 @@ let run ?pool ?(shrink_budget = 120) ?(max_faults = 4) ?n ?read_ratio
     failures;
     deployment =
       deployment_flags ?n ?read_ratio ?read_path ?relay_groups ?shards
-        ?arrival ();
+        ?arrival ?durable ();
   }
 
 let repro_line r ~seed schedule =

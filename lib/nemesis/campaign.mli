@@ -26,8 +26,8 @@ type report = {
   deployment : string list;
       (** the deployment flags the trials ran with ([-n],
           [--relay-groups], [--shards], [--read-ratio], [--read-path],
-          [--arrival]), in the bench CLI's spelling; empty at the
-          defaults *)
+          [--arrival], [--durable]), in the bench CLI's spelling; empty
+          at the defaults *)
 }
 
 val run :
@@ -40,6 +40,7 @@ val run :
   ?relay_groups:int ->
   ?shards:int ->
   ?arrival:Paxi_benchmark.Runner.arrival ->
+  ?durable:Storage.config ->
   ?skew:bool ->
   protocol:string ->
   trials:int ->
@@ -52,9 +53,13 @@ val run :
     [?read_ratio]/[?read_path] set every trial's read share and
     read-serving strategy; [?arrival] is the aggregate offered load
     ({!Trial.run}); [?relay_groups] routes paxos/raft rounds through
-    relay trees — the relay-crash campaign; [?skew] (default false)
-    lets the generator draw clock-skew faults — with the read knobs,
-    the adversarial read campaign. *)
+    relay trees — the relay-crash campaign; [?durable] arms stable
+    storage in every trial, so crashes destroy volatile state and
+    recovery replays the durable log ({!Trial.run}); its repro lines
+    carry [--durable] with the sync mode alone, the other storage
+    settings being the CLI's defaults. [?skew] (default false) lets
+    the generator draw clock-skew faults — with the read knobs, the
+    adversarial read campaign. *)
 
 val repro_line : report -> seed:int -> Schedule.t -> string
 (** The exact CLI invocation that replays a (shrunk) failing trial of

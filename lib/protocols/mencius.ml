@@ -126,8 +126,8 @@ let on_message t ~src = function
 
 let on_start (_ : replica) = ()
 
-(* In-memory protocol: a crash-recovery edge reboots it from scratch
-   (no durable state to reload) — the cluster engine only pairs
-   [Config.storage] with protocols that persist, so this is a
-   rejoin-from-zero fallback. *)
+(* Nothing here persists, yet [Config.validate] accepts [Config.storage]
+   and the cluster then arms real crashes: the fresh replica at a
+   recovery edge rejoins with an empty log and state machine (ROADMAP,
+   "Every configuration `validate` accepts is one the protocol honours"). *)
 let on_recover = on_start

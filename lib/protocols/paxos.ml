@@ -73,7 +73,8 @@ type phase1_state = {
 (* One in-flight phase-2 round: a single quorum covers the slot range
    [first, first + count). Records are pooled per replica: a round
    takes one from [free] and resets it, and its tracker (the same spec
-   every round) and fallback thunk are built once per record. *)
+   every round), fallback thunk and self-vote are built once per
+   record. *)
 type batch_state = {
   mutable bballot : Ballot.t;
   mutable first : int;
@@ -87,6 +88,9 @@ type batch_state = {
           when it fires, the leader re-sends direct and rotates the
           relay plan ([Sim.nil] outside relay rounds) *)
   mutable on_fb : unit -> unit;  (** the timer's thunk, built once *)
+  mutable on_vote : int -> unit -> unit;
+      (** [on_vote epoch ()]: the leader's own vote, if the record still
+          holds round [epoch]; built once *)
   mutable epoch : int;
       (** bumped whenever the record opens a round: a late callback
           (an fsync completion) names the round it was made for *)
@@ -106,6 +110,7 @@ let no_batch =
       rkey = 0;
       fb = Sim.nil;
       on_fb = ignore;
+      on_vote = (fun _ () -> ());
       epoch = 0;
       orphan = false;
       next_free = b;
@@ -115,6 +120,7 @@ let no_batch =
 
 type replica = {
   env : message Proto.env;
+  dev : Storage.t;  (* [env.storage], or the volatile device *)
   ids : int list Lazy.t;
       (* [0 .. n-1] for the quorum trackers, built once and only on a
          replica that runs a round: followers never need it *)
@@ -264,6 +270,7 @@ let create env =
   let t =
     {
       env;
+      dev = Option.value env.Proto.storage ~default:Storage.volatile;
       ids = lazy (List.init env.Proto.n Fun.id);
       ballot = Ballot.zero;
       active = false;
@@ -428,22 +435,22 @@ let relay_absorb_p2b t ~src ~ballot ~first_slot ~count ~ok =
     false
   end
 
-(* ---- stable storage (Config.storage; DESIGN.md §14) ----------------
+(* ---- stable storage (DESIGN.md §14) --------------------------------
    Registers 0/1 hold the durable promised ballot (round, owner); the
    durable log holds every accepted (slot, ballot, command). Acks that
    Paxos safety rests on — the P1b promise, the P2b accept,
-   and the leader's own phase-2 vote — are deferred until the fsync
-   covering their records completes. With [Config.storage] unset every
-   branch below falls through to the original code path, so
-   memory-only runs stay byte-identical. *)
+   and the leader's own phase-2 vote — wait for the fsync covering
+   their records ({!Storage.after}). A memory-only replica runs the
+   same code on {!Storage.volatile}, which records nothing and runs
+   each ack at once. *)
 
-let write_ballot st (b : Ballot.t) =
-  Storage.set_reg st 0 b.Ballot.round;
-  Storage.set_reg st 1 b.Ballot.owner
+let write_ballot t (b : Ballot.t) =
+  Storage.set_reg t.dev 0 b.Ballot.round;
+  Storage.set_reg t.dev 1 b.Ballot.owner
 
-let write_accept st ~slot ~(ballot : Ballot.t) cmd =
-  Storage.append st ~index:slot ~a:ballot.Ballot.round ~b:ballot.Ballot.owner
-    cmd
+let write_accept t ~slot ~(ballot : Ballot.t) cmd =
+  Storage.append t.dev ~index:slot ~a:ballot.Ballot.round
+    ~b:ballot.Ballot.owner cmd
 
 let commit_batch t (bs : batch_state) =
   let first_slot = bs.first and count = bs.count in
@@ -494,6 +501,8 @@ let take_batch t =
       }
     in
     bs.on_fb <- (fun () -> relay_fallback t bs);
+    bs.on_vote <-
+      (fun epoch () -> if round_live t bs ~epoch then self_vote t bs);
     bs
   end
 
@@ -550,18 +559,14 @@ let log_command t client (cmd : Command.t) =
   cmd
 
 (* Phase 2 for freshly logged commands: open the round, then cast the
-   leader's vote — at once, or only once the accept records are on
-   disk (by then leadership or the round may have moved on). *)
+   leader's vote once the accept records are on disk (by then
+   leadership or the round may have moved on). *)
 let propose t first_slot cmds =
   let bs = open_round t ~direct:false first_slot cmds in
-  match t.env.Proto.storage with
-  | None -> self_vote t bs
-  | Some st ->
-      for i = 0 to bs.count - 1 do
-        write_accept st ~slot:(first_slot + i) ~ballot:bs.bballot cmds.(i)
-      done;
-      let epoch = bs.epoch in
-      Storage.sync st (fun () -> if round_live t bs ~epoch then self_vote t bs)
+  for i = 0 to bs.count - 1 do
+    write_accept t ~slot:(first_slot + i) ~ballot:bs.bballot cmds.(i)
+  done;
+  Storage.after t.dev bs.on_vote bs.epoch ()
 
 let flush_batch t =
   t.env.Proto.cancel t.flush_timer;
@@ -687,7 +692,7 @@ let become_leader t (state : phase1_state) =
     state.recovered;
   let max_slot = Hashtbl.fold (fun s _ acc -> Stdlib.max s acc) best (-1) in
   let frontier = Cmd_log.exec_frontier t.log in
-  let resync = ref [] in
+  let reopened = ref [] in
   for slot = frontier to max_slot do
     let cmd =
       match Hashtbl.find_opt best slot with
@@ -698,24 +703,16 @@ let become_leader t (state : phase1_state) =
        round of one per slot, sent straight to every peer *)
     if Cmd_log.accept t.log slot ~ballot:t.ballot cmd then begin
       let bs = open_round t ~direct:true slot [| cmd |] in
-      match t.env.Proto.storage with
-      | None -> self_vote t bs
-      | Some st ->
-          write_accept st ~slot ~ballot:t.ballot cmd;
-          resync := (bs.epoch, bs) :: !resync
+      write_accept t ~slot ~ballot:t.ballot cmd;
+      reopened := (bs.epoch, bs) :: !reopened
     end
   done;
-  (match t.env.Proto.storage with
-  | None -> ()
-  | Some st ->
-      (* one fsync covers the new term's ballot and every re-proposed
-         accept; the self-votes land when it completes *)
-      let rounds = !resync in
-      write_ballot st t.ballot;
-      Storage.sync st (fun () ->
-          List.iter
-            (fun (epoch, bs) -> if round_live t bs ~epoch then self_vote t bs)
-            rounds));
+  (* one fsync covers the new term's ballot and every re-proposed
+     accept; the self-votes land, in slot order, when it completes *)
+  let rounds = List.rev !reopened in
+  write_ballot t t.ballot;
+  Storage.sync t.dev (fun () ->
+      List.iter (fun (epoch, bs) -> bs.on_vote epoch ()) rounds);
   (* Read barrier: reads wait until everything up to and including the
      recovered tail is applied locally, so no predecessor's
      acknowledged write can be missing from a lease read. *)
@@ -750,17 +747,14 @@ let start_phase1 t =
         (t.env.rel.post_all ~key:state.rkey ~ack:Reliable.Piggyback
            (P1a { ballot = t.ballot; frontier }))
   in
-  match t.env.Proto.storage with
-  | None -> solicit ()
-  | Some st ->
-      (* the candidacy's own implicit promise must be durable before
-         anyone else can count on it *)
-      let b = t.ballot in
-      write_ballot st b;
-      Storage.sync st (fun () ->
-          match t.p1 with
-          | Some s when s == state && Ballot.equal t.ballot b -> solicit ()
-          | _ -> () (* candidacy superseded before the fsync *))
+  (* the candidacy's own implicit promise must be durable before
+     anyone else can count on it *)
+  let b = t.ballot in
+  write_ballot t b;
+  Storage.sync t.dev (fun () ->
+      match t.p1 with
+      | Some s when s == state && Ballot.equal t.ballot b -> solicit ()
+      | _ -> () (* candidacy superseded before the fsync *))
 
 let step_down t ~ballot =
   if Ballot.(ballot > t.ballot) then t.ballot <- ballot;
@@ -826,12 +820,9 @@ let on_p1a t ~src ~ballot ~frontier =
         accepted := (slot, e.Cmd_log.ballot, e.cmd) :: !accepted);
     (* the promise binds across crashes: it leaves only after the
        promised ballot is on disk *)
-    (match t.env.Proto.storage with
-    | None -> t.env.send src (P1b { ballot; ok = true; accepted = !accepted })
-    | Some st ->
-        write_ballot st ballot;
-        Storage.sync st (fun () ->
-            t.env.send src (P1b { ballot; ok = true; accepted = !accepted })));
+    write_ballot t ballot;
+    Storage.after t.dev t.env.send src
+      (P1b { ballot; ok = true; accepted = !accepted });
     drain_pending t
   end
   else t.env.send src (P1b { ballot = t.ballot; ok = false; accepted = [] })
@@ -863,13 +854,10 @@ let accept_p2a t ~ballot ~first_slot ~cmds ~commit_up_to:bound =
     for i = 0 to Array.length cmds - 1 do
       ignore (Cmd_log.accept t.log (first_slot + i) ~ballot cmds.(i))
     done;
-    (match t.env.Proto.storage with
-    | None -> ()
-    | Some st ->
-        write_ballot st ballot;
-        for i = 0 to Array.length cmds - 1 do
-          write_accept st ~slot:(first_slot + i) ~ballot cmds.(i)
-        done);
+    write_ballot t ballot;
+    for i = 0 to Array.length cmds - 1 do
+      write_accept t ~slot:(first_slot + i) ~ballot cmds.(i)
+    done;
     commit_up_to t bound;
     true
   end
@@ -879,11 +867,8 @@ let on_p2a t ~src ~ballot ~first_slot ~cmds ~commit_up_to =
   let count = Array.length cmds in
   if accept_p2a t ~ballot ~first_slot ~cmds ~commit_up_to then begin
     (* the accept vote leaves only after its records are durable *)
-    (match t.env.Proto.storage with
-    | None -> t.env.send src (P2b { ballot; first_slot; count; ok = true })
-    | Some st ->
-        Storage.sync st (fun () ->
-            t.env.send src (P2b { ballot; first_slot; count; ok = true })));
+    Storage.after t.dev t.env.send src
+      (P2b { ballot; first_slot; count; ok = true });
     drain_pending t
   end
   else t.env.send src (P2b { ballot = t.ballot; first_slot; count; ok = false })
@@ -1040,15 +1025,11 @@ let on_start t =
    frontier from the incumbent leader (or re-runs phase 1 itself on
    failover timeout — a recovered leader never resumes its old term). *)
 let on_recover t =
-  (match t.env.Proto.storage with
-  | None -> ()
-  | Some st ->
-      let round = Storage.reg st 0 and owner = Storage.reg st 1 in
-      if round > 0 then t.ballot <- { Ballot.round; owner };
-      Storage.iter_entries st ~f:(fun slot ~a ~b cmd ->
-          ignore
-            (Cmd_log.accept t.log slot ~ballot:{ Ballot.round = a; owner = b }
-               cmd)));
+  let round = Storage.reg t.dev 0 and owner = Storage.reg t.dev 1 in
+  if round > 0 then t.ballot <- { Ballot.round; owner };
+  Storage.iter_entries t.dev ~f:(fun slot ~a ~b cmd ->
+      let ballot = { Ballot.round = a; owner = b } in
+      ignore (Cmd_log.accept t.log slot ~ballot cmd));
   stamp t;
   heartbeat_loop t;
   failover_loop t

@@ -52,6 +52,7 @@ type role = Follower | Candidate | Leader
 
 type replica = {
   env : message Proto.env;
+  dev : Storage.t; (* [env.storage], or the volatile device *)
   mutable term : int;
   mutable voted_for : int option;
   mutable state : role;
@@ -98,6 +99,8 @@ type replica = {
          included index, last included term, applied-command image) *)
   mutable snap_term : int; (* term of the entry at [log base - 1] *)
   mutable snapshots : int; (* snapshots taken locally *)
+  mutable own_match : int -> int -> unit;
+      (* [own_match term top]: {!own_match} on this replica, built once *)
 }
 
 let all_ids (t : replica) = List.init t.env.n (fun i -> i)
@@ -111,47 +114,6 @@ let relay_ack expected (a : Relay.agg) =
       expected;
       bits = a.Relay.a_bits;
     }
-
-let create env =
-  let exec = Executor.create () in
-  let t =
-    {
-      env;
-      term = 0;
-      voted_for = None;
-      state = Follower;
-      leader_id = None;
-      log = Slot_log.create ();
-      commit_index = 0;
-      exec;
-      next_index = Array.make env.Proto.n 0;
-      match_index = Array.make env.Proto.n 0;
-      votes = None;
-      election_deadline = 0.0;
-      pending = Queue.create ();
-      unflushed = 0;
-      flush_timer = Sim.nil;
-      append_key = Array.make env.Proto.n 0;
-      inflight_match = Array.make env.Proto.n 0;
-      lease = Lease.create env exec;
-      probe_sent_at = Array.make env.Proto.n 0.0;
-      acked_at = Array.make env.Proto.n neg_infinity;
-      relay = Relay.create env ~ack:relay_ack;
-      sizes = Proto.round_sizes env.Proto.config;
-      relay_akey = 0;
-      relay_expected = 0;
-      relay_fb = Sim.nil;
-      snap = None;
-      snap_term = 0;
-      snapshots = 0;
-    }
-  in
-  (* a relay record is current while we follow in its term *)
-  Relay.set_current t.relay (fun a ->
-      a.Relay.a_tag = t.term && t.state <> Leader);
-  (* lease reads wait for the term's no-op barrier to commit *)
-  Lease.set_progress t.lease (fun () -> t.commit_index);
-  t
 
 let role t = t.state
 let current_term t = t.term
@@ -184,20 +146,21 @@ let term_at t i =
     t.snap_term
   else Slot_log.meta t.log i
 
-(* ---- stable storage (Config.storage; DESIGN.md §14) ----------------
+(* ---- stable storage (DESIGN.md §14) --------------------------------
    Register 0 holds the durable term, register 1 the durable vote
    ([voted_for + 1]; 0 = none). The durable log holds every appended
    (slot, term, command); snapshots compact it below the applied
-   frontier. Votes and append acks leave only once the fsync covering
-   their records completes; with [Config.storage] unset every branch
-   falls through to the original path, keeping memory-only runs
-   byte-identical. *)
+   frontier. Votes, append acks and the leader's own match wait for
+   the fsync covering their records ({!Storage.after}). A memory-only
+   replica runs the same code on {!Storage.volatile}, which records
+   nothing, runs each continuation at once and never snapshots. *)
 
-let write_term st t =
-  Storage.set_reg st 0 t.term;
-  Storage.set_reg st 1 (match t.voted_for with Some v -> v + 1 | None -> 0)
+let write_term t =
+  Storage.set_reg t.dev 0 t.term;
+  Storage.set_reg t.dev 1 (match t.voted_for with Some v -> v + 1 | None -> 0)
 
-let write_entry st ~slot ~term cmd = Storage.append st ~index:slot ~a:term ~b:0 cmd
+let write_entry t ~slot ~term cmd =
+  Storage.append t.dev ~index:slot ~a:term ~b:0 cmd
 
 let reset_election_timer t =
   let base = t.env.config.Config.failover_timeout_ms in
@@ -212,21 +175,18 @@ let reset_election_timer t =
    snapshot rides the next fsync, and a crash before it completes
    simply recovers from the previous image plus the longer log. *)
 let maybe_snapshot t =
-  match t.env.Proto.storage with
-  | None -> ()
-  | Some st ->
-      let thr = Storage.snapshot_threshold st in
-      let applied = Slot_log.exec_frontier t.log in
-      if thr > 0 && applied - Slot_log.base t.log >= thr then begin
-        let image = Executor.image t.exec in
-        t.snap_term <- term_at t (applied - 1);
-        t.snap <- Some (applied, t.snap_term, image);
-        Storage.write_snapshot st ~last_index:applied ~a:t.snap_term image;
-        Storage.truncate st ~upto:applied;
-        Storage.sync st ignore;
-        Slot_log.truncate t.log ~upto:applied;
-        t.snapshots <- t.snapshots + 1
-      end
+  let thr = Storage.snapshot_threshold t.dev in
+  let applied = Slot_log.exec_frontier t.log in
+  if thr > 0 && applied - Slot_log.base t.log >= thr then begin
+    let image = Executor.image t.exec in
+    t.snap_term <- term_at t (applied - 1);
+    t.snap <- Some (applied, t.snap_term, image);
+    Storage.write_snapshot t.dev ~last_index:applied ~a:t.snap_term image;
+    Storage.truncate t.dev ~upto:applied;
+    Storage.sync t.dev ignore;
+    Slot_log.truncate t.log ~upto:applied;
+    t.snapshots <- t.snapshots + 1
+  end
 
 (* Apply committed entries in order; leaders answer recorded clients. *)
 let apply_committed t =
@@ -519,6 +479,58 @@ let advance_commit t =
     Lease.drain t.lease
   end
 
+(* The leader's entries below [top] are on disk: they count as its own
+   match unless it lost the [term] it appended them in. *)
+let own_match t term top =
+  if t.state = Leader && t.term = term then begin
+    if top > t.match_index.(t.env.id) then t.match_index.(t.env.id) <- top;
+    advance_commit t
+  end
+
+let create env =
+  let exec = Executor.create () in
+  let t =
+    {
+      env;
+      dev = Option.value env.Proto.storage ~default:Storage.volatile;
+      term = 0;
+      voted_for = None;
+      state = Follower;
+      leader_id = None;
+      log = Slot_log.create ();
+      commit_index = 0;
+      exec;
+      next_index = Array.make env.Proto.n 0;
+      match_index = Array.make env.Proto.n 0;
+      votes = None;
+      election_deadline = 0.0;
+      pending = Queue.create ();
+      unflushed = 0;
+      flush_timer = Sim.nil;
+      append_key = Array.make env.Proto.n 0;
+      inflight_match = Array.make env.Proto.n 0;
+      lease = Lease.create env exec;
+      probe_sent_at = Array.make env.Proto.n 0.0;
+      acked_at = Array.make env.Proto.n neg_infinity;
+      relay = Relay.create env ~ack:relay_ack;
+      sizes = Proto.round_sizes env.Proto.config;
+      relay_akey = 0;
+      relay_expected = 0;
+      relay_fb = Sim.nil;
+      snap = None;
+      snap_term = 0;
+      snapshots = 0;
+      own_match = (fun _ _ -> ());
+    }
+  in
+  t.own_match <- own_match t;
+  (* a relay record is current while we follow in its term *)
+  Relay.set_current t.relay (fun a ->
+      a.Relay.a_tag = t.term && t.state <> Leader);
+  (* lease reads wait for the term's no-op barrier to commit *)
+  Lease.set_progress t.lease (fun () -> t.commit_index);
+  t
+
 let become_leader t =
   t.state <- Leader;
   t.leader_id <- Some t.env.id;
@@ -539,32 +551,19 @@ let become_leader t =
   let barrier = Slot_log.reserve t.log in
   Slot_log.set t.log barrier ~meta:t.term Command.noop;
   Lease.lead t.lease ~barrier:(barrier + 1);
-  (match t.env.Proto.storage with
-  | None -> t.match_index.(t.env.id) <- barrier + 1
-  | Some st -> write_entry st ~slot:barrier ~term:t.term Command.noop);
+  write_entry t ~slot:barrier ~term:t.term Command.noop;
   broadcast_append t;
   while not (Queue.is_empty t.pending) do
     let client, cmd = Queue.pop t.pending in
     let slot = Slot_log.reserve t.log in
     Slot_log.set t.log slot ~meta:t.term cmd;
     Slot_log.set_client t.log slot client;
-    match t.env.Proto.storage with
-    | None -> t.match_index.(t.env.id) <- slot + 1
-    | Some st -> write_entry st ~slot ~term:t.term cmd
+    write_entry t ~slot ~term:t.term cmd
   done;
-  (match t.env.Proto.storage with
-  | None -> advance_commit t (* a cluster of one commits alone *)
-  | Some st ->
-      (* the leader's own match counts only once its entries are on
-         disk; one fsync covers the barrier and the drained backlog *)
-      let top = Slot_log.next_slot t.log in
-      let term = t.term in
-      Storage.sync st (fun () ->
-          if t.state = Leader && t.term = term then begin
-            if top > t.match_index.(t.env.id) then
-              t.match_index.(t.env.id) <- top;
-            advance_commit t
-          end));
+  (* the leader's own match counts only once its entries are on disk;
+     one fsync covers the barrier and the drained backlog (a cluster
+     of one then commits alone) *)
+  Storage.after t.dev t.own_match t.term (Slot_log.next_slot t.log);
   if Slot_log.next_slot t.log > len then broadcast_append t;
   recompute_lease t
 
@@ -608,15 +607,12 @@ let start_election t =
              last_term = term_at t (last_index t);
            })
   in
-  match t.env.Proto.storage with
-  | None -> solicit ()
-  | Some st ->
-      (* the candidacy's term and self-vote bind across crashes: the
-         solicitation leaves only once they are on disk *)
-      let term = t.term in
-      write_term st t;
-      Storage.sync st (fun () ->
-          if t.state = Candidate && t.term = term then solicit ())
+  (* the candidacy's term and self-vote bind across crashes: the
+     solicitation leaves only once they are on disk *)
+  let term = t.term in
+  write_term t;
+  Storage.sync t.dev (fun () ->
+      if t.state = Candidate && t.term = term then solicit ())
 
 let on_request t ~client (cmd : Command.t) =
   match t.state with
@@ -627,21 +623,10 @@ let on_request t ~client (cmd : Command.t) =
       Slot_log.set t.log slot ~meta:t.term cmd;
       Slot_log.set_client t.log slot client;
       t.env.obs.Proto.on_propose ~slot ~cmd:cmd;
-      (match t.env.Proto.storage with
-      | None ->
-          t.match_index.(t.env.id) <- slot + 1;
-          advance_commit t
-      | Some st ->
-          (* the leader's own match counts only once the entry's fsync
-             completes — by then leadership may have moved on *)
-          write_entry st ~slot ~term:t.term cmd;
-          let term = t.term in
-          Storage.sync st (fun () ->
-              if t.state = Leader && t.term = term then begin
-                if slot + 1 > t.match_index.(t.env.id) then
-                  t.match_index.(t.env.id) <- slot + 1;
-                advance_commit t
-              end));
+      (* the leader's own match counts only once the entry's fsync
+         completes — by then leadership may have moved on *)
+      write_entry t ~slot ~term:t.term cmd;
+      Storage.after t.dev t.own_match t.term (slot + 1);
       match t.env.config.Config.batching with
       | None -> broadcast_append t
       | Some b ->
@@ -690,15 +675,14 @@ let on_request_vote t ~src ~term ~last_index:cand_last ~last_term =
     t.voted_for <- Some src;
     reset_election_timer t
   end;
-  let reply_term = t.term in
-  match t.env.Proto.storage with
-  | Some st when granted ->
-      (* the vote binds across crashes: it leaves only after term and
-         voted_for are on disk *)
-      write_term st t;
-      Storage.sync st (fun () ->
-          t.env.send src (VoteReply { term = reply_term; granted = true }))
-  | _ -> t.env.send src (VoteReply { term = reply_term; granted })
+  let reply = VoteReply { term = t.term; granted } in
+  if granted then begin
+    (* the vote binds across crashes: it leaves only after term and
+       voted_for are on disk *)
+    write_term t;
+    Storage.after t.dev t.env.send src reply
+  end
+  else t.env.send src reply
 
 let on_vote_reply t ~src ~term ~granted =
   if term > t.term then become_follower t ~term
@@ -735,9 +719,7 @@ let append_entries_core t ~leader ~term ~prev_index ~prev_term ~terms ~cmds
         let i = prev_index + 1 + off and term = terms.(off) in
         if not (Slot_log.mem t.log i && Slot_log.meta t.log i = term) then begin
           Slot_log.set t.log i ~meta:term cmds.(off);
-          match t.env.Proto.storage with
-          | None -> ()
-          | Some st -> write_entry st ~slot:i ~term cmds.(off)
+          write_entry t ~slot:i ~term cmds.(off)
         end
       done;
       let match_index = prev_index + 1 + Array.length cmds in
@@ -755,14 +737,11 @@ let on_append_entries t ~src ~term ~prev_index ~prev_term ~terms ~cmds
     append_entries_core t ~leader:src ~term ~prev_index ~prev_term ~terms ~cmds
       ~leader_commit
   in
-  let reply_term = t.term in
-  match t.env.Proto.storage with
-  | Some st when success && Array.length cmds > 0 ->
-      (* the accept vote leaves only after its records are durable *)
-      Storage.sync st (fun () ->
-          t.env.send src
-            (AppendReply { term = reply_term; success; match_index }))
-  | _ -> t.env.send src (AppendReply { term = reply_term; success; match_index })
+  let reply = AppendReply { term = t.term; success; match_index } in
+  if success && Array.length cmds > 0 then
+    (* the accept vote leaves only after its records are durable *)
+    Storage.after t.dev t.env.send src reply
+  else t.env.send src reply
 
 (* Snapshot install (Raft §7): replace the state machine with the
    shipped image, drop the log below its frontier, and answer with an
@@ -791,17 +770,11 @@ let on_install_snapshot t ~src ~term ~last_index ~last_term ~image =
       t.snap_term <- last_term;
       t.snap <- Some (last_index, last_term, image);
       if last_index > t.commit_index then t.commit_index <- last_index;
-      let reply () =
-        t.env.send src
-          (AppendReply
-             { term = reply_term; success = true; match_index = last_index })
-      in
-      match t.env.Proto.storage with
-      | None -> reply ()
-      | Some st ->
-          Storage.write_snapshot st ~last_index ~a:last_term image;
-          Storage.truncate st ~upto:last_index;
-          Storage.sync st reply
+      Storage.write_snapshot t.dev ~last_index ~a:last_term image;
+      Storage.truncate t.dev ~upto:last_index;
+      Storage.after t.dev t.env.send src
+        (AppendReply
+           { term = reply_term; success = true; match_index = last_index })
     end
     else
       t.env.send src
@@ -983,23 +956,19 @@ let on_start t =
    must win a fresh election (or hear from the incumbent) before it
    touches the log again. *)
 let on_recover t =
-  (match t.env.Proto.storage with
-  | None -> ()
-  | Some st ->
-      t.term <- Storage.reg st 0;
-      let v = Storage.reg st 1 in
-      t.voted_for <- (if v > 0 then Some (v - 1) else None);
-      (match Storage.snapshot st with
-      | Some (last, last_term, image) ->
-          Executor.install t.exec image;
-          Slot_log.truncate t.log ~upto:last;
-          t.snap_term <- last_term;
-          t.snap <- Some (last, last_term, image);
-          t.commit_index <- last
-      | None -> ());
-      Storage.iter_entries st ~f:(fun slot ~a ~b:_ cmd ->
-          if slot >= Slot_log.base t.log then
-            Slot_log.set t.log slot ~meta:a cmd));
+  t.term <- Storage.reg t.dev 0;
+  let v = Storage.reg t.dev 1 in
+  t.voted_for <- (if v > 0 then Some (v - 1) else None);
+  (match Storage.snapshot t.dev with
+  | Some (last, last_term, image) ->
+      Executor.install t.exec image;
+      Slot_log.truncate t.log ~upto:last;
+      t.snap_term <- last_term;
+      t.snap <- Some (last, last_term, image);
+      t.commit_index <- last
+  | None -> ());
+  Storage.iter_entries t.dev ~f:(fun slot ~a ~b:_ cmd ->
+      if slot >= Slot_log.base t.log then Slot_log.set t.log slot ~meta:a cmd);
   reset_election_timer t;
   heartbeat_loop t;
   election_loop t

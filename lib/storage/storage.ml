@@ -13,8 +13,8 @@
 
    Three durability disciplines ([sync_mode]):
    - [Sync_none]   — the continuation runs synchronously; no events,
-                     no RNG draws, no latency. Byte-identical to the
-                     pre-storage simulator on fault-free runs (CI-gated).
+                     no RNG draws, no latency. On fault-free runs it
+                     replays the memory-only run exactly (CI-gated).
    - [Sync_every]  — every sync is its own fsync of [fsync_ms].
    - [Sync_batched]— group commit: syncs arriving within
                      [batch_window_ms] share one fsync.
@@ -33,6 +33,10 @@
    parallel arrays, syncs in a ring of (continuation, sync time), and
    in-flight fsyncs in a FIFO ring of (journal end, waiter end); the
    durable log is pages of parallel arrays.
+
+   A memory-only replica writes to [volatile], which records nothing
+   and runs every continuation at once ([after] builds no closure for
+   it), so protocols keep one durable path.
 
    The record vocabulary is deliberately protocol-agnostic — integer
    registers, (index, a, b, cmd) log entries, snapshot images of
@@ -182,6 +186,7 @@ type clock = {
 }
 
 type t = {
+  volatile : bool; (* [volatile]: no call touches another field *)
   config : config;
   sim : Sim.t;
   timers : Timers.t;
@@ -336,35 +341,38 @@ let make_durable t upto =
 (* ---- write path ------------------------------------------------------ *)
 
 let push t kind index a b cmd =
-  let cap = Array.length t.jkind in
-  if t.jtail - t.jhead = cap then begin
-    let head = t.jhead and tail = t.jtail and cap = next_cap t.jkind in
-    t.jkind <- regrow t.jkind ~fill:Reg ~head ~tail ~cap;
-    t.jindex <- regrow t.jindex ~fill:0 ~head ~tail ~cap;
-    t.ja <- regrow t.ja ~fill:0 ~head ~tail ~cap;
-    t.jb <- regrow t.jb ~fill:0 ~head ~tail ~cap;
-    t.jcmd <- regrow t.jcmd ~fill:Command.noop ~head ~tail ~cap;
-    if Array.length t.jimage > 0 then
-      t.jimage <- regrow t.jimage ~fill:[||] ~head ~tail ~cap
-  end;
-  let i = t.jtail land (Array.length t.jkind - 1) in
-  t.jkind.(i) <- kind;
-  t.jindex.(i) <- index;
-  t.ja.(i) <- a;
-  t.jb.(i) <- b;
-  t.jcmd.(i) <- cmd;
-  t.jtail <- t.jtail + 1;
-  t.n_writes <- t.n_writes + 1
+  if not t.volatile then begin
+    if t.jtail - t.jhead = Array.length t.jkind then begin
+      let head = t.jhead and tail = t.jtail and cap = next_cap t.jkind in
+      t.jkind <- regrow t.jkind ~fill:Reg ~head ~tail ~cap;
+      t.jindex <- regrow t.jindex ~fill:0 ~head ~tail ~cap;
+      t.ja <- regrow t.ja ~fill:0 ~head ~tail ~cap;
+      t.jb <- regrow t.jb ~fill:0 ~head ~tail ~cap;
+      t.jcmd <- regrow t.jcmd ~fill:Command.noop ~head ~tail ~cap;
+      if Array.length t.jimage > 0 then
+        t.jimage <- regrow t.jimage ~fill:[||] ~head ~tail ~cap
+    end;
+    let i = t.jtail land (Array.length t.jkind - 1) in
+    t.jkind.(i) <- kind;
+    t.jindex.(i) <- index;
+    t.ja.(i) <- a;
+    t.jb.(i) <- b;
+    t.jcmd.(i) <- cmd;
+    t.jtail <- t.jtail + 1;
+    t.n_writes <- t.n_writes + 1
+  end
 
 let set_reg t idx v = push t Reg idx v 0 Command.noop
 let append t ~index ~a ~b cmd = push t Entry index a b cmd
 let truncate t ~upto = push t Truncate upto 0 0 Command.noop
 
 let write_snapshot t ~last_index ~a image =
-  push t Snapshot last_index a 0 Command.noop;
-  if Array.length t.jimage = 0 then
-    t.jimage <- Array.make (Array.length t.jkind) [||];
-  t.jimage.((t.jtail - 1) land (Array.length t.jimage - 1)) <- image
+  if not t.volatile then begin
+    push t Snapshot last_index a 0 Command.noop;
+    if Array.length t.jimage = 0 then
+      t.jimage <- Array.make (Array.length t.jkind) [||];
+    t.jimage.((t.jtail - 1) land (Array.length t.jimage - 1)) <- image
+  end
 
 (* One fsync completed: the oldest in flight, the device being FIFO.
    Its records become durable, then its waiters run in sync order. *)
@@ -421,6 +429,7 @@ let arm t =
 let create ~config ~sim ~timers =
   let t =
     {
+      volatile = false;
       config;
       sim;
       timers;
@@ -460,42 +469,57 @@ let create ~config ~sim ~timers =
   arm t;
   t
 
+(* No call reaches its sim, timers or event thunks. *)
+let volatile =
+  let sim = Sim.create () in
+  let config =
+    { default_config with sync_mode = Sync_none; snapshot_threshold = 0 }
+  in
+  { (create ~config ~sim ~timers:(Timers.create sim)) with volatile = true }
+
 let sync t k =
-  match t.config.sync_mode with
-  | Sync_none ->
-      (* free durability: apply synchronously, no event, no draw *)
-      make_durable t t.jtail;
-      t.n_syncs <- t.n_syncs + 1;
-      k ()
-  | Sync_every | Sync_batched ->
-      if t.wtail - t.whead = Array.length t.wk then begin
-        let head = t.whead and tail = t.wtail and cap = next_cap t.wk in
-        t.wk <- regrow t.wk ~fill:ignore ~head ~tail ~cap;
-        t.wt <- regrow t.wt ~fill:0.0 ~head ~tail ~cap
-      end;
-      let i = t.wtail land (Array.length t.wk - 1) in
-      t.wk.(i) <- k;
-      t.wt.(i) <- Sim.now t.sim;
-      t.wtail <- t.wtail + 1;
-      if t.config.sync_mode = Sync_every then begin_fsync t
-      else if not t.flush_scheduled then begin
-        t.flush_scheduled <- true;
-        schedule t ~delay:t.config.batch_window_ms t.flush
-      end
+  if t.volatile then k ()
+  else if t.config.sync_mode = Sync_none then begin
+    (* free durability: apply synchronously, no event, no draw *)
+    make_durable t t.jtail;
+    t.n_syncs <- t.n_syncs + 1;
+    k ()
+  end
+  else begin
+    if t.wtail - t.whead = Array.length t.wk then begin
+      let head = t.whead and tail = t.wtail and cap = next_cap t.wk in
+      t.wk <- regrow t.wk ~fill:ignore ~head ~tail ~cap;
+      t.wt <- regrow t.wt ~fill:0.0 ~head ~tail ~cap
+    end;
+    let i = t.wtail land (Array.length t.wk - 1) in
+    t.wk.(i) <- k;
+    t.wt.(i) <- Sim.now t.sim;
+    t.wtail <- t.wtail + 1;
+    if t.config.sync_mode = Sync_every then begin_fsync t
+    else if not t.flush_scheduled then begin
+      t.flush_scheduled <- true;
+      schedule t ~delay:t.config.batch_window_ms t.flush
+    end
+  end
+
+(* The continuation closure is built only for a device that waits. *)
+let after t f a b = if t.volatile then f a b else sync t (fun () -> f a b)
 
 (* ---- crash ----------------------------------------------------------- *)
 
 let crash t =
-  t.epoch <- t.epoch + 1;
-  t.n_lost <- t.n_lost + (t.jtail - t.jhead);
-  t.jhead <- t.jtail;
-  Array.fill t.jimage 0 (Array.length t.jimage) [||];
-  Array.fill t.wk 0 (Array.length t.wk) ignore;
-  t.whead <- t.wtail;
-  t.fhead <- t.ftail;
-  t.flush_scheduled <- false;
-  t.clock.busy_until <- Sim.now t.sim;
-  arm t
+  if not t.volatile then begin
+    t.epoch <- t.epoch + 1;
+    t.n_lost <- t.n_lost + (t.jtail - t.jhead);
+    t.jhead <- t.jtail;
+    Array.fill t.jimage 0 (Array.length t.jimage) [||];
+    Array.fill t.wk 0 (Array.length t.wk) ignore;
+    t.whead <- t.wtail;
+    t.fhead <- t.ftail;
+    t.flush_scheduled <- false;
+    t.clock.busy_until <- Sim.now t.sim;
+    arm t
+  end
 
 (* ---- recovery reads -------------------------------------------------- *)
 

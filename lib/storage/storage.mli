@@ -3,15 +3,18 @@
     One instance per replica: protocols write persistent records
     ({!set_reg}, {!append}, {!truncate}, {!write_snapshot}: ballot/term
     registers, accepted log entries, snapshots) and call
-    {!sync} with the continuation that sends the ack they owe — the
-    continuation runs only after the simulated fsync completes, which
-    puts the disk on the critical path exactly as the paper's
-    dissection framework demands. Records become durable at fsync
-    {e completion}; {!crash} loses the unsynced tail, and recovery
-    reads back only the durable image. The vocabulary is
+    {!sync} or {!after} with the continuation that sends the ack they
+    owe — the continuation runs only after the simulated fsync
+    completes, which puts the disk on the critical path exactly as the
+    paper's dissection framework demands. Records become durable at
+    fsync {e completion}; {!crash} loses the unsynced tail, and
+    recovery reads back only the durable image. The vocabulary is
     protocol-agnostic (integer registers; [(index, a, b, cmd)] log
     entries; applied-command snapshot images) so this library sits
-    below the protocol layer. *)
+    below the protocol layer.
+
+    A replica without [Config.storage] writes to {!volatile}, so a
+    protocol keeps one durable path for memory-only runs too. *)
 
 type sync_mode =
   | Sync_none  (** durability is free: synchronous, no events *)
@@ -46,6 +49,12 @@ val create :
     domain, so they die with the replica. Every array is allocated on
     first use. *)
 
+val volatile : t
+(** The memory-only device: writers record nothing, {!sync} and
+    {!after} run their continuation at once, reads are empty, {!crash}
+    does nothing, [snapshot_threshold] is 0 and {!totals} is
+    {!no_totals}. Never mutated: one value serves every domain. *)
+
 val snapshot_threshold : t -> int
 
 (** {2 Records}
@@ -75,6 +84,11 @@ val sync : t -> (unit -> unit) -> unit
     synchronous; [Sync_every] schedules one fsync on the FIFO device;
     [Sync_batched] joins the open group-commit window. Continuations
     run in sync order. The device allocates nothing for a sync. *)
+
+val after : t -> ('a -> 'b -> unit) -> 'a -> 'b -> unit
+(** [after t f a b] is [sync t (fun () -> f a b)], except that on
+    {!volatile} it calls [f a b] directly and builds no closure. An
+    ack is [after t env.send dst msg]. *)
 
 val crash : t -> unit
 (** Lose every record not yet durable (counted in [lost_writes]),

@@ -447,6 +447,17 @@ let test_hot_calls_allocate_nothing () =
       if id = 0 then Quorum.reset q;
       Quorum.ack q id;
       if Quorum.satisfied q then sink.(0) <- sink.(0) +. 1.0);
+  (* The memory-only device: writes record nothing, and an ack's
+     [Storage.after] calls its two-argument send at once, with no
+     continuation closure. *)
+  let dev = Storage.volatile in
+  let sent = Array.make 1 0 in
+  let send dst (n : int) = sent.(0) <- sent.(0) + dst + n in
+  check_no_words "Storage.after (volatile)" (fun i ->
+      Storage.after dev send (i land 7) i);
+  check_no_words "Storage.set_reg (volatile)" (fun i -> Storage.set_reg dev 0 i);
+  check_no_words "Storage.append (volatile)" (fun i ->
+      Storage.append dev ~index:i ~a:1 ~b:0 c0);
   (* A sized send and its delivery ([Sim.step]: [run_until]'s stop
      hook walks the transport's client table once per call). *)
   let tsim = Sim.create ~seed:1 () in

@@ -55,6 +55,22 @@ let test_campaign_pool_deterministic () =
         [ "completed"; "messages_sent"; "sim_events"; "p99_ms" ])
     rows
 
+(* [?durable] reaches every trial: a durable paxos campaign passes, and
+   its crashes are real crash-recover edges (a memory-only trial
+   pauses the replica and reports none). *)
+let test_durable_campaign_recovers () =
+  let durable = { Storage.default_config with sync_mode = Storage.Sync_every } in
+  let report = Campaign.run ~protocol:"paxos" ~trials:4 ~seed:42 ~durable () in
+  Alcotest.(check int) "durable paxos campaign failures" 0
+    (List.length report.Campaign.failures);
+  let recoveries (r : Campaign.report) =
+    List.map (fun o -> o.Campaign.verdict.Trial.recoveries) r.Campaign.outcomes
+  in
+  Alcotest.(check bool) "some trial recovered from storage" true
+    (List.exists (fun k -> k > 0) (recoveries report));
+  Alcotest.(check (list int)) "memory-only trials recover nothing" [ 0; 0; 0; 0 ]
+    (recoveries (Campaign.run ~protocol:"paxos" ~trials:4 ~seed:42 ()))
+
 (* ------------------------------------------------------------------ *)
 (* Schedule generation and serialization                               *)
 (* ------------------------------------------------------------------ *)
@@ -423,12 +439,14 @@ let test_repro_carries_deployment () =
       ~shards:4 ~read_ratio:0.95
       ~read_path:(Config.Lease { margin_ms = 300.0 })
       ~arrival:(Paxi_benchmark.Runner.Open { rate_per_sec = rate })
+      ~durable:{ Storage.default_config with sync_mode = Storage.Sync_every }
       ()
   in
   Alcotest.(check string) "every deployment flag"
     ("bench/main.exe -- nemesis --protocol raft -n 9 --relay-groups 2 \
       --shards 4 --read-ratio 0.95 --read-path lease --arrival \
-      poisson:0.30000000000000004 --seed 7 --replay '" ^ replay ^ "'")
+      poisson:0.30000000000000004 --durable every --seed 7 --replay '"
+   ^ replay ^ "'")
     (Campaign.repro_line r ~seed:7 schedule);
   Alcotest.(check (float 0.0)) "rate reads back exactly" rate
     (float_of_string "0.30000000000000004")
@@ -441,6 +459,8 @@ let suite =
     @ [
         Alcotest.test_case "campaign pool-deterministic" `Slow
           test_campaign_pool_deterministic;
+        Alcotest.test_case "durable campaign recovers" `Slow
+          test_durable_campaign_recovers;
         Alcotest.test_case "generate deterministic" `Quick
           test_generate_deterministic;
         Alcotest.test_case "generate respects kinds" `Quick

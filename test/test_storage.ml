@@ -102,6 +102,37 @@ let test_sync_none_is_synchronous () =
   Alcotest.(check int) "no fsyncs" 0 (fsyncs st);
   Alcotest.(check (float 0.0)) "clock untouched" 0.0 (Sim.now sim)
 
+(* The memory-only device: every writer records nothing, every read is
+   empty, and [sync] and [after] run their continuations at once, in
+   call order. *)
+let test_volatile_device () =
+  let dev = Storage.volatile in
+  Storage.set_reg dev 0 5;
+  append dev 3;
+  Storage.truncate dev ~upto:2;
+  Storage.write_snapshot dev ~last_index:4 ~a:1 [| cmd 0 |];
+  let ran = ref [] in
+  Storage.sync dev (fun () -> ran := "sync" :: !ran);
+  Alcotest.(check (list string)) "sync ran at once" [ "sync" ] !ran;
+  Storage.after dev (fun what n -> ran := Printf.sprintf "%s %d" what n :: !ran)
+    "after" 2;
+  Alcotest.(check (list string)) "after ran at once" [ "after 2"; "sync" ] !ran;
+  Storage.sync dev (fun () -> ran := "sync again" :: !ran);
+  Alcotest.(check (list string)) "continuations in call order"
+    [ "sync"; "after 2"; "sync again" ] (List.rev !ran);
+  Storage.crash dev;
+  Alcotest.(check bool) "totals stay empty" true
+    (Storage.totals dev = Storage.no_totals);
+  Alcotest.(check int) "register reads 0" 0 (Storage.reg dev 0);
+  Alcotest.(check int) "no entries" 0 (Storage.durable_entries dev);
+  Alcotest.(check (pair int int)) "empty log" (0, 0)
+    (Storage.log_base dev, Storage.log_top dev);
+  Storage.iter_entries dev ~f:(fun i ~a:_ ~b:_ _ ->
+      Alcotest.failf "entry %d iterated" i);
+  Alcotest.(check bool) "no snapshot" true (Storage.snapshot dev = None);
+  Alcotest.(check int) "never snapshots" 0 (Storage.snapshot_threshold dev);
+  Alcotest.(check (float 0.0)) "no replay cost" 0.0 (Storage.replay_cost_ms dev)
+
 let test_snapshot_truncate_and_replay_cost () =
   let sim, st = make_storage () in
   for i = 0 to 9 do
@@ -708,8 +739,9 @@ let identity_result protocol storage =
        ())
 
 let test_sync_none_identity protocol () =
-  (* arming the storage layer with sync=none must not perturb the
-     fault-free simulation by a single event or draw *)
+  (* storage off runs the protocol on the volatile device; the same
+     code on a sync=none device must not perturb the fault-free
+     simulation by a single event or draw *)
   let off = identity_result protocol None in
   let none =
     identity_result protocol (Some (durable_with Storage.Sync_none))
@@ -735,6 +767,7 @@ let suite =
       Alcotest.test_case "batched group commit" `Quick test_batched_group_commit;
       Alcotest.test_case "sync=none synchronous" `Quick
         test_sync_none_is_synchronous;
+      Alcotest.test_case "volatile device" `Quick test_volatile_device;
       Alcotest.test_case "snapshot+truncate+replay cost" `Quick
         test_snapshot_truncate_and_replay_cost;
       QCheck_alcotest.to_alcotest
