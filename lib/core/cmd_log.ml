@@ -78,8 +78,12 @@ let take_client t slot =
 let exec_frontier t = Slot_log.exec_frontier t.slots
 let next_slot t = Slot_log.next_slot t.slots
 
-let iter_from t ~start ~f =
-  Slot_log.iter_from t.slots ~start ~f:(fun slot -> f slot (view t slot))
+type report = (int * entry) list
+
+let report t ~start =
+  let r = ref [] in
+  Slot_log.iter_from t.slots ~start ~f:(fun s -> r := (s, view t s) :: !r);
+  !r
 
 let propose t slot ~ballot ~client cmd =
   Slot_log.set t.slots slot ~meta:(word ballot ~committed:0) cmd;
@@ -120,3 +124,107 @@ let commit_below t bound =
 
 let execute t =
   Slot_log.advance_frontier t.slots ~executable:is_committed ~f:t.step
+
+(* ---- one multi-Paxos instance ---------------------------------------- *)
+
+type candidacy = { tracker : Quorum.t; mutable reports : report; rkey : int }
+
+type instance = {
+  log : t;
+  self : int;
+  forward : int -> client:Address.t -> Command.t -> unit;
+  mutable ballot : Ballot.t;
+  mutable leading : bool;
+  mutable candidacy : candidacy option;
+  pending : (Address.t * Command.t) Queue.t;
+  mutable propose : client:Address.t -> Command.t -> unit;
+}
+
+let instance exec (env : _ Proto.env) ~ballot ~leading =
+  {
+    log = create exec env;
+    self = env.Proto.id;
+    forward = env.Proto.forward;
+    ballot;
+    leading;
+    candidacy = None;
+    pending = Queue.create ();
+    propose = (fun ~client:_ _ -> ());
+  }
+
+let defer i ballot =
+  if Ballot.(ballot > i.ballot) then i.ballot <- ballot;
+  i.leading <- false;
+  i.candidacy <- None
+
+(* The held ballot is promised again to its owner: the replica may have
+   taken it from a nok P2b or a duplicate P1a before this copy came.
+   Refusing would answer a retransmitted P1a nok forever once its P1b
+   was lost, and wedge a wpaxos steal in a 2-replica zone, where the
+   preempted owner's vote is mandatory. *)
+let promises i ~src ballot =
+  Ballot.(ballot > i.ballot)
+  || (Ballot.equal ballot i.ballot && ballot.Ballot.owner = src)
+
+let accepts i ballot = Ballot.(ballot >= i.ballot)
+
+let admit i ballot =
+  let deposed = i.leading && ballot.Ballot.owner <> i.self in
+  i.ballot <- ballot;
+  if ballot.Ballot.owner <> i.self then defer i ballot;
+  deposed
+
+let stand i spec ~rkey =
+  i.ballot <- Ballot.next i.ballot ~owner:i.self;
+  i.leading <- false;
+  let c = { tracker = Quorum.create spec; reports = []; rkey } in
+  i.candidacy <- Some c;
+  Quorum.ack c.tracker i.self;
+  c.reports <- report i.log ~start:(exec_frontier i.log);
+  c
+
+let promised c ~src reports =
+  c.reports <- reports @ c.reports;
+  Quorum.ack c.tracker src;
+  Quorum.satisfied c.tracker
+
+let elect i c ~adopt =
+  i.candidacy <- None;
+  i.leading <- true;
+  let best = Hashtbl.create 16 in
+  List.iter
+    (fun (slot, (e : entry)) ->
+      match Hashtbl.find_opt best slot with
+      | None -> Hashtbl.replace best slot e
+      | Some (b : entry) ->
+          let won = if Ballot.(e.ballot > b.ballot) then e else b in
+          Hashtbl.replace best slot
+            { won with committed = b.committed || e.committed })
+    c.reports;
+  let last = Hashtbl.fold (fun slot _ acc -> Int.max slot acc) best (-1) in
+  for slot = exec_frontier i.log to last do
+    let cmd, committed =
+      match Hashtbl.find_opt best slot with
+      | Some e -> (e.cmd, e.committed)
+      | None -> (Command.noop, false)
+    in
+    if accept i.log slot ~ballot:i.ballot cmd then adopt slot cmd ~committed
+  done
+
+let forwards i =
+  i.ballot.Ballot.round > 0
+  && i.ballot.Ballot.owner <> i.self
+  && Option.is_none i.candidacy
+
+let route i ~client cmd =
+  if forwards i then i.forward i.ballot.Ballot.owner ~client cmd
+  else Queue.push (client, cmd) i.pending
+
+let drain i =
+  let forwarding = (not i.leading) && forwards i in
+  if i.leading || forwarding then
+    while not (Queue.is_empty i.pending) do
+      let client, cmd = Queue.pop i.pending in
+      if forwarding then i.forward i.ballot.Ballot.owner ~client cmd
+      else i.propose ~client cmd
+    done

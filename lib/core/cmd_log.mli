@@ -1,8 +1,10 @@
 (** The command log of the multi-Paxos slot protocols — paxos, wpaxos
     (one log per object) and mencius: a {!Slot_log} of commands and the
-    four rules every one of them applies to it. A protocol keeps its
-    own ballots, quorums and slot ownership; this module decides what
-    an accept, a learned commit and execution do to a slot.
+    four rules every one of them applies to it. Paxos (per replica) and
+    wpaxos (per object) also run one {!instance} over it: the ballot,
+    phase-1 and forwarding rules. A protocol keeps its messages, quorum
+    specs, phase-2 rounds, and its policy for a slot a report says
+    committed ({!elect}).
 
     A slot is no record: its accepted ballot ({!Ballot.pack}) and its
     commit bit share the slot's meta word, its command sits in the
@@ -55,7 +57,12 @@ val take_client : t -> int -> Address.t option
 
 val exec_frontier : t -> int
 val next_slot : t -> int
-val iter_from : t -> start:int -> f:(int -> entry -> unit) -> unit
+
+type report = (int * entry) list
+(** The filled slots a promise or a candidacy reports, highest first. *)
+
+val report : t -> start:int -> report
+(** Every filled slot from [start] up. *)
 
 val propose :
   t -> int -> ballot:Ballot.t -> client:Address.t -> Command.t -> unit
@@ -82,3 +89,68 @@ val execute : t -> unit
 (** Apply the committed prefix in slot order, answering each recorded
     client once. Nothing else executes; re-entrant calls from a hook
     or a reply continue at the next slot. *)
+
+(** {2 One multi-Paxos instance}
+
+    The ballot, leadership, phase-1 and request-queue state paxos keeps
+    per replica and wpaxos per object, and the rules over it. *)
+
+type candidacy = {
+  tracker : Quorum.t;  (** the phase-1 quorum's promises *)
+  mutable reports : report;  (** the promises' reports, latest first *)
+  rkey : int;  (** reliable-delivery key of the P1a *)
+}
+
+type instance = {
+  log : t;
+  self : int;
+  forward : int -> client:Address.t -> Command.t -> unit;  (** the env's *)
+  mutable ballot : Ballot.t;  (** the highest promised or accepted *)
+  mutable leading : bool;  (** phase 1 at [ballot] completed here *)
+  mutable candidacy : candidacy option;  (** phase 1 run here *)
+  pending : (Address.t * Command.t) Queue.t;  (** requests held *)
+  mutable propose : client:Address.t -> Command.t -> unit;
+      (** how the leader proposes a held request; set once *)
+}
+
+val instance :
+  Executor.t -> _ Proto.env -> ballot:Ballot.t -> leading:bool -> instance
+
+val defer : instance -> Ballot.t -> unit
+(** Step down to a ballot, kept when not higher. *)
+
+val promises : instance -> src:int -> Ballot.t -> bool
+(** The promise rule: a higher ballot, or the held one from its owner. *)
+
+val accepts : instance -> Ballot.t -> bool
+(** The accept rule: no higher ballot was promised. *)
+
+val admit : instance -> Ballot.t -> bool
+(** Hold an accepted ballot; another owner's ends this replica's
+    leadership and candidacy. Whether it ended a leadership. *)
+
+val stand : instance -> Quorum.spec -> rkey:int -> candidacy
+(** Run phase 1 at the next ballot this replica owns, with its own
+    promise and report. *)
+
+val promised : candidacy -> src:int -> report -> bool
+(** Count a promise; whether the quorum is complete. *)
+
+val elect :
+  instance ->
+  candidacy ->
+  adopt:(int -> Command.t -> committed:bool -> unit) ->
+  unit
+(** Lead, and merge the reports: per slot the highest ballot wins (the
+    first, on a tie), a gap is a no-op, and a slot is committed if any
+    report says so. Each merged slot from the execution frontier up is
+    accepted at [ballot] and, unless committed locally, adopted. *)
+
+val route : instance -> client:Address.t -> Command.t -> unit
+(** The forward-or-hold rule, off the leader: forward to the held
+    ballot's owner when it is another replica and no candidacy runs
+    here; hold otherwise. *)
+
+val drain : instance -> unit
+(** Propose the held requests while leading, or forward them where
+    {!route} would. *)

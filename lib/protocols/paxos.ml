@@ -3,7 +3,7 @@ type message =
   | P1b of {
       ballot : Ballot.t;
       ok : bool;
-      accepted : (int * Ballot.t * Command.t) list;
+      accepted : Cmd_log.report;  (** from the P1a's frontier up *)
     }
   | P2a of {
       ballot : Ballot.t;
@@ -64,12 +64,6 @@ let message_label = function
   | RelayRound _ -> "RelayRound"
   | RelayAck _ -> "RelayAck"
 
-type phase1_state = {
-  tracker : Quorum.t;
-  mutable recovered : (int * Ballot.t * Command.t) list;
-  rkey : int;  (** reliable-delivery key of the P1a broadcast *)
-}
-
 (* One in-flight phase-2 round: a single quorum covers the slot range
    [first, first + count). Records are pooled per replica: a round
    takes one from [free] and resets it, and its tracker (the same spec
@@ -124,12 +118,8 @@ type replica = {
   ids : int list Lazy.t;
       (* [0 .. n-1] for the quorum trackers, built once and only on a
          replica that runs a round: followers never need it *)
-  mutable ballot : Ballot.t;
-  mutable active : bool; (* self is the established leader *)
-  log : Cmd_log.t;
+  px : Cmd_log.instance;  (* ballot, leadership, phase 1, log *)
   exec : Executor.t;
-  mutable p1 : phase1_state option;
-  pending : (Address.t * Command.t) Queue.t;
   last_heard : float array;
       (* one slot, stamped through [Proto.local_now]: no box per stamp *)
   (* leader command batching (Config.batching) *)
@@ -139,6 +129,7 @@ type replica = {
       (* in-flight phase-2 rounds keyed by first_slot *)
   mutable free : batch_state;  (* pooled round records; [no_batch] = none *)
   sizes : int option array;  (* [Proto.round_sizes]: wire sizes of rounds *)
+  thrifty_peers : int list;  (* with Config.thrifty, phase 2's peers *)
   (* ---- read path: leader leases (Config.read_path = Lease) ---- *)
   lease : Lease.t;
   mutable lease_epoch : int; (* leader: renewal round counter *)
@@ -164,27 +155,23 @@ let stamp t = t.last_heard.(0) <- Proto.local_now t.env.Proto.clock
 
 let q2_size (t : replica) = Config.phase2_quorum_size t.env.config
 
+(* The [q2 - 1] peers nearest to this replica. *)
+let nearest_peers (env : _ Proto.env) =
+  let topology = env.Proto.topology in
+  let my_region = Topology.region_of_replica topology env.Proto.id in
+  let dist i =
+    Topology.rtt_mean topology my_region (Topology.region_of_replica topology i)
+  in
+  List.init env.Proto.n Fun.id
+  |> List.filter (fun i -> i <> env.Proto.id)
+  |> List.sort (fun a b -> Float.compare (dist a) (dist b))
+  |> List.filteri (fun rank _ ->
+         rank < Config.phase2_quorum_size env.Proto.config - 1)
+
 let q1_size (t : replica) =
   match t.env.config.Config.q2_size with
   | Some q2 -> t.env.n - q2 + 1
   | None -> Config.majority t.env.config
-
-(* Followers the leader contacts in phase-2: everyone, or with the
-   thrifty optimization only the Q2-1 closest peers. *)
-let phase2_peers (t : replica) =
-  let others = List.filter (fun i -> i <> t.env.id) (all_ids t) in
-  if not t.env.config.Config.thrifty then others
-  else begin
-    let my_region = Topology.region_of_replica t.env.topology t.env.id in
-    let dist i =
-      Topology.rtt_mean t.env.topology my_region
-        (Topology.region_of_replica t.env.topology i)
-    in
-    let sorted =
-      List.sort (fun a b -> Float.compare (dist a) (dist b)) others
-    in
-    List.filteri (fun rank _ -> rank < q2_size t - 1) sorted
-  end
 
 (* A relay's combined reply for the round starting at [first_slot]. *)
 let relay_ack first_slot (a : Relay.agg) =
@@ -232,7 +219,7 @@ let maybe_release_held t slot =
               Proto.command = cmd;
               read;
               replier = t.env.id;
-              leader_hint = (if t.active then Some t.env.id else None);
+              leader_hint = (if t.px.leading then Some t.env.id else None);
             }
       | None -> ())
   | _ -> ()
@@ -248,8 +235,8 @@ let quorum_apply t slot cmd read =
        | _ -> None
      in
      Abd_round.adopt t.abd (Command.key cmd) ~tag:(slot, 0) value);
-  if t.active then begin
-    (match Cmd_log.take_client t.log slot with
+  if t.px.leading then begin
+    (match Cmd_log.take_client t.px.log slot with
     | Some client -> Hashtbl.replace t.held slot (client, cmd, read)
     | None -> ());
     Quorum.ack (commit_tracker t slot) t.env.id;
@@ -260,58 +247,15 @@ let quorum_apply t slot cmd read =
        write may not be majority-applied yet, and a quorum read could
        miss it. The client's retry reaches the new leader, which
        re-proposes and defers the ack properly. *)
-    ignore (Cmd_log.take_client t.log slot);
-    if t.ballot.Ballot.round > 0 && t.ballot.Ballot.owner <> t.env.id then
-      t.env.send t.ballot.Ballot.owner (CommitAck { slot })
+    ignore (Cmd_log.take_client t.px.log slot);
+    if t.px.ballot.Ballot.round > 0 && t.px.ballot.Ballot.owner <> t.env.id then
+      t.env.send t.px.ballot.Ballot.owner (CommitAck { slot })
   end
 
-let create env =
-  let exec = Executor.create () in
-  let t =
-    {
-      env;
-      dev = Option.value env.Proto.storage ~default:Storage.volatile;
-      ids = lazy (List.init env.Proto.n Fun.id);
-      ballot = Ballot.zero;
-      active = false;
-      log = Cmd_log.create exec env;
-      exec;
-      p1 = None;
-      pending = Queue.create ();
-      last_heard = [| 0.0 |];
-      batch_buf = Queue.create ();
-      flush_timer = Sim.nil;
-      batches = Hashtbl.create 16;
-      free = no_batch;
-      sizes = Proto.round_sizes env.Proto.config;
-      lease = Lease.create env exec;
-      lease_epoch = 0;
-      lease_sent_at = neg_infinity;
-      lease_acks = None;
-      abd =
-        Abd_round.create ~env
-          ~wrap:(fun m -> Read m)
-          ~finish:(quorum_read_done env);
-      held = Hashtbl.create 32;
-      commit_acks = Hashtbl.create 32;
-      relay = Relay.create env ~ack:relay_ack;
-    }
-  in
-  (* a relay record is current while it belongs to our ballot *)
-  Relay.set_current t.relay (fun a ->
-      a.Relay.a_tag = t.ballot.Ballot.round
-      && a.Relay.a_leader = t.ballot.Ballot.owner);
-  (* lease reads wait for the term's barrier slot to execute *)
-  Lease.set_progress t.lease (fun () -> Cmd_log.exec_frontier t.log);
-  (* replies hint this replica while it leads *)
-  Cmd_log.set_leading t.log (fun () -> t.active);
-  if quorum_mode t then Cmd_log.set_apply t.log (quorum_apply t);
-  t
-
-let is_leader t = t.active
-let current_ballot t = t.ballot
-let commit_frontier t = Cmd_log.exec_frontier t.log
-let last_proposed_slot t = Cmd_log.next_slot t.log - 1
+let is_leader t = t.px.leading
+let current_ballot t = t.px.ballot
+let commit_frontier t = Cmd_log.exec_frontier t.px.log
+let last_proposed_slot t = Cmd_log.next_slot t.px.log - 1
 let executor t = t.exec
 let local_reads_served t = Lease.served t.lease
 let quorum_reads_served t = Abd_round.completed t.abd
@@ -326,15 +270,15 @@ let lease_valid t = Lease.valid t.lease
 let serve_window t = t.env.config.Config.failover_timeout_ms *. 1.5
 
 let leader_of_key t (_ : Command.key) =
-  if t.ballot.Ballot.round > 0 then Some t.ballot.Ballot.owner else None
+  if t.px.ballot.Ballot.round > 0 then Some t.px.ballot.Ballot.owner else None
 
 (* Execute committed slots in order (answering or holding clients),
    then serve the lease reads waiting on the frontier. *)
 let advance t =
-  Cmd_log.execute t.log;
+  Cmd_log.execute t.px.log;
   Lease.drain t.lease
 
-let commit_up_to t bound = if Cmd_log.commit_below t.log bound then advance t
+let commit_up_to t bound = if Cmd_log.commit_below t.px.log bound then advance t
 
 (* ---- relay trees (Config.relay_groups > 0; DESIGN.md §12) ----
    The leader wraps a phase-2 round in [RelayRound] and multicasts it
@@ -355,8 +299,8 @@ let find_batch t first_slot =
    Late callbacks — an fsync completion, a relay fallback — act only
    on live rounds. *)
 let round_live t (bs : batch_state) ~epoch =
-  bs.epoch = epoch && t.active
-  && Ballot.equal t.ballot bs.bballot
+  bs.epoch = epoch && t.px.leading
+  && Ballot.equal t.px.ballot bs.bballot
   && find_batch t bs.first == bs
 
 (* A round record leaves [batches]: back to the pool, unless its
@@ -387,7 +331,7 @@ let relay_fallback t (bs : batch_state) =
     t.env.rel.settle_all ~key:bs.rkey;
     let first_slot = bs.first in
     let cmds =
-      Array.init bs.count (fun i -> Cmd_log.command t.log (first_slot + i))
+      Array.init bs.count (fun i -> Cmd_log.command t.px.log (first_slot + i))
     in
     (* in place: the storage sync callback finds its round by
        physical identity and epoch *)
@@ -397,10 +341,10 @@ let relay_fallback t (bs : batch_state) =
         ~ack:Reliable.Piggyback
         (P2a
            {
-             ballot = t.ballot;
+             ballot = t.px.ballot;
              first_slot;
              cmds;
-             commit_up_to = Cmd_log.exec_frontier t.log;
+             commit_up_to = Cmd_log.exec_frontier t.px.log;
            })
   end
 
@@ -415,7 +359,7 @@ let relay_record_is ~(ballot : Ballot.t) ~count (a : Relay.agg) =
    when the ack is not ours to absorb — the caller runs the normal
    path. *)
 let relay_absorb_p2b t ~src ~ballot ~first_slot ~count ~ok =
-  (not t.active) && Relay.active t.relay
+  (not t.px.leading) && Relay.active t.relay
   &&
   let a = Relay.lookup t.relay first_slot in
   if a == Relay.agg_nil then false
@@ -462,7 +406,7 @@ let commit_batch t (bs : batch_state) =
   end;
   release t bs;
   for slot = first_slot to first_slot + count - 1 do
-    if Cmd_log.commit t.log slot then t.env.obs.Proto.on_quorum ~slot
+    if Cmd_log.commit t.px.log slot then t.env.obs.Proto.on_quorum ~slot
   done;
   advance t;
   (* quorum-read mode forces the explicit commit broadcast even under
@@ -470,8 +414,8 @@ let commit_batch t (bs : batch_state) =
      client's ack is waiting on their CommitAcks *)
   if (not t.env.config.Config.piggyback_commit) || quorum_mode t then
     for slot = first_slot to first_slot + count - 1 do
-      if Cmd_log.mem t.log slot then
-        t.env.broadcast (Commit { slot; cmd = Cmd_log.command t.log slot })
+      if Cmd_log.mem t.px.log slot then
+        t.env.broadcast (Commit { slot; cmd = Cmd_log.command t.px.log slot })
     done
 
 (* The leader's own phase-2 vote; with [q2 = 1] it alone commits. *)
@@ -519,14 +463,14 @@ let open_round t ~direct first_slot cmds =
   let msg =
     P2a
       {
-        ballot = t.ballot;
+        ballot = t.px.ballot;
         first_slot;
         cmds;
-        commit_up_to = Cmd_log.exec_frontier t.log;
+        commit_up_to = Cmd_log.exec_frontier t.px.log;
       }
   in
   let bs = take_batch t in
-  bs.bballot <- t.ballot;
+  bs.bballot <- t.px.ballot;
   bs.first <- first_slot;
   bs.count <- count;
   bs.rkey <- 0;
@@ -545,7 +489,7 @@ let open_round t ~direct first_slot cmds =
        bs.rkey <-
          (if t.env.config.Config.thrifty then
             t.env.rel.post_multi ?size_bytes ~ack:Reliable.Piggyback
-              (phase2_peers t) msg
+              t.thrifty_peers msg
           else t.env.rel.post_all ?size_bytes ~ack:Reliable.Piggyback msg));
   Hashtbl.replace t.batches first_slot bs;
   bs
@@ -553,8 +497,8 @@ let open_round t ~direct first_slot cmds =
 (* Log a client command at the next free slot under the current
    ballot; its reply happens as the slot executes in [advance]. *)
 let log_command t client (cmd : Command.t) =
-  let slot = Cmd_log.next_slot t.log in
-  Cmd_log.propose t.log slot ~ballot:t.ballot ~client cmd;
+  let slot = Cmd_log.next_slot t.px.log in
+  Cmd_log.propose t.px.log slot ~ballot:t.px.ballot ~client cmd;
   t.env.obs.Proto.on_propose ~slot ~cmd;
   cmd
 
@@ -571,8 +515,8 @@ let propose t first_slot cmds =
 let flush_batch t =
   t.env.Proto.cancel t.flush_timer;
   t.flush_timer <- Sim.nil;
-  if t.active && not (Queue.is_empty t.batch_buf) then begin
-    let first_slot = Cmd_log.next_slot t.log in
+  if t.px.leading && not (Queue.is_empty t.batch_buf) then begin
+    let first_slot = Cmd_log.next_slot t.px.log in
     let cmds = Array.make (Queue.length t.batch_buf) Command.noop in
     for i = 0 to Array.length cmds - 1 do
       let client, cmd = Queue.pop t.batch_buf in
@@ -586,7 +530,7 @@ let flush_batch t =
 let enqueue t ~client cmd =
   match t.env.config.Config.batching with
   | None ->
-      let first_slot = Cmd_log.next_slot t.log in
+      let first_slot = Cmd_log.next_slot t.px.log in
       propose t first_slot [| log_command t client cmd |]
   | Some b ->
       Queue.push (client, cmd) t.batch_buf;
@@ -597,21 +541,47 @@ let enqueue t ~client cmd =
               t.flush_timer <- Sim.nil;
               flush_batch t)
 
-let drain_pending t =
-  if t.active then
-    while not (Queue.is_empty t.pending) do
-      let client, cmd = Queue.pop t.pending in
-      enqueue t ~client cmd
-    done
-  else if
-    t.ballot.Ballot.round > 0
-    && t.ballot.Ballot.owner <> t.env.id
-    && t.p1 = None
-  then
-    while not (Queue.is_empty t.pending) do
-      let client, cmd = Queue.pop t.pending in
-      t.env.forward t.ballot.Ballot.owner ~client cmd
-    done
+let create env =
+  let exec = Executor.create () in
+  let t =
+    {
+      env;
+      dev = Option.value env.Proto.storage ~default:Storage.volatile;
+      ids = lazy (List.init env.Proto.n Fun.id);
+      px = Cmd_log.instance exec env ~ballot:Ballot.zero ~leading:false;
+      exec;
+      last_heard = [| 0.0 |];
+      batch_buf = Queue.create ();
+      flush_timer = Sim.nil;
+      batches = Hashtbl.create 16;
+      free = no_batch;
+      sizes = Proto.round_sizes env.Proto.config;
+      thrifty_peers =
+        (if env.Proto.config.Config.thrifty then nearest_peers env else []);
+      lease = Lease.create env exec;
+      lease_epoch = 0;
+      lease_sent_at = neg_infinity;
+      lease_acks = None;
+      abd =
+        Abd_round.create ~env
+          ~wrap:(fun m -> Read m)
+          ~finish:(quorum_read_done env);
+      held = Hashtbl.create 32;
+      commit_acks = Hashtbl.create 32;
+      relay = Relay.create env ~ack:relay_ack;
+    }
+  in
+  (* a relay record is current while it belongs to our ballot *)
+  Relay.set_current t.relay (fun a ->
+      a.Relay.a_tag = t.px.ballot.Ballot.round
+      && a.Relay.a_leader = t.px.ballot.Ballot.owner);
+  (* lease reads wait for the term's barrier slot to execute *)
+  Lease.set_progress t.lease (fun () -> Cmd_log.exec_frontier t.px.log);
+  (* replies hint this replica while it leads *)
+  Cmd_log.set_leading t.px.log (fun () -> t.px.leading);
+  if quorum_mode t then Cmd_log.set_apply t.px.log (quorum_apply t);
+  t.px.propose <- enqueue t;
+  t
 
 (* Leaving leadership (or candidacy for it): stop serving lease reads,
    abandon lease-renewal and deferred-ack state, and push queued reads
@@ -622,7 +592,7 @@ let drain_pending t =
    for plain runs. *)
 let resign_read_path t =
   t.lease_acks <- None;
-  Lease.revoke t.lease ~pending:t.pending;
+  Lease.revoke t.lease ~pending:t.px.pending;
   if Hashtbl.length t.held > 0 then Hashtbl.reset t.held;
   if Hashtbl.length t.commit_acks > 0 then Hashtbl.reset t.commit_acks
 
@@ -652,15 +622,16 @@ let send_heartbeat t =
   t.env.broadcast
     (Heartbeat
        {
-         ballot = t.ballot;
-         commit_up_to = Cmd_log.exec_frontier t.log;
+         ballot = t.px.ballot;
+         commit_up_to = Cmd_log.exec_frontier t.px.log;
          epoch = t.lease_epoch;
        });
   stamp t;
   Option.iter (renew t) t.lease_acks
 
 let on_heartbeat_ack t ~src ~ballot ~epoch =
-  if t.active && Ballot.equal ballot t.ballot && epoch = t.lease_epoch then
+  if t.px.leading && Ballot.equal ballot t.px.ballot && epoch = t.lease_epoch
+  then
     match t.lease_acks with
     | Some tracker ->
         Quorum.ack tracker src;
@@ -668,98 +639,70 @@ let on_heartbeat_ack t ~src ~ballot ~epoch =
     | None -> ()
 
 let on_commit_ack t ~src ~slot =
-  if t.active && quorum_mode t then begin
+  if t.px.leading && quorum_mode t then begin
     Quorum.ack (commit_tracker t slot) src;
     maybe_release_held t slot
   end
 
-let become_leader t (state : phase1_state) =
-  t.p1 <- None;
-  t.active <- true;
+let become_leader t (c : Cmd_log.candidacy) =
   stamp t;
   (* stop re-soliciting promises from stragglers: they will learn the
      ballot from the P2as and heartbeats that follow *)
-  t.env.rel.settle_all ~key:state.rkey;
+  t.env.rel.settle_all ~key:c.rkey;
   drop_batches t (* stale rounds from a previous leadership *);
-  (* Adopt the highest-ballot command reported for every slot at or
-     above our commit frontier, fill gaps with no-ops, re-propose. *)
-  let best = Hashtbl.create 16 in
-  List.iter
-    (fun (slot, b, cmd) ->
-      match Hashtbl.find_opt best slot with
-      | Some (b', _) when Ballot.(b' >= b) -> ()
-      | _ -> Hashtbl.replace best slot (b, cmd))
-    state.recovered;
-  let max_slot = Hashtbl.fold (fun s _ acc -> Stdlib.max s acc) best (-1) in
-  let frontier = Cmd_log.exec_frontier t.log in
+  (* every adopted slot, committed in some report or not, is proposed
+     again in a round of one, sent straight to every peer: that fills
+     the slot on a follower that missed it *)
   let reopened = ref [] in
-  for slot = frontier to max_slot do
-    let cmd =
-      match Hashtbl.find_opt best slot with
-      | Some (_, cmd) -> cmd
-      | None -> Command.noop
-    in
-    (* committed slots keep their state; the rest are re-proposed in a
-       round of one per slot, sent straight to every peer *)
-    if Cmd_log.accept t.log slot ~ballot:t.ballot cmd then begin
+  Cmd_log.elect t.px c ~adopt:(fun slot cmd ~committed:_ ->
       let bs = open_round t ~direct:true slot [| cmd |] in
-      write_accept t ~slot ~ballot:t.ballot cmd;
-      reopened := (bs.epoch, bs) :: !reopened
-    end
-  done;
+      write_accept t ~slot ~ballot:t.px.ballot cmd;
+      reopened := (bs.epoch, bs) :: !reopened);
   (* one fsync covers the new term's ballot and every re-proposed
      accept; the self-votes land, in slot order, when it completes *)
   let rounds = List.rev !reopened in
-  write_ballot t t.ballot;
+  write_ballot t t.px.ballot;
   Storage.sync t.dev (fun () ->
       List.iter (fun (epoch, bs) -> bs.on_vote epoch ()) rounds);
   (* Read barrier: reads wait until everything up to and including the
      recovered tail is applied locally, so no predecessor's
      acknowledged write can be missing from a lease read. *)
-  Lease.lead t.lease ~barrier:(Cmd_log.next_slot t.log);
+  Lease.lead t.lease ~barrier:(Cmd_log.next_slot t.px.log);
   if Lease.on t.lease then send_heartbeat t;
-  drain_pending t
+  Cmd_log.drain t.px
 
 let start_phase1 t =
-  t.ballot <- Ballot.next t.ballot ~owner:t.env.id;
-  t.active <- false;
   resign_read_path t;
   (* a fresh candidacy obsoletes whatever this replica was still
      retransmitting (an older P1a, stale P2as from lost leadership) *)
   t.env.rel.unpost_all ();
   Relay.reset t.relay;
-  let tracker =
-    Quorum.create (Quorum.Count { members = all_ids t; threshold = q1_size t })
+  let c =
+    Cmd_log.stand t.px
+      (Quorum.Count { members = all_ids t; threshold = q1_size t })
+      ~rkey:(t.env.rel.fresh ())
   in
-  let state = { tracker; recovered = []; rkey = t.env.rel.fresh () } in
-  t.p1 <- Some state;
-  Quorum.ack tracker t.env.id;
-  let frontier = Cmd_log.exec_frontier t.log in
-  (* self-report own accepted entries *)
-  Cmd_log.iter_from t.log ~start:frontier ~f:(fun slot e ->
-      state.recovered <- (slot, e.Cmd_log.ballot, e.cmd) :: state.recovered);
+  let frontier = Cmd_log.exec_frontier t.px.log in
   (* with a phase-1 quorum of one (n = 1, or FPaxos with q2 = n) the
      self-promise alone elects us *)
   let solicit () =
-    if Quorum.satisfied tracker then become_leader t state
+    if Quorum.satisfied c.tracker then become_leader t c
     else
       ignore
-        (t.env.rel.post_all ~key:state.rkey ~ack:Reliable.Piggyback
-           (P1a { ballot = t.ballot; frontier }))
+        (t.env.rel.post_all ~key:c.rkey ~ack:Reliable.Piggyback
+           (P1a { ballot = t.px.ballot; frontier }))
   in
   (* the candidacy's own implicit promise must be durable before
      anyone else can count on it *)
-  let b = t.ballot in
+  let b = t.px.ballot in
   write_ballot t b;
   Storage.sync t.dev (fun () ->
-      match t.p1 with
-      | Some s when s == state && Ballot.equal t.ballot b -> solicit ()
+      match t.px.candidacy with
+      | Some s when s == c && Ballot.equal t.px.ballot b -> solicit ()
       | _ -> () (* candidacy superseded before the fsync *))
 
 let step_down t ~ballot =
-  if Ballot.(ballot > t.ballot) then t.ballot <- ballot;
-  t.active <- false;
-  t.p1 <- None;
+  Cmd_log.defer t.px ballot;
   resign_read_path t;
   stamp t;
   (* everything this replica was retransmitting carried the lost
@@ -771,8 +714,8 @@ let step_down t ~ballot =
   drop_batches t;
   t.env.Proto.cancel t.flush_timer;
   t.flush_timer <- Sim.nil;
-  Queue.transfer t.batch_buf t.pending;
-  drain_pending t
+  Queue.transfer t.batch_buf t.px.pending;
+  Cmd_log.drain t.px
 
 (* Client ingress. In quorum-read mode any replica coordinates a read
    as an ABD read round over the shadow registers. Safe because write
@@ -782,16 +725,11 @@ let step_down t ~ballot =
 let on_request t ~client (cmd : Command.t) =
   if quorum_mode t && Command.is_read cmd then
     Abd_round.start t.abd ~client cmd
-  else if t.active then
+  else if t.px.leading then
     if Lease.on t.lease && Command.is_read cmd then
       Lease.read t.lease ~client cmd
     else enqueue t ~client cmd
-  else if
-    t.ballot.Ballot.round > 0
-    && t.ballot.Ballot.owner <> t.env.id
-    && t.p1 = None
-  then t.env.forward t.ballot.Ballot.owner ~client cmd
-  else Queue.push (client, cmd) t.pending
+  else Cmd_log.route t.px ~client cmd
 
 let on_p1a t ~src ~ballot ~frontier =
   (* Lease safety: while our grant to the current leader is live we
@@ -800,41 +738,26 @@ let on_p1a t ~src ~ballot ~frontier =
      is harmless to liveness: the candidate's reliable-delivery layer
      retransmits the P1a and the promise succeeds after expiry. *)
   let lease_blocks = Lease.refuses t.lease ballot.Ballot.owner in
-  (* Promise not only strictly higher ballots but also the exact
-     ballot we already hold when [src] owns it: we may have adopted it
-     from a nok P2b or a duplicate (retransmitted) P1a before this
-     copy arrived, and the promise is idempotent. Refusing would make
-     a retransmitted P1a elicit nok forever after its P1b was lost. *)
-  if
-    (not lease_blocks)
-    && (Ballot.(ballot > t.ballot)
-       || (Ballot.equal ballot t.ballot && ballot.Ballot.owner = src))
-  then begin
-    t.ballot <- ballot;
-    t.active <- false;
-    t.p1 <- None;
+  if (not lease_blocks) && Cmd_log.promises t.px ~src ballot then begin
+    Cmd_log.defer t.px ballot;
+    let accepted = Cmd_log.report t.px.log ~start:frontier in
     resign_read_path t;
     stamp t;
-    let accepted = ref [] in
-    Cmd_log.iter_from t.log ~start:frontier ~f:(fun slot e ->
-        accepted := (slot, e.Cmd_log.ballot, e.cmd) :: !accepted);
     (* the promise binds across crashes: it leaves only after the
        promised ballot is on disk *)
     write_ballot t ballot;
-    Storage.after t.dev t.env.send src
-      (P1b { ballot; ok = true; accepted = !accepted });
-    drain_pending t
+    Storage.after t.dev t.env.send src (P1b { ballot; ok = true; accepted });
+    Cmd_log.drain t.px
   end
-  else t.env.send src (P1b { ballot = t.ballot; ok = false; accepted = [] })
+  else
+    t.env.send src (P1b { ballot = t.px.ballot; ok = false; accepted = [] })
 
 let on_p1b t ~src ~ballot ~ok ~accepted =
-  match t.p1 with
-  | Some state when Ballot.equal ballot t.ballot && ok ->
-      t.env.rel.settle ~dst:src ~key:state.rkey;
-      state.recovered <- accepted @ state.recovered;
-      Quorum.ack state.tracker src;
-      if Quorum.satisfied state.tracker then become_leader t state
-  | Some _ when Ballot.(ballot > t.ballot) -> step_down t ~ballot
+  match t.px.candidacy with
+  | Some c when Ballot.equal ballot t.px.ballot && ok ->
+      t.env.rel.settle ~dst:src ~key:c.rkey;
+      if Cmd_log.promised c ~src accepted then become_leader t c
+  | Some _ when Ballot.(ballot > t.px.ballot) -> step_down t ~ballot
   | _ -> ()
 
 (* Acceptor-side adoption of a phase-2 round, shared by the direct
@@ -843,16 +766,11 @@ let on_p1b t ~src ~ballot ~ok ~accepted =
    aggregated bitmap). Returns [true] when the round was accepted at
    [ballot]. *)
 let accept_p2a t ~ballot ~first_slot ~cmds ~commit_up_to:bound =
-  if Ballot.(ballot >= t.ballot) then begin
-    t.ballot <- ballot;
-    if ballot.Ballot.owner <> t.env.id then begin
-      if t.active then resign_read_path t;
-      t.active <- false;
-      t.p1 <- None
-    end;
+  if Cmd_log.accepts t.px ballot then begin
+    if Cmd_log.admit t.px ballot then resign_read_path t;
     stamp t;
     for i = 0 to Array.length cmds - 1 do
-      ignore (Cmd_log.accept t.log (first_slot + i) ~ballot cmds.(i))
+      ignore (Cmd_log.accept t.px.log (first_slot + i) ~ballot cmds.(i))
     done;
     write_ballot t ballot;
     for i = 0 to Array.length cmds - 1 do
@@ -869,9 +787,10 @@ let on_p2a t ~src ~ballot ~first_slot ~cmds ~commit_up_to =
     (* the accept vote leaves only after its records are durable *)
     Storage.after t.dev t.env.send src
       (P2b { ballot; first_slot; count; ok = true });
-    drain_pending t
+    Cmd_log.drain t.px
   end
-  else t.env.send src (P2b { ballot = t.ballot; first_slot; count; ok = false })
+  else
+    t.env.send src (P2b { ballot = t.px.ballot; first_slot; count; ok = false })
 
 (* Relay ingress: accept the inner round locally and start
    aggregating its group's acks (members reply to us, not the leader).
@@ -889,24 +808,25 @@ let on_relay_round t ~src ~gen ~inner =
       else if not (accept_p2a t ~ballot ~first_slot ~cmds ~commit_up_to) then
         (* we know a higher ballot: nok straight back to the leader,
            exactly as the direct path would *)
-        t.env.send src (P2b { ballot = t.ballot; first_slot; count; ok = false })
+        t.env.send src
+          (P2b { ballot = t.px.ballot; first_slot; count; ok = false })
       else begin
         if
           not
             (Relay.start t.relay ~key:first_slot ~leader:ballot.Ballot.owner
                ~gen ~tag:ballot.Ballot.round ~aux:count
-               ~mark:(Cmd_log.exec_frontier t.log) ~size_bytes inner)
+               ~mark:(Cmd_log.exec_frontier t.px.log) ~size_bytes inner)
         then
           (* not a relay under this plan (the round raced a plan
              rotation): behave like a plain acceptor *)
           t.env.send src (P2b { ballot; first_slot; count; ok = true });
-        drain_pending t
+        Cmd_log.drain t.px
       end
   | _ -> ()
 
 let on_p2b t ~src ~ballot ~first_slot ~count ~ok =
   if relay_absorb_p2b t ~src ~ballot ~first_slot ~count ~ok then ()
-  else if ok && t.active && Ballot.equal ballot t.ballot then begin
+  else if ok && t.px.leading && Ballot.equal ballot t.px.ballot then begin
     let bs = find_batch t first_slot in
     if bs != no_batch && bs.count = count && Ballot.equal bs.bballot ballot
     then begin
@@ -915,7 +835,7 @@ let on_p2b t ~src ~ballot ~first_slot ~count ~ok =
       if Quorum.satisfied bs.tracker then commit_batch t bs
     end
   end
-  else if (not ok) && Ballot.(ballot > t.ballot) then step_down t ~ballot
+  else if (not ok) && Ballot.(ballot > t.px.ballot) then step_down t ~ballot
 
 (* Leader ingress of an aggregated ack: translate bitmap positions
    back to replica ids through the shared plan and feed the round's
@@ -926,16 +846,16 @@ let on_p2b t ~src ~ballot ~first_slot ~count ~ok =
    silent members. *)
 let on_relay_ack t ~src ~round ~owner ~gen ~first_slot ~count ~bits =
   if
-    t.active && Relay.active t.relay
-    && round = t.ballot.Ballot.round
-    && owner = t.ballot.Ballot.owner
+    t.px.leading && Relay.active t.relay
+    && round = t.px.ballot.Ballot.round
+    && owner = t.px.ballot.Ballot.owner
   then begin
     let group = Relay.relay_group t.relay ~src ~gen in
     let bs = find_batch t first_slot in
     if
       Array.length group > 0
       && bs != no_batch && bs.count = count
-      && Ballot.equal bs.bballot t.ballot
+      && Ballot.equal bs.bballot t.px.ballot
     then begin
       if Relay.covers group ~bits then t.env.rel.settle ~dst:src ~key:bs.rkey;
       for i = 0 to Array.length group - 1 do
@@ -946,16 +866,12 @@ let on_relay_ack t ~src ~round ~owner ~gen ~first_slot ~count ~bits =
   end
 
 let on_commit t ~slot ~cmd =
-  Cmd_log.learn t.log slot ~ballot:t.ballot cmd;
+  Cmd_log.learn t.px.log slot ~ballot:t.px.ballot cmd;
   advance t
 
 let on_heartbeat t ~src ~ballot ~commit_up_to:bound ~epoch =
-  if Ballot.(ballot >= t.ballot) then begin
-    t.ballot <- ballot;
-    if ballot.Ballot.owner <> t.env.id then begin
-      if t.active then resign_read_path t;
-      t.active <- false
-    end;
+  if Cmd_log.accepts t.px ballot then begin
+    if Cmd_log.admit t.px ballot then resign_read_path t;
     stamp t;
     (* Accepting the beat is the lease grant: promise not to help any
        other candidate for a serve window, and tell the leader so. The
@@ -965,7 +881,7 @@ let on_heartbeat t ~src ~ballot ~commit_up_to:bound ~epoch =
       t.env.send src (HeartbeatAck { ballot; epoch })
     end;
     commit_up_to t bound;
-    drain_pending t
+    Cmd_log.drain t.px
   end
 
 let on_message t ~src msg =
@@ -995,7 +911,7 @@ let rec heartbeat_loop t =
             timer until acked) — the beat is a pure keep-alive plus
             commit-frontier carrier, and in lease mode also the lease
             renewal round. *)
-         if t.active then send_heartbeat t;
+         if t.px.leading then send_heartbeat t;
          heartbeat_loop t)
 
 let rec failover_loop t =
@@ -1005,7 +921,7 @@ let rec failover_loop t =
   ignore
   @@ t.env.schedule (base /. 2.0) (fun () ->
          if
-           (not t.active) && t.p1 = None
+           (not t.px.leading) && t.px.candidacy = None
            && t.env.now () -. t.last_heard.(0) > timeout
          then start_phase1 t;
          failover_loop t)
@@ -1026,10 +942,10 @@ let on_start t =
    failover timeout — a recovered leader never resumes its old term). *)
 let on_recover t =
   let round = Storage.reg t.dev 0 and owner = Storage.reg t.dev 1 in
-  if round > 0 then t.ballot <- { Ballot.round; owner };
+  if round > 0 then t.px.ballot <- { Ballot.round; owner };
   Storage.iter_entries t.dev ~f:(fun slot ~a ~b cmd ->
       let ballot = { Ballot.round = a; owner = b } in
-      ignore (Cmd_log.accept t.log slot ~ballot cmd));
+      ignore (Cmd_log.accept t.px.log slot ~ballot cmd));
   stamp t;
   heartbeat_loop t;
   failover_loop t

@@ -142,6 +142,17 @@ module Stub (P : Proto.PROTOCOL) = struct
       if not (List.mem (P.message_label m) drop) then
         P.on_message t.replicas.(dst) ~src m
     done
+
+  (* The last [label] message of a cluster that ran [cmd] at replica 0:
+     its commit message, say, for that command at slot 0. *)
+  let message_of config ~label cmd =
+    let s = create config in
+    request s ~client:(Address.client 9) cmd;
+    run s;
+    List.find (fun m -> P.message_label m = label) !(s.sent)
+
+  let count t label =
+    List.length (List.filter (fun m -> P.message_label m = label) !(t.sent))
 end
 
 (* Replica 0 records command [c1] for client [x] at slot 0 and its
@@ -156,24 +167,98 @@ let displaced_client (module P : Proto.PROTOCOL) ~config ~accept ~commit () =
   let c1 = Command.make ~id:1 ~client:1 (Command.Put (1, 10))
   and c2 = Command.make ~id:1 ~client:2 (Command.Put (1, 20))
   and x = Address.client 1 in
-  let commit_of cmd =
-    let s = S.create config in
-    S.request s ~client:(Address.client 9) cmd;
-    S.run s;
-    List.find (fun m -> P.message_label m = commit) !(s.S.sent)
-  in
   let answers learned =
     let s = S.create config in
     S.request s ~client:x c1;
     S.run ~drop:[ accept ] s;
     Alcotest.(check int) "not answered before the commit" 0
       (List.length !(s.S.replies));
-    P.on_message s.S.replicas.(0) ~src:1 (commit_of learned);
+    P.on_message s.S.replicas.(0) ~src:1
+      (S.message_of config ~label:commit learned);
     S.run s;
     List.length (List.filter (fun (c, _) -> c = x) !(s.S.replies))
   in
   Alcotest.(check int) "its own commit answers the client once" 1 (answers c1);
   Alcotest.(check int) "a displacing commit never answers it" 0 (answers c2)
+
+(* ---- phase 1: the merge and each protocol's committed-slot policy --- *)
+
+let b1 = { Ballot.round = 1; owner = 1 }
+let b2 = { Ballot.round = 1; owner = 2 }
+let cmd k = Command.make ~id:k ~client:5 (Command.Put (k, k))
+
+let rep slot ballot c ~committed =
+  (slot, { Cmd_log.ballot; cmd = cmd c; committed })
+
+(* Replica 0 executed slot 0 and learned slot 2 committed; it stands,
+   and replicas 1 and 2 promise with their reports. Slot 0 is below
+   the execution frontier and slot 2 committed here: neither is
+   adopted. Slot 1: the higher ballot wins. Slot 3: a tie keeps the
+   first report of the list, the latest promise's. Slot 4: committed,
+   as one report says, with the higher ballot's command. Slot 5: a
+   gap, so a no-op. *)
+let test_merge () =
+  let i =
+    Cmd_log.instance (Executor.create ()) (Proto_harness.quiet_env ~n:5 0)
+      ~ballot:Ballot.zero ~leading:false
+  in
+  Cmd_log.learn i.log 0 ~ballot:Ballot.zero (cmd 0);
+  Cmd_log.execute i.log;
+  Cmd_log.learn i.log 2 ~ballot:Ballot.zero (cmd 2);
+  let c = Cmd_log.stand i (Quorum.Majority [ 0; 1; 2; 3; 4 ]) ~rkey:1 in
+  Alcotest.(check int) "own report: slot 2" 1 (List.length c.reports);
+  let from_1 =
+    [ rep 0 b2 9 ~committed:false; rep 1 b1 10 ~committed:false;
+      rep 2 b2 11 ~committed:false; rep 3 b1 12 ~committed:false;
+      rep 4 b2 13 ~committed:false; rep 6 b1 14 ~committed:false ]
+  and from_2 =
+    [ rep 1 b2 20 ~committed:false; rep 3 b1 21 ~committed:false;
+      rep 4 b1 13 ~committed:true ]
+  in
+  Alcotest.(check bool) "one promise is no quorum" false
+    (Cmd_log.promised c ~src:1 from_1);
+  Alcotest.(check bool) "two are" true (Cmd_log.promised c ~src:2 from_2);
+  let adopted = ref [] in
+  Cmd_log.elect i c ~adopt:(fun slot cmd ~committed ->
+      adopted := (slot, cmd, committed) :: !adopted);
+  let expect =
+    [ (1, cmd 20, false); (3, cmd 21, false); (4, cmd 13, true);
+      (5, Command.noop, false); (6, cmd 14, false) ]
+  in
+  Alcotest.(check bool) "adopted slots" true (List.rev !adopted = expect);
+  Alcotest.(check bool) "leads" true (i.leading && i.candidacy = None);
+  Alcotest.(check bool) "executed slot untouched" true
+    (Command.equal (Cmd_log.command i.log 0) (cmd 0));
+  Alcotest.(check bool) "committed slot untouched" true
+    (Command.equal (Cmd_log.command i.log 2) (cmd 2));
+  List.iter
+    (fun (slot, c, _) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "slot %d accepted at the new ballot" slot)
+        true
+        (Cmd_log.get i.log slot
+        = Some { Cmd_log.ballot = i.ballot; cmd = c; committed = false }))
+    expect
+
+(* Replica 1 learns, through the commit message, that slot 0 committed
+   [c]; then replica 0 runs phase 1 (paxos at start, wpaxos to steal
+   the key of its client's request [c']) with replica 1 in its quorum.
+   Replica 0 lacks slot 0, and every P2a is lost. A wpaxos owner
+   commits the reported slot as it is: it executes [c], and its only
+   P2as are [c']'s, one per peer. A paxos leader proposes slot 0 again
+   (two more P2as), so without that round nothing executes. *)
+let committed_slot_policy (module P : Proto.PROTOCOL) ~config ~commit ~p2a
+    ~executed () =
+  let module S = Stub (P) in
+  let c = Command.make ~id:1 ~client:1 (Command.Put (1, 10))
+  and c' = Command.make ~id:2 ~client:1 (Command.Put (1, 20)) in
+  let s = S.create config in
+  P.on_message s.S.replicas.(1) ~src:2 (S.message_of config ~label:commit c);
+  S.request s ~client:(Address.client 1) c';
+  S.run ~drop:[ "P2a" ] s;
+  Alcotest.(check int) "P2as sent" p2a (S.count s "P2a");
+  Alcotest.(check int) "commands replica 0 executed" executed
+    (Executor.executed_count (P.executor s.S.replicas.(0)))
 
 (* ---- the flat log against a list model ------------------------------ *)
 
@@ -362,13 +447,10 @@ let log_matches_model ops =
         true
   in
   List.for_all (fun op -> step op && agrees ()) ops
-  &&
-  let listed = ref [] in
-  Cmd_log.iter_from log ~start:0 ~f:(fun s e -> listed := (s, e) :: !listed);
-  List.rev !listed
-  = List.map
-      (fun (s, e) -> (s, view_of e))
-      (List.sort (fun (a, _) (b, _) -> Int.compare a b) m.slots)
+  && List.rev (Cmd_log.report log ~start:0)
+     = List.map
+         (fun (s, e) -> (s, view_of e))
+         (List.sort (fun (a, _) (b, _) -> Int.compare a b) m.slots)
 
 let prop_matches_model =
   QCheck.Test.make ~name:"flat log matches the list model" ~count:300 arb_ops
@@ -414,6 +496,16 @@ let suite =
         (displaced_client
            (module Paxi_protocols.Mencius)
            ~config:(config 3) ~accept:"MAccept" ~commit:"MCommit");
+      Alcotest.test_case "phase-1 merge and adoption" `Quick test_merge;
+      Alcotest.test_case "paxos proposes a reported commit again" `Quick
+        (committed_slot_policy
+           (module Paxi_protocols.Paxos)
+           ~config:{ (config 3) with Config.piggyback_commit = false }
+           ~commit:"Commit" ~p2a:4 ~executed:0);
+      Alcotest.test_case "wpaxos commits a reported commit" `Quick
+        (committed_slot_policy
+           (module Paxi_protocols.Wpaxos)
+           ~config:(config 3) ~commit:"CommitK" ~p2a:2 ~executed:1);
       QCheck_alcotest.to_alcotest prop_matches_model;
       Alcotest.test_case "one-slot log stays small" `Quick
         test_one_slot_log_small;
