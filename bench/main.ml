@@ -858,10 +858,20 @@ let reads quick =
    ~2*8 — both flat as n grows. *)
 let scale_relay_groups n = Stdlib.max 1 ((n + 6) / 8)
 
-let scale_point ~quick ~protocol ~n ~relay_groups =
+(* [~durable] puts an fsync per accept ([Storage.default_config],
+   [Sync_every]) on every replica, relays and fanned members included,
+   under a seed of its own. *)
+let scale_point ?(durable = false) ~quick ~protocol ~n ~relay_groups () =
   point ~quick ~n
-    ~seed:(point_seed ("scale", protocol, n, relay_groups))
-    ~configure:(fun c -> { c with Config.relay_groups })
+    ~seed:
+      (if durable then point_seed ("scale", protocol, n, relay_groups, "every")
+       else point_seed ("scale", protocol, n, relay_groups))
+    ~configure:(fun c ->
+      {
+        c with
+        Config.relay_groups;
+        storage = (if durable then Some Storage.default_config else None);
+      })
     protocol
     (round_robin 64 Workload.default)
 
@@ -883,41 +893,49 @@ let scale quick =
     "Scale: saturation throughput vs cluster size, direct vs relay trees";
   let sizes = [ 9; 25; 49; 81 ] in
   let protocols = [ "paxos"; "raft" ] in
+  (* the memory-only sweep, then one durable n = 49 pair per protocol *)
+  let durable_n = 49 in
+  let pair protocol n durable =
+    [ (protocol, n, 0, durable); (protocol, n, scale_relay_groups n, durable) ]
+  in
   let points =
     List.concat_map
-      (fun protocol ->
-        List.concat_map
-          (fun n -> [ (protocol, n, 0); (protocol, n, scale_relay_groups n) ])
-          sizes)
+      (fun protocol -> List.concat_map (fun n -> pair protocol n false) sizes)
       protocols
+    @ List.concat_map (fun protocol -> pair protocol durable_n true) protocols
   in
   let results =
     Parmap.map
-      (fun (protocol, n, r) ->
-        ((protocol, n, r), scale_point ~quick ~protocol ~n ~relay_groups:r))
+      (fun ((protocol, n, r, durable) as key) ->
+        (key, scale_point ~durable ~quick ~protocol ~n ~relay_groups:r ()))
       points
   in
-  let find protocol n r = List.assoc (protocol, n, r) results in
+  let find ?(durable = false) protocol n r =
+    List.assoc (protocol, n, r, durable) results
+  in
+  let gain_row ~durable protocol n =
+    let r = scale_relay_groups n in
+    let d = find ~durable protocol n 0 and v = find ~durable protocol n r in
+    [
+      string_of_int n;
+      tput d;
+      tput v;
+      string_of_int r;
+      Printf.sprintf "%.2fx" (v.Runner.throughput_rps /. d.Runner.throughput_rps);
+    ]
+  in
+  let header = [ "n"; "direct (ops/s)"; "relay (ops/s)"; "relay groups"; "gain" ] in
   List.iter
     (fun protocol ->
       Printf.printf "%s (64 closed-loop clients):\n" protocol;
-      Report.print_table
-        ~header:
-          [ "n"; "direct (ops/s)"; "relay (ops/s)"; "relay groups"; "gain" ]
-        ~rows:
-          (List.map
-             (fun n ->
-               let r = scale_relay_groups n in
-               let d = find protocol n 0 and v = find protocol n r in
-               [
-                 string_of_int n;
-                 tput d;
-                 tput v;
-                 string_of_int r;
-                 Printf.sprintf "%.2fx"
-                   (v.Runner.throughput_rps /. d.Runner.throughput_rps);
-               ])
-             sizes))
+      Report.print_table ~header
+        ~rows:(List.map (gain_row ~durable:false protocol) sizes))
+    protocols;
+  List.iter
+    (fun protocol ->
+      Printf.printf "%s, fsync per accept (Sync_every):\n" protocol;
+      Report.print_table ~header
+        ~rows:[ gain_row ~durable:true protocol durable_n ])
     protocols;
   (* relay_groups = 0 must leave the direct path untouched: re-run the
      paxos n=25 direct point sequentially and demand it is
@@ -927,21 +945,26 @@ let scale quick =
      in test/test_relay.ml.) *)
   let relay_zero_identical =
     same_stream (find "paxos" 25 0)
-      (scale_point ~quick ~protocol:"paxos" ~n:25 ~relay_groups:0)
+      (scale_point ~quick ~protocol:"paxos" ~n:25 ~relay_groups:0 ())
   in
   Printf.printf "relay_groups=0 byte-identical across re-run: %b\n"
     relay_zero_identical;
-  let point_json ((protocol, n, r), (res : Runner.result)) =
+  (* durable points carry a [storage] field; the memory-only ones keep
+     their (protocol, n, relay_groups) key alone *)
+  let point_json ((protocol, n, r, durable), (res : Runner.result)) =
     Json.Obj
-      [
-        ("protocol", Json.String protocol);
-        ("n", int_num n);
-        ("relay_groups", int_num r);
-        ("throughput_rps", num res.Runner.throughput_rps);
-        ("mean_latency_ms", num (Stats.mean res.Runner.latency));
-        ("completed", int_num res.Runner.completed);
-        ("sim_events", int_num res.Runner.sim_events);
-      ]
+      ([
+         ("protocol", Json.String protocol);
+         ("n", int_num n);
+         ("relay_groups", int_num r);
+       ]
+      @ (if durable then [ ("storage", Json.String "every") ] else [])
+      @ [
+          ("throughput_rps", num res.Runner.throughput_rps);
+          ("mean_latency_ms", num (Stats.mean res.Runner.latency));
+          ("completed", int_num res.Runner.completed);
+          ("sim_events", int_num res.Runner.sim_events);
+        ])
   in
   write_result ~pr:8 ~quick
     ~suite:"scale: throughput vs cluster size, direct vs relay trees"
@@ -1484,6 +1507,15 @@ let quick_arg =
     & info [ "quick" ]
         ~doc:"Shortened smoke run: fewer points and shorter measured windows.")
 
+(* exit 1 with [Config.validate]'s one-line message on a deployment it
+   rejects, before anything is built from it *)
+let check_config cmd config =
+  match Config.validate config with
+  | Ok () -> ()
+  | Error e ->
+      Printf.eprintf "%s: %s\n" cmd e;
+      exit 1
+
 (* exit 2 on a protocol the registry does not know *)
 let check_protocol cmd p =
   if Paxi_protocols.Registry.find p = None then begin
@@ -1509,6 +1541,12 @@ let nemesis_main protocols trials seed max_faults n relay_groups shards arrival
         List.iter (check_protocol "nemesis") ps;
         ps
   in
+  List.iter
+    (fun protocol ->
+      check_config "nemesis"
+        (Nemesis.Trial.config ?n ?read_path ?relay_groups ?durable ~protocol
+           ~seed ()))
+    protocols;
   (* lease campaigns always face the clock-skew fault: skew is what a
      lease's expiry margin defends against, so a lease run that never
      sees it would be vacuous *)
@@ -1604,6 +1642,10 @@ let dissect_main protocol load n_flag relay_groups shards arrival read_ratio
   let durable = Option.map durable_cfg durable in
   check_protocol "dissect" protocol;
   let n = Option.value n_flag ~default:5 in
+  let configure c =
+    { c with Config.tracing = true; relay_groups; read_path; storage = durable }
+  in
+  check_config "dissect" (configure (Config.default ~n_replicas:n));
   let node = Service.default_node ~n in
   let model_proto =
     match protocol with
@@ -1680,9 +1722,7 @@ let dissect_main protocol load n_flag relay_groups shards arrival read_ratio
                      (%.0f rps offered)"
        protocol (100.0 *. load) rate);
   let result =
-    point ~quick ~n ~seed
-      ~configure:(fun c ->
-        { c with Config.tracing = true; relay_groups; read_path; storage = durable })
+    point ~quick ~n ~seed ~configure
       ~sharding:{ Runner.shards; partition = `Hash }
       protocol
       [ (* straight to the serving node, as the model's DL assumes:

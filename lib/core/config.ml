@@ -102,19 +102,6 @@ let validate t =
   then
     err "relay_groups %d gives groups of more than 62 members at n=%d"
       t.relay_groups t.n_replicas
-  else if
-    (* quorum reads defer the leader's write ack behind an extra commit
-       round per slot; batching would need per-batch sync tracking that
-       the mode deliberately does not carry *)
-    match (t.read_path, t.batching) with
-    | Some Quorum, Some _ -> true
-    | _ -> false
-  then err "read_path quorum is incompatible with batching"
-  else if t.storage <> None && t.relay_groups > 0 then
-    (* relay rounds aggregate follower acks without the relays knowing
-       about follower fsync schedules; gating each relayed vote on a
-       sync would serialize the aggregation the mode exists to avoid *)
-    err "storage is incompatible with relay_groups"
   else
     match Option.map Storage.validate_config t.storage with
     | Some (Error e) -> err "%s" e

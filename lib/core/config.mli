@@ -99,7 +99,9 @@ type t = {
           deterministically and a silent relay is bypassed (the leader
           re-sends direct and re-partitions). [0] (the default) is the
           direct path, byte-identical to pre-relay builds. Incompatible
-          with [thrifty]. See DESIGN.md §12. *)
+          with [thrifty]: a relay round covers every follower, while
+          thrifty sends phase 2 to a quorum only, so the two knobs ask
+          for opposite copy lists. See DESIGN.md §12. *)
   storage : Storage.config option;
       (** stable-storage model (DESIGN.md §14): [Some c] makes every
           persistent protocol write (ballots, terms, votes, accepted
@@ -110,8 +112,7 @@ type t = {
           log on the simulated clock. [None] (the default) is
           memory-only: paxos and raft run the same durable code on
           {!Storage.volatile}, which writes nothing and acks at once,
-          and a nemesis crash only pauses the replica. Incompatible
-          with [relay_groups]. *)
+          and a nemesis crash only pauses the replica. *)
 }
 
 val default : n_replicas:int -> t

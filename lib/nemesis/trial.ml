@@ -112,31 +112,33 @@ let generate ?n ?(skew = false) ~protocol ~seed ~max_faults () =
   let rng = Rng.create ~seed in
   Schedule.generate ~rng ~n:profile.n ~kinds ~max_faults ~horizon_ms
 
-let run ?n ?read_ratio ?read_path ?(relay_groups = 0) ?(shards = 1) ?arrival
+let config ?n ?read_path ?(relay_groups = 0) ?durable ~protocol ~seed () =
+  let profile = resolve_profile ?n protocol in
+  {
+    (Config.default ~n_replicas:profile.n) with
+    Config.seed;
+    Config.read_path;
+    Config.relay_groups;
+    (* [?durable] arms the stable-storage model: crashes become real
+       (volatile state lost, durable log replayed on recovery)
+       instead of transport-level pauses. *)
+    Config.storage = durable;
+    (* every trial runs with the reliable-delivery substrate armed:
+       faults are the whole point here, and several families (chain,
+       wankeeper, vpaxos, and paxos/raft since their ad-hoc retry
+       paths moved into lib/net/reliable) depend on it to heal. The
+       budget — 40ms doubling to a 320ms cap, 25 tries ≈ 7.9s —
+       comfortably outlives the generator's longest fault window
+       (1.8s) plus delivery jitter. *)
+    Config.retransmit =
+      Some { Config.base_ms = 40.0; max_ms = 320.0; max_tries = 25 };
+  }
+
+let run ?n ?read_ratio ?read_path ?relay_groups ?(shards = 1) ?arrival
     ?durable ~protocol ~seed schedule =
   let profile = resolve_profile ?n protocol in
   let (module P) = Paxi_protocols.Registry.find_exn protocol in
-  let config =
-    {
-      (Config.default ~n_replicas:profile.n) with
-      Config.seed;
-      Config.read_path;
-      Config.relay_groups;
-      (* [?durable] arms the stable-storage model: crashes become real
-         (volatile state lost, durable log replayed on recovery)
-         instead of transport-level pauses. *)
-      Config.storage = durable;
-      (* every trial runs with the reliable-delivery substrate armed:
-         faults are the whole point here, and several families (chain,
-         wankeeper, vpaxos, and paxos/raft since their ad-hoc retry
-         paths moved into lib/net/reliable) depend on it to heal. The
-         budget — 40ms doubling to a 320ms cap, 25 tries ≈ 7.9s —
-         comfortably outlives the generator's longest fault window
-         (1.8s) plus delivery jitter. *)
-      Config.retransmit =
-        Some { Config.base_ms = 40.0; max_ms = 320.0; max_tries = 25 };
-    }
-  in
+  let config = config ?n ?read_path ?relay_groups ?durable ~protocol ~seed () in
   let warmup_ms = 200.0 in
   let fault_end = Schedule.end_ms schedule in
   let duration_ms =

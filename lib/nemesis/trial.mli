@@ -53,6 +53,18 @@ val generate :
     read-path campaigns enable it to attack lease expiry, while the
     default matrix stays byte-identical to its fixed-seed pins. *)
 
+val config :
+  ?n:int ->
+  ?read_path:Config.read_path ->
+  ?relay_groups:int ->
+  ?durable:Storage.config ->
+  protocol:string ->
+  seed:int ->
+  unit ->
+  Config.t
+(** The cluster configuration {!run} builds from these arguments, for
+    a caller to {!Config.validate} before any trial runs. *)
+
 val run :
   ?n:int ->
   ?read_ratio:float ->

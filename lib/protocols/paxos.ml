@@ -382,11 +382,11 @@ let relay_absorb_p2b t ~src ~ballot ~first_slot ~count ~ok =
 (* ---- stable storage (DESIGN.md §14) --------------------------------
    Registers 0/1 hold the durable promised ballot (round, owner); the
    durable log holds every accepted (slot, ballot, command). Acks that
-   Paxos safety rests on — the P1b promise, the P2b accept,
-   and the leader's own phase-2 vote — wait for the fsync covering
-   their records ({!Storage.after}). A memory-only replica runs the
-   same code on {!Storage.volatile}, which records nothing and runs
-   each ack at once. *)
+   Paxos safety rests on — the P1b promise, the P2b accept (a relay's
+   own bit included), and the leader's own phase-2 vote — wait for the
+   fsync covering their records ({!Storage.after}). A memory-only
+   replica runs the same code on {!Storage.volatile}, which records
+   nothing and runs each ack at once. *)
 
 let write_ballot t (b : Ballot.t) =
   Storage.set_reg t.dev 0 b.Ballot.round;
@@ -760,68 +760,60 @@ let on_p1b t ~src ~ballot ~ok ~accepted =
   | Some _ when Ballot.(ballot > t.px.ballot) -> step_down t ~ballot
   | _ -> ()
 
-(* Acceptor-side adoption of a phase-2 round, shared by the direct
-   path (reply with ONE P2b covering the whole range) and the relay
-   path (the relay accepts silently and folds its own vote into the
-   aggregated bitmap). Returns [true] when the round was accepted at
-   [ballot]. *)
-let accept_p2a t ~ballot ~first_slot ~cmds ~commit_up_to:bound =
+(* Acceptor side of a phase-2 round [msg], direct ([gen = -1]) or
+   routed to us as a relay at plan [gen]: adopt it, then vote once its
+   records are durable — with ONE P2b covering the whole range, or, as
+   the relay of our group under that plan, as bit 0 of the group's
+   aggregate after fanning [msg] out (a plan that raced a rotation
+   leaves us no group: we vote directly). A round we cannot accept is
+   nacked straight back to [src]. *)
+let on_p2a t ~src ~gen ~ballot ~first_slot ~cmds ~commit_up_to:bound msg =
+  let count = Array.length cmds in
   if Cmd_log.accepts t.px ballot then begin
     if Cmd_log.admit t.px ballot then resign_read_path t;
     stamp t;
-    for i = 0 to Array.length cmds - 1 do
+    for i = 0 to count - 1 do
       ignore (Cmd_log.accept t.px.log (first_slot + i) ~ballot cmds.(i))
     done;
     write_ballot t ballot;
-    for i = 0 to Array.length cmds - 1 do
+    for i = 0 to count - 1 do
       write_accept t ~slot:(first_slot + i) ~ballot cmds.(i)
     done;
     commit_up_to t bound;
-    true
-  end
-  else false
-
-let on_p2a t ~src ~ballot ~first_slot ~cmds ~commit_up_to =
-  let count = Array.length cmds in
-  if accept_p2a t ~ballot ~first_slot ~cmds ~commit_up_to then begin
-    (* the accept vote leaves only after its records are durable *)
-    Storage.after t.dev t.env.send src
-      (P2b { ballot; first_slot; count; ok = true });
+    let a =
+      if gen < 0 then Relay.agg_nil
+      else
+        Relay.start t.relay ~key:first_slot ~leader:ballot.Ballot.owner ~gen
+          ~tag:ballot.Ballot.round ~aux:count
+          ~mark:(Cmd_log.exec_frontier t.px.log)
+          ~size_bytes:(count * t.env.config.Config.msg_size_bytes)
+          msg
+    in
+    if a != Relay.agg_nil then
+      Storage.after t.dev (Relay.own t.relay) a a.Relay.a_epoch
+    else
+      Storage.after t.dev t.env.send src
+        (P2b { ballot; first_slot; count; ok = true });
     Cmd_log.drain t.px
   end
   else
     t.env.send src (P2b { ballot = t.px.ballot; first_slot; count; ok = false })
 
-(* Relay ingress: accept the inner round locally and start
-   aggregating its group's acks (members reply to us, not the leader).
-   A duplicate wrapper — the leader is retransmitting because our ack
-   or some member's copy got lost — re-sends the completed ack, or
-   re-fans to the members whose bits are still clear. *)
+(* Relay ingress: a duplicate wrapper — the leader is retransmitting
+   because our ack or some member's copy got lost — re-sends the
+   completed ack, or re-fans to the members whose bits are still
+   clear; a new round is accepted as a relay (members reply to us, not
+   the leader). *)
 let on_relay_round t ~src ~gen ~inner =
   match inner with
   | P2a { ballot; first_slot; cmds; commit_up_to } ->
       let count = Array.length cmds in
-      let size_bytes = count * t.env.config.Config.msg_size_bytes in
       let a = Relay.lookup t.relay first_slot in
       if a != Relay.agg_nil && relay_record_is ~ballot ~count a then
-        Relay.resend t.relay a ~size_bytes inner
-      else if not (accept_p2a t ~ballot ~first_slot ~cmds ~commit_up_to) then
-        (* we know a higher ballot: nok straight back to the leader,
-           exactly as the direct path would *)
-        t.env.send src
-          (P2b { ballot = t.px.ballot; first_slot; count; ok = false })
-      else begin
-        if
-          not
-            (Relay.start t.relay ~key:first_slot ~leader:ballot.Ballot.owner
-               ~gen ~tag:ballot.Ballot.round ~aux:count
-               ~mark:(Cmd_log.exec_frontier t.px.log) ~size_bytes inner)
-        then
-          (* not a relay under this plan (the round raced a plan
-             rotation): behave like a plain acceptor *)
-          t.env.send src (P2b { ballot; first_slot; count; ok = true });
-        Cmd_log.drain t.px
-      end
+        Relay.resend t.relay a
+          ~size_bytes:(count * t.env.config.Config.msg_size_bytes)
+          inner
+      else on_p2a t ~src ~gen ~ballot ~first_slot ~cmds ~commit_up_to inner
   | _ -> ()
 
 let on_p2b t ~src ~ballot ~first_slot ~count ~ok =
@@ -889,7 +881,7 @@ let on_message t ~src msg =
   | P1a { ballot; frontier } -> on_p1a t ~src ~ballot ~frontier
   | P1b { ballot; ok; accepted } -> on_p1b t ~src ~ballot ~ok ~accepted
   | P2a { ballot; first_slot; cmds; commit_up_to } ->
-      on_p2a t ~src ~ballot ~first_slot ~cmds ~commit_up_to
+      on_p2a t ~src ~gen:(-1) ~ballot ~first_slot ~cmds ~commit_up_to msg
   | P2b { ballot; first_slot; count; ok } ->
       on_p2b t ~src ~ballot ~first_slot ~count ~ok
   | Commit { slot; cmd } -> on_commit t ~slot ~cmd

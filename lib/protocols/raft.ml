@@ -693,55 +693,65 @@ let on_vote_reply t ~src ~term ~granted =
         if Quorum.satisfied tracker then become_leader t
     | None -> ()
 
-(* Follower-side append processing shared by the direct path, a
-   relay's local accept, and a fanned-out member (where the entries
-   come from [leader] but the reply goes back to the forwarding
-   relay). Returns the reply's (success, match_index); the caller
-   sends it — with [t.term] read after this returns, since a higher
-   [term] is adopted here. *)
-let append_entries_core t ~leader ~term ~prev_index ~prev_term ~terms ~cmds
-    ~leader_commit =
-  if term < t.term then (false, 0)
-  else begin
-    if term > t.term || t.state <> Follower then become_follower t ~term;
-    t.leader_id <- Some leader;
-    reset_election_timer t;
-    (* the accepted append doubles as the lease grant; the reply (of
-       either polarity) is the leader's proof of it *)
-    Lease.grant t.lease ~holder:leader ~window:(lease_window t);
-    drain_pending_to_leader t;
-    let consistent = prev_index < 0 || term_at t prev_index = prev_term in
-    if not consistent then
-      (false, Int.min prev_index (Slot_log.next_slot t.log))
-    else begin
-      (* Append, overwriting conflicting suffixes. *)
-      for off = 0 to Array.length cmds - 1 do
-        let i = prev_index + 1 + off and term = terms.(off) in
-        if not (Slot_log.mem t.log i && Slot_log.meta t.log i = term) then begin
-          Slot_log.set t.log i ~meta:term cmds.(off);
-          write_entry t ~slot:i ~term cmds.(off)
+(* Follower side of an append [msg]: from [leader] direct ([gen = -1],
+   [src = leader]), fanned out by relay [src] (the reply goes back to
+   it, to aggregate), or routed to us as a relay at plan [gen]. An
+   accepted append that carries entries votes once they are durable:
+   with an AppendReply, or, as the relay of our group under that plan,
+   as bit 0 of the group's aggregate after fanning [msg] out (a plan
+   that raced a bump leaves us no group: we reply directly). *)
+let on_append_entries t ~src ~leader ~gen msg =
+  match msg with
+  | AppendEntries { term; prev_index; prev_term; terms; cmds; leader_commit }
+    ->
+      let success, match_index =
+        if term < t.term then (false, 0)
+        else begin
+          if term > t.term || t.state <> Follower then become_follower t ~term;
+          t.leader_id <- Some leader;
+          reset_election_timer t;
+          (* the accepted append doubles as the lease grant; the reply (of
+             either polarity) is the leader's proof of it *)
+          Lease.grant t.lease ~holder:leader ~window:(lease_window t);
+          drain_pending_to_leader t;
+          let consistent = prev_index < 0 || term_at t prev_index = prev_term in
+          if not consistent then
+            (false, Int.min prev_index (Slot_log.next_slot t.log))
+          else begin
+            (* Append, overwriting conflicting suffixes. *)
+            for off = 0 to Array.length cmds - 1 do
+              let i = prev_index + 1 + off and term = terms.(off) in
+              if not (Slot_log.mem t.log i && Slot_log.meta t.log i = term)
+              then begin
+                Slot_log.set t.log i ~meta:term cmds.(off);
+                write_entry t ~slot:i ~term cmds.(off)
+              end
+            done;
+            let match_index = prev_index + 1 + Array.length cmds in
+            if leader_commit > t.commit_index then begin
+              t.commit_index <- Int.min leader_commit match_index;
+              apply_committed t
+            end;
+            (true, match_index)
+          end
         end
-      done;
-      let match_index = prev_index + 1 + Array.length cmds in
-      if leader_commit > t.commit_index then begin
-        t.commit_index <- Int.min leader_commit match_index;
-        apply_committed t
-      end;
-      (true, match_index)
-    end
-  end
-
-let on_append_entries t ~src ~term ~prev_index ~prev_term ~terms ~cmds
-    ~leader_commit =
-  let success, match_index =
-    append_entries_core t ~leader:src ~term ~prev_index ~prev_term ~terms ~cmds
-      ~leader_commit
-  in
-  let reply = AppendReply { term = t.term; success; match_index } in
-  if success && Array.length cmds > 0 then
-    (* the accept vote leaves only after its records are durable *)
-    Storage.after t.dev t.env.send src reply
-  else t.env.send src reply
+      in
+      if not (success && Array.length cmds > 0) then
+        t.env.send src (AppendReply { term = t.term; success; match_index })
+      else
+        let a =
+          if gen < 0 then Relay.agg_nil
+          else
+            Relay.start t.relay ~key:match_index ~leader ~gen ~tag:term ~aux:0
+              ~mark:t.commit_index ~size_bytes:(append_size t cmds)
+              (FanAppend { origin = leader; inner = msg })
+        in
+        if a != Relay.agg_nil then
+          Storage.after t.dev (Relay.own t.relay) a a.Relay.a_epoch
+        else
+          Storage.after t.dev t.env.send src
+            (AppendReply { term = t.term; success; match_index })
+  | _ -> ()
 
 (* Snapshot install (Raft §7): replace the state machine with the
    shipped image, drop the log below its frontier, and answer with an
@@ -786,51 +796,20 @@ let on_install_snapshot t ~src ~term ~last_index ~last_term ~image =
            })
   end
 
-(* A relay fanned a round out to us: process it as the leader's own
-   append (leader identity, lease grant, election-timer reset), but
-   reply to the relay so it can aggregate. *)
-let on_fan_append t ~src ~origin ~inner =
-  match inner with
-  | AppendEntries { term; prev_index; prev_term; terms; cmds; leader_commit } ->
-      let success, match_index =
-        append_entries_core t ~leader:origin ~term ~prev_index ~prev_term
-          ~terms ~cmds ~leader_commit
-      in
-      t.env.send src (AppendReply { term = t.term; success; match_index })
-  | _ -> ()
-
-(* The leader routed a round through us: accept it locally, then fan
-   it to our rotation group and start aggregating. A round we cannot
-   accept (stale term or log inconsistency) is nacked straight back to
-   the leader, which handles it exactly like a direct nack. *)
+(* The leader routed a round through us: a retransmission re-sends
+   our group's completed ack or re-fans to its silent members; a new
+   round is accepted as a relay. A round we cannot accept (stale term
+   or log inconsistency) is nacked straight back to the leader, which
+   handles it exactly like a direct nack. *)
 let on_relay_append t ~src ~gen ~inner =
   match inner with
-  | AppendEntries { term; prev_index; prev_term; terms; cmds; leader_commit }
-    ->
-      let expected = prev_index + 1 + Array.length cmds in
-      let size_bytes = append_size t cmds in
-      let a = Relay.lookup t.relay expected in
+  | AppendEntries { term; prev_index; cmds; _ } ->
+      let a = Relay.lookup t.relay (prev_index + 1 + Array.length cmds) in
       if a != Relay.agg_nil && a.Relay.a_tag = term && a.Relay.a_leader = src
       then
-        (* the leader's retransmission *)
-        Relay.resend t.relay a ~size_bytes
+        Relay.resend t.relay a ~size_bytes:(append_size t cmds)
           (FanAppend { origin = src; inner })
-      else
-        let success, match_index =
-          append_entries_core t ~leader:src ~term ~prev_index ~prev_term ~terms
-            ~cmds ~leader_commit
-        in
-        if not (success && match_index = expected) then
-          t.env.send src (AppendReply { term = t.term; success; match_index })
-        else if
-          not
-            (Relay.start t.relay ~key:expected ~leader:src ~gen ~tag:term ~aux:0
-               ~mark:t.commit_index ~size_bytes
-               (FanAppend { origin = src; inner }))
-        then
-          (* plans disagree (a gen raced a bump): answer direct *)
-          t.env.send src
-            (AppendReply { term = t.term; success = true; match_index })
+      else on_append_entries t ~src ~leader:src ~gen inner
   | _ -> ()
 
 (* One aggregated bitmap covers a whole rotation group: credit every
@@ -903,13 +882,13 @@ let on_message t ~src = function
   | RequestVote { term; last_index; last_term } ->
       on_request_vote t ~src ~term ~last_index ~last_term
   | VoteReply { term; granted } -> on_vote_reply t ~src ~term ~granted
-  | AppendEntries { term; prev_index; prev_term; terms; cmds; leader_commit } ->
-      on_append_entries t ~src ~term ~prev_index ~prev_term ~terms ~cmds
-        ~leader_commit
+  | AppendEntries _ as msg ->
+      on_append_entries t ~src ~leader:src ~gen:(-1) msg
+  | FanAppend { origin; inner } ->
+      on_append_entries t ~src ~leader:origin ~gen:(-1) inner
   | AppendReply { term; success; match_index } ->
       on_append_reply t ~src ~term ~success ~match_index
   | RelayAppend { gen; inner } -> on_relay_append t ~src ~gen ~inner
-  | FanAppend { origin; inner } -> on_fan_append t ~src ~origin ~inner
   | RelayAppendAck { term; gen; expected; bits } ->
       on_relay_append_ack t ~src ~term ~gen ~expected ~bits
   | InstallSnapshot { term; last_index; last_term; image } ->

@@ -64,6 +64,7 @@ type agg = {
   mutable a_flush : Sim.handle;
   mutable a_on_flush : unit -> unit;
   mutable a_next : agg;
+  mutable a_epoch : int;
 }
 
 let fresh_agg () =
@@ -80,6 +81,7 @@ let fresh_agg () =
       a_flush = Sim.nil;
       a_on_flush = ignore;
       a_next = a;
+      a_epoch = 0;
     }
   in
   a
@@ -96,6 +98,7 @@ type 'm t = {
   r : int;
   ack : int -> agg -> 'm;
   mutable current : agg -> bool;
+  own : agg -> int -> unit;  (** {!own}: the epoch check, then {!absorb} *)
   plans : (int, plan) Hashtbl.t;
   mutable plan_key : int;  (** the last plan looked up, and its key *)
   mutable last_plan : plan;
@@ -113,31 +116,6 @@ type 'm t = {
           fallback interval. Both delays are computed once: a float
           computed per call is boxed on its way to [schedule]. *)
 }
-
-let create (env : 'm Proto.env) ~ack =
-  let config = env.Proto.config in
-  let fallback = config.Config.failover_timeout_ms /. 8.0 in
-  {
-    env;
-    r = config.Config.relay_groups;
-    ack;
-    current = (fun _ -> true);
-    plans = Hashtbl.create 8;
-    plan_key = -1;
-    last_plan = { groups = [||]; group_of = [||]; relays = [] };
-    keys = [||];
-    recs = [||];
-    len = 0;
-    free = agg_nil;
-    seq = 0;
-    bump = 0;
-    bypass_until = neg_infinity;
-    fallback;
-    flush_delay =
-      (match config.Config.retransmit with
-      | Some r when r.Config.max_tries > 0 -> r.Config.base_ms
-      | _ -> fallback);
-  }
 
 let set_current t f = t.current <- f
 let active t = t.r > 0
@@ -243,12 +221,13 @@ let remove_at t i =
   t.len <- t.len - 1;
   t.recs.(t.len) <- agg_nil
 
-(* Cancel the record's flush timer and put it back on the free list;
-   its table entry is the caller's to remove. *)
+(* Cancel the record's flush timer and put it back on the free list,
+   numbering its next use; its table entry is the caller's to remove. *)
 let recycle t a =
   if not (Sim.is_nil a.a_flush) then t.env.Proto.cancel a.a_flush;
   a.a_flush <- Sim.nil;
   a.a_group <- [||];
+  a.a_epoch <- a.a_epoch + 1;
   a.a_next <- t.free;
   t.free <- a
 
@@ -314,6 +293,13 @@ let flush t a =
     else drop t a
   end
 
+let absorb t a ~src =
+  let i = position_from a.a_group src 0 in
+  if i >= 0 && not (acked ~bits:a.a_bits i) then begin
+    set_bit a i;
+    if complete a then finalize t a
+  end
+
 let alloc t ~key ~leader ~gen ~group ~tag ~aux =
   let a =
     if t.free != agg_nil then begin
@@ -359,25 +345,51 @@ let start t ~key ~leader ~gen ~tag ~aux ~mark ~size_bytes msg =
   if old != agg_nil then drop t old;
   let p = plan t ~leader ~gen in
   let gi = p.group_of.(t.env.Proto.id) in
-  if gi < 0 || p.groups.(gi).(0) <> t.env.Proto.id then false
+  if gi < 0 || p.groups.(gi).(0) <> t.env.Proto.id then agg_nil
   else begin
     let a = alloc t ~key ~leader ~gen ~group:p.groups.(gi) ~tag ~aux in
     a.a_t0.(0) <- Proto.local_now t.env.Proto.clock;
-    set_bit a 0 (* position 0 = self: our own accept *);
     insert t a;
     fan t a ~size_bytes msg;
-    if complete a then finalize t a
-    else a.a_flush <- t.env.Proto.schedule t.flush_delay a.a_on_flush;
+    (* a group of one completes on the relay's own vote alone *)
+    if Array.length a.a_group > 1 then
+      a.a_flush <- t.env.Proto.schedule t.flush_delay a.a_on_flush;
     prune t ~mark;
-    true
+    a
   end
 
 let resend t a ~size_bytes msg =
   if complete a then send_ack t a else fan t a ~size_bytes msg
 
-let absorb t a ~src =
-  let i = position_from a.a_group src 0 in
-  if i >= 0 && not (acked ~bits:a.a_bits i) then begin
-    set_bit a i;
-    if complete a then finalize t a
-  end
+(* Below {!absorb}, which a relay's own vote calls. *)
+let create (env : 'm Proto.env) ~ack =
+  let config = env.Proto.config in
+  let fallback = config.Config.failover_timeout_ms /. 8.0 in
+  let rec t =
+    {
+      env;
+      r = config.Config.relay_groups;
+      ack;
+      current = (fun _ -> true);
+      own =
+        (fun a epoch -> if a.a_epoch = epoch then absorb t a ~src:env.Proto.id);
+      plans = Hashtbl.create 8;
+      plan_key = -1;
+      last_plan = { groups = [||]; group_of = [||]; relays = [] };
+      keys = [||];
+      recs = [||];
+      len = 0;
+      free = agg_nil;
+      seq = 0;
+      bump = 0;
+      bypass_until = neg_infinity;
+      fallback;
+      flush_delay =
+        (match config.Config.retransmit with
+        | Some r when r.Config.max_tries > 0 -> r.Config.base_ms
+        | _ -> fallback);
+    }
+  in
+  t
+
+let own t = t.own

@@ -71,6 +71,7 @@ type agg = private {
       (** the record's partial flush, built with the record and reused
           by every timer it arms *)
   mutable a_next : agg;  (** free-list link; physically [self] when live *)
+  mutable a_epoch : int;  (** the record's use, bumped when it is recycled *)
 }
 
 type 'm t
@@ -143,15 +144,22 @@ val start :
   mark:int ->
   size_bytes:int ->
   'm ->
-  bool
+  agg
 (** Begin aggregating a round this replica already accepted: drop the
     record [key] held, then — if this replica relays its group in
-    [leader]'s plan at [gen] — take a record with its own bit set, fan
-    the message to the rest of the group, arm the partial flush (or
-    ack at once for a group of one), prune the records with
+    [leader]'s plan at [gen] — take a record with no bit set, fan the
+    message to the rest of the group, arm the partial flush (unless
+    the group is the relay alone), prune the records with
     [key + aux <= mark] in key order once more than 128 are held, and
-    return [true]. [false] means no relay under that plan (the round
-    raced a rotation): the caller answers the leader directly. *)
+    return the record, for the caller to cast its own vote ({!own})
+    once its accept is durable. {!agg_nil} means no relay under that
+    plan (the round raced a rotation): the caller answers directly. *)
+
+val own : 'm t -> agg -> int -> unit
+(** [own t a epoch]: this replica's own vote, bit 0 of [a], if [a] is
+    still the use numbered [epoch]. Built once per relay, so
+    [Storage.after dev (own t) a a.a_epoch] allocates nothing on the
+    volatile device. *)
 
 val resend : 'm t -> agg -> size_bytes:int -> 'm -> unit
 (** A duplicate of the round in [a] (the leader retransmits): resend

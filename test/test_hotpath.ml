@@ -424,17 +424,21 @@ let test_hot_calls_allocate_nothing () =
   Alcotest.(check int) "every fresh slot executed" !next
     (Cmd_log.exec_frontier log);
   (* A relay's member ack on a live record: the member's position in
-     the group, its bit, no completion (member 4 never acks). *)
+     the group, its bit, no completion (member 4 never acks). The
+     relay's own vote goes through the device as a protocol casts it. *)
   let module Relay = Paxi_protocols.Relay in
   let renv =
     let env = Proto_harness.quiet_env ~n:9 1 in
     { env with Proto.config = { env.Proto.config with Config.relay_groups = 2 } }
   in
   let relay = Relay.create renv ~ack:(fun _ _ -> ()) in
-  ignore
-    (Relay.start relay ~key:10 ~leader:0 ~gen:0 ~tag:1 ~aux:1 ~mark:0
-       ~size_bytes:128 ());
-  let live = Relay.lookup relay 10 in
+  let live =
+    Relay.start relay ~key:10 ~leader:0 ~gen:0 ~tag:1 ~aux:1 ~mark:0
+      ~size_bytes:128 ()
+  in
+  check_no_words "Relay.own through Storage.after (volatile)" (fun _ ->
+      Storage.after Storage.volatile (Relay.own relay) live
+        live.Relay.a_epoch);
   check_no_words "Relay.absorb (live record)" (fun i ->
       Relay.absorb relay live ~src:(2 + (i land 1)));
   Alcotest.(check int) "bits of members 1-3" 7 live.Relay.a_bits;

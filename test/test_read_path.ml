@@ -190,13 +190,14 @@ let test_chain_tail_reads () =
 (* End-to-end linearizability under read-heavy load                    *)
 (* ------------------------------------------------------------------ *)
 
-let linearizable_run ~protocol ~read_path ~seed =
+let linearizable_run ?batching ~protocol ~read_path ~seed () =
   let n = 5 in
   let config =
     {
       (Config.default ~n_replicas:n) with
       Config.seed;
       read_path = Some read_path;
+      batching;
     }
   in
   let target =
@@ -226,11 +227,21 @@ let linearizable_run ~protocol ~read_path ~seed =
     0 (List.length anomalies)
 
 let test_read_paths_linearizable () =
-  linearizable_run ~protocol:"paxos" ~read_path:lease ~seed:31;
-  linearizable_run ~protocol:"fpaxos" ~read_path:lease ~seed:32;
-  linearizable_run ~protocol:"raft" ~read_path:lease ~seed:33;
-  linearizable_run ~protocol:"paxos" ~read_path:Config.Quorum ~seed:34;
-  linearizable_run ~protocol:"chain" ~read_path:Config.Tail ~seed:35
+  linearizable_run ~protocol:"paxos" ~read_path:lease ~seed:31 ();
+  linearizable_run ~protocol:"fpaxos" ~read_path:lease ~seed:32 ();
+  linearizable_run ~protocol:"raft" ~read_path:lease ~seed:33 ();
+  linearizable_run ~protocol:"paxos" ~read_path:Config.Quorum ~seed:34 ();
+  linearizable_run ~protocol:"chain" ~read_path:Config.Tail ~seed:35 ()
+
+(* Quorum mode defers each write's ack until a majority applied its
+   slot; a batched round commits several slots at once, and each
+   still waits for its own CommitAcks. *)
+let test_quorum_reads_batched () =
+  let batching = { Config.max_batch = 8; max_wait_ms = 0.05 } in
+  linearizable_run ~batching ~protocol:"paxos" ~read_path:Config.Quorum
+    ~seed:36 ();
+  linearizable_run ~batching ~protocol:"fpaxos" ~read_path:Config.Quorum
+    ~seed:37 ()
 
 (* The lease point end to end: paxos n = 5 on a LAN, 16 closed-loop
    clients on the leader, 95% reads. Lease reads skip the slot log and
@@ -327,6 +338,8 @@ let suite =
         test_lease_point_beats_write_path;
       Alcotest.test_case "read paths linearizable" `Slow
         test_read_paths_linearizable;
+      Alcotest.test_case "quorum reads with batching linearizable" `Slow
+        test_quorum_reads_batched;
       Alcotest.test_case "read sweep pool identity" `Slow
         test_read_sweep_pool_identity;
     ] )

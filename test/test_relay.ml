@@ -148,6 +148,16 @@ let start_round ?(key = 10) ?(aux = 1) ?(mark = 0) s =
   Relay.start s.relay ~key ~leader:0 ~gen:0 ~tag:3 ~aux ~mark ~size_bytes:64
     (Round key)
 
+(* The relay's own vote on a record, as a protocol casts it once its
+   accept is durable. *)
+let own s (a : Relay.agg) = Relay.own s.relay a a.Relay.a_epoch
+
+(* A started round with the relay's own vote cast. *)
+let start_voted ?key ?aux ?mark s =
+  let a = start_round ?key ?aux ?mark s in
+  own s a;
+  a
+
 let record s key =
   let a = Relay.lookup s.relay key in
   if a == Relay.agg_nil then Alcotest.fail "no relay record" else a
@@ -178,8 +188,10 @@ let test_bitmap_exact () =
   let s = stub ~n:9 ~r:2 () in
   let group = group_of_1 s in
   Alcotest.(check (array int)) "relay 1's group" [| 1; 2; 3; 4 |] group;
-  Alcotest.(check bool) "relay starts" true (start_round s);
-  let a = record s 10 in
+  let a = start_round s in
+  Alcotest.(check bool) "relay starts" true (a == record s 10);
+  Alcotest.(check int) "no bit before the own vote" 0 a.Relay.a_bits;
+  own s a;
   Alcotest.(check int) "self bit" 1 a.Relay.a_bits;
   ignore (take s);
   Relay.absorb s.relay a ~src:2;
@@ -195,18 +207,17 @@ let test_bitmap_exact () =
   Alcotest.(check bool) "partial does not cover" false
     (Relay.covers group ~bits:7);
   Relay.drop s.relay a;
-  Alcotest.(check bool) "relay restarts" true (start_round ~key:11 s);
-  Alcotest.(check bool) "pool recycles records" true (record s 11 == a);
-  Alcotest.(check int) "recycled bits cleared" 1 a.Relay.a_bits
+  let b = start_round ~key:11 s in
+  Alcotest.(check bool) "pool recycles records" true (b == a && record s 11 == a);
+  Alcotest.(check int) "recycled bits cleared" 0 a.Relay.a_bits
 
 (* Starting a round fans it to the group minus self and arms a flush;
    a duplicate on a complete record resends the full ack only. *)
 let test_duplicate_complete () =
   let s = stub ~n:9 ~r:2 () in
-  ignore (start_round s);
+  let a = start_voted s in
   Alcotest.(check bool) "fan to members" true
     (take s = [ (2, Round 10); (3, Round 10); (4, Round 10) ]);
-  let a = record s 10 in
   List.iter (fun src -> Relay.absorb s.relay a ~src) [ 2; 3; 4 ];
   ignore (take s);
   Relay.resend s.relay a ~size_bytes:64 (Round 10);
@@ -215,8 +226,7 @@ let test_duplicate_complete () =
 
 let test_duplicate_incomplete () =
   let s = stub ~n:9 ~r:2 () in
-  ignore (start_round s);
-  let a = record s 10 in
+  let a = start_voted s in
   Relay.absorb s.relay a ~src:3;
   ignore (take s);
   Relay.resend s.relay a ~size_bytes:64 (Round 10);
@@ -230,8 +240,7 @@ let test_partial_flush () =
   let s = stub ~n:9 ~r:2 () in
   let current = ref true in
   Relay.set_current s.relay (fun _ -> !current);
-  ignore (start_round s);
-  let a = record s 10 in
+  let a = start_voted s in
   Relay.absorb s.relay a ~src:2;
   ignore (take s);
   let flush_ms = Relay.fallback_ms s.relay in
@@ -273,8 +282,7 @@ let test_prune_below_mark () =
 
 let test_absorb_non_member () =
   let s = stub ~n:9 ~r:2 () in
-  ignore (start_round s);
-  let a = record s 10 in
+  let a = start_voted s in
   ignore (take s);
   Relay.absorb s.relay a ~src:7;
   Relay.absorb s.relay a ~src:0;
@@ -284,9 +292,39 @@ let test_absorb_non_member () =
 (* A replica that is no relay under the plan starts nothing. *)
 let test_start_not_relay () =
   let s = stub ~id:2 ~n:9 ~r:2 () in
-  Alcotest.(check bool) "member declines" false (start_round s);
+  Alcotest.(check bool) "member declines" true (start_round s == Relay.agg_nil);
   Alcotest.(check bool) "no record" true (Relay.lookup s.relay 10 == Relay.agg_nil);
   Alcotest.(check bool) "nothing sent" true (take s = [])
+
+(* The own vote counts only for the use of the record it was cast
+   for: a vote that outlives its round (the record dropped and reused
+   for the next one) sets no bit. *)
+let test_own_vote_epoch () =
+  let s = stub ~n:9 ~r:2 () in
+  let a = start_round s in
+  let stale = a.Relay.a_epoch in
+  Relay.drop s.relay a;
+  Relay.own s.relay a stale;
+  Alcotest.(check int) "dropped record takes no vote" 0 a.Relay.a_bits;
+  let b = start_round ~key:11 s in
+  Alcotest.(check bool) "record reused" true (b == a);
+  Relay.own s.relay b stale;
+  Alcotest.(check int) "earlier round's vote misses the reuse" 0 b.Relay.a_bits;
+  own s b;
+  Alcotest.(check int) "current vote counts" 1 b.Relay.a_bits
+
+(* A relay whose group is itself alone arms no flush and fans nothing:
+   its own vote completes the round and sends the full ack. *)
+let test_group_of_one () =
+  let s = stub ~n:3 ~r:2 () in
+  let a = start_round s in
+  Alcotest.(check (array int)) "relay 1 alone" [| 1 |] a.Relay.a_group;
+  Alcotest.(check bool) "nothing before the own vote" true (take s = []);
+  Alcotest.(check bool) "no flush armed" true (Sim.is_nil a.Relay.a_flush);
+  own s a;
+  Alcotest.(check bool) "own vote sends the full ack" true
+    (take s = [ (0, Ack { key = 10; bits = 1 }) ]);
+  Alcotest.(check int) "hop traced" 1 !(s.hops)
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end: commits flow through the relay tree                     *)
@@ -375,6 +413,91 @@ let test_raft_relay_crash () =
   HR.assert_consistent h
 
 (* ------------------------------------------------------------------ *)
+(* Durable votes: every relayed ack waits for its disk                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Only the replicas in [Disks.ids] write to a device, a slow
+   [Sync_every] one; the rest write to the volatile device and ack at
+   once. At n = 9, r = 2 the gen-0 plan of leader 0 has relays 1 and 5
+   over members 2-4 and 6-8. *)
+let slow_fsync_ms = 10.0
+
+module Disks (P : Proto.RUNNABLE) (Ids : sig
+  val ids : int list
+end) =
+struct
+  include P
+
+  let create (env : message Proto.env) =
+    create
+      (if List.mem env.Proto.id Ids.ids then env
+       else { env with Proto.storage = None })
+end
+
+let durable_relay_config () =
+  {
+    (relay_config ~tracing:true ~r:2 9) with
+    Config.storage =
+      Some
+        {
+          Storage.default_config with
+          Storage.sync_mode = Storage.Sync_every;
+          fsync_ms = slow_fsync_ms;
+        };
+  }
+
+(* A relay hop runs from the round reaching the relay to its full ack
+   leaving. With the disks on [ids] and every other replica acking at
+   once, each hop must last at least one fsync: the full ack carries a
+   bit that waited for a disk. A bit set before its accept is durable
+   (the relay's own at [Relay.start], or a fanned member's reply sent
+   at once) completes the hop in about a LAN round trip. *)
+let check_hops_wait_for_disk (module P : Proto.RUNNABLE) ~ids ~warmup_ms =
+  let module H =
+    Proto_harness.Make
+      (Disks
+         (P)
+         (struct
+           let ids = ids
+         end))
+  in
+  let h = H.lan ~config:(durable_relay_config ()) ~n:9 () in
+  H.run_for h warmup_ms;
+  List.iter
+    (fun i ->
+      Alcotest.(check int) "committed" 1 (List.length (H.submit_seq h [ put i i ]));
+      H.run_for h 100.0)
+    [ 1; 2; 3 ];
+  let trace = H.C.trace h.H.cluster in
+  let hops = Trace.relay_hop_ms trace in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: hops aggregated (%d)" P.name (Stats.count hops))
+    true
+    (Stats.count hops >= 6);
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: shortest hop %.3f ms waits for a %.0f ms fsync"
+       P.name (Stats.min hops) slow_fsync_ms)
+    true
+    (Stats.min hops >= slow_fsync_ms);
+  H.assert_consistent h
+
+(* Disks on the relays only: the hop waits for the relay's own vote. *)
+let test_relay_own_vote_durable () =
+  check_hops_wait_for_disk (module Paxi_protocols.Paxos) ~ids:[ 1; 5 ]
+    ~warmup_ms:200.0;
+  check_hops_wait_for_disk (module Paxi_protocols.Raft) ~ids:[ 1; 5 ]
+    ~warmup_ms:1_000.0
+
+(* Disks on the members only: a fanned member acks its relay exactly as
+   a direct follower acks the leader, after its fsync. *)
+let test_fanned_member_durable () =
+  let members = [ 2; 3; 4; 6; 7; 8 ] in
+  check_hops_wait_for_disk (module Paxi_protocols.Paxos) ~ids:members
+    ~warmup_ms:200.0;
+  check_hops_wait_for_disk (module Paxi_protocols.Raft) ~ids:members
+    ~warmup_ms:1_000.0
+
+(* ------------------------------------------------------------------ *)
 (* relay_groups = 0 stays byte-identical to the direct path            *)
 (* ------------------------------------------------------------------ *)
 
@@ -454,6 +577,9 @@ let suite =
       Alcotest.test_case "absorb ignores non-members" `Quick
         test_absorb_non_member;
       Alcotest.test_case "start declines off-plan" `Quick test_start_not_relay;
+      Alcotest.test_case "own vote needs its epoch" `Quick test_own_vote_epoch;
+      Alcotest.test_case "group of one acks on its own vote" `Quick
+        test_group_of_one;
       Alcotest.test_case "paxos relay commits" `Quick
         test_paxos_relay_commits;
       Alcotest.test_case "raft relay commits" `Quick test_raft_relay_commits;
@@ -462,5 +588,9 @@ let suite =
         test_paxos_relay_crash;
       Alcotest.test_case "raft relay crash fallback" `Slow
         test_raft_relay_crash;
+      Alcotest.test_case "relay own vote waits for its fsync" `Quick
+        test_relay_own_vote_durable;
+      Alcotest.test_case "fanned member waits for its fsync" `Quick
+        test_fanned_member_durable;
       Alcotest.test_case "relay_groups=0 pins" `Slow test_relay_zero_pins;
     ] )

@@ -360,7 +360,23 @@ let test_config_validation () =
   ok { (Config.default ~n_replicas:9) with Config.q2_size = Some 3 };
   bad { (Config.default ~n_replicas:5) with Config.epaxos_penalty = 0.5 };
   bad { (Config.default ~n_replicas:5) with Config.fz = -1 };
-  bad { (Config.default ~n_replicas:5) with Config.client_timeout_ms = 0.0 }
+  bad { (Config.default ~n_replicas:5) with Config.client_timeout_ms = 0.0 };
+  (* relay trees and thrifty ask for opposite phase-2 copy lists *)
+  bad { (Config.default ~n_replicas:9) with Config.relay_groups = 2; thrifty = true };
+  (* relayed votes wait for the disk like direct ones, and quorum
+     reads defer each write's ack per slot, batched or not *)
+  ok
+    {
+      (Config.default ~n_replicas:9) with
+      Config.relay_groups = 2;
+      storage = Some Storage.default_config;
+    };
+  ok
+    {
+      (Config.default ~n_replicas:5) with
+      Config.read_path = Some Config.Quorum;
+      batching = Some { Config.max_batch = 8; max_wait_ms = 0.05 };
+    }
 
 let test_config_quorums () =
   let c = Config.default ~n_replicas:9 in
