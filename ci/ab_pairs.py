@@ -17,7 +17,8 @@ With --trace-pairs K (default 0), it then runs K `--trace 1`
 invocations per side, alternating order, and prints each side's
 median of sim.events_per_op, sim.engine_ns_per_event, engine ns per
 op (their product, taken per run), sim.bytes_per_event,
-net.send_ns_per_op, gc.minor_collections and gc.promoted_mb. A change
+net.send_ns_per_op, gc.minor_collections, gc.promoted_mb, the
+self time per P2a handler call and benchmark.check_s. A change
 that alters how many events a run takes moves the denominator of every
 per-event figure, so engine ns per op is the one to compare across
 such a change.
@@ -48,6 +49,9 @@ TRACED = (
     ("net.send_ns_per_op", "net.send_ns_per_op"),
     ("gc.minor_collections", "gc.minor_collections"),
     ("gc.promoted_mb", "gc.promoted_mb"),
+    ("P2a self ns per call", lambda m: m["protocols.msg.P2a.self_ns"]["value"]
+     / max(1, m["protocols.msg.P2a.calls"]["value"])),
+    ("benchmark.check_s", "benchmark.check_s"),
 )
 
 

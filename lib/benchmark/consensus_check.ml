@@ -28,14 +28,13 @@ let check_key ~key ~histories =
   pairs histories
 
 let check ~state_machines ~keys =
+  let nodes =
+    List.map (fun (node, sm) -> (node, State_machine.histories sm)) state_machines
+  in
   List.concat_map
     (fun key ->
-      let histories =
-        List.map
-          (fun (node, sm) -> (node, State_machine.key_history sm key))
-          state_machines
-      in
-      check_key ~key ~histories)
+      check_key ~key
+        ~histories:(List.map (fun (node, history) -> (node, history key)) nodes))
     keys
 
 let pp_violation ppf v =

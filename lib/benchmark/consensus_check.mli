@@ -1,7 +1,8 @@
 (** Consensus checker (§4.2): validates that replicated state machines
     agree, beyond what client-observed linearizability can show. For
     every data record it collects the per-key version history H^r from
-    each node's multi-version store and verifies that all histories
+    each node — its applied sequence filtered to the key's writes
+    ({!State_machine.key_history}) — and verifies that all histories
     share a common prefix — diverging prefixes mean two nodes
     committed different commands for the same position. *)
 
@@ -25,7 +26,7 @@ val check :
   state_machines:(int * State_machine.t) list ->
   keys:Command.key list ->
   violation list
-(** Collect histories from each node's state machine and check every
-    key. *)
+(** Collect histories from each node's state machine, one pass over
+    each applied sequence, and check every key. *)
 
 val pp_violation : Format.formatter -> violation -> unit

@@ -16,7 +16,16 @@ let conflicts a b =
   && key a = key b
   && (is_write a || is_write b)
 
-let equal a b = a.id = b.id && a.client = b.client && a.op = b.op
+(* by constructor: [a.op = b.op] would call the runtime's polymorphic
+   compare *)
+let equal_op a b =
+  match (a, b) with
+  | Get k, Get k' | Delete k, Delete k' -> k = k'
+  | Put (k, v), Put (k', v') -> k = k' && v = v'
+  | _ -> false
+
+let equal a b =
+  a == b || (a.id = b.id && a.client = b.client && equal_op a.op b.op)
 
 let compare a b =
   match Int.compare a.client b.client with

@@ -1,34 +1,31 @@
-(** In-memory multi-version key-value datastore (§4.1 Data store).
+(** In-memory key-value datastore (§4.1 Data store): each key's latest
+    value and nothing else.
 
-    Every write creates a new version; the full version chain of every
-    key is retained so the consensus checker can compare per-node
-    histories, as the paper does with its multi-version store.
-
-    A version is its writer command: the store keeps each key's writers
-    in a flat array, oldest first, and builds {!version} records only
-    when {!versions} is called (by the checkers). *)
+    Paxi's store is multi-version so that the consensus checker can
+    compare per-node histories. Here a key's history is derived from
+    the replica's applied sequence instead ({!State_machine.key_history}),
+    so the store keeps no version and no writer: a write stores one
+    int, a read is one probe. *)
 
 type t
-
-type version = {
-  value : Command.value option;  (** [None] for a delete *)
-  seq : int;  (** position in this key's version chain, from 1 *)
-  writer : Command.t;  (** the command that created this version *)
-}
 
 val create : unit -> t
 val get : t -> Command.key -> Command.value option
 (** Latest live value; [None] if absent or deleted. *)
 
 val write : t -> Command.t -> unit
-(** Append a version to the writer's key: a [Put] sets its value, a
-    [Delete] removes it. Raises [Invalid_argument] on a [Get]. *)
+(** A [Put] sets its key's value, a [Delete] removes it. Raises
+    [Invalid_argument] on a [Get]. *)
 
-val versions : t -> Command.key -> version list
-(** Oldest first. *)
+val slot : t -> Command.key -> int
+(** Where [key] is, or would go: below {!capacity}, one slot per key
+    present, fixed until a new key is written. *)
+
+val capacity : t -> int
 
 val keys : t -> Command.key list
-(** Every key ever written, in no particular order. *)
+(** Every key ever written, deleted ones included, in no particular
+    order. *)
 
 val size : t -> int
 (** Number of keys ever written. *)

@@ -52,4 +52,18 @@ let image t = Array.init t.n (nth t)
 let applied_count t = t.n
 let store t = t.kv
 
-let key_history t k = List.map (fun v -> v.Kv.writer) (Kv.versions t.kv k)
+(* The writers [apply] passed to [Kv.write], gathered under their
+   key's slot in [kv]; a key this replica never wrote finds a slot no
+   writer used. Walked newest first, so each list is oldest first. *)
+let histories t =
+  let by_slot = Array.make (Kv.capacity t.kv) [] in
+  for i = t.n - 1 downto 0 do
+    let c = nth t i in
+    if Command.is_write c && not (Command.is_noop c) then begin
+      let s = Kv.slot t.kv (Command.key c) in
+      by_slot.(s) <- c :: by_slot.(s)
+    end
+  done;
+  fun k -> by_slot.(Kv.slot t.kv k)
+
+let key_history t k = histories t k

@@ -1,9 +1,11 @@
-(** Deterministic replicated state machine over the multi-version
+(** Deterministic replicated state machine over the latest-value
     store. Each replica owns one instance; commands are applied in
-    commit order, and the full applied sequence is retained for the
-    consensus checker (common-prefix validation across replicas). It is
-    kept in pages: the first doubles from 16 commands to 1,024, later
-    ones are appended whole, so nothing is copied past 1,024 commands. *)
+    commit order, and the full applied sequence is retained. It is the
+    one record of history: the per-key version histories the consensus
+    checker compares (Paxi's multi-version store, §4.1) are read from
+    it, not kept a second time in {!Kv}. It is kept in pages: the first
+    doubles from 16 commands to 1,024, later ones are appended whole,
+    so nothing is copied past 1,024 commands. *)
 
 type t
 
@@ -25,4 +27,10 @@ val applied_count : t -> int
 val store : t -> Kv.t
 val key_history : t -> Command.key -> Command.t list
 (** Writers of each version of [key], oldest first — the per-record
-    history H^r the consensus checker collects from every node. *)
+    history H^r the consensus checker collects from every node: the
+    applied sequence filtered to the puts and deletes of [key]. *)
+
+val histories : t -> Command.key -> Command.t list
+(** [histories t] gathers every key's {!key_history} in one pass over
+    the applied sequence; the function it returns looks one up. It
+    reads the store's key slots, so use it before the next apply. *)

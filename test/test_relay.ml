@@ -364,6 +364,52 @@ let test_raft_relay_commits () =
     (count "RelayAppendAck" > 0);
   HR.assert_consistent h
 
+(* Every replica keeps applying. The consensus check accepts an empty
+   history as a prefix of any other, so a replica that stopped applying
+   would pass it; here every replica's applied count must stay within
+   one command per closed-loop client of the furthest one (the commands
+   still in flight when the run stops), on a fault-free run long
+   enough that the bound is a small share of what was applied. *)
+let test_paxos_relay_every_replica_applies () =
+  let n = 13 and clients = 32 in
+  let replicas = ref [] in
+  let module P = struct
+    include Paxi_protocols.Paxos
+
+    let create env =
+      let r = create env in
+      replicas := r :: !replicas;
+      r
+  end in
+  let spec =
+    Runner.spec ~warmup_ms:100.0 ~duration_ms:300.0 ~cooldown_ms:50.0
+      ~config:{ (relay_config ~r:3 n) with Config.seed = 5 }
+      ~topology:(Topology.lan ~n_replicas:n ())
+      ~client_specs:
+        [
+          Runner.clients ~target:Runner.Round_robin ~count:clients
+            Workload.default;
+        ]
+      ()
+  in
+  let res = Runner.run (module P) spec in
+  let counts =
+    List.map
+      (fun r -> State_machine.applied_count (Executor.state_machine (P.executor r)))
+      !replicas
+  in
+  let most = List.fold_left Int.max 0 counts
+  and least = List.fold_left Int.min max_int counts in
+  Alcotest.(check int) "one instance per replica" n (List.length counts);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d applied at most, %d completed" most res.Runner.completed)
+    true
+    (most >= 20 * clients);
+  Alcotest.(check bool)
+    (Printf.sprintf "applied spread %d <= %d clients" (most - least) clients)
+    true
+    (most - least <= clients)
+
 let test_paxos_relay_big_n () =
   let h = HP.lan ~config:(relay_config ~r:3 25) ~n:25 () in
   HP.run_for h 200.0;
@@ -583,6 +629,8 @@ let suite =
       Alcotest.test_case "paxos relay commits" `Quick
         test_paxos_relay_commits;
       Alcotest.test_case "raft relay commits" `Quick test_raft_relay_commits;
+      Alcotest.test_case "every replica applies (paxos relay)" `Quick
+        test_paxos_relay_every_replica_applies;
       Alcotest.test_case "paxos relay at n=25" `Slow test_paxos_relay_big_n;
       Alcotest.test_case "paxos relay crash fallback" `Slow
         test_paxos_relay_crash;

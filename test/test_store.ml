@@ -20,7 +20,35 @@ let test_command_accessors () =
   Alcotest.(check bool) "delete is write" true (Command.is_write (cmd 3 (Command.Delete 1)));
   Alcotest.(check bool) "noop" true (Command.is_noop Command.noop)
 
-let test_kv_versions () =
+(* [Command.equal] matches on constructors; it must agree with the
+   structural equality it replaced. Small ranges make equal pairs
+   common, and [noop] (or a copy of it) is drawn as one command in
+   five. *)
+let prop_command_equal =
+  let gen_cmd =
+    QCheck.Gen.(
+      frequency
+        [
+          (1, oneofl [ Command.noop; { Command.noop with Command.id = -1 } ]);
+          ( 4,
+            map
+              (fun (id, client, kind, (k, v)) ->
+                Command.make ~id ~client
+                  (match kind with
+                  | 0 -> Command.Get k
+                  | 1 -> Command.Put (k, v)
+                  | _ -> Command.Delete k))
+              (quad (int_bound 2) (int_bound 1) (int_bound 2)
+                 (pair (int_range (-1) 1) (int_bound 1))) );
+        ])
+  in
+  QCheck.Test.make ~name:"command equal is structural equality" ~count:2000
+    (QCheck.make ~print:(fun (a, b) -> Fmt.str "%a %a" Command.pp a Command.pp b)
+       QCheck.Gen.(pair gen_cmd gen_cmd))
+    (fun (a, b) ->
+      Command.equal a b = (a = b) && Command.equal a a && Command.equal b b)
+
+let test_kv_get_put_delete () =
   let kv = Kv.create () in
   Alcotest.(check (option int)) "absent" None (Kv.get kv 1);
   Kv.write kv (cmd 1 (Command.Put (1, 10)));
@@ -29,10 +57,18 @@ let test_kv_versions () =
   Alcotest.(check (option int)) "updated" (Some 20) (Kv.get kv 1);
   Kv.write kv (cmd 3 (Command.Delete 1));
   Alcotest.(check (option int)) "deleted" None (Kv.get kv 1);
-  let versions = Kv.versions kv 1 in
-  Alcotest.(check int) "three versions" 3 (List.length versions);
-  Alcotest.(check (list int)) "seq order" [ 1; 2; 3 ]
-    (List.map (fun v -> v.Kv.seq) versions)
+  Kv.write kv (cmd 4 (Command.Delete 2));
+  Alcotest.(check (option int)) "deleted, never put" None (Kv.get kv 2);
+  Alcotest.(check (list int)) "deleted keys still listed" [ 1; 2 ]
+    (List.sort compare (Kv.keys kv));
+  Alcotest.(check int) "size counts them" 2 (Kv.size kv);
+  Kv.write kv (cmd 5 (Command.Put (1, 30)));
+  Alcotest.(check (option int)) "put after delete" (Some 30) (Kv.get kv 1);
+  Alcotest.(check int) "same key, same size" 2 (Kv.size kv);
+  Alcotest.(check bool) "a get is not a write" true
+    (match Kv.write kv (cmd 6 (Command.Get 1)) with
+    | () -> false
+    | exception Invalid_argument _ -> true)
 
 let test_kv_keys () =
   let kv = Kv.create () in
@@ -193,11 +229,6 @@ let pp_opt = Fmt.(option ~none:(any "None") int)
 let pp_cmds = Fmt.(list ~sep:sp Command.pp)
 let pp_ints = Fmt.(list ~sep:sp int)
 
-let pp_versions =
-  Fmt.(
-    list ~sep:sp (fun ppf (v, s, w) ->
-        Fmt.pf ppf "(%a,%d,%a)" pp_opt v s Command.pp w))
-
 let all_keys = List.init 100 Fun.id
 
 (* Everything observable about a final state, against the model. *)
@@ -216,14 +247,7 @@ let check_final what sm (m : Model.sm) =
     (fun k ->
       expect (what "get") pp_opt (Kv.get kv k) (Model.get m k);
       expect (what "key_history") pp_cmds (State_machine.key_history sm k)
-        (List.map (fun v -> v.Model.writer) (Model.versions m k));
-      expect (what "versions") pp_versions
-        (List.map
-           (fun v -> (v.Kv.value, v.Kv.seq, v.Kv.writer))
-           (Kv.versions kv k))
-        (List.map
-           (fun v -> (v.Model.value, v.Model.seq, v.Model.writer))
-           (Model.versions m k)))
+        (List.map (fun v -> v.Model.writer) (Model.versions m k)))
     all_keys
 
 let prop_store_matches_model =
@@ -387,9 +411,10 @@ let test_config_quorums () =
 
 (* For an array past 256 words, [Array.make] with a young initial
    value empties the minor heap before it allocates. A new page of the
-   applied sequence (the 1,025th command) and a writer chain doubling
-   past 256 writers are such arrays; recording a freshly built command
-   there must start no minor collection. *)
+   applied sequence (the 1,025th command) is such an array, and so are
+   the key table's arrays once it grows past 512 slots; recording a
+   freshly built command, or growing the table, must start no minor
+   collection. *)
 let minor_collections_during f =
   Gc.minor ();
   let before = (Gc.quick_stat ()).Gc.minor_collections in
@@ -407,21 +432,29 @@ let test_growth_forces_no_minor () =
            (State_machine.apply sm
               (cmd (Sys.opaque_identity 1024) (Command.Get 1)))));
   Alcotest.(check int) "applied" 1025 (State_machine.applied_count sm);
+  (* 384 keys fill 512 slots to 3/4; the 385th doubles the table *)
   let kv = Kv.create () in
-  for i = 0 to 255 do
-    Kv.write kv (cmd i (Command.Put (3, i)))
+  for i = 0 to 383 do
+    Kv.write kv (cmd i (Command.Put (i, i)))
   done;
-  Alcotest.(check int) "chain doubling past 256 writers" 0
+  Alcotest.(check int) "full table" 512 (Kv.capacity kv);
+  Alcotest.(check int) "table growth past 3/4 load" 0
     (minor_collections_during (fun () ->
-         Kv.write kv (cmd (Sys.opaque_identity 256) (Command.Put (3, 256)))));
-  Alcotest.(check int) "writers" 257 (List.length (Kv.versions kv 3))
+         Kv.write kv (cmd (Sys.opaque_identity 384) (Command.Put (384, 384)))));
+  Alcotest.(check int) "grown table" 1024 (Kv.capacity kv);
+  Alcotest.(check int) "keys" 385 (Kv.size kv);
+  Alcotest.(check (option int)) "moved keys kept" (Some 7) (Kv.get kv 7);
+  Alcotest.(check (option int)) "new key" (Some 384) (Kv.get kv 384)
 
 let suite =
   ( "store",
     [
       Alcotest.test_case "command conflicts" `Quick test_conflicts;
       Alcotest.test_case "command accessors" `Quick test_command_accessors;
-      Alcotest.test_case "kv versions" `Quick test_kv_versions;
+      QCheck_alcotest.to_alcotest
+        ~rand:(Random.State.make [| 5 |])
+        prop_command_equal;
+      Alcotest.test_case "kv get put delete" `Quick test_kv_get_put_delete;
       Alcotest.test_case "kv keys" `Quick test_kv_keys;
       Alcotest.test_case "state machine apply" `Quick test_state_machine_apply;
       Alcotest.test_case "state machine noop" `Quick test_state_machine_noop;
